@@ -4,7 +4,6 @@ use crate::experiments::Experiment;
 use crate::report::{Report, Series, TextTable};
 use crate::scenario::Scenario;
 use rws_domain::{DomainName, SldComparison};
-use rws_engine::EngineBackend;
 use rws_html::similarity::{DocumentProfile, ProfileScratch, SimilarityWeights};
 use rws_model::MemberRole;
 use rws_stats::Ecdf;

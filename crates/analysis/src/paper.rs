@@ -8,7 +8,7 @@ use crate::experiments::all_experiments;
 pub use crate::experiments::Experiment;
 use crate::report::Report;
 use crate::scenario::{Scenario, ScenarioConfig};
-use rws_engine::{EngineBackend, EngineContext};
+use rws_engine::EngineContext;
 
 /// Runs the full set of experiments over a lazily-generated scenario.
 pub struct PaperReproduction {

@@ -23,7 +23,7 @@
 
 use rws_classify::CategoryDatabase;
 use rws_corpus::{Corpus, CorpusConfig, CorpusGenerator};
-use rws_engine::{EngineBackend, EngineContext};
+use rws_engine::EngineContext;
 use rws_github::{HistoryConfig, HistoryGenerator, PrHistory, PrState};
 use rws_model::{ListSnapshot, RwsList, SnapshotSeries};
 use rws_stats::rng::Xoshiro256StarStar;

@@ -8,7 +8,6 @@
 
 use proptest::prelude::*;
 use rws_analysis::{PaperReproduction, Scenario, ScenarioConfig};
-use rws_engine::EngineBackend;
 use rws_engine::EngineContext;
 
 /// Field-by-field equality between two scenarios. `Corpus` holds the

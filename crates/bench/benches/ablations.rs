@@ -15,6 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rws_bench::bench_scenario;
 use rws_browser::{linkability_by_vendor, linkability_report, PromptBehaviour, VendorPolicy};
 use rws_domain::{DomainName, PublicSuffixList, SldComparison};
+use rws_engine::EngineContext;
 use rws_model::{MemberRole, SetValidator, ValidatorConfig};
 use std::sync::Once;
 
@@ -52,8 +53,10 @@ fn print_policy_ablation() {
             "{:<16} {:>15} {:>12}",
             "vendor", "linkable pairs", "linkability"
         );
-        // One replay per vendor, fanned out across threads.
-        for report in linkability_by_vendor(list, &trace, &tracker, PromptBehaviour::AlwaysDecline)
+        // One replay per vendor, fanned out across the context's pool.
+        let ctx = EngineContext::embedded();
+        for report in
+            linkability_by_vendor(list, &trace, &tracker, PromptBehaviour::AlwaysDecline, &ctx)
         {
             println!(
                 "{:<16} {:>15} {:>12.3}",

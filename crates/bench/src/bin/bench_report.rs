@@ -17,8 +17,8 @@ use rws_corpus::{
 };
 use rws_domain::levenshtein::{levenshtein_bounded, levenshtein_naive};
 use rws_domain::{DomainName, PublicSuffixList, SiteResolver};
+use rws_engine::EngineContext;
 use rws_engine::SupervisionPolicy;
-use rws_engine::{EngineBackend, EngineContext};
 use rws_github::{HistoryConfig, HistoryGenerator};
 use rws_html::similarity::{
     html_similarity_naive, DocumentProfile, ProfileScratch, SimilarityWeights,
@@ -253,13 +253,14 @@ fn main() {
         profile_docs.len() >= 32,
         "profile sweep needs enough documents to leave the inline cutoff"
     );
+    let profile_ctx = EngineContext::new();
     let profile_plain_ns = measure(|| {
-        black_box(rws_stats::parallel::par_map(&profile_docs, |_, html| {
-            DocumentProfile::new(html, weights)
-        }));
+        black_box(
+            profile_ctx.par_map(&profile_docs, |_, html| DocumentProfile::new(html, weights)),
+        );
     });
     let profile_scratch_ns = measure(|| {
-        black_box(rws_stats::parallel::par_map_with(
+        black_box(profile_ctx.par_map_with(
             ProfileScratch::default(),
             &profile_docs,
             |scratch, _, html| DocumentProfile::with_scratch(html, weights, scratch),
@@ -675,36 +676,6 @@ fn main() {
             json!(cloning_ns / borrowed_ns),
         );
     }
-
-    // --- parallel sweeps: persistent pool vs spawn-per-call ----------------
-    // The same element-granularity work stealing, dispatched to the
-    // persistent pool vs spawning scoped threads on every call (the PR-1
-    // implementation, retained as the baseline).
-    let sweep_items: Vec<u64> = (0..4096).collect();
-    let sweep = |i: usize, v: &u64| {
-        let mut acc = *v;
-        for _ in 0..64 {
-            acc = acc
-                .wrapping_mul(6364136223846793005)
-                .rotate_left((i % 63) as u32);
-        }
-        acc
-    };
-    let pooled_sweep_ns = measure(|| {
-        black_box(rws_stats::parallel::par_map_coarse(&sweep_items, sweep));
-    });
-    let spawn_sweep_ns = measure(|| {
-        black_box(rws_stats::parallel::par_map_spawn_per_call(
-            &sweep_items,
-            sweep,
-        ));
-    });
-    kernels.insert("par_map_pooled_4k".into(), json!(pooled_sweep_ns));
-    kernels.insert("par_map_spawn_per_call_4k".into(), json!(spawn_sweep_ns));
-    speedups.insert(
-        "par_map_pool_vs_spawn".into(),
-        json!(spawn_sweep_ns / pooled_sweep_ns),
-    );
 
     // --- staged scenario pipeline: pooled vs sequential --------------------
     let small = ScenarioConfig::small(7);

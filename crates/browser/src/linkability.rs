@@ -11,6 +11,7 @@
 use crate::browser::{Browser, PromptBehaviour};
 use crate::policy::{StorageAccessPolicy, VendorPolicy};
 use rws_domain::{DomainName, SiteResolver};
+use rws_engine::EngineContext;
 use rws_model::RwsList;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -122,45 +123,29 @@ pub fn linkability_report_with_resolver(
 }
 
 /// Replay the same browsing trace under every vendor policy, one policy
-/// per thread — the paper's cross-vendor comparison (and the
-/// `ablation_policies` bench) in a single call.
+/// per task on the context's pool — the paper's cross-vendor comparison
+/// (and the `ablation_policies` bench) in a single call.
 ///
 /// Each policy gets its own [`Browser`], so the replays are fully
-/// independent; results come back in [`VendorPolicy::ALL`] order.
+/// independent; they share the context's memoizing [`SiteResolver`], so
+/// the fan-out resolves each trace host once instead of once per vendor.
+/// Results come back in [`VendorPolicy::ALL`] order.
 pub fn linkability_by_vendor(
     list: &RwsList,
     top_level_sites: &[DomainName],
     tracker: &DomainName,
     prompt_behaviour: PromptBehaviour,
-) -> Vec<LinkabilityReport> {
-    linkability_by_vendor_with_resolver(
-        list,
-        top_level_sites,
-        tracker,
-        prompt_behaviour,
-        &SiteResolver::embedded(),
-    )
-}
-
-/// [`linkability_by_vendor`] with a shared memoizing [`SiteResolver`]
-/// handed to every vendor's browser, so the fan-out resolves each trace
-/// host once instead of once per vendor.
-pub fn linkability_by_vendor_with_resolver(
-    list: &RwsList,
-    top_level_sites: &[DomainName],
-    tracker: &DomainName,
-    prompt_behaviour: PromptBehaviour,
-    resolver: &SiteResolver,
+    ctx: &EngineContext,
 ) -> Vec<LinkabilityReport> {
     let vendors = VendorPolicy::ALL;
-    rws_stats::parallel::par_map_coarse(&vendors, |_, vendor| {
+    ctx.par_map_coarse(&vendors, |_, vendor| {
         linkability_report_with_resolver(
             *vendor,
             list,
             top_level_sites,
             tracker,
             prompt_behaviour,
-            resolver,
+            ctx.resolver(),
         )
     })
 }
@@ -195,6 +180,7 @@ pub fn summarise(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rws_engine::ThreadPool;
     use rws_model::RwsSet;
 
     fn dn(s: &str) -> DomainName {
@@ -327,37 +313,43 @@ mod tests {
         let list = rws_list();
         let trace = trace();
         let tracker = dn("tracker.example");
-        let all = linkability_by_vendor(&list, &trace, &tracker, PromptBehaviour::AlwaysDecline);
-        assert_eq!(all.len(), VendorPolicy::ALL.len());
-        for (vendor, parallel) in VendorPolicy::ALL.iter().zip(&all) {
-            let sequential = linkability_report(
-                *vendor,
+        let individual: Vec<LinkabilityReport> = VendorPolicy::ALL
+            .iter()
+            .map(|vendor| {
+                linkability_report(
+                    *vendor,
+                    &list,
+                    &trace,
+                    &tracker,
+                    PromptBehaviour::AlwaysDecline,
+                )
+            })
+            .collect();
+        let pooled = EngineContext::with_parts(ThreadPool::new(3), SiteResolver::embedded());
+        for ctx in [pooled, EngineContext::sequential()] {
+            let all = linkability_by_vendor(
                 &list,
                 &trace,
                 &tracker,
                 PromptBehaviour::AlwaysDecline,
+                &ctx,
             );
-            assert_eq!(parallel, &sequential, "mismatch for {}", vendor.name());
+            assert_eq!(all, individual, "pooled: {}", ctx.pool().is_some());
         }
     }
 
     #[test]
-    fn shared_resolver_sweep_matches_and_hits_cache() {
-        let list = rws_list();
-        let trace = trace();
-        let tracker = dn("tracker.example");
-        let resolver = SiteResolver::embedded();
-        let shared = linkability_by_vendor_with_resolver(
-            &list,
-            &trace,
-            &tracker,
+    fn by_vendor_sweep_shares_the_context_resolver() {
+        let ctx = EngineContext::embedded();
+        let _ = linkability_by_vendor(
+            &rws_list(),
+            &trace(),
+            &dn("tracker.example"),
             PromptBehaviour::AlwaysDecline,
-            &resolver,
+            &ctx,
         );
-        let fresh = linkability_by_vendor(&list, &trace, &tracker, PromptBehaviour::AlwaysDecline);
-        assert_eq!(shared, fresh);
         // Five vendors resolved the same trace: all repeats hit the cache.
-        let stats = resolver.stats();
+        let stats = ctx.resolver().stats();
         assert!(stats.hits > stats.misses, "stats {stats:?}");
     }
 

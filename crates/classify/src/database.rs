@@ -4,7 +4,7 @@
 use crate::keyword::KeywordClassifier;
 use rws_corpus::{Corpus, SiteCategory, SiteSpec};
 use rws_domain::DomainName;
-use rws_engine::EngineBackend;
+use rws_engine::EngineContext;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -55,7 +55,7 @@ impl CategoryDatabase {
     /// answer [`SiteCategory::Unknown`], exactly like an unfetchable URL.
     ///
     /// [`SupervisionPolicy`]: rws_engine::SupervisionPolicy
-    pub fn classify_corpus_on<E: EngineBackend>(corpus: &Corpus, ctx: &E) -> CategoryDatabase {
+    pub fn classify_corpus_on(corpus: &Corpus, ctx: &EngineContext) -> CategoryDatabase {
         let classifier = KeywordClassifier::new();
         let sites: Vec<&SiteSpec> = corpus.sites.values().collect();
         let categories: Vec<Option<SiteCategory>> =

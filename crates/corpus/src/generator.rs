@@ -21,7 +21,7 @@ use crate::render::RenderArena;
 use crate::site::{Language, SiteRole, SiteSpec};
 use crate::tranco::TrancoList;
 use rws_domain::DomainName;
-use rws_engine::{EngineBackend, EngineContext};
+use rws_engine::EngineContext;
 use rws_model::{RwsList, RwsSet, WellKnownFile};
 use rws_net::{FrozenWeb, ShardedFrozenWeb, SimulatedWeb, SiteHost, WELL_KNOWN_RWS_PATH};
 use rws_stats::rng::{Rng, Xoshiro256StarStar};
@@ -279,11 +279,11 @@ impl CorpusGenerator {
         self.generate_with(&EngineContext::embedded())
     }
 
-    /// Generate the full corpus, resolving sites through the backend's
+    /// Generate the full corpus, resolving sites through the context's
     /// shared [`rws_engine::SiteResolver`] and rendering pages on its pool.
     /// Output bytes depend only on the configuration — never on the
-    /// backend's execution mode or the shard count.
-    pub fn generate_with<E: EngineBackend>(&self, ctx: &E) -> Corpus {
+    /// context's execution mode or the shard count.
+    pub fn generate_with(&self, ctx: &EngineContext) -> Corpus {
         let cfg = self.config;
         let resolver = ctx.resolver();
         let mut rng = Xoshiro256StarStar::new(cfg.seed).derive("corpus");

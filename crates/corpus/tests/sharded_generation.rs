@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use rws_corpus::{Corpus, CorpusConfig, CorpusGenerator};
-use rws_engine::{EngineContext, InlineBackend, SiteResolver, ThreadPool};
+use rws_engine::{EngineContext, SiteResolver, ThreadPool};
 use rws_net::{ServedPage, Url, WELL_KNOWN_RWS_PATH};
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 7, 16];
@@ -84,7 +84,7 @@ proptest! {
     fn pooled_generation_matches_sequential_across_seeds(seed in 0u64..1_000_000) {
         let config = tiny_config(seed % 89);
         let pooled_ctx = EngineContext::with_parts(ThreadPool::new(3), SiteResolver::embedded());
-        let inline_ctx = InlineBackend::new(SiteResolver::embedded());
+        let inline_ctx = EngineContext::embedded().sequential_twin();
         for &count in &[7usize, 8] {
             let generator = CorpusGenerator::new(config).with_shards(count);
             let pooled = generator.generate_with(&pooled_ctx);

@@ -3,46 +3,31 @@
 //! Before this crate, each layer built its own [`SiteResolver`] (the corpus
 //! generator, the browser, the validation bot, the survey runner and the
 //! list experiments all called `SiteResolver::new` independently) and every
-//! parallel sweep spawned fresh scoped threads. The engine bundles the two
-//! process-wide resources those layers actually want to share:
+//! parallel sweep spawned fresh scoped threads. The engine bundles the
+//! process-wide resources those layers actually want to share into one
+//! cheap-to-clone handle, [`EngineContext`]:
 //!
-//! * a handle to the persistent work-stealing [`ThreadPool`], so nested
-//!   sweeps (a scenario pipeline running experiments that fan out again)
-//!   all execute on one set of workers, and
+//! * an optional handle to the persistent work-stealing [`ThreadPool`], so
+//!   nested sweeps (a scenario pipeline running experiments that fan out
+//!   again) all execute on one set of workers;
 //! * a concurrency-safe [`SiteResolver`] (sharded memo cache over the full
 //!   vendored Public Suffix List), so a host's eTLD+1 is computed once for
-//!   the whole pipeline instead of once per layer.
+//!   the whole pipeline instead of once per layer; and
+//! * the supervision policy plus the run-level monitor every supervised
+//!   sweep reports into.
 //!
-//! # The backend trait
-//!
-//! Scenario code does not care *where* work runs — it cares that `par_map`
-//! is ordered and deterministic and that a resolver is at hand. That
-//! contract is the [`EngineBackend`] trait: five required accessors
-//! (resolver, pool, supervision plumbing) and a family of provided
-//! parallel entry points (`par_map`, `par_map_with`, supervised sweeps,
-//! `join2`) implemented once in terms of them. Two backends exist today —
-//! [`PooledBackend`] fans out on a thread pool, [`InlineBackend`] runs
-//! everything in input order on the calling thread — and a
-//! sharded-multiprocess backend (per-shard worker processes over the
-//! sharded frozen store) has a reserved slot for when corpora outgrow one
-//! address space.
-//!
-//! [`EngineContext`] remains the concrete handle threaded through
-//! `CorpusGenerator`, `HistoryGenerator`, the survey runner, the
-//! linkability sweeps and `Scenario::generate`: a cheap-to-clone
-//! dispatcher over the two backends that keeps its original constructor
-//! surface (`new`, `embedded`, `sequential`, `with_parts`…). Pipeline
-//! entry points now take `&E where E: EngineBackend`, so they accept the
-//! context, a bare backend, or anything else that implements the trait.
+//! The context is threaded through `CorpusGenerator`, `HistoryGenerator`,
+//! the survey runner, the linkability sweeps, the load engine and
+//! `Scenario::generate`. Its `par_*` entry points are ordered and
+//! deterministic: results are keyed by input index and per-task rngs are
+//! derived, so where the work runs never changes what it computes.
 //!
 //! # Sequential mode
 //!
-//! [`EngineContext::sequential`] returns a context whose `par_*` and
-//! [`join2`](EngineBackend::join2) entry points run inline, in order, on
-//! the calling thread. Because every parallel construct in the workspace is
-//! order-deterministic (results keyed by input index, per-task derived
-//! rngs), the sequential context is the *oracle* the property tests compare
-//! the pooled pipeline against: `Scenario::generate` must produce
+//! [`EngineContext::sequential`] returns a context without a pool: its
+//! `par_*` and [`join2`](EngineContext::join2) entry points run inline, in
+//! order, on the calling thread. It is the *oracle* the property tests
+//! compare the pooled pipeline against: `Scenario::generate` must produce
 //! field-by-field identical output under both.
 
 pub use rws_domain::SiteResolver;
@@ -52,49 +37,154 @@ use rws_stats::supervision::Quarantine;
 pub use rws_stats::supervision::{SupervisionPolicy, SupervisionReport};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Where (and how) pipeline work executes.
-///
-/// Required methods are the resources a backend owns; every parallel
-/// entry point is provided on top of them, so a new backend (the reserved
-/// sharded-multiprocess slot, a test double) implements exactly five
-/// methods and inherits the whole deterministic `par_*` surface.
-///
-/// The `Sync` supertrait is what lets sweep closures capture `&self`
-/// (e.g. to reach the resolver) while running on pool workers.
-pub trait EngineBackend: Sync {
-    /// The shared memoizing site resolver.
-    fn resolver(&self) -> &SiteResolver;
+/// The old name of [`EngineContext`]. It exists only so the frozen
+/// benchmark harness, which imports it, keeps building; nothing else may
+/// use it.
+#[doc(hidden)]
+pub use EngineContext as EngineBackend;
 
-    /// The pool this backend fans out on — `None` means every entry point
+/// Below this many items [`EngineContext::par_map`] runs inline: queueing a
+/// batch for a handful of elements costs more than it saves.
+pub const MIN_PARALLEL_LEN: usize = 32;
+
+/// The supervision plumbing a context carries: a policy plus the shared
+/// run-level monitor that supervised sweeps merge into.
+#[derive(Debug, Clone)]
+struct Supervisor {
+    policy: SupervisionPolicy,
+    /// Clones share the monitor, so every layer a context is threaded
+    /// through reports into one place; twins get a fresh one so oracle
+    /// runs count independently.
+    monitor: Arc<Mutex<SupervisionReport>>,
+}
+
+impl Supervisor {
+    fn new(policy: SupervisionPolicy) -> Supervisor {
+        Supervisor {
+            policy,
+            monitor: Arc::new(Mutex::new(SupervisionReport::new())),
+        }
+    }
+
+    fn report(&self) -> SupervisionReport {
+        self.monitor
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    fn record(&self, sweep: &SupervisionReport) {
+        self.monitor
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .merge(sweep);
+    }
+}
+
+/// Shared execution context: one resolver, one pool, threaded end-to-end.
+///
+/// Clones share the same pool workers, the same resolver memo cache and
+/// the same supervision monitor.
+#[derive(Debug, Clone)]
+pub struct EngineContext {
+    /// The pool sweeps fan out on (the caller also helps drain it); `None`
+    /// runs every entry point inline, in input order.
+    pool: Option<ThreadPool>,
+    resolver: SiteResolver,
+    supervisor: Supervisor,
+}
+
+impl EngineContext {
+    /// The production context: global thread pool + the process-wide
+    /// resolver over the full vendored PSL snapshot.
+    pub fn new() -> EngineContext {
+        EngineContext::with_parts(ThreadPool::global().clone(), SiteResolver::full())
+    }
+
+    /// Global pool + a resolver over the small embedded PSL snapshot — the
+    /// context unit tests run on (same fixture the seed tests pinned down).
+    pub fn embedded() -> EngineContext {
+        EngineContext::with_parts(ThreadPool::global().clone(), SiteResolver::embedded())
+    }
+
+    /// A context that executes everything inline on the calling thread,
+    /// sharing the production resolver. This is the sequential oracle for
+    /// the parallel-vs-sequential equivalence property tests.
+    pub fn sequential() -> EngineContext {
+        EngineContext {
+            pool: None,
+            resolver: SiteResolver::full(),
+            supervisor: Supervisor::new(SupervisionPolicy::FailFast),
+        }
+    }
+
+    /// A context over an explicit pool and resolver, fail-fast.
+    pub fn with_parts(pool: ThreadPool, resolver: SiteResolver) -> EngineContext {
+        EngineContext {
+            pool: Some(pool),
+            resolver,
+            supervisor: Supervisor::new(SupervisionPolicy::FailFast),
+        }
+    }
+
+    /// Replace the resolver, keeping the execution mode.
+    pub fn with_resolver(mut self, resolver: SiteResolver) -> EngineContext {
+        self.resolver = resolver;
+        self
+    }
+
+    /// Replace the supervision policy, resetting the monitor: the returned
+    /// context starts with a fresh [`SupervisionReport`], so a salvage run
+    /// aggregates only its own sweeps.
+    pub fn with_supervision(mut self, policy: SupervisionPolicy) -> EngineContext {
+        self.supervisor = Supervisor::new(policy);
+        self
+    }
+
+    /// A context with the same resolver handle (shared memo cache) but
+    /// inline execution — the per-context twin used when benchmarking or
+    /// property-testing pooled against sequential runs. The twin keeps the
+    /// supervision policy but gets its own fresh monitor, so oracle runs
+    /// count their sweeps independently.
+    pub fn sequential_twin(&self) -> EngineContext {
+        EngineContext {
+            pool: None,
+            resolver: self.resolver.clone(),
+            supervisor: Supervisor::new(self.supervision()),
+        }
+    }
+
+    /// The shared memoizing site resolver.
+    pub fn resolver(&self) -> &SiteResolver {
+        &self.resolver
+    }
+
+    /// The pool this context fans out on — `None` means every entry point
     /// runs inline, in input order, on the calling thread.
-    fn pool(&self) -> Option<&ThreadPool>;
+    pub fn pool(&self) -> Option<&ThreadPool> {
+        self.pool.as_ref()
+    }
 
     /// The supervision policy supervised sweeps run under.
-    fn supervision(&self) -> SupervisionPolicy;
+    pub fn supervision(&self) -> SupervisionPolicy {
+        self.supervisor.policy
+    }
 
     /// A snapshot of the run-level supervision aggregate: every supervised
-    /// sweep executed on this backend (or a clone sharing its monitor).
-    fn supervision_report(&self) -> SupervisionReport;
-
-    /// Merge one sweep's report into the run-level aggregate. Called by
-    /// the provided supervised entry points; rarely invoked directly.
-    fn record_sweep(&self, sweep: &SupervisionReport);
-
-    /// True if parallel entry points run inline.
-    fn is_sequential(&self) -> bool {
-        self.pool().is_none()
+    /// sweep executed on this context (or a clone sharing its monitor).
+    pub fn supervision_report(&self) -> SupervisionReport {
+        self.supervisor.report()
     }
 
     /// Ordered parallel map with the short-input cutoff (see
-    /// [`rws_stats::parallel::MIN_PARALLEL_LEN`]).
-    fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    /// [`MIN_PARALLEL_LEN`]).
+    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
-        Self: Sized,
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        if items.len() < rws_stats::parallel::MIN_PARALLEL_LEN {
+        if items.len() < MIN_PARALLEL_LEN {
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
         self.par_map_coarse(items, f)
@@ -103,9 +193,8 @@ pub trait EngineBackend: Sync {
     /// Ordered parallel map without the cutoff, for coarse per-element
     /// work (whole-experiment runs, per-set history replays, per-shard
     /// corpus rendering).
-    fn par_map_coarse<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    pub fn par_map_coarse<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
-        Self: Sized,
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
@@ -116,31 +205,19 @@ pub trait EngineBackend: Sync {
         }
     }
 
-    /// Side-effect-only parallel sweep.
-    fn par_for_each<T, F>(&self, items: &[T], f: F)
+    /// Ordered parallel map with recycled scratch state: `state` seeds a
+    /// small pool of per-worker values (cloned on demand), letting sweeps
+    /// reuse buffers without allocating per element. Results must depend
+    /// only on `(index, item)` so pooled and sequential runs agree.
+    pub fn par_map_with<S, T, R, F>(&self, state: S, items: &[T], f: F) -> Vec<R>
     where
-        Self: Sized,
-        T: Sync,
-        F: Fn(usize, &T) + Sync,
-    {
-        self.par_map(items, |i, t| f(i, t));
-    }
-
-    /// Ordered parallel map with recycled scratch state (see
-    /// [`rws_stats::parallel::par_map_with`]). Results must depend only on
-    /// `(index, item)` so pooled and sequential runs agree.
-    fn par_map_with<S, T, R, F>(&self, state: S, items: &[T], f: F) -> Vec<R>
-    where
-        Self: Sized,
         S: Clone + Send,
         T: Sync,
         R: Send,
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
         match self.pool() {
-            Some(pool) if items.len() >= rws_stats::parallel::MIN_PARALLEL_LEN => {
-                par_map_with_on(pool, state, items, f)
-            }
+            Some(pool) if items.len() >= MIN_PARALLEL_LEN => par_map_with_on(pool, state, items, f),
             _ => {
                 let mut scratch = state;
                 items
@@ -152,17 +229,16 @@ pub trait EngineBackend: Sync {
         }
     }
 
-    /// Ordered parallel map under the backend's [`SupervisionPolicy`].
+    /// Ordered parallel map under the context's [`SupervisionPolicy`].
     /// Under fail-fast (the default) this is
-    /// [`par_map_coarse`](EngineBackend::par_map_coarse) (panics re-raise
+    /// [`par_map_coarse`](EngineContext::par_map_coarse) (panics re-raise
     /// on the caller) with every result `Some`; under salvage, a panicking
     /// task is caught, quarantined as `(stage, index, message)` in the
-    /// backend's monitor, and its slot comes back `None` while the rest of
+    /// context's monitor, and its slot comes back `None` while the rest of
     /// the sweep completes. Results and quarantine contents are
     /// scheduling-independent either way.
-    fn par_map_supervised<T, R, F>(&self, stage: &str, items: &[T], f: F) -> Vec<Option<R>>
+    pub fn par_map_supervised<T, R, F>(&self, stage: &str, items: &[T], f: F) -> Vec<Option<R>>
     where
-        Self: Sized,
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
@@ -170,12 +246,12 @@ pub trait EngineBackend: Sync {
         self.par_map_sweep_at(stage, 0, items, f).0
     }
 
-    /// Like [`par_map_supervised`](EngineBackend::par_map_supervised), but
+    /// Like [`par_map_supervised`](EngineContext::par_map_supervised), but
     /// also returns this sweep's own [`SupervisionReport`] (still merged
     /// into the shared monitor), with quarantine indices shifted by
     /// `index_offset` — the entry point windowed (checkpointed) runs use so
     /// entries carry global positions.
-    fn par_map_sweep_at<T, R, F>(
+    pub fn par_map_sweep_at<T, R, F>(
         &self,
         stage: &str,
         index_offset: usize,
@@ -183,7 +259,6 @@ pub trait EngineBackend: Sync {
         f: F,
     ) -> (Vec<Option<R>>, SupervisionReport)
     where
-        Self: Sized,
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
@@ -220,15 +295,14 @@ pub trait EngineBackend: Sync {
                 out
             }
         };
-        self.record_sweep(&sweep);
+        self.supervisor.record(&sweep);
         (out, sweep)
     }
 
     /// Run two closures, in parallel when pooled (either may execute on a
     /// worker thread), or inline in `a`-then-`b` order when sequential.
-    fn join2<A, B, FA, FB>(&self, a: FA, b: FB) -> (A, B)
+    pub fn join2<A, B, FA, FB>(&self, a: FA, b: FB) -> (A, B)
     where
-        Self: Sized,
         A: Send,
         B: Send,
         FA: FnOnce() -> A + Send,
@@ -241,244 +315,6 @@ pub trait EngineBackend: Sync {
                 let rb = b();
                 (ra, rb)
             }
-        }
-    }
-}
-
-/// The supervision plumbing every backend carries: a policy plus the
-/// shared run-level monitor that supervised sweeps merge into.
-#[derive(Debug, Clone)]
-struct Supervisor {
-    policy: SupervisionPolicy,
-    /// Clones share the monitor, so every layer a backend is threaded
-    /// through reports into one place; twins get a fresh one so oracle
-    /// runs count independently.
-    monitor: Arc<Mutex<SupervisionReport>>,
-}
-
-impl Supervisor {
-    fn new(policy: SupervisionPolicy) -> Supervisor {
-        Supervisor {
-            policy,
-            monitor: Arc::new(Mutex::new(SupervisionReport::new())),
-        }
-    }
-
-    fn report(&self) -> SupervisionReport {
-        self.monitor
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    fn record(&self, sweep: &SupervisionReport) {
-        self.monitor
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(sweep);
-    }
-}
-
-/// The pooled backend: fans out on a work-stealing [`ThreadPool`] (the
-/// caller also helps drain the queue). This is what [`EngineContext::new`]
-/// dispatches to.
-#[derive(Debug, Clone)]
-pub struct PooledBackend {
-    pool: ThreadPool,
-    resolver: SiteResolver,
-    supervisor: Supervisor,
-}
-
-impl PooledBackend {
-    /// A pooled backend over an explicit pool and resolver, fail-fast.
-    pub fn new(pool: ThreadPool, resolver: SiteResolver) -> PooledBackend {
-        PooledBackend {
-            pool,
-            resolver,
-            supervisor: Supervisor::new(SupervisionPolicy::FailFast),
-        }
-    }
-}
-
-impl EngineBackend for PooledBackend {
-    fn resolver(&self) -> &SiteResolver {
-        &self.resolver
-    }
-
-    fn pool(&self) -> Option<&ThreadPool> {
-        Some(&self.pool)
-    }
-
-    fn supervision(&self) -> SupervisionPolicy {
-        self.supervisor.policy
-    }
-
-    fn supervision_report(&self) -> SupervisionReport {
-        self.supervisor.report()
-    }
-
-    fn record_sweep(&self, sweep: &SupervisionReport) {
-        self.supervisor.record(sweep);
-    }
-}
-
-/// The inline backend: every entry point runs on the calling thread, in
-/// input order — the sequential oracle for pooled-vs-sequential
-/// equivalence property tests.
-#[derive(Debug, Clone)]
-pub struct InlineBackend {
-    resolver: SiteResolver,
-    supervisor: Supervisor,
-}
-
-impl InlineBackend {
-    /// An inline backend over an explicit resolver, fail-fast.
-    pub fn new(resolver: SiteResolver) -> InlineBackend {
-        InlineBackend {
-            resolver,
-            supervisor: Supervisor::new(SupervisionPolicy::FailFast),
-        }
-    }
-}
-
-impl EngineBackend for InlineBackend {
-    fn resolver(&self) -> &SiteResolver {
-        &self.resolver
-    }
-
-    fn pool(&self) -> Option<&ThreadPool> {
-        None
-    }
-
-    fn supervision(&self) -> SupervisionPolicy {
-        self.supervisor.policy
-    }
-
-    fn supervision_report(&self) -> SupervisionReport {
-        self.supervisor.report()
-    }
-
-    fn record_sweep(&self, sweep: &SupervisionReport) {
-        self.supervisor.record(sweep);
-    }
-}
-
-/// Which backend a context dispatches to. A third, sharded-multiprocess
-/// variant is reserved for corpora that outgrow one address space.
-#[derive(Debug, Clone)]
-enum Backend {
-    Pooled(PooledBackend),
-    Inline(InlineBackend),
-}
-
-/// Shared execution context: one resolver, one pool, threaded end-to-end.
-///
-/// A cheap-to-clone dispatcher over the concrete [`EngineBackend`]s —
-/// clones share the same pool workers, the same resolver memo cache and
-/// the same supervision monitor. Pipeline code written against
-/// `E: EngineBackend` accepts an `EngineContext` directly.
-#[derive(Debug, Clone)]
-pub struct EngineContext {
-    backend: Backend,
-}
-
-impl EngineContext {
-    /// The production context: global thread pool + the process-wide
-    /// resolver over the full vendored PSL snapshot.
-    pub fn new() -> EngineContext {
-        EngineContext::with_parts(ThreadPool::global().clone(), SiteResolver::full())
-    }
-
-    /// Global pool + a resolver over the small embedded PSL snapshot — the
-    /// context unit tests run on (same fixture the seed tests pinned down).
-    pub fn embedded() -> EngineContext {
-        EngineContext::with_parts(ThreadPool::global().clone(), SiteResolver::embedded())
-    }
-
-    /// A context that executes everything inline on the calling thread,
-    /// sharing the production resolver. This is the sequential oracle for
-    /// the parallel-vs-sequential equivalence property tests.
-    pub fn sequential() -> EngineContext {
-        EngineContext {
-            backend: Backend::Inline(InlineBackend::new(SiteResolver::full())),
-        }
-    }
-
-    /// A context over an explicit pool and resolver.
-    pub fn with_parts(pool: ThreadPool, resolver: SiteResolver) -> EngineContext {
-        EngineContext {
-            backend: Backend::Pooled(PooledBackend::new(pool, resolver)),
-        }
-    }
-
-    /// Replace the resolver, keeping the execution mode.
-    pub fn with_resolver(mut self, resolver: SiteResolver) -> EngineContext {
-        match &mut self.backend {
-            Backend::Pooled(b) => b.resolver = resolver,
-            Backend::Inline(b) => b.resolver = resolver,
-        }
-        self
-    }
-
-    /// Replace the supervision policy, resetting the monitor: the returned
-    /// context starts with a fresh [`SupervisionReport`], so a salvage run
-    /// aggregates only its own sweeps.
-    pub fn with_supervision(mut self, policy: SupervisionPolicy) -> EngineContext {
-        match &mut self.backend {
-            Backend::Pooled(b) => b.supervisor = Supervisor::new(policy),
-            Backend::Inline(b) => b.supervisor = Supervisor::new(policy),
-        }
-        self
-    }
-
-    /// A context with the same resolver handle (shared memo cache) but
-    /// inline execution — the per-context twin used when benchmarking or
-    /// property-testing pooled against sequential runs. The twin keeps the
-    /// supervision policy but gets its own fresh monitor, so oracle runs
-    /// count their sweeps independently.
-    pub fn sequential_twin(&self) -> EngineContext {
-        EngineContext {
-            backend: Backend::Inline(InlineBackend {
-                resolver: self.resolver().clone(),
-                supervisor: Supervisor::new(self.supervision()),
-            }),
-        }
-    }
-}
-
-impl EngineBackend for EngineContext {
-    fn resolver(&self) -> &SiteResolver {
-        match &self.backend {
-            Backend::Pooled(b) => b.resolver(),
-            Backend::Inline(b) => b.resolver(),
-        }
-    }
-
-    fn pool(&self) -> Option<&ThreadPool> {
-        match &self.backend {
-            Backend::Pooled(b) => b.pool(),
-            Backend::Inline(b) => b.pool(),
-        }
-    }
-
-    fn supervision(&self) -> SupervisionPolicy {
-        match &self.backend {
-            Backend::Pooled(b) => b.supervision(),
-            Backend::Inline(b) => b.supervision(),
-        }
-    }
-
-    fn supervision_report(&self) -> SupervisionReport {
-        match &self.backend {
-            Backend::Pooled(b) => b.supervision_report(),
-            Backend::Inline(b) => b.supervision_report(),
-        }
-    }
-
-    fn record_sweep(&self, sweep: &SupervisionReport) {
-        match &self.backend {
-            Backend::Pooled(b) => b.record_sweep(sweep),
-            Backend::Inline(b) => b.record_sweep(sweep),
         }
     }
 }
@@ -502,49 +338,16 @@ mod tests {
     fn pooled_and_sequential_maps_agree() {
         let pooled = EngineContext::new();
         let sequential = pooled.sequential_twin();
-        let items: Vec<u64> = (0..500).collect();
         let f = |i: usize, v: &u64| v * 13 + i as u64;
-        assert_eq!(pooled.par_map(&items, f), sequential.par_map(&items, f));
-        assert_eq!(
-            pooled.par_map_coarse(&items, f),
-            sequential.par_map_coarse(&items, f)
-        );
-    }
-
-    #[test]
-    fn bare_backends_agree_with_the_context() {
-        // The context is a dispatcher: a bare PooledBackend/InlineBackend
-        // must behave identically through the trait surface.
-        let pooled = PooledBackend::new(ThreadPool::global().clone(), SiteResolver::embedded());
-        let inline = InlineBackend::new(SiteResolver::embedded());
-        assert!(!pooled.is_sequential());
-        assert!(inline.is_sequential());
-        let items: Vec<u64> = (0..300).collect();
-        let f = |i: usize, v: &u64| v * 7 + i as u64;
-        assert_eq!(pooled.par_map(&items, f), inline.par_map(&items, f));
-        let ctx = EngineContext::embedded();
-        assert_eq!(ctx.par_map(&items, f), inline.par_map(&items, f));
-    }
-
-    #[test]
-    fn generic_entry_points_accept_any_backend() {
-        fn doubled_on<E: EngineBackend>(ctx: &E, items: &[u64]) -> Vec<u64> {
-            ctx.par_map(items, |_, v| v * 2)
+        // Empty and below-cutoff inputs run inline; the long one fans out.
+        for len in [0, 3, 500] {
+            let items: Vec<u64> = (0..len).collect();
+            let want: Vec<u64> = items.iter().enumerate().map(|(i, v)| f(i, v)).collect();
+            assert_eq!(pooled.par_map(&items, f), want);
+            assert_eq!(sequential.par_map(&items, f), want);
+            assert_eq!(pooled.par_map_coarse(&items, f), want);
+            assert_eq!(sequential.par_map_coarse(&items, f), want);
         }
-        let items: Vec<u64> = (0..64).collect();
-        let want: Vec<u64> = items.iter().map(|v| v * 2).collect();
-        assert_eq!(doubled_on(&EngineContext::embedded(), &items), want);
-        assert_eq!(
-            doubled_on(&InlineBackend::new(SiteResolver::embedded()), &items),
-            want
-        );
-        assert_eq!(
-            doubled_on(
-                &PooledBackend::new(ThreadPool::global().clone(), SiteResolver::embedded()),
-                &items
-            ),
-            want
-        );
     }
 
     #[test]
@@ -562,7 +365,6 @@ mod tests {
     #[test]
     fn sequential_join2_runs_in_order() {
         let ctx = EngineContext::sequential();
-        assert!(ctx.is_sequential());
         assert!(ctx.pool().is_none());
         let log = std::sync::Mutex::new(Vec::new());
         ctx.join2(

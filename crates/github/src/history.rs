@@ -26,7 +26,7 @@ use crate::pipeline::{GovernancePipeline, ReviewModel};
 use crate::pr::{PrHistory, PullRequest};
 use rws_corpus::Corpus;
 use rws_domain::DomainName;
-use rws_engine::{EngineBackend, EngineContext};
+use rws_engine::EngineContext;
 use rws_model::{RwsSet, WellKnownFile};
 use rws_net::{SiteHost, WELL_KNOWN_RWS_PATH};
 use rws_stats::checkpoint::CheckpointSink;
@@ -160,7 +160,7 @@ impl HistoryGenerator {
     /// are dropped, instead of taking the whole history down.
     ///
     /// [`SupervisionPolicy`]: rws_engine::SupervisionPolicy
-    pub fn generate_with<E: EngineBackend>(&self, corpus: &Corpus, ctx: &E) -> PrHistory {
+    pub fn generate_with(&self, corpus: &Corpus, ctx: &EngineContext) -> PrHistory {
         self.replay_loop(corpus, ctx, usize::MAX, None, 0, Vec::new())
     }
 
@@ -169,10 +169,10 @@ impl HistoryGenerator {
     /// [`HistoryCheckpoint`] (submitter watermark + raw PRs so far) into
     /// `sink` after each window, so a killed run can continue from where it
     /// left off.
-    pub fn generate_checkpointed<E: EngineBackend>(
+    pub fn generate_checkpointed(
         &self,
         corpus: &Corpus,
-        ctx: &E,
+        ctx: &EngineContext,
         every: usize,
         sink: &dyn CheckpointSink,
     ) -> PrHistory {
@@ -184,10 +184,10 @@ impl HistoryGenerator {
     /// identical corpus. The finished history is field-for-field equal to
     /// an uninterrupted [`generate_checkpointed`](Self::generate_checkpointed)
     /// run — property-tested by killing at every checkpoint boundary.
-    pub fn resume_from<E: EngineBackend>(
+    pub fn resume_from(
         &self,
         corpus: &Corpus,
-        ctx: &E,
+        ctx: &EngineContext,
         every: usize,
         sink: &dyn CheckpointSink,
     ) -> PrHistory {
@@ -216,10 +216,10 @@ impl HistoryGenerator {
     /// list, then every never-successful submitter), processed in windows
     /// of `every` tasks, each window one supervised sweep on the context.
     /// `start`/`prs` seed the loop when resuming from a checkpoint.
-    fn replay_loop<E: EngineBackend>(
+    fn replay_loop(
         &self,
         corpus: &Corpus,
-        ctx: &E,
+        ctx: &EngineContext,
         every: usize,
         sink: Option<&dyn CheckpointSink>,
         start: usize,

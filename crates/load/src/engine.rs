@@ -5,7 +5,7 @@ use crate::report::LoadReport;
 use crate::scale::LoadScale;
 use crate::target::LoadTarget;
 use rws_domain::SiteResolver;
-use rws_engine::{EngineBackend, EngineContext, SupervisionPolicy};
+use rws_engine::{EngineContext, SupervisionPolicy};
 use rws_net::Fetcher;
 use rws_stats::checkpoint::CheckpointSink;
 use rws_stats::supervision::Quarantine;
@@ -95,7 +95,7 @@ impl LoadEngine {
     /// context's monitor). When nothing panics the two accounting schemes
     /// sum to the same totals, so salvage output is byte-identical to
     /// fail-fast — a pinned property.
-    pub fn run_on<E: EngineBackend>(&self, seed: u64, ctx: &E) -> LoadReport {
+    pub fn run_on(&self, seed: u64, ctx: &EngineContext) -> LoadReport {
         let resolver = ctx.resolver();
         let chunks = self.chunk_spans();
         let mut merged = LoadReport::new();
@@ -149,10 +149,10 @@ impl LoadEngine {
     /// fetcher family (the salvage accounting scheme), which sums to the
     /// shared-family totals, so the finished report equals an
     /// uninterrupted [`run_on`](Self::run_on) field for field.
-    pub fn run_checkpointed<E: EngineBackend>(
+    pub fn run_checkpointed(
         &self,
         seed: u64,
-        ctx: &E,
+        ctx: &EngineContext,
         every: usize,
         sink: &dyn CheckpointSink,
     ) -> LoadReport {
@@ -163,10 +163,10 @@ impl LoadEngine {
     /// from scratch on an empty sink). The finished report is
     /// field-for-field equal to an uninterrupted run — property-tested by
     /// killing at every checkpoint boundary.
-    pub fn resume_from<E: EngineBackend>(
+    pub fn resume_from(
         &self,
         seed: u64,
-        ctx: &E,
+        ctx: &EngineContext,
         every: usize,
         sink: &dyn CheckpointSink,
     ) -> LoadReport {
@@ -195,10 +195,10 @@ impl LoadEngine {
     /// windows of `every`, each window one supervised sweep, storing the
     /// merged state after every window. `merged` seeds the fold when
     /// resuming.
-    fn resume_loop<E: EngineBackend>(
+    fn resume_loop(
         &self,
         seed: u64,
-        ctx: &E,
+        ctx: &EngineContext,
         every: usize,
         sink: &dyn CheckpointSink,
         start_chunk: usize,

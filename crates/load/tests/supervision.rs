@@ -10,7 +10,6 @@
 
 use proptest::prelude::*;
 use rws_domain::SiteResolver;
-use rws_engine::EngineBackend;
 use rws_engine::EngineContext;
 use rws_load::{
     CheckpointSink, FaultPlan, FaultScale, LoadEngine, LoadScale, LoadTarget, MemorySink,

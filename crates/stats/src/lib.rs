@@ -32,7 +32,6 @@ pub mod histogram;
 pub mod ks;
 pub mod latency;
 pub mod memo;
-pub mod parallel;
 pub mod pool;
 pub mod quantile;
 pub mod rng;
@@ -49,7 +48,6 @@ pub use histogram::{CategoryCounter, Histogram};
 pub use ks::{ks_critical_value, ks_two_sample, KsResult};
 pub use latency::LatencyHistogram;
 pub use memo::ShardedMemo;
-pub use parallel::{join2, par_for_each, par_map, par_map_coarse, par_map_with};
 pub use pool::ThreadPool;
 pub use quantile::{median, percentile, quantile};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
@@ -74,7 +72,6 @@ pub mod prelude {
     pub use crate::ecdf::Ecdf;
     pub use crate::histogram::{CategoryCounter, Histogram};
     pub use crate::ks::{ks_two_sample, KsResult};
-    pub use crate::parallel::{par_for_each, par_map, par_map_coarse};
     pub use crate::quantile::{median, percentile, quantile};
     pub use crate::rng::{Rng, SplitMix64, Xoshiro256StarStar};
     pub use crate::sampling::{choose, sample_without_replacement, shuffle, weighted_choice};

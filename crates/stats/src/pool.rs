@@ -16,16 +16,17 @@
 //!   deadlock: every blocked caller first drains its own batch, and the
 //!   wait-for graph follows call-stack depth, which is acyclic.
 //! * **Deterministic results.** Each index is claimed exactly once and
-//!   writes its own slot, so [`par_map`] returns results in input order no
+//!   writes its own slot, so [`par_map_on`] returns results in input order no
 //!   matter how the indices interleave across threads.
 //! * **Panic propagation.** A panicking job poisons its batch; the first
 //!   payload is re-raised on the calling thread once the batch drains,
 //!   matching `std::thread::scope` semantics closely enough for the
 //!   workspace's tests.
 //!
-//! The process-wide instance behind `rws_stats::parallel` is
-//! [`ThreadPool::global`]; its size follows `available_parallelism`, or the
-//! `RWS_POOL_THREADS` environment variable when set. Pool handles are cheap
+//! The process-wide instance is [`ThreadPool::global`], the pool every
+//! production `EngineContext` fans out on; it runs
+//! `available_parallelism() - 1` workers (the calling thread is the last
+//! one), or the `RWS_POOL_THREADS` environment variable's count when set. Pool handles are cheap
 //! to clone and share one set of workers; pools are expected to live for
 //! the process (there is no shutdown — workers park on a condvar and cost
 //! nothing while idle).
@@ -146,9 +147,10 @@ impl ThreadPool {
         }
     }
 
-    /// The process-wide pool: `available_parallelism` workers (overridable
-    /// via `RWS_POOL_THREADS`), or none on a single-core machine, where the
-    /// caller-helps path is already optimal.
+    /// The process-wide pool: `available_parallelism() - 1` workers
+    /// (overridable via `RWS_POOL_THREADS`), because the caller helps drain
+    /// every batch — on a single core that leaves no workers at all, and the
+    /// caller-helps path is the whole pool.
     pub fn global() -> &'static ThreadPool {
         static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
         GLOBAL.get_or_init(|| ThreadPool::new(default_thread_count()))
@@ -272,15 +274,11 @@ fn default_thread_count() -> usize {
             return threads.min(512);
         }
     }
-    let cores = std::thread::available_parallelism()
+    // The helping caller is the last worker.
+    std::thread::available_parallelism()
         .map(|p| p.get())
-        .unwrap_or(1);
-    // On a single core the helping caller is the whole pool.
-    if cores <= 1 {
-        0
-    } else {
-        cores
-    }
+        .unwrap_or(1)
+        .saturating_sub(1)
 }
 
 fn worker_loop(shared: &Shared) {
@@ -308,7 +306,7 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Disjoint per-index result slots for [`par_map`]: every claimed index
+/// Disjoint per-index result slots for [`par_map_on`]: every claimed index
 /// writes exactly one slot, so the raw writes never alias.
 struct Slots<'a, R> {
     ptr: *mut Option<R>,

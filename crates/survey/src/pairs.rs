@@ -37,7 +37,7 @@
 use rws_classify::CategoryDatabase;
 use rws_corpus::{Corpus, SiteCategory, SiteRole};
 use rws_domain::DomainName;
-use rws_engine::{EngineBackend, EngineContext};
+use rws_engine::EngineContext;
 use rws_stats::memo::{FnvHasher, ShardedMemo};
 use rws_stats::rng::Rng;
 use rws_stats::sampling::sample_without_replacement;
@@ -345,25 +345,21 @@ impl<'a> PairGenerator<'a> {
 
     /// Generate the full pair universe (indexed membership, sequential).
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> PairUniverse {
-        self.generate_impl(rng, None::<&EngineContext>)
+        self.generate_impl(rng, None)
     }
 
     /// Like [`generate`](Self::generate), but fanning the per-member group-2
     /// and group-3/4 sweeps out across the context's pool. Output is
     /// identical whether the context is pooled or sequential (and identical
     /// to [`generate`](Self::generate)).
-    pub fn generate_on<R: Rng + ?Sized, E: EngineBackend>(
-        &self,
-        rng: &mut R,
-        ctx: &E,
-    ) -> PairUniverse {
+    pub fn generate_on<R: Rng + ?Sized>(&self, rng: &mut R, ctx: &EngineContext) -> PairUniverse {
         self.generate_impl(rng, Some(ctx))
     }
 
-    fn generate_impl<R: Rng + ?Sized, E: EngineBackend>(
+    fn generate_impl<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        ctx: Option<&E>,
+        ctx: Option<&EngineContext>,
     ) -> PairUniverse {
         let index = MemberIndex::build(self.corpus, self.scaled_members());
         let members = &index.members;
@@ -590,8 +586,8 @@ fn member_position(members: &[DomainName], domain: &DomainName) -> Option<u32> {
 
 /// Ordered map over the member pool: on the context's pool when one is
 /// supplied, inline otherwise. Results are always in member order.
-fn par_members<R: Send, E: EngineBackend>(
-    ctx: Option<&E>,
+fn par_members<R: Send>(
+    ctx: Option<&EngineContext>,
     members: &[DomainName],
     f: impl Fn(usize, &DomainName) -> R + Sync,
 ) -> Vec<R> {

@@ -18,7 +18,7 @@ use crate::pairs::{PairGroup, PairUniverse, SitePair};
 use crate::participant::{FactorReport, Participant, Verdict};
 use rws_corpus::Corpus;
 use rws_domain::SiteResolver;
-use rws_engine::{EngineBackend, EngineContext};
+use rws_engine::EngineContext;
 use rws_stats::pool::ThreadPool;
 use rws_stats::rng::Xoshiro256StarStar;
 use rws_stats::sampling::{sample_indices_floyd, sample_indices_without_replacement, shuffle};
@@ -174,11 +174,11 @@ impl SurveyRunner {
     /// shared through a concurrent [`CueCache`]. Output is identical
     /// whether the context is pooled or sequential, because every
     /// participant draws from their own derived rng stream.
-    pub fn run_on<E: EngineBackend>(
+    pub fn run_on(
         &self,
         corpus: &Corpus,
         universe: &PairUniverse,
-        ctx: &E,
+        ctx: &EngineContext,
     ) -> SurveyDataset {
         let cfg = self.config;
         let base = Xoshiro256StarStar::new(cfg.seed).derive("survey-runner");
