@@ -87,8 +87,11 @@ impl Supervisor {
 /// the same supervision monitor.
 #[derive(Debug, Clone)]
 pub struct EngineContext {
-    /// The pool sweeps fan out on (the caller also helps drain it); `None`
-    /// runs every entry point inline, in input order.
+    /// The pool sweeps fan out on; `None` runs every entry point inline, in
+    /// input order. A caller blocked in a pooled sweep or `join2` helps run
+    /// other queued sweeps, so never hold a lock guard or a `thread_local!`
+    /// borrow across a call to the `par_*` or `join2` entry points (see
+    /// `rws_stats::pool`).
     pool: Option<ThreadPool>,
     resolver: SiteResolver,
     supervisor: Supervisor,

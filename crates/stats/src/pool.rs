@@ -10,18 +10,46 @@
 //!
 //! Key properties:
 //!
-//! * **Caller helps.** [`ThreadPool::execute`] claims indices itself while
-//!   waiting, so a pool with zero workers (the 1-core case) degenerates to
-//!   an inline loop, and nested `execute` calls from inside a worker cannot
-//!   deadlock: every blocked caller first drains its own batch, and the
-//!   wait-for graph follows call-stack depth, which is acyclic.
+//! * **Helping waits.** [`ThreadPool::execute`] first drains its own batch
+//!   alongside the workers. While other threads finish the indices they
+//!   claimed, the caller runs indices of other queued batches, oldest
+//!   first, and sleeps only when none has work left. Idle workers run the
+//!   same loop. So a fan-out nested under [`join2`](ThreadPool::join2) is
+//!   drained by every thread, not only by the one that queued it, and a
+//!   pool with zero workers (the 1-core case) degenerates to an inline
+//!   loop.
+//! * **No deadlock.** Nesting is tree-shaped: a batch is queued by a
+//!   top-level caller or by a task of an earlier batch. Every waiter has
+//!   drained its own batch, so a stalled batch has no claimable index, only
+//!   indices other threads claimed and are still running. Take the most
+//!   recently claimed unfinished index: nothing newer sits above it on
+//!   its thread's stack, so that thread is either running it or waiting
+//!   on the child batch it queued. That child's open indices were claimed
+//!   later still, which contradicts the choice, so the thread is running
+//!   and the pool makes progress.
+//! * **Bounded stacks.** Helpers take the oldest batch with work, so
+//!   another thread claims an index of batch `C` only once every batch
+//!   queued before `C` is exhausted. A caller still waiting on `C` can
+//!   therefore only help batches queued after it. It never re-enters an
+//!   outer fan-out, so its stack does not grow with the width of the
+//!   fan-outs it is nested in.
+//! * **No lock or `RefCell` borrow across a fan-out.** A thread waiting in
+//!   `execute` may run an unrelated task. Code must not hold a lock guard
+//!   or a `thread_local!` borrow across a `par_*` or `join2` call:
+//!   the unrelated task could take the same lock (self-deadlock) or
+//!   borrow the same cell (panic). Every current holder computes outside
+//!   its guard: `ShardedMemo::get_or_insert_with`, the scratch mutexes of
+//!   [`par_map_with_on`], the slot and result mutexes of `join2`, the
+//!   engine's supervision monitor, `SimulatedWeb::with_host`'s read guard
+//!   (its closures never fan out), and the thread-local DP scratch in
+//!   `rws_domain`'s Levenshtein kernel.
 //! * **Deterministic results.** Each index is claimed exactly once and
 //!   writes its own slot, so [`par_map_on`] returns results in input order no
 //!   matter how the indices interleave across threads.
-//! * **Panic propagation.** A panicking job poisons its batch; the first
-//!   payload is re-raised on the calling thread once the batch drains,
-//!   matching `std::thread::scope` semantics closely enough for the
-//!   workspace's tests.
+//! * **Panic propagation.** A panicking job poisons its own batch, whichever
+//!   thread ran it; the first payload is re-raised on the batch's caller
+//!   once the batch drains, matching `std::thread::scope` semantics closely
+//!   enough for the workspace's tests. A helper's own batch is untouched.
 //!
 //! The process-wide instance is [`ThreadPool::global`], the pool every
 //! production `EngineContext` fans out on; it runs
@@ -89,9 +117,9 @@ impl Batch {
         self.cursor.load(Ordering::Relaxed) < self.len
     }
 
-    /// Claim and run indices until the cursor is exhausted.
-    fn drain(&self) {
-        loop {
+    /// Claim and run indices until the cursor is exhausted or `stop()`.
+    fn drain(&self, stop: &dyn Fn() -> bool) {
+        while !stop() {
             let index = self.cursor.fetch_add(1, Ordering::Relaxed);
             if index >= self.len {
                 return;
@@ -102,11 +130,38 @@ impl Batch {
 }
 
 struct Shared {
+    /// Queued batches, oldest first.
     queue: Mutex<VecDeque<Arc<Batch>>>,
-    /// Workers wait here for new batches.
-    work: Condvar,
-    /// Callers wait here for their batch's stragglers.
-    done: Condvar,
+    /// Signalled when a batch is queued or finishes; idle workers and
+    /// waiting callers both sleep here.
+    wake: Condvar,
+}
+
+impl Shared {
+    /// The pool's one scheduling loop, run by idle workers (forever) and by
+    /// callers waiting for their batch (until `done()`). It claims indices
+    /// from the oldest queued batch that still has work, and sleeps only
+    /// when there is none.
+    fn help_until(&self, done: impl Fn() -> bool) {
+        let mut queue = self.queue.lock().expect("pool queue poisoned");
+        while !done() {
+            // Drop batches whose cursor is exhausted — nothing left to
+            // claim; completion is signalled through `finished`.
+            queue.retain(|b| b.has_work());
+            let Some(batch) = queue.front().cloned() else {
+                queue = self.wake.wait(queue).expect("pool condvar poisoned");
+                continue;
+            };
+            drop(queue);
+            batch.drain(&done);
+            queue = self.queue.lock().expect("pool queue poisoned");
+            if batch.is_done() {
+                // Notifying under the queue lock orders this after the
+                // owner's `done()` check, so the wakeup cannot be lost.
+                self.wake.notify_all();
+            }
+        }
+    }
 }
 
 /// A handle to a persistent pool of worker threads. Cloning is cheap;
@@ -131,14 +186,13 @@ impl ThreadPool {
     pub fn new(threads: usize) -> ThreadPool {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
-            work: Condvar::new(),
-            done: Condvar::new(),
+            wake: Condvar::new(),
         });
         for worker_id in 0..threads {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("rws-pool-{worker_id}"))
-                .spawn(move || worker_loop(&shared))
+                .spawn(move || shared.help_until(|| false))
                 .expect("spawn pool worker");
         }
         ThreadPool {
@@ -164,6 +218,13 @@ impl ThreadPool {
     /// Run `job(i)` for every `i in 0..len`, distributing indices across
     /// the pool's workers and the calling thread, and returning once all
     /// `len` indices have completed. Panics in `job` are re-raised here.
+    ///
+    /// The caller drains its own batch first. While other threads finish
+    /// the indices they claimed, it helps the other queued batches (a
+    /// fan-out nested in a sibling task, say) and sleeps only when none has
+    /// work. It may therefore run unrelated tasks before returning, so hold
+    /// no lock guard or `thread_local!` borrow across this call. The module
+    /// doc explains why this cannot deadlock.
     pub fn execute(&self, len: usize, job: &(dyn Fn(usize) + Sync)) {
         if len == 0 {
             return;
@@ -198,21 +259,11 @@ impl ThreadPool {
             let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
             queue.push_back(Arc::clone(&batch));
         }
-        self.shared.work.notify_all();
+        // Wakes idle workers and waiting callers alike: both may help.
+        self.shared.wake.notify_all();
 
-        // Help: claim indices alongside the workers.
-        batch.drain();
-
-        // Wait for indices claimed by other threads to finish.
-        let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
-        while !batch.is_done() {
-            queue = self
-                .shared
-                .done
-                .wait(queue)
-                .expect("pool done condvar poisoned");
-        }
-        drop(queue);
+        batch.drain(&|| false);
+        self.shared.help_until(|| batch.is_done());
 
         let payload = batch
             .panic
@@ -245,14 +296,17 @@ impl ThreadPool {
                     .expect("join2 slot")
                     .take()
                     .expect("join2 runs once");
-                *result_a.lock().expect("join2 result") = Some(f());
+                // No guard is held while `f` runs (see the module doc).
+                let value = f();
+                *result_a.lock().expect("join2 result") = Some(value);
             } else {
                 let f = b
                     .lock()
                     .expect("join2 slot")
                     .take()
                     .expect("join2 runs once");
-                *result_b.lock().expect("join2 result") = Some(f());
+                let value = f();
+                *result_b.lock().expect("join2 result") = Some(value);
             }
         });
         (
@@ -279,31 +333,6 @@ fn default_thread_count() -> usize {
         .map(|p| p.get())
         .unwrap_or(1)
         .saturating_sub(1)
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let batch = {
-            let mut queue = shared.queue.lock().expect("pool queue poisoned");
-            loop {
-                // Drop batches whose cursor is exhausted — nothing left to
-                // claim; completion is signalled through `finished`.
-                queue.retain(|b| b.has_work());
-                if let Some(batch) = queue.front() {
-                    break Arc::clone(batch);
-                }
-                queue = shared.work.wait(queue).expect("pool work condvar poisoned");
-            }
-        };
-        batch.drain();
-        if batch.is_done() {
-            // Wake the owning caller. Taking the queue lock orders this
-            // notify after the caller's `is_done` check, avoiding the
-            // lost-wakeup race.
-            let _guard = shared.queue.lock().expect("pool queue poisoned");
-            shared.done.notify_all();
-        }
-    }
 }
 
 /// Disjoint per-index result slots for [`par_map_on`]: every claimed index
@@ -464,7 +493,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn pool_map_matches_sequential() {
@@ -648,5 +681,193 @@ mod tests {
             }
         });
         assert_eq!(hits.load(Ordering::Relaxed), 4);
+    }
+
+    /// Spin until `ready()` holds or `deadline` passes.
+    fn spin_until(ready: impl Fn() -> bool, deadline: Instant) {
+        while !ready() && Instant::now() < deadline {
+            std::hint::spin_loop();
+        }
+    }
+
+    fn deadline() -> Instant {
+        Instant::now() + Duration::from_secs(5)
+    }
+
+    /// `join2(a, b)` on one worker plus the caller, where `b` fans out and
+    /// `a` cannot return before that fan-out is queued. Every item holds
+    /// until a second thread has joined the fan-out (or a deadline passes,
+    /// which only a pool whose waits sleep reaches). Returns the threads
+    /// that ran the fan-out's items.
+    fn nested_fan_out_threads(pool: &ThreadPool) -> HashSet<ThreadId> {
+        let deadline = deadline();
+        let started = AtomicBool::new(false);
+        let seen = Mutex::new(HashSet::new());
+        let items: Vec<u32> = (0..64).collect();
+        pool.join2(
+            || spin_until(|| started.load(Ordering::Acquire), deadline),
+            || {
+                par_map_on(pool, &items, |_, _| {
+                    started.store(true, Ordering::Release);
+                    seen.lock().unwrap().insert(std::thread::current().id());
+                    spin_until(|| seen.lock().unwrap().len() >= 2, deadline);
+                })
+            },
+        );
+        seen.into_inner().unwrap()
+    }
+
+    #[test]
+    fn fan_out_nested_under_join2_runs_on_every_thread() {
+        // The caller finishes `a` while the worker is inside `b`'s batch;
+        // a sleeping wait would leave that batch to the worker alone.
+        let pool = ThreadPool::new(1);
+        for round in 0..20 {
+            assert_eq!(nested_fan_out_threads(&pool).len(), 2, "round {round}");
+        }
+    }
+
+    /// join2 ∘ par_map ∘ join2 ∘ par_map, the scenario pipeline's shape.
+    fn nested_pipeline(pool: &ThreadPool, seed: u64) -> (u64, Vec<u64>) {
+        pool.join2(
+            || seed.wrapping_mul(3),
+            || {
+                let outer: Vec<u64> = (0..40).map(|i| seed + i).collect();
+                par_map_on(pool, &outer, |_, v| {
+                    let (x, inner) = pool.join2(
+                        || v.wrapping_mul(7),
+                        || {
+                            let items: Vec<u64> = (0..40).map(|i| v ^ i).collect();
+                            par_map_on(pool, &items, |i, w| w.wrapping_mul(31) + i as u64)
+                                .iter()
+                                .sum::<u64>()
+                        },
+                    );
+                    x.wrapping_add(inner)
+                })
+            },
+        )
+    }
+
+    #[test]
+    fn deeply_nested_fan_outs_complete_and_match_inline() {
+        let inline = ThreadPool::new(0);
+        for workers in [1, 3] {
+            let pool = ThreadPool::new(workers);
+            for seed in 0..100 {
+                assert_eq!(
+                    nested_pipeline(&pool, seed),
+                    nested_pipeline(&inline, seed),
+                    "workers {workers}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn waiters_never_reenter_an_older_batch() {
+        // A thread waiting on an inner batch must not pick up another
+        // outer item: that would stack outer tasks on one thread, as deep
+        // as the outer fan-out is wide.
+        thread_local! {
+            static OUTER_DEPTH: Cell<usize> = const { Cell::new(0) };
+        }
+        let deepest = AtomicUsize::new(0);
+        for workers in [1, 1, 3, 3] {
+            let pool = ThreadPool::new(workers);
+            let outer: Vec<u64> = (0..64).collect();
+            par_map_on(&pool, &outer, |_, base| {
+                let depth = OUTER_DEPTH.with(|d| {
+                    d.set(d.get() + 1);
+                    d.get()
+                });
+                deepest.fetch_max(depth, Ordering::Relaxed);
+                let inner: Vec<u64> = (0..16).map(|i| base + i).collect();
+                par_map_on(&pool, &inner, |_, v| {
+                    spin_until(|| false, Instant::now() + Duration::from_micros(20));
+                    *v
+                });
+                OUTER_DEPTH.with(|d| d.set(d.get() - 1));
+            });
+        }
+        assert_eq!(deepest.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn helper_records_foreign_panics_in_their_own_batch() {
+        // The items of `b`'s fan-out that the helping caller runs panic;
+        // the panic must poison that fan-out, not the join2 batch the
+        // caller is waiting on.
+        let pool = ThreadPool::new(1);
+        let deadline = deadline();
+        let started = AtomicBool::new(false);
+        let caller_joined = AtomicBool::new(false);
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..64).collect();
+        let ((), nested) = pool.join2(
+            || spin_until(|| started.load(Ordering::Acquire), deadline),
+            || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    par_map_on(&pool, &items, |_, _| {
+                        started.store(true, Ordering::Release);
+                        if std::thread::current().id() == caller {
+                            caller_joined.store(true, Ordering::Release);
+                            panic!("nested boom");
+                        }
+                        spin_until(|| caller_joined.load(Ordering::Acquire), deadline);
+                    })
+                }))
+            },
+        );
+        let payload = nested.expect_err("the caller helped and panicked");
+        assert_eq!(panic_message(&payload), "nested boom");
+    }
+
+    #[test]
+    fn salvage_nested_under_join2_matches_sequential() {
+        let items: Vec<usize> = (0..300).collect();
+        let task = |_: usize, v: &usize| {
+            if v % 50 == 7 {
+                panic!("nested item {v}");
+            }
+            v + 1
+        };
+        let want = map_salvage_seq(&items, task);
+        for workers in [1, 3] {
+            let pool = ThreadPool::new(workers);
+            for _ in 0..10 {
+                // A poisoned join2 batch would re-raise here.
+                let (left, salvaged) = pool.join2(
+                    || par_map_on(&pool, &items, |_, v| v * 2).len(),
+                    || par_map_salvage_on(&pool, &items, task),
+                );
+                assert_eq!(left, items.len());
+                assert_eq!(salvaged, want);
+                assert_eq!(salvaged.1.len(), 6);
+            }
+        }
+    }
+
+    #[test]
+    fn fail_fast_nested_panic_reraises_from_join2() {
+        for workers in [1, 3] {
+            let pool = ThreadPool::new(workers);
+            let items: Vec<usize> = (0..300).collect();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                pool.join2(
+                    || par_map_on(&pool, &items, |_, v| *v).len(),
+                    || {
+                        par_map_on(&pool, &items, |_, v| {
+                            if *v == 123 {
+                                panic!("fail-fast nested");
+                            }
+                            *v
+                        })
+                    },
+                )
+            }));
+            let payload = outcome.expect_err("nested panic reaches join2's caller");
+            assert_eq!(panic_message(&payload), "fail-fast nested");
+        }
     }
 }
