@@ -579,12 +579,12 @@ fn main() {
     );
 
     // --- frozen vs locked read throughput under the pool -------------------
-    // Full `serve` calls fanned out on the engine pool: the frozen store
-    // walks an Arc-shared map with no lock, the locked twin (the same
+    // Full `serve` calls fanned out on the engine pool: the corpus's frozen
+    // store routes shard-then-host with no lock, the locked twin (the same
     // hosts re-registered in a mutable web's overlay) takes the RwLock
     // read guard on every hit. On a single-core host both degrade to the
     // inline loop; the frozen path still wins by skipping the guard.
-    let frozen_store = scenario.corpus.frozen.clone();
+    let frozen_store = scenario.corpus.sharded.clone();
     let locked_twin = {
         let mut web = rws_net::SimulatedWeb::new();
         for domain in frozen_store.hosts() {
@@ -721,7 +721,14 @@ fn main() {
     // bumps one relaxed atomic shard per hop; the opt-in log takes the
     // process-wide mutex and materialises a `Request` (Url clone + header
     // map) per hop — the cost every pre-PR-7 fetch paid.
-    let load_target = LoadTarget::from_corpus(&scenario.corpus);
+    // Every load kernel below runs on the one-shard store: the bench
+    // corpus regenerated with `with_shards(1)` (generation never lets the
+    // shard count reach a page byte). The cross-shard block further down
+    // compares the default 8 shards against it.
+    let single_store_corpus = CorpusGenerator::new(scenario.config.corpus)
+        .with_shards(1)
+        .generate_with(&scenario.engine);
+    let load_target = LoadTarget::from_corpus_sharded(&single_store_corpus);
     let kernel_urls: Vec<rws_net::Url> = load_target
         .hosts()
         .iter()
@@ -1071,13 +1078,13 @@ fn main() {
     let sharded_corpus = sharded_generator.generate_with(&gen_ctx);
     let serial_corpus = serial_generator.generate_with(&gen_sequential_ctx);
     let same_pages = |a: &Corpus, b: &Corpus| {
-        a.frozen.hosts() == b.frozen.hosts()
+        a.sharded.hosts() == b.sharded.hosts()
             && a.sites.keys().all(|domain| {
                 ["/", "/about", rws_net::WELL_KNOWN_RWS_PATH]
                     .iter()
                     .all(|path| {
                         let url = rws_net::Url::https(domain, path);
-                        a.frozen.serve(&url) == b.frozen.serve(&url)
+                        a.sharded.serve(&url) == b.sharded.serve(&url)
                     })
             })
     };
@@ -1112,10 +1119,10 @@ fn main() {
         json!(sharded_corpus.sites.len() as f64 * 1e9 / corpus_sharded_ns),
     );
 
-    // Cross-shard reads: the same >=100k-request load replay, but every
-    // fetch routing shard-then-host through the corpus's sharded store
-    // instead of the PR-7 single table. Reports are asserted identical;
-    // the ratio prices one extra FNV route per request (~1.0).
+    // Cross-shard reads: the same >=100k-request load replay on the bench
+    // corpus's own store (the default 8 shards) instead of the one-shard
+    // store above. Reports are asserted identical; the ratio prices the
+    // shard count (~1.0).
     let sharded_load_engine = LoadEngine::new(
         LoadTarget::from_corpus_sharded(&scenario.corpus),
         load_scale,
@@ -1123,7 +1130,7 @@ fn main() {
     let sharded_load_report = sharded_load_engine.run_on(LOAD_SEED, &load_ctx);
     assert_eq!(
         load_report, sharded_load_report,
-        "sharded-store load replay must equal the single-table replay"
+        "8-shard load replay must equal the 1-shard replay"
     );
     let load_sharded_store_ns = measure(|| {
         black_box(sharded_load_engine.run_on(LOAD_SEED, &load_ctx));

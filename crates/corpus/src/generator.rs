@@ -23,7 +23,7 @@ use crate::tranco::TrancoList;
 use rws_domain::DomainName;
 use rws_engine::EngineContext;
 use rws_model::{RwsList, RwsSet, WellKnownFile};
-use rws_net::{FrozenWeb, ShardedFrozenWeb, SimulatedWeb, SiteHost, WELL_KNOWN_RWS_PATH};
+use rws_net::{FrozenWeb, SimulatedWeb, SiteHost, WELL_KNOWN_RWS_PATH};
 use rws_stats::rng::{Rng, Xoshiro256StarStar};
 use rws_stats::shard::ShardRouter;
 use serde::{Deserialize, Serialize};
@@ -124,21 +124,15 @@ pub struct Corpus {
     /// The Tranco-style top-site ranking (non-RWS sites only).
     pub tranco: TrancoList,
     /// The simulated web holding every site's pages and well-known files.
-    /// Frozen by construction: generation renders every host into the
-    /// sharded store and this web reads through it, so later writes (the
-    /// governance replay's defect hosts) land in an overlay without
+    /// Frozen by construction: it reads through `sharded`, so later writes
+    /// (the governance replay's defect hosts) land in an overlay without
     /// disturbing the snapshot below.
     pub web: SimulatedWeb,
-    /// The frozen page store as one table: the immutable snapshot
-    /// generation collapsed the shards into. Reads take no lock and borrow
+    /// The frozen page store as generated: N ≥ 1 per-shard host tables
+    /// routed by the FNV-1a domain hash. Reads take no lock and borrow
     /// straight from the interned pages — the classifier, the Figure 4
     /// sweeps and the benches all read through here.
-    pub frozen: FrozenWeb,
-    /// The same store, sharded as generated: N per-shard host tables
-    /// routed by the FNV-1a domain hash. Page bodies are shared with
-    /// `frozen` (interned once), so keeping both views costs table
-    /// entries, not page payloads.
-    pub sharded: ShardedFrozenWeb,
+    pub sharded: FrozenWeb,
 }
 
 impl Corpus {
@@ -156,7 +150,7 @@ impl Corpus {
     /// edits) are deliberately *not* visible here — route reads that must
     /// observe live mutations through `web.serve`/`web.with_host`.
     pub fn page_html(&self, domain: &DomainName) -> Option<&str> {
-        self.frozen.page_html(domain, "/")
+        self.sharded.page_html(domain, "/")
     }
 
     /// Run a closure over the borrowed front-page HTML of a site, if it
@@ -500,7 +494,7 @@ impl CorpusGenerator {
         // sites in sorted order through its own reusable RenderArena —
         // pages build up in one warm buffer per worker and the finished
         // bytes are interned into the PageBody in a single copy. The
-        // per-shard tables are then stitched into a ShardedFrozenWeb; the
+        // per-shard tables are then stitched into one FrozenWeb; the
         // shard count never feeds the rng, so every count (including the
         // 1-shard serial baseline) is byte-for-byte identical.
         let router = ShardRouter::new(self.shards);
@@ -510,20 +504,21 @@ impl CorpusGenerator {
         }
         let shard_tables = ctx.par_map_coarse(&shard_specs, |_, specs| {
             let mut arena = RenderArena::new();
-            FrozenWeb::from_hosts(
-                specs
-                    .iter()
-                    .map(|spec| render_host(&mut arena, spec, &rng, &list)),
-            )
+            specs
+                .iter()
+                .map(|spec| {
+                    let host = render_host(&mut arena, spec, &rng, &list);
+                    (spec.domain.clone(), host)
+                })
+                .collect()
         });
-        let sharded = ShardedFrozenWeb::from_routed_shards(shard_tables);
+        let sharded = FrozenWeb::from_routed_shards(shard_tables);
         // Build phase over: the store is frozen. Every page body was
         // interned exactly once above; from here on the corpus is a
         // read-mostly snapshot (lock-free borrows). The web reads through
-        // the sharded store, and anything the governance replay registers
-        // later lives in its overlay.
-        let frozen = sharded.collapse();
-        let web = SimulatedWeb::from_sharded(sharded.clone());
+        // the store, and anything the governance replay registers later
+        // lives in its overlay.
+        let web = sharded.to_web();
 
         Corpus {
             config: cfg,
@@ -532,7 +527,6 @@ impl CorpusGenerator {
             list,
             tranco,
             web,
-            frozen,
             sharded,
         }
     }
@@ -792,17 +786,17 @@ mod tests {
         let c = corpus();
         // Every generated host lives in the frozen snapshot, and the web
         // serves identically through its frozen base.
-        assert_eq!(c.frozen.host_count(), c.web.host_count());
+        assert_eq!(c.sharded.host_count(), c.web.host_count());
         for domain in c.sites.keys() {
-            assert!(c.frozen.has_host(domain));
+            assert!(c.sharded.has_host(domain));
             let url = rws_net::Url::https(domain, "/");
-            assert_eq!(c.frozen.serve(&url), c.web.serve(&url));
+            assert_eq!(c.sharded.serve(&url), c.web.serve(&url));
         }
         // The served body is a refcount bump of the interned page, not a
         // copy.
         let live = c.sites.values().find(|s| s.live).unwrap();
         let url = rws_net::Url::https(&live.domain, "/");
-        let interned = c.frozen.page_body(&live.domain, "/").unwrap().bytes();
+        let interned = c.sharded.page_body(&live.domain, "/").unwrap().bytes();
         match c.web.serve(&url) {
             rws_net::ServedPage::Content { content, .. } => {
                 let body = content.body().unwrap();

@@ -36,16 +36,16 @@ proptest! {
     #[test]
     fn frozen_serves_match_the_web_across_seeds(seed in 0u64..1_000_000) {
         let corpus = CorpusGenerator::new(CorpusConfig::small(seed % 89)).generate();
-        prop_assert_eq!(corpus.frozen.host_count(), corpus.web.host_count());
+        prop_assert_eq!(corpus.sharded.host_count(), corpus.web.host_count());
 
         let mut probes: Vec<Url> = Vec::new();
         for domain in corpus.sites.keys().take(60) {
-            prop_assert!(corpus.frozen.has_host(domain));
+            prop_assert!(corpus.sharded.has_host(domain));
             probes.push(Url::https(domain, "/"));
             probes.push(Url::https(domain, "/about"));
             probes.push(Url::https(domain, WELL_KNOWN_RWS_PATH));
         }
-        let before: Vec<ServedPage> = probes.iter().map(|u| corpus.frozen.serve(u)).collect();
+        let before: Vec<ServedPage> = probes.iter().map(|u| corpus.sharded.serve(u)).collect();
         for (url, expected) in probes.iter().zip(&before) {
             prop_assert_eq!(&corpus.web.serve(url), expected, "divergence on {}", url);
         }
@@ -58,9 +58,9 @@ proptest! {
         web.register(defect);
         let defect_domain = rws_domain::DomainName::parse("defect-host.example.com").unwrap();
         prop_assert!(corpus.web.has_host(&defect_domain));
-        prop_assert!(!corpus.frozen.has_host(&defect_domain));
+        prop_assert!(!corpus.sharded.has_host(&defect_domain));
         for (url, expected) in probes.iter().zip(&before) {
-            prop_assert_eq!(&corpus.frozen.serve(url), expected);
+            prop_assert_eq!(&corpus.sharded.serve(url), expected);
         }
     }
 }

@@ -8,14 +8,12 @@
 //!   must never reach an output byte);
 //! * generating on a forced 3-worker pool equals sequential generation
 //!   (the repo's pooled-equivalence convention: the global pool on a
-//!   single-core CI box drains inline, so the pool is forced);
-//! * the `sharded` store a corpus carries serves every probe identically
-//!   to its collapsed `frozen` twin, and shares page-body storage with it.
+//!   single-core CI box drains inline, so the pool is forced).
 
 use proptest::prelude::*;
 use rws_corpus::{Corpus, CorpusConfig, CorpusGenerator};
 use rws_engine::{EngineContext, SiteResolver, ThreadPool};
-use rws_net::{ServedPage, Url, WELL_KNOWN_RWS_PATH};
+use rws_net::{Url, WELL_KNOWN_RWS_PATH};
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 7, 16];
 
@@ -49,11 +47,11 @@ fn assert_same_corpus(baseline: &Corpus, candidate: &Corpus) {
     prop_assert_eq!(&baseline.sites, &candidate.sites);
     prop_assert_eq!(&baseline.list, &candidate.list);
     prop_assert_eq!(&baseline.tranco, &candidate.tranco);
-    prop_assert_eq!(baseline.frozen.hosts(), candidate.frozen.hosts());
+    prop_assert_eq!(baseline.sharded.hosts(), candidate.sharded.hosts());
     for url in probes(baseline) {
         prop_assert_eq!(
-            &baseline.frozen.serve(&url),
-            &candidate.frozen.serve(&url),
+            &baseline.sharded.serve(&url),
+            &candidate.sharded.serve(&url),
             "page divergence on {} ({} shards)",
             &url,
             candidate.sharded.shard_count()
@@ -90,27 +88,6 @@ proptest! {
             let pooled = generator.generate_with(&pooled_ctx);
             let sequential = generator.generate_with(&inline_ctx);
             assert_same_corpus(&sequential, &pooled);
-        }
-    }
-
-    /// The sharded store a corpus carries is the same snapshot as its
-    /// collapsed single table: identical serves, shared page bodies, and
-    /// every host reachable on its routed shard.
-    #[test]
-    fn corpus_sharded_store_matches_frozen(seed in 0u64..1_000_000) {
-        let corpus = CorpusGenerator::new(tiny_config(seed % 97)).generate();
-        prop_assert_eq!(corpus.sharded.host_count(), corpus.frozen.host_count());
-        prop_assert_eq!(corpus.sharded.hosts(), corpus.frozen.hosts());
-        for url in probes(&corpus) {
-            let from_shards: ServedPage = corpus.sharded.serve(&url);
-            prop_assert_eq!(&from_shards, &corpus.frozen.serve(&url), "divergence on {}", &url);
-        }
-        // Bodies are interned once: the sharded view borrows the same
-        // allocation as the collapsed table, not a copy.
-        for domain in corpus.sites.keys() {
-            let single = corpus.frozen.page_body(domain, "/").unwrap();
-            let sharded = corpus.sharded.page_body(domain, "/").unwrap();
-            prop_assert!(std::ptr::eq(single.as_ptr(), sharded.as_ptr()));
         }
     }
 }

@@ -5,7 +5,7 @@ use crate::report::LoadReport;
 use crate::scale::LoadScale;
 use crate::target::LoadTarget;
 use rws_domain::SiteResolver;
-use rws_engine::{EngineContext, SupervisionPolicy};
+use rws_engine::EngineContext;
 use rws_net::Fetcher;
 use rws_stats::checkpoint::CheckpointSink;
 use rws_stats::supervision::Quarantine;
@@ -82,54 +82,19 @@ impl LoadEngine {
     }
 
     /// Run the full fleet on the given context: chunked event loops on the
-    /// pool (or inline when the context is sequential), fanned out under
-    /// the context's [`SupervisionPolicy`].
+    /// pool (or inline when the context is sequential), fanned out as one
+    /// sweep under the context's supervision policy.
     ///
-    /// Under the default fail-fast policy each chunk clones one shared
-    /// fetcher (same family-wide request counter, its own uncontended
-    /// shard) and a panicking chunk takes the run down, exactly as before.
-    /// Under salvage each chunk gets its *own* fetcher family and carries
-    /// its wire-request count in its partial report, so a quarantined
-    /// chunk's requests vanish with it and the surviving merge stays
-    /// exact; the quarantine lands in `report.supervision` (and the
-    /// context's monitor). When nothing panics the two accounting schemes
-    /// sum to the same totals, so salvage output is byte-identical to
-    /// fail-fast — a pinned property.
+    /// Each chunk gets its *own* fetcher family and carries its
+    /// wire-request count in its partial report. Under salvage a
+    /// quarantined chunk's requests therefore vanish with it and the
+    /// surviving merge stays exact; the quarantine lands in
+    /// `report.supervision` (and the context's monitor). Under fail-fast a
+    /// panicking chunk takes the run down. This is the windowed loop of
+    /// [`run_checkpointed`](Self::run_checkpointed) with one window and no
+    /// sink.
     pub fn run_on(&self, seed: u64, ctx: &EngineContext) -> LoadReport {
-        let resolver = ctx.resolver();
-        let chunks = self.chunk_spans();
-        let mut merged = LoadReport::new();
-        let sweep = match ctx.supervision() {
-            SupervisionPolicy::FailFast => {
-                let fetcher = self.target.fetcher();
-                let (partials, sweep) =
-                    ctx.par_map_sweep_at("load-chunk", 0, &chunks, |_, &(lo, hi)| {
-                        let worker_fetcher = fetcher.clone();
-                        self.run_chunk(seed, lo, hi, resolver, &worker_fetcher)
-                    });
-                for partial in partials.into_iter().flatten() {
-                    merged.merge(&partial);
-                }
-                merged.wire_requests = fetcher.requests_issued() as u64;
-                sweep
-            }
-            SupervisionPolicy::Salvage { .. } => {
-                let (partials, sweep) =
-                    ctx.par_map_sweep_at("load-chunk", 0, &chunks, |_, &(lo, hi)| {
-                        let worker_fetcher = self.target.fetcher();
-                        let mut partial = self.run_chunk(seed, lo, hi, resolver, &worker_fetcher);
-                        partial.wire_requests = worker_fetcher.requests_issued() as u64;
-                        partial
-                    });
-                for partial in partials.into_iter().flatten() {
-                    merged.merge(&partial);
-                }
-                sweep
-            }
-        };
-        merged.supervision.merge(&sweep);
-        merged.clients = self.scale.clients as u64;
-        merged
+        self.run_windows(seed, ctx, usize::MAX, None, 0, LoadReport::new())
     }
 
     /// The fleet cut into `CHUNK_CLIENTS`-sized `(lo, hi)` spans — the
@@ -145,10 +110,9 @@ impl LoadEngine {
     /// Like [`run_on`](Self::run_on), but replaying the chunks in windows
     /// of `every` and serialising a [`LoadCheckpoint`] (chunk watermark +
     /// merged partial report) into `sink` after each window, so a killed
-    /// run can continue from where it left off. Every chunk uses its own
-    /// fetcher family (the salvage accounting scheme), which sums to the
-    /// shared-family totals, so the finished report equals an
-    /// uninterrupted [`run_on`](Self::run_on) field for field.
+    /// run can continue from where it left off. Chunks account exactly as
+    /// in [`run_on`](Self::run_on), so the finished report equals an
+    /// uninterrupted run field for field.
     pub fn run_checkpointed(
         &self,
         seed: u64,
@@ -156,7 +120,7 @@ impl LoadEngine {
         every: usize,
         sink: &dyn CheckpointSink,
     ) -> LoadReport {
-        self.resume_loop(seed, ctx, every, sink, 0, LoadReport::new())
+        self.run_windows(seed, ctx, every, Some(sink), 0, LoadReport::new())
     }
 
     /// Continue a checkpointed run from the sink's latest checkpoint (or
@@ -178,29 +142,29 @@ impl LoadEngine {
                     checkpoint.seed, seed,
                     "checkpoint belongs to a different load seed"
                 );
-                self.resume_loop(
+                self.run_windows(
                     seed,
                     ctx,
                     every,
-                    sink,
+                    Some(sink),
                     checkpoint.next_chunk as usize,
                     checkpoint.partial,
                 )
             }
-            None => self.resume_loop(seed, ctx, every, sink, 0, LoadReport::new()),
+            None => self.run_windows(seed, ctx, every, Some(sink), 0, LoadReport::new()),
         }
     }
 
-    /// The shared checkpointing core: replay chunks `start_chunk..` in
-    /// windows of `every`, each window one supervised sweep, storing the
-    /// merged state after every window. `merged` seeds the fold when
-    /// resuming.
-    fn resume_loop(
+    /// The one sweep body: replay chunks `start_chunk..` in windows of
+    /// `every`, each window one supervised `"load-chunk"` sweep, storing
+    /// the merged state into `sink` (when given) after every window.
+    /// `merged` seeds the fold when resuming.
+    fn run_windows(
         &self,
         seed: u64,
         ctx: &EngineContext,
         every: usize,
-        sink: &dyn CheckpointSink,
+        sink: Option<&dyn CheckpointSink>,
         start_chunk: usize,
         mut merged: LoadReport,
     ) -> LoadReport {
@@ -223,14 +187,16 @@ impl LoadEngine {
             }
             merged.supervision.merge(&sweep);
             next = end;
-            sink.store(
-                LoadCheckpoint {
-                    seed,
-                    next_chunk: next as u32,
-                    partial: merged.clone(),
-                }
-                .serialize(),
-            );
+            if let Some(sink) = sink {
+                sink.store(
+                    LoadCheckpoint {
+                        seed,
+                        next_chunk: next as u32,
+                        partial: merged.clone(),
+                    }
+                    .serialize(),
+                );
+            }
         }
         merged.clients = self.scale.clients as u64;
         merged
@@ -291,8 +257,8 @@ impl LoadEngine {
         }
         report.clients = self.scale.clients as u64;
         report.wire_requests = fetcher.requests_issued() as u64;
-        // Mirror the clean fail-fast sweep `run_on` records, so the oracle
-        // stays field-for-field equal to the engine paths.
+        // Mirror the one clean sweep `run_on` records, so the oracle stays
+        // field-for-field equal to the engine paths.
         report.supervision.record_sweep(
             "load-chunk",
             0,

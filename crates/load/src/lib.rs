@@ -5,8 +5,8 @@
 //! similarity analysis, per-vendor storage-partitioning decisions on each
 //! response. This crate turns that workload into a *load generator*: up to
 //! hundreds of thousands of simulated browser clients replayed through the
-//! [`EngineContext`](rws_engine::EngineContext) pool against the lock-free
-//! [`FrozenWeb`](rws_net::FrozenWeb) snapshot, the "millions of users" leg
+//! [`EngineContext`](rws_engine::EngineContext) pool against the frozen
+//! [`FrozenWeb`](rws_net::FrozenWeb) page store, the "millions of users" leg
 //! of the roadmap's north star made measurable.
 //!
 //! # Model
@@ -49,7 +49,8 @@
 //!
 //! # Supervised execution
 //!
-//! Chunk sweeps run under the context's
+//! Every run is one windowed chunk sweep; each chunk accounts its own
+//! wire requests. Sweeps run under the context's
 //! [`SupervisionPolicy`](rws_engine::SupervisionPolicy): fail-fast by
 //! default, or — under salvage — a panicking chunk is quarantined into
 //! `report.supervision` while the surviving chunks' partials still merge
@@ -65,7 +66,7 @@
 //! use rws_load::{LoadEngine, LoadScale, LoadTarget};
 //!
 //! let corpus = CorpusGenerator::new(CorpusConfig::small(7)).generate();
-//! let target = LoadTarget::from_corpus(&corpus);
+//! let target = LoadTarget::from_corpus_sharded(&corpus);
 //! let engine = LoadEngine::new(target, LoadScale::smoke());
 //! let report = engine.run(42);
 //! assert!(report.fetch_calls > 0);

@@ -1,11 +1,11 @@
-//! What a load run fetches: a frozen snapshot plus redirect entry hosts.
+//! What a load run fetches: a frozen store plus redirect entry hosts.
 
 use rws_corpus::Corpus;
 use rws_domain::DomainName;
 use rws_model::RwsList;
 use rws_net::{
     FaultInjector, FaultPlan, FetchPolicy, Fetcher, FrozenWeb, PageContent, RetryPolicy,
-    ShardedFrozenWeb, SimulatedWeb, SiteHost,
+    SimulatedWeb, SiteHost,
 };
 
 /// Number of vanity entry hosts registered per target (bounded by the
@@ -14,22 +14,23 @@ const VANITY_HOSTS: usize = 48;
 
 /// The immutable world a load run hammers.
 ///
-/// Built once from a corpus (or any frozen snapshot + RWS list): the
+/// Built once from a corpus (or any frozen store + RWS list): the
 /// browsable host universe in deterministic order, plus a set of *vanity
 /// entry hosts* (`go0.load-entry.example`, ...) that 301/302-redirect to
 /// real hosts — the corpus itself registers no redirects, and the load mix
 /// needs them to exercise the fetcher's redirect following under load.
-/// Registering them lands in an overlay over the corpus snapshot which is
-/// then re-frozen, so the run reads a single lock-free [`FrozenWeb`].
+/// Registering them lands in an overlay over the corpus store, which is
+/// then re-frozen at the store's shard count. Each [`fetcher`] wraps that
+/// store in a fresh [`SimulatedWeb`], so every wire hop goes through
+/// [`SimulatedWeb::serve`]: it takes the web's `RwLock` read guard, finds
+/// the overlay empty, and reads the store shard-then-host.
+///
+/// [`fetcher`]: LoadTarget::fetcher
 #[derive(Debug, Clone)]
 pub struct LoadTarget {
-    frozen: FrozenWeb,
-    /// When built from a sharded store, the sharded view of the same
-    /// snapshot (universe + vanity hosts, identical contents to `frozen`).
-    /// Fetchers read through it, so every request routes shard-then-host —
-    /// the cross-shard-read path the bench trajectory times against the
-    /// single-table baseline.
-    sharded: Option<ShardedFrozenWeb>,
+    /// The frozen store the run serves from: the corpus hosts plus the
+    /// vanity hosts.
+    store: FrozenWeb,
     list: RwsList,
     hosts: Vec<DomainName>,
     vanity: Vec<DomainName>,
@@ -44,48 +45,21 @@ pub struct LoadTarget {
 }
 
 impl LoadTarget {
-    /// Target the frozen web and RWS list of a generated corpus.
-    pub fn from_corpus(corpus: &Corpus) -> LoadTarget {
-        LoadTarget::from_frozen(corpus.frozen.clone(), corpus.list.clone())
-    }
-
-    /// Target the *sharded* store of a generated corpus: identical
-    /// contents to [`from_corpus`](LoadTarget::from_corpus), but fetchers
-    /// resolve every request shard-then-host.
+    /// Target the frozen store and RWS list of a generated corpus, at the
+    /// corpus's shard count.
     pub fn from_corpus_sharded(corpus: &Corpus) -> LoadTarget {
-        LoadTarget::from_sharded(corpus.sharded.clone(), corpus.list.clone())
+        LoadTarget::from_frozen(corpus.sharded.clone(), corpus.list.clone())
     }
 
-    /// Target an arbitrary frozen snapshot and list.
+    /// Target an arbitrary frozen store and list. Vanity entry hosts land
+    /// in an overlay that is re-frozen at the store's shard count, so the
+    /// whole universe (redirects included) reads through shard routing.
     pub fn from_frozen(frozen: FrozenWeb, list: RwsList) -> LoadTarget {
         let hosts = frozen.hosts();
-        let mut web = SimulatedWeb::from_frozen(frozen);
+        let mut web = frozen.to_web();
         let vanity = register_vanity_hosts(&mut web, &hosts);
         LoadTarget {
-            frozen: web.freeze(),
-            sharded: None,
-            list,
-            hosts,
-            vanity,
-            faults: None,
-            retry: RetryPolicy::none(),
-            poison: Vec::new(),
-        }
-    }
-
-    /// Target an arbitrary sharded snapshot and list. Vanity entry hosts
-    /// land in an overlay that is re-frozen *sharded*, preserving the
-    /// store's shard count, so the whole universe (redirects included)
-    /// reads through shard routing.
-    pub fn from_sharded(sharded: ShardedFrozenWeb, list: RwsList) -> LoadTarget {
-        let hosts = sharded.hosts();
-        let shard_count = sharded.shard_count();
-        let mut web = SimulatedWeb::from_sharded(sharded);
-        let vanity = register_vanity_hosts(&mut web, &hosts);
-        let resharded = web.freeze_sharded(shard_count);
-        LoadTarget {
-            frozen: resharded.collapse(),
-            sharded: Some(resharded),
+            store: web.freeze(),
             list,
             hosts,
             vanity,
@@ -150,22 +124,16 @@ impl LoadTarget {
         &self.vanity
     }
 
-    /// The frozen snapshot the run serves from (universe + vanity hosts),
-    /// as a single table. For sharded targets this is the collapsed view;
-    /// fetchers still read through the shards.
-    pub fn frozen(&self) -> &FrozenWeb {
-        &self.frozen
+    /// The frozen store fetchers read (universe + vanity hosts). Always
+    /// `Some`: the `Option` and the name are kept because the repository
+    /// benchmark under `perfbench/` calls `.expect` on it.
+    pub fn sharded(&self) -> Option<&FrozenWeb> {
+        Some(&self.store)
     }
 
-    /// The sharded store fetchers read through, when this target was
-    /// built from one.
-    pub fn sharded(&self) -> Option<&ShardedFrozenWeb> {
-        self.sharded.as_ref()
-    }
-
-    /// The store's shard count, when sharded.
-    pub fn shard_count(&self) -> Option<usize> {
-        self.sharded.as_ref().map(ShardedFrozenWeb::shard_count)
+    /// The store's shard count.
+    pub fn shard_count(&self) -> usize {
+        self.store.shard_count()
     }
 
     /// The RWS list partitioning decisions consult.
@@ -177,11 +145,7 @@ impl LoadTarget {
     /// atomic request accounting), its own counter family — so each run's
     /// `wire_requests` starts at zero.
     pub fn fetcher(&self) -> Fetcher {
-        let web = match &self.sharded {
-            Some(sharded) => SimulatedWeb::from_sharded(sharded.clone()),
-            None => SimulatedWeb::from_frozen(self.frozen.clone()),
-        };
-        let mut fetcher = Fetcher::with_policy(web, FetchPolicy::default());
+        let mut fetcher = Fetcher::with_policy(self.store.to_web(), FetchPolicy::default());
         fetcher.set_retry(self.retry);
         if let Some(plan) = self.faults {
             fetcher.set_fault_injector(Some(FaultInjector::new(plan)));
@@ -192,8 +156,8 @@ impl LoadTarget {
 
 /// Register the deterministic vanity entry hosts over `web` and return
 /// their domains. The spread over the universe (stride 37, coprime to
-/// most small sizes) is shared between single-table and sharded targets,
-/// so both build byte-identical redirect pages.
+/// most small sizes) depends only on the sorted host list, so targets at
+/// every shard count build byte-identical redirect pages.
 fn register_vanity_hosts(web: &mut SimulatedWeb, hosts: &[DomainName]) -> Vec<DomainName> {
     let vanity_count = if hosts.is_empty() {
         0
@@ -253,7 +217,7 @@ mod tests {
         let target = tiny_target();
         for v in target.vanity() {
             assert!(!target.hosts().contains(v));
-            assert!(target.frozen().has_host(v));
+            assert!(target.store.has_host(v));
         }
     }
 }

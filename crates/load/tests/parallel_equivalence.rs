@@ -51,7 +51,7 @@ fn tiny_engine(clients: usize) -> LoadEngine {
 /// hosts (so error traffic exists).
 fn corpus_engine(seed: u64) -> LoadEngine {
     let corpus = CorpusGenerator::new(CorpusConfig::small(seed)).generate();
-    LoadEngine::new(LoadTarget::from_corpus(&corpus), LoadScale::smoke())
+    LoadEngine::new(LoadTarget::from_corpus_sharded(&corpus), LoadScale::smoke())
 }
 
 proptest! {

@@ -1,11 +1,12 @@
-//! Load runs against a sharded store ≡ runs against the single table.
+//! Load runs are independent of the store's shard count.
 //!
-//! `LoadTarget::from_corpus_sharded` routes every fetch shard-then-host
-//! through the corpus's [`ShardedFrozenWeb`]; `from_corpus` reads the
-//! collapsed single table. The store layout is an execution detail, so a
-//! replay over either target must produce the identical `LoadReport` —
-//! sequentially and on a forced 3-worker pool (the repo's convention:
-//! single-core CI drains the global pool inline, so the pool is forced).
+//! A `LoadTarget` reads every fetch shard-then-host through the corpus's
+//! [`FrozenWeb`](rws_net::FrozenWeb). The shard count is an execution
+//! detail, so a 7-shard target must serve the same snapshot as a 1-shard
+//! target and a replay over either must produce the identical
+//! `LoadReport` — sequentially and on a forced 3-worker pool (the repo's
+//! convention: single-core CI drains the global pool inline, so the pool
+//! is forced).
 
 use rws_corpus::{Corpus, CorpusConfig, CorpusGenerator};
 use rws_engine::{EngineContext, SiteResolver, ThreadPool};
@@ -19,54 +20,60 @@ fn corpus_with_shards(seed: u64, shards: usize) -> Corpus {
 }
 
 #[test]
-fn sharded_target_mirrors_the_single_table_target() {
-    let corpus = corpus_with_shards(11, 7);
-    let single = LoadTarget::from_corpus(&corpus);
-    let sharded = LoadTarget::from_corpus_sharded(&corpus);
+fn seven_shard_target_mirrors_the_one_shard_target() {
+    let one = LoadTarget::from_corpus_sharded(&corpus_with_shards(11, 1));
+    let seven = LoadTarget::from_corpus_sharded(&corpus_with_shards(11, 7));
 
-    assert_eq!(sharded.shard_count(), Some(7));
-    assert_eq!(single.shard_count(), None);
-    assert_eq!(single.hosts(), sharded.hosts());
-    assert_eq!(single.vanity(), sharded.vanity());
+    assert_eq!(one.shard_count(), 1);
+    assert_eq!(seven.shard_count(), 7);
+    assert_eq!(one.hosts(), seven.hosts());
+    assert_eq!(one.vanity(), seven.vanity());
 
     // Both targets serve the identical snapshot: every universe front page
-    // and every vanity redirect, byte for byte.
-    for host in single.hosts().iter().chain(single.vanity()) {
+    // and every vanity redirect, byte for byte, through the store and
+    // through a fetcher's web.
+    let (one_store, seven_store) = (one.sharded().unwrap(), seven.sharded().unwrap());
+    let (one_fetcher, seven_fetcher) = (one.fetcher(), seven.fetcher());
+    for host in one.hosts().iter().chain(one.vanity()) {
         let url = Url::https(host, "/");
         assert_eq!(
-            single.frozen().serve(&url),
-            sharded.frozen().serve(&url),
-            "snapshot divergence on {url}"
+            one_store.serve(&url),
+            seven_store.serve(&url),
+            "store divergence on {url}"
         );
-        let store = sharded.sharded().unwrap();
         assert_eq!(
-            store.serve(&url),
-            single.frozen().serve(&url),
-            "shard-routed read diverged on {url}"
+            one_fetcher.get(&url),
+            seven_fetcher.get(&url),
+            "fetch divergence on {url}"
         );
     }
 }
 
 #[test]
-fn load_replay_over_shards_equals_single_table_replay() {
+fn load_replay_over_seven_shards_equals_one_shard_replay() {
     for seed in [3u64, 71] {
-        let corpus = corpus_with_shards(seed % 13, 7);
-        let single = LoadEngine::new(LoadTarget::from_corpus(&corpus), LoadScale::smoke());
-        let sharded = LoadEngine::new(LoadTarget::from_corpus_sharded(&corpus), LoadScale::smoke());
+        let one = LoadEngine::new(
+            LoadTarget::from_corpus_sharded(&corpus_with_shards(seed % 13, 1)),
+            LoadScale::smoke(),
+        );
+        let seven = LoadEngine::new(
+            LoadTarget::from_corpus_sharded(&corpus_with_shards(seed % 13, 7)),
+            LoadScale::smoke(),
+        );
 
         let pooled_ctx = EngineContext::with_parts(ThreadPool::new(3), SiteResolver::full());
         let inline_ctx = pooled_ctx.sequential_twin();
 
-        let baseline = single.run_on(seed, &inline_ctx);
+        let baseline = one.run_on(seed, &inline_ctx);
         assert_eq!(
-            sharded.run_on(seed, &inline_ctx),
+            seven.run_on(seed, &inline_ctx),
             baseline,
-            "sequential sharded vs single, seed {seed}"
+            "sequential 7 shards vs 1 shard, seed {seed}"
         );
         assert_eq!(
-            sharded.run_on(seed, &pooled_ctx),
+            seven.run_on(seed, &pooled_ctx),
             baseline,
-            "pooled sharded vs sequential single, seed {seed}"
+            "pooled 7 shards vs sequential 1 shard, seed {seed}"
         );
         assert!(baseline.fetch_calls > 0);
         assert!(baseline.redirects_followed > 0);

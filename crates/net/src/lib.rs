@@ -14,7 +14,8 @@
 //! * [`SimulatedWeb`] — a registry mapping hosts to [`SiteHost`]s with
 //!   routable paths, redirects, latency and failure injection; page bodies
 //!   are interned ([`PageBody`]) and [`SimulatedWeb::freeze`] snapshots the
-//!   registry into a lock-free, borrow-friendly [`FrozenWeb`];
+//!   registry into a [`FrozenWeb`], the one frozen page store: N ≥ 1
+//!   FNV-routed shards, lock-free and borrow-friendly to read;
 //! * [`Fetcher`] — a client with redirect following, HTTPS enforcement and
 //!   a request log, which is what the validation bot and corpus crawler use;
 //! * [`FaultPlan`]/[`FaultInjector`] — deterministic transient-fault
@@ -56,7 +57,7 @@ pub use fault::{Fault, FaultInjector, FaultPlan, FaultScale, FetchSession};
 pub use fetcher::{FetchOutcome, FetchPolicy, Fetcher, RetryPolicy};
 pub use headers::HeaderMap;
 pub use message::{Method, Request, Response, StatusCode};
-pub use store::{ShardedFrozenWeb, StoreStats};
+pub use store::{FrozenWeb, StoreStats};
 pub use url::Url;
-pub use web::{FrozenWeb, LatencyModel, PageBody, PageContent, ServedPage, SimulatedWeb, SiteHost};
+pub use web::{LatencyModel, PageBody, PageContent, ServedPage, SimulatedWeb, SiteHost};
 pub use well_known::{well_known_path, WELL_KNOWN_RWS_PATH, X_ROBOTS_TAG};

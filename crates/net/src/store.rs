@@ -1,34 +1,37 @@
-//! The sharded frozen page store.
+//! The frozen page store.
 //!
-//! A single [`FrozenWeb`] is one `Arc<HashMap>` — perfect for lock-free
-//! reads, but a serial wall at *generation* time: the whole host table
-//! must be rendered before anything downstream starts. A
-//! [`ShardedFrozenWeb`] splits the table into N independent
-//! [`FrozenWeb`] shards routed by the workspace's FNV-1a host hash (the
-//! same [`ShardRouter`] the memo tables use), so corpus generation can
-//! fan one pool task per shard and the per-shard tables stay flat as
-//! the corpus scales.
+//! The corpus is write-once, read-hundreds-of-times, so its host table
+//! is frozen into an immutable [`FrozenWeb`] once generation finishes.
+//! The table is split into N ≥ 1 private shards routed by the
+//! workspace's FNV-1a host hash (the same [`ShardRouter`] the memo tables
+//! use), so corpus generation can fan one pool task per shard and the
+//! per-shard tables stay flat as the corpus scales. One shard is simply
+//! the unsharded table; the equivalence property tests compare every
+//! other count against it.
 //!
-//! The read surface is identical to [`FrozenWeb`] — `host`, `page_html`,
-//! `page_body`, `serve` keep their signatures and still hand out genuine
-//! borrows. A read resolves shard-then-host: one mask/modulo on the key
-//! hash, then the shard's plain `HashMap` lookup. No lock appears
-//! anywhere on the path, and cloning the whole sharded store is a single
-//! refcount bump.
+//! A read resolves shard-then-host: one mask/modulo on the key hash,
+//! then the shard's plain `HashMap` lookup. No lock appears anywhere on
+//! the path, accessors hand out genuine borrows
+//! ([`page_html`](FrozenWeb::page_html) returns `&str` tied to `&self`),
+//! and cloning the whole store is a single refcount bump.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rws_domain::DomainName;
 use rws_stats::shard::ShardRouter;
 
 use crate::url::Url;
-use crate::web::{FrozenWeb, PageBody, ServedPage, SimulatedWeb, SiteHost};
+use crate::web::{PageBody, ServedPage, SimulatedWeb, SiteHost};
 
-/// Size accounting for one frozen shard (or a whole table), used by the
-/// bench trajectory's per-shard memory block. `body_bytes` counts the
-/// interned page payloads — because bodies are interned `Bytes`, two
-/// stores sharing hosts share those buffers and the sum is an upper
-/// bound on exclusive ownership.
+/// One shard's host table.
+type Shard = HashMap<DomainName, SiteHost>;
+
+/// Size accounting for one frozen shard, used by the bench trajectory's
+/// per-shard memory block. `body_bytes` counts the interned page
+/// payloads — because bodies are interned `Bytes`, two stores sharing
+/// hosts share those buffers and the sum is an upper bound on exclusive
+/// ownership.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Hosts in the table.
@@ -51,59 +54,55 @@ impl StoreStats {
     }
 }
 
-/// An immutable host table partitioned over N [`FrozenWeb`] shards.
+/// An immutable, `Arc`-shared host table partitioned over N ≥ 1 shards.
 ///
 /// Hosts route to shards by the FNV-1a hash of their [`DomainName`] —
 /// the exact assignment [`ShardRouter`] computes — so a domain's shard
 /// is stable across platforms, processes, and shard-local generation
-/// order. Any shard count ≥ 1 is valid; power-of-two counts route with
-/// a mask, others with a modulo. A count of 1 is the unsharded baseline
-/// (one shard holding everything), which the equivalence property tests
-/// lean on.
+/// order. Power-of-two counts route with a mask, others with a modulo.
+/// The shard count never changes what the store serves.
 #[derive(Debug, Clone)]
-pub struct ShardedFrozenWeb {
-    shards: Arc<Vec<FrozenWeb>>,
+pub struct FrozenWeb {
+    shards: Arc<[Shard]>,
     router: ShardRouter,
 }
 
-impl ShardedFrozenWeb {
-    /// Freeze an explicit host table into `shard_count` shards.
-    pub fn from_hosts<I: IntoIterator<Item = SiteHost>>(
-        hosts: I,
-        shard_count: usize,
-    ) -> ShardedFrozenWeb {
+impl Default for FrozenWeb {
+    /// An empty one-shard store.
+    fn default() -> Self {
+        FrozenWeb::from_hosts(std::iter::empty(), 1)
+    }
+}
+
+impl FrozenWeb {
+    /// Freeze an explicit host table into `shard_count` shards. A later
+    /// host replaces an earlier one with the same name.
+    pub fn from_hosts<I: IntoIterator<Item = SiteHost>>(hosts: I, shard_count: usize) -> FrozenWeb {
         let router = ShardRouter::new(shard_count);
-        let mut buckets: Vec<Vec<SiteHost>> = (0..shard_count).map(|_| Vec::new()).collect();
+        let mut shards: Vec<Shard> = (0..shard_count).map(|_| Shard::new()).collect();
         for host in hosts {
-            buckets[router.route(host.domain())].push(host);
+            shards[router.route(host.domain())].insert(host.domain().clone(), host);
         }
-        ShardedFrozenWeb {
-            shards: Arc::new(buckets.into_iter().map(FrozenWeb::from_hosts).collect()),
+        FrozenWeb {
+            shards: shards.into(),
             router,
         }
     }
 
-    /// Reshard an existing single-table snapshot. Host clones are bundles
-    /// of refcount bumps (interned bodies, shared header maps), so this
-    /// duplicates table entries, not page payloads.
-    pub fn from_frozen(frozen: &FrozenWeb, shard_count: usize) -> ShardedFrozenWeb {
-        ShardedFrozenWeb::from_hosts(frozen.iter_hosts().map(|(_, h)| h.clone()), shard_count)
-    }
-
-    /// Assemble from per-shard tables that were *already routed* — the
-    /// concurrent corpus generator builds each shard's `FrozenWeb` on its
+    /// Assemble from per-shard host tables that were *already routed* —
+    /// the concurrent corpus generator builds each shard's table on its
     /// own pool task and stitches them here. Debug builds verify every
-    /// host actually lives on its routed shard.
-    pub fn from_routed_shards(shards: Vec<FrozenWeb>) -> ShardedFrozenWeb {
+    /// host is keyed by its own name and lives on its routed shard.
+    pub fn from_routed_shards(shards: Vec<HashMap<DomainName, SiteHost>>) -> FrozenWeb {
         assert!(!shards.is_empty(), "at least one shard required");
         let router = ShardRouter::new(shards.len());
         debug_assert!(shards.iter().enumerate().all(|(idx, shard)| {
             shard
-                .iter_hosts()
-                .all(|(domain, _)| router.route(domain) == idx)
+                .iter()
+                .all(|(domain, host)| host.domain() == domain && router.route(domain) == idx)
         }));
-        ShardedFrozenWeb {
-            shards: Arc::new(shards),
+        FrozenWeb {
+            shards: shards.into(),
             router,
         }
     }
@@ -118,15 +117,10 @@ impl ShardedFrozenWeb {
         self.router.route(host)
     }
 
-    /// The per-shard tables, in shard order.
-    pub fn shards(&self) -> &[FrozenWeb] {
-        &self.shards
-    }
-
     /// The host registered under `host`, if any. Lock-free: one hash to
     /// pick the shard, then the shard's map lookup.
     pub fn host(&self, host: &DomainName) -> Option<&SiteHost> {
-        self.shards[self.router.route(host)].host(host)
+        self.shards[self.router.route(host)].get(host)
     }
 
     /// True if a host with this name exists.
@@ -136,17 +130,12 @@ impl ShardedFrozenWeb {
 
     /// Number of hosts across all shards.
     pub fn host_count(&self) -> usize {
-        self.shards.iter().map(FrozenWeb::host_count).sum()
+        self.shards.iter().map(HashMap::len).sum()
     }
 
-    /// All host names, sorted (across shards — same order a single-table
-    /// [`FrozenWeb::hosts`] would produce).
+    /// All host names, sorted (independent of the shard count).
     pub fn hosts(&self) -> Vec<DomainName> {
-        let mut hosts: Vec<DomainName> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.iter_hosts().map(|(d, _)| d.clone()))
-            .collect();
+        let mut hosts: Vec<DomainName> = self.iter_hosts().map(|(d, _)| d.clone()).collect();
         hosts.sort();
         hosts
     }
@@ -157,37 +146,41 @@ impl ShardedFrozenWeb {
         self.host(host).and_then(|h| h.page_body(path))
     }
 
-    /// The HTML a host serves at `path`, borrowed from the snapshot.
+    /// The HTML a host serves at `path`, borrowed from the snapshot —
+    /// the zero-copy read the classifier and the similarity sweeps run on.
     pub fn page_html(&self, host: &DomainName, path: &str) -> Option<&str> {
         self.host(host).and_then(|h| h.page_html(path))
     }
 
     /// Resolve what a host would serve for a URL — identical semantics to
-    /// [`FrozenWeb::serve`], routed shard-then-host.
+    /// [`SimulatedWeb::serve`], without the lock. Body and headers on the
+    /// result are refcount bumps into the snapshot.
     pub fn serve(&self, url: &Url) -> ServedPage {
-        self.shards[self.router.route(&url.host)].serve(url)
+        match self.host(&url.host) {
+            Some(host) => host.serve_path(url),
+            None => ServedPage::NoSuchHost,
+        }
     }
 
-    /// Collapse the shards back into one single-table [`FrozenWeb`].
-    /// Table entries are cloned (refcount bumps); interned bodies are
-    /// shared with the sharded store.
-    pub fn collapse(&self) -> FrozenWeb {
-        FrozenWeb::from_hosts(
-            self.shards
-                .iter()
-                .flat_map(|s| s.iter_hosts().map(|(_, h)| h.clone())),
-        )
+    /// Iterate the host table across shards, in unspecified order.
+    /// Borrowed from the snapshot; re-freezing clones hosts from here
+    /// without copying page payloads.
+    pub(crate) fn iter_hosts(&self) -> impl Iterator<Item = (&DomainName, &SiteHost)> {
+        self.shards.iter().flat_map(|shard| shard.iter())
     }
 
-    /// A mutable web view over this sharded snapshot: reads fall through
-    /// to the shards, writes land in a fresh overlay.
+    /// A mutable web view over this snapshot: reads fall through to the
+    /// store, writes land in a fresh overlay. The snapshot itself is never
+    /// touched.
     pub fn to_web(&self) -> SimulatedWeb {
-        SimulatedWeb::from_sharded(self.clone())
+        SimulatedWeb::from_frozen(self.clone())
     }
 
-    /// True when `other` shares this store's shard vector (refcount
-    /// identity, not deep comparison).
-    pub fn ptr_eq(&self, other: &ShardedFrozenWeb) -> bool {
+    /// True when `other` shares this store's shards (refcount identity,
+    /// not deep comparison). This is the pin for
+    /// [`SimulatedWeb::freeze`]'s fast path: freezing with an empty
+    /// overlay hands back the *same* store.
+    pub fn ptr_eq(&self, other: &FrozenWeb) -> bool {
         Arc::ptr_eq(&self.shards, &other.shards)
     }
 
@@ -198,7 +191,7 @@ impl ShardedFrozenWeb {
             .iter()
             .map(|shard| {
                 let mut stats = StoreStats::default();
-                for (_, host) in shard.iter_hosts() {
+                for host in shard.values() {
                     stats.add_host(host);
                 }
                 stats
@@ -224,57 +217,42 @@ mod tests {
     }
 
     #[test]
-    fn routes_and_serves_like_single_table() {
-        let single = FrozenWeb::from_hosts(sample_hosts(40));
-        for count in [1usize, 2, 7, 16] {
-            let sharded = ShardedFrozenWeb::from_frozen(&single, count);
+    fn routes_and_serves_like_one_shard() {
+        let one = FrozenWeb::from_hosts(sample_hosts(40), 1);
+        for count in [2usize, 7, 16] {
+            let sharded = FrozenWeb::from_hosts(sample_hosts(40), count);
             assert_eq!(sharded.shard_count(), count);
-            assert_eq!(sharded.host_count(), single.host_count());
-            assert_eq!(sharded.hosts(), single.hosts());
-            for domain in single.hosts() {
-                assert!(sharded.has_host(&domain));
-                assert_eq!(
-                    sharded.page_html(&domain, "/"),
-                    single.page_html(&domain, "/")
-                );
-                assert!(sharded.shard_of(&domain) < count);
+            assert_eq!(sharded.host_count(), one.host_count());
+            assert_eq!(sharded.hosts(), one.hosts());
+            for domain in one.hosts() {
+                let idx = sharded.shard_of(&domain);
+                assert!(idx < count);
+                assert!(sharded.shards[idx].contains_key(&domain));
+                assert_eq!(sharded.page_html(&domain, "/"), one.page_html(&domain, "/"));
             }
         }
     }
 
     #[test]
-    fn collapse_round_trips() {
-        let single = FrozenWeb::from_hosts(sample_hosts(25));
-        let collapsed = ShardedFrozenWeb::from_frozen(&single, 7).collapse();
-        assert_eq!(collapsed.hosts(), single.hosts());
-        for domain in single.hosts() {
-            assert_eq!(
-                collapsed.page_html(&domain, "/"),
-                single.page_html(&domain, "/")
-            );
-        }
-    }
-
-    #[test]
     fn bodies_are_shared_not_copied() {
-        let single = FrozenWeb::from_hosts(sample_hosts(5));
-        let sharded = ShardedFrozenWeb::from_frozen(&single, 2);
-        for domain in single.hosts() {
-            let a = single.page_body(&domain, "/").unwrap();
-            let b = sharded.page_body(&domain, "/").unwrap();
+        let hosts = sample_hosts(5);
+        let sharded = FrozenWeb::from_hosts(hosts.clone(), 2);
+        for host in &hosts {
+            let a = host.page_body("/").unwrap();
+            let b = sharded.page_body(host.domain(), "/").unwrap();
             assert!(
                 std::ptr::eq(a.as_bytes().as_ptr(), b.as_bytes().as_ptr()),
-                "sharding must bump refcounts, not copy page payloads"
+                "freezing must bump refcounts, not copy page payloads"
             );
         }
     }
 
     #[test]
     fn clone_is_identity() {
-        let sharded = ShardedFrozenWeb::from_hosts(sample_hosts(10), 4);
+        let sharded = FrozenWeb::from_hosts(sample_hosts(10), 4);
         let clone = sharded.clone();
         assert!(sharded.ptr_eq(&clone));
-        assert!(!sharded.ptr_eq(&ShardedFrozenWeb::from_hosts(sample_hosts(10), 4)));
+        assert!(!sharded.ptr_eq(&FrozenWeb::from_hosts(sample_hosts(10), 4)));
     }
 
     #[test]
@@ -284,7 +262,7 @@ mod tests {
             .iter()
             .map(|h| h.page_body("/").map_or(0, |b| b.len()))
             .sum();
-        let sharded = ShardedFrozenWeb::from_hosts(hosts, 7);
+        let sharded = FrozenWeb::from_hosts(hosts, 7);
         let stats = sharded.shard_stats();
         assert_eq!(stats.len(), 7);
         assert_eq!(stats.iter().map(|s| s.hosts).sum::<usize>(), 30);
@@ -298,18 +276,14 @@ mod tests {
     #[test]
     fn from_routed_shards_matches_from_hosts() {
         let hosts = sample_hosts(20);
-        let direct = ShardedFrozenWeb::from_hosts(hosts.clone(), 4);
+        let direct = FrozenWeb::from_hosts(hosts.clone(), 4);
         let router = ShardRouter::new(4);
-        let mut buckets: Vec<Vec<SiteHost>> = (0..4).map(|_| Vec::new()).collect();
+        let mut tables: Vec<Shard> = (0..4).map(|_| Shard::new()).collect();
         for host in hosts {
-            buckets[router.route(host.domain())].push(host);
+            tables[router.route(host.domain())].insert(host.domain().clone(), host);
         }
-        let stitched = ShardedFrozenWeb::from_routed_shards(
-            buckets.into_iter().map(FrozenWeb::from_hosts).collect(),
-        );
+        let stitched = FrozenWeb::from_routed_shards(tables);
         assert_eq!(stitched.hosts(), direct.hosts());
-        for (a, b) in stitched.shards().iter().zip(direct.shards()) {
-            assert_eq!(a.hosts(), b.hosts());
-        }
+        assert_eq!(stitched.shard_stats(), direct.shard_stats());
     }
 }

@@ -19,18 +19,23 @@
 //!   refcounted buffer — at registration time, so *no* later layer ever
 //!   copies a body (serving bumps a refcount, reading borrows `&str`);
 //! * [`SimulatedWeb::freeze`] snapshots the host table into a
-//!   [`FrozenWeb`]: an `Arc`-shared immutable map with **no lock on the
-//!   read path**, whose accessors hand out real borrows
-//!   ([`FrozenWeb::page_html`]) rather than guard-bounded views;
+//!   [`FrozenWeb`] (see [`crate::store`]): an `Arc`-shared immutable table
+//!   over N ≥ 1 shards with **no lock on the read path**, whose accessors
+//!   hand out real borrows ([`FrozenWeb::page_html`]) rather than
+//!   guard-bounded views;
 //! * the `SimulatedWeb` itself becomes a thin mutable *overlay* above its
 //!   frozen base: post-freeze registrations (the governance replay's defect
 //!   hosts) and copy-on-write [`update_host`](SimulatedWeb::update_host)
 //!   mutations land in the overlay, while the frozen snapshot — and every
-//!   borrowed view taken from it — stays valid and unchanged.
+//!   borrowed view taken from it — stays valid and unchanged. Reads
+//!   through the `SimulatedWeb` (and so through a [`Fetcher`]) take its
+//!   `RwLock` read guard to consult the overlay first.
+//!
+//! [`Fetcher`]: crate::Fetcher
 
 use crate::headers::HeaderMap;
 use crate::message::StatusCode;
-use crate::store::ShardedFrozenWeb;
+use crate::store::FrozenWeb;
 use crate::url::Url;
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -387,7 +392,7 @@ impl SiteHost {
     /// What this host serves for `url` (the host-level half of
     /// [`SimulatedWeb::serve`], shared with [`FrozenWeb::serve`]). Assumes
     /// `url.host` already routed here.
-    fn serve_path(&self, url: &Url) -> ServedPage {
+    pub(crate) fn serve_path(&self, url: &Url) -> ServedPage {
         if self.is_offline() {
             return ServedPage::Refused;
         }
@@ -407,161 +412,12 @@ impl SiteHost {
     }
 }
 
-/// An immutable, `Arc`-shared snapshot of a web's host table.
-///
-/// There is no lock anywhere on the read path: lookups walk a plain
-/// `HashMap` behind an `Arc`, so accessors can hand out genuine borrows
-/// ([`page_html`](FrozenWeb::page_html) returns `&str` tied to `&self`,
-/// not to a lock guard) and concurrent pool tasks read without contention.
-/// Cloning a `FrozenWeb` is a refcount bump.
-#[derive(Debug, Clone, Default)]
-pub struct FrozenWeb {
-    hosts: Arc<HashMap<DomainName, SiteHost>>,
-}
-
-impl FrozenWeb {
-    /// Freeze an explicit host table.
-    pub fn from_hosts<I: IntoIterator<Item = SiteHost>>(hosts: I) -> FrozenWeb {
-        FrozenWeb {
-            hosts: Arc::new(hosts.into_iter().map(|h| (h.domain().clone(), h)).collect()),
-        }
-    }
-
-    /// The host registered under `host`, if any. Lock-free.
-    pub fn host(&self, host: &DomainName) -> Option<&SiteHost> {
-        self.hosts.get(host)
-    }
-
-    /// True if a host with this name exists.
-    pub fn has_host(&self, host: &DomainName) -> bool {
-        self.hosts.contains_key(host)
-    }
-
-    /// Number of hosts in the snapshot.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// All host names, sorted.
-    pub fn hosts(&self) -> Vec<DomainName> {
-        let mut hosts: Vec<DomainName> = self.hosts.keys().cloned().collect();
-        hosts.sort();
-        hosts
-    }
-
-    /// The interned body a host serves at `path`, borrowed from the
-    /// snapshot.
-    pub fn page_body(&self, host: &DomainName, path: &str) -> Option<&PageBody> {
-        self.hosts.get(host).and_then(|h| h.page_body(path))
-    }
-
-    /// The HTML a host serves at `path`, borrowed from the snapshot —
-    /// the zero-copy read the classifier and the similarity sweeps run on.
-    pub fn page_html(&self, host: &DomainName, path: &str) -> Option<&str> {
-        self.hosts.get(host).and_then(|h| h.page_html(path))
-    }
-
-    /// Resolve what a host would serve for a URL — identical semantics to
-    /// [`SimulatedWeb::serve`], without the lock. Body and headers on the
-    /// result are refcount bumps into the snapshot.
-    pub fn serve(&self, url: &Url) -> ServedPage {
-        match self.hosts.get(&url.host) {
-            Some(host) => host.serve_path(url),
-            None => ServedPage::NoSuchHost,
-        }
-    }
-
-    /// Iterate the host table, in map order (unspecified). Borrowed from
-    /// the snapshot; used by the sharded store to reshard and collapse
-    /// without copying page payloads.
-    pub fn iter_hosts(&self) -> impl Iterator<Item = (&DomainName, &SiteHost)> {
-        self.hosts.iter()
-    }
-
-    /// True when `other` shares this snapshot's host table (refcount
-    /// identity, not deep comparison). This is the pin for
-    /// [`SimulatedWeb::freeze`]'s fast path: freezing with an empty
-    /// overlay hands back the *same* table, `ptr_eq`-verifiable.
-    pub fn ptr_eq(&self, other: &FrozenWeb) -> bool {
-        Arc::ptr_eq(&self.hosts, &other.hosts)
-    }
-
-    /// A mutable web view over this snapshot: reads fall through to the
-    /// frozen base, writes land in a fresh overlay. The snapshot itself is
-    /// never touched.
-    pub fn to_web(&self) -> SimulatedWeb {
-        SimulatedWeb::from_frozen(self.clone())
-    }
-}
-
-/// The immutable base a [`SimulatedWeb`] reads through: one table, or a
-/// sharded store. Reads resolve overlay-then-base either way; the
-/// distinction only matters for which snapshot flavour freezing reuses.
-#[derive(Debug, Clone)]
-enum FrozenBase {
-    Single(FrozenWeb),
-    Sharded(ShardedFrozenWeb),
-}
-
-impl Default for FrozenBase {
-    fn default() -> Self {
-        FrozenBase::Single(FrozenWeb::default())
-    }
-}
-
-impl FrozenBase {
-    fn host(&self, host: &DomainName) -> Option<&SiteHost> {
-        match self {
-            FrozenBase::Single(f) => f.host(host),
-            FrozenBase::Sharded(s) => s.host(host),
-        }
-    }
-
-    fn has_host(&self, host: &DomainName) -> bool {
-        match self {
-            FrozenBase::Single(f) => f.has_host(host),
-            FrozenBase::Sharded(s) => s.has_host(host),
-        }
-    }
-
-    fn host_count(&self) -> usize {
-        match self {
-            FrozenBase::Single(f) => f.host_count(),
-            FrozenBase::Sharded(s) => s.host_count(),
-        }
-    }
-
-    fn host_names(&self) -> Vec<DomainName> {
-        match self {
-            FrozenBase::Single(f) => f.hosts.keys().cloned().collect(),
-            FrozenBase::Sharded(s) => s
-                .shards()
-                .iter()
-                .flat_map(|f| f.hosts.keys().cloned())
-                .collect(),
-        }
-    }
-
-    /// A fresh owned copy of the full table (refcount-bump host clones),
-    /// the starting point for an overlay merge.
-    fn cloned_table(&self) -> HashMap<DomainName, SiteHost> {
-        match self {
-            FrozenBase::Single(f) => (*f.hosts).clone(),
-            FrozenBase::Sharded(s) => s
-                .shards()
-                .iter()
-                .flat_map(|f| f.iter_hosts().map(|(d, h)| (d.clone(), h.clone())))
-                .collect(),
-        }
-    }
-}
-
 /// Shared state of a [`SimulatedWeb`]: the immutable frozen base plus the
 /// mutable overlay of post-freeze registrations and copy-on-write edits.
 /// Overlay entries shadow same-named frozen hosts.
 #[derive(Debug, Default)]
 struct WebState {
-    base: FrozenBase,
+    base: FrozenWeb,
     overlay: HashMap<DomainName, SiteHost>,
 }
 
@@ -575,39 +431,28 @@ impl WebState {
 ///
 /// Cloning a `SimulatedWeb` is cheap (it is an `Arc` around shared state),
 /// so the same web can be handed to the fetcher, the validation bot and the
-/// browser engine simultaneously. [`freeze`](SimulatedWeb::freeze) snapshots
-/// the current hosts into an immutable [`FrozenWeb`]; later writes go to a
-/// mutable overlay shared by every clone, leaving the snapshot untouched.
+/// browser engine simultaneously. Reads resolve overlay-then-base under
+/// the state's `RwLock` read guard. [`freeze`](SimulatedWeb::freeze)
+/// snapshots the current hosts into an immutable [`FrozenWeb`]; later
+/// writes go to a mutable overlay shared by every clone, leaving the
+/// snapshot untouched.
 #[derive(Debug, Clone, Default)]
 pub struct SimulatedWeb {
     inner: Arc<RwLock<WebState>>,
 }
 
 impl SimulatedWeb {
-    /// Create an empty web.
+    /// Create an empty web over an empty one-shard base.
     pub fn new() -> SimulatedWeb {
         SimulatedWeb::default()
     }
 
     /// Create a web whose read path falls through to an existing frozen
-    /// snapshot (shared, not copied).
+    /// store (shared, not copied). Reads route overlay → shard → host.
     pub fn from_frozen(frozen: FrozenWeb) -> SimulatedWeb {
         SimulatedWeb {
             inner: Arc::new(RwLock::new(WebState {
-                base: FrozenBase::Single(frozen),
-                overlay: HashMap::new(),
-            })),
-        }
-    }
-
-    /// Create a web whose read path falls through to a sharded frozen
-    /// store (shared, not copied). Reads route overlay → shard → host;
-    /// [`freeze_sharded`](SimulatedWeb::freeze_sharded) at the same shard
-    /// count reuses the store when the overlay is empty.
-    pub fn from_sharded(sharded: ShardedFrozenWeb) -> SimulatedWeb {
-        SimulatedWeb {
-            inner: Arc::new(RwLock::new(WebState {
-                base: FrozenBase::Sharded(sharded),
+                base: frozen,
                 overlay: HashMap::new(),
             })),
         }
@@ -646,9 +491,10 @@ impl SimulatedWeb {
         hosts.extend(
             state
                 .base
-                .host_names()
-                .into_iter()
-                .filter(|d| !state.overlay.contains_key(d)),
+                .iter_hosts()
+                .map(|(d, _)| d)
+                .filter(|d| !state.overlay.contains_key(*d))
+                .cloned(),
         );
         hosts.sort();
         hosts
@@ -681,72 +527,25 @@ impl SimulatedWeb {
         }
     }
 
-    /// Freeze the current host table into an immutable [`FrozenWeb`] and
-    /// make it this web's new base (the overlay drains into it). Every
-    /// clone of this web observes the freeze, since the state is shared.
+    /// Freeze the current host table into an immutable [`FrozenWeb`] at
+    /// the base's shard count and make it this web's new base (the overlay
+    /// drains into it). Every clone of this web observes the freeze, since
+    /// the state is shared.
     ///
-    /// Freezing an already-frozen web with an empty overlay is free — it
-    /// hands back the existing snapshot (a refcount bump,
-    /// [`FrozenWeb::ptr_eq`]-verifiable), never a rebuilt table. A web
-    /// whose base is *sharded* collapses it into a single table once and
-    /// caches that as the new base, so repeat freezes are again free.
+    /// Freezing with an empty overlay is free — it hands back the existing
+    /// store (a refcount bump, [`FrozenWeb::ptr_eq`]-verifiable), never a
+    /// rebuilt table. Pending overlay edits re-freeze once; host clones are
+    /// refcount bumps, so no page payload is copied.
     pub fn freeze(&self) -> FrozenWeb {
         let mut state = self.inner.write();
-        if state.overlay.is_empty() {
-            if let FrozenBase::Single(frozen) = &state.base {
-                return frozen.clone();
-            }
+        if !state.overlay.is_empty() {
+            // Overlay hosts come last, so they replace same-named base hosts.
+            let overlay = std::mem::take(&mut state.overlay).into_values();
+            let base = state.base.iter_hosts().map(|(_, h)| h.clone());
+            let refrozen = FrozenWeb::from_hosts(base.chain(overlay), state.base.shard_count());
+            state.base = refrozen;
         }
-        let mut merged = state.base.cloned_table();
-        merged.extend(state.overlay.drain());
-        let frozen = FrozenWeb {
-            hosts: Arc::new(merged),
-        };
-        state.base = FrozenBase::Single(frozen.clone());
-        frozen
-    }
-
-    /// Freeze the current host table into a [`ShardedFrozenWeb`] over
-    /// `shard_count` shards and make it this web's new base.
-    ///
-    /// Like [`freeze`](SimulatedWeb::freeze), the no-op case is free:
-    /// an empty overlay over an already-sharded base at the same shard
-    /// count hands back the existing store
-    /// ([`ShardedFrozenWeb::ptr_eq`]-verifiable). Anything else — a
-    /// single-table base, a different shard count, or pending overlay
-    /// edits (which may land on different shards) — reshards once.
-    pub fn freeze_sharded(&self, shard_count: usize) -> ShardedFrozenWeb {
-        let mut state = self.inner.write();
-        if state.overlay.is_empty() {
-            if let FrozenBase::Sharded(sharded) = &state.base {
-                if sharded.shard_count() == shard_count {
-                    return sharded.clone();
-                }
-            }
-        }
-        let mut merged = state.base.cloned_table();
-        merged.extend(state.overlay.drain());
-        let sharded = ShardedFrozenWeb::from_hosts(merged.into_values(), shard_count);
-        state.base = FrozenBase::Sharded(sharded.clone());
-        sharded
-    }
-
-    /// The current frozen base as a single table (empty if no freeze ever
-    /// happened). Overlay entries are *not* included; a sharded base is
-    /// collapsed on the fly without replacing it.
-    pub fn frozen_base(&self) -> FrozenWeb {
-        match &self.inner.read().base {
-            FrozenBase::Single(frozen) => frozen.clone(),
-            FrozenBase::Sharded(sharded) => sharded.collapse(),
-        }
-    }
-
-    /// The current sharded base, when the last freeze was sharded.
-    pub fn sharded_base(&self) -> Option<ShardedFrozenWeb> {
-        match &self.inner.read().base {
-            FrozenBase::Single(_) => None,
-            FrozenBase::Sharded(sharded) => Some(sharded.clone()),
-        }
+        state.base.clone()
     }
 
     /// Resolve what a host would serve for a URL, without going through the
