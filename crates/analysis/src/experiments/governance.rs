@@ -325,9 +325,10 @@ impl Experiment for Figure9 {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioConfig;
+    use rws_engine::EngineContext;
 
     fn scenario() -> Scenario {
-        Scenario::generate(ScenarioConfig::small(53))
+        Scenario::generate_with(ScenarioConfig::small(53), &EngineContext::new())
     }
 
     #[test]

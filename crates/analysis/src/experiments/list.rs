@@ -17,7 +17,7 @@ impl Figure3 {
     /// The per-role edit-distance samples underlying the figure.
     ///
     /// The pairwise sweep runs in parallel on the scenario's engine; its
-    /// shared [`SiteResolver`] — already warm from scenario generation —
+    /// shared [`SiteResolver`](rws_domain::SiteResolver) — already warm from scenario generation —
     /// memoizes each primary's SLD across all of its member pairs.
     pub fn distances(scenario: &Scenario) -> (Vec<f64>, Vec<f64>) {
         let resolver = scenario.engine.resolver();
@@ -212,9 +212,10 @@ impl Experiment for Figure4 {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioConfig;
+    use rws_engine::EngineContext;
 
     fn scenario() -> Scenario {
-        Scenario::generate(ScenarioConfig::small(47))
+        Scenario::generate_with(ScenarioConfig::small(47), &EngineContext::new())
     }
 
     #[test]

@@ -197,6 +197,7 @@ impl Experiment for Figure2 {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioConfig;
+    use rws_engine::EngineContext;
     use rws_survey::PairGroup;
 
     /// Shared helper: the same-set group's (related, unrelated) counts.
@@ -210,7 +211,7 @@ mod tests {
     }
 
     fn scenario() -> Scenario {
-        Scenario::generate(ScenarioConfig::small(41))
+        Scenario::generate_with(ScenarioConfig::small(41), &EngineContext::new())
     }
 
     #[test]

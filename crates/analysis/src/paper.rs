@@ -35,11 +35,6 @@ impl PaperReproduction {
         }
     }
 
-    /// Create a reproduction with the paper-scale default configuration.
-    pub fn with_defaults() -> PaperReproduction {
-        PaperReproduction::new(ScenarioConfig::default())
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &ScenarioConfig {
         &self.config

@@ -1,8 +1,8 @@
 //! Scenario construction: generate every simulated input once and share it
 //! across experiments.
 //!
-//! Since PR 2, [`Scenario::generate`] is an explicit staged pipeline over a
-//! shared [`EngineContext`]:
+//! [`Scenario::generate_with`] is an explicit staged pipeline over a shared
+//! [`EngineContext`]:
 //!
 //! ```text
 //! corpus ──┬── history ── snapshots
@@ -17,8 +17,8 @@
 //! per-site content classification, per-member pair sweeps,
 //! per-participant survey sessions). Every stage
 //! draws from derived rng streams keyed by task identity, so the pooled
-//! pipeline is field-for-field identical to
-//! [`Scenario::generate_sequential`], which the equivalence property tests
+//! pipeline is field-for-field identical to the same call on
+//! [`EngineContext::sequential`], which the equivalence property tests
 //! assert across seeds.
 
 use rws_classify::CategoryDatabase;
@@ -103,19 +103,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Generate a scenario on the production engine (global pool, full
-    /// vendored PSL).
-    pub fn generate(config: ScenarioConfig) -> Scenario {
-        Scenario::generate_with(config, &EngineContext::new())
-    }
-
-    /// Generate a scenario with every stage running inline on the calling
-    /// thread — the sequential oracle the pooled pipeline is
-    /// property-tested against.
-    pub fn generate_sequential(config: ScenarioConfig) -> Scenario {
-        Scenario::generate_with(config, &EngineContext::sequential())
-    }
-
     /// Generate a scenario as a staged pipeline on the given engine: the
     /// corpus first, then the governance chain (history → snapshots) and
     /// the survey chain (categories → pairs → survey) concurrently.
@@ -213,8 +200,8 @@ mod tests {
 
     #[test]
     fn scenario_generation_is_deterministic() {
-        let a = Scenario::generate(ScenarioConfig::small(3));
-        let b = Scenario::generate(ScenarioConfig::small(3));
+        let a = Scenario::generate_with(ScenarioConfig::small(3), &EngineContext::new());
+        let b = Scenario::generate_with(ScenarioConfig::small(3), &EngineContext::new());
         assert_eq!(a.corpus.list.all_domains(), b.corpus.list.all_domains());
         assert_eq!(a.history.len(), b.history.len());
         assert_eq!(a.survey, b.survey);
@@ -223,7 +210,7 @@ mod tests {
 
     #[test]
     fn snapshots_grow_monotonically() {
-        let scenario = Scenario::generate(ScenarioConfig::small(4));
+        let scenario = Scenario::generate_with(ScenarioConfig::small(4), &EngineContext::new());
         let counts: Vec<usize> = scenario
             .snapshots
             .iter()
@@ -243,7 +230,7 @@ mod tests {
 
     #[test]
     fn scenario_has_survey_and_history_data() {
-        let scenario = Scenario::generate(ScenarioConfig::small(5));
+        let scenario = Scenario::generate_with(ScenarioConfig::small(5), &EngineContext::new());
         assert!(!scenario.survey.responses.is_empty());
         assert!(scenario.history.len() > scenario.corpus.list.set_count());
         assert!(scenario.pairs.total() > 0);

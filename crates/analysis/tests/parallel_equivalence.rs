@@ -89,7 +89,7 @@ fn scenario_generate_matches_sequential_across_seeds() {
     for seed in [3u64, 17, 61, 2024] {
         let config = ScenarioConfig::small(seed);
         let pooled = Scenario::generate_with(config, &EngineContext::new());
-        let sequential = Scenario::generate_sequential(config);
+        let sequential = Scenario::generate_with(config, &EngineContext::sequential());
         assert_scenarios_identical(&pooled, &sequential);
     }
 }

@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rws_bench::bench_scenario;
 use rws_browser::{linkability_by_vendor, linkability_report, PromptBehaviour, VendorPolicy};
-use rws_domain::{DomainName, PublicSuffixList, SldComparison};
+use rws_domain::{DomainName, PublicSuffixList, SiteResolver, SldComparison};
 use rws_engine::EngineContext;
 use rws_model::{MemberRole, SetValidator, ValidatorConfig};
 use std::sync::Once;
@@ -101,6 +101,7 @@ fn bench_policy_ablation(c: &mut Criterion) {
                         &trace,
                         &tracker,
                         PromptBehaviour::AlwaysDecline,
+                        &SiteResolver::embedded(),
                     ))
                 })
             },
@@ -131,6 +132,7 @@ fn bench_linkability_by_set_size(c: &mut Criterion) {
                         &trace,
                         &tracker,
                         PromptBehaviour::AlwaysDecline,
+                        &SiteResolver::embedded(),
                     ))
                 })
             },

@@ -9,6 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rws_analysis::experiments::{Experiment, Figure5, Figure6, Figure7};
 use rws_bench::bench_scenario;
+use rws_engine::EngineContext;
 use rws_github::{HistoryConfig, HistoryGenerator};
 
 fn bench_governance_figures(c: &mut Criterion) {
@@ -29,7 +30,8 @@ fn bench_governance_figures(c: &mut Criterion) {
     group.bench_function("history_generation", |b| {
         b.iter(|| {
             std::hint::black_box(
-                HistoryGenerator::new(HistoryConfig::default()).generate(&scenario.corpus),
+                HistoryGenerator::new(HistoryConfig::default())
+                    .generate_with(&scenario.corpus, &EngineContext::embedded()),
             )
         })
     });

@@ -8,6 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rws_analysis::experiments::{Experiment, Figure1, Figure2};
 use rws_bench::bench_scenario;
+use rws_engine::EngineContext;
 use rws_survey::{SurveyAnalysis, SurveyConfig, SurveyRunner};
 
 fn bench_survey_figures(c: &mut Criterion) {
@@ -24,8 +25,11 @@ fn bench_survey_figures(c: &mut Criterion) {
     });
     group.bench_function("survey_simulation", |b| {
         b.iter(|| {
-            let dataset =
-                SurveyRunner::new(SurveyConfig::default()).run(&scenario.corpus, &scenario.pairs);
+            let dataset = SurveyRunner::new(SurveyConfig::default()).run_on(
+                &scenario.corpus,
+                &scenario.pairs,
+                &EngineContext::embedded(),
+            );
             std::hint::black_box(SurveyAnalysis::analyse(&dataset))
         })
     });

@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rws_analysis::Scenario;
 use rws_bench::{bench_scenario, domain_pairs, small_config};
 use rws_domain::{levenshtein, DomainName, PublicSuffixList};
+use rws_engine::EngineContext;
 use rws_html::similarity::{html_similarity, SimilarityWeights};
 use rws_stats::prelude::*;
 
@@ -258,7 +259,7 @@ fn bench_scenario_generation(c: &mut Criterion) {
                 b.iter(|| {
                     let mut config = small_config(99);
                     config.corpus.organisations = organisations;
-                    std::hint::black_box(Scenario::generate(config))
+                    std::hint::black_box(Scenario::generate_with(config, &EngineContext::new()))
                 })
             },
         );

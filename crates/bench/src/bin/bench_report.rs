@@ -286,10 +286,13 @@ fn main() {
     let pair_naive_ns = measure(|| {
         black_box(pair_generator.generate_naive(&mut Xoshiro256StarStar::new(7)));
     });
-    let pair_indexed_ns = measure(|| {
-        black_box(pair_generator.generate(&mut Xoshiro256StarStar::new(7)));
-    });
     let pair_ctx = EngineContext::new();
+    let pair_sequential_ctx = pair_ctx.sequential_twin();
+    let pair_indexed_ns = measure(|| {
+        black_box(
+            pair_generator.generate_on(&mut Xoshiro256StarStar::new(7), &pair_sequential_ctx),
+        );
+    });
     let pair_pooled_ns = measure(|| {
         black_box(pair_generator.generate_on(&mut Xoshiro256StarStar::new(7), &pair_ctx));
     });
@@ -628,7 +631,7 @@ fn main() {
         top_sites: 480,
         ..CorpusConfig::default()
     })
-    .generate();
+    .generate_with(&EngineContext::embedded());
     let classify_ctx = EngineContext::new();
     let classify_sequential_ctx = classify_ctx.sequential_twin();
     for (label, corpus) in [("paper", &scenario.corpus), ("scaled", &scaled_corpus)] {
@@ -658,7 +661,10 @@ fn main() {
     // path) from any pool effect.
     for (label, corpus) in [("paper", &scenario.corpus), ("scaled", &scaled_corpus)] {
         let borrowed_ns = measure(|| {
-            black_box(CategoryDatabase::classify_corpus(corpus));
+            black_box(CategoryDatabase::classify_corpus_on(
+                corpus,
+                &classify_sequential_ctx,
+            ));
         });
         let cloning_ns = measure(|| {
             black_box(CategoryDatabase::classify_corpus_cloning(corpus));
@@ -786,7 +792,7 @@ fn main() {
         "load replay must cover at least 100k wire requests (got {})",
         load_report.wire_requests
     );
-    let load_replay = load_engine.replay_sequential(LOAD_SEED);
+    let load_replay = load_engine.replay_sequential_with(LOAD_SEED, &SiteResolver::full());
     let load_pooled_ns = measure(|| {
         black_box(load_engine.run_on(LOAD_SEED, &load_ctx));
     });
@@ -862,7 +868,7 @@ fn main() {
         storm_report.retry_successes > 0,
         "the bench storm must recover some degraded traffic"
     );
-    let storm_replay = storm_engine.replay_sequential(LOAD_SEED);
+    let storm_replay = storm_engine.replay_sequential_with(LOAD_SEED, &SiteResolver::full());
     let fault_storm_ns = measure(|| {
         black_box(storm_engine.run_on(LOAD_SEED, &load_ctx));
     });
@@ -988,7 +994,7 @@ fn main() {
         "checkpointed run must equal the uninterrupted one"
     );
     let midpoint = rws_stats::CheckpointSink::count(&checkpoint_sink) / 2;
-    let resumed_report = supervised_engine.resume_from(
+    let resumed_report = supervised_engine.run_checkpointed(
         LOAD_SEED,
         &load_ctx,
         4,

@@ -5,6 +5,7 @@
 //! fixtures here build it once per process and hand out references.
 
 use rws_analysis::{Scenario, ScenarioConfig};
+use rws_engine::EngineContext;
 use std::sync::OnceLock;
 
 /// The bench-scale scenario: paper-scale RWS list (41 sets) with a reduced
@@ -12,7 +13,7 @@ use std::sync::OnceLock;
 /// milliseconds.
 pub fn bench_scenario() -> &'static Scenario {
     static SCENARIO: OnceLock<Scenario> = OnceLock::new();
-    SCENARIO.get_or_init(|| Scenario::generate(bench_config()))
+    SCENARIO.get_or_init(|| Scenario::generate_with(bench_config(), &EngineContext::new()))
 }
 
 /// The configuration used by [`bench_scenario`].

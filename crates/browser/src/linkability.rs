@@ -59,28 +59,11 @@ impl LinkabilityReport {
 /// Replay a browsing trace in which the user visits each of `top_level_sites`
 /// once, and `tracker` is embedded on every one of them, calling
 /// `requestStorageAccess` each time. Returns the linkability the tracker
-/// achieves under the given vendor policy.
+/// achieves under the given vendor policy. Sites resolve through the
+/// shared memoizing `resolver`: every browser in a sweep resolves the same
+/// trace hosts, so one shared memo table answers all but the first
+/// replay's lookups.
 pub fn linkability_report(
-    vendor: VendorPolicy,
-    list: &RwsList,
-    top_level_sites: &[DomainName],
-    tracker: &DomainName,
-    prompt_behaviour: PromptBehaviour,
-) -> LinkabilityReport {
-    linkability_report_with_resolver(
-        vendor,
-        list,
-        top_level_sites,
-        tracker,
-        prompt_behaviour,
-        &SiteResolver::embedded(),
-    )
-}
-
-/// [`linkability_report`] with a shared memoizing [`SiteResolver`]: every
-/// browser in a sweep resolves the same trace hosts, so one shared memo
-/// table answers all but the first replay's lookups.
-pub fn linkability_report_with_resolver(
     vendor: VendorPolicy,
     list: &RwsList,
     top_level_sites: &[DomainName],
@@ -139,7 +122,7 @@ pub fn linkability_by_vendor(
 ) -> Vec<LinkabilityReport> {
     let vendors = VendorPolicy::ALL;
     ctx.par_map_coarse(&vendors, |_, vendor| {
-        linkability_report_with_resolver(
+        linkability_report(
             *vendor,
             list,
             top_level_sites,
@@ -213,6 +196,7 @@ mod tests {
             &trace(),
             &dn("tracker.example"),
             PromptBehaviour::AlwaysDecline,
+            &SiteResolver::embedded(),
         );
         assert_eq!(report.sites_visited, 5);
         assert_eq!(report.total_pairs, 10);
@@ -237,6 +221,7 @@ mod tests {
                 &trace(),
                 &dn("tracker.example"),
                 PromptBehaviour::AlwaysDecline,
+                &SiteResolver::embedded(),
             );
             assert_eq!(
                 report.linkable_pairs,
@@ -264,6 +249,7 @@ mod tests {
             &sites,
             &dn("bildanalytics.de"),
             PromptBehaviour::AlwaysDecline,
+            &SiteResolver::embedded(),
         );
         // bild.de ↔ autobild.de linkable (both in the set); the independent
         // site is not.
@@ -278,6 +264,7 @@ mod tests {
             &sites,
             &dn("bildanalytics.de"),
             PromptBehaviour::AlwaysDecline,
+            &SiteResolver::embedded(),
         );
         assert_eq!(brave.linkable_pairs, 0);
     }
@@ -290,6 +277,7 @@ mod tests {
             &trace(),
             &dn("tracker.example"),
             PromptBehaviour::AlwaysAccept,
+            &SiteResolver::embedded(),
         );
         assert_eq!(report.linkable_pairs, report.total_pairs);
         assert_eq!(report.prompts_shown, 5);
@@ -303,6 +291,7 @@ mod tests {
             &[],
             &dn("tracker.example"),
             PromptBehaviour::AlwaysDecline,
+            &SiteResolver::embedded(),
         );
         assert_eq!(report.linkability(), 0.0);
         assert_eq!(report.sites_visited, 0);
@@ -322,6 +311,7 @@ mod tests {
                     &trace,
                     &tracker,
                     PromptBehaviour::AlwaysDecline,
+                    &SiteResolver::embedded(),
                 )
             })
             .collect();

@@ -46,7 +46,7 @@ struct Entry {
 }
 
 /// The compiled keyword tables: one FNV-hashed map from vocabulary tokens
-/// to their [`Entry`], the multi-word sequences, and a (first byte ×
+/// to their `Entry`, the multi-word sequences, and a (first byte ×
 /// length) prefilter that rejects the overwhelming majority of page words
 /// without hashing at all. Built once per process
 /// ([`KeywordAutomaton::global`]).
@@ -199,7 +199,7 @@ impl TokenMatcher<'_> {
     /// boundary rule) and feed each, eight bytes at a time: a SWAR movemask
     /// flags the non-alphanumeric boundary bytes of each word-sized chunk,
     /// and the per-word prefilter probe runs inline on the span without the
-    /// per-byte branch of [`feed_text_naive`]. The boundary predicate is
+    /// per-byte branch of [`feed_text_naive`](Self::feed_text_naive). The boundary predicate is
     /// ASCII-only and every byte of a multi-byte UTF-8 character is a
     /// non-alphanumeric byte, so the byte split produces exactly the words
     /// of `text.split(|c: char| !c.is_ascii_alphanumeric())` — and each

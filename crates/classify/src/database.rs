@@ -22,27 +22,12 @@ impl CategoryDatabase {
 
     /// Build the database by running the keyword classifier over every live
     /// site in a corpus (offline sites get [`SiteCategory::Unknown`], like
-    /// unfetchable URLs do in the real service), sequentially on the
-    /// calling thread.
-    pub fn classify_corpus(corpus: &Corpus) -> CategoryDatabase {
-        let classifier = KeywordClassifier::new();
-        let mut db = CategoryDatabase::new();
-        for spec in corpus.sites.values() {
-            db.insert(
-                spec.domain.clone(),
-                site_category(&classifier, corpus, spec),
-            );
-        }
-        db
-    }
-
-    /// Like [`classify_corpus`](Self::classify_corpus), fanning one pool
-    /// task per site across the engine's pool. Classification of a page is
-    /// a pure function of its domain and HTML, and the results are stitched
-    /// back in the corpus's (sorted) site order, so the database is
-    /// field-for-field identical to the sequential build whether the
-    /// context is pooled or sequential — the equivalence the classify
-    /// property tests assert.
+    /// unfetchable URLs do in the real service), one pool task per site on
+    /// the context's pool. Classification of a page is a pure function of
+    /// its domain and HTML, and the results are stitched back in the
+    /// corpus's (sorted) site order, so the database is field-for-field
+    /// identical whether the context is pooled or sequential — the
+    /// equivalence the classify property tests assert.
     ///
     /// Each task streams its page *borrowed* out of the corpus's frozen
     /// store straight into the keyword automaton: no lock is taken and no
@@ -212,7 +197,8 @@ mod tests {
 
     #[test]
     fn ground_truth_database_covers_every_site() {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(9)).generate();
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::small(9)).generate_with(&EngineContext::embedded());
         let db = CategoryDatabase::from_ground_truth(&corpus);
         assert_eq!(db.len(), corpus.sites.len());
         for spec in corpus.sites.values() {
@@ -222,8 +208,10 @@ mod tests {
 
     #[test]
     fn classifier_database_agrees_reasonably_with_ground_truth() {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(9)).generate();
-        let classified = CategoryDatabase::classify_corpus(&corpus);
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::small(9)).generate_with(&EngineContext::embedded());
+        let classified =
+            CategoryDatabase::classify_corpus_on(&corpus, &EngineContext::sequential());
         let truth = CategoryDatabase::from_ground_truth(&corpus);
         assert_eq!(classified.len(), truth.len());
         let agreement = classified.agreement_with(&truth);
@@ -241,8 +229,10 @@ mod tests {
 
     #[test]
     fn pooled_corpus_classification_matches_sequential() {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(11)).generate();
-        let sequential = CategoryDatabase::classify_corpus(&corpus);
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::small(11)).generate_with(&EngineContext::embedded());
+        let sequential =
+            CategoryDatabase::classify_corpus_on(&corpus, &EngineContext::sequential());
         let ctx = EngineContext::new();
         let pooled = CategoryDatabase::classify_corpus_on(&corpus, &ctx);
         let inline = CategoryDatabase::classify_corpus_on(&corpus, &ctx.sequential_twin());
@@ -252,8 +242,9 @@ mod tests {
 
     #[test]
     fn borrowed_builds_match_the_cloning_oracle() {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(13)).generate();
-        let borrowed = CategoryDatabase::classify_corpus(&corpus);
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::small(13)).generate_with(&EngineContext::embedded());
+        let borrowed = CategoryDatabase::classify_corpus_on(&corpus, &EngineContext::sequential());
         let cloning = CategoryDatabase::classify_corpus_cloning(&corpus);
         assert_eq!(borrowed, cloning);
         assert_eq!(cloning.len(), corpus.sites.len());

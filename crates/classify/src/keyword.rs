@@ -4,8 +4,8 @@
 //!
 //! * [`KeywordClassifier::classify`] — the production path: one pass over
 //!   the zero-copy streaming token stream, scoring every word against the
-//!   compiled [`KeywordAutomaton`](crate::automaton::KeywordAutomaton)
-//!   (no haystack string, no per-keyword rescans);
+//!   compiled [`KeywordAutomaton`] (no haystack string, no per-keyword
+//!   rescans);
 //! * [`KeywordClassifier::classify_naive`] — the seed classifier, kept as
 //!   the equivalence oracle: builds an owned lowercase haystack from three
 //!   separate tokenizer passes and scans it once per keyword.
@@ -450,7 +450,8 @@ mod tests {
 
     #[test]
     fn classifier_handles_generated_corpus_members() {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(5)).generate();
+        let corpus = CorpusGenerator::new(CorpusConfig::small(5))
+            .generate_with(&rws_engine::EngineContext::embedded());
         let classifier = KeywordClassifier::new();
         let mut classified = 0usize;
         for spec in corpus

@@ -9,8 +9,9 @@
 //! * the single-pass automaton classifier agrees with the retained seed
 //!   classifier (`classify_naive`) on every rendered page and every corpus
 //!   member;
-//! * `classify_corpus_on` is field-for-field identical to the sequential
-//!   `classify_corpus`, pooled, inline, and on a forced 3-worker pool.
+//! * `classify_corpus_on` on a pooled context is field-for-field identical
+//!   to the same call on `EngineContext::sequential()`, inline, and on a
+//!   forced 3-worker pool.
 
 use proptest::prelude::*;
 use rws_classify::{CategoryDatabase, KeywordClassifier};
@@ -103,15 +104,15 @@ proptest! {
         }
     }
 
-    /// Pooled `classify_corpus_on` ≡ sequential `classify_corpus` across
+    /// Pooled `classify_corpus_on` ≡ sequential `classify_corpus_on` across
     /// corpus seeds — and both, now running on borrowed views out of the
     /// frozen page store, ≡ `classify_corpus_cloning`, the retained PR-4
     /// owned-copy build (one `html_of` String per site). The per-site
     /// streaming/naive agreement holds over every live page too.
     #[test]
     fn corpus_classification_parallel_equivalence(seed in 0u64..1_000_000) {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(seed % 61)).generate();
-        let sequential = CategoryDatabase::classify_corpus(&corpus);
+        let corpus = CorpusGenerator::new(CorpusConfig::small(seed % 61)).generate_with(&EngineContext::embedded());
+        let sequential = CategoryDatabase::classify_corpus_on(&corpus, &EngineContext::sequential());
         let ctx = EngineContext::new();
         let pooled = CategoryDatabase::classify_corpus_on(&corpus, &ctx);
         let inline = CategoryDatabase::classify_corpus_on(&corpus, &ctx.sequential_twin());
@@ -143,9 +144,11 @@ fn corpus_classification_on_forced_three_worker_pool() {
     assert_eq!(pool.worker_count(), 3);
     let ctx = EngineContext::with_parts(pool, SiteResolver::full());
     for seed in [3u64, 17, 29] {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(seed)).generate();
+        let corpus = CorpusGenerator::new(CorpusConfig::small(seed))
+            .generate_with(&EngineContext::embedded());
         let pooled = CategoryDatabase::classify_corpus_on(&corpus, &ctx);
-        let sequential = CategoryDatabase::classify_corpus(&corpus);
+        let sequential =
+            CategoryDatabase::classify_corpus_on(&corpus, &EngineContext::sequential());
         let cloning = CategoryDatabase::classify_corpus_cloning(&corpus);
         assert_eq!(pooled, sequential, "divergence at corpus seed {seed}");
         assert_eq!(

@@ -268,11 +268,6 @@ impl CorpusGenerator {
         self.shards
     }
 
-    /// Generate the full corpus on a default (embedded-snapshot) context.
-    pub fn generate(&self) -> Corpus {
-        self.generate_with(&EngineContext::embedded())
-    }
-
     /// Generate the full corpus, resolving sites through the context's
     /// shared [`rws_engine::SiteResolver`] and rendering pages on its pool.
     /// Output bytes depend only on the configuration — never on the
@@ -646,13 +641,15 @@ mod tests {
     use rws_model::{MemberRole, SetValidator};
 
     fn corpus() -> Corpus {
-        CorpusGenerator::new(CorpusConfig::small(11)).generate()
+        CorpusGenerator::new(CorpusConfig::small(11)).generate_with(&EngineContext::embedded())
     }
 
     #[test]
     fn generation_is_deterministic() {
-        let a = CorpusGenerator::new(CorpusConfig::small(3)).generate();
-        let b = CorpusGenerator::new(CorpusConfig::small(3)).generate();
+        let a =
+            CorpusGenerator::new(CorpusConfig::small(3)).generate_with(&EngineContext::embedded());
+        let b =
+            CorpusGenerator::new(CorpusConfig::small(3)).generate_with(&EngineContext::embedded());
         assert_eq!(a.list.set_count(), b.list.set_count());
         assert_eq!(a.list.all_domains(), b.list.all_domains());
         assert_eq!(
@@ -731,7 +728,8 @@ mod tests {
 
     #[test]
     fn calibration_of_full_size_corpus() {
-        let c = CorpusGenerator::new(CorpusConfig::default()).generate();
+        let c =
+            CorpusGenerator::new(CorpusConfig::default()).generate_with(&EngineContext::embedded());
         assert_eq!(c.list.set_count(), 41);
         let with_assoc = c.list.sets().filter(|s| s.associated_count() > 0).count() as f64 / 41.0;
         assert!(
@@ -808,7 +806,8 @@ mod tests {
 
     #[test]
     fn service_sites_carry_robots_header() {
-        let c = CorpusGenerator::new(CorpusConfig::default()).generate();
+        let c =
+            CorpusGenerator::new(CorpusConfig::default()).generate_with(&EngineContext::embedded());
         let service = c.sites.values().find(|s| s.role == SiteRole::SetService);
         if let Some(spec) = service {
             let has_header = c
@@ -829,7 +828,8 @@ mod tests {
 
     #[test]
     fn identical_sld_associated_sites_exist_in_large_corpus() {
-        let c = CorpusGenerator::new(CorpusConfig::default()).generate();
+        let c =
+            CorpusGenerator::new(CorpusConfig::default()).generate_with(&EngineContext::embedded());
         let psl = rws_domain::PublicSuffixList::embedded();
         let mut identical = 0usize;
         let mut total = 0usize;

@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 use rws_corpus::{CorpusConfig, CorpusGenerator};
+use rws_engine::EngineContext;
 use rws_net::{ServedPage, SiteHost, Url, WELL_KNOWN_RWS_PATH};
 
 proptest! {
@@ -16,7 +17,7 @@ proptest! {
     /// corpora generated from arbitrary seeds.
     #[test]
     fn with_html_matches_html_of_across_seeds(seed in 0u64..1_000_000) {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(seed % 97)).generate();
+        let corpus = CorpusGenerator::new(CorpusConfig::small(seed % 97)).generate_with(&EngineContext::embedded());
         for domain in corpus.sites.keys() {
             prop_assert_eq!(
                 corpus.with_html(domain, str::to_string),
@@ -35,7 +36,7 @@ proptest! {
     /// generation leave the snapshot untouched.
     #[test]
     fn frozen_serves_match_the_web_across_seeds(seed in 0u64..1_000_000) {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(seed % 89)).generate();
+        let corpus = CorpusGenerator::new(CorpusConfig::small(seed % 89)).generate_with(&EngineContext::embedded());
         prop_assert_eq!(corpus.sharded.host_count(), corpus.web.host_count());
 
         let mut probes: Vec<Url> = Vec::new();

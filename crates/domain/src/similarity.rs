@@ -116,10 +116,11 @@ impl SldComparison {
         self.identical_sld || self.shares_stem || self.edit_distance <= max_edit_distance
     }
 
-    /// The threshold sweep's fast path: decide [`predicts_related`]
-    /// directly from two SLD strings without materialising a full
-    /// comparison, using [`levenshtein_bounded`] so the DP abandons as
-    /// soon as the distance provably exceeds the threshold.
+    /// The threshold sweep's fast path: decide
+    /// [`predicts_related`](Self::predicts_related) directly from two SLD
+    /// strings without materialising a full comparison, using
+    /// [`levenshtein_bounded`] so the DP abandons as soon as the distance
+    /// provably exceeds the threshold.
     ///
     /// Exactly equivalent to
     /// `SldComparison::compute(..).predicts_related(max_edit_distance)`

@@ -16,19 +16,22 @@
 //! * the supervision policy plus the run-level monitor every supervised
 //!   sweep reports into.
 //!
-//! The context is threaded through `CorpusGenerator`, `HistoryGenerator`,
-//! the survey runner, the linkability sweeps, the load engine and
-//! `Scenario::generate`. Its `par_*` entry points are ordered and
-//! deterministic: results are keyed by input index and per-task rngs are
-//! derived, so where the work runs never changes what it computes.
+//! The context is the one argument every pipeline stage's single entry
+//! point takes: `CorpusGenerator::generate_with`,
+//! `HistoryGenerator::generate_with`, `CategoryDatabase::classify_corpus_on`,
+//! `PairGenerator::generate_on`, `SurveyRunner::run_on`, the linkability
+//! sweeps, `LoadEngine::run_on` and `Scenario::generate_with`. Its `par_*`
+//! entry points are ordered and deterministic: results are keyed by input
+//! index and per-task rngs are derived, so where the work runs never
+//! changes what it computes.
 //!
 //! # Sequential mode
 //!
 //! [`EngineContext::sequential`] returns a context without a pool: its
 //! `par_*` and [`join2`](EngineContext::join2) entry points run inline, in
 //! order, on the calling thread. It is the *oracle* the property tests
-//! compare the pooled pipeline against: `Scenario::generate` must produce
-//! field-by-field identical output under both.
+//! compare the pooled pipeline against: `Scenario::generate_with` must
+//! produce field-by-field identical output under both.
 
 pub use rws_domain::SiteResolver;
 pub use rws_stats::pool::ThreadPool;

@@ -142,22 +142,17 @@ impl HistoryGenerator {
         HistoryGenerator { config }
     }
 
-    /// Generate the history for a corpus on a default (embedded-snapshot)
-    /// context. Extra hosts needed by broken submissions (e.g. service
-    /// sites without robots headers) are registered on the corpus's
-    /// simulated web as a side effect, exactly as a real submitter would
-    /// stand up half-configured infrastructure.
-    pub fn generate(&self, corpus: &Corpus) -> PrHistory {
-        self.generate_with(corpus, &EngineContext::embedded())
-    }
-
     /// Generate the history, fanning the independent submitter replays out
     /// across the context's pool and sharing its site resolver with every
-    /// validation bot. Output is identical whether the context is pooled or
-    /// sequential (each submitter draws from an rng stream derived from its
-    /// primary's name). Under a salvage [`SupervisionPolicy`] a panicking
-    /// submitter replay is quarantined in the context's monitor and its PRs
-    /// are dropped, instead of taking the whole history down.
+    /// validation bot. Extra hosts needed by broken submissions (e.g.
+    /// service sites without robots headers) are registered on the
+    /// corpus's simulated web as a side effect, exactly as a real submitter
+    /// would stand up half-configured infrastructure. Output is identical
+    /// whether the context is pooled or sequential (each submitter draws
+    /// from an rng stream derived from its primary's name). Under a salvage
+    /// [`SupervisionPolicy`] a panicking submitter replay is quarantined in
+    /// the context's monitor and its PRs are dropped, instead of taking the
+    /// whole history down.
     ///
     /// [`SupervisionPolicy`]: rws_engine::SupervisionPolicy
     pub fn generate_with(&self, corpus: &Corpus, ctx: &EngineContext) -> PrHistory {
@@ -167,8 +162,12 @@ impl HistoryGenerator {
     /// Like [`generate_with`](Self::generate_with), but replaying the
     /// submitter tasks in windows of `every` and serialising a
     /// [`HistoryCheckpoint`] (submitter watermark + raw PRs so far) into
-    /// `sink` after each window, so a killed run can continue from where it
-    /// left off.
+    /// `sink` after each window. The replay continues from the sink's
+    /// latest checkpoint, or starts fresh when the sink is empty, so a
+    /// killed run is finished by calling this again on the same sink and a
+    /// freshly generated identical corpus. The finished history is
+    /// field-for-field equal to an uninterrupted run — property-tested by
+    /// killing at every checkpoint boundary.
     pub fn generate_checkpointed(
         &self,
         corpus: &Corpus,
@@ -176,22 +175,7 @@ impl HistoryGenerator {
         every: usize,
         sink: &dyn CheckpointSink,
     ) -> PrHistory {
-        self.replay_loop(corpus, ctx, every, Some(sink), 0, Vec::new())
-    }
-
-    /// Continue a checkpointed replay from the sink's latest checkpoint
-    /// (or from scratch on an empty sink) against a freshly generated
-    /// identical corpus. The finished history is field-for-field equal to
-    /// an uninterrupted [`generate_checkpointed`](Self::generate_checkpointed)
-    /// run — property-tested by killing at every checkpoint boundary.
-    pub fn resume_from(
-        &self,
-        corpus: &Corpus,
-        ctx: &EngineContext,
-        every: usize,
-        sink: &dyn CheckpointSink,
-    ) -> PrHistory {
-        match sink.latest() {
+        let (start, prs) = match sink.latest() {
             Some(value) => {
                 let checkpoint = HistoryCheckpoint::deserialize(&value)
                     .expect("sink holds a valid history checkpoint");
@@ -199,17 +183,11 @@ impl HistoryGenerator {
                     checkpoint.seed, self.config.seed,
                     "checkpoint belongs to a different history seed"
                 );
-                self.replay_loop(
-                    corpus,
-                    ctx,
-                    every,
-                    Some(sink),
-                    checkpoint.watermark,
-                    checkpoint.prs,
-                )
+                (checkpoint.watermark, checkpoint.prs)
             }
-            None => self.replay_loop(corpus, ctx, every, Some(sink), 0, Vec::new()),
-        }
+            None => (0, Vec::new()),
+        };
+        self.replay_loop(corpus, ctx, every, Some(sink), start, prs)
     }
 
     /// The shared replay core: one unified task list (every set on the
@@ -469,21 +447,26 @@ mod tests {
     use rws_corpus::{CorpusConfig, CorpusGenerator};
 
     fn small_history() -> (PrHistory, rws_corpus::Corpus) {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(17)).generate();
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::small(17)).generate_with(&EngineContext::embedded());
         let history = HistoryGenerator::new(HistoryConfig {
             never_successful_primaries: 5,
             ..HistoryConfig::default()
         })
-        .generate(&corpus);
+        .generate_with(&corpus, &EngineContext::embedded());
         (history, corpus)
     }
 
     #[test]
     fn history_is_deterministic() {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(17)).generate();
-        let a = HistoryGenerator::new(HistoryConfig::default()).generate(&corpus);
-        let corpus2 = CorpusGenerator::new(CorpusConfig::small(17)).generate();
-        let b = HistoryGenerator::new(HistoryConfig::default()).generate(&corpus2);
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::small(17)).generate_with(&EngineContext::embedded());
+        let a = HistoryGenerator::new(HistoryConfig::default())
+            .generate_with(&corpus, &EngineContext::embedded());
+        let corpus2 =
+            CorpusGenerator::new(CorpusConfig::small(17)).generate_with(&EngineContext::embedded());
+        let b = HistoryGenerator::new(HistoryConfig::default())
+            .generate_with(&corpus2, &EngineContext::embedded());
         assert_eq!(a.len(), b.len());
         assert_eq!(a.count(PrState::Approved), b.count(PrState::Approved));
         assert_eq!(a.bot_message_counts(), b.bot_message_counts());
@@ -572,8 +555,10 @@ mod tests {
 
     #[test]
     fn rejection_rate_and_bot_messages_have_paper_shape() {
-        let corpus = CorpusGenerator::new(CorpusConfig::default()).generate();
-        let history = HistoryGenerator::new(HistoryConfig::default()).generate(&corpus);
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::default()).generate_with(&EngineContext::embedded());
+        let history = HistoryGenerator::new(HistoryConfig::default())
+            .generate_with(&corpus, &EngineContext::embedded());
         // Rough shape checks against the paper: a majority-ish of PRs closed
         // without merging, ~2 PRs per distinct primary, and the most common
         // bot message is the .well-known fetch failure.
@@ -637,7 +622,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_from_every_checkpoint_boundary_matches_uninterrupted() {
+    fn resuming_at_every_checkpoint_boundary_matches_uninterrupted() {
         let generator = HistoryGenerator::new(HistoryConfig {
             never_successful_primaries: 4,
             ..HistoryConfig::default()
@@ -652,7 +637,7 @@ mod tests {
         for keep in 0..=full_sink.count() {
             let sink = full_sink.truncated(keep);
             let corpus2 = CorpusGenerator::new(CorpusConfig::small(37)).generate_with(&ctx);
-            let resumed = generator.resume_from(&corpus2, &ctx, every, &sink);
+            let resumed = generator.generate_checkpointed(&corpus2, &ctx, every, &sink);
             assert_eq!(
                 resumed, uninterrupted,
                 "resume after checkpoint {keep} diverged"
@@ -664,7 +649,8 @@ mod tests {
     #[should_panic(expected = "different history seed")]
     fn resume_rejects_a_checkpoint_from_another_seed() {
         let ctx = EngineContext::sequential();
-        let corpus = CorpusGenerator::new(CorpusConfig::small(17)).generate();
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::small(17)).generate_with(&EngineContext::embedded());
         let sink = rws_stats::MemorySink::new();
         sink.store(
             HistoryCheckpoint {
@@ -674,6 +660,7 @@ mod tests {
             }
             .serialize(),
         );
-        HistoryGenerator::new(HistoryConfig::default()).resume_from(&corpus, &ctx, 5, &sink);
+        HistoryGenerator::new(HistoryConfig::default())
+            .generate_checkpointed(&corpus, &ctx, 5, &sink);
     }
 }

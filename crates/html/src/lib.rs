@@ -13,7 +13,7 @@
 //!   `k = 0.3`).
 //!
 //! This crate is a from-scratch Rust implementation of that pipeline: a
-//! forgiving [`tokenizer`](crate::tokenizer) for real-world HTML, extraction
+//! forgiving [`tokenizer`] for real-world HTML, extraction
 //! of tag sequences and class sets, k-shingling, Jaccard similarity and the
 //! three metrics.
 //!

@@ -41,9 +41,9 @@ pub struct LoadCheckpoint {
 ///   interleaved on a simulated-clock event loop (a min-heap of next
 ///   action times), chunks fanned out on the [`EngineContext`] pool, and
 ///   per-chunk partial reports merged with integer arithmetic;
-/// * [`replay_sequential`](LoadEngine::replay_sequential) — the oracle:
-///   one client at a time, run to completion in a plain loop, no heap and
-///   no pool.
+/// * [`replay_sequential_with`](LoadEngine::replay_sequential_with) — the
+///   oracle: one client at a time, run to completion in a plain loop, no
+///   heap and no pool.
 ///
 /// Equality holds because clients are fully independent (per-client rng
 /// streams, per-client simulated clocks) and every aggregate is an
@@ -76,11 +76,6 @@ impl LoadEngine {
         &self.target
     }
 
-    /// Run the full fleet on a fresh default [`EngineContext`].
-    pub fn run(&self, seed: u64) -> LoadReport {
-        self.run_on(seed, &EngineContext::new())
-    }
-
     /// Run the full fleet on the given context: chunked event loops on the
     /// pool (or inline when the context is sequential), fanned out as one
     /// sweep under the context's supervision policy.
@@ -109,10 +104,13 @@ impl LoadEngine {
 
     /// Like [`run_on`](Self::run_on), but replaying the chunks in windows
     /// of `every` and serialising a [`LoadCheckpoint`] (chunk watermark +
-    /// merged partial report) into `sink` after each window, so a killed
-    /// run can continue from where it left off. Chunks account exactly as
-    /// in [`run_on`](Self::run_on), so the finished report equals an
-    /// uninterrupted run field for field.
+    /// merged partial report) into `sink` after each window. The run
+    /// continues from the sink's latest checkpoint, or starts fresh when
+    /// the sink is empty, so a killed run is finished by calling this again
+    /// on the same sink. Chunks account exactly as in
+    /// [`run_on`](Self::run_on), so the finished report equals an
+    /// uninterrupted run field for field — property-tested by killing at
+    /// every checkpoint boundary.
     pub fn run_checkpointed(
         &self,
         seed: u64,
@@ -120,21 +118,7 @@ impl LoadEngine {
         every: usize,
         sink: &dyn CheckpointSink,
     ) -> LoadReport {
-        self.run_windows(seed, ctx, every, Some(sink), 0, LoadReport::new())
-    }
-
-    /// Continue a checkpointed run from the sink's latest checkpoint (or
-    /// from scratch on an empty sink). The finished report is
-    /// field-for-field equal to an uninterrupted run — property-tested by
-    /// killing at every checkpoint boundary.
-    pub fn resume_from(
-        &self,
-        seed: u64,
-        ctx: &EngineContext,
-        every: usize,
-        sink: &dyn CheckpointSink,
-    ) -> LoadReport {
-        match sink.latest() {
+        let (start_chunk, merged) = match sink.latest() {
             Some(value) => {
                 let checkpoint = LoadCheckpoint::deserialize(&value)
                     .expect("sink holds a valid load checkpoint");
@@ -142,17 +126,11 @@ impl LoadEngine {
                     checkpoint.seed, seed,
                     "checkpoint belongs to a different load seed"
                 );
-                self.run_windows(
-                    seed,
-                    ctx,
-                    every,
-                    Some(sink),
-                    checkpoint.next_chunk as usize,
-                    checkpoint.partial,
-                )
+                (checkpoint.next_chunk as usize, checkpoint.partial)
             }
-            None => self.run_windows(seed, ctx, every, Some(sink), 0, LoadReport::new()),
-        }
+            None => (0, LoadReport::new()),
+        };
+        self.run_windows(seed, ctx, every, Some(sink), start_chunk, merged)
     }
 
     /// The one sweep body: replay chunks `start_chunk..` in windows of
@@ -238,13 +216,9 @@ impl LoadEngine {
     }
 
     /// The property-test oracle: every client replayed to completion one
-    /// at a time, no event loop, no pool. Produces the identical report.
-    pub fn replay_sequential(&self, seed: u64) -> LoadReport {
-        self.replay_sequential_with(seed, &SiteResolver::full())
-    }
-
-    /// Sequential replay against an explicit resolver (tests that force a
-    /// particular pool/resolver pairing use this to match contexts).
+    /// at a time against `resolver`, no event loop, no pool. Produces the
+    /// report [`run_on`](Self::run_on) produces on a context with the same
+    /// resolver.
     pub fn replay_sequential_with(&self, seed: u64, resolver: &SiteResolver) -> LoadReport {
         let fetcher = self.target.fetcher();
         let mut report = LoadReport::new();

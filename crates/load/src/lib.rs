@@ -30,7 +30,7 @@
 //! aggregation is integer arithmetic into a mergeable
 //! [`LatencyHistogram`](rws_stats::LatencyHistogram) and counter set, so a
 //! pooled run, its sequential twin, and the straight one-client-at-a-time
-//! [`replay_sequential`](LoadEngine::replay_sequential) oracle produce
+//! [`replay_sequential_with`](LoadEngine::replay_sequential_with) oracle produce
 //! *identical* [`LoadReport`]s field for field — property-tested, like
 //! every other pooled subsystem in this workspace.
 //!
@@ -50,27 +50,29 @@
 //! # Supervised execution
 //!
 //! Every run is one windowed chunk sweep; each chunk accounts its own
-//! wire requests. Sweeps run under the context's
-//! [`SupervisionPolicy`](rws_engine::SupervisionPolicy): fail-fast by
-//! default, or — under salvage — a panicking chunk is quarantined into
+//! wire requests. Sweeps run under the context's [`SupervisionPolicy`]:
+//! fail-fast by default, or — under salvage — a panicking chunk is quarantined into
 //! `report.supervision` while the surviving chunks' partials still merge
 //! exactly. Long runs can also be checkpointed:
 //! [`LoadEngine::run_checkpointed`] serialises a [`LoadCheckpoint`]
-//! (chunk watermark + merged partial report) into a
-//! [`CheckpointSink`](rws_stats::CheckpointSink) every few windows, and
-//! [`LoadEngine::resume_from`] continues a killed run to a report
+//! (chunk watermark + merged partial report) into a [`CheckpointSink`]
+//! every few windows and continues from the sink's latest checkpoint, so
+//! calling it again on the sink of a killed run finishes with a report
 //! field-for-field equal to an uninterrupted one.
 //!
 //! ```
 //! use rws_corpus::{CorpusConfig, CorpusGenerator};
+//! use rws_engine::EngineContext;
 //! use rws_load::{LoadEngine, LoadScale, LoadTarget};
 //!
-//! let corpus = CorpusGenerator::new(CorpusConfig::small(7)).generate();
+//! let corpus =
+//!     CorpusGenerator::new(CorpusConfig::small(7)).generate_with(&EngineContext::embedded());
 //! let target = LoadTarget::from_corpus_sharded(&corpus);
 //! let engine = LoadEngine::new(target, LoadScale::smoke());
-//! let report = engine.run(42);
+//! let ctx = EngineContext::new();
+//! let report = engine.run_on(42, &ctx);
 //! assert!(report.fetch_calls > 0);
-//! assert_eq!(report, engine.run(42)); // deterministic for a fixed seed
+//! assert_eq!(report, engine.run_on(42, &ctx)); // deterministic for a fixed seed
 //! ```
 
 pub mod client;

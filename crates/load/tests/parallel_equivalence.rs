@@ -8,7 +8,7 @@
 //!
 //! * the pooled event-loop run (`run_on` with a pooled context),
 //! * its sequential twin (`run_on` with `sequential_twin`),
-//! * the straight one-client-at-a-time oracle (`replay_sequential`),
+//! * the straight one-client-at-a-time oracle (`replay_sequential_with`),
 //!   which shares no event-loop or chunking code with `run_on`.
 
 use proptest::prelude::*;
@@ -50,7 +50,8 @@ fn tiny_engine(clients: usize) -> LoadEngine {
 /// fire), `.well-known` files, and the generator's ~1.5% offline member
 /// hosts (so error traffic exists).
 fn corpus_engine(seed: u64) -> LoadEngine {
-    let corpus = CorpusGenerator::new(CorpusConfig::small(seed)).generate();
+    let corpus =
+        CorpusGenerator::new(CorpusConfig::small(seed)).generate_with(&EngineContext::embedded());
     LoadEngine::new(LoadTarget::from_corpus_sharded(&corpus), LoadScale::smoke())
 }
 
@@ -64,7 +65,7 @@ proptest! {
         let pooled = engine.run_on(seed, &ctx);
         let sequential = engine.run_on(seed, &ctx.sequential_twin());
         prop_assert_eq!(&pooled, &sequential);
-        let replay = engine.replay_sequential(seed);
+        let replay = engine.replay_sequential_with(seed, &SiteResolver::full());
         prop_assert_eq!(&pooled, &replay);
     }
 }
@@ -79,7 +80,7 @@ fn corpus_backed_equivalence_panel() {
         let pooled = engine.run_on(seed, &ctx);
         let sequential = engine.run_on(seed, &ctx.sequential_twin());
         assert_eq!(pooled, sequential, "pooled vs twin, seed {seed}");
-        let replay = engine.replay_sequential(seed);
+        let replay = engine.replay_sequential_with(seed, &SiteResolver::full());
         assert_eq!(pooled, replay, "pooled vs replay oracle, seed {seed}");
         // Sanity: the corpus workload actually exercises the interesting
         // paths — sets auto-grant somewhere, some member hosts are down.
@@ -136,5 +137,8 @@ fn error_classes_aggregate_identically() {
         "offline host never hit"
     );
     assert_eq!(pooled, engine.run_on(7, &ctx.sequential_twin()));
-    assert_eq!(pooled, engine.replay_sequential(7));
+    assert_eq!(
+        pooled,
+        engine.replay_sequential_with(7, &SiteResolver::full())
+    );
 }

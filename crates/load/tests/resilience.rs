@@ -71,7 +71,7 @@ proptest! {
         let pooled = engine.run_on(seed, &ctx);
         let sequential = engine.run_on(seed, &ctx.sequential_twin());
         prop_assert_eq!(&pooled, &sequential);
-        let replay = engine.replay_sequential(seed);
+        let replay = engine.replay_sequential_with(seed, &SiteResolver::full());
         prop_assert_eq!(&pooled, &replay);
         assert_resilience_invariants(&pooled);
     }
@@ -114,7 +114,7 @@ fn forced_three_worker_storm_exercises_retries() {
 #[test]
 fn storm_with_retries_recovers_traffic() {
     let engine = stormy_engine(96, 0xFA17);
-    let report = engine.run(7);
+    let report = engine.run_on(7, &EngineContext::new());
     assert_resilience_invariants(&report);
     assert!(report.retries > 0, "storm produced no retries");
     assert!(
@@ -133,7 +133,7 @@ fn storm_with_retries_recovers_traffic() {
         engine.target().clone().with_retry(RetryPolicy::none()),
         engine.scale(),
     )
-    .run(7);
+    .run_on(7, &EngineContext::new());
     assert_eq!(no_retry.retries, 0);
     assert!(
         report.availability() > no_retry.availability(),
@@ -164,14 +164,14 @@ fn calm_weather_report_matches_fault_free_run() {
         LoadTarget::from_frozen(frozen.clone(), RwsList::default()),
         scale,
     )
-    .run(11);
+    .run_on(11, &EngineContext::new());
     let off = LoadEngine::new(
         LoadTarget::from_frozen(frozen, RwsList::default())
             .with_faults(FaultPlan::new(99, FaultScale::off()))
             .with_retry(RetryPolicy::standard()),
         scale,
     )
-    .run(11);
+    .run_on(11, &EngineContext::new());
     assert_eq!(plain, off);
     assert_eq!(off.retries, 0);
 }

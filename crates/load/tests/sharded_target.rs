@@ -16,7 +16,7 @@ use rws_net::Url;
 fn corpus_with_shards(seed: u64, shards: usize) -> Corpus {
     CorpusGenerator::new(CorpusConfig::small(seed))
         .with_shards(shards)
-        .generate()
+        .generate_with(&EngineContext::embedded())
 }
 
 #[test]

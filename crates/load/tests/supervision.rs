@@ -140,7 +140,7 @@ proptest! {
     /// report equals the uninterrupted one, from every boundary (keep = 0
     /// resumes from scratch).
     #[test]
-    fn resume_from_any_checkpoint_matches_uninterrupted(seed in 0u64..1_000_000) {
+    fn resuming_at_any_checkpoint_matches_uninterrupted(seed in 0u64..1_000_000) {
         let engine = stormy_engine(300, seed ^ 0x524553, false);
         let ctx = EngineContext::new();
         let every = 1;
@@ -148,7 +148,7 @@ proptest! {
         let uninterrupted = engine.run_checkpointed(seed, &ctx, every, &full_sink);
         for keep in 0..=full_sink.count() {
             let sink = full_sink.truncated(keep);
-            let resumed = engine.resume_from(seed, &ctx, every, &sink);
+            let resumed = engine.run_checkpointed(seed, &ctx, every, &sink);
             prop_assert_eq!(&resumed, &uninterrupted);
         }
     }
@@ -170,7 +170,7 @@ fn checkpointed_salvage_run_resumes_identically() {
     );
     for keep in 0..=full_sink.count() {
         let sink = full_sink.truncated(keep);
-        let resumed = engine.resume_from(1, &ctx, 1, &sink);
+        let resumed = engine.run_checkpointed(1, &ctx, 1, &sink);
         assert_eq!(resumed, uninterrupted, "resume after checkpoint {keep}");
     }
 }
@@ -183,5 +183,5 @@ fn resume_rejects_a_checkpoint_from_another_seed() {
     let engine = stormy_engine(130, 7, false);
     let sink = MemorySink::new();
     engine.run_checkpointed(3, &EngineContext::sequential(), 1, &sink);
-    engine.resume_from(4, &EngineContext::sequential(), 1, &sink);
+    engine.run_checkpointed(4, &EngineContext::sequential(), 1, &sink);
 }

@@ -51,8 +51,9 @@ pub struct FaultScale {
     /// (the burst length of a 5xx burst or redirect storm).
     pub burst_len: u32,
     /// Extra latency a spike adds, in simulated milliseconds. Chosen to
-    /// blow past any reasonable [`FetchPolicy::deadline_ms`]
-    /// (`crate::FetchPolicy`), so spikes surface as timeouts.
+    /// blow past any reasonable
+    /// [`FetchPolicy::deadline_ms`](crate::FetchPolicy::deadline_ms), so
+    /// spikes surface as timeouts.
     pub spike_ms: u64,
 }
 

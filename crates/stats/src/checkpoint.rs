@@ -3,10 +3,11 @@
 //! A checkpointed run (the load engine's chunk windows, the governance
 //! history's submitter windows) periodically serialises its watermark plus
 //! merged partial state through the vendored serde shim into a
-//! [`CheckpointSink`]. Killing the run and calling its `resume_from` path
-//! against the same sink continues from the latest checkpoint and produces
-//! a final report field-for-field equal to an uninterrupted run — the
-//! property the checkpoint test suites pin by killing at every boundary.
+//! [`CheckpointSink`]. The checkpointed entry point continues from the
+//! sink's latest checkpoint (or starts fresh on an empty sink), so killing
+//! the run and calling it again against the same sink produces a final
+//! report field-for-field equal to an uninterrupted run — the property the
+//! checkpoint test suites pin by killing at every boundary.
 //!
 //! Two sinks are provided:
 //!
@@ -17,12 +18,11 @@
 //! * [`FileSink`] — one JSON checkpoint per line, appended to a file on
 //!   disk, surviving the process itself.
 //!
-//! This serialisation seam is deliberately the same shape ROADMAP item 2's
-//! incremental snapshot deltas need: a monotone sequence of self-contained
-//! values where the latest one is sufficient to continue.
+//! A sink holds a monotone sequence of self-contained values where the
+//! latest one is sufficient to continue.
 
 use serde::Value;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -39,9 +39,6 @@ pub trait CheckpointSink: Send + Sync {
 
     /// Number of checkpoints stored so far.
     fn count(&self) -> usize;
-
-    /// The `index`-th checkpoint (0-based store order), if present.
-    fn nth(&self, index: usize) -> Option<Value>;
 }
 
 /// In-memory checkpoint storage; clones share the same slots.
@@ -85,10 +82,6 @@ impl CheckpointSink for MemorySink {
     fn count(&self) -> usize {
         self.lock().len()
     }
-
-    fn nth(&self, index: usize) -> Option<Value> {
-        self.lock().get(index).cloned()
-    }
 }
 
 /// On-disk checkpoint storage: one JSON value per line, appended. The file
@@ -128,10 +121,22 @@ impl CheckpointSink for FileSink {
         let line = serde_json::to_string(&checkpoint).expect("checkpoint value serialises");
         let mut file = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&self.path)
             .expect("open checkpoint file");
-        writeln!(file, "{line}").expect("append checkpoint line");
+        // A kill mid-write leaves a torn final line with no newline: start a
+        // fresh line, or this record would be glued onto the fragment and
+        // be unparseable too.
+        let torn = file.metadata().expect("stat checkpoint file").len() > 0 && {
+            let mut last = [0u8];
+            file.seek(SeekFrom::End(-1))
+                .and_then(|_| file.read_exact(&mut last))
+                .expect("read checkpoint file tail");
+            last[0] != b'\n'
+        };
+        let separator = if torn { "\n" } else { "" };
+        writeln!(file, "{separator}{line}").expect("append checkpoint line");
     }
 
     fn latest(&self) -> Option<Value> {
@@ -140,10 +145,6 @@ impl CheckpointSink for FileSink {
 
     fn count(&self) -> usize {
         self.lines().len()
-    }
-
-    fn nth(&self, index: usize) -> Option<Value> {
-        self.lines().into_iter().nth(index)
     }
 }
 
@@ -162,8 +163,6 @@ mod tests {
         sink.store(2u64.serialize());
         assert_eq!(sink.count(), 2);
         assert_eq!(sink.latest().and_then(|v| v.as_u64()), Some(2));
-        assert_eq!(sink.nth(0).and_then(|v| v.as_u64()), Some(1));
-        assert!(sink.nth(5).is_none());
     }
 
     #[test]
@@ -198,11 +197,37 @@ mod tests {
             sink.latest().as_ref().and_then(|v| v.as_str()),
             Some("watermark")
         );
-        assert_eq!(sink.nth(0).and_then(|v| v.as_u64()), Some(7));
         // A second sink over the same path sees the same history — the
         // resume-after-process-death path.
         let resumed = FileSink::new(&path);
         assert_eq!(resumed.count(), 2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn file_sink_store_after_a_torn_final_line_starts_a_fresh_line() {
+        let path = std::env::temp_dir().join(format!(
+            "rws-checkpoint-test-{}-{}.jsonl",
+            std::process::id(),
+            "file_sink_torn_line"
+        ));
+        let _ = std::fs::remove_file(&path);
+        let sink = FileSink::new(&path);
+        sink.store(1u64.serialize());
+        sink.store(2u64.serialize());
+        // The process is killed halfway through writing a third record.
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        write!(file, "{{\"seed\": 3, \"wat").unwrap();
+        drop(file);
+        assert_eq!(sink.latest().and_then(|v| v.as_u64()), Some(2));
+        // The first store after resuming must not be glued onto the
+        // fragment, or it would be lost too.
+        sink.store(3u64.serialize());
+        assert_eq!(sink.latest().and_then(|v| v.as_u64()), Some(3));
+        assert_eq!(sink.count(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,5 +1,5 @@
 //! Sampling utilities: shuffles, draws without replacement and weighted
-//! choices, all driven by the deterministic [`Rng`](crate::rng::Rng) trait.
+//! choices, all driven by the deterministic [`Rng`] trait.
 
 use crate::rng::Rng;
 

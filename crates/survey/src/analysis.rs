@@ -252,6 +252,7 @@ mod tests {
     use crate::runner::{SurveyConfig, SurveyRunner};
     use rws_classify::CategoryDatabase;
     use rws_corpus::{CorpusConfig, CorpusGenerator};
+    use rws_engine::EngineContext;
     use rws_stats::rng::Xoshiro256StarStar;
 
     fn analysed(seed: u64) -> SurveyAnalysis {
@@ -261,15 +262,16 @@ mod tests {
             top_sites: 400,
             ..CorpusConfig::default()
         })
-        .generate();
+        .generate_with(&EngineContext::embedded());
         let categories = CategoryDatabase::from_ground_truth(&corpus);
         let mut rng = Xoshiro256StarStar::new(seed);
-        let universe = PairGenerator::new(&corpus, &categories).generate(&mut rng);
+        let universe = PairGenerator::new(&corpus, &categories)
+            .generate_on(&mut rng, &EngineContext::sequential());
         let dataset = SurveyRunner::new(SurveyConfig {
             seed,
             ..SurveyConfig::default()
         })
-        .run(&corpus, &universe);
+        .run_on(&corpus, &universe, &EngineContext::embedded());
         SurveyAnalysis::analyse(&dataset)
     }
 

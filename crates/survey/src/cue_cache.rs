@@ -35,7 +35,7 @@ impl CueCache {
     pub fn observe(&self, corpus: &Corpus, pair: &SitePair, resolver: &SiteResolver) -> Cues {
         self.memo
             .get_or_insert_with((pair.first.clone(), pair.second.clone()), || {
-                Cues::observe_cached(corpus, pair, resolver)
+                Cues::observe(corpus, pair, resolver)
             })
     }
 
@@ -54,6 +54,7 @@ impl CueCache {
 mod tests {
     use super::*;
     use crate::pairs::PairGroup;
+    use rws_engine::EngineContext;
 
     fn pair(a: &str, b: &str) -> SitePair {
         SitePair {
@@ -65,8 +66,8 @@ mod tests {
 
     #[test]
     fn caches_distinct_pairs_once() {
-        let corpus =
-            rws_corpus::CorpusGenerator::new(rws_corpus::CorpusConfig::small(3)).generate();
+        let corpus = rws_corpus::CorpusGenerator::new(rws_corpus::CorpusConfig::small(3))
+            .generate_with(&EngineContext::embedded());
         let resolver = SiteResolver::embedded();
         let cache = CueCache::new();
         assert!(cache.is_empty());
@@ -83,23 +84,23 @@ mod tests {
 
     #[test]
     fn cached_cues_match_direct_observation() {
-        let corpus =
-            rws_corpus::CorpusGenerator::new(rws_corpus::CorpusConfig::small(5)).generate();
+        let corpus = rws_corpus::CorpusGenerator::new(rws_corpus::CorpusConfig::small(5))
+            .generate_with(&EngineContext::embedded());
         let resolver = SiteResolver::embedded();
         let cache = CueCache::new();
         let domains = corpus.list.all_domains();
         for window in domains.windows(2).take(10) {
             let p = pair(window[0].as_str(), window[1].as_str());
             let cached = cache.observe(&corpus, &p, &resolver);
-            let direct = Cues::observe_cached(&corpus, &p, &resolver);
+            let direct = Cues::observe(&corpus, &p, &resolver);
             assert_eq!(cached, direct);
         }
     }
 
     #[test]
     fn concurrent_observers_agree() {
-        let corpus =
-            rws_corpus::CorpusGenerator::new(rws_corpus::CorpusConfig::small(7)).generate();
+        let corpus = rws_corpus::CorpusGenerator::new(rws_corpus::CorpusConfig::small(7))
+            .generate_with(&EngineContext::embedded());
         let resolver = SiteResolver::embedded();
         let cache = CueCache::new();
         let domains = corpus.list.all_domains();
@@ -111,7 +112,7 @@ mod tests {
         let observed =
             rws_stats::pool::par_map_on(&pool, &pairs, |_, p| cache.observe(&corpus, p, &resolver));
         for (p, cues) in pairs.iter().zip(&observed) {
-            assert_eq!(*cues, Cues::observe_cached(&corpus, p, &resolver));
+            assert_eq!(*cues, Cues::observe(&corpus, p, &resolver));
         }
         assert_eq!(cache.len(), pairs.len());
     }

@@ -329,7 +329,7 @@ impl<'a> PairGenerator<'a> {
     /// drawn from a far larger filtered pool).
     ///
     /// Scaled pools are interned process-wide per (base pool, multiplier):
-    /// the synthetic variants are parsed once and every later `generate`
+    /// the synthetic variants are parsed once and every later `generate_on`
     /// call at the same scale clones the interned pool — `DomainName` is
     /// `Arc<str>`-backed, so the clone is one refcount bump per member
     /// rather than a fresh parse and allocation.
@@ -343,24 +343,11 @@ impl<'a> PairGenerator<'a> {
             .clone()
     }
 
-    /// Generate the full pair universe (indexed membership, sequential).
-    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> PairUniverse {
-        self.generate_impl(rng, None)
-    }
-
-    /// Like [`generate`](Self::generate), but fanning the per-member group-2
-    /// and group-3/4 sweeps out across the context's pool. Output is
-    /// identical whether the context is pooled or sequential (and identical
-    /// to [`generate`](Self::generate)).
+    /// Generate the full pair universe (indexed membership), fanning the
+    /// per-member group-2 and group-3/4 sweeps out across the context's
+    /// pool. Output is identical whether the context is pooled or
+    /// sequential, and identical to the `generate_naive` oracle.
     pub fn generate_on<R: Rng + ?Sized>(&self, rng: &mut R, ctx: &EngineContext) -> PairUniverse {
-        self.generate_impl(rng, Some(ctx))
-    }
-
-    fn generate_impl<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        ctx: Option<&EngineContext>,
-    ) -> PairUniverse {
         let index = MemberIndex::build(self.corpus, self.scaled_members());
         let members = &index.members;
         let mut universe = PairUniverse::default();
@@ -388,7 +375,7 @@ impl<'a> PairGenerator<'a> {
         // member; each task only compares precomputed integer set ids, and
         // the per-member vectors are concatenated in member order so the
         // result is identical to the naive double loop.
-        let per_member: Vec<Vec<PairRef>> = par_members(ctx, members, |i, _| {
+        let per_member: Vec<Vec<PairRef>> = ctx.par_map(members, |i, _| {
             let mut out: Vec<PairRef> = Vec::with_capacity(members.len() - i - 1);
             for j in (i + 1)..members.len() {
                 if !index.related(i, j) {
@@ -422,28 +409,27 @@ impl<'a> PairGenerator<'a> {
             .map(|top| self.categories.known_category(top))
             .collect();
         let top_base = members.len() as u32;
-        let per_member: Vec<(Vec<PairRef>, Vec<PairRef>)> =
-            par_members(ctx, members, |i, member| {
-                let member_category = self.categories.known_category(member);
-                let mut same = Vec::new();
-                let mut other = Vec::with_capacity(sample.len());
-                for (t, top_category) in top_categories.iter().enumerate() {
-                    let same_category = match (member_category, top_category) {
-                        (Some(a), Some(b)) => a == *b,
-                        _ => false,
-                    };
-                    let pair = PairRef {
-                        first: i as u32,
-                        second: top_base + t as u32,
-                    };
-                    if same_category {
-                        same.push(pair);
-                    } else {
-                        other.push(pair);
-                    }
+        let per_member: Vec<(Vec<PairRef>, Vec<PairRef>)> = ctx.par_map(members, |i, member| {
+            let member_category = self.categories.known_category(member);
+            let mut same = Vec::new();
+            let mut other = Vec::with_capacity(sample.len());
+            for (t, top_category) in top_categories.iter().enumerate() {
+                let same_category = match (member_category, top_category) {
+                    (Some(a), Some(b)) => a == *b,
+                    _ => false,
+                };
+                let pair = PairRef {
+                    first: i as u32,
+                    second: top_base + t as u32,
+                };
+                if same_category {
+                    same.push(pair);
+                } else {
+                    other.push(pair);
                 }
-                (same, other)
-            });
+            }
+            (same, other)
+        });
         for (same, other) in per_member {
             universe.top_same_category.extend(same);
             universe.top_other_category.extend(other);
@@ -584,19 +570,6 @@ fn member_position(members: &[DomainName], domain: &DomainName) -> Option<u32> {
     members.iter().position(|m| m == domain).map(|i| i as u32)
 }
 
-/// Ordered map over the member pool: on the context's pool when one is
-/// supplied, inline otherwise. Results are always in member order.
-fn par_members<R: Send>(
-    ctx: Option<&EngineContext>,
-    members: &[DomainName],
-    f: impl Fn(usize, &DomainName) -> R + Sync,
-) -> Vec<R> {
-    match ctx {
-        Some(ctx) => ctx.par_map(members, f),
-        None => members.iter().enumerate().map(|(i, m)| f(i, m)).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,11 +577,12 @@ mod tests {
     use rws_stats::rng::Xoshiro256StarStar;
 
     fn universe() -> (rws_corpus::Corpus, PairUniverse) {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(23)).generate();
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::small(23)).generate_with(&EngineContext::embedded());
         let categories = CategoryDatabase::from_ground_truth(&corpus);
         let mut rng = Xoshiro256StarStar::new(1);
         let generator = PairGenerator::new(&corpus, &categories);
-        let u = generator.generate(&mut rng);
+        let u = generator.generate_on(&mut rng, &EngineContext::sequential());
         (corpus, u)
     }
 
@@ -711,7 +685,8 @@ mod tests {
 
     #[test]
     fn scaled_member_pool_is_interned_per_scale() {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(23)).generate();
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::small(23)).generate_with(&EngineContext::embedded());
         let categories = CategoryDatabase::from_ground_truth(&corpus);
         let generator = PairGenerator::with_scale(&corpus, &categories, SurveyScale::times(3));
         let first = generator.scaled_members();
@@ -735,14 +710,15 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_given_seed() {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(23)).generate();
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::small(23)).generate_with(&EngineContext::embedded());
         let categories = CategoryDatabase::from_ground_truth(&corpus);
         let generator = PairGenerator::new(&corpus, &categories);
         let mut rng_a = Xoshiro256StarStar::new(5);
         let mut rng_b = Xoshiro256StarStar::new(5);
         assert_eq!(
-            generator.generate(&mut rng_a),
-            generator.generate(&mut rng_b)
+            generator.generate_on(&mut rng_a, &EngineContext::sequential()),
+            generator.generate_on(&mut rng_b, &EngineContext::sequential())
         );
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::pairs::SitePair;
 use rws_corpus::Corpus;
-use rws_domain::{levenshtein, PublicSuffixList, SiteResolver};
+use rws_domain::{levenshtein, SiteResolver};
 use rws_stats::rng::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -56,23 +56,10 @@ pub struct Cues {
 }
 
 impl Cues {
-    /// Observe the cues for a pair of sites from the corpus.
-    pub fn observe(corpus: &Corpus, pair: &SitePair, psl: &PublicSuffixList) -> Cues {
-        Cues::observe_slds(corpus, pair, |domain| psl.second_level_label(domain))
-    }
-
-    /// Like [`observe`](Self::observe), but resolving SLDs through a
-    /// memoizing [`SiteResolver`] — the survey shows the same pairs to many
-    /// participants, so every domain's SLD is resolved once.
-    pub fn observe_cached(corpus: &Corpus, pair: &SitePair, resolver: &SiteResolver) -> Cues {
-        Cues::observe_slds(corpus, pair, |domain| resolver.second_level_label(domain))
-    }
-
-    fn observe_slds(
-        corpus: &Corpus,
-        pair: &SitePair,
-        second_level_label: impl Fn(&rws_domain::DomainName) -> Option<String>,
-    ) -> Cues {
+    /// Observe the cues for a pair of sites from the corpus, resolving SLDs
+    /// through a memoizing [`SiteResolver`] — the survey shows the same
+    /// pairs to many participants, so every domain's SLD is resolved once.
+    pub fn observe(corpus: &Corpus, pair: &SitePair, resolver: &SiteResolver) -> Cues {
         let a = corpus.site(&pair.first);
         let b = corpus.site(&pair.second);
         let (Some(a), Some(b)) = (a, b) else {
@@ -84,8 +71,8 @@ impl Cues {
         let shared_branding = a.brand.organisation_name == b.brand.organisation_name
             || a.brand.slug.contains(&b.brand.slug)
             || b.brand.slug.contains(&a.brand.slug);
-        let sld_a = second_level_label(&a.domain);
-        let sld_b = second_level_label(&b.domain);
+        let sld_a = resolver.second_level_label(&a.domain);
+        let sld_b = resolver.second_level_label(&b.domain);
         let (identical_sld, shared_domain_stem, sld_similarity) = match (sld_a, sld_b) {
             (Some(x), Some(y)) => {
                 let identical = x == y;

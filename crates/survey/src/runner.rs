@@ -9,9 +9,9 @@
 //! **derived from the participant id**, the same per-task derivation the
 //! governance replay uses per submitter. Participants therefore fan out
 //! across the engine's pool one session per task, share one concurrent
-//! [`CueCache`](crate::cue_cache::CueCache) (cues depend only on the pair),
-//! and the dataset is byte-identical no matter how the sessions interleave
-//! (or whether they run sequentially at all).
+//! [`CueCache`] (cues depend only on the pair), and the dataset is
+//! byte-identical no matter how the sessions interleave (or whether they
+//! run sequentially at all).
 
 use crate::cue_cache::CueCache;
 use crate::pairs::{PairGroup, PairUniverse, SitePair};
@@ -19,7 +19,6 @@ use crate::participant::{FactorReport, Participant, Verdict};
 use rws_corpus::Corpus;
 use rws_domain::SiteResolver;
 use rws_engine::EngineContext;
-use rws_stats::pool::ThreadPool;
 use rws_stats::rng::Xoshiro256StarStar;
 use rws_stats::sampling::{sample_indices_floyd, sample_indices_without_replacement, shuffle};
 use serde::{Deserialize, Serialize};
@@ -148,32 +147,11 @@ impl SurveyRunner {
 
     /// Run the survey: each participant sees `pairs_per_group` pairs from
     /// each group, in shuffled order, may skip questions or abandon the
-    /// survey, and finally answers the factor questionnaire.
-    pub fn run(&self, corpus: &Corpus, universe: &PairUniverse) -> SurveyDataset {
-        self.run_with(corpus, universe, &SiteResolver::embedded())
-    }
-
-    /// Like [`run`](Self::run), but resolving SLD cues through a shared
-    /// memoizing [`SiteResolver`] instead of constructing a fresh one — the
-    /// scenario pipeline hands every layer the same resolver, so hosts the
-    /// corpus and history already resolved answer from cache here.
-    pub fn run_with(
-        &self,
-        corpus: &Corpus,
-        universe: &PairUniverse,
-        resolver: &SiteResolver,
-    ) -> SurveyDataset {
-        self.run_on(
-            corpus,
-            universe,
-            &EngineContext::with_parts(ThreadPool::global().clone(), resolver.clone()),
-        )
-    }
-
-    /// Run the survey on an engine: one pool task per participant, cues
-    /// shared through a concurrent [`CueCache`]. Output is identical
-    /// whether the context is pooled or sequential, because every
-    /// participant draws from their own derived rng stream.
+    /// survey, and finally answers the factor questionnaire. One pool task
+    /// per participant; SLD cues resolve through the context's shared
+    /// memoizing resolver and are shared through a concurrent [`CueCache`].
+    /// Output is identical whether the context is pooled or sequential,
+    /// because every participant draws from their own derived rng stream.
     pub fn run_on(
         &self,
         corpus: &Corpus,
@@ -300,15 +278,17 @@ mod tests {
     use rws_corpus::{CorpusConfig, CorpusGenerator};
 
     fn run_small(seed: u64) -> (rws_corpus::Corpus, SurveyDataset) {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(31)).generate();
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::small(31)).generate_with(&EngineContext::embedded());
         let categories = CategoryDatabase::from_ground_truth(&corpus);
         let mut rng = Xoshiro256StarStar::new(seed);
-        let universe = PairGenerator::new(&corpus, &categories).generate(&mut rng);
+        let universe = PairGenerator::new(&corpus, &categories)
+            .generate_on(&mut rng, &EngineContext::sequential());
         let dataset = SurveyRunner::new(SurveyConfig {
             seed,
             ..SurveyConfig::default()
         })
-        .run(&corpus, &universe);
+        .run_on(&corpus, &universe, &EngineContext::embedded());
         (corpus, dataset)
     }
 
@@ -337,10 +317,12 @@ mod tests {
 
     #[test]
     fn pooled_and_sequential_runs_are_identical() {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(31)).generate();
+        let corpus =
+            CorpusGenerator::new(CorpusConfig::small(31)).generate_with(&EngineContext::embedded());
         let categories = CategoryDatabase::from_ground_truth(&corpus);
         let mut rng = Xoshiro256StarStar::new(9);
-        let universe = PairGenerator::new(&corpus, &categories).generate(&mut rng);
+        let universe = PairGenerator::new(&corpus, &categories)
+            .generate_on(&mut rng, &EngineContext::sequential());
         let runner = SurveyRunner::new(SurveyConfig::default());
         let pooled_ctx = EngineContext::embedded();
         let pooled = runner.run_on(&corpus, &universe, &pooled_ctx);

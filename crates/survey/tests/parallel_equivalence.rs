@@ -16,14 +16,15 @@ use rws_stats::rng::Xoshiro256StarStar;
 use rws_survey::{PairGenerator, PairUniverse, SurveyConfig, SurveyRunner, SurveyScale};
 
 fn fixture(seed: u64) -> (Corpus, CategoryDatabase) {
-    let corpus = CorpusGenerator::new(CorpusConfig::small(seed)).generate();
+    let corpus =
+        CorpusGenerator::new(CorpusConfig::small(seed)).generate_with(&EngineContext::embedded());
     let categories = CategoryDatabase::from_ground_truth(&corpus);
     (corpus, categories)
 }
 
 fn universe(corpus: &Corpus, categories: &CategoryDatabase, seed: u64) -> PairUniverse {
     let mut rng = Xoshiro256StarStar::new(seed);
-    PairGenerator::new(corpus, categories).generate(&mut rng)
+    PairGenerator::new(corpus, categories).generate_on(&mut rng, &EngineContext::sequential())
 }
 
 proptest! {
@@ -52,7 +53,7 @@ proptest! {
         let (corpus, categories) = fixture(seed % 89);
         let generator = PairGenerator::new(&corpus, &categories);
         let naive = generator.generate_naive(&mut Xoshiro256StarStar::new(seed));
-        let indexed = generator.generate(&mut Xoshiro256StarStar::new(seed));
+        let indexed = generator.generate_on(&mut Xoshiro256StarStar::new(seed), &EngineContext::sequential());
         prop_assert_eq!(&naive, &indexed);
         let pooled = generator.generate_on(
             &mut Xoshiro256StarStar::new(seed),
@@ -104,7 +105,10 @@ fn survey_equivalence_across_independent_contexts() {
 fn scaled_pair_universe_matches_naive_oracle() {
     let (corpus, categories) = fixture(23);
     let paper = PairGenerator::new(&corpus, &categories);
-    let paper_universe = paper.generate(&mut Xoshiro256StarStar::new(5));
+    let paper_universe = paper.generate_on(
+        &mut Xoshiro256StarStar::new(5),
+        &EngineContext::sequential(),
+    );
 
     let scale = SurveyScale {
         member_multiplier: 4,
@@ -112,7 +116,10 @@ fn scaled_pair_universe_matches_naive_oracle() {
     };
     let scaled = PairGenerator::with_scale(&corpus, &categories, scale);
     let naive = scaled.generate_naive(&mut Xoshiro256StarStar::new(5));
-    let indexed = scaled.generate(&mut Xoshiro256StarStar::new(5));
+    let indexed = scaled.generate_on(
+        &mut Xoshiro256StarStar::new(5),
+        &EngineContext::sequential(),
+    );
     assert_eq!(naive, indexed);
     let pooled = scaled.generate_on(&mut Xoshiro256StarStar::new(5), &EngineContext::new());
     assert_eq!(naive, pooled);

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example partitioning_demo`
 
 use rws_browser::{linkability_report, PromptBehaviour, VendorPolicy};
-use rws_domain::DomainName;
+use rws_domain::{DomainName, SiteResolver};
 use rws_model::{RwsList, RwsSet};
 
 fn dn(s: &str) -> DomainName {
@@ -52,6 +52,7 @@ fn main() {
                 &trace,
                 &tracker,
                 PromptBehaviour::AlwaysDecline,
+                &SiteResolver::embedded(),
             );
             println!(
                 "{:<16} {:>14} {:>14} {:>10} {:>9}",

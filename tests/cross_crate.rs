@@ -7,11 +7,12 @@ use rws_browser::{Browser, VendorPolicy};
 use rws_classify::CategoryDatabase;
 use rws_corpus::{CorpusConfig, CorpusGenerator, SiteRole};
 use rws_domain::{DomainName, PublicSuffixList};
+use rws_engine::EngineContext;
 use rws_model::{list_from_json, list_to_json, SetValidator, WellKnownFile};
 use rws_net::{Fetcher, Url, WELL_KNOWN_RWS_PATH};
 
 fn small_corpus(seed: u64) -> rws_corpus::Corpus {
-    CorpusGenerator::new(CorpusConfig::small(seed)).generate()
+    CorpusGenerator::new(CorpusConfig::small(seed)).generate_with(&EngineContext::embedded())
 }
 
 #[test]
@@ -130,7 +131,7 @@ fn browser_grants_follow_the_generated_list() {
 #[test]
 fn classifier_and_ground_truth_agree_on_most_live_sites() {
     let corpus = small_corpus(105);
-    let classified = CategoryDatabase::classify_corpus(&corpus);
+    let classified = CategoryDatabase::classify_corpus_on(&corpus, &EngineContext::sequential());
     let truth = CategoryDatabase::from_ground_truth(&corpus);
     let agreement = classified.agreement_with(&truth);
     assert!(

@@ -6,6 +6,7 @@
 //! magnitude must.
 
 use rws_analysis::{Experiment, PaperReproduction, Scenario, ScenarioConfig};
+use rws_engine::EngineContext;
 use rws_github::PrState;
 use rws_model::MemberRole;
 use rws_survey::{PairGroup, SurveyAnalysis, Verdict};
@@ -20,7 +21,7 @@ fn scenario() -> &'static Scenario {
         // Keep the top-site pool modest so the integration suite stays fast
         // while the RWS list itself remains paper-scale (41 sets).
         config.corpus.top_sites = 400;
-        Scenario::generate(config)
+        Scenario::generate_with(config, &EngineContext::new())
     })
 }
 
