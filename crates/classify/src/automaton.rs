@@ -64,8 +64,6 @@ pub struct KeywordAutomaton {
     /// starts with that (lower-cased) byte at that length. A word that
     /// fails the probe cannot score or advance anything.
     prefilter: [u32; 256],
-    /// Distinct single-word vocabulary tokens (diagnostics only).
-    single_words: usize,
 }
 
 impl KeywordAutomaton {
@@ -88,7 +86,6 @@ impl KeywordAutomaton {
             let first = word.as_bytes()[0].to_ascii_lowercase();
             prefilter[first as usize] |= 1u32 << word.len().min(31);
         };
-        let mut single_words = 0usize;
         for (ci, (category, keywords)) in CATEGORY_KEYWORDS.iter().enumerate() {
             categories.push(*category);
             for keyword in *keywords {
@@ -98,9 +95,6 @@ impl KeywordAutomaton {
                 admit(first);
                 if rest.is_empty() {
                     let entry = entries.entry(first).or_default();
-                    if entry.hits.is_empty() {
-                        single_words += 1;
-                    }
                     match entry.hits.iter_mut().find(|(c, _)| *c as usize == ci) {
                         Some((_, weight)) => *weight += 1,
                         None => entry.hits.push((ci as u8, 1)),
@@ -127,7 +121,6 @@ impl KeywordAutomaton {
             entries,
             multi,
             prefilter,
-            single_words,
         }
     }
 
@@ -139,16 +132,6 @@ impl KeywordAutomaton {
             active: Vec::new(),
             lower_buf: String::new(),
         }
-    }
-
-    /// Number of distinct single-word keyword tokens.
-    pub fn single_word_count(&self) -> usize {
-        self.single_words
-    }
-
-    /// Number of multi-word keyword sequences.
-    pub fn multi_word_count(&self) -> usize {
-        self.multi.len()
     }
 }
 
@@ -341,6 +324,18 @@ impl TokenMatcher<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl KeywordAutomaton {
+        /// Number of distinct single-word keyword tokens.
+        fn single_word_count(&self) -> usize {
+            self.entries.values().filter(|e| !e.hits.is_empty()).count()
+        }
+
+        /// Number of multi-word keyword sequences.
+        fn multi_word_count(&self) -> usize {
+            self.multi.len()
+        }
+    }
 
     #[test]
     fn automaton_covers_the_vocabulary() {

@@ -5,7 +5,9 @@
 //! * [`KeywordClassifier::classify`] — the production path: one pass over
 //!   the zero-copy streaming token stream, scoring every word against the
 //!   compiled [`KeywordAutomaton`] (no haystack string, no per-keyword
-//!   rescans);
+//!   rescans). Class names stay `&str` slices of the page: attribute
+//!   values are borrowed by type, and `RawAttrs::get` finds `class` with
+//!   one byte walk (exact char-level fallback on non-ASCII bytes);
 //! * [`KeywordClassifier::classify_naive`] — the seed classifier, kept as
 //!   the equivalence oracle: builds an owned lowercase haystack from three
 //!   separate tokenizer passes and scans it once per keyword.
@@ -14,6 +16,7 @@ use crate::automaton::KeywordAutomaton;
 use rws_corpus::SiteCategory;
 use rws_domain::DomainName;
 use rws_html::{tokenize, StreamToken, Token, Tokens};
+use rws_stats::swar::{find_byte, is_collapsed_ascii};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 
@@ -145,7 +148,12 @@ impl KeywordClassifier {
     /// automaton as it streams by, and the title/class evidence the seed
     /// classifier counted via extra tokenizer passes is replayed from
     /// borrowed slices stashed during the same pass. No haystack string is
-    /// ever built. [`classify_naive`](Self::classify_naive) is the retained
+    /// ever built. Each tag's `class` value comes from the byte-level
+    /// `RawAttrs::get` as a `&str` of the page and splits into `&str`
+    /// class names at ASCII spaces (`split_whitespace` when the value is
+    /// not plain ASCII); a value equal to the previous tag's is skipped,
+    /// since the sort and dedup before feeding would drop its names
+    /// anyway. [`classify_naive`](Self::classify_naive) is the retained
     /// oracle this is property-tested against.
     pub fn classify(&self, domain: &DomainName, html: &str) -> SiteCategory {
         let mut matcher = KeywordAutomaton::global().matcher();
@@ -153,7 +161,10 @@ impl KeywordClassifier {
         // naive haystack order: text, then title again, then the sorted
         // deduplicated class set, then the domain.
         let mut title_parts: Vec<Cow<'_, str>> = Vec::new();
-        let mut classes: Vec<Cow<'_, str>> = Vec::new();
+        let mut classes: Vec<&str> = Vec::new();
+        // The previous tag's class value: a repeat adds nothing the dedup
+        // below would keep, so it is not split again.
+        let mut last_class = None;
         let mut in_title = false;
         let mut title_done = false;
         for token in Tokens::new(html) {
@@ -171,7 +182,10 @@ impl KeywordClassifier {
                         in_title = true;
                     }
                     if let Some(class_attr) = attributes.get("class") {
-                        push_classes(&mut classes, class_attr);
+                        if last_class != Some(class_attr) {
+                            split_class_value(&mut classes, class_attr);
+                            last_class = Some(class_attr);
+                        }
                     }
                 }
                 StreamToken::Close { name } => {
@@ -299,22 +313,26 @@ fn class_set_owned(html: &str) -> BTreeSet<String> {
     classes
 }
 
-/// Split a `class` attribute into individual class names, preserving the
-/// borrow when the attribute value is itself borrowed from the document
-/// (the common case — attribute values never need fix-ups).
-fn push_classes<'a>(classes: &mut Vec<Cow<'a, str>>, attr: Cow<'a, str>) {
-    match attr {
-        Cow::Borrowed(value) => {
-            for class in value.split_whitespace() {
-                classes.push(Cow::Borrowed(class));
-            }
-        }
-        Cow::Owned(value) => {
-            for class in value.split_whitespace() {
-                classes.push(Cow::Owned(class.to_string()));
-            }
-        }
+/// Split a `class` attribute value into its class names, exactly as
+/// `str::split_whitespace` would. A value that is ASCII with single inner
+/// spaces and no other whitespace (the common case) splits at the spaces
+/// a word at a time; anything else, non-ASCII bytes that may encode
+/// Unicode whitespace included, takes `split_whitespace` itself.
+fn split_class_value<'a>(classes: &mut Vec<&'a str>, value: &'a str) {
+    let bytes = value.as_bytes();
+    if !is_collapsed_ascii(bytes) {
+        classes.extend(value.split_whitespace());
+        return;
     }
+    if value.is_empty() {
+        return;
+    }
+    let mut start = 0;
+    while let Some(off) = find_byte(&bytes[start..], b' ') {
+        classes.push(&value[start..start + off]);
+        start += off + 1;
+    }
+    classes.push(&value[start..]);
 }
 
 /// Occurrence count of one keyword in the naive haystack: exact word match

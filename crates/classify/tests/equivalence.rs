@@ -7,8 +7,8 @@
 //!   actually runs on — the html crate's own property tests cover
 //!   arbitrary/malformed strings);
 //! * the single-pass automaton classifier agrees with the retained seed
-//!   classifier (`classify_naive`) on every rendered page and every corpus
-//!   member;
+//!   classifier (`classify_naive`) on every rendered page, every corpus
+//!   member and generated pages dense in awkward `class` values;
 //! * `classify_corpus_on` on a pooled context is field-for-field identical
 //!   to the same call on `EngineContext::sequential()`, inline, and on a
 //!   forced 3-worker pool.
@@ -24,6 +24,64 @@ use rws_stats::rng::Xoshiro256StarStar;
 
 fn streamed(html: &str) -> Vec<Token> {
     Tokens::new(html).map(|t| t.to_token()).collect()
+}
+
+/// Class values mixing vocabulary words with every separator whose
+/// whitespace status differs between byte and char views (`\x0b`, U+00A0,
+/// U+0085), repeated names, upper case and non-ASCII names.
+const CLASS_VALUES: &[&str] = &[
+    "news",
+    "cart shop",
+    "shop  cart\tnews",
+    "Cart\x0bcheckout",
+    "cart\x0bcart",
+    "\x0cbuy\r\nstore ",
+    "tech\u{a0}cloud",
+    "tech\u{a0}tech",
+    "games\u{85}play",
+    "caf\u{e9} music",
+    "news news",
+    "checkout",
+    "cloud",
+    "play",
+    "",
+    " ",
+];
+
+/// How a class attribute is written: quoting, attribute-name case, and the
+/// separator before it.
+const CLASS_ATTRS: &[&str] = &[
+    " class=\"{}\"",
+    " CLASS='{}'",
+    "\x0bclass = \"{}\"",
+    "\u{a0}class=\"{}\"",
+    " class=\"{}",
+];
+
+/// A page whose tags carry class attributes drawn from [`CLASS_VALUES`];
+/// each tag is written twice in a row with probability one half, so runs
+/// of identical values (which `classify` skips) are common.
+fn class_page_strategy() -> impl Strategy<Value = String> {
+    let tag = (
+        0usize..CLASS_VALUES.len(),
+        0usize..CLASS_ATTRS.len(),
+        0u8..2,
+    )
+        .prop_map(|(v, a, repeat)| {
+            let attr = CLASS_ATTRS[a].replace("{}", CLASS_VALUES[v]);
+            let tag = format!("<div{attr}>x</div>");
+            if repeat == 0 {
+                tag.clone() + &tag
+            } else {
+                tag
+            }
+        });
+    proptest::collection::vec(tag, 0..8).prop_map(|tags| {
+        format!(
+            "<html><head><title>Daily</title></head><body>{}</body></html>",
+            tags.concat()
+        )
+    })
 }
 
 proptest! {
@@ -64,6 +122,24 @@ proptest! {
                     "divergence on a {:?}/{:?} page", category, language
                 );
             }
+        }
+    }
+
+    /// `classify` ≡ `classify_naive` on pages built from the same class
+    /// values: borrowed class names, the ASCII split with its
+    /// `split_whitespace` fallback, and the repeated-value skip all score
+    /// like the seed's owned class set. Several thresholds make the verdict
+    /// sensitive to single-hit differences.
+    #[test]
+    fn classify_matches_naive_on_class_dense_pages(html in class_page_strategy()) {
+        let domain = DomainName::parse("classes.example").unwrap();
+        for min_hits in 1..=8 {
+            let classifier = KeywordClassifier { min_hits };
+            prop_assert_eq!(
+                classifier.classify(&domain, &html),
+                classifier.classify_naive(&domain, &html),
+                "divergence at min_hits {} on {:?}", min_hits, html
+            );
         }
     }
 

@@ -131,6 +131,15 @@ fn push_text(tokens: &mut Vec<Token>, raw: &str) {
     }
 }
 
+/// `s` without its first character (empty stays empty). The stray-character
+/// skip of the attribute loops goes through here so that a non-ASCII
+/// character after a stray `=` is stepped over whole, not split mid-UTF-8.
+fn skip_char(s: &str) -> &str {
+    let mut chars = s.chars();
+    chars.next();
+    chars.as_str()
+}
+
 /// Parse the inside of a tag: name, attributes, self-closing marker.
 fn parse_tag_body(body: &str) -> (String, BTreeMap<String, String>, bool) {
     let body = body.trim();
@@ -159,7 +168,7 @@ fn parse_tag_body(body: &str) -> (String, BTreeMap<String, String>, bool) {
         rest = rest[name_len..].trim_start();
         if attr_name.is_empty() {
             // Defensive: skip a stray character to guarantee progress.
-            rest = &rest[rest.len().min(1)..];
+            rest = skip_char(rest);
             continue;
         }
         if let Some(after_eq) = rest.strip_prefix('=') {
@@ -191,13 +200,15 @@ fn parse_tag_body(body: &str) -> (String, BTreeMap<String, String>, bool) {
 /// A borrowed HTML token, produced by the zero-copy streaming tokenizer
 /// [`Tokens`].
 ///
-/// Where [`Token`] owns its strings, every string here is a [`Cow`]
-/// borrowing straight from the input document; the owned variant is only
-/// taken for the rare fix-ups the tokenizer performs (lower-casing a tag
-/// written in upper case, collapsing a whitespace run inside text).
-/// Attributes are not parsed at all until asked for: [`RawAttrs`] keeps the
-/// raw slice of the tag body and parses it lazily, so a consumer that only
-/// reads tag names and text never touches attribute syntax.
+/// Where [`Token`] owns its strings, every string here borrows straight
+/// from the input document. Tag names and text are [`Cow`]s whose owned
+/// variant is only taken for the rare fix-ups the tokenizer performs
+/// (lower-casing a tag written in upper case, collapsing a whitespace run
+/// inside text). Attributes are not parsed at all until asked for:
+/// [`RawAttrs`] keeps the raw slice of the tag body and parses it lazily,
+/// so a consumer that only reads tag names and text never touches
+/// attribute syntax. Attribute values are always plain `&'a str` slices of
+/// the document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamToken<'a> {
     /// An opening (or self-closing) tag.
@@ -233,7 +244,7 @@ impl StreamToken<'_> {
                 name: name.clone().into_owned(),
                 attributes: attributes
                     .iter()
-                    .map(|(n, v)| (n.into_owned(), v.into_owned()))
+                    .map(|(n, v)| (n.into_owned(), v.to_owned()))
                     .collect(),
                 self_closing: *self_closing,
             },
@@ -247,8 +258,13 @@ impl StreamToken<'_> {
 
 /// The unparsed attribute section of an open tag, between the tag name and
 /// the closing `>`. Attribute syntax is only scanned when [`get`](Self::get)
-/// or [`iter`](Self::iter) is called, and both borrow names and values from
-/// the document (names are lower-cased through a [`Cow`] when needed).
+/// or [`iter`](Self::iter) is called. Values are always borrowed `&'a str`
+/// slices of the document; a name is a [`Cow`] that only owns a copy when
+/// it was written with upper-case letters.
+///
+/// [`get`](Self::get) walks the bytes once and compares names in place;
+/// it hands off to the exact [`iter`](Self::iter) walk when it meets a
+/// non-ASCII byte outside a quoted value, so both always agree.
 ///
 /// Equality compares the raw underlying slice, not the parsed attribute
 /// map; two differently-written tags with the same attributes compare
@@ -259,21 +275,99 @@ pub struct RawAttrs<'a> {
 }
 
 impl<'a> RawAttrs<'a> {
-    /// The value of an attribute, if present. Duplicate attribute names
-    /// resolve to the last occurrence, matching the owned tokenizer's map
-    /// insertion order. Bare attributes (`disabled`) yield an empty value.
-    pub fn get(&self, name: &str) -> Option<Cow<'a, str>> {
+    /// The value of an attribute, if present. `name` is matched against the
+    /// lower-cased attribute names, so it should be lower-case. Duplicate
+    /// attribute names resolve to the last occurrence, matching the owned
+    /// tokenizer's map insertion order. Bare attributes (`disabled`) yield
+    /// an empty value.
+    ///
+    /// One byte-level walk with the rules of [`AttrIter`]: a name ends at
+    /// `=` or whitespace (space and `0x09..=0x0d`, vertical tab included)
+    /// and is compared case-insensitively without a lower-cased copy; a
+    /// quoted value ends at its quote, found a word at a time, or runs to
+    /// the end of the tag when unterminated. A non-ASCII byte outside a
+    /// quoted value may be Unicode whitespace, so the lookup then defers
+    /// to [`iter`](Self::iter), the exact char-level reference.
+    pub fn get(&self, name: &str) -> Option<&'a str> {
+        match self.byte_walk(name) {
+            Some(found) => found,
+            None => self
+                .iter()
+                .filter(|(n, _)| n == name)
+                .last()
+                .map(|(_, v)| v),
+        }
+    }
+
+    /// The byte walk behind [`get`](Self::get): `Some(found)` with the
+    /// lookup's answer, or `None` when a non-ASCII byte outside a quoted
+    /// value leaves the answer to the char-level walk.
+    fn byte_walk(&self, name: &str) -> Option<Option<&'a str>> {
+        let raw = self.raw;
+        let b = raw.as_bytes();
+        let len = b.len();
+        let want = name.as_bytes();
         let mut found = None;
-        for (attr_name, value) in self.iter() {
-            if attr_name == name {
+        let mut p = skip_ascii_ws(b, 0)?;
+        while p < len {
+            // The name stops at `=`, whitespace or a non-ASCII byte; the
+            // skip below hands a non-ASCII stop to the char-level walk.
+            let start = p;
+            while p < len && ATTR_BYTE[b[p] as usize] == 0 {
+                p += 1;
+            }
+            let attr = &b[start..p];
+            p = skip_ascii_ws(b, p)?;
+            if attr.is_empty() {
+                // A stray `=`: step over it, as `AttrIter` does.
+                p += 1;
+                continue;
+            }
+            let matched = attr.len() == want.len()
+                && attr
+                    .iter()
+                    .zip(want)
+                    .all(|(a, w)| a.to_ascii_lowercase() == *w);
+            if b.get(p) != Some(&b'=') {
+                if matched {
+                    found = Some("");
+                }
+                continue;
+            }
+            p = skip_ascii_ws(b, p + 1)?;
+            let value = match b.get(p) {
+                Some(&quote @ (b'"' | b'\'')) => match find_byte(&b[p + 1..], quote) {
+                    Some(end) => {
+                        let value = &raw[p + 1..p + 1 + end];
+                        p = skip_ascii_ws(b, p + 1 + end + 1)?;
+                        value
+                    }
+                    None => {
+                        let value = &raw[p + 1..];
+                        p = len;
+                        value
+                    }
+                },
+                _ => {
+                    let start = p;
+                    while p < len && ATTR_BYTE[b[p] as usize] & (WS | HIGH) == 0 {
+                        p += 1;
+                    }
+                    let value = &raw[start..p];
+                    p = skip_ascii_ws(b, p)?;
+                    value
+                }
+            };
+            if matched {
                 found = Some(value);
             }
         }
-        found
+        Some(found)
     }
 
     /// Iterate `(name, value)` pairs in document order. Names are
-    /// lower-cased; values keep their case.
+    /// lower-cased (borrowed unless the document wrote them with upper-case
+    /// letters); values keep their case and always borrow.
     pub fn iter(&self) -> AttrIter<'a> {
         AttrIter {
             rest: self.raw.trim_start(),
@@ -286,14 +380,60 @@ impl<'a> RawAttrs<'a> {
     }
 }
 
-/// Iterator over a tag's attributes; see [`RawAttrs::iter`].
+/// [`ATTR_BYTE`] flag: whitespace as `char::is_whitespace` judges an ASCII
+/// byte, space and `0x09..=0x0d`. Unlike `u8::is_ascii_whitespace`,
+/// vertical tab (`0x0b`) counts.
+const WS: u8 = 1;
+/// [`ATTR_BYTE`] flag: `=`.
+const EQ: u8 = 2;
+/// [`ATTR_BYTE`] flag: a non-ASCII byte, which may start Unicode whitespace.
+const HIGH: u8 = 4;
+
+/// What each byte means to the attribute byte walk; zero for a byte that
+/// continues a name.
+static ATTR_BYTE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[i] = if i >= 0x80 {
+            HIGH
+        } else if i == b' ' as usize || matches!(i, 0x09..=0x0d) {
+            WS
+        } else if i == b'=' as usize {
+            EQ
+        } else {
+            0
+        };
+        i += 1;
+    }
+    table
+};
+
+/// The index of the first non-whitespace byte at or after `p`, or `None`
+/// when that byte is non-ASCII: it may start Unicode whitespace, which only
+/// a char-level walk can judge.
+#[inline]
+fn skip_ascii_ws(b: &[u8], mut p: usize) -> Option<usize> {
+    while p < b.len() && ATTR_BYTE[b[p] as usize] == WS {
+        p += 1;
+    }
+    match b.get(p) {
+        Some(&c) if c >= 0x80 => None,
+        _ => Some(p),
+    }
+}
+
+/// Iterator over a tag's attributes; see [`RawAttrs::iter`]. The exact,
+/// char-level reference walk: Unicode whitespace (U+00A0, U+0085, …) ends
+/// names and unquoted values here, and [`RawAttrs::get`] defers to it
+/// whenever non-ASCII bytes make the byte walk unsure.
 #[derive(Debug, Clone)]
 pub struct AttrIter<'a> {
     rest: &'a str,
 }
 
 impl<'a> Iterator for AttrIter<'a> {
-    type Item = (Cow<'a, str>, Cow<'a, str>);
+    type Item = (Cow<'a, str>, &'a str);
 
     fn next(&mut self) -> Option<Self::Item> {
         // Mirrors the attribute loop of `parse_tag_body` exactly, borrowing
@@ -310,7 +450,7 @@ impl<'a> Iterator for AttrIter<'a> {
             self.rest = self.rest[name_len..].trim_start();
             if attr_name.is_empty() {
                 // Defensive: skip a stray character to guarantee progress.
-                self.rest = &self.rest[self.rest.len().min(1)..];
+                self.rest = skip_char(self.rest);
                 continue;
             }
             let attr_name = lowercase_cow(attr_name);
@@ -331,9 +471,9 @@ impl<'a> Iterator for AttrIter<'a> {
                     (&after_eq[..end], &after_eq[end..])
                 };
                 self.rest = remainder.trim_start();
-                return Some((attr_name, Cow::Borrowed(value)));
+                return Some((attr_name, value));
             }
-            return Some((attr_name, Cow::Borrowed("")));
+            return Some((attr_name, ""));
         }
     }
 }
@@ -967,8 +1107,9 @@ mod tests {
                     name, attributes, ..
                 } => {
                     assert!(matches!(name, Cow::Borrowed(_)));
-                    let class = attributes.get("class").unwrap();
-                    assert!(matches!(class, Cow::Borrowed(_)));
+                    // Attribute values are `&str` slices of the document by
+                    // type, so only the value itself needs checking.
+                    assert_eq!(attributes.get("class"), Some("nav"));
                 }
                 StreamToken::Close { name } => assert!(matches!(name, Cow::Borrowed(_))),
                 StreamToken::Text(text) => assert!(matches!(text, Cow::Borrowed(_))),

@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use rws_html::similarity::{html_similarity, SimilarityWeights};
-use rws_html::{class_set, jaccard, shingles, tag_sequence, tokenize, Token, Tokens, TokensFind};
+use rws_html::{
+    class_set, jaccard, shingles, tag_sequence, tokenize, StreamToken, Token, Tokens, TokensFind,
+};
 use std::collections::BTreeSet;
 
 /// Strategy producing small, nested, well-formed HTML snippets.
@@ -23,7 +25,113 @@ fn html_strategy() -> impl Strategy<Value = String> {
     })
 }
 
+// Each table below lists its ASCII entries first, so that an ASCII-only
+// tag can draw from a prefix: the byte walk only decides tags without
+// non-ASCII bytes outside quotes, and hands the rest to the char walk.
+
+/// Attribute names: mixed case, duplicates (three spellings of `class`),
+/// stray `=` in place of a name, and non-ASCII.
+const ATTR_NAMES: &[&str] = &[
+    "class", "CLASS", "Class", "id", "data-x", "B", "=", "n\u{e9}v", "= \u{e9}",
+];
+
+/// What follows a name: nothing (a bare attribute), or `=` with optional
+/// whitespace around it, including separators only `char` sees as space.
+const ATTR_ASSIGNS: &[&str] = &["", "", "=", "=", " = ", "=\x0b", "=\u{a0}"];
+
+/// Values: unquoted, double- and single-quoted, empty, unterminated, and
+/// non-ASCII ones.
+const ATTR_VALUES: &[&str] = &[
+    "v",
+    "Big",
+    "a=b",
+    "x'y",
+    "\"nav main\"",
+    "\"\"",
+    "\"it's\"",
+    "'a b'",
+    "'x\"y'",
+    "\"open",
+    "'open",
+    "\u{e9}t\u{e9}",
+    "\"\u{e9} \u{a0}x\"",
+];
+
+/// Separators between attributes: ASCII whitespace including `\x0b`, none
+/// at all, and the Unicode spaces U+00A0 and U+0085.
+const ATTR_SEPS: &[&str] = &[
+    " ", " ", "  ", "\t", "\n", "\x0b", "\x0c", "\r", "", "\u{a0}", "\u{85}",
+];
+
+/// Pick `table[i]`, restricted to the table's ASCII prefix when `ascii`.
+fn pick(table: &[&'static str], i: usize, ascii: bool) -> &'static str {
+    if ascii {
+        table[i % table.iter().take_while(|s| s.is_ascii()).count()]
+    } else {
+        table[i]
+    }
+}
+
+/// Strategy producing documents dense in attribute syntax: a few open tags,
+/// each carrying a run of name / assignment / value / separator units.
+/// About half the tags are ASCII-only.
+fn attr_dense_strategy() -> impl Strategy<Value = String> {
+    let attr = (
+        0usize..ATTR_NAMES.len(),
+        0usize..ATTR_ASSIGNS.len(),
+        0usize..ATTR_VALUES.len(),
+        0usize..ATTR_SEPS.len(),
+    );
+    let tag = (
+        "(div|P|span)",
+        "( |\t|\x0b|\u{a0})",
+        proptest::collection::vec(attr, 0..8),
+        0u8..2,
+    )
+        .prop_map(|(name, sep, attrs, flavour)| {
+            let ascii = flavour == 0;
+            let sep = if ascii { " " } else { sep.as_str() };
+            let mut html = format!("<{name}{sep}");
+            for (n, a, v, s) in attrs {
+                let assign = pick(ATTR_ASSIGNS, a, ascii);
+                html.push_str(pick(ATTR_NAMES, n, ascii));
+                html.push_str(assign);
+                if !assign.is_empty() {
+                    html.push_str(pick(ATTR_VALUES, v, ascii));
+                }
+                html.push_str(pick(ATTR_SEPS, s, ascii));
+            }
+            html + &format!(">x</{name}>")
+        });
+    proptest::collection::vec(tag, 1..10).prop_map(|tags| tags.concat())
+}
+
 proptest! {
+    /// The byte-level `RawAttrs::get` answers every lookup exactly like the
+    /// owned tokenizer's attribute map: each present name, one absent name,
+    /// and the upper-cased spelling of each name (which the lower-cased map
+    /// never holds). The streamed tokens also match the owned ones.
+    #[test]
+    fn raw_attrs_get_equals_owned_map(html in attr_dense_strategy()) {
+        let owned = tokenize(&html);
+        let streamed: Vec<StreamToken> = Tokens::new(&html).collect();
+        let converted: Vec<Token> = streamed.iter().map(StreamToken::to_token).collect();
+        prop_assert_eq!(&converted, &owned, "token divergence on {:?}", html);
+        for (stream, token) in streamed.iter().zip(&owned) {
+            let (StreamToken::Open { attributes: raw, .. }, Token::Open { attributes: map, .. }) =
+                (stream, token)
+            else {
+                continue;
+            };
+            for (name, value) in map {
+                prop_assert_eq!(raw.get(name), Some(value.as_str()), "{:?} in {:?}", name, html);
+                let upper = name.to_ascii_uppercase();
+                prop_assert_eq!(raw.get(&upper), map.get(&upper).map(String::as_str));
+            }
+            prop_assert_eq!(raw.get("absent"), None, "in {:?}", html);
+        }
+    }
+
     /// The tokenizer never panics on arbitrary input.
     #[test]
     fn tokenizer_total_on_arbitrary_input(input in ".{0,400}") {
