@@ -26,7 +26,7 @@ impl PaperReproduction {
 
     /// Create a reproduction on an explicit engine — e.g.
     /// [`EngineContext::sequential`] for the equivalence tests and the
-    /// pooled-vs-sequential bench.
+    /// benchmark's sequential reference digest.
     pub fn with_engine(config: ScenarioConfig, engine: EngineContext) -> PaperReproduction {
         PaperReproduction {
             config,

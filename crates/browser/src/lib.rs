@@ -20,9 +20,9 @@
 //!   ([`policy::VendorPolicy`]);
 //! * [`Browser`] — a single simulated browser profile that visits pages,
 //!   embeds third-party frames and evaluates `requestStorageAccess` calls;
-//! * [`linkability`] — the cross-site linkability measure used by the
-//!   ablation benches to quantify how much user activity a tracker can join
-//!   together under each policy, with and without the RWS list.
+//! * [`linkability`] — the cross-site linkability measure: how much user
+//!   activity a tracker can join together under each policy, with and
+//!   without the RWS list.
 
 pub mod browser;
 pub mod context;

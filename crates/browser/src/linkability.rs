@@ -5,8 +5,7 @@
 //! With full partitioning an embedder can link nothing across top-level
 //! sites; without partitioning it links everything; Related Website Sets
 //! sit in between, adding back exactly the links within each set. The
-//! functions here quantify that for a browsing trace, and power the
-//! `ablation_linkability` bench.
+//! functions here quantify that for a browsing trace.
 
 use crate::browser::{Browser, PromptBehaviour};
 use crate::policy::{StorageAccessPolicy, VendorPolicy};
@@ -107,7 +106,7 @@ pub fn linkability_report(
 
 /// Replay the same browsing trace under every vendor policy, one policy
 /// per task on the context's pool — the paper's cross-vendor comparison
-/// (and the `ablation_policies` bench) in a single call.
+/// in a single call.
 ///
 /// Each policy gets its own [`Browser`], so the replays are fully
 /// independent; they share the context's memoizing [`SiteResolver`], so

@@ -220,8 +220,7 @@ impl TokenMatcher<'_> {
     }
 
     /// The seed per-byte word split, retained as the equivalence oracle for
-    /// [`feed_text`](Self::feed_text) and the baseline the
-    /// `classify_prefilter_batch` bench kernel is measured against.
+    /// [`feed_text`](Self::feed_text).
     pub fn feed_text_naive(&mut self, text: &str) {
         let bytes = text.as_bytes();
         let mut start = 0usize;

@@ -12,8 +12,7 @@
 //! * HTML largely dissimilar between members and primaries (Figure 4);
 //! * only 31 of 146 member sites primarily English-language (Section 3).
 //!
-//! All of those rates are exposed on [`CorpusConfig`] so ablation benches
-//! can sweep them.
+//! All of those rates are exposed on [`CorpusConfig`].
 
 use crate::brand::{Brand, Organisation};
 use crate::category::SiteCategory;
@@ -131,7 +130,7 @@ pub struct Corpus {
     /// The frozen page store as generated: N ≥ 1 per-shard host tables
     /// routed by the FNV-1a domain hash. Reads take no lock and borrow
     /// straight from the interned pages — the classifier, the Figure 4
-    /// sweeps and the benches all read through here.
+    /// sweeps and the load engine all read through here.
     pub sharded: FrozenWeb,
 }
 

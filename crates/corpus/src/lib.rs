@@ -27,7 +27,6 @@ pub mod brand;
 pub mod category;
 pub mod generator;
 pub mod render;
-pub mod scale;
 pub mod site;
 pub mod template;
 pub mod tranco;
@@ -36,7 +35,6 @@ pub use brand::{Brand, Organisation};
 pub use category::SiteCategory;
 pub use generator::{Corpus, CorpusConfig, CorpusGenerator};
 pub use render::RenderArena;
-pub use scale::CorpusScale;
 pub use site::{Language, SiteRole, SiteSpec};
 pub use template::{render_about_page, render_site, TemplateStyle};
 pub use tranco::{TrancoEntry, TrancoList};

@@ -14,8 +14,7 @@
 //! The `format!` renderer is retained verbatim as the byte-for-byte oracle
 //! (`render_site` / `render_about_page`): the property tests assert both
 //! paths produce identical HTML for every seed, category, language and
-//! brand, and the `render_arena` bench kernel measures the arena against
-//! it.
+//! brand.
 
 use crate::brand::Brand;
 use crate::category::SiteCategory;

@@ -5,8 +5,7 @@
 //! site into the warm arena must perform **zero** heap allocations, and
 //! handing the finished page to `PageBody` interning must cost exactly the
 //! single final copy. A counting global allocator pins both — and pins
-//! that the retained `format!` oracle still pays per-block churn, which is
-//! what the `render_arena` bench kernel measures against.
+//! that the retained `format!` oracle still pays per-block churn.
 //!
 //! Everything lives in one `#[test]` so the process-global counter is not
 //! polluted by a sibling test thread.
@@ -104,8 +103,7 @@ fn warm_arena_renders_without_allocating() {
         "interning must cost exactly the final copy, got {intern_allocs} allocations"
     );
 
-    // The retained format! oracle pays per-block churn on every render —
-    // the gap the render_arena bench kernel reports.
+    // The retained format! oracle pays per-block churn on every render.
     let (oracle_allocs, oracle) = allocs_during(|| {
         let mut rng = Xoshiro256StarStar::new(42);
         render_site(&domain, &brand, category, language, &mut rng)

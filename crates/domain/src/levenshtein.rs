@@ -5,9 +5,9 @@
 //! primary's SLD, finding a median distance of 7 for associated sites and
 //! concluding that SLD similarity is not a reliable relatedness signal.
 //!
-//! The distance here is the hot primitive of that sweep (and of the
-//! SLD-classifier ablation), so it is engineered for the shape of the real
-//! inputs — short, almost always ASCII domain labels:
+//! The distance here is the hot primitive of that sweep, so it is
+//! engineered for the shape of the real inputs — short, almost always
+//! ASCII domain labels:
 //!
 //! * **ASCII fast path** — ASCII inputs run the DP directly over bytes,
 //!   skipping `char` decoding entirely;

@@ -5,8 +5,7 @@
 //! Figure 3, plus qualitative observations about shared stems
 //! (`autobild.de` ↔ `bild.de`) and identical SLDs across gTLDs
 //! (`poalim.xyz` ↔ `poalim.site`). This module packages those comparisons
-//! into a single [`SldComparison`] record so the analysis layer and the
-//! SLD-similarity ablation bench can reuse them.
+//! into a single [`SldComparison`] record the analysis layer reuses.
 
 use crate::levenshtein::{levenshtein, levenshtein_bounded, normalized_levenshtein};
 use crate::name::DomainName;
@@ -111,7 +110,7 @@ impl SldComparison {
     /// A crude automated "relatedness" verdict from SLD similarity alone:
     /// related if the SLDs are identical, share a stem, or sit within the
     /// given edit-distance threshold. The paper argues this is *not* a
-    /// reliable signal; the ablation bench quantifies how unreliable.
+    /// reliable signal.
     pub fn predicts_related(&self, max_edit_distance: usize) -> bool {
         self.identical_sld || self.shares_stem || self.edit_distance <= max_edit_distance
     }

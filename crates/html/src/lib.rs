@@ -43,4 +43,4 @@ pub use similarity::{
     html_similarity, structural_similarity, style_similarity, DocumentProfile, HtmlSimilarity,
     ProfileScratch, SimilarityWeights,
 };
-pub use tokenizer::{tokenize, RawAttrs, StreamToken, Token, Tokens, TokensFind};
+pub use tokenizer::{tokenize, RawAttrs, StreamToken, Token, Tokens};

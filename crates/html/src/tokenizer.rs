@@ -514,15 +514,6 @@ fn lowercase_cow(s: &str) -> Cow<'_, str> {
     }
 }
 
-/// The frozen per-byte uppercase probe, kept for [`TokensFind`].
-fn lowercase_cow_scalar(s: &str) -> Cow<'_, str> {
-    if s.bytes().any(|b| b.is_ascii_uppercase()) {
-        Cow::Owned(s.to_ascii_lowercase())
-    } else {
-        Cow::Borrowed(s)
-    }
-}
-
 /// Collapse whitespace in a text run, borrowing when the trimmed slice is
 /// already collapsed (single spaces only). Returns `None` for
 /// whitespace-only runs, which produce no token. A word-at-a-time probe
@@ -536,15 +527,6 @@ fn collapse_text(raw: &str) -> Option<Cow<'_, str>> {
     }
     if is_collapsed_ascii(trimmed.as_bytes()) {
         return Some(Cow::Borrowed(trimmed));
-    }
-    Some(collapse_trimmed_scalar(trimmed))
-}
-
-/// The frozen per-char collapse, kept for [`TokensFind`].
-fn collapse_text_scalar(raw: &str) -> Option<Cow<'_, str>> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return None;
     }
     Some(collapse_trimmed_scalar(trimmed))
 }
@@ -589,19 +571,6 @@ fn find_close_marker(haystack: &str, name: &str) -> Option<usize> {
         j = p + 1;
     }
     None
-}
-
-/// The frozen per-position close-marker scan, kept for [`TokensFind`].
-fn find_close_marker_scalar(haystack: &str, name: &str) -> Option<usize> {
-    let hb = haystack.as_bytes();
-    let nb = name.as_bytes();
-    let total = nb.len() + 2;
-    if hb.len() < total {
-        return None;
-    }
-    (0..=hb.len() - total).find(|&p| {
-        hb[p] == b'<' && hb[p + 1] == b'/' && hb[p + 2..p + 2 + nb.len()].eq_ignore_ascii_case(nb)
-    })
 }
 
 /// End of a comment opened at `open` (the index of its `<`): the index just
@@ -816,129 +785,6 @@ impl<'a> Iterator for Tokens<'a> {
     }
 }
 
-/// The PR-5 `str::find`-based streaming tokenizer, frozen as the baseline
-/// the `tokenizer_swar` bench kernel is measured against (and a third
-/// differential oracle for the property tests). Token-for-token equivalent
-/// to [`Tokens`] and [`tokenize`]; do not optimise this type.
-#[derive(Debug, Clone)]
-pub struct TokensFind<'a> {
-    html: &'a str,
-    i: usize,
-    pending_close: Option<Cow<'a, str>>,
-}
-
-impl<'a> TokensFind<'a> {
-    /// Start streaming tokens from a document.
-    pub fn new(html: &'a str) -> TokensFind<'a> {
-        TokensFind {
-            html,
-            i: 0,
-            pending_close: None,
-        }
-    }
-}
-
-impl<'a> Iterator for TokensFind<'a> {
-    type Item = StreamToken<'a>;
-
-    fn next(&mut self) -> Option<StreamToken<'a>> {
-        if let Some(name) = self.pending_close.take() {
-            return Some(StreamToken::Close { name });
-        }
-        let html = self.html;
-        let bytes = html.as_bytes();
-        let len = bytes.len();
-        while self.i < len {
-            let i = self.i;
-            if bytes[i] == b'<' {
-                // Comment?
-                if html[i..].starts_with("<!--") {
-                    match html[i + 4..].find("-->") {
-                        Some(end) => self.i = i + 4 + end + 3,
-                        None => self.i = len,
-                    }
-                    continue;
-                }
-                // Doctype or other declaration?
-                if html[i..].starts_with("<!") || html[i..].starts_with("<?") {
-                    match html[i..].find('>') {
-                        Some(end) => self.i = i + end + 1,
-                        None => self.i = len,
-                    }
-                    continue;
-                }
-                // Find the end of the tag.
-                let Some(rel_end) = html[i..].find('>') else {
-                    // Unterminated tag: treat the rest as text.
-                    self.i = len;
-                    return collapse_text_scalar(&html[i..]).map(StreamToken::Text);
-                };
-                let tag_body = &html[i + 1..i + rel_end];
-                self.i = i + rel_end + 1;
-                if tag_body.is_empty() {
-                    continue;
-                }
-                if let Some(name) = tag_body.strip_prefix('/') {
-                    let name = name.trim();
-                    if name.is_empty() {
-                        continue;
-                    }
-                    return Some(StreamToken::Close {
-                        name: lowercase_cow_scalar(name),
-                    });
-                }
-                let body = tag_body.trim();
-                let (body, explicit_self_close) = match body.strip_suffix('/') {
-                    Some(rest) => (rest.trim(), true),
-                    None => (body, false),
-                };
-                let mut name_end = body.len();
-                for (idx, c) in body.char_indices() {
-                    if c.is_whitespace() {
-                        name_end = idx;
-                        break;
-                    }
-                }
-                if name_end == 0 {
-                    continue;
-                }
-                let name = lowercase_cow_scalar(&body[..name_end]);
-                let attributes = RawAttrs {
-                    raw: &body[name_end..],
-                };
-                let self_closing = explicit_self_close || VOID_ELEMENTS.contains(&name.as_ref());
-                let is_raw_text = RAW_TEXT_ELEMENTS.contains(&name.as_ref());
-                // Skip the raw content of <script>/<style> up to the
-                // matching closing tag, queueing the Close token.
-                if is_raw_text && !self_closing {
-                    match find_close_marker_scalar(&html[self.i..], name.as_ref()) {
-                        Some(rel) => {
-                            self.i += rel;
-                            if let Some(end) = html[self.i..].find('>') {
-                                self.pending_close = Some(name.clone());
-                                self.i += end + 1;
-                            }
-                        }
-                        // Unterminated raw-text element: consume to the end.
-                        None => self.i = len,
-                    }
-                }
-                return Some(StreamToken::Open {
-                    name,
-                    attributes,
-                    self_closing,
-                });
-            }
-            let next_tag = html[i..].find('<').map(|o| i + o).unwrap_or(len);
-            self.i = next_tag;
-            if let Some(text) = collapse_text_scalar(&html[i..next_tag]) {
-                return Some(StreamToken::Text(text));
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1092,8 +938,6 @@ mod tests {
             let owned = tokenize(html);
             let streamed: Vec<Token> = Tokens::new(html).map(|t| t.to_token()).collect();
             assert_eq!(streamed, owned, "SWAR stream divergence on {html:?}");
-            let baseline: Vec<Token> = TokensFind::new(html).map(|t| t.to_token()).collect();
-            assert_eq!(baseline, owned, "find baseline divergence on {html:?}");
         }
     }
 

@@ -86,12 +86,12 @@ pub use report::{LoadReport, VendorTally};
 pub use scale::LoadScale;
 pub use target::LoadTarget;
 
-// Resilience knobs, re-exported so load consumers (tests, benches) can
+// Resilience knobs, re-exported so load consumers (tests, the benchmark) can
 // configure weather without depending on rws-net directly.
 pub use rws_net::{FaultPlan, FaultScale, FetchSession, RetryPolicy};
 
 // Supervision and checkpointing vocabulary, re-exported for the same
-// reason: tests and benches configure salvage runs and sinks through the
+// reason: tests configure salvage runs and sinks through the
 // load crate alone.
 pub use rws_engine::{SupervisionPolicy, SupervisionReport};
 pub use rws_stats::{CheckpointSink, FileSink, MemorySink};

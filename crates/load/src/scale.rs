@@ -5,9 +5,9 @@ use serde::{Deserialize, Serialize};
 /// How much traffic a load run generates.
 ///
 /// Mirrors `rws_survey::SurveyScale`: a small base configuration plus a
-/// [`times`](LoadScale::times) multiplier for scaled benches, so tests run
-/// in milliseconds while the bench trajectory replays hundreds of
-/// thousands of requests from the same code path.
+/// [`times`](LoadScale::times) multiplier, so tests run in milliseconds
+/// while the benchmark's 12k-client fleet (`smoke().times(50)`) replays
+/// over a hundred thousand requests from the same code path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoadScale {
     /// Number of simulated browser clients.

@@ -40,8 +40,7 @@ use std::collections::HashMap;
 pub const DEFAULT_RETRY_BUDGET: u32 = 64;
 
 /// How hostile the injected weather is. Mirrors `SurveyScale`/`LoadScale`:
-/// a couple of named base configurations plus a multiplier for scaled
-/// benches.
+/// a couple of named base configurations plus a multiplier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultScale {
     /// Per-mille probability that a given `(host, burst window)` is

@@ -3,11 +3,10 @@
 use crate::error::NetError;
 use crate::fault::{FaultInjector, FaultPlan, FetchSession};
 use crate::headers::HeaderMap;
-use crate::message::{Method, Request, Response, StatusCode};
+use crate::message::{Method, Response, StatusCode};
 use crate::url::Url;
 use crate::web::{PageContent, ServedPage, SimulatedWeb};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use rws_stats::Rng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -133,14 +132,9 @@ impl<T> FetchOutcome<T> {
     pub fn is_degraded(&self) -> bool {
         self.result.is_ok() && self.attempts > 1
     }
-
-    /// Unwrap into the plain result, discarding the retry accounting.
-    pub fn into_result(self) -> Result<T, NetError> {
-        self.result
-    }
 }
 
-/// Number of counter shards backing the default (unlogged) request tally.
+/// Number of counter shards backing the request tally.
 const COUNTER_SHARDS: usize = 16;
 
 /// One cache line per counter so clones incrementing different shards never
@@ -165,8 +159,21 @@ struct CounterShards {
 }
 
 impl CounterShards {
+    /// A fresh family of counters; shard 0 goes to the original fetcher,
+    /// clones take 1, 2, ... round-robin.
+    fn fresh() -> Arc<CounterShards> {
+        let shards = Arc::new(CounterShards::default());
+        shards.next.store(1, Ordering::Relaxed);
+        shards
+    }
+
     fn assign(&self) -> usize {
         self.next.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS
+    }
+
+    #[inline]
+    fn note(&self, shard: usize) {
+        self.counts[shard].value.fetch_add(1, Ordering::Relaxed);
     }
 
     fn total(&self) -> u64 {
@@ -177,68 +184,20 @@ impl CounterShards {
     }
 }
 
-/// Where issued requests are accounted: the default path counts them on a
-/// sharded atomic (no global lock, no per-hop `Request` construction); the
-/// opt-in path ([`Fetcher::with_request_log`]) keeps the full log behind a
-/// mutex for tests and small crawls that want to inspect traffic.
-#[derive(Debug)]
-enum RequestSink {
-    Count {
-        shards: Arc<CounterShards>,
-        shard: usize,
-    },
-    Log(Arc<Mutex<Vec<Request>>>),
-}
-
-impl RequestSink {
-    fn fresh_counting() -> RequestSink {
-        let shards = Arc::new(CounterShards::default());
-        // Shard 0 goes to the original; clones take 1, 2, ... round-robin.
-        shards.next.store(1, Ordering::Relaxed);
-        RequestSink::Count { shards, shard: 0 }
-    }
-
-    /// The sink a cloned fetcher gets: same family-wide accounting, own
-    /// preferred shard so concurrent clones do not contend.
-    fn fork(&self) -> RequestSink {
-        match self {
-            RequestSink::Count { shards, .. } => RequestSink::Count {
-                shards: Arc::clone(shards),
-                shard: shards.assign(),
-            },
-            RequestSink::Log(log) => RequestSink::Log(Arc::clone(log)),
-        }
-    }
-
-    #[inline]
-    fn note(&self, method: Method, url: &Url) {
-        match self {
-            RequestSink::Count { shards, shard } => {
-                shards.counts[*shard].value.fetch_add(1, Ordering::Relaxed);
-            }
-            RequestSink::Log(log) => log.lock().push(Request {
-                method,
-                url: url.clone(),
-                headers: HeaderMap::new(),
-            }),
-        }
-    }
-}
-
 /// A deterministic HTTP client over a [`SimulatedWeb`].
 ///
 /// The fetcher counts every request it issues (including redirect hops) on
 /// a lock-free sharded counter shared by all of its clones, so experiments
-/// can report crawl sizes from any copy. Full per-request logging — every
-/// hop materialised as a [`Request`] behind a mutex — is opt-in via
-/// [`Fetcher::with_request_log`], because under concurrent load that one
-/// process-wide lock is exactly the contention the load engine exists to
-/// measure.
+/// can report crawl sizes from any copy without a process-wide lock on the
+/// load engine's hot path.
 #[derive(Debug)]
 pub struct Fetcher {
     web: SimulatedWeb,
     policy: FetchPolicy,
-    sink: RequestSink,
+    /// Request tally shared by every clone.
+    requests: Arc<CounterShards>,
+    /// This clone's preferred counter in `requests`.
+    shard: usize,
     /// Shared by every clone; injection additionally requires the caller to
     /// pass a [`FetchSession`] (the session-aware entry points), so plain
     /// `get`/`head` stay on the zero-overhead path even when an injector is
@@ -252,7 +211,8 @@ impl Clone for Fetcher {
         Fetcher {
             web: self.web.clone(),
             policy: self.policy,
-            sink: self.sink.fork(),
+            requests: Arc::clone(&self.requests),
+            shard: self.requests.assign(),
             faults: self.faults.clone(),
             retry: self.retry,
         }
@@ -270,7 +230,8 @@ impl Fetcher {
         Fetcher {
             web,
             policy,
-            sink: RequestSink::fresh_counting(),
+            requests: CounterShards::fresh(),
+            shard: 0,
             faults: None,
             retry: RetryPolicy::none(),
         }
@@ -310,15 +271,6 @@ impl Fetcher {
         self.retry
     }
 
-    /// Switch this fetcher (and every clone made from it afterwards) to
-    /// full request logging: each hop is recorded as a [`Request`] in a
-    /// shared log readable via [`request_log`](Fetcher::request_log).
-    /// Counts issued before the switch are discarded.
-    pub fn with_request_log(mut self) -> Fetcher {
-        self.sink = RequestSink::Log(Arc::new(Mutex::new(Vec::new())));
-        self
-    }
-
     /// The policy in force.
     pub fn policy(&self) -> FetchPolicy {
         self.policy
@@ -332,20 +284,7 @@ impl Fetcher {
     /// Number of requests issued so far (including redirect hops) by this
     /// fetcher and every clone sharing its accounting.
     pub fn requests_issued(&self) -> usize {
-        match &self.sink {
-            RequestSink::Count { shards, .. } => shards.total() as usize,
-            RequestSink::Log(log) => log.lock().len(),
-        }
-    }
-
-    /// A copy of the request log, or `None` unless this fetcher was built
-    /// with [`with_request_log`](Fetcher::with_request_log) — the default
-    /// path never materialises requests or takes a lock.
-    pub fn request_log(&self) -> Option<Vec<Request>> {
-        match &self.sink {
-            RequestSink::Count { .. } => None,
-            RequestSink::Log(log) => Some(log.lock().clone()),
-        }
+        self.requests.total() as usize
     }
 
     /// GET a URL, following redirects per policy. Session-less: never
@@ -382,12 +321,12 @@ impl Fetcher {
 
     /// A single session-aware GET attempt: the session's per-host ordinals
     /// advance, and the installed fault injector (if any) may fault it.
-    pub fn get_once(&self, url: &Url, session: &mut FetchSession) -> Result<Response, NetError> {
+    fn get_once(&self, url: &Url, session: &mut FetchSession) -> Result<Response, NetError> {
         self.execute(Method::Get, url, Some(session))
     }
 
     /// A single session-aware HEAD attempt.
-    pub fn head_once(&self, url: &Url, session: &mut FetchSession) -> Result<Response, NetError> {
+    fn head_once(&self, url: &Url, session: &mut FetchSession) -> Result<Response, NetError> {
         self.execute(Method::Head, url, Some(session))
     }
 
@@ -477,7 +416,7 @@ impl Fetcher {
                     url: current.to_string(),
                 });
             }
-            self.sink.note(method, &current);
+            self.requests.note(self.shard);
 
             // The fault overlay fires only when an injector is installed
             // AND the caller supplied a session (the ordinal source): one
@@ -755,23 +694,11 @@ mod tests {
     }
 
     #[test]
-    fn request_logging_is_opt_in() {
-        // Default path: counted, never logged — request_log() has nothing
-        // to return because no Request was materialised and no lock taken.
+    fn every_redirect_hop_is_counted() {
         let fetcher = Fetcher::new(web_with_example());
         let url = Url::parse("https://example.com/old").unwrap();
         fetcher.get(&url).unwrap();
         assert_eq!(fetcher.requests_issued(), 2); // redirect hop + landing
-        assert_eq!(fetcher.request_log(), None);
-
-        // Opt-in path: every hop materialised in order.
-        let logged = Fetcher::new(web_with_example()).with_request_log();
-        logged.get(&url).unwrap();
-        let log = logged.request_log().expect("opt-in log present");
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].url.path, "/old");
-        assert_eq!(log[1].url.path, "/");
-        assert_eq!(logged.requests_issued(), 2);
     }
 
     #[test]
@@ -786,12 +713,6 @@ mod tests {
         // individual increments landed on.
         assert_eq!(fetcher.requests_issued(), 3);
         assert_eq!(clone.requests_issued(), 3);
-
-        // Logged fetchers keep sharing the log across clones.
-        let logged = Fetcher::new(web_with_example()).with_request_log();
-        logged.clone().get(&url).unwrap();
-        logged.get(&url).unwrap();
-        assert_eq!(logged.request_log().unwrap().len(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! * [`Url`] — a small, strict URL type (scheme, host, port, path, query)
 //!   restricted to the `http`/`https` schemes the study needs;
-//! * [`Request`]/[`Response`]/[`HeaderMap`]/[`StatusCode`] — an HTTP message
+//! * [`Method`]/[`Response`]/[`HeaderMap`]/[`StatusCode`] — an HTTP message
 //!   model sufficient for header- and status-level validation;
 //! * [`SimulatedWeb`] — a registry mapping hosts to [`SiteHost`]s with
 //!   routable paths, redirects, latency and failure injection; page bodies
@@ -17,7 +17,7 @@
 //!   registry into a [`FrozenWeb`], the one frozen page store: N ≥ 1
 //!   FNV-routed shards, lock-free and borrow-friendly to read;
 //! * [`Fetcher`] — a client with redirect following, HTTPS enforcement and
-//!   a request log, which is what the validation bot and corpus crawler use;
+//!   a request count, which is what the validation bot and corpus crawler use;
 //! * [`FaultPlan`]/[`FaultInjector`] — deterministic transient-fault
 //!   injection (refusals, latency spikes, 5xx bursts, truncated bodies,
 //!   redirect storms) derived purely from `(seed, host, request ordinal)`,
@@ -56,7 +56,7 @@ pub use error::NetError;
 pub use fault::{Fault, FaultInjector, FaultPlan, FaultScale, FetchSession};
 pub use fetcher::{FetchOutcome, FetchPolicy, Fetcher, RetryPolicy};
 pub use headers::HeaderMap;
-pub use message::{Method, Request, Response, StatusCode};
+pub use message::{Method, Response, StatusCode};
 pub use store::{FrozenWeb, StoreStats};
 pub use url::Url;
 pub use web::{LatencyModel, PageBody, PageContent, ServedPage, SimulatedWeb, SiteHost};

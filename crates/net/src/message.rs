@@ -1,4 +1,4 @@
-//! HTTP request/response messages and status codes.
+//! HTTP methods, responses and status codes.
 
 use crate::headers::HeaderMap;
 use crate::url::Url;
@@ -72,37 +72,6 @@ impl fmt::Display for StatusCode {
     }
 }
 
-/// An HTTP request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    /// Request method.
-    pub method: Method,
-    /// Target URL.
-    pub url: Url,
-    /// Request headers.
-    pub headers: HeaderMap,
-}
-
-impl Request {
-    /// Build a GET request for a URL.
-    pub fn get(url: Url) -> Request {
-        Request {
-            method: Method::Get,
-            url,
-            headers: HeaderMap::new(),
-        }
-    }
-
-    /// Build a HEAD request for a URL.
-    pub fn head(url: Url) -> Request {
-        Request {
-            method: Method::Head,
-            url,
-            headers: HeaderMap::new(),
-        }
-    }
-}
-
 /// An HTTP response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
@@ -170,14 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn request_constructors() {
-        let url = Url::parse("https://example.com/x").unwrap();
-        let get = Request::get(url.clone());
-        assert_eq!(get.method, Method::Get);
-        assert_eq!(get.method.to_string(), "GET");
-        let head = Request::head(url);
-        assert_eq!(head.method, Method::Head);
-        assert_eq!(head.method.to_string(), "HEAD");
+    fn method_display() {
+        assert_eq!(Method::Get.to_string(), "GET");
+        assert_eq!(Method::Head.to_string(), "HEAD");
     }
 
     #[test]

@@ -27,8 +27,8 @@ use crate::web::{PageBody, ServedPage, SimulatedWeb, SiteHost};
 /// One shard's host table.
 type Shard = HashMap<DomainName, SiteHost>;
 
-/// Size accounting for one frozen shard, used by the bench trajectory's
-/// per-shard memory block. `body_bytes` counts the interned page
+/// Size accounting for one frozen shard, summed into the benchmark's
+/// `corpus.body_bytes` metric. `body_bytes` counts the interned page
 /// payloads — because bodies are interned `Bytes`, two stores sharing
 /// hosts share those buffers and the sum is an upper bound on exclusive
 /// ownership.
@@ -184,8 +184,7 @@ impl FrozenWeb {
         Arc::ptr_eq(&self.shards, &other.shards)
     }
 
-    /// Per-shard size accounting, in shard order — the numbers behind the
-    /// bench trajectory's flat-per-shard-memory claim.
+    /// Per-shard size accounting, in shard order.
     pub fn shard_stats(&self) -> Vec<StoreStats> {
         self.shards
             .iter()

@@ -11,7 +11,7 @@
 //!
 //! The corpus is write-once, read-hundreds-of-times: every page is rendered
 //! exactly once during generation and then re-read by the classifier, the
-//! Figure 4 similarity sweeps, the validation bot and the benches. The
+//! Figure 4 similarity sweeps, the validation bot and the load engine. The
 //! storage layer therefore follows the standard read-mostly-snapshot
 //! design:
 //!
@@ -230,8 +230,8 @@ impl PageContent {
 ///
 /// Latency is *simulated*: it is reported on the [`Response`] rather than
 /// slept, so experiments remain fast and reproducible. The model is a base
-/// cost plus a per-kilobyte transfer cost, which is enough to drive the
-/// fetch-budget ablations.
+/// cost plus a per-kilobyte transfer cost, which is enough to drive fetch
+/// deadlines and the load engine's latency histograms.
 ///
 /// [`Response`]: crate::message::Response
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

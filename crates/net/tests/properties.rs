@@ -75,11 +75,13 @@ proptest! {
         prop_assert_eq!(resp.status, StatusCode::OK);
         prop_assert_eq!(resp.redirects_followed, hops);
         prop_assert_eq!(resp.body_text(), "final destination".to_string());
+        // Every redirect hop is a request on the wire, plus the landing.
+        prop_assert_eq!(fetcher.requests_issued(), hops + 1);
     }
 
-    /// The request log grows by exactly the number of hops taken.
+    /// The request count accumulates across repeated GETs.
     #[test]
-    fn request_log_counts_hops(host in host_name(), requests in 1usize..10) {
+    fn requests_issued_accumulates_across_gets(host in host_name(), requests in 1usize..10) {
         let mut web = SimulatedWeb::new();
         let mut site = SiteHost::new(&host).unwrap();
         site.add_page("/", "home");

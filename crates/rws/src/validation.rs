@@ -204,18 +204,10 @@ impl ValidationReport {
     }
 }
 
-/// Configuration for which checks run. The full set mirrors the real bot;
-/// the flags exist so ablation benches can price individual checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Validator configuration. Every check the real bot runs always runs;
+/// the configuration only chooses how `.well-known` failures are judged.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ValidatorConfig {
-    /// Check that every member is an eTLD+1.
-    pub check_etld_plus_one: bool,
-    /// Fetch and cross-check every member's well-known file.
-    pub check_well_known: bool,
-    /// Check `X-Robots-Tag` on service sites.
-    pub check_service_robots: bool,
-    /// Check that associated/service members carry rationales.
-    pub check_rationales: bool,
     /// Distinguish transient from persistent `.well-known` failure: retry
     /// retryable fetch errors with backoff
     /// ([`RetryPolicy::standard`]) and report survivors as
@@ -223,18 +215,6 @@ pub struct ValidatorConfig {
     /// instead of failing it. Off by default so the Table 3 governance
     /// replay counts are unperturbed.
     pub recheck_transient: bool,
-}
-
-impl Default for ValidatorConfig {
-    fn default() -> Self {
-        ValidatorConfig {
-            check_etld_plus_one: true,
-            check_well_known: true,
-            check_service_robots: true,
-            check_rationales: true,
-            recheck_transient: false,
-        }
-    }
 }
 
 /// The automated set validator.
@@ -278,7 +258,7 @@ impl SetValidator {
     }
 
     /// Install a fault injector on the validator's fetcher — how the
-    /// resilience tests and benches expose the bot to transient weather.
+    /// resilience tests expose the bot to transient weather.
     pub fn with_fault_injector(mut self, injector: FaultInjector) -> SetValidator {
         self.fetcher.set_fault_injector(Some(injector));
         self
@@ -301,18 +281,10 @@ impl SetValidator {
         let mut issues = Vec::new();
         let fetches_before = self.fetcher.requests_issued();
 
-        if self.config.check_etld_plus_one {
-            self.check_etld_plus_one(set, &mut issues);
-        }
-        if self.config.check_rationales {
-            self.check_rationales(set, &mut issues);
-        }
-        if self.config.check_well_known {
-            self.check_well_known(set, &mut issues);
-        }
-        if self.config.check_service_robots {
-            self.check_service_robots(set, &mut issues);
-        }
+        self.check_etld_plus_one(set, &mut issues);
+        self.check_rationales(set, &mut issues);
+        self.check_well_known(set, &mut issues);
+        self.check_service_robots(set, &mut issues);
 
         let fetches = self.fetcher.requests_issued() - fetches_before;
         let outcome = if issues.is_empty() {
@@ -547,19 +519,28 @@ mod tests {
         .unwrap();
         // Empty web: well-known checks will also fail, but we only assert on
         // the eTLD+1 classes here.
-        let report = SetValidator::with_config(
-            SimulatedWeb::new(),
-            ValidatorConfig {
-                check_well_known: false,
-                check_service_robots: false,
-                ..ValidatorConfig::default()
-            },
-        )
-        .validate(&set);
-        let messages = report.bot_messages();
-        assert!(messages.contains(&"Primary site isn't an eTLD+1"));
-        assert!(messages.contains(&"Associated site isn't an eTLD+1"));
-        assert!(messages.contains(&"Alias site isn't an eTLD+1"));
+        let report = SetValidator::new(SimulatedWeb::new()).validate(&set);
+        let etld_messages: Vec<&str> = report
+            .issues
+            .iter()
+            .filter(|i| {
+                matches!(
+                    i,
+                    ValidationIssue::PrimarySiteNotEtldPlusOne { .. }
+                        | ValidationIssue::AssociatedSiteNotEtldPlusOne { .. }
+                        | ValidationIssue::AliasSiteNotEtldPlusOne { .. }
+                )
+            })
+            .map(ValidationIssue::bot_message)
+            .collect();
+        assert_eq!(
+            etld_messages,
+            vec![
+                "Primary site isn't an eTLD+1",
+                "Associated site isn't an eTLD+1",
+                "Alias site isn't an eTLD+1",
+            ]
+        );
     }
 
     #[test]
@@ -602,16 +583,13 @@ mod tests {
             .unwrap();
         set.add_associated_without_rationale("https://c-example.com")
             .unwrap();
-        let report = SetValidator::with_config(
-            SimulatedWeb::new(),
-            ValidatorConfig {
-                check_well_known: false,
-                check_service_robots: false,
-                check_etld_plus_one: false,
-                ..ValidatorConfig::default()
-            },
-        )
-        .validate(&set);
+        // Host every member correctly so the rationale check is the only
+        // one that fails.
+        let mut web = SimulatedWeb::new();
+        for member in ["a-example.com", "b-example.com", "c-example.com"] {
+            host_member(&mut web, member, &set, false);
+        }
+        let report = SetValidator::new(web).validate(&set);
         assert_eq!(report.issues.len(), 1);
         assert_eq!(
             report.bot_messages(),
@@ -619,11 +597,10 @@ mod tests {
         );
     }
 
-    /// The recheck-transient config: full checks plus degradation.
+    /// The recheck-transient config: transient failures degrade.
     fn recheck_config() -> ValidatorConfig {
         ValidatorConfig {
             recheck_transient: true,
-            ..ValidatorConfig::default()
         }
     }
 

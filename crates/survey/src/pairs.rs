@@ -31,8 +31,8 @@
 //! sweep compares integers instead of walking the list's `BTreeMap` index
 //! per pair, and the per-member sweeps fan out across the engine's pool.
 //! The original double loop is retained as
-//! [`PairGenerator::generate_naive`], the oracle the regression tests and
-//! the bench trajectory compare against.
+//! [`PairGenerator::generate_naive`], the oracle the regression tests
+//! compare against.
 
 use rws_classify::CategoryDatabase;
 use rws_corpus::{Corpus, SiteCategory, SiteRole};
@@ -173,9 +173,9 @@ impl PairUniverse {
 
 /// Scaling knobs for survey universes beyond the paper's 31 filtered sites
 /// and 30 sessions. [`SurveyScale::paper`] reproduces the study exactly;
-/// [`SurveyScale::times`] multiplies it for the scaled benchmarks (10–100×
-/// universes), padding the member pool with synthetic variants of the
-/// eligible members.
+/// [`SurveyScale::times`] multiplies it for scaled (10–100×) universes,
+/// padding the member pool with synthetic variants of the eligible
+/// members.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SurveyScale {
     /// Number of survey participants (paper: 30).
@@ -209,15 +209,6 @@ impl SurveyScale {
             participants: 30 * factor,
             member_multiplier: factor,
             ..SurveyScale::paper()
-        }
-    }
-
-    /// The runner configuration at this scale.
-    pub fn survey_config(&self, seed: u64) -> crate::runner::SurveyConfig {
-        crate::runner::SurveyConfig {
-            seed,
-            participants: self.participants,
-            pairs_per_group: self.pairs_per_group,
         }
     }
 }
@@ -445,8 +436,7 @@ impl<'a> PairGenerator<'a> {
     }
 
     /// The original double-loop generator, kept as the oracle the
-    /// regression tests and the bench trajectory compare the indexed
-    /// generator against: linear `members` scans in group 1, a
+    /// regression tests compare the indexed generator against: linear `members` scans in group 1, a
     /// `BTreeMap`-walking `are_related` per group-2 pair and two tree walks
     /// per group-3/4 pair.
     #[doc(hidden)]
