@@ -16,12 +16,17 @@
 //! identically whether it is interleaved on the event loop, run on a pool
 //! worker, or replayed alone. That independence is what makes the pooled
 //! and sequential aggregate reports equal field for field.
+//!
+//! A visit's site questions (the landing page's top site, the embedded
+//! third party, the `.well-known` probe's site) are answered from the
+//! run's [`SiteTable`], resolved once before the sweep, so the visit loop
+//! takes no resolver lock and bumps no shared counter.
 
 use crate::report::LoadReport;
 use crate::scale::LoadScale;
-use crate::target::LoadTarget;
+use crate::target::{LoadTarget, SiteTable};
 use rws_browser::{AccessRequest, StorageAccessPolicy, VendorPolicy};
-use rws_domain::{DomainName, SiteResolver};
+use rws_domain::DomainName;
 use rws_net::{well_known_path, FetchOutcome, FetchSession, Fetcher, NetError, Response, Url};
 use rws_stats::{Rng, Xoshiro256StarStar};
 
@@ -93,12 +98,14 @@ impl ClientState {
     }
 
     /// Run one visit (page fetch, optional `.well-known` probe, think
-    /// time). Returns `true` while the session has more visits to run.
+    /// time), reading sites from `sites` (the run's
+    /// [`LoadTarget::sites`]). Returns `true` while the session has more
+    /// visits to run.
     pub fn step(
         &mut self,
         scale: &LoadScale,
         target: &LoadTarget,
-        resolver: &SiteResolver,
+        sites: &SiteTable,
         fetcher: &Fetcher,
         report: &mut LoadReport,
     ) -> bool {
@@ -127,14 +134,14 @@ impl ClientState {
             if resp.status.is_success() {
                 // The landing host (after redirects) is the page the
                 // user is on; decide partitioning there.
-                let top_site = resolver.site_or_self(&resp.url.host);
-                self.decide_partitioning(&top_site, target, resolver, report);
+                let top_site = sites.site_or_self(&resp.url.host);
+                self.decide_partitioning(&top_site, target, sites, report);
                 self.note_visited(top_site);
             }
         }
 
         if self.rng.chance(P_WELL_KNOWN) {
-            self.probe_well_known(&host, resolver, fetcher, report);
+            self.probe_well_known(&host, sites, fetcher, report);
         }
 
         let think = self
@@ -150,11 +157,11 @@ impl ClientState {
     fn probe_well_known(
         &mut self,
         host: &DomainName,
-        resolver: &SiteResolver,
+        sites: &SiteTable,
         fetcher: &Fetcher,
         report: &mut LoadReport,
     ) {
-        let site = resolver.site_or_self(host);
+        let site = sites.site_or_self(host);
         let url = well_known_path(&site);
         let connect_cost = self.connect(&site, report);
         report.well_known_probes += 1;
@@ -247,7 +254,7 @@ impl ClientState {
         &mut self,
         top_site: &DomainName,
         target: &LoadTarget,
-        resolver: &SiteResolver,
+        sites: &SiteTable,
         report: &mut LoadReport,
     ) {
         let embedded_site = if !self.visited_sites.is_empty() && self.rng.chance(P_EMBED_VISITED) {
@@ -255,7 +262,7 @@ impl ClientState {
             self.visited_sites[i].clone()
         } else {
             let i = self.rng.range_usize(0, target.hosts().len());
-            resolver.site_or_self(&target.hosts()[i])
+            sites.site_or_self(&target.hosts()[i])
         };
         let has_prior_interaction = self.has_interacted_with(&embedded_site, target);
         let request = AccessRequest {
@@ -279,8 +286,7 @@ impl ClientState {
         target
             .list()
             .set_for(site)
-            .map(|set| set.domains().iter().any(|d| self.visited_sites.contains(d)))
-            .unwrap_or(false)
+            .is_some_and(|set| self.visited_sites.iter().any(|v| set.contains(v)))
     }
 
     fn note_visited(&mut self, site: DomainName) {

@@ -3,7 +3,7 @@
 use crate::client::ClientState;
 use crate::report::LoadReport;
 use crate::scale::LoadScale;
-use crate::target::LoadTarget;
+use crate::target::{LoadTarget, SiteTable};
 use rws_domain::SiteResolver;
 use rws_engine::EngineContext;
 use rws_net::Fetcher;
@@ -48,7 +48,9 @@ pub struct LoadCheckpoint {
 /// Equality holds because clients are fully independent (per-client rng
 /// streams, per-client simulated clocks) and every aggregate is an
 /// order-independent integer merge; the property tests pin it across
-/// seeds and forced multi-worker pools.
+/// seeds and forced multi-worker pools. Both paths resolve the target's
+/// hosts once, before any client runs ([`LoadTarget::sites`]), so a run
+/// asks the resolver at most once per served host.
 #[derive(Debug)]
 pub struct LoadEngine {
     target: LoadTarget,
@@ -146,7 +148,7 @@ impl LoadEngine {
         start_chunk: usize,
         mut merged: LoadReport,
     ) -> LoadReport {
-        let resolver = ctx.resolver();
+        let sites = self.target.sites(ctx.resolver());
         let chunks = self.chunk_spans();
         let every = every.max(1);
         let mut next = start_chunk.min(chunks.len());
@@ -156,7 +158,7 @@ impl LoadEngine {
             let (partials, sweep) =
                 ctx.par_map_sweep_at("load-chunk", next, window, |_, &(lo, hi)| {
                     let worker_fetcher = self.target.fetcher();
-                    let mut partial = self.run_chunk(seed, lo, hi, resolver, &worker_fetcher);
+                    let mut partial = self.run_chunk(seed, lo, hi, &sites, &worker_fetcher);
                     partial.wire_requests = worker_fetcher.requests_issued() as u64;
                     partial
                 });
@@ -188,7 +190,7 @@ impl LoadEngine {
         seed: u64,
         lo: u32,
         hi: u32,
-        resolver: &SiteResolver,
+        sites: &SiteTable,
         fetcher: &Fetcher,
     ) -> LoadReport {
         let mut report = LoadReport::new();
@@ -205,7 +207,7 @@ impl LoadEngine {
         }
         while let Some(Reverse((_, slot))) = heap.pop() {
             let st = &mut states[slot as usize];
-            if st.step(&self.scale, &self.target, resolver, fetcher, &mut report) {
+            if st.step(&self.scale, &self.target, sites, fetcher, &mut report) {
                 heap.push(Reverse((st.clock(), slot)));
             } else {
                 report.sessions += 1;
@@ -220,12 +222,13 @@ impl LoadEngine {
     /// report [`run_on`](Self::run_on) produces on a context with the same
     /// resolver.
     pub fn replay_sequential_with(&self, seed: u64, resolver: &SiteResolver) -> LoadReport {
+        let sites = self.target.sites(resolver);
         let fetcher = self.target.fetcher();
         let mut report = LoadReport::new();
         for id in 0..self.scale.clients as u32 {
             let mut st = ClientState::new(seed, id, &self.scale);
             report.sim_start_ms = report.sim_start_ms.min(st.clock());
-            while st.step(&self.scale, &self.target, resolver, &fetcher, &mut report) {}
+            while st.step(&self.scale, &self.target, &sites, &fetcher, &mut report) {}
             report.sessions += 1;
             report.sim_end_ms = report.sim_end_ms.max(st.clock());
         }

@@ -84,7 +84,7 @@ pub mod target;
 pub use engine::{LoadCheckpoint, LoadEngine};
 pub use report::{LoadReport, VendorTally};
 pub use scale::LoadScale;
-pub use target::LoadTarget;
+pub use target::{LoadTarget, SiteTable};
 
 // Resilience knobs, re-exported so load consumers (tests, the benchmark) can
 // configure weather without depending on rws-net directly.

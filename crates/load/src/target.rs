@@ -1,12 +1,14 @@
 //! What a load run fetches: a frozen store plus redirect entry hosts.
 
 use rws_corpus::Corpus;
-use rws_domain::DomainName;
+use rws_domain::{DomainName, SiteResolver};
 use rws_model::RwsList;
 use rws_net::{
     FaultInjector, FaultPlan, FetchPolicy, Fetcher, FrozenWeb, PageContent, RetryPolicy,
     SimulatedWeb, SiteHost,
 };
+use rws_stats::memo::FnvBuildHasher;
+use std::collections::HashMap;
 
 /// Number of vanity entry hosts registered per target (bounded by the
 /// host-universe size).
@@ -25,7 +27,12 @@ const VANITY_HOSTS: usize = 48;
 /// [`SimulatedWeb::serve`]: it takes the web's `RwLock` read guard, finds
 /// the overlay empty, and reads the store shard-then-host.
 ///
+/// Clients never ask the resolver per visit. Once per run, [`sites`]
+/// resolves every host the store serves into an immutable [`SiteTable`],
+/// and the visit loop reads that table with no lock and no shared counter.
+///
 /// [`fetcher`]: LoadTarget::fetcher
+/// [`sites`]: LoadTarget::sites
 #[derive(Debug, Clone)]
 pub struct LoadTarget {
     /// The frozen store the run serves from: the corpus hosts plus the
@@ -141,6 +148,22 @@ impl LoadTarget {
         &self.list
     }
 
+    /// The site (eTLD+1) of every host the store serves — browsable and
+    /// vanity hosts — resolved once through `resolver`. A load run builds
+    /// this before its sweep and its clients read it on every visit.
+    pub fn sites(&self, resolver: &SiteResolver) -> SiteTable {
+        let sites = self
+            .hosts
+            .iter()
+            .chain(&self.vanity)
+            .map(|host| (host.clone(), resolver.site_or_self(host)))
+            .collect();
+        SiteTable {
+            sites,
+            resolver: resolver.clone(),
+        }
+    }
+
     /// A fresh fetcher over this target: default policy, unlogged (sharded
     /// atomic request accounting), its own counter family — so each run's
     /// `wire_requests` starts at zero.
@@ -151,6 +174,29 @@ impl LoadTarget {
             fetcher.set_fault_injector(Some(FaultInjector::new(plan)));
         }
         fetcher
+    }
+}
+
+/// Host → site answers for one load run, built by [`LoadTarget::sites`].
+///
+/// Read-only after construction, so pool workers share it by reference.
+/// A host outside the table (no host of a [`LoadTarget`] store is) falls
+/// back to the resolver, so answers always equal
+/// [`SiteResolver::site_or_self`].
+#[derive(Debug)]
+pub struct SiteTable {
+    sites: HashMap<DomainName, DomainName, FnvBuildHasher>,
+    resolver: SiteResolver,
+}
+
+impl SiteTable {
+    /// The site of `host`, or the host itself when it has no registrable
+    /// domain: the key browsers use for storage partitions.
+    pub fn site_or_self(&self, host: &DomainName) -> DomainName {
+        match self.sites.get(host) {
+            Some(site) => site.clone(),
+            None => self.resolver.site_or_self(host),
+        }
     }
 }
 
@@ -210,6 +256,29 @@ mod tests {
             assert_eq!(resp.redirects_followed, 1);
             assert!(target.hosts().contains(&resp.url.host));
         }
+    }
+
+    #[test]
+    fn site_table_agrees_with_the_resolver() {
+        let target = tiny_target();
+        let resolver = SiteResolver::embedded();
+        let sites = target.sites(&resolver);
+        let served = target.store.host_count() as u64;
+        assert_eq!(resolver.stats().hits + resolver.stats().misses, served);
+        let outside = DomainName::parse("www.elsewhere.co.uk").unwrap();
+        for host in target
+            .hosts()
+            .iter()
+            .chain(target.vanity())
+            .chain([&outside])
+        {
+            assert_eq!(sites.site_or_self(host), resolver.site_or_self(host));
+        }
+        // The table answered every served host itself: past the build,
+        // the resolver saw only the comparison lookups plus the
+        // outsider's fallback.
+        let after = resolver.stats();
+        assert_eq!(after.hits + after.misses, 2 * served + 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use rws_corpus::{CorpusConfig, CorpusGenerator};
-use rws_domain::SiteResolver;
+use rws_domain::{PublicSuffixList, SiteResolver};
 use rws_engine::EngineContext;
 use rws_load::{LoadEngine, LoadScale, LoadTarget};
 use rws_model::RwsList;
@@ -89,6 +89,52 @@ fn corpus_backed_equivalence_panel() {
         assert!(pooled.well_known_probes > 0);
         assert!(pooled.redirects_followed > 0);
     }
+}
+
+/// Sites are resolved once per run, not once per visit: on a corpus
+/// target every run (pooled, its sequential twin, the replay oracle)
+/// raises the resolver's lookup count by at most the number of hosts the
+/// store serves, and by the same amount on every path.
+#[test]
+fn runs_resolve_each_served_host_at_most_once() {
+    let engine = corpus_engine(23);
+    let served = engine
+        .target()
+        .sharded()
+        .expect("load targets have a store")
+        .host_count() as u64;
+    // A private resolver: the process-wide `SiteResolver::full()` handle is
+    // shared with the other tests of this binary, which run concurrently.
+    let resolver = SiteResolver::new(PublicSuffixList::full().clone());
+    let ctx = EngineContext::with_parts(ThreadPool::new(3), resolver.clone());
+    let lookups = || {
+        let stats = resolver.stats();
+        stats.hits + stats.misses
+    };
+    let mut deltas = Vec::new();
+    let mut reports = Vec::new();
+    for path in ["pooled", "sequential", "replay", "pooled again"] {
+        let before = lookups();
+        let report = match path {
+            "sequential" => engine.run_on(5, &ctx.sequential_twin()),
+            "replay" => engine.replay_sequential_with(5, &resolver),
+            _ => engine.run_on(5, &ctx),
+        };
+        let delta = lookups() - before;
+        assert!(
+            delta <= served,
+            "{path}: {delta} lookups for {served} hosts"
+        );
+        // The visit loop really does ask more site questions than that.
+        assert!(report.fetch_calls > served, "{path}");
+        deltas.push(delta);
+        reports.push(report);
+    }
+    assert!(
+        deltas.iter().all(|&d| d == deltas[0]),
+        "deltas differ: {deltas:?}"
+    );
+    assert!(reports.iter().all(|r| *r == reports[0]));
 }
 
 /// Forced multi-worker pool (the machine running CI may be single-core,

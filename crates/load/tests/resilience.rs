@@ -205,14 +205,14 @@ fn host_offline_mid_run_refuses_and_evicts_the_kept_alive_connection() {
         think_time_ms: 10,
         ramp_ms: 1,
     };
-    let resolver = SiteResolver::full();
+    let sites = target.sites(&SiteResolver::full());
 
     // Find a seed whose client visits plain hosts enough times in both
     // phases (every visit here hits solo.example; just need enough steps).
     let mut client = ClientState::new(3, 0, &scale);
     let mut before = LoadReport::new();
     for _ in 0..10 {
-        if !client.step(&scale, &target, &resolver, &fetcher, &mut before) {
+        if !client.step(&scale, &target, &sites, &fetcher, &mut before) {
             break;
         }
     }
@@ -230,7 +230,7 @@ fn host_offline_mid_run_refuses_and_evicts_the_kept_alive_connection() {
 
     let mut after = LoadReport::new();
     for _ in 0..10 {
-        if !client.step(&scale, &target, &resolver, &fetcher, &mut after) {
+        if !client.step(&scale, &target, &sites, &fetcher, &mut after) {
             break;
         }
     }

@@ -3,8 +3,9 @@
 use crate::error::SetError;
 use crate::set::{MemberRole, RwsSet};
 use rws_domain::DomainName;
+use rws_stats::memo::FnvBuildHasher;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// The Related Website Sets list — the browser-consumed artefact published
 /// as `related_website_sets.JSON`.
@@ -12,12 +13,32 @@ use std::collections::BTreeMap;
 /// The list maintains the invariant that no domain appears in more than one
 /// set, which is what makes the browser-side lookup ("are these two sites in
 /// the same set?") well-defined.
+///
+/// The wire form is `{"sets": [...]}`. Deserialising goes through
+/// [`from_sets`](RwsList::from_sets), so a parsed list has its member
+/// index and overlapping sets are a [`SetError`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "ListRepr")]
 pub struct RwsList {
     sets: Vec<RwsSet>,
-    /// Index from member domain to position in `sets`.
+    /// Index from member domain to position in `sets`. Hashed with FNV:
+    /// every browser-side relatedness check is two lookups here.
     #[serde(skip)]
-    index: BTreeMap<DomainName, usize>,
+    index: HashMap<DomainName, usize, FnvBuildHasher>,
+}
+
+/// The serialised shape of an [`RwsList`]: its sets alone.
+#[derive(Deserialize)]
+struct ListRepr {
+    sets: Vec<RwsSet>,
+}
+
+impl TryFrom<ListRepr> for RwsList {
+    type Error = SetError;
+
+    fn try_from(repr: ListRepr) -> Result<RwsList, SetError> {
+        RwsList::from_sets(repr.sets)
+    }
 }
 
 impl RwsList {
@@ -38,30 +59,17 @@ impl RwsList {
     /// Add a set, enforcing that none of its members already belong to
     /// another set.
     pub fn add_set(&mut self, set: RwsSet) -> Result<(), SetError> {
-        for domain in set.domains() {
-            if self.index.contains_key(&domain) {
-                return Err(SetError::MemberInMultipleSets {
-                    domain: domain.to_string(),
-                });
-            }
+        let domains = set.domains();
+        if let Some(domain) = domains.iter().find(|d| self.index.contains_key(*d)) {
+            return Err(SetError::MemberInMultipleSets {
+                domain: domain.to_string(),
+            });
         }
         let idx = self.sets.len();
-        for domain in set.domains() {
-            self.index.insert(domain, idx);
-        }
+        self.index
+            .extend(domains.into_iter().map(|domain| (domain, idx)));
         self.sets.push(set);
         Ok(())
-    }
-
-    /// Rebuild the domain index (used after deserialisation, where the index
-    /// is skipped).
-    pub fn rebuild_index(&mut self) {
-        self.index.clear();
-        for (idx, set) in self.sets.iter().enumerate() {
-            for domain in set.domains() {
-                self.index.insert(domain, idx);
-            }
-        }
     }
 
     /// Number of sets in the list.
@@ -213,15 +221,43 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_index_restores_lookup() {
+    fn serde_round_trip_keeps_lookup() {
         let list = sample_list();
         let json = serde_json::to_string(&list).unwrap();
-        let mut restored: RwsList = serde_json::from_str(&json).unwrap();
-        // Before rebuilding, the skipped index is empty.
-        assert!(restored.set_for(&dn("bild.de")).is_none());
-        restored.rebuild_index();
+        assert!(
+            json.starts_with("{\"sets\":"),
+            "wire form is sets-only: {json}"
+        );
+        let restored: RwsList = serde_json::from_str(&json).unwrap();
+        assert_eq!(restored, list);
         assert!(restored.are_related(&dn("bild.de"), &dn("autobild.de")));
-        assert_eq!(restored.set_count(), 2);
+        assert_eq!(
+            restored.set_for(&dn("webvisor.com")).unwrap().primary(),
+            &dn("ya.ru")
+        );
+        assert_eq!(
+            restored.role_of(&dn("yastatic.net")),
+            Some(MemberRole::Service)
+        );
+    }
+
+    #[test]
+    fn deserialising_overlapping_sets_is_a_typed_error() {
+        let mut a = RwsSet::new("https://a.com").unwrap();
+        a.add_associated("https://shared.com", "x").unwrap();
+        let mut b = RwsSet::new("https://b.com").unwrap();
+        b.add_associated("https://shared.com", "y").unwrap();
+        // `from_sets` refuses this list, so build its wire form by hand.
+        let json = format!(
+            "{{\"sets\":[{},{}]}}",
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap()
+        );
+        let err = serde_json::from_str::<RwsList>(&json).unwrap_err();
+        let expected = SetError::MemberInMultipleSets {
+            domain: "shared.com".to_string(),
+        };
+        assert!(err.to_string().contains(&expected.to_string()), "{err}");
     }
 
     #[test]

@@ -329,9 +329,16 @@ impl RwsSet {
         out
     }
 
-    /// All member domains (primary first).
+    /// All member domains, in [`members`](Self::members) order: primary,
+    /// associated, service, then ccTLD variants. Reads the fields directly,
+    /// so no rationale or ccTLD base is copied.
     pub fn domains(&self) -> Vec<DomainName> {
-        self.members().into_iter().map(|m| m.domain).collect()
+        let mut out = Vec::with_capacity(self.size());
+        out.push(self.primary.clone());
+        out.extend(self.associated_sites().cloned());
+        out.extend(self.service_sites().cloned());
+        out.extend(self.cctld_sites().cloned());
+        out
     }
 }
 
@@ -407,6 +414,9 @@ mod tests {
         assert_eq!(set.cctld_count(), 1);
         assert_eq!(set.size(), 4);
         assert_eq!(set.domains().len(), 4);
+        // Same members, same order as the full member records.
+        let member_domains: Vec<DomainName> = set.members().into_iter().map(|m| m.domain).collect();
+        assert_eq!(set.domains(), member_domains);
     }
 
     #[test]

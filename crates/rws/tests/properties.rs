@@ -39,7 +39,43 @@ fn build_list(layout: &[(usize, usize)]) -> RwsList {
     RwsList::from_sets(sets).unwrap()
 }
 
+/// Check every indexed lookup of `list` against a linear scan over its
+/// sets, for every member plus two outsiders.
+fn assert_index_matches_scan(list: &RwsList) {
+    let sets: Vec<&RwsSet> = list.sets().collect();
+    let scan = |d: &DomainName| sets.iter().position(|s| s.contains(d));
+    let mut members: Vec<DomainName> = sets.iter().flat_map(|s| s.domains()).collect();
+    members.sort();
+    prop_assert_eq!(list.all_domains(), members.clone());
+    let mut probes = members;
+    probes.push(DomainName::parse("outsider.org").unwrap());
+    probes.push(DomainName::parse("site999.com").unwrap());
+    for a in &probes {
+        let expected = scan(a);
+        prop_assert_eq!(list.set_index_of(a), expected);
+        prop_assert_eq!(list.set_for(a), expected.map(|i| sets[i]));
+        prop_assert_eq!(list.role_of(a), expected.and_then(|i| sets[i].role_of(a)));
+        for b in &probes {
+            let related = matches!((expected, scan(b)), (Some(x), Some(y)) if x == y);
+            prop_assert_eq!(list.are_related(a, b), related);
+        }
+    }
+}
+
 proptest! {
+    /// The hashed member index answers exactly what a linear scan over
+    /// the sets answers, before and after a serde round trip (which
+    /// rebuilds the index through `from_sets`).
+    #[test]
+    fn member_index_equals_linear_scan(layout in layout_strategy()) {
+        let list = build_list(&layout);
+        assert_index_matches_scan(&list);
+        let json = serde_json::to_string(&list).unwrap();
+        let back: RwsList = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&back, &list);
+        assert_index_matches_scan(&back);
+    }
+
     /// Relatedness is reflexive for members, symmetric always, and never
     /// holds across different sets.
     #[test]
