@@ -107,9 +107,8 @@ impl Scenario {
     /// corpus first, then the governance chain (history → snapshots) and
     /// the survey chain (categories → pairs → survey) concurrently.
     ///
-    /// The two chains are independent: the survey chain reads only the
-    /// corpus's sites and pages, while the history chain's side effects on
-    /// the shared web are confined to hosts named after its own submitters.
+    /// The two chains are independent: both only read the corpus, and the
+    /// history chain registers its defect hosts on per-submitter webs.
     /// Output is identical whether the engine is pooled or sequential.
     pub fn generate_with(config: ScenarioConfig, ctx: &EngineContext) -> Scenario {
         let corpus = CorpusGenerator::new(config.corpus).generate_with(ctx);

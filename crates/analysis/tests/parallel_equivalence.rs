@@ -11,10 +11,9 @@ use rws_analysis::{PaperReproduction, Scenario, ScenarioConfig};
 use rws_engine::EngineContext;
 
 /// Field-by-field equality between two scenarios. `Corpus` holds the
-/// simulated web (no `PartialEq`), so the corpus is compared through its
-/// deterministic projections: the list, the site table, the Tranco ranking,
-/// the rendered pages and the registered hosts (including the defect hosts
-/// the history replay stood up).
+/// frozen page store (no `PartialEq`), so the corpus is compared through
+/// its deterministic projections: the list, the site table, the Tranco
+/// ranking, the rendered pages and the stored hosts.
 fn assert_scenarios_identical(a: &Scenario, b: &Scenario) {
     assert_eq!(a.config, b.config, "config");
     assert_eq!(a.corpus.list, b.corpus.list, "corpus.list");
@@ -32,9 +31,9 @@ fn assert_scenarios_identical(a: &Scenario, b: &Scenario) {
     };
     assert_eq!(tranco(a), tranco(b), "corpus.tranco");
     assert_eq!(
-        a.corpus.web.hosts(),
-        b.corpus.web.hosts(),
-        "corpus.web hosts (incl. defect-host side effects)"
+        a.corpus.sharded.hosts(),
+        b.corpus.sharded.hosts(),
+        "corpus.sharded hosts"
     );
     for domain in a.corpus.list.all_domains().iter().take(8) {
         assert_eq!(
@@ -71,7 +70,7 @@ proptest! {
         let corpus_pooled = generator.generate_with(&pooled_ctx);
         let corpus_sequential = generator.generate_with(&sequential_ctx);
         prop_assert_eq!(&corpus_pooled.list, &corpus_sequential.list);
-        prop_assert_eq!(corpus_pooled.web.hosts(), corpus_sequential.web.hosts());
+        prop_assert_eq!(corpus_pooled.sharded.hosts(), corpus_sequential.sharded.hosts());
 
         let history = HistoryGenerator::new(HistoryConfig {
             seed: seed ^ 0xF00D,

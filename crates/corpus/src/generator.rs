@@ -22,7 +22,7 @@ use crate::tranco::TrancoList;
 use rws_domain::DomainName;
 use rws_engine::EngineContext;
 use rws_model::{RwsList, RwsSet, WellKnownFile};
-use rws_net::{FrozenWeb, SimulatedWeb, SiteHost, WELL_KNOWN_RWS_PATH};
+use rws_net::{FrozenWeb, SiteHost, WELL_KNOWN_RWS_PATH};
 use rws_stats::rng::{Rng, Xoshiro256StarStar};
 use rws_stats::shard::ShardRouter;
 use serde::{Deserialize, Serialize};
@@ -122,15 +122,13 @@ pub struct Corpus {
     pub list: RwsList,
     /// The Tranco-style top-site ranking (non-RWS sites only).
     pub tranco: TrancoList,
-    /// The simulated web holding every site's pages and well-known files.
-    /// Frozen by construction: it reads through `sharded`, so later writes
-    /// (the governance replay's defect hosts) land in an overlay without
-    /// disturbing the snapshot below.
-    pub web: SimulatedWeb,
-    /// The frozen page store as generated: N ≥ 1 per-shard host tables
-    /// routed by the FNV-1a domain hash. Reads take no lock and borrow
-    /// straight from the interned pages — the classifier, the Figure 4
-    /// sweeps and the load engine all read through here.
+    /// The corpus's page store, frozen as generated: every site's pages
+    /// and well-known files in N ≥ 1 per-shard host tables routed by the
+    /// FNV-1a domain hash. Reads take no lock and borrow straight from the
+    /// interned pages — the classifier, the Figure 4 sweeps and the load
+    /// engine all read through here. A stage that needs to add hosts (the
+    /// governance replay's defect hosts) wraps it in its own
+    /// [`SimulatedWeb`](rws_net::SimulatedWeb).
     pub sharded: FrozenWeb,
 }
 
@@ -142,12 +140,6 @@ impl Corpus {
 
     /// The front-page HTML of a site, borrowed from the frozen store —
     /// the zero-copy read every hot path uses. No lock is taken.
-    ///
-    /// This (like [`with_html`](Corpus::with_html) and
-    /// [`html_of`](Corpus::html_of)) reads the generation-time snapshot:
-    /// post-generation overlay writes to `web` (defect hosts, `update_host`
-    /// edits) are deliberately *not* visible here — route reads that must
-    /// observe live mutations through `web.serve`/`web.with_host`.
     pub fn page_html(&self, domain: &DomainName) -> Option<&str> {
         self.sharded.page_html(domain, "/")
     }
@@ -509,10 +501,7 @@ impl CorpusGenerator {
         let sharded = FrozenWeb::from_routed_shards(shard_tables);
         // Build phase over: the store is frozen. Every page body was
         // interned exactly once above; from here on the corpus is a
-        // read-mostly snapshot (lock-free borrows). The web reads through
-        // the store, and anything the governance replay registers later
-        // lives in its overlay.
-        let web = sharded.to_web();
+        // read-only snapshot (lock-free borrows).
 
         Corpus {
             config: cfg,
@@ -520,7 +509,6 @@ impl CorpusGenerator {
             sites,
             list,
             tranco,
-            web,
             sharded,
         }
     }
@@ -637,7 +625,9 @@ fn brand_stem<R: Rng + ?Sized>(rng: &mut R) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rws_model::{MemberRole, SetValidator};
+    use rws_domain::SiteResolver;
+    use rws_model::{MemberRole, SetValidator, ValidatorConfig};
+    use rws_net::SimulatedWeb;
 
     fn corpus() -> Corpus {
         CorpusGenerator::new(CorpusConfig::small(11)).generate_with(&EngineContext::embedded())
@@ -675,9 +665,9 @@ mod tests {
         // Every RWS member and every top site has a spec and a host.
         for domain in c.list.all_domains() {
             assert!(c.sites.contains_key(&domain));
-            assert!(c.web.has_host(&domain));
+            assert!(c.sharded.has_host(&domain));
         }
-        assert!(c.web.host_count() >= c.list.domain_count() + c.tranco.len());
+        assert!(c.sharded.host_count() >= c.list.domain_count() + c.tranco.len());
     }
 
     #[test]
@@ -705,7 +695,11 @@ mod tests {
     #[test]
     fn live_set_members_pass_validation() {
         let c = corpus();
-        let validator = SetValidator::new(c.web.clone());
+        let validator = SetValidator::new(
+            SimulatedWeb::from_frozen(c.sharded.clone()),
+            ValidatorConfig::default(),
+            SiteResolver::embedded(),
+        );
         for set in c.list.sets() {
             // Only sets whose members are all live are expected to validate
             // cleanly (offline members legitimately fail the fetch check).
@@ -779,22 +773,23 @@ mod tests {
     }
 
     #[test]
-    fn corpus_web_is_frozen_by_construction() {
+    fn corpus_store_is_frozen_by_construction() {
         let c = corpus();
-        // Every generated host lives in the frozen snapshot, and the web
-        // serves identically through its frozen base.
-        assert_eq!(c.sharded.host_count(), c.web.host_count());
+        // Every generated host lives in the frozen snapshot, and a web over
+        // it serves identically through its frozen base.
+        let web = SimulatedWeb::from_frozen(c.sharded.clone());
+        assert_eq!(c.sharded.host_count(), c.sites.len());
         for domain in c.sites.keys() {
             assert!(c.sharded.has_host(domain));
             let url = rws_net::Url::https(domain, "/");
-            assert_eq!(c.sharded.serve(&url), c.web.serve(&url));
+            assert_eq!(c.sharded.serve(&url), web.serve(&url));
         }
         // The served body is a refcount bump of the interned page, not a
         // copy.
         let live = c.sites.values().find(|s| s.live).unwrap();
         let url = rws_net::Url::https(&live.domain, "/");
         let interned = c.sharded.page_body(&live.domain, "/").unwrap().bytes();
-        match c.web.serve(&url) {
+        match web.serve(&url) {
             rws_net::ServedPage::Content { content, .. } => {
                 let body = content.body().unwrap();
                 assert_eq!(body.as_bytes().as_ptr(), interned.as_ptr());
@@ -810,13 +805,11 @@ mod tests {
         let service = c.sites.values().find(|s| s.role == SiteRole::SetService);
         if let Some(spec) = service {
             let has_header = c
-                .web
-                .with_host(&spec.domain, |h| {
-                    h.headers_for("/")
-                        .map(|hs| hs.contains("x-robots-tag"))
-                        .unwrap_or(false)
-                })
-                .unwrap();
+                .sharded
+                .host(&spec.domain)
+                .unwrap()
+                .headers_for("/")
+                .is_some_and(|hs| hs.contains("x-robots-tag"));
             assert!(
                 has_header,
                 "service site {} missing X-Robots-Tag",

@@ -17,8 +17,8 @@
 //!   per-brand CSS classes, so related sites share branding to a controlled
 //!   degree and unrelated sites do not;
 //! * a [`TrancoList`] of top sites for the survey's comparison groups; and
-//! * population of a [`SimulatedWeb`](rws_net::SimulatedWeb) with all pages
-//!   and correctly-formed `.well-known` files.
+//! * a frozen page store, a [`FrozenWeb`](rws_net::FrozenWeb), holding all
+//!   pages and correctly-formed `.well-known` files.
 //!
 //! Everything is seeded: the same [`CorpusConfig`] and seed reproduce the
 //! same corpus bit-for-bit.

@@ -17,10 +17,11 @@
 //! rendering. Submitters are therefore independent, the replay fans out
 //! across the engine's thread pool one submitter per task, and the result
 //! is byte-identical no matter how the tasks interleave (or whether they
-//! run sequentially at all). Defect hosts that a submitter stands up on the
-//! shared web carry the submitter's own slug in their name, so concurrent
-//! submitters never write the same host. PR numbers are assigned after the
-//! fan-out, in deterministic (open date, primary, attempt) order.
+//! run sequentially at all). Each submitter's bot fetches from its own
+//! [`SimulatedWeb`] over the corpus store, so the defect hosts a submitter
+//! stands up are seen by its validations alone and the corpus is never
+//! written. PR numbers are assigned after the fan-out, in deterministic
+//! (open date, primary, attempt) order.
 
 use crate::pipeline::{GovernancePipeline, ReviewModel};
 use crate::pr::{PrHistory, PullRequest};
@@ -28,7 +29,7 @@ use rws_corpus::Corpus;
 use rws_domain::DomainName;
 use rws_engine::EngineContext;
 use rws_model::{RwsSet, WellKnownFile};
-use rws_net::{SiteHost, WELL_KNOWN_RWS_PATH};
+use rws_net::{SimulatedWeb, SiteHost, WELL_KNOWN_RWS_PATH};
 use rws_stats::checkpoint::CheckpointSink;
 use rws_stats::rng::{Rng, Xoshiro256StarStar};
 use rws_stats::sampling::weighted_choice;
@@ -39,7 +40,7 @@ use serde::{Deserialize, Serialize};
 /// (tasks `0..watermark` are already replayed) plus every raw PR collected
 /// so far, serialised through the vendored serde shim into a
 /// [`CheckpointSink`]. Because submitters are independent (per-submitter
-/// derived rng streams, submitter-slugged defect hosts), resuming from a
+/// derived rng streams, per-submitter webs), resuming from a
 /// checkpoint on a freshly generated identical corpus produces a history
 /// field-for-field equal to an uninterrupted replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -146,8 +147,9 @@ impl HistoryGenerator {
     /// across the context's pool and sharing its site resolver with every
     /// validation bot. Extra hosts needed by broken submissions (e.g.
     /// service sites without robots headers) are registered on the
-    /// corpus's simulated web as a side effect, exactly as a real submitter
-    /// would stand up half-configured infrastructure. Output is identical
+    /// submitter's own web, exactly as a real submitter would stand up
+    /// half-configured infrastructure; the corpus is not modified. Output
+    /// is identical
     /// whether the context is pooled or sequential (each submitter draws
     /// from an rng stream derived from its primary's name). Under a salvage
     /// [`SupervisionPolicy`] a panicking submitter replay is quarantined in
@@ -205,7 +207,14 @@ impl HistoryGenerator {
     ) -> PrHistory {
         let cfg = self.config;
         let base = Xoshiro256StarStar::new(cfg.seed).derive("github-history");
-        let web = corpus.web.clone();
+        // Every submitter's bot gets a private web over the corpus store.
+        let new_pipeline = || {
+            GovernancePipeline::new(
+                SimulatedWeb::from_frozen(corpus.sharded.clone()),
+                cfg.review,
+                ctx.resolver().clone(),
+            )
+        };
 
         // Submission dates accelerate over the window, as in Figure 5: the
         // probability mass of opening dates is proportional to (1 + month
@@ -231,17 +240,7 @@ impl HistoryGenerator {
             match task {
                 ReplayTask::Set(set) => {
                     let mut rng = base.derive(&format!("set:{}", set.primary()));
-                    // Handle clone only: `SimulatedWeb` clones share one
-                    // registry, so defect hosts land on the shared corpus web
-                    // from every task concurrently. That is safe and
-                    // deterministic because each submitter's hosts carry its
-                    // unique primary in their names.
-                    let mut web = web.clone();
-                    let mut pipeline = GovernancePipeline::with_shared_resolver(
-                        web.clone(),
-                        cfg.review,
-                        ctx.resolver().clone(),
-                    );
+                    let mut pipeline = new_pipeline();
                     let mut prs = Vec::new();
                     let failed_attempts =
                         rng.poisson(cfg.mean_failed_attempts_per_success) as usize;
@@ -251,7 +250,7 @@ impl HistoryGenerator {
                     // Failed attempts first, each with an injected defect.
                     for date in dates.iter().take(failed_attempts) {
                         let defect = SubmissionDefect::sample(&mut rng);
-                        let broken = apply_defect(set, defect, &mut web, &mut rng);
+                        let broken = apply_defect(set, defect, pipeline.web_mut(), &mut rng);
                         prs.push(pipeline.process(&broken, *date, &mut rng));
                     }
                     // The final, correct attempt.
@@ -260,11 +259,7 @@ impl HistoryGenerator {
                 }
                 ReplayTask::Hopeless(i) => {
                     let mut rng = base.derive(&format!("hopeful:{i}"));
-                    let mut pipeline = GovernancePipeline::with_shared_resolver(
-                        web.clone(),
-                        cfg.review,
-                        ctx.resolver().clone(),
-                    );
+                    let mut pipeline = new_pipeline();
                     let primary = DomainName::parse(&format!("hopeful-submitter-{i}.com"))
                         .expect("generated primary is valid");
                     let mut set = RwsSet::for_primary(primary);
@@ -331,13 +326,12 @@ enum ReplayTask<'a> {
 }
 
 /// Produce a broken variant of a valid set, and register any additional
-/// hosts the broken variant needs on the web. Hosts the submitter stands up
-/// carry the submitter's full primary in their name, so parallel submitter
-/// replays never register colliding host names.
+/// hosts the broken variant needs on the submitter's web. Hosts the
+/// submitter stands up carry the submitter's full primary in their name.
 fn apply_defect<R: Rng + ?Sized>(
     set: &RwsSet,
     defect: SubmissionDefect,
-    web: &mut rws_net::SimulatedWeb,
+    web: &mut SimulatedWeb,
     rng: &mut R,
 ) -> RwsSet {
     let primary = set.primary().clone();
@@ -445,6 +439,7 @@ mod tests {
     use super::*;
     use crate::pr::PrState;
     use rws_corpus::{CorpusConfig, CorpusGenerator};
+    use rws_model::ValidationIssue;
 
     fn small_history() -> (PrHistory, rws_corpus::Corpus) {
         let corpus =
@@ -589,6 +584,30 @@ mod tests {
             (2.0..=12.0).contains(&median),
             "median approval days {median}"
         );
+        // Defect hosts reach their submitter's validator: the hosts stood
+        // up for the robots-header and mismatch defects are fetched and
+        // judged on their content, never reported as unfetchable.
+        let issues: Vec<&ValidationIssue> = history
+            .prs()
+            .iter()
+            .filter_map(|pr| pr.validation.as_ref())
+            .flat_map(|report| &report.issues)
+            .collect();
+        assert!(issues
+            .iter()
+            .any(|i| matches!(i, ValidationIssue::ServiceSiteWithoutRobotsTag { .. })));
+        assert!(issues
+            .iter()
+            .any(|i| matches!(i, ValidationIssue::WellKnownMismatch { .. })));
+        for issue in &issues {
+            if let ValidationIssue::WellKnownUnfetchable { site, .. } = issue {
+                assert!(
+                    !site.as_str().starts_with("bare-service-")
+                        && !site.as_str().starts_with("misconfigured-"),
+                    "defect host {site} was not registered on its submitter's web"
+                );
+            }
+        }
     }
 
     #[test]

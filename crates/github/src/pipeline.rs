@@ -1,7 +1,8 @@
 //! The governance pipeline: CLA check, validation bot, manual review.
 
 use crate::pr::{PrState, PullRequest};
-use rws_model::{RwsSet, SetValidator};
+use rws_domain::SiteResolver;
+use rws_model::{RwsSet, SetValidator, ValidatorConfig};
 use rws_net::SimulatedWeb;
 use rws_stats::rng::Rng;
 use rws_stats::timeseries::Date;
@@ -53,37 +54,24 @@ pub struct GovernancePipeline {
 }
 
 impl GovernancePipeline {
-    /// Create a pipeline whose validation bot fetches from the given web.
-    pub fn new(web: SimulatedWeb) -> GovernancePipeline {
-        GovernancePipeline::with_review_model(web, ReviewModel::default())
-    }
-
-    /// Create a pipeline with an explicit review model.
-    pub fn with_review_model(web: SimulatedWeb, review: ReviewModel) -> GovernancePipeline {
-        GovernancePipeline {
-            validator: SetValidator::new(web),
-            review,
-            next_number: 1,
-        }
-    }
-
-    /// Create a pipeline whose validation bot shares an existing memoizing
-    /// site resolver (see [`SetValidator::with_resolver`]).
-    pub fn with_shared_resolver(
+    /// Create a pipeline whose validation bot fetches from `web` and
+    /// shares the memoizing site resolver `resolver`.
+    pub fn new(
         web: SimulatedWeb,
         review: ReviewModel,
-        resolver: rws_domain::SiteResolver,
+        resolver: SiteResolver,
     ) -> GovernancePipeline {
         GovernancePipeline {
-            validator: SetValidator::with_resolver(web, Default::default(), resolver),
+            validator: SetValidator::new(web, ValidatorConfig::default(), resolver),
             review,
             next_number: 1,
         }
     }
 
-    /// The review model in force.
-    pub fn review_model(&self) -> ReviewModel {
-        self.review
+    /// The web the validation bot fetches from, for standing up the hosts
+    /// a submission needs before it is processed.
+    pub fn web_mut(&mut self) -> &mut SimulatedWeb {
+        self.validator.web_mut()
     }
 
     /// Process one submission opened on `opened_at`, producing the resolved
@@ -192,13 +180,14 @@ mod tests {
     #[test]
     fn clean_submission_is_usually_approved_after_review() {
         let (set, web) = valid_set_and_web();
-        let mut pipeline = GovernancePipeline::with_review_model(
+        let mut pipeline = GovernancePipeline::new(
             web,
             ReviewModel {
                 manual_rejection_probability: 0.0,
                 cla_signed_probability: 1.0,
                 ..ReviewModel::default()
             },
+            SiteResolver::embedded(),
         );
         let mut rng = Xoshiro256StarStar::new(1);
         let pr = pipeline.process(&set, Date::new(2023, 6, 1), &mut rng);
@@ -217,12 +206,13 @@ mod tests {
         // Add a member that does not exist on the web at all.
         set.add_associated("https://missing-member.com", "oops")
             .unwrap();
-        let mut pipeline = GovernancePipeline::with_review_model(
+        let mut pipeline = GovernancePipeline::new(
             web,
             ReviewModel {
                 cla_signed_probability: 1.0,
                 ..ReviewModel::default()
             },
+            SiteResolver::embedded(),
         );
         let mut rng = Xoshiro256StarStar::new(2);
         let pr = pipeline.process(&set, Date::new(2023, 7, 1), &mut rng);
@@ -235,12 +225,13 @@ mod tests {
     #[test]
     fn unsigned_cla_blocks_validation() {
         let (set, web) = valid_set_and_web();
-        let mut pipeline = GovernancePipeline::with_review_model(
+        let mut pipeline = GovernancePipeline::new(
             web,
             ReviewModel {
                 cla_signed_probability: 0.0,
                 ..ReviewModel::default()
             },
+            SiteResolver::embedded(),
         );
         let mut rng = Xoshiro256StarStar::new(3);
         let pr = pipeline.process(&set, Date::new(2023, 8, 1), &mut rng);
@@ -253,7 +244,8 @@ mod tests {
     #[test]
     fn pr_numbers_increment() {
         let (set, web) = valid_set_and_web();
-        let mut pipeline = GovernancePipeline::new(web);
+        let mut pipeline =
+            GovernancePipeline::new(web, ReviewModel::default(), SiteResolver::embedded());
         let mut rng = Xoshiro256StarStar::new(4);
         let a = pipeline.process(&set, Date::new(2023, 6, 1), &mut rng);
         let b = pipeline.process(&set, Date::new(2023, 6, 2), &mut rng);
@@ -265,12 +257,13 @@ mod tests {
         let (mut set, web) = valid_set_and_web();
         set.add_associated("https://never-registered.com", "broken")
             .unwrap();
-        let mut pipeline = GovernancePipeline::with_review_model(
+        let mut pipeline = GovernancePipeline::new(
             web,
             ReviewModel {
                 cla_signed_probability: 1.0,
                 ..ReviewModel::default()
             },
+            SiteResolver::embedded(),
         );
         let mut rng = Xoshiro256StarStar::new(5);
         let mut same_day = 0usize;

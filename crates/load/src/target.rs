@@ -23,9 +23,8 @@ const VANITY_HOSTS: usize = 48;
 /// needs them to exercise the fetcher's redirect following under load.
 /// Registering them lands in an overlay over the corpus store, which is
 /// then re-frozen at the store's shard count. Each [`fetcher`] wraps that
-/// store in a fresh [`SimulatedWeb`], so every wire hop goes through
-/// [`SimulatedWeb::serve`]: it takes the web's `RwLock` read guard, finds
-/// the overlay empty, and reads the store shard-then-host.
+/// store in its own [`SimulatedWeb`] with an empty overlay, so every wire
+/// hop reads the store shard-then-host, with no lock.
 ///
 /// Clients never ask the resolver per visit. Once per run, [`sites`]
 /// resolves every host the store serves into an immutable [`SiteTable`],
@@ -63,7 +62,7 @@ impl LoadTarget {
     /// whole universe (redirects included) reads through shard routing.
     pub fn from_frozen(frozen: FrozenWeb, list: RwsList) -> LoadTarget {
         let hosts = frozen.hosts();
-        let mut web = frozen.to_web();
+        let mut web = SimulatedWeb::from_frozen(frozen);
         let vanity = register_vanity_hosts(&mut web, &hosts);
         LoadTarget {
             store: web.freeze(),
@@ -103,21 +102,6 @@ impl LoadTarget {
     /// True if visiting this host should panic the client.
     pub fn is_poisoned(&self, host: &DomainName) -> bool {
         self.poison.contains(host)
-    }
-
-    /// The poisoned hosts, if any.
-    pub fn poison_hosts(&self) -> &[DomainName] {
-        &self.poison
-    }
-
-    /// The fault plan in force, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.faults
-    }
-
-    /// The retry policy clients run with.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// The browsable host universe (excludes vanity entry hosts), in
@@ -168,12 +152,12 @@ impl LoadTarget {
     /// atomic request accounting), its own counter family — so each run's
     /// `wire_requests` starts at zero.
     pub fn fetcher(&self) -> Fetcher {
-        let mut fetcher = Fetcher::with_policy(self.store.to_web(), FetchPolicy::default());
-        fetcher.set_retry(self.retry);
-        if let Some(plan) = self.faults {
-            fetcher.set_fault_injector(Some(FaultInjector::new(plan)));
+        let web = SimulatedWeb::from_frozen(self.store.clone());
+        let fetcher = Fetcher::with_policy(web, FetchPolicy::default()).with_retry(self.retry);
+        match self.faults {
+            Some(plan) => fetcher.with_fault_injector(FaultInjector::new(plan)),
+            None => fetcher,
         }
-        fetcher
     }
 }
 

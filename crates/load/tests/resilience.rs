@@ -192,13 +192,12 @@ fn host_offline_mid_run_refuses_and_evicts_the_kept_alive_connection() {
     let frozen = web.freeze();
 
     // One-host universe: every visit targets solo.example. The target's
-    // own `fetcher()` builds a fresh overlay per call, so the test drives
-    // the client directly with a fetcher over a *shared mutable view* —
-    // that is what makes the mid-run `update_host` visible to the client's
-    // reused connection.
+    // own `fetcher()` builds a fresh web per call, so the test drives the
+    // client directly with a fetcher whose web it edits mid-run through
+    // `web_mut` — that is what makes the `update_host` visible to the
+    // client's reused connection.
     let target = LoadTarget::from_frozen(frozen.clone(), RwsList::default());
-    let mut live_view = SimulatedWeb::from_frozen(frozen);
-    let fetcher = Fetcher::new(live_view.clone());
+    let mut fetcher = Fetcher::new(SimulatedWeb::from_frozen(frozen));
     let scale = LoadScale {
         clients: 1,
         mean_visits: 40,
@@ -223,8 +222,8 @@ fn host_offline_mid_run_refuses_and_evicts_the_kept_alive_connection() {
         "client should hold a keep-alive connection to the host"
     );
 
-    // Take the host offline mid-run, through the shared view.
-    assert!(live_view.update_host(&host_name, |h| {
+    // Take the host offline mid-run, through the fetcher's own web.
+    assert!(fetcher.web_mut().update_host(&host_name, |h| {
         h.set_offline(true);
     }));
 

@@ -217,11 +217,6 @@ impl FaultInjector {
         }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
-    }
-
     /// Overlay the fault (if the plan schedules one for this `(host,
     /// ordinal)`) onto what the store served. Hosts that do not exist or
     /// are permanently down keep their permanent behaviour — faults model

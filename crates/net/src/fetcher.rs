@@ -1,7 +1,7 @@
 //! The fetcher client: policy-driven retrieval from the simulated web.
 
 use crate::error::NetError;
-use crate::fault::{FaultInjector, FaultPlan, FetchSession};
+use crate::fault::{FaultInjector, FetchSession};
 use crate::headers::HeaderMap;
 use crate::message::{Method, Response, StatusCode};
 use crate::url::Url;
@@ -184,7 +184,7 @@ impl CounterShards {
     }
 }
 
-/// A deterministic HTTP client over a [`SimulatedWeb`].
+/// A deterministic HTTP client over a [`SimulatedWeb`] it owns.
 ///
 /// The fetcher counts every request it issues (including redirect hops) on
 /// a lock-free sharded counter shared by all of its clones, so experiments
@@ -237,48 +237,24 @@ impl Fetcher {
         }
     }
 
-    /// Install (or clear) a fault injector, shared with every clone made
-    /// afterwards. Faults only fire on session-aware fetches
+    /// Install a fault injector, shared with every clone made afterwards.
+    /// Faults only fire on session-aware fetches
     /// ([`get_with`](Fetcher::get_with) and friends).
-    pub fn set_fault_injector(&mut self, injector: Option<FaultInjector>) {
-        self.faults = injector.map(Arc::new);
-    }
-
-    /// Builder form of [`set_fault_injector`](Fetcher::set_fault_injector).
     pub fn with_fault_injector(mut self, injector: FaultInjector) -> Fetcher {
-        self.set_fault_injector(Some(injector));
+        self.faults = Some(Arc::new(injector));
         self
     }
 
-    /// Replace the retry policy used by the retrying entry points.
-    pub fn set_retry(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// Builder form of [`set_retry`](Fetcher::set_retry).
+    /// Set the retry policy used by the retrying entry points.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Fetcher {
-        self.set_retry(retry);
+        self.retry = retry;
         self
     }
 
-    /// The installed injector's plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.faults.as_ref().map(|i| i.plan())
-    }
-
-    /// The retry policy in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> FetchPolicy {
-        self.policy
-    }
-
-    /// The underlying simulated web.
-    pub fn web(&self) -> &SimulatedWeb {
-        &self.web
+    /// The web this fetcher owns, for registering or editing hosts between
+    /// fetches. Clones made earlier keep their own web.
+    pub fn web_mut(&mut self) -> &mut SimulatedWeb {
+        &mut self.web
     }
 
     /// Number of requests issued so far (including redirect hops) by this

@@ -22,7 +22,7 @@ use rws_domain::DomainName;
 use rws_stats::shard::ShardRouter;
 
 use crate::url::Url;
-use crate::web::{PageBody, ServedPage, SimulatedWeb, SiteHost};
+use crate::web::{PageBody, ServedPage, SiteHost};
 
 /// One shard's host table.
 type Shard = HashMap<DomainName, SiteHost>;
@@ -153,8 +153,9 @@ impl FrozenWeb {
     }
 
     /// Resolve what a host would serve for a URL — identical semantics to
-    /// [`SimulatedWeb::serve`], without the lock. Body and headers on the
-    /// result are refcount bumps into the snapshot.
+    /// [`SimulatedWeb::serve`](crate::SimulatedWeb::serve), without an
+    /// overlay to consult first. Body and headers on the result are
+    /// refcount bumps into the snapshot.
     pub fn serve(&self, url: &Url) -> ServedPage {
         match self.host(&url.host) {
             Some(host) => host.serve_path(url),
@@ -169,17 +170,10 @@ impl FrozenWeb {
         self.shards.iter().flat_map(|shard| shard.iter())
     }
 
-    /// A mutable web view over this snapshot: reads fall through to the
-    /// store, writes land in a fresh overlay. The snapshot itself is never
-    /// touched.
-    pub fn to_web(&self) -> SimulatedWeb {
-        SimulatedWeb::from_frozen(self.clone())
-    }
-
     /// True when `other` shares this store's shards (refcount identity,
     /// not deep comparison). This is the pin for
-    /// [`SimulatedWeb::freeze`]'s fast path: freezing with an empty
-    /// overlay hands back the *same* store.
+    /// [`SimulatedWeb::freeze`](crate::SimulatedWeb::freeze)'s fast path:
+    /// freezing with an empty overlay hands back the *same* store.
     pub fn ptr_eq(&self, other: &FrozenWeb) -> bool {
         Arc::ptr_eq(&self.shards, &other.shards)
     }

@@ -23,13 +23,15 @@
 //!   over N ≥ 1 shards with **no lock on the read path**, whose accessors
 //!   hand out real borrows ([`FrozenWeb::page_html`]) rather than
 //!   guard-bounded views;
-//! * the `SimulatedWeb` itself becomes a thin mutable *overlay* above its
-//!   frozen base: post-freeze registrations (the governance replay's defect
-//!   hosts) and copy-on-write [`update_host`](SimulatedWeb::update_host)
-//!   mutations land in the overlay, while the frozen snapshot — and every
-//!   borrowed view taken from it — stays valid and unchanged. Reads
-//!   through the `SimulatedWeb` (and so through a [`Fetcher`]) take its
-//!   `RwLock` read guard to consult the overlay first.
+//! * the `SimulatedWeb` itself is a plain owned value: its frozen base
+//!   plus a mutable *overlay*. Post-freeze registrations (the governance
+//!   replay's defect hosts) and copy-on-write
+//!   [`update_host`](SimulatedWeb::update_host) mutations land in the
+//!   overlay, while the frozen snapshot — and every borrowed view taken
+//!   from it — stays valid and unchanged. Reads through the `SimulatedWeb`
+//!   (and so through a [`Fetcher`]) check the overlay, then the base, with
+//!   no lock. A clone shares the base and copies the overlay, so each
+//!   owner's writes stay its own.
 //!
 //! [`Fetcher`]: crate::Fetcher
 
@@ -38,7 +40,6 @@ use crate::message::StatusCode;
 use crate::store::FrozenWeb;
 use crate::url::Url;
 use bytes::Bytes;
-use parking_lot::RwLock;
 use rws_domain::DomainName;
 use std::collections::HashMap;
 use std::fmt;
@@ -346,7 +347,7 @@ impl SiteHost {
     }
 
     /// Whether the host serves only plain HTTP.
-    pub fn is_http_only(&self) -> bool {
+    fn is_http_only(&self) -> bool {
         self.http_only
     }
 
@@ -378,7 +379,7 @@ impl SiteHost {
 
     /// Extra headers for `path` as a shared handle — what
     /// [`ServedPage::Content`] carries, so serving never copies the map.
-    pub fn shared_headers_for(&self, path: &str) -> Option<&Arc<HeaderMap>> {
+    fn shared_headers_for(&self, path: &str) -> Option<&Arc<HeaderMap>> {
         self.page_headers.get(path)
     }
 
@@ -412,33 +413,18 @@ impl SiteHost {
     }
 }
 
-/// Shared state of a [`SimulatedWeb`]: the immutable frozen base plus the
-/// mutable overlay of post-freeze registrations and copy-on-write edits.
-/// Overlay entries shadow same-named frozen hosts.
-#[derive(Debug, Default)]
-struct WebState {
-    base: FrozenWeb,
-    overlay: HashMap<DomainName, SiteHost>,
-}
-
-impl WebState {
-    fn host(&self, host: &DomainName) -> Option<&SiteHost> {
-        self.overlay.get(host).or_else(|| self.base.host(host))
-    }
-}
-
 /// The registry of every host in the simulated web.
 ///
-/// Cloning a `SimulatedWeb` is cheap (it is an `Arc` around shared state),
-/// so the same web can be handed to the fetcher, the validation bot and the
-/// browser engine simultaneously. Reads resolve overlay-then-base under
-/// the state's `RwLock` read guard. [`freeze`](SimulatedWeb::freeze)
-/// snapshots the current hosts into an immutable [`FrozenWeb`]; later
-/// writes go to a mutable overlay shared by every clone, leaving the
-/// snapshot untouched.
+/// An immutable [`FrozenWeb`] base plus an overlay of post-freeze
+/// registrations and copy-on-write edits; overlay entries shadow
+/// same-named base hosts. Reads resolve overlay-then-base. Cloning bumps
+/// the base's refcount and copies the overlay, so clones are independent:
+/// a later write to one is never seen by another.
+/// [`freeze`](SimulatedWeb::freeze) folds the overlay into a new base.
 #[derive(Debug, Clone, Default)]
 pub struct SimulatedWeb {
-    inner: Arc<RwLock<WebState>>,
+    base: FrozenWeb,
+    overlay: HashMap<DomainName, SiteHost>,
 }
 
 impl SimulatedWeb {
@@ -448,79 +434,40 @@ impl SimulatedWeb {
     }
 
     /// Create a web whose read path falls through to an existing frozen
-    /// store (shared, not copied). Reads route overlay → shard → host.
-    pub fn from_frozen(frozen: FrozenWeb) -> SimulatedWeb {
+    /// store (shared, not copied). Reads route overlay → shard → host, and
+    /// writes land in a fresh overlay: the store itself is never touched.
+    pub fn from_frozen(base: FrozenWeb) -> SimulatedWeb {
         SimulatedWeb {
-            inner: Arc::new(RwLock::new(WebState {
-                base: frozen,
-                overlay: HashMap::new(),
-            })),
+            base,
+            overlay: HashMap::new(),
         }
     }
 
     /// Register (or replace) a host. Post-freeze registrations land in the
     /// overlay and shadow any same-named frozen host.
     pub fn register(&mut self, host: SiteHost) {
-        self.inner
-            .write()
-            .overlay
-            .insert(host.domain().clone(), host);
+        self.overlay.insert(host.domain().clone(), host);
     }
 
-    /// True if a host with this name exists.
-    pub fn has_host(&self, host: &DomainName) -> bool {
-        let state = self.inner.read();
-        state.overlay.contains_key(host) || state.base.has_host(host)
-    }
-
-    /// Number of registered hosts.
-    pub fn host_count(&self) -> usize {
-        let state = self.inner.read();
-        state.base.host_count()
-            + state
-                .overlay
-                .keys()
-                .filter(|d| !state.base.has_host(d))
-                .count()
-    }
-
-    /// All registered host names, sorted.
-    pub fn hosts(&self) -> Vec<DomainName> {
-        let state = self.inner.read();
-        let mut hosts: Vec<DomainName> = state.overlay.keys().cloned().collect();
-        hosts.extend(
-            state
-                .base
-                .iter_hosts()
-                .map(|(d, _)| d)
-                .filter(|d| !state.overlay.contains_key(*d))
-                .cloned(),
-        );
-        hosts.sort();
-        hosts
-    }
-
-    /// Run a closure against a host's definition, if it exists.
-    pub fn with_host<T>(&self, host: &DomainName, f: impl FnOnce(&SiteHost) -> T) -> Option<T> {
-        self.inner.read().host(host).map(f)
+    fn host(&self, host: &DomainName) -> Option<&SiteHost> {
+        self.overlay.get(host).or_else(|| self.base.host(host))
     }
 
     /// Mutate a host's definition in place (e.g. take it offline mid-run).
     ///
     /// A frozen host is copied into the overlay first (cheap: interned
     /// bodies and shared header maps make the clone a bundle of refcount
-    /// bumps), so the mutation is visible to every clone of this web while
-    /// existing [`FrozenWeb`] snapshots keep serving the original.
+    /// bumps), so existing [`FrozenWeb`] snapshots keep serving the
+    /// original.
     pub fn update_host(&mut self, host: &DomainName, f: impl FnOnce(&mut SiteHost)) -> bool {
-        let mut state = self.inner.write();
-        if let Some(h) = state.overlay.get_mut(host) {
+        if let Some(h) = self.overlay.get_mut(host) {
             f(h);
             return true;
         }
-        match state.base.host(host).cloned() {
+        match self.base.host(host).cloned() {
             Some(mut h) => {
                 f(&mut h);
-                state.overlay.insert(host.clone(), h);
+                self.overlay.insert(host.clone(), h);
                 true
             }
             None => false,
@@ -529,30 +476,27 @@ impl SimulatedWeb {
 
     /// Freeze the current host table into an immutable [`FrozenWeb`] at
     /// the base's shard count and make it this web's new base (the overlay
-    /// drains into it). Every clone of this web observes the freeze, since
-    /// the state is shared.
+    /// drains into it).
     ///
     /// Freezing with an empty overlay is free — it hands back the existing
     /// store (a refcount bump, [`FrozenWeb::ptr_eq`]-verifiable), never a
     /// rebuilt table. Pending overlay edits re-freeze once; host clones are
     /// refcount bumps, so no page payload is copied.
-    pub fn freeze(&self) -> FrozenWeb {
-        let mut state = self.inner.write();
-        if !state.overlay.is_empty() {
+    pub fn freeze(&mut self) -> FrozenWeb {
+        if !self.overlay.is_empty() {
             // Overlay hosts come last, so they replace same-named base hosts.
-            let overlay = std::mem::take(&mut state.overlay).into_values();
-            let base = state.base.iter_hosts().map(|(_, h)| h.clone());
-            let refrozen = FrozenWeb::from_hosts(base.chain(overlay), state.base.shard_count());
-            state.base = refrozen;
+            let overlay = std::mem::take(&mut self.overlay).into_values();
+            let base = self.base.iter_hosts().map(|(_, h)| h.clone());
+            self.base = FrozenWeb::from_hosts(base.chain(overlay), self.base.shard_count());
         }
-        state.base.clone()
+        self.base.clone()
     }
 
     /// Resolve what a host would serve for a URL, without going through the
     /// fetcher's policy layer. This is the "server side" of the simulation.
     /// The returned body/headers are refcount bumps, not copies.
     pub fn serve(&self, url: &Url) -> ServedPage {
-        match self.inner.read().host(&url.host) {
+        match self.host(&url.host) {
             Some(host) => host.serve_path(url),
             None => ServedPage::NoSuchHost,
         }
@@ -598,14 +542,21 @@ mod tests {
     #[test]
     fn register_and_lookup_hosts() {
         let mut web = SimulatedWeb::new();
-        assert_eq!(web.host_count(), 0);
+        assert_eq!(web.freeze().host_count(), 0);
         let mut host = SiteHost::new("example.com").unwrap();
         host.add_page("/", "<html></html>");
         web.register(host);
-        assert!(web.has_host(&dn("example.com")));
-        assert!(!web.has_host(&dn("other.com")));
-        assert_eq!(web.host_count(), 1);
-        assert_eq!(web.hosts(), vec![dn("example.com")]);
+        assert!(matches!(
+            web.serve(&Url::parse("https://example.com/").unwrap()),
+            ServedPage::Content { .. }
+        ));
+        assert_eq!(
+            web.serve(&Url::parse("https://other.com/").unwrap()),
+            ServedPage::NoSuchHost
+        );
+        let frozen = web.freeze();
+        assert_eq!(frozen.host_count(), 1);
+        assert_eq!(frozen.hosts(), vec![dn("example.com")]);
     }
 
     #[test]
@@ -716,13 +667,27 @@ mod tests {
     }
 
     #[test]
-    fn cloned_web_shares_state() {
+    fn clones_do_not_see_later_writes() {
         let mut web = SimulatedWeb::new();
-        let clone = web.clone();
-        let mut host = SiteHost::new("shared.com").unwrap();
+        let mut host = SiteHost::new("kept.com").unwrap();
         host.add_page("/", "x");
         web.register(host);
-        assert!(clone.has_host(&dn("shared.com")));
+        let clone = web.clone();
+
+        let mut late = SiteHost::new("late.com").unwrap();
+        late.add_page("/", "x");
+        web.register(late);
+        assert!(web.update_host(&dn("kept.com"), |h| {
+            h.set_offline(true);
+        }));
+
+        let late_url = Url::parse("https://late.com/").unwrap();
+        let kept_url = Url::parse("https://kept.com/").unwrap();
+        assert!(matches!(web.serve(&late_url), ServedPage::Content { .. }));
+        assert_eq!(web.serve(&kept_url), ServedPage::Refused);
+        // The clone keeps serving what it held when it was taken.
+        assert_eq!(clone.serve(&late_url), ServedPage::NoSuchHost);
+        assert!(matches!(clone.serve(&kept_url), ServedPage::Content { .. }));
     }
 
     #[test]
@@ -738,7 +703,7 @@ mod tests {
         assert_eq!(frozen.serve(&url), before);
         assert_eq!(web.serve(&url), before);
         assert_eq!(frozen.host_count(), 1);
-        assert_eq!(frozen.hosts(), web.hosts());
+        assert_eq!(frozen.hosts(), vec![dn("example.com")]);
         assert_eq!(
             frozen.page_html(&dn("example.com"), "/"),
             Some("<html>frozen home</html>")
@@ -782,9 +747,9 @@ mod tests {
         let mut late = SiteHost::new("late.com").unwrap();
         late.add_page("/", "late");
         web.register(late);
-        assert!(web.has_host(&dn("late.com")));
+        let late_url = Url::parse("https://late.com/").unwrap();
+        assert!(matches!(web.serve(&late_url), ServedPage::Content { .. }));
         assert!(!frozen.has_host(&dn("late.com")));
-        assert_eq!(web.host_count(), 2);
 
         // A copy-on-write mutation of a frozen host: the web serves the new
         // behaviour, the snapshot keeps the original.
@@ -802,14 +767,15 @@ mod tests {
     }
 
     #[test]
-    fn frozen_to_web_round_trip() {
+    fn web_over_a_frozen_store_spares_it() {
         let mut web = SimulatedWeb::new();
         let mut host = SiteHost::new("example.com").unwrap();
         host.add_page("/", "x");
         web.register(host);
         let frozen = web.freeze();
-        let mut view = frozen.to_web();
-        assert!(view.has_host(&dn("example.com")));
+        let mut view = SimulatedWeb::from_frozen(frozen.clone());
+        let url = Url::parse("https://example.com/").unwrap();
+        assert_eq!(view.serve(&url), frozen.serve(&url));
         // Writes to the view do not disturb the snapshot.
         view.update_host(&dn("example.com"), |h| {
             h.set_offline(true);

@@ -2,13 +2,13 @@
 //!
 //! Contracts, each across arbitrary generated webs:
 //!
-//! * freezing is observationally invisible: every read (`serve`, `hosts`,
-//!   `host_count`, `with_host`) answers identically before the freeze,
-//!   after the freeze through the `SimulatedWeb`, and lock-free through
-//!   the `FrozenWeb` snapshot;
+//! * freezing is observationally invisible: `serve` answers identically
+//!   before the freeze, after the freeze through the `SimulatedWeb`, and
+//!   lock-free through the `FrozenWeb` snapshot, whose host table holds
+//!   exactly the registered hosts;
 //! * post-freeze writes land in the overlay: they are visible through the
-//!   web (shared by its clones) while the frozen snapshot keeps serving
-//!   the pre-freeze answers;
+//!   web that made them, while its earlier clones and the frozen snapshot
+//!   keep serving the pre-write answers;
 //! * serving is zero-copy: a fetched `Response.body` shares its buffer
 //!   with the interned page registered at build time;
 //! * the shard count is invisible: across {2, 7, 16} shards (16 matches
@@ -168,11 +168,13 @@ proptest! {
     /// URL and the host-table views, across arbitrary webs.
     #[test]
     fn frozen_reads_match_pre_freeze_reads(hosts in proptest::collection::vec(host_strategy(), 0..6)) {
-        let (web, urls) = build_web(&hosts);
+        let (built, urls) = build_hosts(&hosts);
+        let mut web = SimulatedWeb::new();
+        for host in built.clone() {
+            web.register(host);
+        }
 
         let before: Vec<ServedPage> = urls.iter().map(|u| web.serve(u)).collect();
-        let hosts_before = web.hosts();
-        let count_before = web.host_count();
 
         let frozen: FrozenWeb = web.freeze();
 
@@ -180,38 +182,31 @@ proptest! {
             prop_assert_eq!(&frozen.serve(url), expected, "frozen serve diverged on {}", url);
             prop_assert_eq!(&web.serve(url), expected, "post-freeze web serve diverged on {}", url);
         }
-        prop_assert_eq!(frozen.hosts(), hosts_before.clone());
-        prop_assert_eq!(web.hosts(), hosts_before);
-        prop_assert_eq!(frozen.host_count(), count_before);
-        prop_assert_eq!(web.host_count(), count_before);
+        let mut registered: Vec<DomainName> = built.iter().map(|h| h.domain().clone()).collect();
+        registered.sort();
+        prop_assert_eq!(frozen.hosts(), registered);
+        prop_assert_eq!(frozen.host_count(), built.len());
 
         // Per-host views agree too (paths, flags, page lookups).
-        for domain in frozen.hosts() {
-            let snapshot_paths: Vec<String> = frozen
-                .host(&domain)
-                .unwrap()
-                .paths()
-                .iter()
-                .map(|p| p.to_string())
-                .collect();
-            let web_paths = web
-                .with_host(&domain, |h| {
-                    h.paths().iter().map(|p| p.to_string()).collect::<Vec<_>>()
-                })
-                .unwrap();
-            prop_assert_eq!(snapshot_paths, web_paths);
+        for host in &built {
+            let snapshot = frozen.host(host.domain()).unwrap();
+            prop_assert_eq!(snapshot.paths(), host.paths());
+            prop_assert_eq!(snapshot.is_offline(), host.is_offline());
+            for path in host.paths() {
+                prop_assert_eq!(snapshot.page(path), host.page(path));
+                prop_assert_eq!(snapshot.headers_for(path), host.headers_for(path));
+            }
         }
     }
 
     /// Post-freeze writes (register + copy-on-write update) are visible
-    /// through the web and all of its clones, but never through the frozen
-    /// snapshot.
+    /// through the web that made them, but never through a clone taken
+    /// before the writes or through the frozen snapshot.
     #[test]
     fn overlay_writes_spare_the_snapshot(hosts in proptest::collection::vec(host_strategy(), 1..5)) {
-        let (web, urls) = build_web(&hosts);
-        let mut web = web;
-        let clone = web.clone();
+        let (mut web, urls) = build_web(&hosts);
         let frozen = web.freeze();
+        let clone = web.clone();
         let before: Vec<ServedPage> = urls.iter().map(|u| frozen.serve(u)).collect();
 
         // Overlay registration: a brand-new host.
@@ -220,20 +215,24 @@ proptest! {
         late.add_page("/", "late body");
         web.register(late);
         let late_domain = DomainName::parse(late_name).unwrap();
-        prop_assert!(clone.has_host(&late_domain), "clones share the overlay");
+        let late_url = Url::https(&late_domain, "/");
+        prop_assert!(matches!(web.serve(&late_url), ServedPage::Content { .. }));
+        prop_assert_eq!(clone.serve(&late_url), ServedPage::NoSuchHost, "a clone must not see later registrations");
         prop_assert!(!frozen.has_host(&late_domain), "snapshot must not see overlay hosts");
 
         // Copy-on-write mutation of a frozen host.
         let first = frozen.hosts()[0].clone();
         let was_offline = frozen.host(&first).unwrap().is_offline();
         prop_assert!(web.update_host(&first, |h| { h.set_offline(!was_offline); }));
-        let mutated = clone.with_host(&first, |h| h.is_offline()).unwrap();
-        prop_assert_eq!(mutated, !was_offline, "clones share the CoW edit");
+        let mutated = web.freeze().host(&first).unwrap().is_offline();
+        prop_assert_eq!(mutated, !was_offline, "the writer sees its CoW edit");
         prop_assert_eq!(frozen.host(&first).unwrap().is_offline(), was_offline);
 
-        // Every snapshot answer is byte-identical to before the writes.
+        // Every snapshot answer, and every answer of the clone, is
+        // byte-identical to before the writes.
         for (url, expected) in urls.iter().zip(&before) {
             prop_assert_eq!(&frozen.serve(url), expected);
+            prop_assert_eq!(&clone.serve(url), expected, "a clone must not see later edits");
         }
     }
 
@@ -293,8 +292,8 @@ proptest! {
         }
 
         for &count in SHARD_COUNTS {
-            let mut one_web = FrozenWeb::from_hosts(built.clone(), 1).to_web();
-            let mut sharded_web = FrozenWeb::from_hosts(built.clone(), count).to_web();
+            let mut one_web = SimulatedWeb::from_frozen(FrozenWeb::from_hosts(built.clone(), 1));
+            let mut sharded_web = SimulatedWeb::from_frozen(FrozenWeb::from_hosts(built.clone(), count));
 
             // Edit every stride-th host (these hash onto different shards)
             // and register one brand-new host.
@@ -331,7 +330,7 @@ fn freeze_keeps_the_shard_count_and_returns_the_same_store() {
 
     for count in [1usize, 2, 7, 16] {
         let store = FrozenWeb::from_hosts(hosts.clone(), count);
-        let mut web = store.to_web();
+        let mut web = SimulatedWeb::from_frozen(store.clone());
 
         // An empty overlay hands back the *same* store — a refcount bump,
         // not a rebuild — however often it is frozen.

@@ -22,7 +22,7 @@
 
 use crate::set::RwsSet;
 use crate::well_known::WellKnownFile;
-use rws_domain::{DomainName, PublicSuffixList, SiteResolver};
+use rws_domain::{DomainName, SiteResolver};
 use rws_net::{
     well_known_path, FaultInjector, FetchPolicy, FetchSession, Fetcher, NetError, RetryPolicy,
     SimulatedWeb, Url,
@@ -225,30 +225,16 @@ pub struct SetValidator {
 }
 
 impl SetValidator {
-    /// Create a validator over a simulated web with the default (full)
-    /// configuration and the strict fetch policy the real bot uses.
-    pub fn new(web: SimulatedWeb) -> SetValidator {
-        SetValidator::with_config(web, ValidatorConfig::default())
-    }
-
-    /// Create a validator with an explicit configuration.
-    pub fn with_config(web: SimulatedWeb, config: ValidatorConfig) -> SetValidator {
-        SetValidator::with_resolver(web, config, SiteResolver::embedded())
-    }
-
-    /// Create a validator sharing an existing memoizing [`SiteResolver`]
-    /// instead of constructing its own — the governance pipeline validates
-    /// hundreds of submissions naming the same hosts, and the rest of the
-    /// engine asks the same eTLD+1 questions; one shared cache answers all
-    /// of them.
-    pub fn with_resolver(
-        web: SimulatedWeb,
-        config: ValidatorConfig,
-        resolver: SiteResolver,
-    ) -> SetValidator {
+    /// Create a validator over a simulated web, with the strict fetch
+    /// policy the real bot uses. `resolver` is a memoizing
+    /// [`SiteResolver`], usually shared with the rest of the engine: the
+    /// governance pipeline validates hundreds of submissions naming the
+    /// same hosts, and one cache answers all of the repeated eTLD+1
+    /// questions.
+    pub fn new(web: SimulatedWeb, config: ValidatorConfig, resolver: SiteResolver) -> SetValidator {
         let mut fetcher = Fetcher::with_policy(web, FetchPolicy::strict());
         if config.recheck_transient {
-            fetcher.set_retry(RetryPolicy::standard());
+            fetcher = fetcher.with_retry(RetryPolicy::standard());
         }
         SetValidator {
             resolver,
@@ -259,21 +245,17 @@ impl SetValidator {
 
     /// Install a fault injector on the validator's fetcher — how the
     /// resilience tests expose the bot to transient weather.
-    pub fn with_fault_injector(mut self, injector: FaultInjector) -> SetValidator {
-        self.fetcher.set_fault_injector(Some(injector));
-        self
+    pub fn with_fault_injector(self, injector: FaultInjector) -> SetValidator {
+        SetValidator {
+            fetcher: self.fetcher.with_fault_injector(injector),
+            ..self
+        }
     }
 
-    /// Share a memoizing [`SiteResolver`] with other components (the
-    /// governance pipeline validates hundreds of submissions naming the
-    /// same hosts; one shared cache answers the repeats).
-    pub fn set_resolver(&mut self, resolver: SiteResolver) {
-        self.resolver = resolver;
-    }
-
-    /// Replace the Public Suffix List used for eTLD+1 checks.
-    pub fn set_psl(&mut self, psl: PublicSuffixList) {
-        self.resolver = SiteResolver::new(psl);
+    /// The web the validator fetches from, for standing up hosts a
+    /// submission needs before it is validated.
+    pub fn web_mut(&mut self) -> &mut SimulatedWeb {
+        self.fetcher.web_mut()
     }
 
     /// Validate one submitted set, returning the full report.
@@ -447,6 +429,11 @@ mod tests {
         set
     }
 
+    /// A validator with the default configuration.
+    fn validator_over(web: SimulatedWeb) -> SetValidator {
+        SetValidator::new(web, ValidatorConfig::default(), SiteResolver::embedded())
+    }
+
     fn web_for(set: &RwsSet) -> SimulatedWeb {
         let mut web = SimulatedWeb::new();
         host_member(&mut web, "bild.de", set, false);
@@ -458,7 +445,7 @@ mod tests {
     #[test]
     fn fully_valid_set_passes() {
         let set = valid_set();
-        let validator = SetValidator::new(web_for(&set));
+        let validator = validator_over(web_for(&set));
         let report = validator.validate(&set);
         assert!(report.passed(), "unexpected issues: {:?}", report.issues);
         assert!(
@@ -475,7 +462,7 @@ mod tests {
         let mut bare = SiteHost::new("autobild.de").unwrap();
         bare.add_page("/", "<html></html>");
         web.register(bare);
-        let report = SetValidator::new(web).validate(&set);
+        let report = validator_over(web).validate(&set);
         assert!(!report.passed());
         assert_eq!(
             report
@@ -497,7 +484,7 @@ mod tests {
         web.update_host(&DomainName::parse("bildstatic.de").unwrap(), |h| {
             h.set_offline(true);
         });
-        let report = SetValidator::new(web).validate(&set);
+        let report = validator_over(web).validate(&set);
         let unfetchable: Vec<_> = report
             .issues
             .iter()
@@ -519,7 +506,7 @@ mod tests {
         .unwrap();
         // Empty web: well-known checks will also fail, but we only assert on
         // the eTLD+1 classes here.
-        let report = SetValidator::new(SimulatedWeb::new()).validate(&set);
+        let report = validator_over(SimulatedWeb::new()).validate(&set);
         let etld_messages: Vec<&str> = report
             .issues
             .iter()
@@ -551,7 +538,7 @@ mod tests {
         host_member(&mut web, "autobild.de", &set, false);
         // Service site present but without the X-Robots-Tag header.
         host_member(&mut web, "bildstatic.de", &set, false);
-        let report = SetValidator::new(web).validate(&set);
+        let report = validator_over(web).validate(&set);
         assert!(report
             .bot_messages()
             .contains(&"Service site without X-Robots-Tag header"));
@@ -570,7 +557,7 @@ mod tests {
             WellKnownFile::for_member(&other).to_json_string(),
         );
         web.register(lying);
-        let report = SetValidator::new(web).validate(&set);
+        let report = validator_over(web).validate(&set);
         assert!(report
             .bot_messages()
             .contains(&"PR set does not match .well-known JSON file"));
@@ -589,7 +576,7 @@ mod tests {
         for member in ["a-example.com", "b-example.com", "c-example.com"] {
             host_member(&mut web, member, &set, false);
         }
-        let report = SetValidator::new(web).validate(&set);
+        let report = validator_over(web).validate(&set);
         assert_eq!(report.issues.len(), 1);
         assert_eq!(
             report.bot_messages(),
@@ -621,8 +608,9 @@ mod tests {
                 spike_ms: 60_000,
             },
         );
-        let validator = SetValidator::with_config(web_for(&set), recheck_config())
-            .with_fault_injector(FaultInjector::new(plan));
+        let validator =
+            SetValidator::new(web_for(&set), recheck_config(), SiteResolver::embedded())
+                .with_fault_injector(FaultInjector::new(plan));
         let report = validator.validate(&set);
         assert!(!report.passed());
         if report.is_degraded() {
@@ -665,8 +653,9 @@ mod tests {
                         .all(|m| (1..4).all(|o| plan.fault_at(m, o).is_none()))
             })
             .expect("no recovery seed found");
-        let validator = SetValidator::with_config(web_for(&set), recheck_config())
-            .with_fault_injector(FaultInjector::new(plan));
+        let validator =
+            SetValidator::new(web_for(&set), recheck_config(), SiteResolver::embedded())
+                .with_fault_injector(FaultInjector::new(plan));
         let report = validator.validate(&set);
         assert!(
             report.passed(),
@@ -675,7 +664,7 @@ mod tests {
         );
         // The retry cost is visible in the fetch tally: more fetches than
         // the fault-free validation needs.
-        let baseline = SetValidator::with_config(web_for(&set), recheck_config())
+        let baseline = SetValidator::new(web_for(&set), recheck_config(), SiteResolver::embedded())
             .validate(&set)
             .fetches;
         assert!(report.fetches > baseline);
@@ -695,8 +684,7 @@ mod tests {
         );
         // Default config: no re-check, no Degraded — the first failure is
         // terminal and lands in the persistent Table 3 class.
-        let validator =
-            SetValidator::new(web_for(&set)).with_fault_injector(FaultInjector::new(plan));
+        let validator = validator_over(web_for(&set)).with_fault_injector(FaultInjector::new(plan));
         let report = validator.validate(&set);
         assert_eq!(report.outcome, ValidationOutcome::Failed);
         assert!(report.issues.iter().any(|i| matches!(
@@ -714,7 +702,7 @@ mod tests {
         broken.add_page("/", "<html></html>");
         broken.add_json(rws_net::WELL_KNOWN_RWS_PATH, "{not valid json");
         web.register(broken);
-        let report = SetValidator::new(web).validate(&set);
+        let report = validator_over(web).validate(&set);
         assert!(report
             .issues
             .iter()

@@ -40,8 +40,7 @@
 //!   borrow the same cell (panic). Every current holder computes outside
 //!   its guard: `ShardedMemo::get_or_insert_with`, the scratch mutexes of
 //!   [`par_map_with_on`], the slot and result mutexes of `join2`, the
-//!   engine's supervision monitor, `SimulatedWeb::with_host`'s read guard
-//!   (its closures never fan out), and the thread-local DP scratch in
+//!   engine's supervision monitor, and the thread-local DP scratch in
 //!   `rws_domain`'s Levenshtein kernel.
 //! * **Deterministic results.** Each index is claimed exactly once and
 //!   writes its own slot, so [`par_map_on`] returns results in input order no

@@ -5,8 +5,8 @@
 //! Run with: `cargo run --example quickstart`
 
 use rws_browser::{Browser, PromptBehaviour, VendorPolicy};
-use rws_domain::DomainName;
-use rws_model::{RwsList, RwsSet, SetValidator, WellKnownFile};
+use rws_domain::{DomainName, SiteResolver};
+use rws_model::{RwsList, RwsSet, SetValidator, ValidatorConfig, WellKnownFile};
 use rws_net::{SimulatedWeb, SiteHost, WELL_KNOWN_RWS_PATH};
 
 fn main() {
@@ -45,7 +45,8 @@ fn main() {
     }
 
     // 3. Run the automated validation the submission bot performs.
-    let report = SetValidator::new(web).validate(&set);
+    let validator = SetValidator::new(web, ValidatorConfig::default(), SiteResolver::embedded());
+    let report = validator.validate(&set);
     println!(
         "validation outcome for {}: {:?}",
         report.primary, report.outcome

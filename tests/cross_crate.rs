@@ -6,10 +6,10 @@
 use rws_browser::{Browser, VendorPolicy};
 use rws_classify::CategoryDatabase;
 use rws_corpus::{CorpusConfig, CorpusGenerator, SiteRole};
-use rws_domain::{DomainName, PublicSuffixList};
+use rws_domain::{DomainName, PublicSuffixList, SiteResolver};
 use rws_engine::EngineContext;
-use rws_model::{list_from_json, list_to_json, SetValidator, WellKnownFile};
-use rws_net::{Fetcher, Url, WELL_KNOWN_RWS_PATH};
+use rws_model::{list_from_json, list_to_json, SetValidator, ValidatorConfig, WellKnownFile};
+use rws_net::{Fetcher, SimulatedWeb, Url, WELL_KNOWN_RWS_PATH};
 
 fn small_corpus(seed: u64) -> rws_corpus::Corpus {
     CorpusGenerator::new(CorpusConfig::small(seed)).generate_with(&EngineContext::embedded())
@@ -18,7 +18,7 @@ fn small_corpus(seed: u64) -> rws_corpus::Corpus {
 #[test]
 fn generated_well_known_files_are_fetchable_and_consistent() {
     let corpus = small_corpus(101);
-    let fetcher = Fetcher::new(corpus.web.clone());
+    let fetcher = Fetcher::new(SimulatedWeb::from_frozen(corpus.sharded.clone()));
     for set in corpus.list.sets() {
         for member in set.domains() {
             let live = corpus.site(&member).map(|s| s.live).unwrap_or(false);
@@ -60,7 +60,11 @@ fn corpus_list_round_trips_through_canonical_json() {
 #[test]
 fn validator_accepts_fully_live_generated_sets_and_rejects_tampered_ones() {
     let corpus = small_corpus(103);
-    let validator = SetValidator::new(corpus.web.clone());
+    let validator = SetValidator::new(
+        SimulatedWeb::from_frozen(corpus.sharded.clone()),
+        ValidatorConfig::default(),
+        SiteResolver::embedded(),
+    );
     let mut validated_clean = 0;
     for set in corpus.list.sets() {
         let all_live = set
