@@ -1,8 +1,11 @@
 //! A validated, normalised domain name.
 
 use crate::error::DomainError;
+use rws_stats::memo::FnvHasher;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A syntactically valid, lower-cased, fully-qualified domain name without a
@@ -17,12 +20,19 @@ use std::sync::Arc;
 /// simulated web, the browser storage engine and the RWS list. The name
 /// itself is a shared `Arc<str>`, so cloning — which the pair-universe and
 /// survey sweeps do hundreds of thousands of times — is a refcount bump,
-/// not a heap allocation. Equality, ordering and hashing all delegate to
-/// the string contents, so map behaviour is unchanged.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// not a heap allocation.
+///
+/// The FNV-1a hash of the name's bytes is computed once, at construction,
+/// and stored next to it ([`fnv1a`](DomainName::fnv1a)). `Hash` feeds the
+/// hasher that one `u64`, not the name, so every map lookup hashes eight
+/// bytes whatever the name's length, and equality rejects on a hash
+/// mismatch before it compares bytes. Ordering is string order.
+#[derive(Clone, Serialize, Deserialize)]
 #[serde(try_from = "String", into = "String")]
 pub struct DomainName {
     name: Arc<str>,
+    /// FNV-1a over `name`'s bytes; fixed by construction.
+    hash: u64,
 }
 
 impl DomainName {
@@ -65,7 +75,25 @@ impl DomainName {
                 });
             }
         }
-        Ok(DomainName { name: lower.into() })
+        Ok(DomainName::from_normalised(lower.into()))
+    }
+
+    /// The one constructor every path funnels through: `name` is already
+    /// validated and lower-cased, and its hash is taken here.
+    fn from_normalised(name: Arc<str>) -> DomainName {
+        let mut hasher = FnvHasher::new();
+        hasher.write(name.as_bytes());
+        DomainName {
+            hash: hasher.finish(),
+            name,
+        }
+    }
+
+    /// The FNV-1a hash of the name's bytes, computed once at construction.
+    /// This is the workspace's stable per-host hash: fault schedules key on
+    /// it.
+    pub fn fnv1a(&self) -> u64 {
+        self.hash
     }
 
     /// The normalised name as a string slice.
@@ -106,7 +134,7 @@ impl DomainName {
     /// `None` for a single-label name.
     pub fn parent(&self) -> Option<DomainName> {
         let (_, rest) = self.name.split_once('.')?;
-        Some(DomainName { name: rest.into() })
+        Some(DomainName::from_normalised(rest.into()))
     }
 
     /// Construct the name formed by the last `n` labels of this name.
@@ -116,14 +144,51 @@ impl DomainName {
         if n == 0 || n > labels.len() {
             return None;
         }
-        Some(DomainName {
-            name: labels[labels.len() - n..].join(".").into(),
-        })
+        Some(DomainName::from_normalised(
+            labels[labels.len() - n..].join(".").into(),
+        ))
     }
 
     /// Prepend a label, e.g. `"www"` + `example.com` → `www.example.com`.
     pub fn with_subdomain(&self, label: &str) -> Result<DomainName, DomainError> {
         DomainName::parse(&format!("{label}.{}", self.name))
+    }
+}
+
+impl PartialEq for DomainName {
+    fn eq(&self, other: &DomainName) -> bool {
+        self.hash == other.hash && self.name == other.name
+    }
+}
+
+impl Eq for DomainName {}
+
+impl Hash for DomainName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Little-endian bytes, so FNV shard routing stays the same on
+        // every platform.
+        state.write(&self.hash.to_le_bytes());
+    }
+}
+
+impl PartialOrd for DomainName {
+    fn partial_cmp(&self, other: &DomainName) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for DomainName {
+    fn cmp(&self, other: &DomainName) -> Ordering {
+        self.name.cmp(&other.name)
+    }
+}
+
+impl fmt::Debug for DomainName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The hash is derived from the name, so it is left out.
+        f.debug_struct("DomainName")
+            .field("name", &self.name)
+            .finish()
     }
 }
 

@@ -7,7 +7,9 @@
 //! * `levenshtein_bounded` against thresholding the exact distance;
 //! * the PSL label-trie matcher against the linear rule scan, on random
 //!   domains and on hosts built from every embedded rule;
-//! * the memoizing `SiteResolver` against direct PSL lookups.
+//! * the memoizing `SiteResolver` against direct PSL lookups;
+//! * `DomainName`'s cached hash against its bytes: every construction path
+//!   yields names that compare, hash and look each other up alike.
 
 use proptest::prelude::*;
 use rws_domain::levenshtein::levenshtein_naive;
@@ -15,6 +17,11 @@ use rws_domain::{
     levenshtein, levenshtein_bounded, normalized_levenshtein, DomainName, PublicSuffixList,
     SiteResolver, SldComparison,
 };
+use rws_stats::memo::{FnvBuildHasher, FnvHasher};
+use rws_stats::shard::fnv1a_of;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Strategy producing syntactically valid domain labels.
 fn label_strategy() -> impl Strategy<Value = String> {
@@ -208,4 +215,103 @@ fn trie_matches_linear_scan_on_every_embedded_rule() {
         checked > 300,
         "expected to exercise every embedded rule, got {checked}"
     );
+}
+
+/// A fixed-key std hash, so two calls can be compared.
+fn std_hash<T: Hash>(value: &T) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// `a` and `b` are one key to both an FNV and a std `HashMap`, either way
+/// round.
+fn assert_same_key(a: &DomainName, b: &DomainName, how: &str) {
+    assert_eq!(a, b, "{how}");
+    assert_eq!(a.cmp(b), std::cmp::Ordering::Equal, "{how}");
+    assert_eq!(a.fnv1a(), b.fnv1a(), "{how}");
+    assert_eq!(fnv1a_of(a), fnv1a_of(b), "{how}");
+    assert_eq!(std_hash(a), std_hash(b), "{how}");
+    for (stored, probe) in [(a, b), (b, a)] {
+        let mut fnv: HashMap<DomainName, u8, FnvBuildHasher> = HashMap::default();
+        fnv.insert(stored.clone(), 1);
+        assert_eq!(fnv.get(probe), Some(&1), "{how}: FNV map lookup");
+        let mut std_map: HashMap<DomainName, u8> = HashMap::new();
+        std_map.insert(stored.clone(), 1);
+        assert_eq!(std_map.get(probe), Some(&1), "{how}: std map lookup");
+    }
+}
+
+#[test]
+fn every_construction_path_hashes_alike() {
+    let canonical = DomainName::parse("example.co.uk").unwrap();
+    let json = serde_json::to_string(&canonical).unwrap();
+    let built = [
+        (
+            "parse, mixed case and trailing dot",
+            DomainName::parse("Example.CO.uk.").unwrap(),
+        ),
+        (
+            "parent",
+            DomainName::parse("www.example.co.uk")
+                .unwrap()
+                .parent()
+                .unwrap(),
+        ),
+        (
+            "suffix_labels",
+            DomainName::parse("a.b.example.co.uk")
+                .unwrap()
+                .suffix_labels(3)
+                .unwrap(),
+        ),
+        (
+            "registrable_domain",
+            SiteResolver::full()
+                .registrable_domain(&DomainName::parse("shop.www.example.co.uk").unwrap())
+                .unwrap(),
+        ),
+        (
+            "serde round trip",
+            serde_json::from_str::<DomainName>(&json).unwrap(),
+        ),
+    ];
+    for (how, name) in &built {
+        assert_eq!(name.as_str(), "example.co.uk", "{how}");
+        assert_same_key(name, &canonical, how);
+    }
+}
+
+#[test]
+fn same_length_names_stay_distinct() {
+    for (a, b) in [
+        ("alpha.com", "alpha.org"),
+        ("abc.com", "acb.com"),
+        ("a.bc.com", "ab.c.com"),
+    ] {
+        let (a, b) = (DomainName::parse(a).unwrap(), DomainName::parse(b).unwrap());
+        assert_eq!(a.as_str().len(), b.as_str().len());
+        assert_ne!(a, b);
+        let mut map: HashMap<DomainName, u8, FnvBuildHasher> = HashMap::default();
+        map.insert(a.clone(), 1);
+        assert_eq!(map.get(&b), None, "{a} must not find {b}");
+    }
+}
+
+proptest! {
+    /// The cached hash is the byte-wise FNV-1a of the normalised name, and
+    /// equality follows the names exactly, whatever their lengths.
+    #[test]
+    fn cached_hash_is_fnv1a_of_the_name(a in domain_strategy(), b in domain_strategy()) {
+        let da = DomainName::parse(&a).unwrap();
+        let mut bytes = FnvHasher::new();
+        bytes.write(a.as_bytes());
+        prop_assert_eq!(da.fnv1a(), bytes.finish());
+        let upper = DomainName::parse(&format!("{}.", a.to_ascii_uppercase())).unwrap();
+        prop_assert_eq!(&upper, &da);
+        prop_assert_eq!(upper.fnv1a(), da.fnv1a());
+        let db = DomainName::parse(&b).unwrap();
+        prop_assert_eq!(da == db, a == b);
+        prop_assert_eq!(da.cmp(&db), a.cmp(&b));
+    }
 }

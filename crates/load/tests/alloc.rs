@@ -1,0 +1,120 @@
+//! Allocation-count gates for the fetch hop and the load replay's visit.
+//!
+//! Building a visit URL borrows a `'static` path and bumps the host's
+//! refcount, so it must not touch the allocator. A calm GET of an HTML page
+//! pays for the response's header-map node and nothing else (the URL clone
+//! inside the fetcher, the `content-type` name and its value are all
+//! borrowed); a HEAD adds the `content-length` value. A counting global
+//! allocator pins those counts, and bounds the allocations a whole
+//! sequential replay makes per fetch call.
+//!
+//! Everything lives in one `#[test]` so the process-global counter is not
+//! polluted by a sibling test thread.
+
+use rws_domain::{DomainName, SiteResolver};
+use rws_load::{LoadEngine, LoadScale, LoadTarget};
+use rws_model::RwsList;
+use rws_net::{well_known_path, Fetcher, SimulatedWeb, SiteHost, Url};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// System allocator wrapper counting every allocation and reallocation.
+struct CountingAlloc;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+/// Allocations performed while running `f`.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let value = f();
+    (ALLOCS.load(Ordering::Relaxed) - before, value)
+}
+
+/// The four-host universe of the engine's unit tests: two HTML pages per
+/// host, no extra headers, no redirects, no RWS sets.
+fn tiny_web() -> SimulatedWeb {
+    let mut web = SimulatedWeb::new();
+    for name in ["alpha.com", "beta.com", "gamma.com", "delta.com"] {
+        let mut host = SiteHost::new(name).unwrap();
+        host.add_page("/", "<html><body>page</body></html>");
+        host.add_page("/about", "<html><body>about</body></html>");
+        web.register(host);
+    }
+    web
+}
+
+#[test]
+fn visits_and_fetch_hops_allocate_within_budget() {
+    let host = DomainName::parse("alpha.com").unwrap();
+
+    // Building a visit URL: the host is a refcount bump, the path borrowed.
+    let (url_allocs, url) = allocs_during(|| black_box(Url::https(&host, "/about")));
+    assert_eq!(url_allocs, 0, "Url::https must not allocate");
+    let (probe_allocs, probe) = allocs_during(|| black_box(well_known_path(&host)));
+    assert_eq!(probe_allocs, 0, "well_known_path must not allocate");
+    assert_eq!(url.to_string(), "https://alpha.com/about");
+    assert!(probe
+        .to_string()
+        .starts_with("https://alpha.com/.well-known/"));
+
+    // One calm fetch hop of an HTML page, after a warm-up.
+    let fetcher = Fetcher::new(tiny_web());
+    let page = Url::https(&host, "/");
+    fetcher.get(&page).unwrap();
+    fetcher.head(&page).unwrap();
+    let (get_allocs, get) = allocs_during(|| fetcher.get(&page).unwrap());
+    assert!(get.status.is_success());
+    assert_eq!(get.content_type(), Some("text/html; charset=utf-8"));
+    assert!(
+        get_allocs <= 1,
+        "calm GET must allocate at most the header-map node, got {get_allocs}"
+    );
+    let (head_allocs, head) = allocs_during(|| fetcher.head(&page).unwrap());
+    assert!(head.body.is_empty());
+    assert_eq!(head.headers.get("content-length"), Some("30"));
+    assert!(
+        head_allocs <= 2,
+        "calm HEAD must allocate at most the header-map node and the length, got {head_allocs}"
+    );
+
+    // A whole sequential replay, per fetch call. The resolver is built
+    // first: its PSL tables are set-up, not visit cost.
+    let resolver = SiteResolver::full();
+    let engine = LoadEngine::new(
+        LoadTarget::from_frozen(tiny_web().freeze(), RwsList::default()),
+        LoadScale::smoke(),
+    );
+    let (replay_allocs, report) = allocs_during(|| engine.replay_sequential_with(7, &resolver));
+    assert!(report.fetch_calls > 1_000, "sanity: the replay fetched");
+    let per_call = replay_allocs as f64 / report.fetch_calls as f64;
+    assert!(
+        per_call <= 2.0,
+        "replay allocations per fetch call: {per_call:.2} ({replay_allocs} over {} calls)",
+        report.fetch_calls
+    );
+}

@@ -134,14 +134,10 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// FNV-1a over the host name — the host half of the fault-decision key,
-/// shared with [`FetchSession`]'s ordinal table.
+/// shared with [`FetchSession`]'s ordinal table. A field read: the name
+/// hashed itself when it was built ([`DomainName::fnv1a`]).
 pub fn host_hash(host: &DomainName) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in host.as_str().as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    host.fnv1a()
 }
 
 /// A deterministic fault schedule: seed + scale, evaluated as a pure
@@ -271,7 +267,7 @@ impl FaultInjector {
                     // ordinals stay inside the burst window, so the storm
                     // sustains itself until the window ends or the fetcher
                     // gives up with too-many-redirects.
-                    location: url.path.clone(),
+                    location: url.path.to_string(),
                     permanent: false,
                 },
                 extra_headers: None,
@@ -377,6 +373,16 @@ mod tests {
 
     fn dn(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
+    }
+
+    #[test]
+    fn host_hash_is_pinned_fnv1a_of_the_name() {
+        // Byte-wise FNV-1a values: a change here moves every fault schedule.
+        assert_eq!(host_hash(&dn("alpha.com")), 0x7563_b890_694e_6e04);
+        assert_eq!(host_hash(&dn("beta.org")), 0xa507_6379_1032_d707);
+        assert_eq!(host_hash(&dn("gamma.net")), 0x48f7_3e7a_6659_04d7);
+        // Normalisation happens before hashing.
+        assert_eq!(host_hash(&dn("Alpha.COM.")), host_hash(&dn("alpha.com")));
     }
 
     #[test]

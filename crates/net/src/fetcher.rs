@@ -405,7 +405,9 @@ impl Fetcher {
                 _ => self.web.serve(&current),
             };
             // `body` is a refcount bump of the interned page, never a copy.
-            let (status, mut headers, body, latency) = match served {
+            // `location` is the target a `Redirect` page names; a redirect
+            // hop's headers are dropped, so it never goes into the map.
+            let (status, mut headers, body, latency, location) = match served {
                 ServedPage::NoSuchHost => {
                     return Err(NetError::HostNotFound {
                         host: current.host.to_string(),
@@ -426,6 +428,7 @@ impl Fetcher {
                     HeaderMap::new(),
                     Bytes::new(),
                     latency.latency_for(0),
+                    None,
                 ),
                 ServedPage::Content {
                     content,
@@ -433,27 +436,28 @@ impl Fetcher {
                     latency,
                 } => {
                     // The response mutates its headers (Content-Type,
-                    // Location), so materialise a copy only when the path
-                    // actually registered extra headers — the shared handle
-                    // itself was never cloned by `serve`.
+                    // Content-Length), so materialise a copy only when the
+                    // path actually registered extra headers — the shared
+                    // handle itself was never cloned by `serve`. The
+                    // standard entries are `'static` and copy nothing.
                     let mut h = extra_headers
                         .map(|shared| HeaderMap::clone(&shared))
                         .unwrap_or_default();
                     match content {
                         PageContent::Html(html) => {
                             let lat = latency.latency_for(html.len());
-                            h.set("Content-Type", "text/html; charset=utf-8");
-                            (StatusCode::OK, h, html.bytes(), lat)
+                            h.set("content-type", "text/html; charset=utf-8");
+                            (StatusCode::OK, h, html.bytes(), lat, None)
                         }
                         PageContent::Json(json) => {
                             let lat = latency.latency_for(json.len());
-                            h.set("Content-Type", "application/json");
-                            (StatusCode::OK, h, json.bytes(), lat)
+                            h.set("content-type", "application/json");
+                            (StatusCode::OK, h, json.bytes(), lat, None)
                         }
                         PageContent::Text(text) => {
                             let lat = latency.latency_for(text.len());
-                            h.set("Content-Type", "text/plain; charset=utf-8");
-                            (StatusCode::OK, h, text.bytes(), lat)
+                            h.set("content-type", "text/plain; charset=utf-8");
+                            (StatusCode::OK, h, text.bytes(), lat, None)
                         }
                         PageContent::Redirect {
                             location,
@@ -464,12 +468,17 @@ impl Fetcher {
                             } else {
                                 StatusCode::FOUND
                             };
-                            h.set("Location", location.clone());
-                            (status, h, Bytes::new(), latency.latency_for(0))
+                            (
+                                status,
+                                h,
+                                Bytes::new(),
+                                latency.latency_for(0),
+                                Some(location),
+                            )
                         }
                         PageContent::Error { status, body } => {
                             let lat = latency.latency_for(body.len());
-                            (status, h, body.bytes(), lat)
+                            (status, h, body.bytes(), lat, None)
                         }
                     }
                 }
@@ -496,8 +505,12 @@ impl Fetcher {
                         limit: self.policy.max_redirects,
                     });
                 }
-                let location = headers.get("location").unwrap_or("/").to_string();
-                current = current.join(&location)?;
+                // A 3xx error page names no target of its own: it may carry
+                // a `Location` extra header, else it sends the client home.
+                let target = location
+                    .as_deref()
+                    .unwrap_or_else(|| headers.get("location").unwrap_or("/"));
+                current = current.join(target)?;
                 redirects += 1;
                 continue;
             }
@@ -506,7 +519,7 @@ impl Fetcher {
             // itself is dropped) — the interned body makes that length
             // available without having materialised a copy.
             let body_bytes = if method == Method::Head {
-                headers.set("Content-Length", body.len().to_string());
+                headers.set("content-length", body.len().to_string());
                 Bytes::new()
             } else {
                 body
@@ -600,6 +613,34 @@ mod tests {
         assert_eq!(resp.url.path, "/");
         // Two requests logged: the redirect and the destination.
         assert_eq!(fetcher.requests_issued(), 2);
+    }
+
+    #[test]
+    fn redirect_status_pages_follow_their_location_header() {
+        let mut web = web_with_example();
+        web.update_host(
+            &rws_domain::DomainName::parse("example.com").unwrap(),
+            |h| {
+                let moved = PageContent::Error {
+                    status: StatusCode(307),
+                    body: "moved".into(),
+                };
+                h.add_content("/moved", moved.clone());
+                h.add_header("/moved", "Location", "/data.json");
+                h.add_content("/bare", moved);
+            },
+        );
+        let fetcher = Fetcher::new(web);
+        let resp = fetcher
+            .get(&Url::parse("https://example.com/moved").unwrap())
+            .unwrap();
+        assert_eq!(resp.url.path, "/data.json");
+        assert_eq!(resp.redirects_followed, 1);
+        // Without a `Location` header a redirect status sends the client home.
+        let resp = fetcher
+            .get(&Url::parse("https://example.com/bare").unwrap())
+            .unwrap();
+        assert_eq!(resp.url.path, "/");
     }
 
     #[test]

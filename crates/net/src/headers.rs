@@ -1,18 +1,32 @@
 //! A case-insensitive HTTP header map.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A case-insensitive, order-stable map of HTTP headers.
 ///
 /// Header names are normalised to lowercase on insertion (HTTP/2 style);
-/// values are stored verbatim. Multiple values for the same name are joined
-/// with `", "` as permitted by RFC 9110 for list-valued fields — sufficient
-/// for the headers the study inspects (`Content-Type`, `X-Robots-Tag`,
-/// `Location`, `Set-Cookie` is handled by the browser crate separately).
+/// values are stored verbatim, one value per name — sufficient for the
+/// headers the study inspects (`Content-Type`, `X-Robots-Tag`, `Location`;
+/// `Set-Cookie` is handled by the browser crate separately).
+///
+/// Names and values are `Cow<'static, str>`, so the fetcher's standard
+/// entries (a lowercase literal name, a literal `Content-Type` value) are
+/// stored without a copy, and lookups by an already-lowercase name do not
+/// copy the name either.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HeaderMap {
-    entries: BTreeMap<String, String>,
+    entries: BTreeMap<Cow<'static, str>, Cow<'static, str>>,
+}
+
+/// `name` lower-cased, borrowed back unchanged when it already is.
+fn lowercase(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 impl HeaderMap {
@@ -22,56 +36,31 @@ impl HeaderMap {
     }
 
     /// Insert a header, replacing any existing value for the same
-    /// (case-insensitive) name.
-    pub fn set<N: AsRef<str>, V: Into<String>>(&mut self, name: N, value: V) -> &mut Self {
-        self.entries
-            .insert(name.as_ref().to_ascii_lowercase(), value.into());
-        self
-    }
-
-    /// Append a value: if the header exists, the new value is joined with
-    /// `", "`; otherwise it is inserted.
-    pub fn append<N: AsRef<str>, V: AsRef<str>>(&mut self, name: N, value: V) -> &mut Self {
-        let key = name.as_ref().to_ascii_lowercase();
-        match self.entries.get_mut(&key) {
-            Some(existing) => {
-                existing.push_str(", ");
-                existing.push_str(value.as_ref());
-            }
-            None => {
-                self.entries.insert(key, value.as_ref().to_string());
-            }
+    /// (case-insensitive) name. A `'static` lowercase name and a `'static`
+    /// value are stored as borrowed strings.
+    pub fn set<N, V>(&mut self, name: N, value: V) -> &mut Self
+    where
+        N: Into<Cow<'static, str>>,
+        V: Into<Cow<'static, str>>,
+    {
+        let mut name = name.into();
+        if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            name = Cow::Owned(name.to_ascii_lowercase());
         }
+        self.entries.insert(name, value.into());
         self
     }
 
     /// Get a header value by case-insensitive name.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.entries
-            .get(&name.to_ascii_lowercase())
-            .map(String::as_str)
+            .get(lowercase(name).as_ref())
+            .map(AsRef::as_ref)
     }
 
     /// True if the header is present.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(&name.to_ascii_lowercase())
-    }
-
-    /// True if the header is present and any comma-separated element equals
-    /// `token` (ASCII case-insensitive) — e.g.
-    /// `has_token("x-robots-tag", "noindex")`.
-    pub fn has_token(&self, name: &str, token: &str) -> bool {
-        self.get(name)
-            .map(|v| {
-                v.split(',')
-                    .any(|part| part.trim().eq_ignore_ascii_case(token))
-            })
-            .unwrap_or(false)
-    }
-
-    /// Remove a header, returning its value if present.
-    pub fn remove(&mut self, name: &str) -> Option<String> {
-        self.entries.remove(&name.to_ascii_lowercase())
+        self.entries.contains_key(lowercase(name).as_ref())
     }
 
     /// Number of distinct header names.
@@ -86,7 +75,7 @@ impl HeaderMap {
 
     /// Iterate `(name, value)` pairs in lexicographic name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+        self.entries.iter().map(|(k, v)| (k.as_ref(), v.as_ref()))
     }
 }
 
@@ -114,31 +103,39 @@ mod tests {
     }
 
     #[test]
-    fn append_joins_values() {
+    fn empty_until_set() {
         let mut h = HeaderMap::new();
-        h.append("X-Robots-Tag", "noindex");
-        h.append("X-Robots-Tag", "nofollow");
-        assert_eq!(h.get("x-robots-tag"), Some("noindex, nofollow"));
+        assert!(h.is_empty());
+        assert_eq!(h.get("location"), None);
+        h.set("Location", String::from("/elsewhere"));
+        assert!(!h.is_empty());
+        assert_eq!(h.len(), 1);
+        assert_eq!(h.get("location"), Some("/elsewhere"));
     }
 
     #[test]
-    fn has_token_matches_list_elements() {
+    fn lowercase_literals_are_stored_borrowed() {
         let mut h = HeaderMap::new();
-        h.set("X-Robots-Tag", "noindex, nofollow");
-        assert!(h.has_token("x-robots-tag", "noindex"));
-        assert!(h.has_token("x-robots-tag", "NOFOLLOW"));
-        assert!(!h.has_token("x-robots-tag", "noarchive"));
-        assert!(!h.has_token("missing", "noindex"));
+        h.set("content-type", "text/html");
+        h.set("X-Robots-Tag", "noindex");
+        let borrowed: Vec<bool> = h
+            .entries
+            .iter()
+            .map(|(k, v)| matches!(k, Cow::Borrowed(_)) && matches!(v, Cow::Borrowed(_)))
+            .collect();
+        // The mixed-case name had to be lower-cased into an owned copy.
+        assert_eq!(borrowed, vec![true, false]);
     }
 
     #[test]
-    fn remove_and_empty() {
+    fn serde_round_trip() {
         let mut h = HeaderMap::new();
-        assert!(h.is_empty());
-        h.set("Location", "/elsewhere");
-        assert_eq!(h.remove("location"), Some("/elsewhere".to_string()));
-        assert!(h.is_empty());
-        assert_eq!(h.remove("location"), None);
+        h.set("content-type", "text/html");
+        h.set("X-Robots-Tag", String::from("noindex"));
+        let json = serde_json::to_string(&h).unwrap();
+        let back: HeaderMap = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, h);
+        assert_eq!(back.get("X-ROBOTS-TAG"), Some("noindex"));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! The table is split into N ≥ 1 private shards routed by the
 //! workspace's FNV-1a host hash (the same [`ShardRouter`] the memo tables
 //! use), so corpus generation can fan one pool task per shard and the
-//! per-shard tables stay flat as the corpus scales. One shard is simply
+//! per-shard tables stay flat as the corpus scales. A [`DomainName`]
+//! hashes as its cached name hash, so the route and the shard's map
+//! lookup each hash eight bytes, never the name itself. One shard is simply
 //! the unsharded table; the equivalence property tests compare every
 //! other count against it.
 //!
@@ -56,10 +58,10 @@ impl StoreStats {
 
 /// An immutable, `Arc`-shared host table partitioned over N ≥ 1 shards.
 ///
-/// Hosts route to shards by the FNV-1a hash of their [`DomainName`] —
-/// the exact assignment [`ShardRouter`] computes — so a domain's shard
-/// is stable across platforms, processes, and shard-local generation
-/// order. Power-of-two counts route with a mask, others with a modulo.
+/// Hosts route to shards by the FNV-1a hash of their [`DomainName`]'s
+/// `Hash` (its cached name hash) — the exact assignment [`ShardRouter`]
+/// computes — so a domain's shard is stable across platforms, processes,
+/// and shard-local generation order. Power-of-two counts route with a mask, others with a modulo.
 /// The shard count never changes what the store serves.
 #[derive(Debug, Clone)]
 pub struct FrozenWeb {

@@ -4,10 +4,16 @@
 //! (`http`/`https`), host (a validated [`DomainName`]), optional port, path
 //! and optional query string. Fragments are parsed and discarded, matching
 //! what a fetcher would send on the wire.
+//!
+//! Paths are `Cow<'static, str>`: the URLs the crawlers and the load
+//! engine build ([`Url::https`]) borrow a literal or a constant path, so
+//! building one and cloning it are refcount bumps and copies of pointers,
+//! never heap allocations. Only parsed and joined URLs own their path.
 
 use crate::error::NetError;
 use rws_domain::DomainName;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// URL scheme; the study only ever deals with HTTP(S).
@@ -20,14 +26,6 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// Default port for the scheme.
-    pub fn default_port(self) -> u16 {
-        match self {
-            Scheme::Http => 80,
-            Scheme::Https => 443,
-        }
-    }
-
     /// Scheme name without the `://`.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -46,8 +44,9 @@ pub struct Url {
     pub host: DomainName,
     /// Explicit port, if one was given.
     pub port: Option<u16>,
-    /// Absolute path, always starting with `/`.
-    pub path: String,
+    /// Absolute path, always starting with `/`; borrowed when the URL was
+    /// built from a `'static` path.
+    pub path: Cow<'static, str>,
     /// Query string without the leading `?`, if present.
     pub query: Option<String>,
 }
@@ -79,9 +78,9 @@ impl Url {
         let (authority, path) = match authority_and_path.find('/') {
             Some(idx) => (
                 &authority_and_path[..idx],
-                authority_and_path[idx..].to_string(),
+                Cow::Owned(authority_and_path[idx..].to_string()),
             ),
-            None => (authority_and_path, "/".to_string()),
+            None => (authority_and_path, Cow::Borrowed("/")),
         };
         let (host_str, port) = match authority.rsplit_once(':') {
             Some((h, p)) => {
@@ -103,60 +102,23 @@ impl Url {
         })
     }
 
-    /// Build an HTTPS URL for a host and path without going through the
-    /// string parser. `path` must start with `/`.
-    pub fn https(host: &DomainName, path: &str) -> Url {
+    /// Build an HTTPS URL for a host and a `'static` path without going
+    /// through the string parser. `path` must start with `/`. Allocates
+    /// nothing: the host is a refcount bump and the path is borrowed.
+    pub fn https(host: &DomainName, path: &'static str) -> Url {
         assert!(path.starts_with('/'), "path must be absolute, got '{path}'");
         Url {
             scheme: Scheme::Https,
             host: host.clone(),
             port: None,
-            path: path.to_string(),
+            path: Cow::Borrowed(path),
             query: None,
         }
-    }
-
-    /// Build a plain-HTTP URL (used by tests exercising HTTPS enforcement).
-    pub fn http(host: &DomainName, path: &str) -> Url {
-        assert!(path.starts_with('/'), "path must be absolute, got '{path}'");
-        Url {
-            scheme: Scheme::Http,
-            host: host.clone(),
-            port: None,
-            path: path.to_string(),
-            query: None,
-        }
-    }
-
-    /// The effective port (explicit port or the scheme default).
-    pub fn effective_port(&self) -> u16 {
-        self.port.unwrap_or_else(|| self.scheme.default_port())
     }
 
     /// True for `https` URLs.
     pub fn is_https(&self) -> bool {
         self.scheme == Scheme::Https
-    }
-
-    /// The origin (scheme, host, port) triple as a display string, e.g.
-    /// `https://example.com` — the unit same-origin checks operate on.
-    pub fn origin(&self) -> String {
-        match self.port {
-            Some(p) => format!("{}://{}:{}", self.scheme.as_str(), self.host, p),
-            None => format!("{}://{}", self.scheme.as_str(), self.host),
-        }
-    }
-
-    /// A copy of this URL with a different path (query dropped).
-    pub fn with_path(&self, path: &str) -> Url {
-        assert!(path.starts_with('/'), "path must be absolute, got '{path}'");
-        Url {
-            scheme: self.scheme,
-            host: self.host.clone(),
-            port: self.port,
-            path: path.to_string(),
-            query: None,
-        }
     }
 
     /// Resolve a possibly relative redirect target against this URL.
@@ -174,7 +136,7 @@ impl Url {
                 scheme: self.scheme,
                 host: self.host.clone(),
                 port: self.port,
-                path,
+                path: Cow::Owned(path),
                 query,
             })
         } else {
@@ -188,7 +150,11 @@ impl Url {
 
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}", self.origin(), self.path)?;
+        write!(f, "{}://{}", self.scheme.as_str(), self.host)?;
+        if let Some(port) = self.port {
+            write!(f, ":{port}")?;
+        }
+        f.write_str(&self.path)?;
         if let Some(q) = &self.query {
             write!(f, "?{q}")?;
         }
@@ -214,7 +180,7 @@ mod tests {
         assert_eq!(u.host.as_str(), "example.com");
         assert_eq!(u.path, "/path");
         assert_eq!(u.query.as_deref(), Some("x=1"));
-        assert_eq!(u.effective_port(), 443);
+        assert_eq!(u.port, None);
         assert!(u.is_https());
     }
 
@@ -230,7 +196,6 @@ mod tests {
         let u = Url::parse("http://example.com:8080/x").unwrap();
         assert_eq!(u.scheme, Scheme::Http);
         assert_eq!(u.port, Some(8080));
-        assert_eq!(u.effective_port(), 8080);
         assert!(!u.is_https());
     }
 
@@ -272,14 +237,16 @@ mod tests {
     }
 
     #[test]
-    fn origin_includes_explicit_port_only() {
+    fn display_includes_explicit_port_only() {
         assert_eq!(
-            Url::parse("https://example.com/x").unwrap().origin(),
-            "https://example.com"
+            Url::parse("https://example.com/x").unwrap().to_string(),
+            "https://example.com/x"
         );
         assert_eq!(
-            Url::parse("https://example.com:444/x").unwrap().origin(),
-            "https://example.com:444"
+            Url::parse("https://example.com:444/x?q")
+                .unwrap()
+                .to_string(),
+            "https://example.com:444/x?q"
         );
     }
 
@@ -298,12 +265,12 @@ mod tests {
     }
 
     #[test]
-    fn constructors_enforce_absolute_paths() {
+    fn https_constructor_borrows_its_path() {
         let host = DomainName::parse("example.com").unwrap();
         let u = Url::https(&host, "/ok");
         assert_eq!(u.to_string(), "https://example.com/ok");
-        let u = Url::http(&host, "/ok");
-        assert_eq!(u.to_string(), "http://example.com/ok");
+        assert!(matches!(u.path, Cow::Borrowed("/ok")));
+        assert_eq!(u, Url::parse("https://example.com/ok").unwrap());
     }
 
     #[test]
@@ -314,9 +281,20 @@ mod tests {
     }
 
     #[test]
-    fn with_path_replaces_path_and_drops_query() {
-        let u = Url::parse("https://example.com/a?q=1").unwrap();
-        let v = u.with_path("/b");
-        assert_eq!(v.to_string(), "https://example.com/b");
+    fn join_replaces_path_and_query() {
+        let u = Url::parse("https://example.com:444/a?q=1").unwrap();
+        assert_eq!(
+            u.join("/b").unwrap().to_string(),
+            "https://example.com:444/b"
+        );
+    }
+
+    #[test]
+    fn serde_round_trip_owns_the_path() {
+        let u = Url::parse("https://example.com/a/b?x=1").unwrap();
+        let json = serde_json::to_string(&u).unwrap();
+        let back: Url = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, u);
+        assert_eq!(back.to_string(), "https://example.com/a/b?x=1");
     }
 }

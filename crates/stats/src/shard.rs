@@ -8,6 +8,11 @@
 //! of the key's `Hash` impl — so that assignment is platform-stable and
 //! configured in exactly one place. [`ShardRouter`] is that place.
 //!
+//! What gets hashed is whatever the key's `Hash` writes. A domain name
+//! (`rws_domain::DomainName`) writes its own cached FNV-1a as eight
+//! little-endian bytes, not its text, so routing a host costs eight FNV
+//! rounds whatever the name's length.
+//!
 //! Routing is a mask when the shard count is a power of two (the fast
 //! path every production configuration uses) and a modulo otherwise, so
 //! odd counts remain *correct* — the equivalence property tests
