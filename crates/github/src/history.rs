@@ -30,28 +30,10 @@ use rws_domain::DomainName;
 use rws_engine::EngineContext;
 use rws_model::{RwsSet, WellKnownFile};
 use rws_net::{SimulatedWeb, SiteHost, WELL_KNOWN_RWS_PATH};
-use rws_stats::checkpoint::CheckpointSink;
 use rws_stats::rng::{Rng, Xoshiro256StarStar};
 use rws_stats::sampling::weighted_choice;
 use rws_stats::timeseries::{Date, Month};
 use serde::{Deserialize, Serialize};
-
-/// Resumable state of a governance history replay: the submitter watermark
-/// (tasks `0..watermark` are already replayed) plus every raw PR collected
-/// so far, serialised through the vendored serde shim into a
-/// [`CheckpointSink`]. Because submitters are independent (per-submitter
-/// derived rng streams, per-submitter webs), resuming from a
-/// checkpoint on a freshly generated identical corpus produces a history
-/// field-for-field equal to an uninterrupted replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HistoryCheckpoint {
-    /// The history seed the checkpoint belongs to.
-    pub seed: u64,
-    /// Number of submitter tasks already replayed.
-    pub watermark: usize,
-    /// Raw PRs collected so far (pre-sort, pre-renumber).
-    pub prs: Vec<PullRequest>,
-}
 
 /// A deliberate mistake injected into a submission attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -149,62 +131,15 @@ impl HistoryGenerator {
     /// service sites without robots headers) are registered on the
     /// submitter's own web, exactly as a real submitter would stand up
     /// half-configured infrastructure; the corpus is not modified. Output
-    /// is identical
-    /// whether the context is pooled or sequential (each submitter draws
-    /// from an rng stream derived from its primary's name). Under a salvage
+    /// is identical whether the context is pooled or sequential (each
+    /// submitter draws from an rng stream derived from its primary's name).
+    /// The replay is one supervised sweep: under a salvage
     /// [`SupervisionPolicy`] a panicking submitter replay is quarantined in
     /// the context's monitor and its PRs are dropped, instead of taking the
     /// whole history down.
     ///
     /// [`SupervisionPolicy`]: rws_engine::SupervisionPolicy
     pub fn generate_with(&self, corpus: &Corpus, ctx: &EngineContext) -> PrHistory {
-        self.replay_loop(corpus, ctx, usize::MAX, None, 0, Vec::new())
-    }
-
-    /// Like [`generate_with`](Self::generate_with), but replaying the
-    /// submitter tasks in windows of `every` and serialising a
-    /// [`HistoryCheckpoint`] (submitter watermark + raw PRs so far) into
-    /// `sink` after each window. The replay continues from the sink's
-    /// latest checkpoint, or starts fresh when the sink is empty, so a
-    /// killed run is finished by calling this again on the same sink and a
-    /// freshly generated identical corpus. The finished history is
-    /// field-for-field equal to an uninterrupted run — property-tested by
-    /// killing at every checkpoint boundary.
-    pub fn generate_checkpointed(
-        &self,
-        corpus: &Corpus,
-        ctx: &EngineContext,
-        every: usize,
-        sink: &dyn CheckpointSink,
-    ) -> PrHistory {
-        let (start, prs) = match sink.latest() {
-            Some(value) => {
-                let checkpoint = HistoryCheckpoint::deserialize(&value)
-                    .expect("sink holds a valid history checkpoint");
-                assert_eq!(
-                    checkpoint.seed, self.config.seed,
-                    "checkpoint belongs to a different history seed"
-                );
-                (checkpoint.watermark, checkpoint.prs)
-            }
-            None => (0, Vec::new()),
-        };
-        self.replay_loop(corpus, ctx, every, Some(sink), start, prs)
-    }
-
-    /// The shared replay core: one unified task list (every set on the
-    /// list, then every never-successful submitter), processed in windows
-    /// of `every` tasks, each window one supervised sweep on the context.
-    /// `start`/`prs` seed the loop when resuming from a checkpoint.
-    fn replay_loop(
-        &self,
-        corpus: &Corpus,
-        ctx: &EngineContext,
-        every: usize,
-        sink: Option<&dyn CheckpointSink>,
-        start: usize,
-        mut prs: Vec<PullRequest>,
-    ) -> PrHistory {
         let cfg = self.config;
         let base = Xoshiro256StarStar::new(cfg.seed).derive("github-history");
         // Every submitter's bot gets a private web over the corpus store.
@@ -280,26 +215,12 @@ impl HistoryGenerator {
             }
         };
 
-        let every = every.max(1);
-        let mut next = start.min(tasks.len());
-        while next < tasks.len() {
-            let end = next.saturating_add(every).min(tasks.len());
-            let window = &tasks[next..end];
-            let (results, _sweep) =
-                ctx.par_map_sweep_at("history", next, window, |_, task| replay_one(task));
-            prs.extend(results.into_iter().flatten().flatten());
-            next = end;
-            if let Some(sink) = sink {
-                sink.store(
-                    HistoryCheckpoint {
-                        seed: cfg.seed,
-                        watermark: next,
-                        prs: prs.clone(),
-                    }
-                    .serialize(),
-                );
-            }
-        }
+        let mut prs: Vec<PullRequest> = ctx
+            .par_map_supervised("history", &tasks, |_, task| replay_one(task))
+            .into_iter()
+            .flatten()
+            .flatten()
+            .collect();
 
         // Deterministic global numbering: order every submitter's attempts
         // by (open date, primary, within-submitter sequence) and number
@@ -618,68 +539,5 @@ mod tests {
             seen.insert(format!("{:?}", SubmissionDefect::sample(&mut rng)));
         }
         assert_eq!(seen.len(), SubmissionDefect::WEIGHTED.len());
-    }
-
-    #[test]
-    fn checkpointed_replay_matches_the_uninterrupted_one() {
-        let generator = HistoryGenerator::new(HistoryConfig {
-            never_successful_primaries: 6,
-            ..HistoryConfig::default()
-        });
-        let ctx = EngineContext::embedded();
-        let corpus = CorpusGenerator::new(CorpusConfig::small(31)).generate_with(&ctx);
-        let plain = generator.generate_with(&corpus, &ctx);
-        for every in [1, 3, 7, usize::MAX] {
-            let sink = rws_stats::MemorySink::new();
-            let corpus2 =
-                CorpusGenerator::new(CorpusConfig::small(31)).generate_with(&ctx.sequential_twin());
-            let checkpointed =
-                generator.generate_checkpointed(&corpus2, &ctx.sequential_twin(), every, &sink);
-            assert_eq!(checkpointed, plain, "window size {every} diverged");
-            assert!(sink.count() >= 1);
-        }
-    }
-
-    #[test]
-    fn resuming_at_every_checkpoint_boundary_matches_uninterrupted() {
-        let generator = HistoryGenerator::new(HistoryConfig {
-            never_successful_primaries: 4,
-            ..HistoryConfig::default()
-        });
-        let ctx = EngineContext::embedded();
-        let corpus = CorpusGenerator::new(CorpusConfig::small(37)).generate_with(&ctx);
-        let every = 5;
-        let full_sink = rws_stats::MemorySink::new();
-        let uninterrupted = generator.generate_checkpointed(&corpus, &ctx, every, &full_sink);
-        // Kill the run right after each checkpoint (including "before any
-        // checkpoint" via keep = 0) and resume from the surviving prefix.
-        for keep in 0..=full_sink.count() {
-            let sink = full_sink.truncated(keep);
-            let corpus2 = CorpusGenerator::new(CorpusConfig::small(37)).generate_with(&ctx);
-            let resumed = generator.generate_checkpointed(&corpus2, &ctx, every, &sink);
-            assert_eq!(
-                resumed, uninterrupted,
-                "resume after checkpoint {keep} diverged"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different history seed")]
-    fn resume_rejects_a_checkpoint_from_another_seed() {
-        let ctx = EngineContext::sequential();
-        let corpus =
-            CorpusGenerator::new(CorpusConfig::small(17)).generate_with(&EngineContext::embedded());
-        let sink = rws_stats::MemorySink::new();
-        sink.store(
-            HistoryCheckpoint {
-                seed: 999,
-                watermark: 1,
-                prs: Vec::new(),
-            }
-            .serialize(),
-        );
-        HistoryGenerator::new(HistoryConfig::default())
-            .generate_checkpointed(&corpus, &ctx, 5, &sink);
     }
 }

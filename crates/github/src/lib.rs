@@ -24,6 +24,6 @@ pub mod history;
 pub mod pipeline;
 pub mod pr;
 
-pub use history::{HistoryCheckpoint, HistoryConfig, HistoryGenerator, SubmissionDefect};
+pub use history::{HistoryConfig, HistoryGenerator, SubmissionDefect};
 pub use pipeline::{GovernancePipeline, ReviewModel};
 pub use pr::{PrHistory, PrState, PullRequest};

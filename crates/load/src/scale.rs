@@ -1,13 +1,13 @@
-//! The load-scale knob, mirroring `SurveyScale`.
+//! The load-scale knob.
 
 use serde::{Deserialize, Serialize};
 
 /// How much traffic a load run generates.
 ///
-/// Mirrors `rws_survey::SurveyScale`: a small base configuration plus a
-/// [`times`](LoadScale::times) multiplier, so tests run in milliseconds
-/// while the benchmark's 12k-client fleet (`smoke().times(50)`) replays
-/// over a hundred thousand requests from the same code path.
+/// A small base configuration plus a [`times`](LoadScale::times)
+/// multiplier, so tests run in milliseconds while the benchmark's
+/// 12k-client fleet (`smoke().times(50)`) replays over a hundred thousand
+/// requests from the same code path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoadScale {
     /// Number of simulated browser clients.

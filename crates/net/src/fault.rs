@@ -39,8 +39,8 @@ use std::collections::HashMap;
 /// Default per-session retry budget (see [`FetchSession::with_budget`]).
 pub const DEFAULT_RETRY_BUDGET: u32 = 64;
 
-/// How hostile the injected weather is. Mirrors `SurveyScale`/`LoadScale`:
-/// a couple of named base configurations plus a multiplier.
+/// How hostile the injected weather is. Like `LoadScale`: a couple of named
+/// base configurations plus a multiplier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultScale {
     /// Per-mille probability that a given `(host, burst window)` is

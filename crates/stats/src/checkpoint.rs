@@ -1,13 +1,13 @@
 //! Checkpoint sinks: where long runs park resumable state.
 //!
-//! A checkpointed run (the load engine's chunk windows, the governance
-//! history's submitter windows) periodically serialises its watermark plus
-//! merged partial state through the vendored serde shim into a
-//! [`CheckpointSink`]. The checkpointed entry point continues from the
-//! sink's latest checkpoint (or starts fresh on an empty sink), so killing
-//! the run and calling it again against the same sink produces a final
-//! report field-for-field equal to an uninterrupted run — the property the
-//! checkpoint test suites pin by killing at every boundary.
+//! A checkpointed run (the load engine's chunk windows) periodically
+//! serialises its watermark plus merged partial state through the vendored
+//! serde shim into a [`CheckpointSink`]. The checkpointed entry point
+//! continues from the sink's latest checkpoint (or starts fresh on an empty
+//! sink), so killing the run and calling it again against the same sink
+//! produces a final report field-for-field equal to an uninterrupted run —
+//! the property the load supervision suite pins by killing at every
+//! boundary.
 //!
 //! Two sinks are provided:
 //!

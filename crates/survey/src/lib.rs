@@ -27,6 +27,6 @@ pub mod runner;
 
 pub use analysis::{ConfusionMatrix, FactorTable, GroupSummary, SurveyAnalysis, TimingSplit};
 pub use cue_cache::CueCache;
-pub use pairs::{PairGenerator, PairGroup, PairRef, PairUniverse, SitePair, SurveyScale};
+pub use pairs::{PairGenerator, PairGroup, PairUniverse, SitePair};
 pub use participant::{Cues, Factor, FactorReport, Participant, Verdict};
 pub use runner::{SurveyConfig, SurveyDataset, SurveyResponse, SurveyRunner};

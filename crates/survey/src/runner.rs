@@ -95,9 +95,7 @@ impl SurveyDataset {
     /// Number of distinct participants with at least one response.
     ///
     /// Counted through a participant-id bitset rather than clone-sort-dedup
-    /// of the whole response vector: at scaled universes (thousands of
-    /// sessions × dozens of answers) this runs once per analysis figure,
-    /// and the O(n log n) sort over owned copies was the hot spot.
+    /// of the whole response vector; it runs once per analysis figure.
     pub fn active_participants(&self) -> usize {
         count_distinct_participants(self.responses.iter().map(|r| r.participant))
     }
@@ -196,6 +194,16 @@ impl SurveyRunner {
     }
 }
 
+/// Group size from which a participant's question draw switches from the
+/// partial Fisher–Yates shuffle (O(pool)) to Floyd's O(k) sampler. The
+/// choice is by size alone and both sides are live at paper scale: the
+/// default scenario's group 4 has 4,650 pairs (Floyd; it spans 2,525–7,415
+/// over eight seed offsets) while its groups 1–3 stay below the cutoff
+/// (Fisher–Yates). The two samplers consume different rng streams, so each
+/// side is pinned by a golden digest: `RENDER_DEFAULT` covers Floyd and
+/// `RENDER_SMALL_61` (group 4 = 707 pairs) covers Fisher–Yates.
+const FLOYD_CUTOFF: usize = 4096;
+
 /// Everything one participant produced: their answered questions (in the
 /// order they answered them) and their factor questionnaire, if any.
 struct ParticipantSession {
@@ -220,13 +228,7 @@ fn run_participant(
     let participant = Participant::generate(participant_id, &mut rng);
 
     // Draw this participant's question list: pairs_per_group from each
-    // group (or as many as exist), shuffled together. Only the drawn
-    // questions are materialized into owned pairs — the universe itself
-    // stays indexed. Paper-scale pools use the partial Fisher–Yates draw
-    // (O(pool), preserves the established streams); scaled universes
-    // switch to the O(k) Floyd draw so per-session setup stays flat as
-    // the pool grows to millions of pairs.
-    const FLOYD_CUTOFF: usize = 4096;
+    // group (or as many as exist), shuffled together.
     let mut questions: Vec<SitePair> = Vec::new();
     for group in PairGroup::ALL {
         let pool = universe.group(group);
@@ -238,11 +240,7 @@ fn run_participant(
         } else {
             sample_indices_without_replacement(pool.len(), cfg.pairs_per_group, &mut rng)
         };
-        questions.extend(
-            picks
-                .into_iter()
-                .map(|pick| universe.materialize(group, pool[pick])),
-        );
+        questions.extend(picks.into_iter().map(|pick| pool[pick].clone()));
     }
     shuffle(&mut questions, &mut rng);
 
@@ -360,6 +358,50 @@ mod tests {
             3
         );
         assert_eq!(count_distinct_participants(std::iter::empty()), 0);
+    }
+
+    /// Both question samplers at once: the default scenario's survey chain
+    /// (classified categories, the scenario's pair rng) puts group 4 above
+    /// [`FLOYD_CUTOFF`] and groups 1–2 below it. Whichever sampler drew a
+    /// group, no participant sees a pair twice or gets more than
+    /// `pairs_per_group` pairs from one group.
+    #[test]
+    fn default_universe_draws_are_distinct_and_capped_per_group() {
+        let ctx = EngineContext::embedded();
+        let corpus = CorpusGenerator::new(CorpusConfig::default()).generate_with(&ctx);
+        let categories = CategoryDatabase::classify_corpus_on(&corpus, &ctx);
+        let config = SurveyConfig::default();
+        let mut rng = Xoshiro256StarStar::new(config.seed).derive("pair-universe");
+        let universe = PairGenerator::new(&corpus, &categories).generate_on(&mut rng, &ctx);
+        assert!(universe.group(PairGroup::TopSiteOtherCategory).len() >= FLOYD_CUTOFF);
+        for group in [PairGroup::RwsSameSet, PairGroup::RwsOtherSet] {
+            let len = universe.group(group).len();
+            assert!((config.pairs_per_group..FLOYD_CUTOFF).contains(&len));
+        }
+
+        let dataset = SurveyRunner::new(config).run_on(&corpus, &universe, &ctx);
+        assert!(dataset.active_participants() > 20);
+        for participant in 0..config.participants {
+            let seen: Vec<&SitePair> = dataset
+                .responses
+                .iter()
+                .filter(|r| r.participant == participant)
+                .map(|r| &r.pair)
+                .collect();
+            for (i, pair) in seen.iter().enumerate() {
+                assert!(
+                    !seen[..i].contains(pair),
+                    "participant {participant} saw {pair:?} twice"
+                );
+            }
+            for group in PairGroup::ALL {
+                let from_group = seen.iter().filter(|p| p.group == group).count();
+                assert!(
+                    from_group <= config.pairs_per_group,
+                    "participant {participant} got {from_group} {group:?} pairs"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (and pair-universe members) out across the pool changes wall-clock time
 //! and nothing else. Every test here compares the pooled runner against the
 //! sequential oracle **field for field**, and the indexed pair generator
-//! against the retained naive double loop, across seeds and scales.
+//! against the retained naive double loop, across seeds.
 
 use proptest::prelude::*;
 use rws_classify::CategoryDatabase;
@@ -13,7 +13,7 @@ use rws_corpus::{Corpus, CorpusConfig, CorpusGenerator};
 use rws_engine::EngineContext;
 use rws_stats::pool::ThreadPool;
 use rws_stats::rng::Xoshiro256StarStar;
-use rws_survey::{PairGenerator, PairUniverse, SurveyConfig, SurveyRunner, SurveyScale};
+use rws_survey::{PairGenerator, PairUniverse, SurveyConfig, SurveyRunner};
 
 fn fixture(seed: u64) -> (Corpus, CategoryDatabase) {
     let corpus =
@@ -95,66 +95,4 @@ fn survey_equivalence_across_independent_contexts() {
     let pooled = runner.run_on(&corpus, &pairs, &EngineContext::new());
     let sequential = runner.run_on(&corpus, &pairs, &EngineContext::sequential());
     assert_eq!(pooled, sequential);
-}
-
-/// Regression gate for the scaled generator: at a non-trivial
-/// `member_multiplier` the indexed sweep must still reproduce the naive
-/// double loop pair for pair, and the universe must actually have grown
-/// quadratically in group 2.
-#[test]
-fn scaled_pair_universe_matches_naive_oracle() {
-    let (corpus, categories) = fixture(23);
-    let paper = PairGenerator::new(&corpus, &categories);
-    let paper_universe = paper.generate_on(
-        &mut Xoshiro256StarStar::new(5),
-        &EngineContext::sequential(),
-    );
-
-    let scale = SurveyScale {
-        member_multiplier: 4,
-        ..SurveyScale::paper()
-    };
-    let scaled = PairGenerator::with_scale(&corpus, &categories, scale);
-    let naive = scaled.generate_naive(&mut Xoshiro256StarStar::new(5));
-    let indexed = scaled.generate_on(
-        &mut Xoshiro256StarStar::new(5),
-        &EngineContext::sequential(),
-    );
-    assert_eq!(naive, indexed);
-    let pooled = scaled.generate_on(&mut Xoshiro256StarStar::new(5), &EngineContext::new());
-    assert_eq!(naive, pooled);
-
-    // Group 1 is untouched by synthetic members; group 2 grows ~16× for a
-    // 4× member pool; groups 3/4 grow 4×.
-    assert_eq!(naive.same_set, paper_universe.same_set);
-    let paper_members = paper.eligible_members().len();
-    let scaled_members = scaled.scaled_members().len();
-    assert_eq!(scaled_members, paper_members * 4);
-    assert!(
-        naive.other_set.len() > paper_universe.other_set.len() * 9,
-        "group 2 should grow quadratically: {} vs {}",
-        naive.other_set.len(),
-        paper_universe.other_set.len()
-    );
-    assert_eq!(
-        naive.top_same_category.len() + naive.top_other_category.len(),
-        (paper_universe.top_same_category.len() + paper_universe.top_other_category.len()) * 4
-    );
-}
-
-/// `SurveyScale::times` scales both the sessions and the member pool.
-#[test]
-fn survey_scale_times_multiplies_paper_scale() {
-    let paper = SurveyScale::paper();
-    assert_eq!(paper, SurveyScale::default());
-    assert_eq!(paper.participants, 30);
-    assert_eq!(paper.pairs_per_group, 5);
-    assert_eq!(paper.top_site_sample, 200);
-    assert_eq!(paper.member_multiplier, 1);
-    let scaled = SurveyScale::times(32);
-    assert_eq!(scaled.participants, 960);
-    assert_eq!(scaled.member_multiplier, 32);
-    assert_eq!(scaled.pairs_per_group, paper.pairs_per_group);
-    // A zero factor clamps to the paper's scale.
-    assert_eq!(SurveyScale::times(0).member_multiplier, 1);
 }
