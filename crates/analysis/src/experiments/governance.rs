@@ -336,7 +336,7 @@ mod tests {
         let s = scenario();
         let report = Table3.run(&s);
         let table = report.table("table3").unwrap();
-        assert!(table.row_count() >= 2);
+        assert!(table.rows().len() >= 2);
         let counts: Vec<u64> = table
             .rows()
             .iter()
@@ -362,7 +362,9 @@ mod tests {
             );
         }
         let approved_final = report
-            .series_named("Approved")
+            .series
+            .iter()
+            .find(|s| s.name == "Approved")
             .unwrap()
             .points
             .last()
@@ -389,7 +391,11 @@ mod tests {
     fn figure7_composition_counts_grow() {
         let s = scenario();
         let report = Figure7.run(&s);
-        let associated = report.series_named("Associated sites").unwrap();
+        let associated = report
+            .series
+            .iter()
+            .find(|s| s.name == "Associated sites")
+            .unwrap();
         let ys: Vec<f64> = associated.points.iter().map(|(_, y)| *y).collect();
         assert!(
             ys.windows(2).all(|w| w[1] >= w[0] - 1e-9),

@@ -103,7 +103,7 @@ impl Figure4 {
     /// (`par_map_with`) over pages *borrowed* from the corpus's frozen
     /// store (`Corpus::with_html`), so neither the tag/class accumulators
     /// nor the page text are allocated per document.
-    pub fn similarities(scenario: &Scenario) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    fn similarities(scenario: &Scenario) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         let weights = SimilarityWeights::default();
         let pairs: Vec<(DomainName, DomainName, MemberRole)> = scenario
             .corpus
@@ -253,6 +253,6 @@ mod tests {
         );
         let report = Figure4.run(&s);
         assert_eq!(report.series.len(), 3);
-        assert!(report.table("summary").unwrap().row_count() == 3);
+        assert!(report.table("summary").unwrap().rows().len() == 3);
     }
 }

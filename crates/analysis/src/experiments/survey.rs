@@ -219,7 +219,7 @@ mod tests {
         let s = scenario();
         let report = Table1.run(&s);
         let table = report.table("table1").unwrap();
-        assert_eq!(table.row_count(), 4);
+        assert_eq!(table.rows().len(), 4);
         assert!(report.to_text().contains("RWS (same set)"));
         assert!(report.notes.iter().any(|n| n.contains("total responses")));
     }
@@ -229,7 +229,7 @@ mod tests {
         let s = scenario();
         let report = Table2.run(&s);
         let table = report.table("table2").unwrap();
-        assert_eq!(table.row_count(), 6);
+        assert_eq!(table.rows().len(), 6);
         assert!(report.to_text().contains("Branding elements"));
     }
 
@@ -238,7 +238,7 @@ mod tests {
         let s = scenario();
         let report = Figure1.run(&s);
         let table = report.table("confusion").unwrap();
-        assert_eq!(table.row_count(), 2);
+        assert_eq!(table.rows().len(), 2);
         // Extract the two percentages from the expected-related row and
         // check they sum to ~100%.
         let row = &table.rows()[0];
@@ -261,8 +261,9 @@ mod tests {
     fn figure2_has_two_series() {
         let s = scenario();
         let report = Figure2.run(&s);
-        assert!(report.series_named("RWS (same set), related").is_some());
-        assert!(report.series_named("RWS (same set), unrelated").is_some());
+        for name in ["RWS (same set), related", "RWS (same set), unrelated"] {
+            assert!(report.series.iter().any(|s| s.name == name));
+        }
         assert!(!report.notes.is_empty());
     }
 

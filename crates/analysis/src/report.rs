@@ -28,11 +28,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The header labels.
     pub fn headers(&self) -> &[String] {
         &self.headers
@@ -71,36 +66,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Render as CSV (comma-separated, values quoted when they contain
-    /// commas).
-    pub fn to_csv(&self) -> String {
-        let escape = |s: &String| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(escape)
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(escape).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
 }
 
 /// A named numeric series — what a plotting tool would consume to draw one
@@ -120,15 +85,6 @@ impl Series {
             name: name.into(),
             points,
         }
-    }
-
-    /// Render the series as two-column CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("# {}\n", self.name);
-        for (x, y) in &self.points {
-            let _ = writeln!(out, "{x},{y}");
-        }
-        out
     }
 }
 
@@ -181,11 +137,6 @@ impl Report {
     /// A table by name.
     pub fn table(&self, name: &str) -> Option<&TextTable> {
         self.tables.iter().find(|(n, _)| n == name).map(|(_, t)| t)
-    }
-
-    /// A series by name.
-    pub fn series_named(&self, name: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.name == name)
     }
 
     /// Render the whole report as plain text.
@@ -244,7 +195,7 @@ mod tests {
         assert!(rendered.contains("RWS (same set)"));
         let lines: Vec<&str> = rendered.lines().collect();
         assert_eq!(lines.len(), 4);
-        assert_eq!(table.row_count(), 2);
+        assert_eq!(table.rows().len(), 2);
     }
 
     #[test]
@@ -257,23 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_escapes_commas() {
-        let mut table = TextTable::new(vec!["name", "value"]);
-        table.add_row(vec!["hello, world", "3"]);
-        let csv = table.to_csv();
-        assert!(csv.contains("\"hello, world\""));
-        assert!(csv.starts_with("name,value\n"));
-    }
-
-    #[test]
-    fn series_csv_round_trip_shape() {
-        let s = Series::new("cdf", vec![(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)]);
-        let csv = s.to_csv();
-        assert!(csv.starts_with("# cdf\n"));
-        assert_eq!(csv.lines().count(), 4);
-    }
-
-    #[test]
     fn report_accessors_and_text() {
         let mut report = Report::new("table1", "Survey summary");
         let mut table = TextTable::new(vec!["k", "v"]);
@@ -283,7 +217,7 @@ mod tests {
         report.add_note("42 responses");
         assert!(report.table("main").is_some());
         assert!(report.table("missing").is_none());
-        assert!(report.series_named("timing").is_some());
+        assert!(report.series.iter().any(|s| s.name == "timing"));
         let text = report.to_text();
         assert!(text.contains("table1"));
         assert!(text.contains("[main]"));

@@ -95,7 +95,7 @@ impl Browser {
     }
 
     /// The site (eTLD+1) for a host, via the memoized resolver.
-    pub fn site_of(&self, host: &DomainName) -> DomainName {
+    fn site_of(&self, host: &DomainName) -> DomainName {
         self.resolver.site_or_self(host)
     }
 

@@ -18,6 +18,7 @@ pub struct PartitionKey {
 
 impl PartitionKey {
     /// Key for a first-party load of `site`.
+    #[cfg(test)]
     pub fn first_party(site: &DomainName) -> PartitionKey {
         PartitionKey {
             top_level_site: site.clone(),
@@ -31,11 +32,6 @@ impl PartitionKey {
             top_level_site: top_level.clone(),
             embedded_site: embedded.clone(),
         }
-    }
-
-    /// True if the frame is first-party (both components equal).
-    pub fn is_first_party(&self) -> bool {
-        self.top_level_site == self.embedded_site
     }
 }
 
@@ -62,14 +58,13 @@ mod tests {
     #[test]
     fn first_party_key_has_equal_components() {
         let key = PartitionKey::first_party(&dn("example.com"));
-        assert!(key.is_first_party());
         assert_eq!(key.top_level_site, key.embedded_site);
     }
 
     #[test]
     fn third_party_key_differs() {
         let key = PartitionKey::third_party(&dn("site.example"), &dn("tracker.example"));
-        assert!(!key.is_first_party());
+        assert_ne!(key.top_level_site, key.embedded_site);
         assert_ne!(key, PartitionKey::first_party(&dn("tracker.example")));
     }
 

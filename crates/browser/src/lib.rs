@@ -32,8 +32,6 @@ pub mod storage;
 
 pub use browser::{Browser, EmbedOutcome, PromptBehaviour};
 pub use context::{AccessRequest, PartitionKey};
-pub use linkability::{
-    linkability_by_vendor, linkability_report, LinkabilityReport, TrackerObservation,
-};
+pub use linkability::{linkability_report, LinkabilityReport, TrackerObservation};
 pub use policy::{PolicyVerdict, StorageAccessPolicy, VendorPolicy};
 pub use storage::{StorageArea, StorageEngine};

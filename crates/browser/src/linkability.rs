@@ -10,7 +10,6 @@
 use crate::browser::{Browser, PromptBehaviour};
 use crate::policy::{StorageAccessPolicy, VendorPolicy};
 use rws_domain::{DomainName, SiteResolver};
-use rws_engine::EngineContext;
 use rws_model::RwsList;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -104,36 +103,8 @@ pub fn linkability_report(
     summarise(vendor, &observations, browser.prompts_shown())
 }
 
-/// Replay the same browsing trace under every vendor policy, one policy
-/// per task on the context's pool — the paper's cross-vendor comparison
-/// in a single call.
-///
-/// Each policy gets its own [`Browser`], so the replays are fully
-/// independent; they share the context's memoizing [`SiteResolver`], so
-/// the fan-out resolves each trace host once instead of once per vendor.
-/// Results come back in [`VendorPolicy::ALL`] order.
-pub fn linkability_by_vendor(
-    list: &RwsList,
-    top_level_sites: &[DomainName],
-    tracker: &DomainName,
-    prompt_behaviour: PromptBehaviour,
-    ctx: &EngineContext,
-) -> Vec<LinkabilityReport> {
-    let vendors = VendorPolicy::ALL;
-    ctx.par_map_coarse(&vendors, |_, vendor| {
-        linkability_report(
-            *vendor,
-            list,
-            top_level_sites,
-            tracker,
-            prompt_behaviour,
-            ctx.resolver(),
-        )
-    })
-}
-
 /// Summarise a set of tracker observations into a report.
-pub fn summarise(
+fn summarise(
     vendor: VendorPolicy,
     observations: &[TrackerObservation],
     prompts_shown: usize,
@@ -162,7 +133,6 @@ pub fn summarise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rws_engine::ThreadPool;
     use rws_model::RwsSet;
 
     fn dn(s: &str) -> DomainName {
@@ -294,52 +264,6 @@ mod tests {
         );
         assert_eq!(report.linkability(), 0.0);
         assert_eq!(report.sites_visited, 0);
-    }
-
-    #[test]
-    fn by_vendor_fan_out_matches_individual_reports() {
-        let list = rws_list();
-        let trace = trace();
-        let tracker = dn("tracker.example");
-        let individual: Vec<LinkabilityReport> = VendorPolicy::ALL
-            .iter()
-            .map(|vendor| {
-                linkability_report(
-                    *vendor,
-                    &list,
-                    &trace,
-                    &tracker,
-                    PromptBehaviour::AlwaysDecline,
-                    &SiteResolver::embedded(),
-                )
-            })
-            .collect();
-        let pooled = EngineContext::with_parts(ThreadPool::new(3), SiteResolver::embedded());
-        for ctx in [pooled, EngineContext::sequential()] {
-            let all = linkability_by_vendor(
-                &list,
-                &trace,
-                &tracker,
-                PromptBehaviour::AlwaysDecline,
-                &ctx,
-            );
-            assert_eq!(all, individual, "pooled: {}", ctx.pool().is_some());
-        }
-    }
-
-    #[test]
-    fn by_vendor_sweep_shares_the_context_resolver() {
-        let ctx = EngineContext::embedded();
-        let _ = linkability_by_vendor(
-            &rws_list(),
-            &trace(),
-            &dn("tracker.example"),
-            PromptBehaviour::AlwaysDecline,
-            &ctx,
-        );
-        // Five vendors resolved the same trace: all repeats hit the cache.
-        let stats = ctx.resolver().stats();
-        assert!(stats.hits > stats.misses, "stats {stats:?}");
     }
 
     #[test]

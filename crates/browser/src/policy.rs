@@ -7,7 +7,6 @@
 //! all. Each of those postures is modelled here as a [`VendorPolicy`].
 
 use crate::context::AccessRequest;
-use rws_domain::DomainName;
 use rws_model::{MemberRole, RwsList};
 use serde::{Deserialize, Serialize};
 
@@ -114,7 +113,7 @@ impl StorageAccessPolicy for VendorPolicy {
 /// some member of the set — modelled here through
 /// [`AccessRequest::has_prior_interaction`], which the browser sets when any
 /// member of the embedded site's set has been visited first-party.
-pub fn rws_auto_grant(request: &AccessRequest, list: &RwsList) -> bool {
+fn rws_auto_grant(request: &AccessRequest, list: &RwsList) -> bool {
     if !list.are_related(&request.top_level_site, &request.embedded_site) {
         return false;
     }
@@ -130,32 +129,10 @@ pub fn rws_auto_grant(request: &AccessRequest, list: &RwsList) -> bool {
     true
 }
 
-/// Convenience: would this vendor end up sharing unpartitioned state between
-/// the two sites for a user who accepts every prompt? Used by the
-/// linkability analysis.
-pub fn effectively_shares_state(
-    vendor: VendorPolicy,
-    top_level: &DomainName,
-    embedded: &DomainName,
-    has_prior_interaction: bool,
-    accepts_prompts: bool,
-    list: &RwsList,
-) -> bool {
-    let request = AccessRequest {
-        top_level_site: top_level.clone(),
-        embedded_site: embedded.clone(),
-        has_prior_interaction,
-    };
-    match vendor.verdict(&request, list) {
-        PolicyVerdict::AutoGrant => true,
-        PolicyVerdict::Prompt => accepts_prompts,
-        PolicyVerdict::Deny => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rws_domain::DomainName;
     use rws_model::RwsSet;
 
     fn dn(s: &str) -> DomainName {
@@ -271,46 +248,6 @@ mod tests {
         ] {
             assert!(v.partitions_by_default(), "{} should partition", v.name());
         }
-    }
-
-    #[test]
-    fn effectively_shares_state_combines_verdict_and_prompts() {
-        let l = list();
-        // RWS pair in Chrome: shared regardless of prompt behaviour.
-        assert!(effectively_shares_state(
-            VendorPolicy::ChromeWithRws,
-            &dn("bild.de"),
-            &dn("autobild.de"),
-            false,
-            false,
-            &l
-        ));
-        // Unrelated pair in Safari: only shared if the user accepts prompts.
-        assert!(effectively_shares_state(
-            VendorPolicy::Safari,
-            &dn("a.com"),
-            &dn("b.com"),
-            false,
-            true,
-            &l
-        ));
-        assert!(!effectively_shares_state(
-            VendorPolicy::Safari,
-            &dn("a.com"),
-            &dn("b.com"),
-            false,
-            false,
-            &l
-        ));
-        // Brave: never shared.
-        assert!(!effectively_shares_state(
-            VendorPolicy::Brave,
-            &dn("bild.de"),
-            &dn("autobild.de"),
-            true,
-            true,
-            &l
-        ));
     }
 
     #[test]

@@ -86,19 +86,6 @@ impl StorageEngine {
         self.partitioned.get(key)
     }
 
-    /// Number of distinct unpartitioned areas that hold at least one key.
-    pub fn unpartitioned_area_count(&self) -> usize {
-        self.unpartitioned
-            .values()
-            .filter(|a| !a.is_empty())
-            .count()
-    }
-
-    /// Number of distinct partitioned areas that hold at least one key.
-    pub fn partitioned_area_count(&self) -> usize {
-        self.partitioned.values().filter(|a| !a.is_empty()).count()
-    }
-
     /// Clear every storage area (e.g. "clear browsing data").
     pub fn clear(&mut self) {
         self.unpartitioned.clear();
@@ -143,7 +130,6 @@ mod tests {
             engine.partitioned(&key_b).unwrap().get("uid"),
             Some("under-b")
         );
-        assert_eq!(engine.partitioned_area_count(), 2);
     }
 
     #[test]
@@ -160,7 +146,6 @@ mod tests {
             Some("2")
         );
         assert!(engine.unpartitioned(&dn("c.com")).is_none());
-        assert_eq!(engine.unpartitioned_area_count(), 2);
     }
 
     #[test]
@@ -186,12 +171,11 @@ mod tests {
     #[test]
     fn clear_empties_everything() {
         let mut engine = StorageEngine::new();
+        let key = PartitionKey::first_party(&dn("a.com"));
         engine.unpartitioned_mut(&dn("a.com")).set("k", "v");
-        engine
-            .partitioned_mut(&PartitionKey::first_party(&dn("a.com")))
-            .set("k", "v");
+        engine.partitioned_mut(&key).set("k", "v");
         engine.clear();
-        assert_eq!(engine.unpartitioned_area_count(), 0);
-        assert_eq!(engine.partitioned_area_count(), 0);
+        assert!(engine.unpartitioned(&dn("a.com")).is_none());
+        assert!(engine.partitioned(&key).is_none());
     }
 }

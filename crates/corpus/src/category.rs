@@ -79,13 +79,6 @@ impl SiteCategory {
         }
     }
 
-    /// Parse a label back to a category (the inverse of [`label`](Self::label)).
-    pub fn from_label(label: &str) -> Option<SiteCategory> {
-        SiteCategory::ALL
-            .into_iter()
-            .find(|c| c.label() == label.trim().to_ascii_lowercase())
-    }
-
     /// The bucket used in the paper's figures: the named major categories
     /// keep their own label, while the smaller ones are merged into
     /// "other" (Figures 8 and 9 note that "smaller categories are grouped
@@ -120,16 +113,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_round_trip() {
+    fn display_is_the_label() {
         for c in SiteCategory::ALL {
-            assert_eq!(SiteCategory::from_label(c.label()), Some(c));
             assert_eq!(c.to_string(), c.label());
         }
-        assert_eq!(
-            SiteCategory::from_label("NEWS AND MEDIA"),
-            Some(SiteCategory::NewsAndMedia)
-        );
-        assert_eq!(SiteCategory::from_label("nonexistent"), None);
     }
 
     #[test]

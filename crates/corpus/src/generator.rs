@@ -158,11 +158,6 @@ impl Corpus {
         self.page_html(domain).map(str::to_string)
     }
 
-    /// All sites that are members of RWS sets.
-    pub fn rws_member_sites(&self) -> Vec<&SiteSpec> {
-        self.sites.values().filter(|s| s.in_rws_set()).collect()
-    }
-
     /// All sites eligible for the survey (live, English) that are RWS set
     /// primaries or associated sites — the pool the paper's filtering
     /// produced (31 of 146 sites).
@@ -738,7 +733,7 @@ mod tests {
         // Some English-language survey-eligible members must exist.
         assert!(c.survey_eligible_members().len() >= 10);
         // And the majority of members should be non-English, as in the paper.
-        let members = c.rws_member_sites();
+        let members: Vec<&SiteSpec> = c.sites.values().filter(|s| s.in_rws_set()).collect();
         let english = members
             .iter()
             .filter(|s| s.language == Language::English)

@@ -45,11 +45,6 @@ impl RenderArena {
         RenderArena::default()
     }
 
-    /// Bytes currently reserved for the page buffer (diagnostics).
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
     /// Reset the buffers for a new page of `brand`, keeping capacity.
     fn begin(&mut self, brand: &Brand) {
         self.buf.clear();
@@ -371,7 +366,7 @@ mod tests {
                 &mut rng,
             )
             .to_string();
-        let grown = arena.capacity();
+        let grown = arena.buf.capacity();
         let mut rng2 = Xoshiro256StarStar::new(3);
         let second = arena
             .render_site_into(
@@ -383,7 +378,10 @@ mod tests {
             )
             .to_string();
         assert_eq!(first, second, "same seed renders the same page");
-        assert!(arena.capacity() >= grown.min(arena.capacity()));
-        assert_eq!(arena.capacity(), grown, "warm re-render never reallocates");
+        assert_eq!(
+            arena.buf.capacity(),
+            grown,
+            "warm re-render never reallocates"
+        );
     }
 }

@@ -61,30 +61,6 @@ impl TrancoList {
     pub fn top(&self, n: usize) -> &[TrancoEntry] {
         &self.entries[..n.min(self.entries.len())]
     }
-
-    /// The rank of a domain, if it is ranked.
-    pub fn rank_of(&self, domain: &DomainName) -> Option<usize> {
-        self.entries
-            .iter()
-            .find(|e| &e.domain == domain)
-            .map(|e| e.rank)
-    }
-
-    /// Entries in the given category, in rank order.
-    pub fn in_category(&self, category: SiteCategory) -> Vec<&TrancoEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.category == category)
-            .collect()
-    }
-
-    /// Entries *not* in the given category, in rank order.
-    pub fn outside_category(&self, category: SiteCategory) -> Vec<&TrancoEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.category != category)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -108,9 +84,8 @@ mod tests {
     fn ranks_are_one_based_and_ordered() {
         let list = sample();
         assert_eq!(list.len(), 4);
-        assert_eq!(list.iter().next().unwrap().rank, 1);
-        assert_eq!(list.rank_of(&dn("shopmart.com")), Some(3));
-        assert_eq!(list.rank_of(&dn("missing.com")), None);
+        assert!(list.iter().map(|e| e.rank).eq(1..=4));
+        assert_eq!(list.top(3)[2].domain, dn("shopmart.com"));
     }
 
     #[test]
@@ -121,23 +96,9 @@ mod tests {
     }
 
     #[test]
-    fn category_filters_partition_the_list() {
-        let list = sample();
-        let news = list.in_category(SiteCategory::NewsAndMedia);
-        let other = list.outside_category(SiteCategory::NewsAndMedia);
-        assert_eq!(news.len(), 2);
-        assert_eq!(other.len(), 2);
-        assert_eq!(news.len() + other.len(), list.len());
-        assert!(news
-            .iter()
-            .all(|e| e.category == SiteCategory::NewsAndMedia));
-    }
-
-    #[test]
     fn empty_list_behaviour() {
         let list = TrancoList::default();
         assert!(list.is_empty());
         assert!(list.top(5).is_empty());
-        assert!(list.in_category(SiteCategory::NewsAndMedia).is_empty());
     }
 }

@@ -14,13 +14,10 @@
 //! * **prefix/suffix stripping** — the shared head and tail of the two
 //!   strings (`autobild` / `bild` share `bild`) never enter the DP;
 //! * **scratch reuse** — the two DP rows and the non-ASCII decode buffers
-//!   live in thread-local scratch, so steady-state calls allocate nothing;
-//! * **[`levenshtein_bounded`]** — a banded O(k·n) variant that abandons
-//!   the computation as soon as the distance provably exceeds a threshold,
-//!   for callers that only need "within k?".
+//!   live in thread-local scratch, so steady-state calls allocate nothing.
 //!
 //! The textbook two-row DP survives as [`levenshtein_naive`], the oracle
-//! the property tests compare every fast path against.
+//! the property tests compare the fast paths against.
 
 use std::cell::RefCell;
 
@@ -75,63 +72,6 @@ fn dp<T: PartialEq>(a: &[T], b: &[T], prev: &mut Vec<usize>, curr: &mut Vec<usiz
     prev[short.len()]
 }
 
-/// Banded two-row DP: only cells within `k` of the diagonal are computed,
-/// and the scan aborts once a whole row exceeds `k`. Returns `None` when
-/// the distance is provably greater than `k`.
-fn dp_bounded<T: PartialEq>(
-    a: &[T],
-    b: &[T],
-    k: usize,
-    prev: &mut Vec<usize>,
-    curr: &mut Vec<usize>,
-) -> Option<usize> {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if long.len() - short.len() > k {
-        return None;
-    }
-    if short.is_empty() {
-        return Some(long.len());
-    }
-    let m = short.len();
-    let inf = k + 1;
-    prev.clear();
-    prev.extend((0..=m).map(|j| if j <= k { j } else { inf }));
-    curr.clear();
-    curr.resize(m + 1, inf);
-    for (i, lc) in long.iter().enumerate() {
-        let row = i + 1;
-        let lo = row.saturating_sub(k).max(1);
-        let hi = (row + k).min(m);
-        if lo > m {
-            return None;
-        }
-        curr[0] = if row <= k { row } else { inf };
-        if lo > 1 {
-            curr[lo - 1] = inf;
-        }
-        let mut row_min = curr[0];
-        for j in lo..=hi {
-            let sc = &short[j - 1];
-            let substitution_cost = usize::from(lc != sc);
-            let v = (prev[j] + 1)
-                .min(curr[j - 1] + 1)
-                .min(prev[j - 1] + substitution_cost)
-                .min(inf);
-            curr[j] = v;
-            row_min = row_min.min(v);
-        }
-        if hi < m {
-            curr[hi + 1] = inf;
-        }
-        if row_min >= inf {
-            return None;
-        }
-        std::mem::swap(prev, curr);
-    }
-    let d = prev[m];
-    (d <= k).then_some(d)
-}
-
 /// Classic Levenshtein (insert/delete/substitute, all cost 1) edit distance
 /// between two strings, computed over Unicode scalar values.
 ///
@@ -154,37 +94,6 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
             scratch.b_chars.extend(b.chars());
             let (sa, sb) = strip_common(&scratch.a_chars, &scratch.b_chars);
             dp(sa, sb, &mut scratch.prev, &mut scratch.curr)
-        }
-    })
-}
-
-/// Levenshtein distance if it is at most `k`, `None` otherwise.
-///
-/// Runs the banded O(k·min(|a|,|b|)) DP with early abandonment: a length
-/// difference beyond `k` answers immediately, and the scan stops at the
-/// first row whose minimum exceeds `k`. Exactly equivalent to
-/// `(levenshtein(a, b) <= k).then(|| levenshtein(a, b))`.
-pub fn levenshtein_bounded(a: &str, b: &str, k: usize) -> Option<usize> {
-    if a == b {
-        return Some(0);
-    }
-    if a.len().abs_diff(b.len()) > 4 * (k + 1) {
-        // Cheap byte-length screen: a scalar is 1–4 bytes, so a byte-length
-        // gap over 4k guarantees a scalar-length gap over k.
-        return None;
-    }
-    SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        if a.is_ascii() && b.is_ascii() {
-            let (sa, sb) = strip_common(a.as_bytes(), b.as_bytes());
-            dp_bounded(sa, sb, k, &mut scratch.prev, &mut scratch.curr)
-        } else {
-            scratch.a_chars.clear();
-            scratch.a_chars.extend(a.chars());
-            scratch.b_chars.clear();
-            scratch.b_chars.extend(b.chars());
-            let (sa, sb) = strip_common(&scratch.a_chars, &scratch.b_chars);
-            dp_bounded(sa, sb, k, &mut scratch.prev, &mut scratch.curr)
         }
     })
 }
@@ -318,40 +227,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn bounded_matches_exact_within_threshold() {
-        let words = [
-            "", "a", "bild", "autobild", "kitten", "sitting", "example", "exomple",
-        ];
-        for a in words {
-            for b in words {
-                let exact = levenshtein_naive(a, b);
-                for k in 0..10 {
-                    let bounded = levenshtein_bounded(a, b, k);
-                    if exact <= k {
-                        assert_eq!(bounded, Some(exact), "({a:?}, {b:?}, k={k})");
-                    } else {
-                        assert_eq!(bounded, None, "({a:?}, {b:?}, k={k})");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_early_exit_on_length_gap() {
-        assert_eq!(levenshtein_bounded("ab", "abcdefghij", 3), None);
-        assert_eq!(levenshtein_bounded(&"x".repeat(400), "y", 5), None);
-        // Unicode length gap: 3 scalars vs 1, k = 1.
-        assert_eq!(levenshtein_bounded("日本語", "日", 1), None);
-        assert_eq!(levenshtein_bounded("日本語", "日", 2), Some(2));
-    }
-
-    #[test]
-    fn bounded_zero_is_equality() {
-        assert_eq!(levenshtein_bounded("same", "same", 0), Some(0));
-        assert_eq!(levenshtein_bounded("same", "sane", 0), None);
     }
 }

@@ -9,8 +9,7 @@
 //! * compute the site (eTLD+1) for an arbitrary host name, which is the unit
 //!   the browser's storage partitioning operates on (Section 2),
 //! * extract the second-level domain (SLD) of a site and measure the
-//!   Levenshtein distance between the SLDs of set members (Figure 3), and
-//! * detect ccTLD variants of a domain (the "ccTLD sites" subset).
+//!   Levenshtein distance between the SLDs of set members (Figure 3).
 //!
 //! This crate implements all of that from scratch: a validated
 //! [`DomainName`] type, a [`PublicSuffixList`] with full rule semantics
@@ -37,8 +36,8 @@ pub mod resolver;
 pub mod similarity;
 
 pub use error::DomainError;
-pub use levenshtein::{levenshtein, levenshtein_bounded, normalized_levenshtein};
+pub use levenshtein::{levenshtein, normalized_levenshtein};
 pub use name::DomainName;
 pub use psl::{PublicSuffixList, Rule, RuleKind};
 pub use resolver::{ResolverStats, SiteResolver};
-pub use similarity::{shared_prefix_len, shared_suffix_len, sld_similarity, SldComparison};
+pub use similarity::{sld_similarity, SldComparison};

@@ -106,11 +106,6 @@ impl DomainName {
         self.name.split('.').collect()
     }
 
-    /// Number of labels.
-    pub fn label_count(&self) -> usize {
-        self.name.split('.').count()
-    }
-
     /// The final (rightmost) label — the TLD in the DNS sense.
     pub fn tld_label(&self) -> &str {
         self.name
@@ -147,11 +142,6 @@ impl DomainName {
         Some(DomainName::from_normalised(
             labels[labels.len() - n..].join(".").into(),
         ))
-    }
-
-    /// Prepend a label, e.g. `"www"` + `example.com` → `www.example.com`.
-    pub fn with_subdomain(&self, label: &str) -> Result<DomainName, DomainError> {
-        DomainName::parse(&format!("{label}.{}", self.name))
     }
 }
 
@@ -293,7 +283,6 @@ mod tests {
     fn labels_and_tld() {
         let d = DomainName::parse("a.b.co.uk").unwrap();
         assert_eq!(d.labels(), vec!["a", "b", "co", "uk"]);
-        assert_eq!(d.label_count(), 4);
         assert_eq!(d.tld_label(), "uk");
     }
 
@@ -319,16 +308,6 @@ mod tests {
         assert!(d.suffix_labels(0).is_none());
         let single = DomainName::parse("com").unwrap();
         assert!(single.parent().is_none());
-    }
-
-    #[test]
-    fn with_subdomain_builds_child() {
-        let site = DomainName::parse("example.com").unwrap();
-        assert_eq!(
-            site.with_subdomain("www").unwrap().as_str(),
-            "www.example.com"
-        );
-        assert!(site.with_subdomain("bad label").is_err());
     }
 
     #[test]

@@ -162,15 +162,13 @@ pub struct PublicSuffixList {
     /// Rules indexed by their right-most label; retained as the reference
     /// implementation (`suffix_label_count_naive`) and for `rules()`.
     by_tld: HashMap<String, Vec<Rule>>,
-    rule_count: usize,
 }
 
 impl PublicSuffixList {
     /// Build a list from already-parsed rules.
-    pub fn from_rules(rules: Vec<Rule>) -> PublicSuffixList {
+    fn from_rules(rules: Vec<Rule>) -> PublicSuffixList {
         let mut by_tld: HashMap<String, Vec<Rule>> = HashMap::new();
         let mut root = TrieNode::default();
-        let rule_count = rules.len();
         for rule in rules {
             let mut node = &mut root;
             for label in rule.labels.iter().rev() {
@@ -188,11 +186,7 @@ impl PublicSuffixList {
                 .clone();
             by_tld.entry(tld).or_default().push(rule);
         }
-        PublicSuffixList {
-            root,
-            by_tld,
-            rule_count,
-        }
+        PublicSuffixList { root, by_tld }
     }
 
     /// Every rule on the list, in arbitrary order.
@@ -237,11 +231,6 @@ impl PublicSuffixList {
     pub fn full() -> &'static PublicSuffixList {
         static FULL: std::sync::OnceLock<PublicSuffixList> = std::sync::OnceLock::new();
         FULL.get_or_init(|| PublicSuffixList::parse(FULL_PSL_SNAPSHOT))
-    }
-
-    /// Number of rules loaded.
-    pub fn rule_count(&self) -> usize {
-        self.rule_count
     }
 
     /// Find the best (prevailing) rule for a host per the PSL algorithm:
@@ -342,12 +331,6 @@ impl PublicSuffixList {
         host.suffix_labels(count)
     }
 
-    /// True if the host *is itself* a public suffix (e.g. `co.uk`, `com`).
-    pub fn is_public_suffix(&self, host: &DomainName) -> bool {
-        let labels = host.labels();
-        self.suffix_label_count(&labels) >= labels.len()
-    }
-
     /// The registrable domain (eTLD+1, the "site") containing this host.
     ///
     /// Errors if the host is itself a public suffix or has too few labels —
@@ -394,29 +377,6 @@ impl PublicSuffixList {
             (Ok(sa), Ok(sb)) => sa == sb,
             _ => false,
         }
-    }
-
-    /// True if `candidate` looks like a ccTLD variant of `base`: same
-    /// second-level label, different public suffix, and the candidate's TLD
-    /// is a two-letter country code (possibly with a second-level country
-    /// registration such as `co.uk`).
-    pub fn is_cctld_variant(&self, candidate: &DomainName, base: &DomainName) -> bool {
-        let (Ok(cand_site), Ok(base_site)) = (
-            self.registrable_domain(candidate),
-            self.registrable_domain(base),
-        ) else {
-            return false;
-        };
-        if cand_site == base_site {
-            return false;
-        }
-        let (Some(cand_sld), Some(base_sld)) = (
-            self.second_level_label(candidate),
-            self.second_level_label(base),
-        ) else {
-            return false;
-        };
-        cand_sld == base_sld && cand_site.tld_label().len() == 2
     }
 }
 
@@ -624,9 +584,15 @@ mod tests {
         DomainName::parse(s).unwrap()
     }
 
+    /// True if the host is itself a public suffix (e.g. `co.uk`, `com`).
+    fn is_suffix(p: &PublicSuffixList, host: &str) -> bool {
+        let host = dn(host);
+        p.public_suffix(&host) == Some(host)
+    }
+
     #[test]
     fn embedded_list_loads() {
-        assert!(psl().rule_count() > 100);
+        assert!(psl().rules().count() > 100);
     }
 
     #[test]
@@ -671,9 +637,9 @@ mod tests {
             p.registrable_domain(&dn("com")),
             Err(DomainError::SingleLabel)
         ));
-        assert!(p.is_public_suffix(&dn("co.uk")));
-        assert!(p.is_public_suffix(&dn("com")));
-        assert!(!p.is_public_suffix(&dn("example.com")));
+        assert!(is_suffix(&p, "co.uk"));
+        assert!(is_suffix(&p, "com"));
+        assert!(!is_suffix(&p, "example.com"));
     }
 
     #[test]
@@ -684,7 +650,7 @@ mod tests {
             p.registrable_domain(&dn("www.example.wombat.ck")).unwrap(),
             dn("example.wombat.ck")
         );
-        assert!(p.is_public_suffix(&dn("wombat.ck")));
+        assert!(is_suffix(&p, "wombat.ck"));
         // …except the !www.ck exception, which makes www.ck registrable.
         assert_eq!(p.registrable_domain(&dn("www.ck")).unwrap(), dn("www.ck"));
         assert_eq!(p.registrable_domain(&dn("a.www.ck")).unwrap(), dn("www.ck"));
@@ -715,7 +681,7 @@ mod tests {
             p.registrable_domain(&dn("foo.bar.example")).unwrap(),
             dn("bar.example")
         );
-        assert!(p.is_public_suffix(&dn("example")));
+        assert!(is_suffix(&p, "example"));
     }
 
     #[test]
@@ -730,7 +696,7 @@ mod tests {
                 .unwrap(),
             dn("myproject.github.io")
         );
-        assert!(p.is_public_suffix(&dn("github.io")));
+        assert!(is_suffix(&p, "github.io"));
     }
 
     #[test]
@@ -751,17 +717,6 @@ mod tests {
         assert!(!p.same_site(&dn("facebook.com"), &dn("mayoclinic.com")));
         assert!(!p.same_site(&dn("example.com"), &dn("example.org")));
         assert!(!p.same_site(&dn("com"), &dn("example.com")));
-    }
-
-    #[test]
-    fn cctld_variant_detection() {
-        let p = psl();
-        assert!(p.is_cctld_variant(&dn("example.de"), &dn("example.com")));
-        assert!(p.is_cctld_variant(&dn("example.co.uk"), &dn("example.com")));
-        assert!(!p.is_cctld_variant(&dn("example.com"), &dn("example.com")));
-        assert!(!p.is_cctld_variant(&dn("other.de"), &dn("example.com")));
-        // .org is not a ccTLD.
-        assert!(!p.is_cctld_variant(&dn("example.org"), &dn("example.com")));
     }
 
     #[test]
@@ -790,9 +745,9 @@ mod tests {
     fn full_snapshot_loads_at_scale() {
         let full = PublicSuffixList::full();
         assert!(
-            full.rule_count() >= 8000,
+            full.rules().count() >= 8000,
             "full snapshot has only {} rules",
-            full.rule_count()
+            full.rules().count()
         );
         // Parsed once: repeated calls return the same instance.
         assert!(std::ptr::eq(full, PublicSuffixList::full()));
@@ -830,15 +785,15 @@ mod tests {
     fn full_snapshot_covers_cctld_second_level_registrations() {
         let full = PublicSuffixList::full();
         // Second-level registrations the embedded snapshot never carried.
-        assert!(full.is_public_suffix(&dn("com.sa")));
-        assert!(full.is_public_suffix(&dn("org.eg")));
+        assert!(is_suffix(full, "com.sa"));
+        assert!(is_suffix(full, "org.eg"));
         assert_eq!(
             full.registrable_domain(&dn("www.example.com.ng")).unwrap(),
             dn("example.com.ng")
         );
         // Wildcard ccTLDs resolve per the real list's shape: any label
         // directly under the TLD is itself a public suffix.
-        assert!(full.is_public_suffix(&dn("anything.bd")));
+        assert!(is_suffix(full, "anything.bd"));
         assert_eq!(
             full.registrable_domain(&dn("shop.example.mm")).unwrap(),
             dn("shop.example.mm")

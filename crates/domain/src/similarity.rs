@@ -7,25 +7,11 @@
 //! (`poalim.xyz` ↔ `poalim.site`). This module packages those comparisons
 //! into a single [`SldComparison`] record the analysis layer reuses.
 
-use crate::levenshtein::{levenshtein, levenshtein_bounded, normalized_levenshtein};
+use crate::levenshtein::{levenshtein, normalized_levenshtein};
 use crate::name::DomainName;
 use crate::psl::PublicSuffixList;
 use crate::resolver::SiteResolver;
 use serde::{Deserialize, Serialize};
-
-/// Length of the longest common prefix of two strings, in characters.
-pub fn shared_prefix_len(a: &str, b: &str) -> usize {
-    a.chars().zip(b.chars()).take_while(|(x, y)| x == y).count()
-}
-
-/// Length of the longest common suffix of two strings, in characters.
-pub fn shared_suffix_len(a: &str, b: &str) -> usize {
-    a.chars()
-        .rev()
-        .zip(b.chars().rev())
-        .take_while(|(x, y)| x == y)
-        .count()
-}
 
 /// A similarity score in `[0, 1]` between two SLD strings:
 /// `1 - normalized_levenshtein`, so 1 means identical.
@@ -106,34 +92,6 @@ impl SldComparison {
             shares_stem,
         })
     }
-
-    /// A crude automated "relatedness" verdict from SLD similarity alone:
-    /// related if the SLDs are identical, share a stem, or sit within the
-    /// given edit-distance threshold. The paper argues this is *not* a
-    /// reliable signal.
-    pub fn predicts_related(&self, max_edit_distance: usize) -> bool {
-        self.identical_sld || self.shares_stem || self.edit_distance <= max_edit_distance
-    }
-
-    /// The threshold sweep's fast path: decide
-    /// [`predicts_related`](Self::predicts_related) directly from two SLD
-    /// strings without materialising a full comparison, using
-    /// [`levenshtein_bounded`] so the DP abandons as soon as the distance
-    /// provably exceeds the threshold.
-    ///
-    /// Exactly equivalent to
-    /// `SldComparison::compute(..).predicts_related(max_edit_distance)`
-    /// for hosts whose SLDs resolve to these strings.
-    pub fn predicts_related_slds(
-        member_sld: &str,
-        primary_sld: &str,
-        max_edit_distance: usize,
-    ) -> bool {
-        member_sld == primary_sld
-            || member_sld.contains(primary_sld)
-            || primary_sld.contains(member_sld)
-            || levenshtein_bounded(member_sld, primary_sld, max_edit_distance).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -142,15 +100,6 @@ mod tests {
 
     fn dn(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
-    }
-
-    #[test]
-    fn prefix_and_suffix_lengths() {
-        assert_eq!(shared_prefix_len("autobild", "auto"), 4);
-        assert_eq!(shared_prefix_len("abc", "xyz"), 0);
-        assert_eq!(shared_suffix_len("autobild", "bild"), 4);
-        assert_eq!(shared_suffix_len("", "anything"), 0);
-        assert_eq!(shared_prefix_len("same", "same"), 4);
     }
 
     #[test]
@@ -168,7 +117,6 @@ mod tests {
         assert!(c.identical_sld);
         assert_eq!(c.edit_distance, 0);
         assert!(!c.shares_stem);
-        assert!(c.predicts_related(0));
     }
 
     #[test]
@@ -190,7 +138,6 @@ mod tests {
         assert!(!c.identical_sld);
         assert!(!c.shares_stem);
         assert!(c.edit_distance >= 13);
-        assert!(!c.predicts_related(6));
     }
 
     #[test]
@@ -200,12 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn predicts_related_threshold() {
+    fn comparison_one_edit_apart() {
         let psl = PublicSuffixList::embedded();
         let c = SldComparison::compute(&dn("exomple.com"), &dn("example.com"), &psl).unwrap();
         assert_eq!(c.edit_distance, 1);
         assert!(!c.identical_sld && !c.shares_stem);
-        assert!(c.predicts_related(1));
-        assert!(!c.predicts_related(0));
     }
 }

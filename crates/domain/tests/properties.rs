@@ -4,7 +4,6 @@
 //!
 //! * `levenshtein` (ASCII fast path + prefix/suffix stripping + scratch
 //!   reuse) against the textbook DP, on random Unicode strings;
-//! * `levenshtein_bounded` against thresholding the exact distance;
 //! * the PSL label-trie matcher against the linear rule scan, on random
 //!   domains and on hosts built from every embedded rule;
 //! * the memoizing `SiteResolver` against direct PSL lookups;
@@ -13,10 +12,7 @@
 
 use proptest::prelude::*;
 use rws_domain::levenshtein::levenshtein_naive;
-use rws_domain::{
-    levenshtein, levenshtein_bounded, normalized_levenshtein, DomainName, PublicSuffixList,
-    SiteResolver, SldComparison,
-};
+use rws_domain::{levenshtein, normalized_levenshtein, DomainName, PublicSuffixList, SiteResolver};
 use rws_stats::memo::{FnvBuildHasher, FnvHasher};
 use rws_stats::shard::fnv1a_of;
 use std::collections::hash_map::DefaultHasher;
@@ -110,34 +106,6 @@ proptest! {
         b in "[a-zé-ö日-晚]{0,14}",
     ) {
         prop_assert_eq!(levenshtein(&a, &b), levenshtein_naive(&a, &b));
-    }
-
-    /// The bounded variant answers exactly `distance <= k ? Some(d) : None`.
-    #[test]
-    fn levenshtein_bounded_equals_thresholded_naive(
-        a in "[a-zé-ö]{0,14}",
-        b in "[a-zé-ö]{0,14}",
-        k in 0usize..12,
-    ) {
-        let exact = levenshtein_naive(&a, &b);
-        let bounded = levenshtein_bounded(&a, &b, k);
-        if exact <= k {
-            prop_assert_eq!(bounded, Some(exact));
-        } else {
-            prop_assert_eq!(bounded, None);
-        }
-    }
-
-    /// The SLD sweep's bounded fast path agrees with the full comparison.
-    #[test]
-    fn predicts_related_fast_path_agrees(a in domain_strategy(), b in domain_strategy(), k in 0usize..10) {
-        let psl = PublicSuffixList::embedded();
-        let da = DomainName::parse(&a).unwrap();
-        let db = DomainName::parse(&b).unwrap();
-        if let Some(cmp) = SldComparison::compute(&da, &db, &psl) {
-            let fast = SldComparison::predicts_related_slds(&cmp.member_sld, &cmp.primary_sld, k);
-            prop_assert_eq!(fast, cmp.predicts_related(k));
-        }
     }
 
     /// The PSL trie walk is exactly the linear rule scan, on random hosts

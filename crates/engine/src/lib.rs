@@ -19,8 +19,8 @@
 //! The context is the one argument every pipeline stage's single entry
 //! point takes: `CorpusGenerator::generate_with`,
 //! `HistoryGenerator::generate_with`, `CategoryDatabase::classify_corpus_on`,
-//! `PairGenerator::generate_on`, `SurveyRunner::run_on`, the linkability
-//! sweeps, `LoadEngine::run_on` and `Scenario::generate_with`. Its `par_*`
+//! `PairGenerator::generate_on`, `SurveyRunner::run_on`,
+//! `LoadEngine::run_on` and `Scenario::generate_with`. Its `par_*`
 //! entry points are ordered and deterministic: results are keyed by input
 //! index and per-task rngs are derived, so where the work runs never
 //! changes what it computes.

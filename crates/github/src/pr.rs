@@ -123,7 +123,7 @@ impl PrHistory {
 
     /// Per-month count of PRs opened, split by final state — the input to
     /// the cumulative plot of Figure 5.
-    pub fn monthly_by_state(&self, start: Month, end: Month) -> (MonthlySeries, MonthlySeries) {
+    fn monthly_by_state(&self, start: Month, end: Month) -> (MonthlySeries, MonthlySeries) {
         let mut approved = MonthlySeries::zeros(start, end);
         let mut closed = MonthlySeries::zeros(start, end);
         for pr in &self.prs {
@@ -170,14 +170,6 @@ impl PrHistory {
             }
         }
         counter
-    }
-
-    /// PRs whose validation passed every automated check.
-    pub fn fully_clean(&self) -> usize {
-        self.prs
-            .iter()
-            .filter(|pr| pr.validation.as_ref().map(|v| v.passed()).unwrap_or(false))
-            .count()
     }
 }
 
@@ -276,7 +268,6 @@ mod tests {
         assert!((h.rejection_rate() - 0.5).abs() < 1e-12);
         assert_eq!(h.distinct_primaries(), 3);
         assert!((h.mean_prs_per_primary() - 4.0 / 3.0).abs() < 1e-12);
-        assert_eq!(h.fully_clean(), 2);
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod tokenizer;
 pub use extract::{class_set, tag_sequence, text_content, title};
 pub use shingle::{hash_token, jaccard, jaccard_sorted, shingles, ShingleProfile};
 pub use similarity::{
-    html_similarity, structural_similarity, style_similarity, DocumentProfile, HtmlSimilarity,
-    ProfileScratch, SimilarityWeights,
+    html_similarity, DocumentProfile, HtmlSimilarity, ProfileScratch, SimilarityWeights,
 };
 pub use tokenizer::{tokenize, RawAttrs, StreamToken, Token, Tokens};

@@ -130,11 +130,6 @@ impl DocumentProfile {
         }
     }
 
-    /// Number of distinct CSS classes seen.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
-
     /// Style similarity against another profile.
     pub fn style_similarity(&self, other: &DocumentProfile) -> f64 {
         jaccard_sorted(&self.classes, &other.classes)
@@ -164,23 +159,6 @@ impl DocumentProfile {
             joint,
         }
     }
-}
-
-/// Style similarity: Jaccard similarity of the two documents' class sets.
-pub fn style_similarity(html_a: &str, html_b: &str) -> f64 {
-    let weights = SimilarityWeights::default();
-    DocumentProfile::new(html_a, weights).style_similarity(&DocumentProfile::new(html_b, weights))
-}
-
-/// Structural similarity: Jaccard similarity of k-shingles of the two
-/// documents' tag sequences.
-pub fn structural_similarity(html_a: &str, html_b: &str, shingle_size: usize) -> f64 {
-    let weights = SimilarityWeights {
-        shingle_size,
-        ..SimilarityWeights::default()
-    };
-    DocumentProfile::new(html_a, weights)
-        .structural_similarity(&DocumentProfile::new(html_b, weights))
 }
 
 /// Compute all three metrics for a pair of documents.
@@ -350,7 +328,6 @@ mod tests {
         let via_profiles = pa.similarity(&pb, weights);
         let direct = html_similarity(PAGE_A, PAGE_B, weights);
         assert_eq!(via_profiles, direct);
-        assert!(pa.class_count() > 0);
     }
 
     #[test]

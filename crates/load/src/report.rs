@@ -211,22 +211,6 @@ impl LoadReport {
         self.supervision.merge(&other.supervision);
     }
 
-    /// Span of the simulated clock covered by the run, in milliseconds.
-    pub fn sim_duration_ms(&self) -> u64 {
-        self.sim_end_ms.saturating_sub(self.sim_start_ms)
-    }
-
-    /// Fetch calls per second of *simulated* time — the load the client
-    /// fleet put on the store, independent of wall-clock speed.
-    pub fn requests_per_sim_sec(&self) -> f64 {
-        let ms = self.sim_duration_ms();
-        if ms == 0 {
-            0.0
-        } else {
-            self.fetch_calls as f64 * 1000.0 / ms as f64
-        }
-    }
-
     /// Total failed fetch calls across all error classes.
     pub fn error_count(&self) -> u64 {
         self.errors.total()
@@ -272,8 +256,6 @@ mod tests {
             names,
             vec!["chrome-rws", "chrome-legacy", "firefox", "safari", "brave"]
         );
-        assert_eq!(r.sim_duration_ms(), 0);
-        assert_eq!(r.requests_per_sim_sec(), 0.0);
     }
 
     #[test]
@@ -308,7 +290,6 @@ mod tests {
         assert_eq!(a.status_4xx, 1);
         assert_eq!(a.sim_start_ms, 50);
         assert_eq!(a.sim_end_ms, 900);
-        assert_eq!(a.sim_duration_ms(), 850);
         assert_eq!(a.latency.count(), 1);
         assert_eq!(a.error_count(), 1);
         assert_eq!(a.vendors[0].auto_grant, 1);

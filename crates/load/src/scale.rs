@@ -44,12 +44,6 @@ impl LoadScale {
             ..self
         }
     }
-
-    /// Expected total page visits across all clients (excluding
-    /// `.well-known` probes), for sizing assertions.
-    pub fn expected_visits(&self) -> usize {
-        self.clients * self.mean_visits
-    }
 }
 
 #[cfg(test)]
@@ -64,6 +58,5 @@ mod tests {
         assert_eq!(scaled.mean_visits, base.mean_visits);
         assert_eq!(scaled.think_time_ms, base.think_time_ms);
         assert_eq!(scaled.ramp_ms, base.ramp_ms);
-        assert_eq!(scaled.expected_visits(), 4 * base.expected_visits());
     }
 }

@@ -136,7 +136,7 @@ fn mix(mut x: u64) -> u64 {
 /// FNV-1a over the host name — the host half of the fault-decision key,
 /// shared with [`FetchSession`]'s ordinal table. A field read: the name
 /// hashed itself when it was built ([`DomainName::fnv1a`]).
-pub fn host_hash(host: &DomainName) -> u64 {
+fn host_hash(host: &DomainName) -> u64 {
     host.fnv1a()
 }
 
@@ -346,11 +346,6 @@ impl FetchSession {
         self.retries_spent
     }
 
-    /// Retry budget remaining.
-    pub fn retry_budget_left(&self) -> u32 {
-        self.retry_budget.saturating_sub(self.retries_spent)
-    }
-
     /// Spend one retry from the budget; `false` when the budget is gone.
     pub(crate) fn try_spend_retry(&mut self) -> bool {
         if self.retries_spent >= self.retry_budget {
@@ -553,11 +548,10 @@ mod tests {
     #[test]
     fn retry_budget_is_spent_then_refused() {
         let mut session = FetchSession::with_budget(1, "b", 2);
-        assert_eq!(session.retry_budget_left(), 2);
+        assert_eq!(session.retries_spent(), 0);
         assert!(session.try_spend_retry());
         assert!(session.try_spend_retry());
         assert!(!session.try_spend_retry());
         assert_eq!(session.retries_spent(), 2);
-        assert_eq!(session.retry_budget_left(), 0);
     }
 }

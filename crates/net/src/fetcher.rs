@@ -88,7 +88,7 @@ impl RetryPolicy {
     /// failures (so the first retry passes 1). "Equal jitter": half the
     /// capped exponential is kept, the other half is drawn from `rng` — a
     /// derived stream, to keep replays deterministic.
-    pub fn backoff_for(&self, failed_attempts: u32, rng: &mut impl Rng) -> u64 {
+    fn backoff_for(&self, failed_attempts: u32, rng: &mut impl Rng) -> u64 {
         let shift = failed_attempts.saturating_sub(1).min(16);
         let exp = self
             .base_backoff_ms

@@ -164,14 +164,6 @@ pub fn list_from_json(value: &Value) -> Result<RwsList, SetError> {
     RwsList::from_sets(sets)
 }
 
-/// Parse a list from JSON text.
-pub fn list_from_json_str(text: &str) -> Result<RwsList, SetError> {
-    let value: Value = serde_json::from_str(text).map_err(|e| SetError::MalformedJson {
-        reason: e.to_string(),
-    })?;
-    list_from_json(&value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,9 +196,13 @@ mod tests {
         DomainName::parse(s).unwrap()
     }
 
+    fn parse(text: &str) -> Result<RwsList, SetError> {
+        list_from_json(&serde_json::from_str(text).expect("test documents are JSON"))
+    }
+
     #[test]
     fn parse_canonical_example() {
-        let list = list_from_json_str(CANONICAL_EXAMPLE).unwrap();
+        let list = parse(CANONICAL_EXAMPLE).unwrap();
         assert_eq!(list.set_count(), 2);
         assert_eq!(list.domain_count(), 7);
         let bild = list.set_with_primary(&dn("bild.de")).unwrap();
@@ -225,7 +221,7 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_structure() {
-        let list = list_from_json_str(CANONICAL_EXAMPLE).unwrap();
+        let list = parse(CANONICAL_EXAMPLE).unwrap();
         let json = list_to_json(&list);
         let reparsed = list_from_json(&json).unwrap();
         assert_eq!(reparsed.set_count(), list.set_count());
@@ -244,16 +240,14 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_rejected() {
-        assert!(list_from_json_str("not json").is_err());
-        assert!(list_from_json_str("{}").is_err());
-        assert!(list_from_json_str(r#"{"sets": 4}"#).is_err());
-        assert!(list_from_json_str(r#"{"sets": [{"associatedSites": []}]}"#).is_err());
-        assert!(list_from_json_str(
-            r#"{"sets": [{"primary": "https://a.com", "associatedSites": [5]}]}"#
-        )
-        .is_err());
+        assert!(parse("{}").is_err());
+        assert!(parse(r#"{"sets": 4}"#).is_err());
+        assert!(parse(r#"{"sets": [{"associatedSites": []}]}"#).is_err());
         assert!(
-            list_from_json_str(r#"{"sets": [{"primary": "https://a.com", "ccTLDs": {"https://other.com": ["https://other.de"]}}]}"#)
+            parse(r#"{"sets": [{"primary": "https://a.com", "associatedSites": [5]}]}"#).is_err()
+        );
+        assert!(
+            parse(r#"{"sets": [{"primary": "https://a.com", "ccTLDs": {"https://other.com": ["https://other.de"]}}]}"#)
                 .is_err(),
             "ccTLD base not in set must be rejected"
         );
@@ -262,13 +256,13 @@ mod tests {
     #[test]
     fn http_members_rejected() {
         let doc = r#"{"sets": [{"primary": "http://insecure.com"}]}"#;
-        let err = list_from_json_str(doc).unwrap_err();
+        let err = parse(doc).unwrap_err();
         assert!(matches!(err, SetError::InvalidOrigin { .. }));
     }
 
     #[test]
     fn empty_sets_array_is_an_empty_list() {
-        let list = list_from_json_str(r#"{"sets": []}"#).unwrap();
+        let list = parse(r#"{"sets": []}"#).unwrap();
         assert_eq!(list.set_count(), 0);
     }
 

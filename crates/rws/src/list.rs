@@ -58,7 +58,7 @@ impl RwsList {
 
     /// Add a set, enforcing that none of its members already belong to
     /// another set.
-    pub fn add_set(&mut self, set: RwsSet) -> Result<(), SetError> {
+    fn add_set(&mut self, set: RwsSet) -> Result<(), SetError> {
         let domains = set.domains();
         if let Some(domain) = domains.iter().find(|d| self.index.contains_key(*d)) {
             return Err(SetError::MemberInMultipleSets {

@@ -283,15 +283,6 @@ impl RwsSet {
         None
     }
 
-    /// The base member a ccTLD variant belongs to, if `domain` is a ccTLD
-    /// member.
-    pub fn cctld_base_of(&self, domain: &DomainName) -> Option<&DomainName> {
-        self.cctlds
-            .iter()
-            .find(|(_, vs)| vs.contains(domain))
-            .map(|(base, _)| base)
-    }
-
     /// Every member of the set (primary first) with role and metadata.
     pub fn members(&self) -> Vec<SetMember> {
         let mut out = vec![SetMember {
@@ -443,10 +434,7 @@ mod tests {
         set.add_cctld_variants("https://example.com", &["https://example.de"])
             .unwrap();
         assert_eq!(set.cctld_count(), 1);
-        assert_eq!(
-            set.cctld_base_of(&dn("example.de")),
-            Some(&dn("example.com"))
-        );
+        assert_eq!(set.role_of(&dn("example.de")), Some(MemberRole::Cctld));
     }
 
     #[test]

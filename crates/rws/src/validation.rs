@@ -142,7 +142,7 @@ impl ValidationIssue {
     }
 
     /// True for the transient class that degrades rather than fails.
-    pub fn is_transient(&self) -> bool {
+    fn is_transient(&self) -> bool {
         matches!(self, ValidationIssue::WellKnownTransient { .. })
     }
 }

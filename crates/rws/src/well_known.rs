@@ -39,7 +39,7 @@ impl WellKnownFile {
     }
 
     /// Serialise to the JSON the file would contain.
-    pub fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value {
         match self {
             WellKnownFile::Primary(set) => set_to_json(set),
             WellKnownFile::Member { primary } => json!({
@@ -56,7 +56,7 @@ impl WellKnownFile {
     /// Parse a well-known document. A document with member lists parses as a
     /// primary copy; a document with only a `primary` field parses as a
     /// member pointer.
-    pub fn from_json(value: &Value) -> Result<WellKnownFile, SetError> {
+    fn from_json(value: &Value) -> Result<WellKnownFile, SetError> {
         let obj = value.as_object().ok_or_else(|| SetError::MalformedJson {
             reason: "well-known document is not a JSON object".to_string(),
         })?;

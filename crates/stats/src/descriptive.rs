@@ -11,18 +11,9 @@ pub fn mean(values: &[f64]) -> Option<f64> {
 }
 
 /// Population variance (divides by `n`). Returns `None` for an empty slice.
-pub fn population_variance(values: &[f64]) -> Option<f64> {
+fn population_variance(values: &[f64]) -> Option<f64> {
     let m = mean(values)?;
     Some(values.iter().map(|x| (x - m).powi(2)).sum::<f64>() / values.len() as f64)
-}
-
-/// Sample variance (divides by `n - 1`). Returns `None` for fewer than two values.
-pub fn sample_variance(values: &[f64]) -> Option<f64> {
-    if values.len() < 2 {
-        return None;
-    }
-    let m = mean(values)?;
-    Some(values.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (values.len() - 1) as f64)
 }
 
 /// Population standard deviation. Returns `None` for an empty slice.
@@ -75,11 +66,6 @@ impl Summary {
             max: sorted[sorted.len() - 1],
         })
     }
-
-    /// Inter-quartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 #[cfg(test)]
@@ -102,13 +88,6 @@ mod tests {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((population_variance(&v).unwrap() - 4.0).abs() < 1e-12);
         assert!((stddev(&v).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_variance_requires_two_values() {
-        assert_eq!(sample_variance(&[1.0]), None);
-        let v = [2.0, 4.0];
-        assert!((sample_variance(&v).unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -142,11 +121,5 @@ mod tests {
         let a = Summary::of(&[5.0, 1.0, 3.0, 2.0, 4.0]).unwrap();
         let b = Summary::of(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn iqr_is_nonnegative() {
-        let s = Summary::of(&[10.0, 20.0, 30.0]).unwrap();
-        assert!(s.iqr() >= 0.0);
     }
 }

@@ -44,13 +44,6 @@ impl Histogram {
         }
     }
 
-    /// Record every observation in a slice.
-    pub fn record_all(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.record(x);
-        }
-    }
-
     /// Total number of observations recorded (including under/overflow).
     pub fn total(&self) -> u64 {
         self.total
@@ -69,16 +62,6 @@ impl Histogram {
     /// Per-bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.bins
-    }
-
-    /// `(bin_lower_edge, count)` pairs.
-    pub fn edges_and_counts(&self) -> Vec<(f64, u64)> {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + width * i as f64, c))
-            .collect()
     }
 }
 
@@ -100,11 +83,6 @@ impl CategoryCounter {
     /// Increment a category by one.
     pub fn record<S: Into<String>>(&mut self, category: S) {
         *self.counts.entry(category.into()).or_insert(0) += 1;
-    }
-
-    /// Increment a category by `n`.
-    pub fn record_n<S: Into<String>>(&mut self, category: S, n: u64) {
-        *self.counts.entry(category.into()).or_insert(0) += n;
     }
 
     /// Count for a category (0 if never recorded).
@@ -151,7 +129,9 @@ mod tests {
     #[test]
     fn histogram_bins_values() {
         let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record_all(&[0.5, 1.5, 1.6, 9.9]);
+        for x in [0.5, 1.5, 1.6, 9.9] {
+            h.record(x);
+        }
         assert_eq!(h.counts()[0], 1);
         assert_eq!(h.counts()[1], 2);
         assert_eq!(h.counts()[9], 1);
@@ -167,13 +147,6 @@ mod tests {
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn histogram_edges() {
-        let h = Histogram::new(0.0, 4.0, 4);
-        let edges: Vec<f64> = h.edges_and_counts().iter().map(|(e, _)| *e).collect();
-        assert_eq!(edges, vec![0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -198,9 +171,11 @@ mod tests {
     #[test]
     fn category_counter_sorted_by_count() {
         let mut c = CategoryCounter::new();
-        c.record_n("b", 5);
-        c.record_n("a", 5);
-        c.record_n("c", 10);
+        for (category, n) in [("b", 5), ("a", 5), ("c", 10)] {
+            for _ in 0..n {
+                c.record(category);
+            }
+        }
         let sorted = c.sorted_by_count();
         assert_eq!(sorted[0].0, "c");
         // ties broken alphabetically

@@ -85,18 +85,6 @@ fn kolmogorov_survival(lambda: f64) -> f64 {
     (2.0 * sum).clamp(0.0, 1.0)
 }
 
-/// Critical value of the two-sample KS statistic at significance `alpha`
-/// for samples of size `n1` and `n2` (asymptotic formula).
-pub fn ks_critical_value(n1: usize, n2: usize, alpha: f64) -> f64 {
-    assert!(n1 > 0 && n2 > 0, "sample sizes must be positive");
-    assert!(
-        (0.0..1.0).contains(&alpha) && alpha > 0.0,
-        "alpha must be in (0,1)"
-    );
-    let c = (-0.5 * (alpha / 2.0).ln()).sqrt();
-    c * ((n1 + n2) as f64 / (n1 * n2) as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,21 +151,6 @@ mod tests {
             let r = ks_two_sample(&a, &b);
             assert!((0.0..=1.0).contains(&r.p_value));
         }
-    }
-
-    #[test]
-    fn critical_value_decreases_with_sample_size() {
-        let small = ks_critical_value(10, 10, 0.05);
-        let large = ks_critical_value(1000, 1000, 0.05);
-        assert!(large < small);
-    }
-
-    #[test]
-    fn critical_value_known_reference() {
-        // For n1 = n2 = 100 at alpha = 0.05, c(alpha) = 1.358 and the critical
-        // value is 1.358 * sqrt(2/100) ≈ 0.192.
-        let v = ks_critical_value(100, 100, 0.05);
-        assert!((v - 0.192).abs() < 0.002, "critical value {v}");
     }
 
     #[test]

@@ -42,18 +42,18 @@ pub mod swar;
 pub mod timeseries;
 
 pub use checkpoint::{CheckpointSink, FileSink, MemorySink};
-pub use descriptive::{mean, population_variance, sample_variance, stddev, Summary};
+pub use descriptive::{mean, stddev, Summary};
 pub use ecdf::Ecdf;
 pub use histogram::{CategoryCounter, Histogram};
-pub use ks::{ks_critical_value, ks_two_sample, KsResult};
+pub use ks::{ks_two_sample, KsResult};
 pub use latency::LatencyHistogram;
 pub use memo::ShardedMemo;
 pub use pool::ThreadPool;
 pub use quantile::{median, percentile, quantile};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
 pub use sampling::{
-    choose, sample_indices_floyd, sample_indices_without_replacement, sample_without_replacement,
-    shuffle, weighted_choice,
+    sample_indices_floyd, sample_indices_without_replacement, sample_without_replacement, shuffle,
+    weighted_choice,
 };
 pub use shard::{fnv1a_of, store_shard_count, ShardRouter, DEFAULT_STORE_SHARDS, STORE_SHARDS_ENV};
 pub use supervision::{
@@ -74,6 +74,6 @@ pub mod prelude {
     pub use crate::ks::{ks_two_sample, KsResult};
     pub use crate::quantile::{median, percentile, quantile};
     pub use crate::rng::{Rng, SplitMix64, Xoshiro256StarStar};
-    pub use crate::sampling::{choose, sample_without_replacement, shuffle, weighted_choice};
+    pub use crate::sampling::{sample_without_replacement, shuffle, weighted_choice};
     pub use crate::timeseries::{Date, Month, MonthlySeries};
 }

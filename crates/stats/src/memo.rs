@@ -29,8 +29,8 @@ pub const SHARD_COUNT: usize = 16;
 /// impl but stays platform-stable (unlike `DefaultHasher`, whose keys are
 /// randomized per process) and an order of magnitude quicker than SipHash
 /// on short keys. The workspace's one FNV: shard assignment here, the
-/// classifier's keyword tables and the survey's pool fingerprints all use
-/// it rather than re-rolling the constants.
+/// classifier's keyword tables, `RwsList`'s member index and the load
+/// target's site table all use it rather than re-rolling the constants.
 #[derive(Debug, Clone)]
 pub struct FnvHasher(u64);
 

@@ -14,15 +14,6 @@ pub fn shuffle<T, R: Rng + ?Sized>(items: &mut [T], rng: &mut R) {
     }
 }
 
-/// Choose one element uniformly at random. Returns `None` for an empty slice.
-pub fn choose<'a, T, R: Rng + ?Sized>(items: &'a [T], rng: &mut R) -> Option<&'a T> {
-    if items.is_empty() {
-        None
-    } else {
-        Some(&items[rng.next_below(items.len() as u64) as usize])
-    }
-}
-
 /// Draw `k` distinct indices from `0..n` uniformly without replacement.
 ///
 /// If `k >= n`, all indices are returned (shuffled). Uses a partial
@@ -139,22 +130,6 @@ mod tests {
         let mut one = vec![7];
         shuffle(&mut one, &mut rng);
         assert_eq!(one, vec![7]);
-    }
-
-    #[test]
-    fn choose_from_empty_is_none() {
-        let mut rng = Xoshiro256StarStar::new(4);
-        let empty: Vec<u32> = vec![];
-        assert!(choose(&empty, &mut rng).is_none());
-    }
-
-    #[test]
-    fn choose_returns_member() {
-        let mut rng = Xoshiro256StarStar::new(5);
-        let items = vec![10, 20, 30];
-        for _ in 0..100 {
-            assert!(items.contains(choose(&items, &mut rng).unwrap()));
-        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl ShardRouter {
 /// [`STORE_SHARDS_ENV`]), falling back to `default` when absent, empty,
 /// unparsable, or zero. Split from the env read so it is testable
 /// without mutating process state.
-pub fn shard_count_from(raw: Option<&str>, default: usize) -> usize {
+fn shard_count_from(raw: Option<&str>, default: usize) -> usize {
     match raw.map(str::trim).filter(|s| !s.is_empty()) {
         Some(s) => match s.parse::<usize>() {
             Ok(n) if n >= 1 => n,

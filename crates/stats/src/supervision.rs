@@ -56,11 +56,6 @@ impl SupervisionPolicy {
             quarantine_cap: DEFAULT_QUARANTINE_CAP,
         }
     }
-
-    /// True for either salvage variant.
-    pub fn is_salvage(self) -> bool {
-        matches!(self, SupervisionPolicy::Salvage { .. })
-    }
 }
 
 /// One task a salvage sweep caught panicking: its input index and the
@@ -206,8 +201,6 @@ mod tests {
     #[test]
     fn policy_defaults_to_fail_fast() {
         assert_eq!(SupervisionPolicy::default(), SupervisionPolicy::FailFast);
-        assert!(!SupervisionPolicy::FailFast.is_salvage());
-        assert!(SupervisionPolicy::salvage().is_salvage());
         assert_eq!(
             SupervisionPolicy::salvage(),
             SupervisionPolicy::Salvage {

@@ -86,17 +86,6 @@ pub struct FactorTable {
     pub rows: Vec<(Factor, usize, usize)>,
 }
 
-impl FactorTable {
-    /// The count pair for a factor.
-    pub fn counts_for(&self, factor: Factor) -> (usize, usize) {
-        self.rows
-            .iter()
-            .find(|(f, _, _)| *f == factor)
-            .map(|(_, r, u)| (*r, *u))
-            .unwrap_or((0, 0))
-    }
-}
-
 /// Figure 2: timing ECDFs for RWS (same set) responses split by verdict,
 /// plus the KS test between them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -360,8 +349,14 @@ mod tests {
         }
         // Branding elements should be among the most-reported factors for
         // related judgements, as in Table 2.
-        let (branding_related, _) = analysis.factors.counts_for(Factor::BrandingElements);
-        let (other_related, _) = analysis.factors.counts_for(Factor::Other);
+        let related_for = |factor: Factor| {
+            let rows = &analysis.factors.rows;
+            rows.iter()
+                .find(|(f, _, _)| *f == factor)
+                .map_or(0, |(_, r, _)| *r)
+        };
+        let branding_related = related_for(Factor::BrandingElements);
+        let other_related = related_for(Factor::Other);
         assert!(branding_related >= other_related);
     }
 

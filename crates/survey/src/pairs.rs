@@ -137,7 +137,7 @@ impl<'a> PairGenerator<'a> {
 
     /// The filtered pool of RWS members eligible for the survey: live,
     /// English-language primaries and associated sites, sorted.
-    pub fn eligible_members(&self) -> Vec<DomainName> {
+    fn eligible_members(&self) -> Vec<DomainName> {
         let mut members: Vec<DomainName> = self
             .corpus
             .sites

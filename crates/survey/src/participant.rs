@@ -13,7 +13,7 @@
 
 use crate::pairs::SitePair;
 use rws_corpus::Corpus;
-use rws_domain::{levenshtein, SiteResolver};
+use rws_domain::SiteResolver;
 use rws_stats::rng::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -77,9 +77,7 @@ impl Cues {
             (Some(x), Some(y)) => {
                 let identical = x == y;
                 let stem = !identical && (x.contains(&y) || y.contains(&x));
-                let max_len = x.chars().count().max(y.chars().count()).max(1);
-                let sim = 1.0 - levenshtein(&x, &y) as f64 / max_len as f64;
-                (identical, stem, sim)
+                (identical, stem, rws_domain::sld_similarity(&x, &y))
             }
             _ => (false, false, 0.0),
         };
@@ -137,7 +135,7 @@ impl Factor {
     /// The probabilities, from Table 2, that a responding participant
     /// reports using this factor when judging sites *related* and
     /// *unrelated* respectively.
-    pub fn reporting_rates(self) -> (f64, f64) {
+    fn reporting_rates(self) -> (f64, f64) {
         match self {
             Factor::DomainName => (0.571, 0.524),
             Factor::BrandingElements => (0.667, 0.619),
@@ -197,7 +195,7 @@ impl Participant {
     }
 
     /// The probability this participant judges a pair related, given cues.
-    pub fn related_probability(&self, cues: &Cues) -> f64 {
+    fn related_probability(&self, cues: &Cues) -> f64 {
         if cues.load_failure {
             // A site that does not load gives the participant nothing to go
             // on; they overwhelmingly answer "unrelated".
@@ -286,7 +284,50 @@ impl Participant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pairs::{PairGenerator, PairGroup};
+    use rws_classify::CategoryDatabase;
+    use rws_corpus::{CorpusConfig, CorpusGenerator};
+    use rws_engine::EngineContext;
     use rws_stats::rng::Xoshiro256StarStar;
+
+    /// Every pair of a small universe gets SLD cues that match their
+    /// definitions: `identical_sld` is SLD equality, `shared_domain_stem`
+    /// is "different, and one contains the other", and `sld_similarity` is
+    /// [`rws_domain::sld_similarity`] bit for bit.
+    #[test]
+    fn sld_cues_match_their_definitions() {
+        let ctx = EngineContext::embedded();
+        let corpus = CorpusGenerator::new(CorpusConfig::small(31)).generate_with(&ctx);
+        let categories = CategoryDatabase::from_ground_truth(&corpus);
+        let mut rng = Xoshiro256StarStar::new(7);
+        let universe = PairGenerator::new(&corpus, &categories).generate_on(&mut rng, &ctx);
+        let resolver = SiteResolver::embedded();
+        let (mut identical, mut stem, mut neither) = (0, 0, 0);
+        for group in PairGroup::ALL {
+            for pair in universe.group(group) {
+                let x = resolver.second_level_label(&pair.first).unwrap();
+                let y = resolver.second_level_label(&pair.second).unwrap();
+                let cues = Cues::observe(&corpus, pair, &resolver);
+                assert_eq!(cues.identical_sld, x == y, "{pair:?}");
+                let contains = x.contains(&y) || y.contains(&x);
+                assert_eq!(cues.shared_domain_stem, x != y && contains, "{pair:?}");
+                assert_eq!(
+                    cues.sld_similarity.to_bits(),
+                    rws_domain::sld_similarity(&x, &y).to_bits(),
+                    "{pair:?}"
+                );
+                match (cues.identical_sld, cues.shared_domain_stem) {
+                    (true, _) => identical += 1,
+                    (false, true) => stem += 1,
+                    (false, false) => neither += 1,
+                }
+            }
+        }
+        assert!(
+            identical > 0 && stem > 0 && neither > 0,
+            "identical {identical}, stem {stem}, neither {neither}"
+        );
+    }
 
     fn participant(seed: u64) -> Participant {
         let mut rng = Xoshiro256StarStar::new(seed);

@@ -61,7 +61,7 @@ pub struct SurveyResponse {
 impl SurveyResponse {
     /// True if this response is a privacy-harming error: the pair is related
     /// under RWS but the participant judged it unrelated.
-    pub fn privacy_harming_error(&self) -> bool {
+    fn privacy_harming_error(&self) -> bool {
         self.pair.related_under_rws() && self.verdict == Verdict::Unrelated
     }
 
