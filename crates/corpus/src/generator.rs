@@ -24,9 +24,9 @@ use rws_engine::EngineContext;
 use rws_model::{RwsList, RwsSet, WellKnownFile};
 use rws_net::{FrozenWeb, SiteHost, WELL_KNOWN_RWS_PATH};
 use rws_stats::rng::{Rng, Xoshiro256StarStar};
-use rws_stats::shard::ShardRouter;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Mutex;
 
 /// Generic top-level domains used for primaries and distinct associated
 /// sites.
@@ -38,6 +38,11 @@ const GENERIC_TLDS: &[&str] = &[
 const COUNTRY_SUFFIXES: &[&str] = &[
     "de", "fr", "in", "ru", "br", "jp", "es", "it", "pl", "co.uk", "com.au", "nl", "se",
 ];
+
+/// Sites rendered per pool task: enough to amortise a task and its warm
+/// render arena, few enough that the paper-scale corpus spreads over
+/// every worker.
+const RENDER_CHUNK: usize = 64;
 
 /// Tunable parameters of the synthetic corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -123,12 +128,13 @@ pub struct Corpus {
     /// The Tranco-style top-site ranking (non-RWS sites only).
     pub tranco: TrancoList,
     /// The corpus's page store, frozen as generated: every site's pages
-    /// and well-known files in N ≥ 1 per-shard host tables routed by the
-    /// FNV-1a domain hash. Reads take no lock and borrow straight from the
-    /// interned pages — the classifier, the Figure 4 sweeps and the load
-    /// engine all read through here. A stage that needs to add hosts (the
-    /// governance replay's defect hosts) wraps it in its own
-    /// [`SimulatedWeb`](rws_net::SimulatedWeb).
+    /// and well-known files in one host table. Reads take no lock and
+    /// borrow straight from the interned pages — the classifier, the
+    /// Figure 4 sweeps and the load engine all read through here. A stage
+    /// that needs to add hosts (the governance replay's defect hosts)
+    /// wraps it in its own [`SimulatedWeb`](rws_net::SimulatedWeb). The
+    /// field name predates the single table and is pinned by the
+    /// repository benchmark under `perfbench/`.
     pub sharded: FrozenWeb,
 }
 
@@ -222,42 +228,18 @@ fn pick_category<R: Rng + ?Sized>(weights: &[(SiteCategory, f64)], rng: &mut R) 
 /// The corpus generator.
 pub struct CorpusGenerator {
     config: CorpusConfig,
-    /// How many shards the page store is generated into. Deliberately
-    /// *not* part of [`CorpusConfig`]: the shard count is an execution
-    /// detail (like the pool width) and must never influence an output
-    /// byte, so it stays off the serialized, seed-bearing configuration.
-    shards: usize,
 }
 
 impl CorpusGenerator {
-    /// Create a generator from a configuration. The store shard count
-    /// defaults to [`rws_stats::shard::store_shard_count`] (the
-    /// `RWS_STORE_SHARDS` env override, 8 otherwise).
+    /// Create a generator from a configuration.
     pub fn new(config: CorpusConfig) -> CorpusGenerator {
-        CorpusGenerator {
-            config,
-            shards: rws_stats::shard::store_shard_count(),
-        }
-    }
-
-    /// Override the store shard count (≥ 1). A count of 1 is the
-    /// unsharded serial baseline: one shard holding every host, rendered
-    /// by a single task.
-    pub fn with_shards(mut self, shards: usize) -> CorpusGenerator {
-        assert!(shards >= 1, "shard count must be at least 1");
-        self.shards = shards;
-        self
-    }
-
-    /// The configured store shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards
+        CorpusGenerator { config }
     }
 
     /// Generate the full corpus, resolving sites through the context's
     /// shared [`rws_engine::SiteResolver`] and rendering pages on its pool.
     /// Output bytes depend only on the configuration — never on the
-    /// context's execution mode or the shard count.
+    /// context's execution mode.
     pub fn generate_with(&self, ctx: &EngineContext) -> Corpus {
         let cfg = self.config;
         let resolver = ctx.resolver();
@@ -465,35 +447,36 @@ impl CorpusGenerator {
         }
         let tranco = TrancoList::from_ranked(tranco_entries);
 
-        // --- Populate the sharded page store -------------------------------
+        // --- Populate the page store --------------------------------------
         // Per-site work (template rendering dominates) is independent: each
         // site draws from an rng stream derived from its own domain
         // (`derive` reads the parent rng without consuming it), so hosts
         // can be rendered in any order without changing a single output
-        // byte. Sites are routed to shards by the same FNV-1a domain hash
-        // the store reads with, and one pool task renders each shard's
-        // sites in sorted order through its own reusable RenderArena —
-        // pages build up in one warm buffer per worker and the finished
-        // bytes are interned into the PageBody in a single copy. The
-        // per-shard tables are then stitched into one FrozenWeb; the
-        // shard count never feeds the rng, so every count (including the
-        // 1-shard serial baseline) is byte-for-byte identical.
-        let router = ShardRouter::new(self.shards);
-        let mut shard_specs: Vec<Vec<&SiteSpec>> = (0..self.shards).map(|_| Vec::new()).collect();
-        for spec in sites.values() {
-            shard_specs[router.route(&spec.domain)].push(spec);
-        }
-        let shard_tables = ctx.par_map_coarse(&shard_specs, |_, specs| {
+        // byte. The sorted specs are cut into fixed-size chunks and one
+        // pool task renders each chunk through its own reusable
+        // RenderArena — pages build up in one warm buffer and the finished
+        // bytes are interned into the PageBody in a single copy. Each task
+        // then adds its hosts to the one page table, sized up front for
+        // every site, so the inserts overlap with the other tasks'
+        // rendering instead of running serially after them. The order in
+        // which tasks fill the table cannot reach an output: nothing reads
+        // the table in its iteration order, which std's hasher already
+        // randomises per process.
+        let specs: Vec<&SiteSpec> = sites.values().collect();
+        let chunks: Vec<&[&SiteSpec]> = specs.chunks(RENDER_CHUNK).collect();
+        let table = Mutex::new(HashMap::with_capacity(specs.len()));
+        ctx.par_map_coarse(&chunks, |_, chunk| {
             let mut arena = RenderArena::new();
-            specs
+            let hosts: Vec<(DomainName, SiteHost)> = chunk
                 .iter()
                 .map(|spec| {
                     let host = render_host(&mut arena, spec, &rng, &list);
                     (spec.domain.clone(), host)
                 })
-                .collect()
+                .collect();
+            table.lock().expect("page table poisoned").extend(hosts);
         });
-        let sharded = FrozenWeb::from_routed_shards(shard_tables);
+        let store = FrozenWeb::from_hosts(table.into_inner().expect("page table poisoned"));
         // Build phase over: the store is frozen. Every page body was
         // interned exactly once above; from here on the corpus is a
         // read-only snapshot (lock-free borrows).
@@ -504,7 +487,7 @@ impl CorpusGenerator {
             sites,
             list,
             tranco,
-            sharded,
+            sharded: store,
         }
     }
 
@@ -569,7 +552,7 @@ impl CorpusGenerator {
 /// Render one site's host: pages, well-known file, headers. Pure in
 /// `(spec, rng, list)` — the per-site rng stream is derived from the
 /// *shared* post-spec-phase rng by domain, so the result is independent
-/// of which shard task (or thread) runs it.
+/// of which chunk task (or thread) runs it.
 fn render_host(
     arena: &mut RenderArena,
     spec: &SiteSpec,

@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 use rws_domain::levenshtein::levenshtein_naive;
 use rws_domain::{levenshtein, normalized_levenshtein, DomainName, PublicSuffixList, SiteResolver};
+use rws_stats::fnv1a_of;
 use rws_stats::memo::{FnvBuildHasher, FnvHasher};
-use rws_stats::shard::fnv1a_of;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

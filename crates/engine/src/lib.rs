@@ -197,7 +197,7 @@ impl EngineContext {
     }
 
     /// Ordered parallel map without the cutoff, for coarse per-element
-    /// work (whole-experiment runs, per-set history replays, per-shard
+    /// work (whole-experiment runs, per-set history replays, chunked
     /// corpus rendering).
     pub fn par_map_coarse<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where

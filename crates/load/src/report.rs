@@ -77,7 +77,7 @@ pub struct LoadReport {
     /// Fetch calls issued by clients (each may span several redirect hops).
     pub fetch_calls: u64,
     /// Wire-level requests including every redirect hop, from the
-    /// fetcher's sharded counter.
+    /// fetchers' request counters.
     pub wire_requests: u64,
     /// GET fetch calls (page visits and `.well-known` probes).
     pub gets: u64,

@@ -22,9 +22,9 @@ const VANITY_HOSTS: usize = 48;
 /// real hosts — the corpus itself registers no redirects, and the load mix
 /// needs them to exercise the fetcher's redirect following under load.
 /// Registering them lands in an overlay over the corpus store, which is
-/// then re-frozen at the store's shard count. Each [`fetcher`] wraps that
-/// store in its own [`SimulatedWeb`] with an empty overlay, so every wire
-/// hop reads the store shard-then-host, with no lock.
+/// then re-frozen. Each [`fetcher`] wraps that store in its own
+/// [`SimulatedWeb`] with an empty overlay, so every wire hop is one
+/// lock-free lookup in the store's host table.
 ///
 /// Clients never ask the resolver per visit. Once per run, [`sites`]
 /// resolves every host the store serves into an immutable [`SiteTable`],
@@ -51,15 +51,15 @@ pub struct LoadTarget {
 }
 
 impl LoadTarget {
-    /// Target the frozen store and RWS list of a generated corpus, at the
-    /// corpus's shard count.
+    /// Target the frozen store and RWS list of a generated corpus. The
+    /// name is pinned by the repository benchmark under `perfbench/`.
     pub fn from_corpus_sharded(corpus: &Corpus) -> LoadTarget {
         LoadTarget::from_frozen(corpus.sharded.clone(), corpus.list.clone())
     }
 
     /// Target an arbitrary frozen store and list. Vanity entry hosts land
-    /// in an overlay that is re-frozen at the store's shard count, so the
-    /// whole universe (redirects included) reads through shard routing.
+    /// in an overlay that is re-frozen, so the whole universe (redirects
+    /// included) reads from one frozen table.
     pub fn from_frozen(frozen: FrozenWeb, list: RwsList) -> LoadTarget {
         let hosts = frozen.hosts();
         let mut web = SimulatedWeb::from_frozen(frozen);
@@ -122,11 +122,6 @@ impl LoadTarget {
         Some(&self.store)
     }
 
-    /// The store's shard count.
-    pub fn shard_count(&self) -> usize {
-        self.store.shard_count()
-    }
-
     /// The RWS list partitioning decisions consult.
     pub fn list(&self) -> &RwsList {
         &self.list
@@ -148,9 +143,8 @@ impl LoadTarget {
         }
     }
 
-    /// A fresh fetcher over this target: default policy, unlogged (sharded
-    /// atomic request accounting), its own counter family — so each run's
-    /// `wire_requests` starts at zero.
+    /// A fresh fetcher over this target: default policy and its own
+    /// request counter, so each run's `wire_requests` starts at zero.
     pub fn fetcher(&self) -> Fetcher {
         let web = SimulatedWeb::from_frozen(self.store.clone());
         let fetcher = Fetcher::with_policy(web, FetchPolicy::default()).with_retry(self.retry);
@@ -186,8 +180,8 @@ impl SiteTable {
 
 /// Register the deterministic vanity entry hosts over `web` and return
 /// their domains. The spread over the universe (stride 37, coprime to
-/// most small sizes) depends only on the sorted host list, so targets at
-/// every shard count build byte-identical redirect pages.
+/// most small sizes) depends only on the sorted host list, so targets over
+/// the same hosts build byte-identical redirect pages.
 fn register_vanity_hosts(web: &mut SimulatedWeb, hosts: &[DomainName]) -> Vec<DomainName> {
     let vanity_count = if hosts.is_empty() {
         0

@@ -34,9 +34,9 @@ pub enum NetError {
         url: String,
     },
     /// The server answered with a non-success status when the caller asked
-    /// for success ([`Fetcher::get_success`](crate::Fetcher::get_success)
-    /// and [`Fetcher::get_json`](crate::Fetcher::get_json)); the real
-    /// status is carried rather than erased. Plain
+    /// for success
+    /// ([`Fetcher::get_success_once`](crate::Fetcher::get_success_once));
+    /// the real status is carried rather than erased. Plain
     /// [`Fetcher::get`](crate::Fetcher::get) returns the
     /// [`Response`](crate::Response) instead.
     HttpStatus {

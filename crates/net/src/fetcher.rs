@@ -8,8 +8,7 @@ use crate::url::Url;
 use crate::web::{PageContent, ServedPage, SimulatedWeb};
 use bytes::Bytes;
 use rws_stats::Rng;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Client-side fetch policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,89 +133,23 @@ impl<T> FetchOutcome<T> {
     }
 }
 
-/// Number of counter shards backing the request tally.
-const COUNTER_SHARDS: usize = 16;
-
-/// One cache line per counter so clones incrementing different shards never
-/// share a line (the load engine issues hundreds of thousands of requests
-/// across pool workers through clones of one fetcher).
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct PaddedCounter {
-    value: AtomicU64,
-}
-
-/// A fixed set of relaxed atomic counters shared by every clone of a
-/// fetcher. Each clone gets its own preferred shard at clone time, so the
-/// per-request hot path is a single uncontended `fetch_add` — no lock, no
-/// allocation — while `requests_issued` still reports the family-wide
-/// total by summing shards.
-#[derive(Debug, Default)]
-struct CounterShards {
-    counts: [PaddedCounter; COUNTER_SHARDS],
-    /// Round-robin assignment of shards to clones.
-    next: AtomicUsize,
-}
-
-impl CounterShards {
-    /// A fresh family of counters; shard 0 goes to the original fetcher,
-    /// clones take 1, 2, ... round-robin.
-    fn fresh() -> Arc<CounterShards> {
-        let shards = Arc::new(CounterShards::default());
-        shards.next.store(1, Ordering::Relaxed);
-        shards
-    }
-
-    fn assign(&self) -> usize {
-        self.next.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS
-    }
-
-    #[inline]
-    fn note(&self, shard: usize) {
-        self.counts[shard].value.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn total(&self) -> u64 {
-        self.counts
-            .iter()
-            .map(|c| c.value.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
 /// A deterministic HTTP client over a [`SimulatedWeb`] it owns.
 ///
 /// The fetcher counts every request it issues (including redirect hops) on
-/// a lock-free sharded counter shared by all of its clones, so experiments
-/// can report crawl sizes from any copy without a process-wide lock on the
-/// load engine's hot path.
+/// one relaxed atomic, so it stays `Sync` and experiments can report crawl
+/// sizes without a lock on the load engine's hot path.
 #[derive(Debug)]
 pub struct Fetcher {
     web: SimulatedWeb,
     policy: FetchPolicy,
-    /// Request tally shared by every clone.
-    requests: Arc<CounterShards>,
-    /// This clone's preferred counter in `requests`.
-    shard: usize,
-    /// Shared by every clone; injection additionally requires the caller to
-    /// pass a [`FetchSession`] (the session-aware entry points), so plain
+    /// Requests issued so far.
+    requests: AtomicU64,
+    /// Injection additionally requires the caller to pass a
+    /// [`FetchSession`] (the session-aware entry points), so plain
     /// `get`/`head` stay on the zero-overhead path even when an injector is
     /// installed.
-    faults: Option<Arc<FaultInjector>>,
+    faults: Option<FaultInjector>,
     retry: RetryPolicy,
-}
-
-impl Clone for Fetcher {
-    fn clone(&self) -> Fetcher {
-        Fetcher {
-            web: self.web.clone(),
-            policy: self.policy,
-            requests: Arc::clone(&self.requests),
-            shard: self.requests.assign(),
-            faults: self.faults.clone(),
-            retry: self.retry,
-        }
-    }
 }
 
 impl Fetcher {
@@ -230,18 +163,16 @@ impl Fetcher {
         Fetcher {
             web,
             policy,
-            requests: CounterShards::fresh(),
-            shard: 0,
+            requests: AtomicU64::new(0),
             faults: None,
             retry: RetryPolicy::none(),
         }
     }
 
-    /// Install a fault injector, shared with every clone made afterwards.
-    /// Faults only fire on session-aware fetches
+    /// Install a fault injector. Faults only fire on session-aware fetches
     /// ([`get_with`](Fetcher::get_with) and friends).
     pub fn with_fault_injector(mut self, injector: FaultInjector) -> Fetcher {
-        self.faults = Some(Arc::new(injector));
+        self.faults = Some(injector);
         self
     }
 
@@ -252,15 +183,14 @@ impl Fetcher {
     }
 
     /// The web this fetcher owns, for registering or editing hosts between
-    /// fetches. Clones made earlier keep their own web.
+    /// fetches.
     pub fn web_mut(&mut self) -> &mut SimulatedWeb {
         &mut self.web
     }
 
-    /// Number of requests issued so far (including redirect hops) by this
-    /// fetcher and every clone sharing its accounting.
+    /// Number of requests issued so far (including redirect hops).
     pub fn requests_issued(&self) -> usize {
-        self.requests.total() as usize
+        self.requests.load(Ordering::Relaxed) as usize
     }
 
     /// GET a URL, following redirects per policy. Session-less: never
@@ -273,26 +203,6 @@ impl Fetcher {
     /// always empty but headers and status are as GET would produce.
     pub fn head(&self, url: &Url) -> Result<Response, NetError> {
         self.execute(Method::Head, url, None)
-    }
-
-    /// GET a URL and require a success status: any non-2xx answer becomes
-    /// [`NetError::HttpStatus`] carrying the real status code instead of
-    /// erasing it.
-    pub fn get_success(&self, url: &Url) -> Result<Response, NetError> {
-        let resp = self.get(url)?;
-        if !resp.status.is_success() {
-            return Err(NetError::HttpStatus {
-                url: resp.url.to_string(),
-                status: resp.status,
-            });
-        }
-        Ok(resp)
-    }
-
-    /// GET a URL and parse the body as JSON. Non-success statuses surface
-    /// as [`NetError::HttpStatus`] (see [`get_success`](Fetcher::get_success)).
-    pub fn get_json(&self, url: &Url) -> Result<serde_json::Value, NetError> {
-        self.get_success(url)?.body_json()
     }
 
     /// A single session-aware GET attempt: the session's per-host ordinals
@@ -308,8 +218,9 @@ impl Fetcher {
 
     /// A single session-aware success-requiring GET attempt: 5xx (and any
     /// other non-2xx) surfaces as a retryable-or-not
-    /// [`NetError::HttpStatus`], which is what lets the retrying path
-    /// re-check transient server errors. (Plain browsing clients instead
+    /// [`NetError::HttpStatus`] carrying the real status code, which is
+    /// what lets the retrying path re-check transient server errors.
+    /// (Plain browsing clients instead
     /// record a 5xx as a served response — browsers do not auto-retry
     /// pages — so they use [`get_with`](Fetcher::get_with).)
     pub fn get_success_once(
@@ -392,7 +303,7 @@ impl Fetcher {
                     url: current.to_string(),
                 });
             }
-            self.requests.note(self.shard);
+            self.requests.fetch_add(1, Ordering::Relaxed);
 
             // The fault overlay fires only when an injector is installed
             // AND the caller supplied a session (the ordinal source): one
@@ -662,30 +573,14 @@ mod tests {
     }
 
     #[test]
-    fn get_json_parses_and_errors() {
+    fn get_success_once_carries_the_real_status() {
         let fetcher = Fetcher::new(web_with_example());
-        let json = fetcher
-            .get_json(&Url::parse("https://example.com/data.json").unwrap())
-            .unwrap();
-        assert_eq!(json["ok"], true);
+        let mut session = FetchSession::new(1, "status");
         let err = fetcher
-            .get_json(&Url::parse("https://example.com/missing.json").unwrap())
-            .unwrap_err();
-        // The real status is carried, not erased to a generic not-found.
-        assert!(matches!(
-            err,
-            NetError::HttpStatus {
-                status: StatusCode::NOT_FOUND,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn get_success_carries_the_real_status() {
-        let fetcher = Fetcher::new(web_with_example());
-        let err = fetcher
-            .get_success(&Url::parse("https://example.com/gone").unwrap())
+            .get_success_once(
+                &Url::parse("https://example.com/gone").unwrap(),
+                &mut session,
+            )
             .unwrap_err();
         match err {
             NetError::HttpStatus { url, status } => {
@@ -697,7 +592,7 @@ mod tests {
         }
         // Success statuses pass through untouched.
         let resp = fetcher
-            .get_success(&Url::parse("https://example.com/").unwrap())
+            .get_success_once(&Url::parse("https://example.com/").unwrap(), &mut session)
             .unwrap();
         assert!(resp.status.is_success());
     }
@@ -716,20 +611,6 @@ mod tests {
         let url = Url::parse("https://example.com/old").unwrap();
         fetcher.get(&url).unwrap();
         assert_eq!(fetcher.requests_issued(), 2); // redirect hop + landing
-    }
-
-    #[test]
-    fn clones_share_request_accounting() {
-        let fetcher = Fetcher::new(web_with_example());
-        let url = Url::parse("https://example.com/").unwrap();
-        fetcher.get(&url).unwrap();
-        let clone = fetcher.clone();
-        clone.get(&url).unwrap();
-        clone.clone().get(&url).unwrap();
-        // Every clone reports the family-wide total, whichever shard the
-        // individual increments landed on.
-        assert_eq!(fetcher.requests_issued(), 3);
-        assert_eq!(clone.requests_issued(), 3);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * [`SimulatedWeb`] — a registry mapping hosts to [`SiteHost`]s with
 //!   routable paths, redirects, latency and failure injection; page bodies
 //!   are interned ([`PageBody`]) and [`SimulatedWeb::freeze`] snapshots the
-//!   registry into a [`FrozenWeb`], the one frozen page store: N ≥ 1
-//!   FNV-routed shards, lock-free and borrow-friendly to read;
+//!   registry into a [`FrozenWeb`], the one frozen page store: a single
+//!   `Arc`-shared host table, lock-free and borrow-friendly to read;
 //! * [`Fetcher`] — a client with redirect following, HTTPS enforcement and
 //!   a request count, which is what the validation bot and corpus crawler use;
 //! * [`FaultPlan`]/[`FaultInjector`] — deterministic transient-fault

@@ -107,14 +107,6 @@ impl Response {
         }
     }
 
-    /// Parse the body as JSON.
-    pub fn body_json(&self) -> Result<serde_json::Value, crate::error::NetError> {
-        serde_json::from_slice(&self.body).map_err(|e| crate::error::NetError::InvalidJson {
-            url: self.url.to_string(),
-            reason: e.to_string(),
-        })
-    }
-
     /// The `Content-Type` header, if any.
     pub fn content_type(&self) -> Option<&str> {
         self.headers.get("content-type")
@@ -160,8 +152,6 @@ mod tests {
         assert_eq!(resp.content_type(), Some("application/json"));
         assert!(resp.body_text().contains("primary"));
         assert_eq!(resp.body_str(), Some(resp.body_text().as_str()));
-        let json = resp.body_json().unwrap();
-        assert_eq!(json["primary"], "example.com");
     }
 
     #[test]
@@ -177,20 +167,5 @@ mod tests {
         };
         assert_eq!(resp.body_str(), None);
         assert_eq!(resp.body_text(), "ok \u{FFFD}");
-    }
-
-    #[test]
-    fn response_body_json_error_carries_url() {
-        let url = Url::parse("https://example.com/broken.json").unwrap();
-        let resp = Response {
-            url,
-            status: StatusCode::OK,
-            headers: HeaderMap::new(),
-            body: Bytes::from_static(b"not json"),
-            latency_ms: 0,
-            redirects_followed: 0,
-        };
-        let err = resp.body_json().unwrap_err();
-        assert!(err.to_string().contains("broken.json"));
     }
 }

@@ -19,8 +19,8 @@
 //!   refcounted buffer — at registration time, so *no* later layer ever
 //!   copies a body (serving bumps a refcount, reading borrows `&str`);
 //! * [`SimulatedWeb::freeze`] snapshots the host table into a
-//!   [`FrozenWeb`] (see [`crate::store`]): an `Arc`-shared immutable table
-//!   over N ≥ 1 shards with **no lock on the read path**, whose accessors
+//!   [`FrozenWeb`] (see [`crate::store`]): an `Arc`-shared immutable host
+//!   table with **no lock on the read path**, whose accessors
 //!   hand out real borrows ([`FrozenWeb::page_html`]) rather than
 //!   guard-bounded views;
 //! * the `SimulatedWeb` itself is a plain owned value: its frozen base
@@ -429,14 +429,15 @@ pub struct SimulatedWeb {
 }
 
 impl SimulatedWeb {
-    /// Create an empty web over an empty one-shard base.
+    /// Create an empty web over an empty frozen base.
     pub fn new() -> SimulatedWeb {
         SimulatedWeb::default()
     }
 
     /// Create a web whose read path falls through to an existing frozen
-    /// store (shared, not copied). Reads route overlay → shard → host, and
-    /// writes land in a fresh overlay: the store itself is never touched.
+    /// store (shared, not copied). Reads check the overlay, then the
+    /// store, and writes land in a fresh overlay: the store itself is
+    /// never touched.
     pub fn from_frozen(base: FrozenWeb) -> SimulatedWeb {
         SimulatedWeb {
             base,
@@ -475,9 +476,8 @@ impl SimulatedWeb {
         }
     }
 
-    /// Freeze the current host table into an immutable [`FrozenWeb`] at
-    /// the base's shard count and make it this web's new base (the overlay
-    /// drains into it).
+    /// Freeze the current host table into an immutable [`FrozenWeb`] and
+    /// make it this web's new base (the overlay drains into it).
     ///
     /// Freezing with an empty overlay is free — it hands back the existing
     /// store (a refcount bump, [`FrozenWeb::ptr_eq`]-verifiable), never a
@@ -485,10 +485,16 @@ impl SimulatedWeb {
     /// refcount bumps, so no page payload is copied.
     pub fn freeze(&mut self) -> FrozenWeb {
         if !self.overlay.is_empty() {
-            // Overlay hosts come last, so they replace same-named base hosts.
-            let overlay = std::mem::take(&mut self.overlay).into_values();
-            let base = self.base.iter_hosts().map(|(_, h)| h.clone());
-            self.base = FrozenWeb::from_hosts(base.chain(overlay), self.base.shard_count());
+            // The overlay's hosts stay; base hosts fill in the names it
+            // does not shadow.
+            let mut hosts = std::mem::take(&mut self.overlay);
+            hosts.reserve(self.base.host_count());
+            for host in self.base.iter_hosts() {
+                hosts
+                    .entry(host.domain().clone())
+                    .or_insert_with(|| host.clone());
+            }
+            self.base = FrozenWeb::from_hosts(hosts);
         }
         self.base.clone()
     }

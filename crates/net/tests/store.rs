@@ -11,12 +11,8 @@
 //!   keep serving the pre-write answers;
 //! * serving is zero-copy: a fetched `Response.body` shares its buffer
 //!   with the interned page registered at build time;
-//! * the shard count is invisible: across {2, 7, 16} shards (16 matches
-//!   the memo tables, 7 exercises the non-mask modulo route) the store
-//!   answers every read field-for-field like one shard, also after
-//!   overlay edits that land on different shards are re-frozen;
 //! * the no-op freeze fast path is pinned by pointer equality — an empty
-//!   overlay hands back the *same* store at the same shard count.
+//!   overlay hands back the *same* store.
 
 use proptest::prelude::*;
 use rws_domain::DomainName;
@@ -24,8 +20,6 @@ use rws_net::{
     Fetcher, FrozenWeb, LatencyModel, PageContent, ServedPage, SimulatedWeb, SiteHost, StatusCode,
     Url,
 };
-
-const SHARD_COUNTS: &[usize] = &[2, 7, 16];
 
 /// One generated page: a path and what it serves.
 #[derive(Debug, Clone)]
@@ -126,43 +120,6 @@ fn build_web(hosts: &[HostSpec]) -> (SimulatedWeb, Vec<Url>) {
     (web, urls)
 }
 
-/// Field-for-field read equivalence between a one-shard store and an
-/// N-shard store over the same hosts.
-fn assert_equivalent(one: &FrozenWeb, sharded: &FrozenWeb, urls: &[Url]) {
-    prop_assert_eq!(one.shard_count(), 1);
-    prop_assert_eq!(sharded.host_count(), one.host_count());
-    prop_assert_eq!(sharded.hosts(), one.hosts());
-    for url in urls {
-        prop_assert_eq!(
-            &sharded.serve(url),
-            &one.serve(url),
-            "serve diverged on {} ({} shards)",
-            url,
-            sharded.shard_count()
-        );
-    }
-    for domain in one.hosts() {
-        prop_assert!(sharded.has_host(&domain));
-        let one_host = one.host(&domain).unwrap();
-        let sharded_host = sharded.host(&domain).unwrap();
-        prop_assert_eq!(sharded_host.paths(), one_host.paths());
-        for path in one_host.paths() {
-            prop_assert_eq!(sharded_host.page_body(path), one_host.page_body(path));
-            prop_assert_eq!(sharded_host.page_html(path), one_host.page_html(path));
-        }
-    }
-    // Shard routing is total and in range, and each shard holds exactly
-    // the hosts that route to it.
-    let mut routed = vec![0usize; sharded.shard_count()];
-    for domain in sharded.hosts() {
-        let idx = sharded.shard_of(&domain);
-        prop_assert!(idx < sharded.shard_count());
-        routed[idx] += 1;
-    }
-    let stored: Vec<usize> = sharded.shard_stats().iter().map(|s| s.hosts).collect();
-    prop_assert_eq!(stored, routed);
-}
-
 proptest! {
     /// FrozenWeb reads ≡ pre-freeze SimulatedWeb reads, for every probe
     /// URL and the host-table views, across arbitrary webs.
@@ -258,67 +215,10 @@ proptest! {
         prop_assert_eq!(resp.body_str(), Some(body.as_str()));
         prop_assert_eq!(resp.body_text(), body);
     }
-
-    /// N shards ≡ 1 shard: the same hosts serve field-for-field
-    /// identically through any shard count.
-    #[test]
-    fn n_shards_serve_like_one_shard(
-        hosts in proptest::collection::vec(host_strategy(), 0..6)
-    ) {
-        let (built, urls) = build_hosts(&hosts);
-        let one = FrozenWeb::from_hosts(built.clone(), 1);
-        for &count in SHARD_COUNTS {
-            let sharded = FrozenWeb::from_hosts(built.clone(), count);
-            prop_assert_eq!(sharded.shard_count(), count);
-            assert_equivalent(&one, &sharded, &urls);
-        }
-    }
-
-    /// Overlay edits — which land on *different* shards — drain into an
-    /// N-shard re-freeze exactly like a one-shard re-freeze: start two
-    /// webs from the same hosts at 1 and N shards, apply the same edits to
-    /// both, freeze, and compare field-for-field.
-    #[test]
-    fn overlay_edits_refreeze_identically_across_shards(
-        hosts in proptest::collection::vec(host_strategy(), 1..6),
-        edit_stride in 1usize..4,
-    ) {
-        let (built, mut urls) = build_hosts(&hosts);
-        let domains: Vec<DomainName> = built.iter().map(|h| h.domain().clone()).collect();
-        let edited: Vec<&DomainName> = domains.iter().step_by(edit_stride).collect();
-        urls.push(Url::parse("https://fresh-overlay.example.com/").unwrap());
-        for domain in &edited {
-            urls.push(Url::parse(&format!("https://{domain}/edited")).unwrap());
-        }
-
-        for &count in SHARD_COUNTS {
-            let mut one_web = SimulatedWeb::from_frozen(FrozenWeb::from_hosts(built.clone(), 1));
-            let mut sharded_web = SimulatedWeb::from_frozen(FrozenWeb::from_hosts(built.clone(), count));
-
-            // Edit every stride-th host (these hash onto different shards)
-            // and register one brand-new host.
-            for domain in &edited {
-                for web in [&mut one_web, &mut sharded_web] {
-                    web.update_host(domain, |h| {
-                        h.add_page("/edited", "<p>overlay edit</p>");
-                        h.set_offline(false);
-                    });
-                }
-            }
-            let mut fresh = SiteHost::new("fresh-overlay.example.com").unwrap();
-            fresh.add_page("/", "<p>new host</p>");
-            one_web.register(fresh.clone());
-            sharded_web.register(fresh);
-
-            let resharded = sharded_web.freeze();
-            prop_assert_eq!(resharded.shard_count(), count);
-            assert_equivalent(&one_web.freeze(), &resharded, &urls);
-        }
-    }
 }
 
 #[test]
-fn freeze_keeps_the_shard_count_and_returns_the_same_store() {
+fn empty_overlay_freeze_returns_the_same_store() {
     let hosts: Vec<SiteHost> = (0..20)
         .map(|i| {
             let mut h = SiteHost::new(&format!("s{i}.example.com")).unwrap();
@@ -328,37 +228,36 @@ fn freeze_keeps_the_shard_count_and_returns_the_same_store() {
         .collect();
     let pinned = DomainName::parse("s3.example.com").unwrap();
 
-    for count in [1usize, 2, 7, 16] {
-        let store = FrozenWeb::from_hosts(hosts.clone(), count);
-        let mut web = SimulatedWeb::from_frozen(store.clone());
-
-        // An empty overlay hands back the *same* store — a refcount bump,
-        // not a rebuild — however often it is frozen.
-        assert!(web.freeze().ptr_eq(&store));
-        assert!(web.freeze().ptr_eq(&store));
-
-        // An overlay write re-freezes once, at the same shard count; the
-        // freeze after that is again free.
-        assert!(web.update_host(&pinned, |h| {
-            h.add_page("/new", "<p>edit</p>");
-        }));
-        let edited = web.freeze();
-        assert!(!edited.ptr_eq(&store));
-        assert_eq!(edited.shard_count(), count);
-        assert_eq!(edited.hosts(), store.hosts());
-        assert!(edited.page_html(&pinned, "/new").is_some());
-        assert!(store.page_html(&pinned, "/new").is_none());
-        assert!(edited.ptr_eq(&web.freeze()));
+    let mut seed = SimulatedWeb::new();
+    for host in hosts.clone() {
+        seed.register(host);
     }
+    let store = seed.freeze();
+    let mut web = SimulatedWeb::from_frozen(store.clone());
 
-    // A fresh web starts on an empty one-shard base; registrations freeze
-    // into one shard, and repeat freezes share that store.
+    // An empty overlay hands back the *same* store — a refcount bump,
+    // not a rebuild — however often it is frozen.
+    assert!(web.freeze().ptr_eq(&store));
+    assert!(web.freeze().ptr_eq(&store));
+
+    // An overlay write re-freezes once; the freeze after that is again
+    // free.
+    assert!(web.update_host(&pinned, |h| {
+        h.add_page("/new", "<p>edit</p>");
+    }));
+    let edited = web.freeze();
+    assert!(!edited.ptr_eq(&store));
+    assert_eq!(edited.hosts(), store.hosts());
+    assert!(edited.page_html(&pinned, "/new").is_some());
+    assert!(store.page_html(&pinned, "/new").is_none());
+    assert!(edited.ptr_eq(&web.freeze()));
+
+    // A fresh web starts on an empty base; repeat freezes after a
+    // registration share one store.
     let mut web = SimulatedWeb::new();
-    assert_eq!(web.freeze().shard_count(), 1);
     assert_eq!(web.freeze().host_count(), 0);
     web.register(hosts[0].clone());
     let first = web.freeze();
-    assert_eq!(first.shard_count(), 1);
     assert_eq!(first.host_count(), 1);
     assert!(first.ptr_eq(&web.freeze()));
 }

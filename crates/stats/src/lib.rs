@@ -36,7 +36,6 @@ pub mod pool;
 pub mod quantile;
 pub mod rng;
 pub mod sampling;
-pub mod shard;
 pub mod supervision;
 pub mod swar;
 pub mod timeseries;
@@ -47,7 +46,7 @@ pub use ecdf::Ecdf;
 pub use histogram::{CategoryCounter, Histogram};
 pub use ks::{ks_two_sample, KsResult};
 pub use latency::LatencyHistogram;
-pub use memo::ShardedMemo;
+pub use memo::{fnv1a_of, ShardedMemo};
 pub use pool::ThreadPool;
 pub use quantile::{median, percentile, quantile};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
@@ -55,7 +54,6 @@ pub use sampling::{
     sample_indices_floyd, sample_indices_without_replacement, sample_without_replacement, shuffle,
     weighted_choice,
 };
-pub use shard::{fnv1a_of, store_shard_count, ShardRouter, DEFAULT_STORE_SHARDS, STORE_SHARDS_ENV};
 pub use supervision::{
     Quarantine, QuarantineEntry, QuarantinedTask, SupervisionPolicy, SupervisionReport,
     DEFAULT_QUARANTINE_CAP,

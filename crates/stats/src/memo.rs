@@ -6,8 +6,10 @@
 //! lock. [`ShardedMemo`] is that shape, extracted once — the site
 //! resolver's host → eTLD+1 memo and the survey's pair → cues cache both
 //! wrap it. Keys hash onto [`SHARD_COUNT`] independent `RwLock<HashMap>`
-//! shards through a fixed FNV-1a hasher, so shard assignment is stable
-//! across platforms and runs.
+//! shards by masking their FNV-1a hash ([`fnv1a_of`]), so shard
+//! assignment is stable across platforms and runs. A domain name
+//! (`rws_domain::DomainName`) hashes as its cached FNV-1a, eight bytes
+//! whatever the name's length.
 //!
 //! Lookups take a shard read lock; publishing takes the write lock and is
 //! first-writer-wins ([`insert`](ShardedMemo::insert) returns the winning
@@ -28,7 +30,7 @@ pub const SHARD_COUNT: usize = 16;
 /// FNV-1a as a [`Hasher`], so hashing follows each key type's own `Hash`
 /// impl but stays platform-stable (unlike `DefaultHasher`, whose keys are
 /// randomized per process) and an order of magnitude quicker than SipHash
-/// on short keys. The workspace's one FNV: shard assignment here, the
+/// on short keys. The workspace's one FNV: the memo's shard choice, the
 /// classifier's keyword tables, `RwsList`'s member index and the load
 /// target's site table all use it rather than re-rolling the constants.
 #[derive(Debug, Clone)]
@@ -60,6 +62,14 @@ impl Hasher for FnvHasher {
     }
 }
 
+/// The FNV-1a hash of a key through its `Hash` impl: what a
+/// [`FnvHasher`] finishes with after hashing `key`.
+pub fn fnv1a_of<K: Hash + ?Sized>(key: &K) -> u64 {
+    let mut hasher = FnvHasher::new();
+    key.hash(&mut hasher);
+    hasher.finish()
+}
+
 /// [`BuildHasher`] handing out [`FnvHasher`]s, for `HashMap`s keyed by
 /// trusted short strings where SipHash's DoS resistance buys nothing.
 #[derive(Debug, Clone, Copy, Default)]
@@ -73,13 +83,8 @@ impl BuildHasher for FnvBuildHasher {
     }
 }
 
-/// The memo's router: shard selection is shared with the frozen page
-/// store through [`crate::shard::ShardRouter`], so every sharded layer
-/// in the workspace agrees on key → shard assignment.
-const ROUTER: crate::shard::ShardRouter = crate::shard::ShardRouter::new(SHARD_COUNT);
-
 fn shard_index<K: Hash>(key: &K) -> usize {
-    ROUTER.route(key)
+    fnv1a_of(key) as usize & (SHARD_COUNT - 1)
 }
 
 /// A concurrent key → value memo sharded over [`SHARD_COUNT`] locks.
@@ -147,6 +152,13 @@ impl<K: Hash + Eq, V: Clone> Default for ShardedMemo<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv_matches_memo_hasher() {
+        let mut hasher = FnvHasher::new();
+        "site.example".hash(&mut hasher);
+        assert_eq!(fnv1a_of(&"site.example"), hasher.finish());
+    }
 
     #[test]
     fn get_or_insert_computes_once_per_key() {

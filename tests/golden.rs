@@ -11,10 +11,9 @@
 //! * the serialised `CategoryDatabase` and `PrHistory` of the default
 //!   scenario.
 //!
-//! Every output is scheduling- and shard-independent, so the constants hold
-//! at any pool width (`RWS_POOL_THREADS`) and any store shard count
-//! (`RWS_STORE_SHARDS`). A change that moves a byte must update the
-//! constant on purpose and say why.
+//! Every output is scheduling-independent, so the constants hold at any
+//! pool width (`RWS_POOL_THREADS`). A change that moves a byte must update
+//! the constant on purpose and say why.
 
 use rws_analysis::{PaperReproduction, ScenarioConfig};
 use rws_load::{FaultPlan, FaultScale, LoadEngine, LoadScale, LoadTarget, RetryPolicy};
