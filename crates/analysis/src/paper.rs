@@ -79,6 +79,7 @@ impl PaperReproduction {
             .par_map_supervised("experiment", &experiments, |_, experiment| {
                 experiment.run(scenario)
             })
+            .0
             .into_iter()
             .flatten()
             .collect()

@@ -43,10 +43,11 @@ impl CategoryDatabase {
     pub fn classify_corpus_on(corpus: &Corpus, ctx: &EngineContext) -> CategoryDatabase {
         let classifier = KeywordClassifier::new();
         let sites: Vec<&SiteSpec> = corpus.sites.values().collect();
-        let categories: Vec<Option<SiteCategory>> =
-            ctx.par_map_supervised("classify", &sites, |_, spec| {
+        let categories: Vec<Option<SiteCategory>> = ctx
+            .par_map_supervised("classify", &sites, |_, spec| {
                 site_category(&classifier, corpus, spec)
-            });
+            })
+            .0;
         let mut db = CategoryDatabase::new();
         for (spec, category) in sites.into_iter().zip(categories) {
             if let Some(category) = category {

@@ -239,28 +239,15 @@ impl EngineContext {
     /// Under fail-fast (the default) this is
     /// [`par_map_coarse`](EngineContext::par_map_coarse) (panics re-raise
     /// on the caller) with every result `Some`; under salvage, a panicking
-    /// task is caught, quarantined as `(stage, index, message)` in the
-    /// context's monitor, and its slot comes back `None` while the rest of
-    /// the sweep completes. Results and quarantine contents are
-    /// scheduling-independent either way.
-    pub fn par_map_supervised<T, R, F>(&self, stage: &str, items: &[T], f: F) -> Vec<Option<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.par_map_sweep_at(stage, 0, items, f).0
-    }
-
-    /// Like [`par_map_supervised`](EngineContext::par_map_supervised), but
-    /// also returns this sweep's own [`SupervisionReport`] (still merged
-    /// into the shared monitor), with quarantine indices shifted by
-    /// `index_offset` — the entry point windowed (checkpointed) runs use so
-    /// entries carry global positions.
-    pub fn par_map_sweep_at<T, R, F>(
+    /// task is caught, quarantined as `(stage, index, message)`, and its
+    /// slot comes back `None` while the rest of the sweep completes.
+    /// Returns the results together with this sweep's own
+    /// [`SupervisionReport`], which is also merged into the context's
+    /// monitor. Results and quarantine contents are scheduling-independent
+    /// either way.
+    pub fn par_map_supervised<T, R, F>(
         &self,
         stage: &str,
-        index_offset: usize,
         items: &[T],
         f: F,
     ) -> (Vec<Option<R>>, SupervisionReport)
@@ -277,13 +264,7 @@ impl EngineContext {
                     .into_iter()
                     .map(Some)
                     .collect();
-                sweep.record_sweep(
-                    stage,
-                    index_offset,
-                    items.len(),
-                    &Quarantine::new(),
-                    usize::MAX,
-                );
+                sweep.record_sweep(stage, items.len(), &Quarantine::new(), usize::MAX);
                 out
             }
             SupervisionPolicy::Salvage { quarantine_cap } => {
@@ -291,13 +272,7 @@ impl EngineContext {
                     Some(pool) => par_map_salvage_on(pool, items, &f),
                     None => map_salvage_seq(items, &f),
                 };
-                sweep.record_sweep(
-                    stage,
-                    index_offset,
-                    items.len(),
-                    &quarantine,
-                    quarantine_cap,
-                );
+                sweep.record_sweep(stage, items.len(), &quarantine, quarantine_cap);
                 out
             }
         };
@@ -404,7 +379,7 @@ mod tests {
         let ctx = EngineContext::embedded();
         assert_eq!(ctx.supervision(), SupervisionPolicy::FailFast);
         let items: Vec<u64> = (0..100).collect();
-        let out = ctx.par_map_supervised("stage", &items, |i, v| v + i as u64);
+        let (out, _) = ctx.par_map_supervised("stage", &items, |i, v| v + i as u64);
         let plain: Vec<Option<u64>> = ctx
             .par_map_coarse(&items, |i, v| v + i as u64)
             .into_iter()
@@ -430,8 +405,8 @@ mod tests {
             }
             v * 3
         };
-        let (a, sweep_a) = pooled.par_map_sweep_at("stage", 0, &items, task);
-        let (b, sweep_b) = sequential.par_map_sweep_at("stage", 0, &items, task);
+        let (a, sweep_a) = pooled.par_map_supervised("stage", &items, task);
+        let (b, sweep_b) = sequential.par_map_supervised("stage", &items, task);
         assert_eq!(a, b);
         assert_eq!(sweep_a, sweep_b);
         assert_eq!(sweep_a.quarantined, 4); // 13, 74, 135, 196

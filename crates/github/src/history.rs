@@ -217,6 +217,7 @@ impl HistoryGenerator {
 
         let mut prs: Vec<PullRequest> = ctx
             .par_map_supervised("history", &tasks, |_, task| replay_one(task))
+            .0
             .into_iter()
             .flatten()
             .flatten()

@@ -7,31 +7,13 @@ use crate::target::{LoadTarget, SiteTable};
 use rws_domain::SiteResolver;
 use rws_engine::EngineContext;
 use rws_net::Fetcher;
-use rws_stats::checkpoint::CheckpointSink;
 use rws_stats::supervision::Quarantine;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Clients per pool task. Coarse enough that task dispatch is noise,
 /// fine enough that the pool has parallelism to steal at smoke scale.
 const CHUNK_CLIENTS: u32 = 128;
-
-/// Resumable state of a load run: the chunk watermark (chunk ordinals
-/// `0..next_chunk` are already replayed and merged) plus the merged
-/// partial report so far, serialised through the vendored serde shim.
-/// Valid to resume against a freshly built identical target because every
-/// client is a pure function of `(seed, client id)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LoadCheckpoint {
-    /// The run seed the partial report belongs to.
-    pub seed: u64,
-    /// First chunk ordinal not yet replayed.
-    pub next_chunk: u32,
-    /// Everything merged so far (`clients` is left at 0 until the run
-    /// finalises).
-    pub partial: LoadReport,
-}
 
 /// Replays a fleet of simulated browser clients against a [`LoadTarget`].
 ///
@@ -80,106 +62,40 @@ impl LoadEngine {
 
     /// Run the full fleet on the given context: chunked event loops on the
     /// pool (or inline when the context is sequential), fanned out as one
-    /// sweep under the context's supervision policy.
+    /// `"load-chunk"` sweep under the context's supervision policy.
     ///
     /// Each chunk gets its *own* fetcher family and carries its
     /// wire-request count in its partial report. Under salvage a
     /// quarantined chunk's requests therefore vanish with it and the
-    /// surviving merge stays exact; the quarantine lands in
-    /// `report.supervision` (and the context's monitor). Under fail-fast a
-    /// panicking chunk takes the run down. This is the windowed loop of
-    /// [`run_checkpointed`](Self::run_checkpointed) with one window and no
-    /// sink.
+    /// surviving merge stays exact; the quarantine, indexed by chunk
+    /// ordinal, lands in `report.supervision` (and the context's monitor).
+    /// Under fail-fast a panicking chunk takes the run down.
     pub fn run_on(&self, seed: u64, ctx: &EngineContext) -> LoadReport {
-        self.run_windows(seed, ctx, usize::MAX, None, 0, LoadReport::new())
+        let sites = self.target.sites(ctx.resolver());
+        let (partials, sweep) =
+            ctx.par_map_supervised("load-chunk", &self.chunk_spans(), |_, &(lo, hi)| {
+                let worker_fetcher = self.target.fetcher();
+                let mut partial = self.run_chunk(seed, lo, hi, &sites, &worker_fetcher);
+                partial.wire_requests = worker_fetcher.requests_issued() as u64;
+                partial
+            });
+        let mut report = LoadReport::new();
+        for partial in partials.into_iter().flatten() {
+            report.merge(&partial);
+        }
+        report.supervision.merge(&sweep);
+        report.clients = self.scale.clients as u64;
+        report
     }
 
     /// The fleet cut into `CHUNK_CLIENTS`-sized `(lo, hi)` spans — the
-    /// unit of pool dispatch, quarantine and checkpointing alike.
+    /// unit of pool dispatch and quarantine alike.
     fn chunk_spans(&self) -> Vec<(u32, u32)> {
         let clients = self.scale.clients as u32;
         (0..clients)
-            .step_by(CHUNK_CLIENTS.max(1) as usize)
+            .step_by(CHUNK_CLIENTS as usize)
             .map(|lo| (lo, (lo + CHUNK_CLIENTS).min(clients)))
             .collect()
-    }
-
-    /// Like [`run_on`](Self::run_on), but replaying the chunks in windows
-    /// of `every` and serialising a [`LoadCheckpoint`] (chunk watermark +
-    /// merged partial report) into `sink` after each window. The run
-    /// continues from the sink's latest checkpoint, or starts fresh when
-    /// the sink is empty, so a killed run is finished by calling this again
-    /// on the same sink. Chunks account exactly as in
-    /// [`run_on`](Self::run_on), so the finished report equals an
-    /// uninterrupted run field for field — property-tested by killing at
-    /// every checkpoint boundary.
-    pub fn run_checkpointed(
-        &self,
-        seed: u64,
-        ctx: &EngineContext,
-        every: usize,
-        sink: &dyn CheckpointSink,
-    ) -> LoadReport {
-        let (start_chunk, merged) = match sink.latest() {
-            Some(value) => {
-                let checkpoint = LoadCheckpoint::deserialize(&value)
-                    .expect("sink holds a valid load checkpoint");
-                assert_eq!(
-                    checkpoint.seed, seed,
-                    "checkpoint belongs to a different load seed"
-                );
-                (checkpoint.next_chunk as usize, checkpoint.partial)
-            }
-            None => (0, LoadReport::new()),
-        };
-        self.run_windows(seed, ctx, every, Some(sink), start_chunk, merged)
-    }
-
-    /// The one sweep body: replay chunks `start_chunk..` in windows of
-    /// `every`, each window one supervised `"load-chunk"` sweep, storing
-    /// the merged state into `sink` (when given) after every window.
-    /// `merged` seeds the fold when resuming.
-    fn run_windows(
-        &self,
-        seed: u64,
-        ctx: &EngineContext,
-        every: usize,
-        sink: Option<&dyn CheckpointSink>,
-        start_chunk: usize,
-        mut merged: LoadReport,
-    ) -> LoadReport {
-        let sites = self.target.sites(ctx.resolver());
-        let chunks = self.chunk_spans();
-        let every = every.max(1);
-        let mut next = start_chunk.min(chunks.len());
-        while next < chunks.len() {
-            let end = next.saturating_add(every).min(chunks.len());
-            let window = &chunks[next..end];
-            let (partials, sweep) =
-                ctx.par_map_sweep_at("load-chunk", next, window, |_, &(lo, hi)| {
-                    let worker_fetcher = self.target.fetcher();
-                    let mut partial = self.run_chunk(seed, lo, hi, &sites, &worker_fetcher);
-                    partial.wire_requests = worker_fetcher.requests_issued() as u64;
-                    partial
-                });
-            for partial in partials.into_iter().flatten() {
-                merged.merge(&partial);
-            }
-            merged.supervision.merge(&sweep);
-            next = end;
-            if let Some(sink) = sink {
-                sink.store(
-                    LoadCheckpoint {
-                        seed,
-                        next_chunk: next as u32,
-                        partial: merged.clone(),
-                    }
-                    .serialize(),
-                );
-            }
-        }
-        merged.clients = self.scale.clients as u64;
-        merged
     }
 
     /// One chunk of clients interleaved on a simulated-clock event loop:
@@ -238,7 +154,6 @@ impl LoadEngine {
         // field-for-field equal to the engine paths.
         report.supervision.record_sweep(
             "load-chunk",
-            0,
             self.chunk_spans().len(),
             &Quarantine::new(),
             usize::MAX,

@@ -3,11 +3,12 @@
 //! Everything the paper measures is request traffic — crawls of every set
 //! member's `/.well-known/related-website-set.json`, page fetches for the
 //! similarity analysis, per-vendor storage-partitioning decisions on each
-//! response. This crate turns that workload into a *load generator*: up to
-//! hundreds of thousands of simulated browser clients replayed through the
+//! response. This crate turns that workload into a *load generator*: a
+//! fleet of simulated browser clients replayed through the
 //! [`EngineContext`](rws_engine::EngineContext) pool against the frozen
-//! [`FrozenWeb`](rws_net::FrozenWeb) page store, the "millions of users" leg
-//! of the roadmap's north star made measurable.
+//! [`FrozenWeb`](rws_net::FrozenWeb) page store. The benchmark's load
+//! workloads replay `LoadScale::smoke().times(50)`, a fleet of about
+//! 12k clients, against the paper-scale corpus.
 //!
 //! # Model
 //!
@@ -49,16 +50,12 @@
 //!
 //! # Supervised execution
 //!
-//! Every run is one windowed chunk sweep; each chunk accounts its own
-//! wire requests. Sweeps run under the context's [`SupervisionPolicy`]:
-//! fail-fast by default, or — under salvage — a panicking chunk is quarantined into
-//! `report.supervision` while the surviving chunks' partials still merge
-//! exactly. Long runs can also be checkpointed:
-//! [`LoadEngine::run_checkpointed`] serialises a [`LoadCheckpoint`]
-//! (chunk watermark + merged partial report) into a [`CheckpointSink`]
-//! every few windows and continues from the sink's latest checkpoint, so
-//! calling it again on the sink of a killed run finishes with a report
-//! field-for-field equal to an uninterrupted one.
+//! Every run is one `"load-chunk"` sweep over the fleet's chunks; each
+//! chunk accounts its own wire requests. The sweep runs under the
+//! context's [`SupervisionPolicy`]: fail-fast by default, or — under
+//! salvage — a panicking chunk is quarantined into `report.supervision`
+//! (indexed by chunk ordinal) while the surviving chunks' partials still
+//! merge exactly.
 //!
 //! ```
 //! use rws_corpus::{CorpusConfig, CorpusGenerator};
@@ -81,7 +78,7 @@ pub mod report;
 pub mod scale;
 pub mod target;
 
-pub use engine::{LoadCheckpoint, LoadEngine};
+pub use engine::LoadEngine;
 pub use report::{LoadReport, VendorTally};
 pub use scale::LoadScale;
 pub use target::{LoadTarget, SiteTable};
@@ -90,8 +87,6 @@ pub use target::{LoadTarget, SiteTable};
 // configure weather without depending on rws-net directly.
 pub use rws_net::{FaultPlan, FaultScale, FetchSession, RetryPolicy};
 
-// Supervision and checkpointing vocabulary, re-exported for the same
-// reason: tests configure salvage runs and sinks through the
-// load crate alone.
+// Supervision vocabulary, re-exported for the same reason: tests
+// configure salvage runs through the load crate alone.
 pub use rws_engine::{SupervisionPolicy, SupervisionReport};
-pub use rws_stats::{CheckpointSink, FileSink, MemorySink};

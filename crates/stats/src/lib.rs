@@ -25,7 +25,6 @@
 //! assert!(ks.statistic > 0.0);
 //! ```
 
-pub mod checkpoint;
 pub mod descriptive;
 pub mod ecdf;
 pub mod histogram;
@@ -40,7 +39,6 @@ pub mod supervision;
 pub mod swar;
 pub mod timeseries;
 
-pub use checkpoint::{CheckpointSink, FileSink, MemorySink};
 pub use descriptive::{mean, stddev, Summary};
 pub use ecdf::Ecdf;
 pub use histogram::{CategoryCounter, Histogram};

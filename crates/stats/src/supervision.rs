@@ -110,13 +110,13 @@ impl Quarantine {
 }
 
 /// A quarantine entry as retained in a [`SupervisionReport`]: the sweep's
-/// stage label plus the task's (offset-adjusted) index and message.
+/// stage label plus the task's index and message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuarantineEntry {
     /// Which supervised sweep the task belonged to (`"classify"`,
     /// `"survey"`, `"history"`, `"load-chunk"`, `"experiment"`, …).
     pub stage: String,
-    /// The task's global index within that stage.
+    /// The task's index within its sweep.
     pub index: u64,
     /// The panic message.
     pub message: String,
@@ -148,17 +148,9 @@ impl SupervisionReport {
     }
 
     /// Fold one sweep into the report: `tasks` tasks ran at `stage`, the
-    /// sweep quarantined `quarantine`, at most `cap` entries are retained
-    /// (indices are shifted by `index_offset`, so windowed sweeps — e.g. a
-    /// checkpointed run's chunk windows — report global positions).
-    pub fn record_sweep(
-        &mut self,
-        stage: &str,
-        index_offset: usize,
-        tasks: usize,
-        quarantine: &Quarantine,
-        cap: usize,
-    ) {
+    /// sweep quarantined `quarantine`, and at most `cap` entries are
+    /// retained, each keeping the task's index within the sweep.
+    pub fn record_sweep(&mut self, stage: &str, tasks: usize, quarantine: &Quarantine, cap: usize) {
         self.tasks_run += tasks as u64;
         self.quarantined += quarantine.len() as u64;
         if quarantine.len() > cap {
@@ -167,7 +159,7 @@ impl SupervisionReport {
         for task in quarantine.entries().iter().take(cap) {
             self.entries.push(QuarantineEntry {
                 stage: stage.to_string(),
-                index: (index_offset + task.index) as u64,
+                index: task.index as u64,
                 message: task.message.clone(),
             });
         }
@@ -230,7 +222,7 @@ mod tests {
                 .map(|i| (i, format!("boom {i}")))
                 .collect::<Vec<_>>(),
         );
-        report.record_sweep("stage-a", 0, 100, &q, 3);
+        report.record_sweep("stage-a", 100, &q, 3);
         assert_eq!(report.tasks_run, 100);
         assert_eq!(report.quarantined, 10);
         assert_eq!(report.cap_trips, 1);
@@ -242,20 +234,10 @@ mod tests {
     }
 
     #[test]
-    fn record_sweep_offsets_indices() {
-        let mut report = SupervisionReport::new();
-        let q = Quarantine::from_failures(vec![(1, "boom".to_string())]);
-        report.record_sweep("load-chunk", 40, 8, &q, usize::MAX);
-        assert_eq!(report.entries[0].index, 41);
-        assert_eq!(report.cap_trips, 0);
-    }
-
-    #[test]
     fn merge_is_order_independent() {
         let mut a = SupervisionReport::new();
         a.record_sweep(
             "zeta",
-            0,
             4,
             &Quarantine::from_failures(vec![(3, "z".into())]),
             8,
@@ -263,7 +245,6 @@ mod tests {
         let mut b = SupervisionReport::new();
         b.record_sweep(
             "alpha",
-            0,
             6,
             &Quarantine::from_failures(vec![(1, "a".into())]),
             8,
@@ -284,7 +265,6 @@ mod tests {
         let mut report = SupervisionReport::new();
         report.record_sweep(
             "classify",
-            0,
             12,
             &Quarantine::from_failures(vec![(7, "poisoned work item".into())]),
             4,

@@ -167,8 +167,8 @@ impl SurveyRunner {
         // plain pooled fan-out; under salvage a panicking participant is
         // quarantined in the context's monitor and contributes no
         // responses, like a session the survey platform dropped.
-        let sessions: Vec<Option<ParticipantSession>> =
-            ctx.par_map_supervised("survey", &ids, |_, id| {
+        let sessions: Vec<Option<ParticipantSession>> = ctx
+            .par_map_supervised("survey", &ids, |_, id| {
                 run_participant(
                     cfg,
                     corpus,
@@ -178,7 +178,8 @@ impl SurveyRunner {
                     &base,
                     *id,
                 )
-            });
+            })
+            .0;
 
         let mut dataset = SurveyDataset {
             participants_started: cfg.participants,
