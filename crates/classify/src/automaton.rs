@@ -4,9 +4,9 @@
 //! every word on the page). The automaton inverts that: a process-wide
 //! token → (category, hit-weight) map is built once from
 //! [`CATEGORY_KEYWORDS`](crate::keyword), and classification becomes a
-//! single pass over the page's word stream — each word costs a two-array
-//! prefilter probe (first byte × length), and only words that could be
-//! keyword vocabulary pay one FNV hash lookup; a small side matcher
+//! single pass over the page's word stream — each word costs one
+//! prefilter probe (first byte × last byte × length), and only words that
+//! could be keyword vocabulary pay one FNV hash lookup; a small side matcher
 //! advances the few multi-word keywords ("release notes", "free
 //! shipping") as word sequences.
 //!
@@ -24,11 +24,30 @@ use rws_corpus::SiteCategory;
 use rws_stats::memo::FnvBuildHasher;
 use rws_stats::swar::boundary_mask8;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::OnceLock;
 
 /// Upper bound on distinct categories, sized so a matcher's hit counters
 /// live on the stack.
 const MAX_CATEGORIES: usize = 16;
+
+/// Vocabulary words are shorter than this, so the prefilter's saturated
+/// length bit (31) is never set and a word that passes the probe fits a
+/// stack buffer for lower-casing.
+const MAX_WORD_LEN: usize = 31;
+
+/// What feeding a string to a [`TokenMatcher`] can do, judged from its
+/// alphanumeric words alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Words {
+    /// No words: feeding it changes nothing.
+    None,
+    /// Words, none of them vocabulary: feeding it only breaks the
+    /// adjacency of in-flight multi-word sequences.
+    Inert,
+    /// At least one vocabulary word.
+    Live,
+}
 
 /// A multi-word keyword, matched as a sequence of consecutive words.
 #[derive(Debug)]
@@ -55,15 +74,66 @@ pub struct KeywordAutomaton {
     /// Categories in [`CATEGORY_KEYWORDS`] order — the tie-break order the
     /// seed classifier iterates in.
     categories: Vec<SiteCategory>,
-    /// Vocabulary token → its hits and sequence starts.
+    /// Vocabulary token → its hits and sequence starts; a word that only
+    /// continues a sequence has an empty entry.
     entries: HashMap<&'static str, Entry, FnvBuildHasher>,
     /// All multi-word keywords.
     multi: Vec<MultiKeyword>,
-    /// `prefilter[first_byte]` has bit `min(len, 31)` set when some
+    /// `prefilter[slot(word)]` has bit `min(len, 31)` set when some
     /// vocabulary word (single, sequence start or sequence continuation)
-    /// starts with that (lower-cased) byte at that length. A word that
-    /// fails the probe cannot score or advance anything.
-    prefilter: [u32; 256],
+    /// has that slot and length; the slot packs the low five bits of the
+    /// first and last bytes. Those bits are the same for a letter in either
+    /// case, so the probe needs no lower-casing. A word that fails the
+    /// probe cannot score or advance anything.
+    prefilter: [u32; 1024],
+}
+
+/// Call `f(start, end)` on the span of every alphanumeric word of `bytes`
+/// in order, until it breaks. A SWAR movemask flags the non-alphanumeric
+/// boundary bytes eight at a time, and a tail shorter than eight bytes is
+/// read as the last eight bytes with the lanes already seen shifted out.
+/// The boundary predicate is ASCII-only and every byte of a multi-byte
+/// UTF-8 character is a boundary byte, so the spans are exactly the words
+/// of `text.split(|c: char| !c.is_ascii_alphanumeric())`.
+#[inline]
+fn for_each_word<B>(
+    bytes: &[u8],
+    mut f: impl FnMut(usize, usize) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let len = bytes.len();
+    let mut start = 0usize;
+    let mut i = 0usize;
+    while i < len {
+        let mut mask = match boundary_mask8(bytes, i) {
+            Some(mask) => mask,
+            None if len >= 8 => boundary_mask8(bytes, len - 8).map_or(0, |m| m >> (i + 8 - len)),
+            None => bytes
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| !b.is_ascii_alphanumeric())
+                .fold(0, |m, (k, _)| m | 1 << k),
+        };
+        while mask != 0 {
+            let boundary = i + mask.trailing_zeros() as usize;
+            if boundary > start {
+                f(start, boundary)?;
+            }
+            start = boundary + 1;
+            mask &= mask - 1;
+        }
+        i += 8;
+    }
+    if len > start {
+        f(start, len)?;
+    }
+    ControlFlow::Continue(())
+}
+
+/// The prefilter slot of a non-empty word: the low five bits of its first
+/// byte, then of its last byte.
+#[inline]
+fn slot(word: &[u8]) -> usize {
+    ((word[0] & 31) as usize) << 5 | (word[word.len() - 1] & 31) as usize
 }
 
 impl KeywordAutomaton {
@@ -81,10 +151,13 @@ impl KeywordAutomaton {
         let mut categories = Vec::with_capacity(CATEGORY_KEYWORDS.len());
         let mut entries: HashMap<&'static str, Entry, FnvBuildHasher> = HashMap::default();
         let mut multi: Vec<MultiKeyword> = Vec::new();
-        let mut prefilter = [0u32; 256];
+        let mut prefilter = [0u32; 1024];
         let mut admit = |word: &str| {
-            let first = word.as_bytes()[0].to_ascii_lowercase();
-            prefilter[first as usize] |= 1u32 << word.len().min(31);
+            assert!(
+                word.len() < MAX_WORD_LEN,
+                "grow MAX_WORD_LEN to cover the keyword table"
+            );
+            prefilter[slot(word.as_bytes())] |= 1u32 << word.len().min(31);
         };
         for (ci, (category, keywords)) in CATEGORY_KEYWORDS.iter().enumerate() {
             categories.push(*category);
@@ -101,9 +174,11 @@ impl KeywordAutomaton {
                     }
                 } else {
                     // Continuation words must pass the prefilter too, or
-                    // in-flight sequences could never advance.
+                    // in-flight sequences could never advance; their empty
+                    // entries mark them as vocabulary.
                     for word in &rest {
                         admit(word);
+                        entries.entry(word).or_default();
                     }
                     let mut sequence = vec![first];
                     sequence.extend(rest);
@@ -122,6 +197,52 @@ impl KeywordAutomaton {
             multi,
             prefilter,
         }
+    }
+
+    /// Classify `text` by its words (the alphanumeric split of
+    /// [`TokenMatcher::feed_text`]): [`Words::Live`] as soon as one is
+    /// vocabulary (a single keyword, a sequence start or a sequence
+    /// continuation), else [`Words::Inert`] when it has any word at all.
+    /// Fed to a matcher, a non-vocabulary word can neither score nor start
+    /// nor advance a sequence; it only clears the in-flight candidates.
+    pub(crate) fn words(&self, text: &str) -> Words {
+        let mut kind = Words::None;
+        let flow = for_each_word(text.as_bytes(), |start, end| {
+            if self.is_vocabulary(&text[start..end]) {
+                return ControlFlow::Break(());
+            }
+            kind = Words::Inert;
+            ControlFlow::Continue(())
+        });
+        if flow.is_break() {
+            Words::Live
+        } else {
+            kind
+        }
+    }
+
+    /// True when a non-empty alphanumeric word is vocabulary, ignoring
+    /// ASCII case.
+    fn is_vocabulary(&self, word: &str) -> bool {
+        let bytes = word.as_bytes();
+        if !self.admits(bytes) {
+            return false;
+        }
+        if !bytes.iter().any(u8::is_ascii_uppercase) {
+            return self.entries.contains_key(word);
+        }
+        // Passing the probe bounds the length below `MAX_WORD_LEN`.
+        let mut lower = [0u8; MAX_WORD_LEN];
+        let lower = &mut lower[..bytes.len()];
+        lower.copy_from_slice(bytes);
+        lower.make_ascii_lowercase();
+        std::str::from_utf8(lower).is_ok_and(|w| self.entries.contains_key(w))
+    }
+
+    /// The prefilter probe for a non-empty word.
+    #[inline]
+    fn admits(&self, word: &[u8]) -> bool {
+        self.prefilter[slot(word)] & (1u32 << word.len().min(31)) != 0
     }
 
     /// A fresh matcher over this automaton, ready to be fed words.
@@ -154,13 +275,12 @@ impl TokenMatcher<'_> {
     #[inline]
     pub fn feed(&mut self, word: &str) {
         let bytes = word.as_bytes();
-        let Some(&first) = bytes.first() else {
+        if bytes.is_empty() {
             return;
-        };
-        // The hot path: most page words share neither first byte nor
-        // length with any vocabulary word — two array reads settle them.
-        let len_bit = 1u32 << bytes.len().min(31);
-        if self.automaton.prefilter[first.to_ascii_lowercase() as usize] & len_bit == 0 {
+        }
+        // The hot path: most page words share no first byte, last byte and
+        // length with any vocabulary word, and one array read settles them.
+        if !self.automaton.admits(bytes) {
             // Not vocabulary: its only effect is breaking word adjacency
             // for any in-flight multi-word sequence.
             self.active.clear();
@@ -179,44 +299,16 @@ impl TokenMatcher<'_> {
     }
 
     /// Split a text run into alphanumeric words (the seed classifier's word
-    /// boundary rule) and feed each, eight bytes at a time: a SWAR movemask
-    /// flags the non-alphanumeric boundary bytes of each word-sized chunk,
-    /// and the per-word prefilter probe runs inline on the span without the
-    /// per-byte branch of [`feed_text_naive`](Self::feed_text_naive). The boundary predicate is
-    /// ASCII-only and every byte of a multi-byte UTF-8 character is a
-    /// non-alphanumeric byte, so the byte split produces exactly the words
-    /// of `text.split(|c: char| !c.is_ascii_alphanumeric())` — and each
-    /// word is pure ASCII, so slicing at byte offsets stays on char
-    /// boundaries.
+    /// boundary rule) and feed each. A SWAR movemask flags the boundary
+    /// bytes eight at a time, and the per-word prefilter probe runs inline
+    /// on the span, without the per-byte branch of
+    /// [`feed_text_naive`](Self::feed_text_naive). Each word is pure ASCII,
+    /// so slicing at its byte offsets stays on char boundaries.
     pub fn feed_text(&mut self, text: &str) {
-        let bytes = text.as_bytes();
-        let len = bytes.len();
-        let mut start = 0usize;
-        let mut i = 0usize;
-        while let Some(mask) = boundary_mask8(bytes, i) {
-            let mut m = mask;
-            while m != 0 {
-                let boundary = i + m.trailing_zeros() as usize;
-                if boundary > start {
-                    self.feed_span(text, start, boundary);
-                }
-                start = boundary + 1;
-                m &= m - 1;
-            }
-            i += 8;
-        }
-        while i < len {
-            if !bytes[i].is_ascii_alphanumeric() {
-                if i > start {
-                    self.feed_span(text, start, i);
-                }
-                start = i + 1;
-            }
-            i += 1;
-        }
-        if len > start {
-            self.feed_span(text, start, len);
-        }
+        let _ = for_each_word(text.as_bytes(), |start, end| {
+            self.feed_span(text, start, end);
+            ControlFlow::<()>::Continue(())
+        });
     }
 
     /// The seed per-byte word split, retained as the equivalence oracle for
@@ -244,8 +336,7 @@ impl TokenMatcher<'_> {
     fn feed_span(&mut self, text: &str, start: usize, end: usize) {
         let word = &text[start..end];
         let bytes = word.as_bytes();
-        let len_bit = 1u32 << bytes.len().min(31);
-        if self.automaton.prefilter[bytes[0].to_ascii_lowercase() as usize] & len_bit == 0 {
+        if !self.automaton.admits(bytes) {
             if !self.active.is_empty() {
                 self.active.clear();
             }
@@ -289,6 +380,12 @@ impl TokenMatcher<'_> {
                 self.active.push((m, 1));
             }
         }
+    }
+
+    /// True while a multi-word keyword is in flight: only then can a word
+    /// outside the vocabulary change the matcher's state.
+    pub(crate) fn in_sequence(&self) -> bool {
+        !self.active.is_empty()
     }
 
     /// Total hits accumulated for a category.

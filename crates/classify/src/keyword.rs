@@ -2,22 +2,21 @@
 //!
 //! Two implementations share the vocabulary below:
 //!
-//! * [`KeywordClassifier::classify`] — the production path: one pass over
-//!   the zero-copy streaming token stream, scoring every word against the
+//! * [`KeywordClassifier::classify`] — the production path: one forward
+//!   pass over the page bytes (`rws_html::RawTokens`, no lower-cased names
+//!   and no collapsed text), feeding each text run straight to the
 //!   compiled [`KeywordAutomaton`] (no haystack string, no per-keyword
-//!   rescans). Class names stay `&str` slices of the page: attribute
-//!   values are borrowed by type, and `RawAttrs::get` finds `class` with
-//!   one byte walk (exact char-level fallback on non-ASCII bytes);
+//!   rescans). Title runs and class names stay `&str` slices of the page,
+//!   and only the class names that hold a vocabulary word are sorted and
+//!   replayed;
 //! * [`KeywordClassifier::classify_naive`] — the seed classifier, kept as
 //!   the equivalence oracle: builds an owned lowercase haystack from three
 //!   separate tokenizer passes and scans it once per keyword.
 
-use crate::automaton::KeywordAutomaton;
+use crate::automaton::{KeywordAutomaton, Words};
 use rws_corpus::SiteCategory;
 use rws_domain::DomainName;
-use rws_html::{tokenize, StreamToken, Token, Tokens};
-use rws_stats::swar::{find_byte, is_collapsed_ascii};
-use std::borrow::Cow;
+use rws_html::{class_names, tokenize, RawToken, RawTokens, Token};
 use std::collections::BTreeSet;
 
 /// Vocabulary associated with each category. Matching is case-insensitive
@@ -143,54 +142,66 @@ impl KeywordClassifier {
     /// The domain is included because the real ThreatSeeker database keys on
     /// URLs: domain tokens such as `shop` or `news` count as evidence too.
     ///
-    /// This is the single-pass streaming path: the page is tokenized once
-    /// (zero-copy), every word is scored against the compiled keyword
-    /// automaton as it streams by, and the title/class evidence the seed
-    /// classifier counted via extra tokenizer passes is replayed from
-    /// borrowed slices stashed during the same pass. No haystack string is
-    /// ever built. Each tag's `class` value comes from the byte-level
-    /// `RawAttrs::get` as a `&str` of the page and splits into `&str`
-    /// class names at ASCII spaces (`split_whitespace` when the value is
-    /// not plain ASCII); a value equal to the previous tag's is skipped,
-    /// since the sort and dedup before feeding would drop its names
-    /// anyway. [`classify_naive`](Self::classify_naive) is the retained
-    /// oracle this is property-tested against.
+    /// One forward pass over the page bytes ([`RawTokens`], which skips
+    /// comments, declarations and `<script>`/`<style>` raw text exactly as
+    /// the tokenizer does) scores every word against the compiled keyword
+    /// automaton. Text runs go to the matcher as the raw slices of the page:
+    /// whitespace collapse cannot change the alphanumeric word split, so no
+    /// collapsed copy is needed. The title runs and class names the seed
+    /// classifier counted again are replayed afterwards in its haystack
+    /// order: text, then the title, then the sorted, deduplicated class
+    /// set, then the domain. Tag names are compared ignoring case, and each
+    /// tag's `class` value comes from the byte-level `RawAttrs::get`.
+    ///
+    /// Only class names with a vocabulary word (*live* names) are sorted
+    /// and fed. Fed to the matcher, a name whose words are all outside the
+    /// vocabulary (*inert*) only breaks the adjacency of in-flight
+    /// multi-word keywords, and a name with no word at all has no effect.
+    /// So an inert name matters only in the gap between live names it
+    /// would sort into, and only while a sequence is in flight there: the
+    /// replay then collects the page's inert names, once, and feeds the
+    /// one in that gap. A class value with no vocabulary word holds no
+    /// live name and is not split; one equal to the previous tag's adds
+    /// nothing and is skipped.
+    /// [`classify_naive`](Self::classify_naive) is the retained oracle this
+    /// is property-tested against.
     pub fn classify(&self, domain: &DomainName, html: &str) -> SiteCategory {
-        let mut matcher = KeywordAutomaton::global().matcher();
-        // Borrowed stashes replayed after the text stream, replicating the
-        // naive haystack order: text, then title again, then the sorted
-        // deduplicated class set, then the domain.
-        let mut title_parts: Vec<Cow<'_, str>> = Vec::new();
-        let mut classes: Vec<&str> = Vec::new();
-        // The previous tag's class value: a repeat adds nothing the dedup
-        // below would keep, so it is not split again.
+        let automaton = KeywordAutomaton::global();
+        let mut matcher = automaton.matcher();
+        let mut title_runs: Vec<&str> = Vec::new();
+        let mut live: Vec<&str> = Vec::new();
         let mut last_class = None;
         let mut in_title = false;
         let mut title_done = false;
-        for token in Tokens::new(html) {
+        for token in RawTokens::new(html) {
             match token {
-                StreamToken::Text(text) => {
-                    matcher.feed_text(&text);
+                RawToken::Text(text) => {
+                    matcher.feed_text(text);
                     if in_title && !title_done {
-                        title_parts.push(text);
+                        title_runs.push(text);
                     }
                 }
-                StreamToken::Open {
+                RawToken::Open {
                     name, attributes, ..
                 } => {
-                    if name == "title" {
+                    if name.eq_ignore_ascii_case("title") {
                         in_title = true;
                     }
-                    if let Some(class_attr) = attributes.get("class") {
-                        if last_class != Some(class_attr) {
-                            split_class_value(&mut classes, class_attr);
-                            last_class = Some(class_attr);
+                    if let Some(value) = attributes.get("class") {
+                        // Whitespace never joins two words, so a value
+                        // without a vocabulary word holds no live name.
+                        if last_class != Some(value) && automaton.words(value) == Words::Live {
+                            live.extend(
+                                class_names(value)
+                                    .filter(|class| automaton.words(class) == Words::Live),
+                            );
                         }
+                        last_class = Some(value);
                     }
                 }
-                StreamToken::Close { name } => {
-                    if name == "title" {
-                        if !title_parts.is_empty() {
+                RawToken::Close { name } => {
+                    if name.eq_ignore_ascii_case("title") {
+                        if !title_runs.is_empty() {
                             title_done = true;
                         }
                         in_title = false;
@@ -198,13 +209,39 @@ impl KeywordClassifier {
                 }
             }
         }
-        for part in &title_parts {
-            matcher.feed_text(part);
+        for run in &title_runs {
+            matcher.feed_text(run);
         }
-        classes.sort_unstable();
-        classes.dedup();
-        for class in &classes {
-            matcher.feed_text(class);
+        live.sort_unstable();
+        live.dedup();
+        // Feeding an inert name only clears in-flight sequences, so the
+        // gap before each live name (and after the last) needs one only
+        // while a sequence is in flight there. No rendered corpus page
+        // reaches that; the first time a page does, its inert names are
+        // collected and sorted once.
+        let mut inert: Option<Vec<&str>> = None;
+        let mut lower = None;
+        for upper in live.iter().copied().map(Some).chain([None]) {
+            if matcher.in_sequence() {
+                let inert = inert.get_or_insert_with(|| {
+                    let mut names: Vec<&str> = page_class_names(html)
+                        .filter(|name| automaton.words(name) == Words::Inert)
+                        .collect();
+                    names.sort_unstable();
+                    names
+                });
+                let above = inert.partition_point(|name| lower.is_some_and(|l| *name <= l));
+                if let Some(name) = inert[above..]
+                    .first()
+                    .filter(|name| upper.is_none_or(|u| **name < u))
+                {
+                    matcher.feed_text(name);
+                }
+            }
+            if let Some(class) = upper {
+                matcher.feed_text(class);
+            }
+            lower = upper;
         }
         matcher.feed_text(domain.as_str());
         matcher.finish(self.min_hits)
@@ -256,6 +293,16 @@ impl KeywordClassifier {
             _ => SiteCategory::Unknown,
         }
     }
+}
+
+/// Every class name on the page's tags, in document order.
+fn page_class_names(html: &str) -> impl Iterator<Item = &str> {
+    RawTokens::new(html)
+        .filter_map(|token| match token {
+            RawToken::Open { attributes, .. } => attributes.get("class"),
+            _ => None,
+        })
+        .flat_map(class_names)
 }
 
 /// The seed's text extraction: every text token of an owned tokenization,
@@ -311,28 +358,6 @@ fn class_set_owned(html: &str) -> BTreeSet<String> {
         }
     }
     classes
-}
-
-/// Split a `class` attribute value into its class names, exactly as
-/// `str::split_whitespace` would. A value that is ASCII with single inner
-/// spaces and no other whitespace (the common case) splits at the spaces
-/// a word at a time; anything else, non-ASCII bytes that may encode
-/// Unicode whitespace included, takes `split_whitespace` itself.
-fn split_class_value<'a>(classes: &mut Vec<&'a str>, value: &'a str) {
-    let bytes = value.as_bytes();
-    if !is_collapsed_ascii(bytes) {
-        classes.extend(value.split_whitespace());
-        return;
-    }
-    if value.is_empty() {
-        return;
-    }
-    let mut start = 0;
-    while let Some(off) = find_byte(&bytes[start..], b' ') {
-        classes.push(&value[start..start + off]);
-        start += off + 1;
-    }
-    classes.push(&value[start..]);
 }
 
 /// Occurrence count of one keyword in the naive haystack: exact word match
@@ -455,6 +480,35 @@ mod tests {
             (
                 "title.example",
                 "<title>breaking news</title><div class=\"cart cart\">buy</div>",
+            ),
+            // A keyword split across the class replay's seams, with and
+            // without a class name outside the vocabulary sorting into the
+            // gap: after the title, between two class names, and before
+            // the domain. The `cart` text makes the split keyword's hit
+            // decide the verdict at the default threshold.
+            (
+                "seam.example",
+                "cart<title>free</title><p class=\"aaa\">x</p><p class=\"shipping\">y</p>",
+            ),
+            (
+                "seam.example",
+                "cart<title>free</title><p class=\"zzz\">x</p><p class=\"shipping\">y</p>",
+            ),
+            (
+                "seam.example",
+                "docs<p class=\"a-release\">x</p><p class=\"mid\">y</p><p class=\"notes-y\">z</p>",
+            ),
+            (
+                "seam.example",
+                "docs<p class=\"a-release\">x</p><p class=\"zzz\">y</p><p class=\"notes-y\">z</p>",
+            ),
+            (
+                "shipping.example",
+                "cart<p class=\"zz-free\">x</p><p class=\"zzz\">y</p>",
+            ),
+            (
+                "shipping.example",
+                "cart<p class=\"zz-free\">x</p><p class=\"aaa\">y</p>",
             ),
         ] {
             let domain = dn(domain);

@@ -14,10 +14,12 @@
 //!   same vocabulary, so accuracy is high but intentionally not perfect:
 //!   pages with little text fall back to [`SiteCategory::Unknown`], like the
 //!   real database's "unknown" rows in Figures 8 and 9). Production
-//!   classification is a single zero-copy streaming pass over the page
-//!   through the compiled [`KeywordAutomaton`]; the seed implementation
-//!   (three tokenizations + a per-keyword haystack rescan) survives as
-//!   `classify_naive`, the property-tested oracle;
+//!   classification is one forward pass over the page bytes
+//!   (`rws_html::RawTokens`) that feeds text runs straight to the compiled
+//!   [`KeywordAutomaton`] and sorts only the class names holding a
+//!   vocabulary word; the seed implementation (three tokenizations + a
+//!   per-keyword haystack rescan) survives as `classify_naive`, the
+//!   property-tested oracle;
 //! * [`CategoryDatabase`] — a lookup service pre-populated from classifier
 //!   output (or corpus ground truth), modelling how the paper's scripts
 //!   query ThreatSeeker once and cache the answers. Corpus-wide builds fan

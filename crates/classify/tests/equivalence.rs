@@ -8,7 +8,8 @@
 //!   arbitrary/malformed strings);
 //! * the single-pass automaton classifier agrees with the retained seed
 //!   classifier (`classify_naive`) on every rendered page, every corpus
-//!   member and generated pages dense in awkward `class` values;
+//!   member, generated pages dense in awkward `class` values, and tag
+//!   soup (raw text, comments, titles and keywords split across seams);
 //! * `classify_corpus_on` on a pooled context is field-for-field identical
 //!   to the same call on `EngineContext::sequential()`, inline, and on a
 //!   forced 3-worker pool.
@@ -84,6 +85,82 @@ fn class_page_strategy() -> impl Strategy<Value = String> {
     })
 }
 
+/// Page fragments for the tag-soup test: titles (upper-case, empty,
+/// markup-nested, unbalanced), vocabulary inside `<script>`/`<style>` raw
+/// text, comments and declarations, upper-case tag and attribute names,
+/// non-ASCII whitespace, a `>` inside a quoted value, and multi-word
+/// keywords split across tags and across the text/title/class seams.
+/// Every text run and class name holds a word: a word-free run or name
+/// between two keyword halves separates them in the seed's substring
+/// haystack but not in the word stream, so the two classifiers are not
+/// compared there.
+const SOUP_FRAGMENTS: &[&str] = &[
+    "<title>free</title>",
+    "<TITLE >Release</TITLE>",
+    "<title></title>",
+    "<title><b>breaking</b> news</title>",
+    "<title>",
+    "</title>",
+    "</ TITLE >",
+    "<script>news shop cart</script>",
+    "<SCRIPT type=\"x\">free shipping</SCRIPT>",
+    "<style>.cart { color: red }</style>",
+    "<style>x</style",
+    "<!-- news -->",
+    "<!doctype html>",
+    "<?x news?>",
+    "<b>free</b> shipping",
+    " free ",
+    " shipping ",
+    " release ",
+    " notes ",
+    "<p>Free\u{a0}Shipping</p>",
+    "<p>\u{85}news\u{2003}daily</p>",
+    "<div class=\"a-release\">x</div>",
+    "<div class=\"notes-y\">y</div>",
+    "<div class=\"mid\">z</div>",
+    "<div class='free shipping'>q</div>",
+    "<DIV CLASS=\"cart News\">shop</DIV>",
+    "<span\u{a0}class=\"store\">buy</span>",
+    "<div class=\"a>b\">c</div>",
+    "<div class=\"tech\u{a0}cloud\">k</div>",
+    "<div class=\"zz-free\">w</div>",
+    "<div class=\"zzz\">v</div>",
+];
+
+/// Fragments that only end a page: unterminated forms swallow the rest.
+const SOUP_ENDINGS: &[&str] = &[
+    "",
+    "<div class=\"",
+    "<div class=\"cart",
+    "<!-- unterminated news",
+    "<script>unterminated shop",
+    "<style>unterminated cart",
+    "<title>dangling free",
+];
+
+/// Domains whose words continue a keyword a class or text run started.
+const SOUP_DOMAINS: &[&str] = &[
+    "soup.example",
+    "notes.example",
+    "shipping.example",
+    "news.example",
+];
+
+/// A tag-soup page and its domain.
+fn tag_soup_strategy() -> impl Strategy<Value = (String, &'static str)> {
+    (
+        proptest::collection::vec(0usize..SOUP_FRAGMENTS.len(), 0..12),
+        0usize..SOUP_ENDINGS.len(),
+        0usize..SOUP_DOMAINS.len(),
+    )
+        .prop_map(|(parts, ending, domain)| {
+            let mut html: String = parts.iter().map(|&p| SOUP_FRAGMENTS[p]).collect();
+            html.push_str(SOUP_ENDINGS[ending]);
+            (html, SOUP_DOMAINS[domain])
+        })
+}
+
 proptest! {
     /// Streaming tokenizer ≡ owned `tokenize` over rendered corpus pages:
     /// one page per category, brand and seed drawn from the same generator
@@ -133,6 +210,23 @@ proptest! {
     #[test]
     fn classify_matches_naive_on_class_dense_pages(html in class_page_strategy()) {
         let domain = DomainName::parse("classes.example").unwrap();
+        for min_hits in 1..=8 {
+            let classifier = KeywordClassifier { min_hits };
+            prop_assert_eq!(
+                classifier.classify(&domain, &html),
+                classifier.classify_naive(&domain, &html),
+                "divergence at min_hits {} on {:?}", min_hits, html
+            );
+        }
+    }
+
+    /// `classify` ≡ `classify_naive` on tag soup: raw-text and comment
+    /// skipping (terminated or not), the title rules, class lookup on
+    /// upper-case and Unicode-separated attributes, and keywords whose
+    /// words straddle a tag or the text/title/class/domain seams.
+    #[test]
+    fn classify_matches_naive_on_tag_soup((html, domain) in tag_soup_strategy()) {
+        let domain = DomainName::parse(domain).unwrap();
         for min_hits in 1..=8 {
             let classifier = KeywordClassifier { min_hits };
             prop_assert_eq!(

@@ -7,7 +7,7 @@
 //! remains the equivalence oracle the property tests compare the stream
 //! against.
 
-use crate::tokenizer::{StreamToken, Tokens};
+use crate::tokenizer::{class_names, StreamToken, Tokens};
 use std::collections::BTreeSet;
 
 /// The sequence of opening-tag names in document order — the input to the
@@ -28,7 +28,7 @@ pub fn class_set(html: &str) -> BTreeSet<String> {
     for token in Tokens::new(html) {
         if let StreamToken::Open { attributes, .. } = token {
             if let Some(class_attr) = attributes.get("class") {
-                for class in class_attr.split_whitespace() {
+                for class in class_names(class_attr) {
                     classes.insert(class.to_string());
                 }
             }

@@ -17,11 +17,15 @@
 //! of tag sequences and class sets, k-shingling, Jaccard similarity and the
 //! three metrics.
 //!
-//! Tokenization comes in two forms: the owned [`tokenize`] (the seed
-//! implementation, retained as the equivalence oracle) and the zero-copy
-//! streaming [`Tokens`] iterator, which yields [`StreamToken`]s borrowing
-//! from the document and only allocates for the rare lower-case/collapse
-//! fix-ups. All extractors and [`DocumentProfile`] run on the stream.
+//! Tokenization comes in three forms: the owned [`tokenize`] (the seed
+//! implementation, retained as the equivalence oracle), the raw scan
+//! [`RawTokens`], which yields [`RawToken`]s with names and text exactly as
+//! written, and the zero-copy streaming [`Tokens`] iterator over it, which
+//! lower-cases names and collapses text, yielding [`StreamToken`]s that
+//! borrow from the document and only allocate for those rare fix-ups. All
+//! extractors and [`DocumentProfile`] run on the stream; the keyword
+//! classifier runs on the raw scan. [`class_names`] is the one splitter of
+//! `class` values.
 //!
 //! ```
 //! use rws_html::similarity::{html_similarity, SimilarityWeights};
@@ -42,4 +46,6 @@ pub use shingle::{hash_token, jaccard, jaccard_sorted, shingles, ShingleProfile}
 pub use similarity::{
     html_similarity, DocumentProfile, HtmlSimilarity, ProfileScratch, SimilarityWeights,
 };
-pub use tokenizer::{tokenize, RawAttrs, StreamToken, Token, Tokens};
+pub use tokenizer::{
+    class_names, tokenize, ClassNames, RawAttrs, RawToken, RawTokens, StreamToken, Token, Tokens,
+};

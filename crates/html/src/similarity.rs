@@ -11,7 +11,7 @@
 
 use crate::extract::{class_set, tag_sequence};
 use crate::shingle::{hash_token, jaccard, jaccard_sorted, shingles, ShingleProfile};
-use crate::tokenizer::{StreamToken, Tokens};
+use crate::tokenizer::{class_names, StreamToken, Tokens};
 use serde::{Deserialize, Serialize};
 
 /// Weights and parameters for the joint similarity.
@@ -116,7 +116,7 @@ impl DocumentProfile {
             {
                 scratch.tag_hashes.push(hash_token(name.as_bytes()));
                 if let Some(class_attr) = attributes.get("class") {
-                    for class in class_attr.split_whitespace() {
+                    for class in class_names(class_attr) {
                         scratch.classes.push(hash_token(class.as_bytes()));
                     }
                 }

@@ -6,11 +6,16 @@
 //! the contents of `<script>`/`<style>` elements (their text would otherwise
 //! pollute the text extraction), and tolerating unquoted or missing
 //! attribute values.
+//!
+//! The owned [`tokenize`] is the seed implementation and the oracle. The
+//! borrowed forms apply the same rules in one place, the raw scan
+//! [`RawTokens`]; [`Tokens`] lower-cases its names and collapses its text.
 
-use rws_stats::swar::{find_byte, has_ascii_uppercase, is_collapsed_ascii, scan_text_run};
+use rws_stats::swar::{find_byte, has_ascii_uppercase, is_collapsed_ascii};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::str::{Split, SplitWhitespace};
 
 /// A single HTML token.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -380,6 +385,51 @@ impl<'a> RawAttrs<'a> {
     }
 }
 
+/// The class names of a `class` attribute value, exactly as
+/// `str::split_whitespace` yields them. A non-empty value that is ASCII
+/// with single inner spaces and no other whitespace (the common case)
+/// splits at its spaces; anything else, non-ASCII bytes that may encode
+/// Unicode whitespace included, takes `split_whitespace` itself.
+///
+/// ```
+/// use rws_html::class_names;
+///
+/// assert_eq!(class_names("nav main").collect::<Vec<_>>(), ["nav", "main"]);
+/// assert_eq!(class_names(" a\u{a0}b ").collect::<Vec<_>>(), ["a", "b"]);
+/// ```
+pub fn class_names(value: &str) -> ClassNames<'_> {
+    let split = if !value.is_empty() && is_collapsed_ascii(value.as_bytes()) {
+        ClassSplit::Spaces(value.split(' '))
+    } else {
+        ClassSplit::Whitespace(value.split_whitespace())
+    };
+    ClassNames { split }
+}
+
+/// Iterator over the class names of a `class` value; see [`class_names`].
+#[derive(Debug, Clone)]
+pub struct ClassNames<'a> {
+    split: ClassSplit<'a>,
+}
+
+#[derive(Debug, Clone)]
+enum ClassSplit<'a> {
+    Spaces(Split<'a, char>),
+    Whitespace(SplitWhitespace<'a>),
+}
+
+impl<'a> Iterator for ClassNames<'a> {
+    type Item = &'a str;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a str> {
+        match &mut self.split {
+            ClassSplit::Spaces(names) => names.next(),
+            ClassSplit::Whitespace(names) => names.next(),
+        }
+    }
+}
+
 /// [`ATTR_BYTE`] flag: whitespace as `char::is_whitespace` judges an ASCII
 /// byte, space and `0x09..=0x0d`. Unlike `u8::is_ascii_whitespace`,
 /// vertical tab (`0x0b`) counts.
@@ -514,21 +564,18 @@ fn lowercase_cow(s: &str) -> Cow<'_, str> {
     }
 }
 
-/// Collapse whitespace in a text run, borrowing when the trimmed slice is
-/// already collapsed (single spaces only). Returns `None` for
-/// whitespace-only runs, which produce no token. A word-at-a-time probe
-/// admits clean ASCII runs to the borrowed path without a per-char loop;
+/// Collapse whitespace in a trimmed, non-empty text run, borrowing when it
+/// is already collapsed (single spaces only). A word-at-a-time probe admits
+/// clean ASCII runs to the borrowed path without a per-char loop;
 /// everything else (non-ASCII, messy whitespace) takes the exact scalar
 /// check.
-fn collapse_text(raw: &str) -> Option<Cow<'_, str>> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
+#[inline]
+fn collapse_trimmed(trimmed: &str) -> Cow<'_, str> {
     if is_collapsed_ascii(trimmed.as_bytes()) {
-        return Some(Cow::Borrowed(trimmed));
+        Cow::Borrowed(trimmed)
+    } else {
+        collapse_trimmed_scalar(trimmed)
     }
-    Some(collapse_trimmed_scalar(trimmed))
 }
 
 /// Exact per-char whitespace collapse over an already-trimmed, non-empty
@@ -605,16 +652,14 @@ fn trim_fast(s: &str) -> &str {
     }
 }
 
-/// Split an already-trimmed tag body into its lower-cased name and the
-/// attribute remainder, tracking case in the same walk that finds the name
-/// end (one pass instead of a name-end scan plus a separate uppercase probe).
-/// Defers to the exact char walk when a non-ASCII byte appears before the
-/// name ends (Unicode whitespace such as U+00A0 must still terminate the
-/// name, matching the owned oracle's `char::is_whitespace`).
+/// Split an already-trimmed tag body into its name, as written, and the
+/// attribute remainder. The name ends at the first whitespace byte; the
+/// walk defers to the exact char walk when a non-ASCII byte appears before
+/// the name ends (Unicode whitespace such as U+00A0 must still terminate
+/// the name, matching the owned oracle's `char::is_whitespace`).
 #[inline]
-fn split_tag_name(body: &str) -> (Cow<'_, str>, &str) {
+fn split_tag_name(body: &str) -> (&str, &str) {
     let b = body.as_bytes();
-    let mut upper = false;
     let mut k = 0;
     while k < b.len() {
         let c = b[k];
@@ -623,56 +668,70 @@ fn split_tag_name(body: &str) -> (Cow<'_, str>, &str) {
                 .char_indices()
                 .find(|(_, ch)| ch.is_whitespace())
                 .map_or(body.len(), |(off, _)| k + off);
-            return (lowercase_cow(&body[..end]), &body[end..]);
+            return body.split_at(end);
         }
         if c == b' ' || (0x09..=0x0d).contains(&c) {
             break;
         }
-        upper |= c.is_ascii_uppercase();
         k += 1;
     }
-    let name = &body[..k];
-    let name = if upper {
-        Cow::Owned(name.to_ascii_lowercase())
-    } else {
-        Cow::Borrowed(name)
-    };
-    (name, &body[k..])
+    body.split_at(k)
 }
 
-/// The zero-copy streaming tokenizer: an iterator over [`StreamToken`]s
-/// borrowing from the input document.
-///
-/// Token-for-token equivalent to [`tokenize`] (the owned implementation is
-/// retained as the oracle the property tests compare against), but performs
-/// no allocation for well-formed lower-case HTML: tag names, attribute
-/// values and already-collapsed text are handed out as borrowed slices, and
-/// attributes are not even parsed until a consumer asks for one.
+/// A token of the raw scan behind [`Tokens`]: the same token boundaries,
+/// with every string left as the document wrote it. Tag names keep their
+/// case and text runs are trimmed but not collapsed, so a consumer that
+/// compares names ignoring case, or only reads words, never pays for a
+/// lower-cased or collapsed copy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RawToken<'a> {
+    /// An opening (or self-closing) tag.
+    Open {
+        /// The tag name as written.
+        name: &'a str,
+        /// The unparsed attribute portion of the tag body.
+        attributes: RawAttrs<'a>,
+        /// True for `<br/>`-style self-closing syntax. Void elements are
+        /// not flagged here; [`Tokens`] adds them from the lower-cased name.
+        slash_closed: bool,
+    },
+    /// A closing tag.
+    Close {
+        /// The tag name as written, trimmed.
+        name: &'a str,
+    },
+    /// A run of text between tags, trimmed and never empty; its whitespace
+    /// is not collapsed.
+    Text(&'a str),
+}
+
+/// The raw scan: an iterator over [`RawToken`]s borrowing from the input
+/// document. It owns the tokenizer's skipping rules: comments,
+/// declarations and processing instructions, and the raw text of
+/// `<script>`/`<style>` up to the matching close tag, terminated or not.
+/// [`Tokens`] is this scan with names lower-cased and text collapsed.
 ///
 /// ```
-/// use rws_html::tokenizer::{StreamToken, Tokens};
+/// use rws_html::{RawToken, RawTokens};
 ///
-/// let mut names = Vec::new();
-/// for token in Tokens::new("<div class=\"nav\"><p>hi</p></div>") {
-///     if let StreamToken::Open { name, .. } = token {
-///         names.push(name.into_owned());
-///     }
-/// }
-/// assert_eq!(names, ["div", "p"]);
+/// let raw: Vec<RawToken> = RawTokens::new("<P>a  b<script>x</script>").collect();
+/// assert!(matches!(raw[0], RawToken::Open { name: "P", .. }));
+/// assert_eq!(raw[1], RawToken::Text("a  b"));
+/// assert!(matches!(raw[3], RawToken::Close { name: "script" }));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Tokens<'a> {
+pub struct RawTokens<'a> {
     html: &'a str,
     i: usize,
-    /// A `Close` token queued behind the `Open` of a raw-text element whose
-    /// skipped contents ended with a matching close tag.
-    pending_close: Option<Cow<'a, str>>,
+    /// The name of a raw-text element whose skipped contents ended with a
+    /// matching close tag; its `Close` token comes next.
+    pending_close: Option<&'a str>,
 }
 
-impl<'a> Tokens<'a> {
-    /// Start streaming tokens from a document.
-    pub fn new(html: &'a str) -> Tokens<'a> {
-        Tokens {
+impl<'a> RawTokens<'a> {
+    /// Start scanning a document.
+    pub fn new(html: &'a str) -> RawTokens<'a> {
+        RawTokens {
             html,
             i: 0,
             pending_close: None,
@@ -680,12 +739,13 @@ impl<'a> Tokens<'a> {
     }
 }
 
-impl<'a> Iterator for Tokens<'a> {
-    type Item = StreamToken<'a>;
+impl<'a> Iterator for RawTokens<'a> {
+    type Item = RawToken<'a>;
 
-    fn next(&mut self) -> Option<StreamToken<'a>> {
+    #[inline]
+    fn next(&mut self) -> Option<RawToken<'a>> {
         if let Some(name) = self.pending_close.take() {
-            return Some(StreamToken::Close { name });
+            return Some(RawToken::Close { name });
         }
         let html = self.html;
         let bytes = html.as_bytes();
@@ -714,9 +774,10 @@ impl<'a> Iterator for Tokens<'a> {
                 }
                 // Find the end of the tag.
                 let Some(rel_end) = find_byte(&bytes[i + 1..], b'>') else {
-                    // Unterminated tag: treat the rest as text.
+                    // Unterminated tag: treat the rest as text (never empty:
+                    // it starts with `<`).
                     self.i = len;
-                    return collapse_text(&html[i..]).map(StreamToken::Text);
+                    return Some(RawToken::Text(trim_fast(&html[i..])));
                 };
                 let tag_body = &html[i + 1..i + 1 + rel_end];
                 self.i = i + 1 + rel_end + 1;
@@ -728,12 +789,10 @@ impl<'a> Iterator for Tokens<'a> {
                     if name.is_empty() {
                         continue;
                     }
-                    return Some(StreamToken::Close {
-                        name: lowercase_cow(name),
-                    });
+                    return Some(RawToken::Close { name });
                 }
                 let body = trim_fast(tag_body);
-                let (body, explicit_self_close) = match body.strip_suffix('/') {
+                let (body, slash_closed) = match body.strip_suffix('/') {
                     Some(rest) => (trim_fast(rest), true),
                     None => (body, false),
                 };
@@ -741,17 +800,16 @@ impl<'a> Iterator for Tokens<'a> {
                 if name.is_empty() {
                     continue;
                 }
-                let attributes = RawAttrs { raw };
-                let self_closing = explicit_self_close || is_void_element(name.as_ref());
-                let is_raw_text = matches!(name.as_ref(), "script" | "style");
-                // Skip the raw content of <script>/<style> up to the
-                // matching closing tag, queueing the Close token.
-                if is_raw_text && !self_closing {
-                    match find_close_marker(&html[self.i..], name.as_ref()) {
+                let is_raw_text =
+                    name.eq_ignore_ascii_case("script") || name.eq_ignore_ascii_case("style");
+                // Skip the raw content of <script>/<style> (never void) up
+                // to the matching closing tag, queueing the Close token.
+                if is_raw_text && !slash_closed {
+                    match find_close_marker(&html[self.i..], name) {
                         Some(rel) => {
                             self.i += rel;
                             if let Some(end) = find_byte(&bytes[self.i..], b'>') {
-                                self.pending_close = Some(name.clone());
+                                self.pending_close = Some(name);
                                 self.i += end + 1;
                             }
                         }
@@ -759,29 +817,81 @@ impl<'a> Iterator for Tokens<'a> {
                         None => self.i = len,
                     }
                 }
-                return Some(StreamToken::Open {
+                return Some(RawToken::Open {
                     name,
-                    attributes,
-                    self_closing,
+                    attributes: RawAttrs { raw },
+                    slash_closed,
                 });
             }
-            // One fused pass over the text run: the position of the next
-            // `<` and the already-collapsed verdict come out of the same
-            // word loop, instead of a find followed by a re-scan probe.
-            let (off, clean) = scan_text_run(&bytes[i..]);
-            let next_tag = i + off;
+            let next_tag = find_byte(&bytes[i..], b'<').map_or(len, |off| i + off);
             self.i = next_tag;
-            let trimmed = trim_fast(&html[i..next_tag]);
-            if !trimmed.is_empty() {
-                let text = if clean {
-                    Cow::Borrowed(trimmed)
-                } else {
-                    collapse_trimmed_scalar(trimmed)
-                };
-                return Some(StreamToken::Text(text));
+            let text = trim_fast(&html[i..next_tag]);
+            if !text.is_empty() {
+                return Some(RawToken::Text(text));
             }
         }
         None
+    }
+}
+
+/// The zero-copy streaming tokenizer: an iterator over [`StreamToken`]s
+/// borrowing from the input document.
+///
+/// Token-for-token equivalent to [`tokenize`] (the owned implementation is
+/// retained as the oracle the property tests compare against), but performs
+/// no allocation for well-formed lower-case HTML: tag names, attribute
+/// values and already-collapsed text are handed out as borrowed slices, and
+/// attributes are not even parsed until a consumer asks for one. It is the
+/// [`RawTokens`] scan with tag names lower-cased and text runs collapsed.
+///
+/// ```
+/// use rws_html::tokenizer::{StreamToken, Tokens};
+///
+/// let mut names = Vec::new();
+/// for token in Tokens::new("<div class=\"nav\"><p>hi</p></div>") {
+///     if let StreamToken::Open { name, .. } = token {
+///         names.push(name.into_owned());
+///     }
+/// }
+/// assert_eq!(names, ["div", "p"]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Tokens<'a> {
+    raw: RawTokens<'a>,
+}
+
+impl<'a> Tokens<'a> {
+    /// Start streaming tokens from a document.
+    pub fn new(html: &'a str) -> Tokens<'a> {
+        Tokens {
+            raw: RawTokens::new(html),
+        }
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = StreamToken<'a>;
+
+    fn next(&mut self) -> Option<StreamToken<'a>> {
+        Some(match self.raw.next()? {
+            RawToken::Open {
+                name,
+                attributes,
+                slash_closed,
+            } => {
+                let name = lowercase_cow(name);
+                let self_closing = slash_closed || is_void_element(&name);
+                StreamToken::Open {
+                    name,
+                    attributes,
+                    self_closing,
+                }
+            }
+            RawToken::Close { name } => StreamToken::Close {
+                name: lowercase_cow(name),
+            },
+            RawToken::Text(text) => StreamToken::Text(collapse_trimmed(text)),
+        })
     }
 }
 

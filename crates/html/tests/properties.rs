@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use rws_html::similarity::{html_similarity, SimilarityWeights};
-use rws_html::{class_set, jaccard, shingles, tag_sequence, tokenize, StreamToken, Token, Tokens};
+use rws_html::{
+    class_names, class_set, jaccard, shingles, tag_sequence, tokenize, StreamToken, Token, Tokens,
+};
 use std::collections::BTreeSet;
 
 /// Strategy producing small, nested, well-formed HTML snippets.
@@ -127,6 +129,21 @@ proptest! {
                 prop_assert_eq!(raw.get(&upper), map.get(&upper).map(String::as_str));
             }
             prop_assert_eq!(raw.get("absent"), None, "in {:?}", html);
+        }
+    }
+
+    /// The class splitter yields exactly `split_whitespace`'s names on
+    /// arbitrary strings, and on values dense in the separators whose
+    /// whitespace status differs between byte and char views.
+    #[test]
+    fn class_names_equal_split_whitespace(
+        any in ".{0,80}",
+        dense in "[ a-z\t\x0b\u{a0}\u{85}\u{e9}-]{0,40}",
+    ) {
+        for value in [&any, &dense] {
+            let fast: Vec<&str> = class_names(value).collect();
+            let reference: Vec<&str> = value.split_whitespace().collect();
+            prop_assert_eq!(fast, reference, "on {:?}", value);
         }
     }
 

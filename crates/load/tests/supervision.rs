@@ -113,6 +113,33 @@ fn mid_storm_panic_salvage_matches_sequential_twin() {
     assert!(pooled.wire_requests > 0);
 }
 
+/// A quarantined chunk past the first keeps its own ordinal. A 300-client
+/// fleet spans chunks of 128, 128 and 44 clients, and both full chunks
+/// all but surely visit the poisoned host, so the entries must name chunk
+/// 1 as well as chunk 0; numbering every entry 0 would repeat an index
+/// and miscount the lost sessions.
+#[test]
+fn non_first_chunk_quarantine_keeps_its_ordinal() {
+    quiet_injected_panics();
+    let engine = stormy_engine(300, 0xFA17, true);
+    let ctx = EngineContext::with_parts(ThreadPool::new(3), SiteResolver::full())
+        .with_supervision(SupervisionPolicy::salvage());
+    let pooled = engine.run_on(1, &ctx);
+    assert_eq!(pooled, engine.run_on(1, &ctx.sequential_twin()));
+    assert_eq!(pooled.supervision.tasks_run, 3, "fleet spans three chunks");
+    let indices: Vec<u64> = pooled.supervision.entries.iter().map(|e| e.index).collect();
+    assert!(
+        indices.contains(&1),
+        "chunk 1 was not quarantined: {indices:?}"
+    );
+    let mut distinct = indices.clone();
+    distinct.dedup();
+    assert_eq!(distinct, indices, "a chunk index repeats");
+    let chunk_clients = [128, 128, 44];
+    let lost: u64 = indices.iter().map(|&i| chunk_clients[i as usize]).sum();
+    assert_eq!(pooled.sessions, 300 - lost, "indices name the wrong chunks");
+}
+
 proptest! {
     /// With nothing poisoned, a salvage run is byte-identical to the
     /// fail-fast default — same report through `PartialEq` *and* through

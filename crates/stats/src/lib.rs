@@ -58,7 +58,7 @@ pub use supervision::{
 };
 pub use swar::{
     boundary_mask8, broadcast, eq_mask, find_byte, find_byte2, has_ascii_uppercase,
-    is_collapsed_ascii, scan_text_run,
+    is_collapsed_ascii,
 };
 pub use timeseries::{Date, Month, MonthlySeries, EPOCH};
 

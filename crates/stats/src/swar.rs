@@ -272,87 +272,6 @@ pub fn is_collapsed_ascii(haystack: &[u8]) -> bool {
     true
 }
 
-/// Combined text-run scan for the streaming tokenizer: returns the offset
-/// of the first `<` in `haystack` (or `haystack.len()` when there is none)
-/// together with an "already collapsed" verdict for the run before it.
-///
-/// The verdict is `true` exactly when that run is pure ASCII with no
-/// control whitespace (0x09–0x0d) and no two adjacent spaces — i.e. when
-/// trimming single edge spaces off it yields text `collapse_text` would
-/// borrow unchanged. One pass over the run, replacing a `find_byte`
-/// followed by a separate [`is_collapsed_ascii`] probe.
-#[inline]
-pub fn scan_text_run(haystack: &[u8]) -> (usize, bool) {
-    let len = haystack.len();
-    let mut clean = true;
-    let mut prev_space = false;
-    let mut i = 0;
-    while i + 8 <= len {
-        let w = load(&haystack[i..]);
-        let lt = eq_mask(w, b'<');
-        let dirty = dirty_lane_flags(w);
-        let sp = eq_mask(w, b' ');
-        // Flag at lane k: spaces at k and k+1. Lane 7's partner lives in
-        // the next word; that pair is tracked through `prev_space`.
-        let dbl = sp & (sp >> 8);
-        if lt != 0 {
-            let off = (lt.trailing_zeros() / 8) as usize;
-            // Restrict the verdict to lanes before the `<`: a dirty byte
-            // at or past it belongs to the next token. A double-space
-            // flag at lane k covers the pair (k, k+1), inside the run
-            // only when k + 1 < off.
-            let run_clean = clean
-                && dirty & lane_prefix_mask(off) == 0
-                && dbl & lane_prefix_mask(off.saturating_sub(1)) == 0
-                && !(prev_space && off > 0 && sp & 0x80 != 0);
-            return (i + off, run_clean);
-        }
-        if dirty != 0 || dbl != 0 || (prev_space && sp & 0x80 != 0) {
-            clean = false;
-        }
-        prev_space = sp & (0x80 << 56) != 0;
-        i += 8;
-    }
-    while i < len {
-        let b = haystack[i];
-        if b == b'<' {
-            return (i, clean);
-        }
-        if b >= 0x80 || (0x09..=0x0d).contains(&b) {
-            clean = false;
-        }
-        let space = b == b' ';
-        if space && prev_space {
-            clean = false;
-        }
-        prev_space = space;
-        i += 1;
-    }
-    (len, clean)
-}
-
-/// All bits of lanes `0..k` (for `k <= 8`).
-#[inline(always)]
-const fn lane_prefix_mask(k: usize) -> u64 {
-    if k >= 8 {
-        u64::MAX
-    } else {
-        (1u64 << (8 * k)) - 1
-    }
-}
-
-/// Lane flags for bytes that disqualify a text run from the borrowed
-/// path: non-ASCII (high bit set) or control whitespace 0x09–0x0d. The
-/// range test on the low seven bits may also flag high-bit lanes; those
-/// are dirty regardless, so the overlap is harmless.
-#[inline(always)]
-const fn dirty_lane_flags(w: u64) -> u64 {
-    let low = w & LOW7;
-    let ge_tab = low.wrapping_add(broadcast(0x80 - 0x09)) & HI;
-    let gt_cr = low.wrapping_add(broadcast(0x80 - 0x0e)) & HI;
-    (w & HI) | (ge_tab & !gt_cr)
-}
-
 /// Per-word body of [`is_collapsed_ascii`]: `None` if the word contains a
 /// non-ASCII byte, control whitespace (0x09–0x0d) or two adjacent spaces;
 /// otherwise the word's space mask for cross-word run tracking.
@@ -503,65 +422,6 @@ mod tests {
         // Non-ASCII bytes are boundaries.
         let hi = [0xc3u8, 0xa9, b'a', b'b', 0xff, b'1', b'2', 0x80];
         assert_eq!(boundary_mask8(&hi, 0), Some(0b1001_0011));
-    }
-
-    #[test]
-    fn text_run_scan_matches_reference() {
-        // Reference: offset of the first '<' (or len), and a verdict that
-        // is true iff the run before it is pure ASCII with no control
-        // whitespace and no adjacent double spaces.
-        fn reference(h: &[u8]) -> (usize, bool) {
-            let off = h.iter().position(|&b| b == b'<').unwrap_or(h.len());
-            let run = &h[..off];
-            let clean = run.iter().all(|&b| b < 0x80 && !(0x09..=0x0d).contains(&b))
-                && !run.windows(2).any(|p| p == b"  ");
-            (off, clean)
-        }
-        let cases: &[&[u8]] = &[
-            b"",
-            b"<",
-            b"plain text with single spaces<div>",
-            b"double  space before<p>",
-            b"tab\there<",
-            b"clean then dirty after  <span>ok",
-            b"dirty  then<span>",
-            b"aaaaaaa <x",
-            b"aaaaaaaa <x",
-            b"aaaaaaa  <x",
-            b"aaaaaaaa  <x",
-            b"aaaaaaa<",
-            b"no tag at all in this run",
-            b"no tag but a double  space",
-            " leading and trailing <b>".as_bytes(),
-            "h\u{e9}llo<i>".as_bytes(),
-            b"\x0d<",
-            b" <",
-            b"  <",
-        ];
-        for h in cases {
-            assert_eq!(scan_text_run(h), reference(h), "{:?}", h);
-        }
-        // The '<' in every lane, with a dirty byte planted before/after it.
-        for lane in 0..17 {
-            let mut v = vec![b'a'; 17];
-            v[lane] = b'<';
-            assert_eq!(scan_text_run(&v), reference(&v));
-            if lane >= 2 {
-                v[lane - 1] = b'\t';
-                assert_eq!(
-                    scan_text_run(&v),
-                    reference(&v),
-                    "dirty before, lane {lane}"
-                );
-            }
-            let mut w = vec![b'a'; 17];
-            w[lane] = b'<';
-            if lane + 2 < w.len() {
-                w[lane + 1] = b' ';
-                w[lane + 2] = b' ';
-                assert_eq!(scan_text_run(&w), reference(&w), "dirty after, lane {lane}");
-            }
-        }
     }
 
     #[test]
