@@ -1,6 +1,7 @@
 //! Partition keys and storage-access requests.
 
 use rws_domain::DomainName;
+use rws_model::{MemberRole, RwsList};
 use serde::{Deserialize, Serialize};
 
 /// The key the partitioned storage map is indexed by: the top-level site the
@@ -45,6 +46,37 @@ pub struct AccessRequest {
     /// Whether the user has previously interacted with the embedded site as
     /// a first party (required by several policies).
     pub has_prior_interaction: bool,
+}
+
+/// Everything a vendor rule reads about one `requestStorageAccess` call:
+/// the two sites' standing in the RWS list and the user's prior
+/// interaction. [`VendorPolicy::decide`](crate::VendorPolicy::decide) is a
+/// pure function of this value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AccessFacts {
+    /// The roles of the top-level and the embedded site, in that order,
+    /// when both are members of the same set; `None` when the sites are
+    /// not related. No rule reads a role across sets.
+    pub same_set_roles: Option<(MemberRole, MemberRole)>,
+    /// As [`AccessRequest::has_prior_interaction`].
+    pub has_prior_interaction: bool,
+}
+
+impl AccessFacts {
+    /// Look the request's sites up in `list`: one relatedness check, and
+    /// the two roles only when the sites are related.
+    pub fn of(request: &AccessRequest, list: &RwsList) -> AccessFacts {
+        let (top, embedded) = (&request.top_level_site, &request.embedded_site);
+        let same_set_roles = if list.are_related(top, embedded) {
+            list.role_of(top).zip(list.role_of(embedded))
+        } else {
+            None
+        };
+        AccessFacts {
+            same_set_roles,
+            has_prior_interaction: request.has_prior_interaction,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub mod policy;
 pub mod storage;
 
 pub use browser::{Browser, EmbedOutcome, PromptBehaviour};
-pub use context::{AccessRequest, PartitionKey};
+pub use context::{AccessFacts, AccessRequest, PartitionKey};
 pub use linkability::{linkability_report, LinkabilityReport, TrackerObservation};
 pub use policy::{PolicyVerdict, StorageAccessPolicy, VendorPolicy};
 pub use storage::{StorageArea, StorageEngine};

@@ -6,7 +6,7 @@
 //! exception mechanism, and Edge / pre-phase-out Chrome do not partition at
 //! all. Each of those postures is modelled here as a [`VendorPolicy`].
 
-use crate::context::AccessRequest;
+use crate::context::{AccessFacts, AccessRequest};
 use rws_model::{MemberRole, RwsList};
 use serde::{Deserialize, Serialize};
 
@@ -81,21 +81,40 @@ impl StorageAccessPolicy for VendorPolicy {
         !matches!(self, VendorPolicy::ChromeLegacy)
     }
 
+    /// Derives the facts from `list` for Chrome with RWS; the other four
+    /// vendors read no list, so their facts need no lookup.
     fn verdict(&self, request: &AccessRequest, list: &RwsList) -> PolicyVerdict {
+        let facts = match self {
+            VendorPolicy::ChromeWithRws => AccessFacts::of(request, list),
+            _ => AccessFacts {
+                same_set_roles: None,
+                has_prior_interaction: request.has_prior_interaction,
+            },
+        };
+        self.decide(facts)
+    }
+}
+
+impl VendorPolicy {
+    /// The vendor's rule: its verdict on a call with these facts. This is
+    /// the one verdict definition; [`StorageAccessPolicy::verdict`] and the
+    /// load engine's id tables each derive the facts and call it.
+    #[inline]
+    pub fn decide(self, facts: AccessFacts) -> PolicyVerdict {
         match self {
             // No partitioning: the API is moot, grants are implicit.
             VendorPolicy::ChromeLegacy => PolicyVerdict::AutoGrant,
             VendorPolicy::Brave => PolicyVerdict::Deny,
             VendorPolicy::Safari => PolicyVerdict::Prompt,
             VendorPolicy::Firefox => {
-                if request.has_prior_interaction {
+                if facts.has_prior_interaction {
                     PolicyVerdict::AutoGrant
                 } else {
                     PolicyVerdict::Prompt
                 }
             }
             VendorPolicy::ChromeWithRws => {
-                if rws_auto_grant(request, list) {
+                if rws_auto_grant(facts) {
                     PolicyVerdict::AutoGrant
                 } else {
                     PolicyVerdict::Prompt
@@ -111,22 +130,18 @@ impl StorageAccessPolicy for VendorPolicy {
 /// expected to visit them directly). Additionally, a service site embedded
 /// as the requester is only auto-granted once the user has interacted with
 /// some member of the set — modelled here through
-/// [`AccessRequest::has_prior_interaction`], which the browser sets when any
+/// [`AccessFacts::has_prior_interaction`], which the browser sets when any
 /// member of the embedded site's set has been visited first-party.
-fn rws_auto_grant(request: &AccessRequest, list: &RwsList) -> bool {
-    if !list.are_related(&request.top_level_site, &request.embedded_site) {
-        return false;
+fn rws_auto_grant(facts: AccessFacts) -> bool {
+    match facts.same_set_roles {
+        None => false,
+        // The top level of the grant must not be a service site.
+        Some((MemberRole::Service, _)) => false,
+        // Service sites as the embedded requester need prior interaction
+        // with the set; other member roles are granted outright.
+        Some((_, MemberRole::Service)) => facts.has_prior_interaction,
+        Some(_) => true,
     }
-    // The top level of the grant must not be a service site.
-    if list.role_of(&request.top_level_site) == Some(MemberRole::Service) {
-        return false;
-    }
-    // Service sites as the embedded requester need prior interaction with
-    // the set; other member roles are granted outright.
-    if list.role_of(&request.embedded_site) == Some(MemberRole::Service) {
-        return request.has_prior_interaction;
-    }
-    true
 }
 
 #[cfg(test)]

@@ -17,18 +17,23 @@
 //! worker, or replayed alone. That independence is what makes the pooled
 //! and sequential aggregate reports equal field for field.
 //!
-//! A visit's site questions (the landing page's top site, the embedded
-//! third party, the `.well-known` probe's site) are answered from the
-//! run's [`SiteTable`], resolved once before the sweep, so the visit loop
-//! takes no resolver lock and bumps no shared counter.
+//! A client names hosts and sites by the run's [`RunTables`] ids: the
+//! picked host, its open connections and the sites it has visited are
+//! `u32`s, its URLs are the tables' prebuilt ones, and a visit's site
+//! questions (the landing page's top site, the embedded third party, the
+//! `.well-known` probe's site) and its vendor verdicts read id-indexed
+//! tables. So the visit loop takes no resolver lock, bumps no shared
+//! counter and clones no name; only the landing host of a redirected
+//! fetch is hashed, to find its id.
 
 use crate::report::LoadReport;
 use crate::scale::LoadScale;
-use crate::target::{LoadTarget, SiteTable};
-use rws_browser::{AccessRequest, StorageAccessPolicy, VendorPolicy};
+use crate::target::RunTables;
+use rws_browser::VendorPolicy;
 use rws_domain::DomainName;
-use rws_net::{well_known_path, FetchOutcome, FetchSession, Fetcher, NetError, Response, Url};
+use rws_net::{FetchOutcome, FetchSession, Fetcher, NetError, Response};
 use rws_stats::{Rng, Xoshiro256StarStar};
+use std::io::Write;
 
 /// Simulated keep-alive window: a connection idle longer than this is
 /// re-opened.
@@ -56,6 +61,22 @@ const P_EMBED_VISITED: f64 = 0.5;
 /// Probability a client accepts storage-access prompts.
 const P_ACCEPTS_PROMPTS: f64 = 0.32;
 
+/// Room for a client's longest rng stream label,
+/// `load-client-4294967295-fetch` (28 bytes).
+const LABEL_BYTES: usize = 32;
+
+/// Format client `id`'s rng stream label, `load-client-{id}{suffix}`,
+/// into `buf`, so seeding a client allocates no string. The bytes are
+/// those `format!` would give.
+fn label<'a>(buf: &'a mut [u8; LABEL_BYTES], id: u32, suffix: &str) -> &'a str {
+    let len = {
+        let mut rest = &mut buf[..];
+        write!(rest, "load-client-{id}{suffix}").expect("client labels fit the buffer");
+        LABEL_BYTES - rest.len()
+    };
+    std::str::from_utf8(&buf[..len]).expect("formatted labels are UTF-8")
+}
+
 /// A live client session. All state is private to the client.
 #[derive(Debug)]
 pub struct ClientState {
@@ -64,10 +85,11 @@ pub struct ClientState {
     clock: u64,
     visits_left: u32,
     accepts_prompts: bool,
-    /// Sites (eTLD+1) visited first-party this session, insertion-ordered.
-    visited_sites: Vec<DomainName>,
-    /// Open simulated connections: `(origin host, last use)`.
-    connections: Vec<(DomainName, u64)>,
+    /// Site ids (eTLD+1) visited first-party this session,
+    /// insertion-ordered.
+    visited_sites: Vec<u32>,
+    /// Open simulated connections: `(origin name id, last use)`.
+    connections: Vec<(u32, u64)>,
     /// The client's fetch session: per-host request ordinals for the fault
     /// plan, the rng stream backoff jitter draws from, and the retry
     /// budget. Derived from `(seed, id)` on its own label so it never
@@ -78,7 +100,8 @@ pub struct ClientState {
 impl ClientState {
     /// Seed a client. The rng stream depends only on `(seed, id)`.
     pub fn new(seed: u64, id: u32, scale: &LoadScale) -> ClientState {
-        let mut rng = Xoshiro256StarStar::new(seed).derive(&format!("load-client-{id}"));
+        let mut buf = [0; LABEL_BYTES];
+        let mut rng = Xoshiro256StarStar::new(seed).derive(label(&mut buf, id, ""));
         let clock = rng.range_u64(0, scale.ramp_ms.max(1));
         let visits = rng.poisson(scale.mean_visits.max(1) as f64).max(1);
         ClientState {
@@ -88,7 +111,7 @@ impl ClientState {
             visits_left: visits.min(u32::MAX as u64) as u32,
             visited_sites: Vec::new(),
             connections: Vec::new(),
-            session: FetchSession::new(seed, &format!("load-client-{id}-fetch")),
+            session: FetchSession::new(seed, label(&mut buf, id, "-fetch")),
         }
     }
 
@@ -98,50 +121,51 @@ impl ClientState {
     }
 
     /// Run one visit (page fetch, optional `.well-known` probe, think
-    /// time), reading sites from `sites` (the run's
-    /// [`LoadTarget::sites`]). Returns `true` while the session has more
-    /// visits to run.
+    /// time), reading names, sites and URLs from the run's `tables`.
+    /// Returns `true` while the session has more visits to run.
     pub fn step(
         &mut self,
         scale: &LoadScale,
-        target: &LoadTarget,
-        sites: &SiteTable,
+        tables: &RunTables,
         fetcher: &Fetcher,
         report: &mut LoadReport,
     ) -> bool {
-        let host = self.pick_host(target);
-        if target.is_poisoned(&host) {
-            panic!("poisoned work item: {host}");
+        let host = self.pick_host(tables);
+        if tables.is_poisoned(host) {
+            panic!("poisoned work item: {}", tables.name(host));
         }
-        let path = if self.rng.chance(P_ABOUT) {
-            "/about"
-        } else {
-            "/"
-        };
+        let about = self.rng.chance(P_ABOUT);
         let head = self.rng.chance(P_HEAD);
-        let url = Url::https(&host, path);
-        let connect_cost = self.connect(&host, report);
+        let url = tables.page(host, about);
+        let connect_cost = self.connect(host, report);
 
         report.fetch_calls += 1;
         let outcome = if head {
             report.heads += 1;
-            fetcher.head_with(&url, &mut self.session)
+            fetcher.head_with(url, &mut self.session)
         } else {
             report.gets += 1;
-            fetcher.get_with(&url, &mut self.session)
+            fetcher.get_with(url, &mut self.session)
         };
-        if let Some(resp) = self.note_outcome(&host, connect_cost, outcome, report) {
+        if let Some(resp) = self.note_outcome(host, connect_cost, outcome, report) {
             if resp.status.is_success() {
                 // The landing host (after redirects) is the page the
                 // user is on; decide partitioning there.
-                let top_site = sites.site_or_self(&resp.url.host);
-                self.decide_partitioning(&top_site, target, sites, report);
+                let landing = if resp.redirects_followed == 0 {
+                    host
+                } else {
+                    tables
+                        .id_of(&resp.url.host)
+                        .expect("a response lands on a host the store serves")
+                };
+                let top_site = tables.site_of(landing);
+                self.decide_partitioning(top_site, tables, report);
                 self.note_visited(top_site);
             }
         }
 
         if self.rng.chance(P_WELL_KNOWN) {
-            self.probe_well_known(&host, sites, fetcher, report);
+            self.probe_well_known(host, tables, fetcher, report);
         }
 
         let think = self
@@ -156,19 +180,18 @@ impl ClientState {
     /// with no partitioning decision (it is machine traffic, not a page).
     fn probe_well_known(
         &mut self,
-        host: &DomainName,
-        sites: &SiteTable,
+        host: u32,
+        tables: &RunTables,
         fetcher: &Fetcher,
         report: &mut LoadReport,
     ) {
-        let site = sites.site_or_self(host);
-        let url = well_known_path(&site);
-        let connect_cost = self.connect(&site, report);
+        let site = tables.site_of(host);
+        let connect_cost = self.connect(site, report);
         report.well_known_probes += 1;
         report.fetch_calls += 1;
         report.gets += 1;
-        let outcome = fetcher.get_with(&url, &mut self.session);
-        self.note_outcome(&site, connect_cost, outcome, report);
+        let outcome = fetcher.get_with(tables.well_known(site), &mut self.session);
+        self.note_outcome(site, connect_cost, outcome, report);
     }
 
     /// Fold a fetch outcome into the report and the clock: retry and
@@ -178,7 +201,7 @@ impl ClientState {
     /// slot. Returns the response, if one arrived.
     fn note_outcome(
         &mut self,
-        origin: &DomainName,
+        origin: u32,
         connect_cost: u64,
         outcome: FetchOutcome,
         report: &mut LoadReport,
@@ -223,13 +246,17 @@ impl ClientState {
     }
 
     /// Close the simulated connection to `origin`, if one is open.
-    fn drop_connection(&mut self, origin: &DomainName) {
-        self.connections.retain(|(h, _)| h != origin);
+    fn drop_connection(&mut self, origin: u32) {
+        self.connections.retain(|&(h, _)| h != origin);
     }
 
-    /// Origins with an open simulated connection (test observability).
-    pub fn open_connections(&self) -> Vec<DomainName> {
-        self.connections.iter().map(|(h, _)| h.clone()).collect()
+    /// Origins with an open simulated connection, named through the run's
+    /// `tables` (test observability).
+    pub fn open_connections(&self, tables: &RunTables) -> Vec<DomainName> {
+        self.connections
+            .iter()
+            .map(|&(h, _)| tables.name(h).clone())
+            .collect()
     }
 
     /// Tally a response and advance the simulated clock by its latency.
@@ -249,72 +276,63 @@ impl ClientState {
     }
 
     /// Evaluate a `requestStorageAccess`-style decision for every vendor
-    /// policy against this page load.
-    fn decide_partitioning(
-        &mut self,
-        top_site: &DomainName,
-        target: &LoadTarget,
-        sites: &SiteTable,
-        report: &mut LoadReport,
-    ) {
+    /// policy against this page load: the facts come from the run's
+    /// tables once, and each vendor's rule reads them.
+    fn decide_partitioning(&mut self, top_site: u32, tables: &RunTables, report: &mut LoadReport) {
         let embedded_site = if !self.visited_sites.is_empty() && self.rng.chance(P_EMBED_VISITED) {
             let i = self.rng.range_usize(0, self.visited_sites.len());
-            self.visited_sites[i].clone()
+            self.visited_sites[i]
         } else {
-            let i = self.rng.range_usize(0, target.hosts().len());
-            sites.site_or_self(&target.hosts()[i])
+            let i = self.rng.range_usize(0, tables.browsable_count());
+            tables.site_of(i as u32)
         };
-        let has_prior_interaction = self.has_interacted_with(&embedded_site, target);
-        let request = AccessRequest {
-            top_level_site: top_site.clone(),
-            embedded_site,
-            has_prior_interaction,
-        };
+        let has_prior_interaction = self.has_interacted_with(embedded_site, tables);
+        let facts = tables.facts(top_site, embedded_site, has_prior_interaction);
         report.decisions += 1;
         for (slot, vendor) in VendorPolicy::ALL.iter().enumerate() {
-            let verdict = vendor.verdict(&request, target.list());
-            report.vendors[slot].record(verdict, self.accepts_prompts);
+            report.vendors[slot].record(vendor.decide(facts), self.accepts_prompts);
         }
     }
 
     /// Whether the client has visited `site` — or, mirroring the browser
     /// model, any member of `site`'s RWS set — first-party this session.
-    fn has_interacted_with(&self, site: &DomainName, target: &LoadTarget) -> bool {
-        if self.visited_sites.contains(site) {
+    fn has_interacted_with(&self, site: u32, tables: &RunTables) -> bool {
+        if self.visited_sites.contains(&site) {
             return true;
         }
-        target
-            .list()
-            .set_for(site)
-            .is_some_and(|set| self.visited_sites.iter().any(|v| set.contains(v)))
+        tables.membership(site).is_some_and(|(set, _)| {
+            self.visited_sites
+                .iter()
+                .any(|&v| tables.membership(v).is_some_and(|(s, _)| s == set))
+        })
     }
 
-    fn note_visited(&mut self, site: DomainName) {
+    fn note_visited(&mut self, site: u32) {
         if !self.visited_sites.contains(&site) {
             self.visited_sites.push(site);
         }
     }
 
-    /// Pick the next host: a vanity redirect entry sometimes, otherwise a
-    /// skew-toward-the-front draw over the deterministic host order (a
+    /// Pick the next host id: a vanity redirect entry sometimes, otherwise
+    /// a skew-toward-the-front draw over the deterministic host order (a
     /// stand-in for a popularity distribution).
-    fn pick_host(&mut self, target: &LoadTarget) -> DomainName {
-        if !target.vanity().is_empty() && self.rng.chance(P_VANITY) {
-            let i = self.rng.range_usize(0, target.vanity().len());
-            return target.vanity()[i].clone();
+    fn pick_host(&mut self, tables: &RunTables) -> u32 {
+        let n = tables.browsable_count();
+        if tables.vanity_count() > 0 && self.rng.chance(P_VANITY) {
+            let i = self.rng.range_usize(0, tables.vanity_count());
+            return (n + i) as u32;
         }
-        let n = target.hosts().len();
         let u = self.rng.next_f64();
         let i = ((u * u * n as f64) as usize).min(n - 1);
-        target.hosts()[i].clone()
+        i as u32
     }
 
     /// Simulated connection management: reuse within the keep-alive
     /// window is free, everything else pays the setup cost. Returns the
     /// cost to add to the response latency.
-    fn connect(&mut self, origin: &DomainName, report: &mut LoadReport) -> u64 {
+    fn connect(&mut self, origin: u32, report: &mut LoadReport) -> u64 {
         let now = self.clock;
-        if let Some(slot) = self.connections.iter_mut().find(|(h, _)| h == origin) {
+        if let Some(slot) = self.connections.iter_mut().find(|(h, _)| *h == origin) {
             let idle = now.saturating_sub(slot.1);
             slot.1 = now;
             if idle <= KEEPALIVE_MS {
@@ -335,7 +353,7 @@ impl ClientState {
                 .unwrap_or(0);
             self.connections.swap_remove(oldest);
         }
-        self.connections.push((origin.clone(), now));
+        self.connections.push((origin, now));
         report.connections_opened += 1;
         CONNECT_COST_MS
     }
@@ -376,5 +394,59 @@ mod tests {
             let st = ClientState::new(1, id, &scale);
             assert!(st.visits_left >= 1);
         }
+    }
+
+    #[test]
+    fn labels_are_the_formatted_bytes() {
+        let mut buf = [0; LABEL_BYTES];
+        assert_eq!(label(&mut buf, 7, ""), "load-client-7");
+        assert_eq!(
+            label(&mut buf, u32::MAX, "-fetch"),
+            format!("load-client-{}-fetch", u32::MAX)
+        );
+    }
+
+    /// A vanity entry redirects into the universe: the page the user ends
+    /// up on, so the site marked visited, is the destination's, never the
+    /// entry host's.
+    #[test]
+    fn redirected_visits_land_on_the_destination_site() {
+        use crate::target::LoadTarget;
+        use rws_domain::SiteResolver;
+        use rws_model::RwsList;
+        use rws_net::{SimulatedWeb, SiteHost};
+
+        let mut web = SimulatedWeb::new();
+        for name in ["alpha.com", "www.beta.com", "gamma.org"] {
+            let mut host = SiteHost::new(name).unwrap();
+            host.add_page("/", "<html><body>page</body></html>");
+            host.add_page("/about", "<html><body>about</body></html>");
+            web.register(host);
+        }
+        let target = LoadTarget::from_frozen(web.freeze(), RwsList::default());
+        let tables = RunTables::new(&target, &SiteResolver::embedded());
+        let fetcher = target.fetcher();
+        let browsable_sites: Vec<u32> = (0..tables.browsable_count() as u32)
+            .map(|h| tables.site_of(h))
+            .collect();
+        let scale = LoadScale {
+            clients: 1,
+            mean_visits: 50,
+            think_time_ms: 10,
+            ramp_ms: 1,
+        };
+        let mut report = LoadReport::new();
+        for id in 0..16 {
+            let mut client = ClientState::new(5, id, &scale);
+            while client.step(&scale, &tables, &fetcher, &mut report) {}
+            for site in &client.visited_sites {
+                assert!(
+                    browsable_sites.contains(site),
+                    "visited {}",
+                    tables.name(*site)
+                );
+            }
+        }
+        assert!(report.redirects_followed > 0, "no vanity entry was taken");
     }
 }

@@ -3,7 +3,7 @@
 use crate::client::ClientState;
 use crate::report::LoadReport;
 use crate::scale::LoadScale;
-use crate::target::{LoadTarget, SiteTable};
+use crate::target::{LoadTarget, RunTables};
 use rws_domain::SiteResolver;
 use rws_engine::EngineContext;
 use rws_net::Fetcher;
@@ -30,9 +30,11 @@ const CHUNK_CLIENTS: u32 = 128;
 /// Equality holds because clients are fully independent (per-client rng
 /// streams, per-client simulated clocks) and every aggregate is an
 /// order-independent integer merge; the property tests pin it across
-/// seeds and forced multi-worker pools. Both paths resolve the target's
-/// hosts once, before any client runs ([`LoadTarget::sites`]), so a run
-/// asks the resolver at most once per served host.
+/// seeds and forced multi-worker pools. Both paths build the run's
+/// [`RunTables`] once, before any client runs: the names numbered, each
+/// served host's site resolved once, and the list memberships and URLs
+/// the visit loop reads indexed by id. Pool workers share the tables by
+/// reference.
 #[derive(Debug)]
 pub struct LoadEngine {
     target: LoadTarget,
@@ -71,11 +73,11 @@ impl LoadEngine {
     /// ordinal, lands in `report.supervision` (and the context's monitor).
     /// Under fail-fast a panicking chunk takes the run down.
     pub fn run_on(&self, seed: u64, ctx: &EngineContext) -> LoadReport {
-        let sites = self.target.sites(ctx.resolver());
+        let tables = RunTables::new(&self.target, ctx.resolver());
         let (partials, sweep) =
             ctx.par_map_supervised("load-chunk", &self.chunk_spans(), |_, &(lo, hi)| {
                 let worker_fetcher = self.target.fetcher();
-                let mut partial = self.run_chunk(seed, lo, hi, &sites, &worker_fetcher);
+                let mut partial = self.run_chunk(seed, lo, hi, &tables, &worker_fetcher);
                 partial.wire_requests = worker_fetcher.requests_issued() as u64;
                 partial
             });
@@ -106,7 +108,7 @@ impl LoadEngine {
         seed: u64,
         lo: u32,
         hi: u32,
-        sites: &SiteTable,
+        tables: &RunTables,
         fetcher: &Fetcher,
     ) -> LoadReport {
         let mut report = LoadReport::new();
@@ -123,7 +125,7 @@ impl LoadEngine {
         }
         while let Some(Reverse((_, slot))) = heap.pop() {
             let st = &mut states[slot as usize];
-            if st.step(&self.scale, &self.target, sites, fetcher, &mut report) {
+            if st.step(&self.scale, tables, fetcher, &mut report) {
                 heap.push(Reverse((st.clock(), slot)));
             } else {
                 report.sessions += 1;
@@ -138,13 +140,13 @@ impl LoadEngine {
     /// report [`run_on`](Self::run_on) produces on a context with the same
     /// resolver.
     pub fn replay_sequential_with(&self, seed: u64, resolver: &SiteResolver) -> LoadReport {
-        let sites = self.target.sites(resolver);
+        let tables = RunTables::new(&self.target, resolver);
         let fetcher = self.target.fetcher();
         let mut report = LoadReport::new();
         for id in 0..self.scale.clients as u32 {
             let mut st = ClientState::new(seed, id, &self.scale);
             report.sim_start_ms = report.sim_start_ms.min(st.clock());
-            while st.step(&self.scale, &self.target, &sites, &fetcher, &mut report) {}
+            while st.step(&self.scale, &tables, &fetcher, &mut report) {}
             report.sessions += 1;
             report.sim_end_ms = report.sim_end_ms.max(st.clock());
         }

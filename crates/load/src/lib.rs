@@ -35,6 +35,13 @@
 //! *identical* [`LoadReport`]s field for field — property-tested, like
 //! every other pooled subsystem in this workspace.
 //!
+//! Before its sweep, a run numbers every name it touches (hosts, vanity
+//! hosts, their sites) and builds [`RunTables`]: each host's site id,
+//! each site's `(set index, role)` in the RWS list, and prebuilt URLs.
+//! Clients hold ids, not names, and derive each decision's
+//! [`AccessFacts`](rws_browser::AccessFacts) from those tables, so the
+//! visit loop indexes where it would otherwise hash, clone and resolve.
+//!
 //! # Resilience
 //!
 //! A target can carry transient weather: [`LoadTarget::with_faults`]
@@ -81,7 +88,7 @@ pub mod target;
 pub use engine::LoadEngine;
 pub use report::{LoadReport, VendorTally};
 pub use scale::LoadScale;
-pub use target::{LoadTarget, SiteTable};
+pub use target::{LoadTarget, RunTables};
 
 // Resilience knobs, re-exported so load consumers (tests, the benchmark) can
 // configure weather without depending on rws-net directly.

@@ -113,7 +113,7 @@ fn visits_and_fetch_hops_allocate_within_budget() {
     assert!(report.fetch_calls > 1_000, "sanity: the replay fetched");
     let per_call = replay_allocs as f64 / report.fetch_calls as f64;
     assert!(
-        per_call <= 2.0,
+        per_call <= 1.4,
         "replay allocations per fetch call: {per_call:.2} ({replay_allocs} over {} calls)",
         report.fetch_calls
     );

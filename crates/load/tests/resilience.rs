@@ -6,7 +6,9 @@
 use proptest::prelude::*;
 use rws_domain::{DomainName, SiteResolver};
 use rws_engine::EngineContext;
-use rws_load::{FaultPlan, FaultScale, LoadEngine, LoadReport, LoadScale, LoadTarget, RetryPolicy};
+use rws_load::{
+    FaultPlan, FaultScale, LoadEngine, LoadReport, LoadScale, LoadTarget, RetryPolicy, RunTables,
+};
 use rws_model::RwsList;
 use rws_net::{Fetcher, SimulatedWeb, SiteHost};
 use rws_stats::pool::ThreadPool;
@@ -204,21 +206,21 @@ fn host_offline_mid_run_refuses_and_evicts_the_kept_alive_connection() {
         think_time_ms: 10,
         ramp_ms: 1,
     };
-    let sites = target.sites(&SiteResolver::full());
+    let tables = RunTables::new(&target, &SiteResolver::full());
 
     // Find a seed whose client visits plain hosts enough times in both
     // phases (every visit here hits solo.example; just need enough steps).
     let mut client = ClientState::new(3, 0, &scale);
     let mut before = LoadReport::new();
     for _ in 0..10 {
-        if !client.step(&scale, &target, &sites, &fetcher, &mut before) {
+        if !client.step(&scale, &tables, &fetcher, &mut before) {
             break;
         }
     }
     assert!(before.status_2xx > 0, "warm-up phase served nothing");
     assert_eq!(before.errors.get("connection-refused"), 0);
     assert!(
-        client.open_connections().contains(&host_name),
+        client.open_connections(&tables).contains(&host_name),
         "client should hold a keep-alive connection to the host"
     );
 
@@ -229,7 +231,7 @@ fn host_offline_mid_run_refuses_and_evicts_the_kept_alive_connection() {
 
     let mut after = LoadReport::new();
     for _ in 0..10 {
-        if !client.step(&scale, &target, &sites, &fetcher, &mut after) {
+        if !client.step(&scale, &tables, &fetcher, &mut after) {
             break;
         }
     }
@@ -238,7 +240,7 @@ fn host_offline_mid_run_refuses_and_evicts_the_kept_alive_connection() {
     assert_eq!(after.status_2xx, 0, "stale content served after offline");
     assert!(after.errors.get("connection-refused") > 0);
     assert!(
-        !client.open_connections().contains(&host_name),
+        !client.open_connections(&tables).contains(&host_name),
         "dead keep-alive connection was not evicted"
     );
 }

@@ -33,6 +33,7 @@ use crate::message::StatusCode;
 use crate::url::Url;
 use crate::web::{LatencyModel, PageBody, PageContent, ServedPage};
 use rws_domain::DomainName;
+use rws_stats::memo::FnvBuildHasher;
 use rws_stats::Xoshiro256StarStar;
 use std::collections::HashMap;
 
@@ -305,10 +306,11 @@ fn truncate_content(content: PageContent, keep_per_mille: u32) -> PageContent {
 #[derive(Debug, Clone)]
 pub struct FetchSession {
     rng: Xoshiro256StarStar,
-    /// Requests issued so far per host, keyed by [`host_hash`]. (A 64-bit
-    /// hash collision would merge two hosts' ordinal counters — still
-    /// deterministic, just a different schedule.)
-    ordinals: HashMap<u64, u32>,
+    /// Requests issued so far per host, keyed by [`host_hash`]. The key is
+    /// already a hash, so the map hashes it with FNV, not SipHash. (A
+    /// 64-bit hash collision would merge two hosts' ordinal counters —
+    /// still deterministic, just a different schedule.)
+    ordinals: HashMap<u64, u32, FnvBuildHasher>,
     retry_budget: u32,
     retries_spent: u32,
 }
@@ -326,7 +328,7 @@ impl FetchSession {
     pub fn with_budget(seed: u64, label: &str, budget: u32) -> FetchSession {
         FetchSession {
             rng: Xoshiro256StarStar::new(seed).derive(label),
-            ordinals: HashMap::new(),
+            ordinals: HashMap::default(),
             retry_budget: budget,
             retries_spent: 0,
         }

@@ -57,8 +57,7 @@ pub use supervision::{
     DEFAULT_QUARANTINE_CAP,
 };
 pub use swar::{
-    boundary_mask8, broadcast, eq_mask, find_byte, find_byte2, has_ascii_uppercase,
-    is_collapsed_ascii,
+    boundary_mask8, broadcast, eq_mask, find_byte, has_ascii_uppercase, is_collapsed_ascii,
 };
 pub use timeseries::{Date, Month, MonthlySeries, EPOCH};
 

@@ -110,35 +110,6 @@ pub fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
     None
 }
 
-/// Index of the first occurrence of either needle. Equivalent to
-/// `haystack.iter().position(|&b| b == a || b == c)`.
-#[inline]
-pub fn find_byte2(haystack: &[u8], a: u8, c: u8) -> Option<usize> {
-    let len = haystack.len();
-    if len < 8 {
-        return haystack.iter().position(|&b| b == a || b == c);
-    }
-    let na = broadcast(a);
-    let nc = broadcast(c);
-    let mut i = 0;
-    while i + 8 <= len {
-        let w = load(&haystack[i..]);
-        let m = zero_lanes_lossy(w ^ na) | zero_lanes_lossy(w ^ nc);
-        if m != 0 {
-            return Some(i + (m.trailing_zeros() / 8) as usize);
-        }
-        i += 8;
-    }
-    if i < len {
-        let w = load(&haystack[len - 8..]);
-        let m = zero_lanes_lossy(w ^ na) | zero_lanes_lossy(w ^ nc);
-        if m != 0 {
-            return Some(len - 8 + (m.trailing_zeros() / 8) as usize);
-        }
-    }
-    None
-}
-
 /// True iff the slice contains an ASCII uppercase letter (`A`–`Z`).
 /// Equivalent to `haystack.iter().any(u8::is_ascii_uppercase)`.
 #[inline]
@@ -302,10 +273,6 @@ mod tests {
         h.iter().position(|&b| b == n)
     }
 
-    fn naive_find2(h: &[u8], a: u8, c: u8) -> Option<usize> {
-        h.iter().position(|&b| b == a || b == c)
-    }
-
     #[test]
     fn broadcast_fills_lanes() {
         assert_eq!(broadcast(0xab), 0xabab_abab_abab_abab);
@@ -355,26 +322,6 @@ mod tests {
             let mut v = vec![b'a'; 24];
             v[lane] = b'>';
             assert_eq!(find_byte(&v, b'>'), Some(lane));
-        }
-    }
-
-    #[test]
-    fn find_byte2_matches_naive() {
-        let cases: &[&[u8]] = &[
-            b"",
-            b"no needles here at all....",
-            b"x<y>z",
-            b">",
-            b"aaaaaaa>",
-            b"aaaaaaaa<",
-            "ünïcødé > tail".as_bytes(),
-        ];
-        for h in cases {
-            assert_eq!(
-                find_byte2(h, b'<', b'>'),
-                naive_find2(h, b'<', b'>'),
-                "{h:?}"
-            );
         }
     }
 

@@ -164,20 +164,6 @@ proptest! {
         );
     }
 
-    /// `find_byte2` ≡ naive two-needle `position`, including when both
-    /// needles are the same byte.
-    #[test]
-    fn swar_find_byte2_matches_naive(
-        haystack in proptest::collection::vec(0u8..=255, 0..96),
-        a in 0u8..=255,
-        b in 0u8..=255,
-    ) {
-        prop_assert_eq!(
-            swar::find_byte2(&haystack, a, b),
-            haystack.iter().position(|&x| x == a || x == b)
-        );
-    }
-
     /// A needle planted at every offset of a run (head lanes, every lane of
     /// the first word, unaligned tail) is found exactly there when the rest
     /// of the run is needle-free.
@@ -205,7 +191,6 @@ proptest! {
         let filler = if filler == needle { filler.wrapping_add(1) } else { filler };
         let hay = vec![filler; len];
         prop_assert_eq!(swar::find_byte(&hay, needle), None);
-        prop_assert_eq!(swar::find_byte2(&hay, needle, needle), None);
     }
 
     /// Unaligned heads and tails: the scanner agrees with the naive scan on
