@@ -22,10 +22,10 @@ use crate::tranco::TrancoList;
 use rws_domain::DomainName;
 use rws_engine::EngineContext;
 use rws_model::{RwsList, RwsSet, WellKnownFile};
-use rws_net::{FrozenWeb, SiteHost, WELL_KNOWN_RWS_PATH};
+use rws_net::{FrozenWeb, HostTable, SiteHost, WELL_KNOWN_RWS_PATH};
 use rws_stats::rng::{Rng, Xoshiro256StarStar};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Mutex;
 
 /// Generic top-level domains used for primaries and distinct associated
@@ -457,14 +457,17 @@ impl CorpusGenerator {
         // RenderArena — pages build up in one warm buffer and the finished
         // bytes are interned into the PageBody in a single copy. Each task
         // then adds its hosts to the one page table, sized up front for
-        // every site, so the inserts overlap with the other tasks'
-        // rendering instead of running serially after them. The order in
-        // which tasks fill the table cannot reach an output: nothing reads
-        // the table in its iteration order, which std's hasher already
-        // randomises per process.
+        // every site and keyed through the store's FNV hasher, so the
+        // inserts overlap with the other tasks' rendering instead of
+        // running serially after them, and freezing takes the table as it
+        // stands. The order in which tasks fill the table cannot reach an
+        // output: nothing reads the table in its iteration order.
         let specs: Vec<&SiteSpec> = sites.values().collect();
         let chunks: Vec<&[&SiteSpec]> = specs.chunks(RENDER_CHUNK).collect();
-        let table = Mutex::new(HashMap::with_capacity(specs.len()));
+        let table = Mutex::new(HostTable::with_capacity_and_hasher(
+            specs.len(),
+            Default::default(),
+        ));
         ctx.par_map_coarse(&chunks, |_, chunk| {
             let mut arena = RenderArena::new();
             let hosts: Vec<(DomainName, SiteHost)> = chunk

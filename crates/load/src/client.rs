@@ -109,8 +109,8 @@ impl ClientState {
             rng,
             clock,
             visits_left: visits.min(u32::MAX as u64) as u32,
-            visited_sites: Vec::new(),
-            connections: Vec::new(),
+            visited_sites: Vec::with_capacity(MAX_OPEN_CONNECTIONS),
+            connections: Vec::with_capacity(MAX_OPEN_CONNECTIONS),
             session: FetchSession::new(seed, label(&mut buf, id, "-fetch")),
         }
     }

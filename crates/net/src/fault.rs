@@ -29,6 +29,7 @@
 //! Faults model outages of *live* hosts: `NoSuchHost`, statically offline
 //! and TLS-less answers pass through the injector untouched.
 
+use crate::headers::HeaderMap;
 use crate::message::StatusCode;
 use crate::url::Url;
 use crate::web::{LatencyModel, PageBody, PageContent, ServedPage};
@@ -222,25 +223,25 @@ impl FaultInjector {
         let Some(fault) = self.plan.fault_at(&url.host, ordinal) else {
             return served;
         };
-        let (content, extra_headers, latency) = match served {
+        let (content, headers, latency) = match served {
             ServedPage::Content {
                 content,
-                extra_headers,
+                headers,
                 latency,
-            } => (Some(content), extra_headers, latency),
-            ServedPage::Missing { latency } => (None, None, latency),
+            } => (Some(content), headers, latency),
+            ServedPage::Missing { latency } => (None, HeaderMap::new(), latency),
             permanent => return permanent,
         };
-        let rebuild = |content: Option<PageContent>,
-                       extra_headers: Option<std::sync::Arc<crate::HeaderMap>>,
-                       latency: LatencyModel| match content {
-            Some(content) => ServedPage::Content {
-                content,
-                extra_headers,
-                latency,
-            },
-            None => ServedPage::Missing { latency },
-        };
+        let rebuild =
+            |content: Option<PageContent>, headers: HeaderMap, latency: LatencyModel| match content
+            {
+                Some(content) => ServedPage::Content {
+                    content,
+                    headers,
+                    latency,
+                },
+                None => ServedPage::Missing { latency },
+            };
         match fault {
             Fault::Refuse => ServedPage::Refused,
             Fault::LatencySpike { extra_ms } => {
@@ -248,19 +249,19 @@ impl FaultInjector {
                     base_ms: latency.base_ms.saturating_add(extra_ms),
                     ..latency
                 };
-                rebuild(content, extra_headers, latency)
+                rebuild(content, headers, latency)
             }
             Fault::ServerError { status } => ServedPage::Content {
                 content: PageContent::Error {
                     status,
                     body: self.error_body.clone(),
                 },
-                extra_headers: None,
+                headers: HeaderMap::new(),
                 latency,
             },
             Fault::TruncateBody { keep_per_mille } => {
                 let truncated = content.map(|c| truncate_content(c, keep_per_mille));
-                rebuild(truncated, extra_headers, latency)
+                rebuild(truncated, headers, latency)
             }
             Fault::RedirectStorm => ServedPage::Content {
                 content: PageContent::Redirect {
@@ -271,7 +272,7 @@ impl FaultInjector {
                     location: url.path.to_string(),
                     permanent: false,
                 },
-                extra_headers: None,
+                headers: HeaderMap::new(),
                 latency,
             },
         }
@@ -482,7 +483,7 @@ mod tests {
             };
             let served = ServedPage::Content {
                 content: PageContent::Json(body.clone()),
-                extra_headers: None,
+                headers: HeaderMap::new(),
                 latency,
             };
             let out = injector.apply(&url, 0, served);

@@ -315,9 +315,11 @@ impl Fetcher {
                 }
                 _ => self.web.serve(&current),
             };
-            // `body` is a refcount bump of the interned page, never a copy.
-            // `location` is the target a `Redirect` page names; a redirect
-            // hop's headers are dropped, so it never goes into the map.
+            // The served body and header map move into the response: the
+            // body is the interned page's buffer and the map a static or
+            // prebuilt one, so the hop copies nothing. `location` is the
+            // target a `Redirect` page names; a redirect hop's headers are
+            // dropped.
             let (status, mut headers, body, latency, location) = match served {
                 ServedPage::NoSuchHost => {
                     return Err(NetError::HostNotFound {
@@ -343,56 +345,35 @@ impl Fetcher {
                 ),
                 ServedPage::Content {
                     content,
-                    extra_headers,
+                    headers,
                     latency,
-                } => {
-                    // The response mutates its headers (Content-Type,
-                    // Content-Length), so materialise a copy only when the
-                    // path actually registered extra headers — the shared
-                    // handle itself was never cloned by `serve`. The
-                    // standard entries are `'static` and copy nothing.
-                    let mut h = extra_headers
-                        .map(|shared| HeaderMap::clone(&shared))
-                        .unwrap_or_default();
-                    match content {
-                        PageContent::Html(html) => {
-                            let lat = latency.latency_for(html.len());
-                            h.set("content-type", "text/html; charset=utf-8");
-                            (StatusCode::OK, h, html.bytes(), lat, None)
-                        }
-                        PageContent::Json(json) => {
-                            let lat = latency.latency_for(json.len());
-                            h.set("content-type", "application/json");
-                            (StatusCode::OK, h, json.bytes(), lat, None)
-                        }
-                        PageContent::Text(text) => {
-                            let lat = latency.latency_for(text.len());
-                            h.set("content-type", "text/plain; charset=utf-8");
-                            (StatusCode::OK, h, text.bytes(), lat, None)
-                        }
-                        PageContent::Redirect {
-                            location,
-                            permanent,
-                        } => {
-                            let status = if permanent {
-                                StatusCode::MOVED_PERMANENTLY
-                            } else {
-                                StatusCode::FOUND
-                            };
-                            (
-                                status,
-                                h,
-                                Bytes::new(),
-                                latency.latency_for(0),
-                                Some(location),
-                            )
-                        }
-                        PageContent::Error { status, body } => {
-                            let lat = latency.latency_for(body.len());
-                            (status, h, body.bytes(), lat, None)
-                        }
+                } => match content {
+                    PageContent::Html(body) | PageContent::Json(body) | PageContent::Text(body) => {
+                        let lat = latency.latency_for(body.len());
+                        (StatusCode::OK, headers, body.into_bytes(), lat, None)
                     }
-                }
+                    PageContent::Redirect {
+                        location,
+                        permanent,
+                    } => {
+                        let status = if permanent {
+                            StatusCode::MOVED_PERMANENTLY
+                        } else {
+                            StatusCode::FOUND
+                        };
+                        (
+                            status,
+                            headers,
+                            Bytes::new(),
+                            latency.latency_for(0),
+                            Some(location),
+                        )
+                    }
+                    PageContent::Error { status, body } => {
+                        let lat = latency.latency_for(body.len());
+                        (status, headers, body.into_bytes(), lat, None)
+                    }
+                },
             };
 
             total_latency += latency;
@@ -426,11 +407,11 @@ impl Fetcher {
                 continue;
             }
 
-            // HEAD advertises the length GET would have returned (the body
-            // itself is dropped) — the interned body makes that length
-            // available without having materialised a copy.
+            // HEAD advertises the length of the body GET would have served
+            // (after any fault truncated it) and drops the body itself; the
+            // map keeps the length inline, so this allocates nothing.
             let body_bytes = if method == Method::Head {
-                headers.set("content-length", body.len().to_string());
+                headers.set_content_length(body.len());
                 Bytes::new()
             } else {
                 body

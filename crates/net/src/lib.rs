@@ -57,7 +57,7 @@ pub use fault::{Fault, FaultInjector, FaultPlan, FaultScale, FetchSession};
 pub use fetcher::{FetchOutcome, FetchPolicy, Fetcher, RetryPolicy};
 pub use headers::HeaderMap;
 pub use message::{Method, Response, StatusCode};
-pub use store::{FrozenWeb, StoreStats};
+pub use store::{FrozenWeb, HostTable, StoreStats};
 pub use url::Url;
 pub use web::{LatencyModel, PageBody, PageContent, ServedPage, SimulatedWeb, SiteHost};
 pub use well_known::{well_known_path, WELL_KNOWN_RWS_PATH, X_ROBOTS_TAG};

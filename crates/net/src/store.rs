@@ -2,9 +2,14 @@
 //!
 //! The corpus is write-once, read-hundreds-of-times, so its host table
 //! is frozen into an immutable [`FrozenWeb`] once generation finishes:
-//! one `HashMap` from [`DomainName`] to [`SiteHost`] behind an `Arc`. A
-//! [`DomainName`] hashes as its cached name hash, so a lookup hashes
-//! eight bytes, never the name itself.
+//! one [`HostTable`] from [`DomainName`] to [`SiteHost`] behind an `Arc`.
+//! The table and each host's page table are keyed through FNV
+//! ([`FnvBuildHasher`]), not SipHash: the keys are trusted names and
+//! paths. A [`DomainName`] hashes as its cached name hash, so a host
+//! lookup runs FNV over eight bytes, never over the name itself. The
+//! generator and [`SimulatedWeb::freeze`](crate::SimulatedWeb::freeze)
+//! build the table with that hasher from the start, so freezing never
+//! rehashes it.
 //!
 //! No lock appears anywhere on the read path, accessors hand out genuine
 //! borrows ([`page_html`](FrozenWeb::page_html) returns `&str` tied to
@@ -14,6 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use rws_domain::DomainName;
+use rws_stats::memo::FnvBuildHasher;
 
 use crate::url::Url;
 use crate::web::{PageBody, ServedPage, SiteHost};
@@ -33,16 +39,20 @@ pub struct StoreStats {
     pub body_bytes: usize,
 }
 
+/// A host table keyed through FNV: what [`FrozenWeb`] freezes and what
+/// [`SimulatedWeb`](crate::SimulatedWeb)'s overlay collects.
+pub type HostTable = HashMap<DomainName, SiteHost, FnvBuildHasher>;
+
 /// An immutable, `Arc`-shared host table.
 #[derive(Debug, Clone, Default)]
 pub struct FrozenWeb {
-    hosts: Arc<HashMap<DomainName, SiteHost>>,
+    hosts: Arc<HostTable>,
 }
 
 impl FrozenWeb {
-    /// Freeze a host table as it stands. Every host must be keyed by its
-    /// own name; debug builds check this.
-    pub fn from_hosts(hosts: HashMap<DomainName, SiteHost>) -> FrozenWeb {
+    /// Freeze a host table as it stands, without rehashing it. Every host
+    /// must be keyed by its own name; debug builds check this.
+    pub fn from_hosts(hosts: HostTable) -> FrozenWeb {
         debug_assert!(hosts.iter().all(|(name, host)| host.domain() == name));
         FrozenWeb {
             hosts: Arc::new(hosts),
@@ -86,8 +96,9 @@ impl FrozenWeb {
 
     /// Resolve what a host would serve for a URL — identical semantics to
     /// [`SimulatedWeb::serve`](crate::SimulatedWeb::serve), without an
-    /// overlay to consult first. Body and headers on the result are
-    /// refcount bumps into the snapshot.
+    /// overlay to consult first. The body on the result is a refcount bump
+    /// into the snapshot, and the headers are a static map or a refcount
+    /// bump of the path's prebuilt one.
     pub fn serve(&self, url: &Url) -> ServedPage {
         match self.host(&url.host) {
             Some(host) => host.serve_path(url),

@@ -18,6 +18,14 @@
 //! * page bodies are interned as [`PageBody`] — an immutable, UTF-8,
 //!   refcounted buffer — at registration time, so *no* later layer ever
 //!   copies a body (serving bumps a refcount, reading borrows `&str`);
+//! * response headers are prebuilt: a path without extra headers serves
+//!   one of the process-wide static `content-type` maps, and a path with
+//!   extras keeps one complete map, rebuilt when its headers or content
+//!   change, so serving copies a pointer or bumps a refcount and builds
+//!   no map;
+//! * host and page tables are keyed through FNV
+//!   ([`FnvBuildHasher`]), built with that hasher from the start, so a
+//!   lookup never runs SipHash and freezing never rehashes a table;
 //! * [`SimulatedWeb::freeze`] snapshots the host table into a
 //!   [`FrozenWeb`] (see [`crate::store`]): an `Arc`-shared immutable host
 //!   table with **no lock on the read path**, whose accessors
@@ -35,15 +43,16 @@
 //!
 //! [`Fetcher`]: crate::Fetcher
 
-use crate::headers::HeaderMap;
+use crate::headers::{HeaderEntry, HeaderMap};
 use crate::message::StatusCode;
-use crate::store::FrozenWeb;
+use crate::store::{FrozenWeb, HostTable};
 use crate::url::Url;
 use bytes::Bytes;
 use rws_domain::DomainName;
+use rws_stats::memo::FnvBuildHasher;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// An interned, immutable page body: UTF-8 text backed by a refcounted
 /// [`Bytes`] buffer. Cloning is O(1); [`as_str`](PageBody::as_str) borrows
@@ -109,10 +118,15 @@ impl PageBody {
         &self.bytes
     }
 
-    /// Share the underlying buffer (refcount bump, no copy) — what the
-    /// fetcher puts on `Response.body`.
+    /// Share the underlying buffer (refcount bump, no copy).
     pub fn bytes(&self) -> Bytes {
         self.bytes.clone()
+    }
+
+    /// Hand the underlying buffer over without touching its refcount —
+    /// what the fetcher puts on `Response.body`.
+    pub fn into_bytes(self) -> Bytes {
+        self.bytes
     }
 
     /// Length in bytes.
@@ -206,7 +220,34 @@ pub enum PageContent {
     },
 }
 
+/// The standard headers of each body kind, one process-wide static table
+/// apiece.
+static HTML_HEADERS: [HeaderEntry; 1] = [(
+    Cow::Borrowed("content-type"),
+    Cow::Borrowed("text/html; charset=utf-8"),
+)];
+static JSON_HEADERS: [HeaderEntry; 1] = [(
+    Cow::Borrowed("content-type"),
+    Cow::Borrowed("application/json"),
+)];
+static TEXT_HEADERS: [HeaderEntry; 1] = [(
+    Cow::Borrowed("content-type"),
+    Cow::Borrowed("text/plain; charset=utf-8"),
+)];
+
 impl PageContent {
+    /// The headers this content is served with before any extras: the
+    /// `content-type` of a body kind, nothing for redirects and error
+    /// pages.
+    fn standard_headers(&self) -> &'static [HeaderEntry] {
+        match self {
+            PageContent::Html(_) => &HTML_HEADERS,
+            PageContent::Json(_) => &JSON_HEADERS,
+            PageContent::Text(_) => &TEXT_HEADERS,
+            PageContent::Redirect { .. } | PageContent::Error { .. } => &[],
+        }
+    }
+
     /// The interned body, for variants that carry one (redirects do not).
     pub fn body(&self) -> Option<&PageBody> {
         match self {
@@ -259,12 +300,24 @@ impl LatencyModel {
     }
 }
 
+/// The headers of a path that registered extras.
+#[derive(Debug, Clone, Default)]
+struct PathHeaders {
+    /// The extra headers, as registered.
+    extra: HeaderMap,
+    /// The complete map served at the path: the extras with the content's
+    /// standard headers set over them.
+    served: HeaderMap,
+}
+
 /// A single host in the simulated web.
 #[derive(Debug, Clone)]
 pub struct SiteHost {
     host: DomainName,
-    pages: HashMap<String, PageContent>,
-    page_headers: HashMap<String, Arc<HeaderMap>>,
+    pages: HashMap<String, PageContent, FnvBuildHasher>,
+    /// Only paths with extra headers have an entry; every other path
+    /// serves its content's static standard map.
+    page_headers: HashMap<String, PathHeaders, FnvBuildHasher>,
     latency: LatencyModel,
     /// If true, connections are refused (simulated outage).
     offline: bool,
@@ -283,8 +336,8 @@ impl SiteHost {
     pub fn for_domain(host: DomainName) -> SiteHost {
         SiteHost {
             host,
-            pages: HashMap::new(),
-            page_headers: HashMap::new(),
+            pages: HashMap::default(),
+            page_headers: HashMap::default(),
             latency: LatencyModel::default(),
             offline: false,
             http_only: false,
@@ -298,30 +351,46 @@ impl SiteHost {
 
     /// Serve an HTML page at `path`. The body is interned once, here.
     pub fn add_page<S: Into<PageBody>>(&mut self, path: &str, html: S) -> &mut Self {
-        self.pages
-            .insert(path.to_string(), PageContent::Html(html.into()));
-        self
+        self.add_content(path, PageContent::Html(html.into()))
     }
 
     /// Serve a JSON document at `path`.
     pub fn add_json<S: Into<PageBody>>(&mut self, path: &str, json: S) -> &mut Self {
-        self.pages
-            .insert(path.to_string(), PageContent::Json(json.into()));
-        self
+        self.add_content(path, PageContent::Json(json.into()))
     }
 
     /// Serve arbitrary content at `path`.
     pub fn add_content(&mut self, path: &str, content: PageContent) -> &mut Self {
         self.pages.insert(path.to_string(), content);
+        self.rebuild_served_headers(path);
         self
     }
 
     /// Add an extra response header for a specific path (e.g. the
     /// `X-Robots-Tag` header required on service sites).
     pub fn add_header(&mut self, path: &str, name: &str, value: &str) -> &mut Self {
-        Arc::make_mut(self.page_headers.entry(path.to_string()).or_default())
+        self.page_headers
+            .entry(path.to_string())
+            .or_default()
+            .extra
             .set(name.to_ascii_lowercase(), value.to_string());
+        self.rebuild_served_headers(path);
         self
+    }
+
+    /// Rebuild the complete map `path` serves, if it registered extras:
+    /// the extras, then the content's standard headers over them.
+    fn rebuild_served_headers(&mut self, path: &str) {
+        let Some(headers) = self.page_headers.get_mut(path) else {
+            return;
+        };
+        let mut served = headers.extra.clone();
+        if let Some(content) = self.pages.get(path) {
+            for (name, value) in content.standard_headers() {
+                served.set(name.clone(), value.clone());
+            }
+        }
+        headers.served = served;
     }
 
     /// Replace the latency model.
@@ -375,13 +444,17 @@ impl SiteHost {
 
     /// Extra headers registered for `path`.
     pub fn headers_for(&self, path: &str) -> Option<&HeaderMap> {
-        self.page_headers.get(path).map(Arc::as_ref)
+        self.page_headers.get(path).map(|headers| &headers.extra)
     }
 
-    /// Extra headers for `path` as a shared handle — what
-    /// [`ServedPage::Content`] carries, so serving never copies the map.
-    fn shared_headers_for(&self, path: &str) -> Option<&Arc<HeaderMap>> {
-        self.page_headers.get(path)
+    /// The complete headers served with `content` at `path`: the path's
+    /// prebuilt map when it registered extras (a refcount bump), else the
+    /// content's static standard map (a pointer copy).
+    fn served_headers(&self, path: &str, content: &PageContent) -> HeaderMap {
+        match self.page_headers.get(path) {
+            Some(headers) => headers.served.clone(),
+            None => HeaderMap::from_static(content.standard_headers()),
+        }
     }
 
     /// All registered paths, sorted.
@@ -403,8 +476,8 @@ impl SiteHost {
         }
         match self.page(&url.path) {
             Some(content) => ServedPage::Content {
+                headers: self.served_headers(&url.path, content),
                 content: content.clone(),
-                extra_headers: self.shared_headers_for(&url.path).cloned(),
                 latency: self.latency(),
             },
             None => ServedPage::Missing {
@@ -425,7 +498,9 @@ impl SiteHost {
 #[derive(Debug, Clone, Default)]
 pub struct SimulatedWeb {
     base: FrozenWeb,
-    overlay: HashMap<DomainName, SiteHost>,
+    /// Keyed through FNV like the frozen table, so freezing moves this
+    /// table into the new base without rehashing it.
+    overlay: HostTable,
 }
 
 impl SimulatedWeb {
@@ -441,7 +516,7 @@ impl SimulatedWeb {
     pub fn from_frozen(base: FrozenWeb) -> SimulatedWeb {
         SimulatedWeb {
             base,
-            overlay: HashMap::new(),
+            overlay: HostTable::default(),
         }
     }
 
@@ -481,8 +556,11 @@ impl SimulatedWeb {
     ///
     /// Freezing with an empty overlay is free — it hands back the existing
     /// store (a refcount bump, [`FrozenWeb::ptr_eq`]-verifiable), never a
-    /// rebuilt table. Pending overlay edits re-freeze once; host clones are
-    /// refcount bumps, so no page payload is copied.
+    /// rebuilt table. Pending overlay edits re-freeze once: the overlay's
+    /// table becomes the new base as it stands (its hasher is the frozen
+    /// table's, so nothing is rehashed) and takes in the base hosts it
+    /// does not shadow; host clones are refcount bumps, so no page payload
+    /// is copied.
     pub fn freeze(&mut self) -> FrozenWeb {
         if !self.overlay.is_empty() {
             // The overlay's hosts stay; base hosts fill in the names it
@@ -512,8 +590,9 @@ impl SimulatedWeb {
 
 /// The raw outcome of asking the simulated web to serve a URL.
 ///
-/// `Content` shares the host's interned body and header map: constructing a
-/// `ServedPage` never copies page text.
+/// `Content` shares the host's interned body and prebuilt header map:
+/// constructing a `ServedPage` never copies page text and never builds a
+/// map.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServedPage {
     /// No host by that name is registered (DNS failure analogue).
@@ -531,8 +610,11 @@ pub enum ServedPage {
     Content {
         /// What to serve (interned body; cloning bumped a refcount).
         content: PageContent,
-        /// Extra per-path headers, shared with the host's definition.
-        extra_headers: Option<Arc<HeaderMap>>,
+        /// The complete response headers: the path's extras with the
+        /// content's `content-type` set over them. A static map or one
+        /// shared with the host's definition, never a fresh one; a HEAD
+        /// adds `content-length` inline.
+        headers: HeaderMap,
         /// Host latency model.
         latency: LatencyModel,
     },
@@ -623,9 +705,59 @@ mod tests {
         host.add_header("/", "X-Robots-Tag", "noindex");
         web.register(host);
         match web.serve(&Url::parse("https://svc.example.com/").unwrap()) {
-            ServedPage::Content { extra_headers, .. } => {
-                let headers = extra_headers.expect("headers present");
+            ServedPage::Content { headers, .. } => {
                 assert_eq!(headers.get("x-robots-tag"), Some("noindex"));
+                assert_eq!(
+                    headers.get("content-type"),
+                    Some("text/html; charset=utf-8")
+                );
+                assert_eq!(headers.len(), 2);
+            }
+            other => panic!("expected content, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn served_headers_follow_later_content_and_headers() {
+        let mut host = SiteHost::new("svc.example.com").unwrap();
+        // A header registered before its page, and one with the name the
+        // content sets: the content's `content-type` wins while the page
+        // has one.
+        host.add_header("/", "Content-Type", "text/x-custom");
+        host.add_page("/", "service");
+        let url = Url::parse("https://svc.example.com/").unwrap();
+        let served = |host: &SiteHost| match host.serve_path(&url) {
+            ServedPage::Content { headers, .. } => headers,
+            other => panic!("expected content, got {other:?}"),
+        };
+        assert_eq!(
+            served(&host).get("content-type"),
+            Some("text/html; charset=utf-8")
+        );
+        host.add_header("/", "X-Robots-Tag", "noindex");
+        assert_eq!(served(&host).get("x-robots-tag"), Some("noindex"));
+        // An error page sets no `content-type`, so the extra shows.
+        host.add_content(
+            "/",
+            PageContent::Error {
+                status: StatusCode::GONE,
+                body: "gone".into(),
+            },
+        );
+        assert_eq!(served(&host).get("content-type"), Some("text/x-custom"));
+        assert_eq!(
+            host.headers_for("/").unwrap().get("content-type"),
+            Some("text/x-custom")
+        );
+        // A path without extras serves its kind's static map.
+        host.add_json("/data.json", "{}");
+        let json = Url::parse("https://svc.example.com/data.json").unwrap();
+        match host.serve_path(&json) {
+            ServedPage::Content { headers, .. } => {
+                assert_eq!(
+                    headers.iter().collect::<Vec<_>>(),
+                    vec![("content-type", "application/json")]
+                );
             }
             other => panic!("expected content, got {other:?}"),
         }
@@ -640,20 +772,24 @@ mod tests {
         web.register(host);
         let url = Url::parse("https://svc.example.com/").unwrap();
         let (a, b) = match (web.serve(&url), web.serve(&url)) {
-            (
-                ServedPage::Content {
-                    extra_headers: Some(a),
-                    ..
-                },
-                ServedPage::Content {
-                    extra_headers: Some(b),
-                    ..
-                },
-            ) => (a, b),
+            (ServedPage::Content { headers: a, .. }, ServedPage::Content { headers: b, .. }) => {
+                (a, b)
+            }
             other => panic!("expected two content serves, got {other:?}"),
         };
         // Two serves hand out the same shared map, not two copies.
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(a.shares_entries_with(&b));
+        // So do two serves of a path without extras: its static map.
+        let mut plain = SiteHost::new("plain.example.com").unwrap();
+        plain.add_page("/", "plain");
+        web.register(plain);
+        let url = Url::parse("https://plain.example.com/").unwrap();
+        match (web.serve(&url), web.serve(&url)) {
+            (ServedPage::Content { headers: a, .. }, ServedPage::Content { headers: b, .. }) => {
+                assert!(a.shares_entries_with(&b));
+            }
+            other => panic!("expected two content serves, got {other:?}"),
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rws_domain::DomainName;
 use rws_net::{
     Fault, FaultInjector, FaultPlan, FaultScale, FetchPolicy, FetchSession, Fetcher, LatencyModel,
-    NetError, PageContent, RetryPolicy, SimulatedWeb, SiteHost, Url,
+    NetError, PageBody, PageContent, RetryPolicy, SimulatedWeb, SiteHost, Url,
 };
 
 fn dn(s: &str) -> DomainName {
@@ -189,6 +189,53 @@ fn redirect_storm_fault_exhausts_the_redirect_limit() {
         outcome.result,
         Err(NetError::TooManyRedirects { .. })
     ));
+}
+
+#[test]
+fn head_of_a_truncated_page_reports_the_truncated_length() {
+    // A page whose multi-byte characters make the cut snap down to a char
+    // boundary, so the served length differs from the raw per-mille cut.
+    let page = "<html>".to_string() + &"é-ü ".repeat(200) + "</html>";
+    let scale = FaultScale::storm().times(1000);
+    let (name, keep_per_mille) = (0..512)
+        .map(|i| format!("cut{i}.example"))
+        .find_map(
+            |name| match FaultPlan::new(5, scale).fault_at(&dn(&name), 0) {
+                Some(Fault::TruncateBody { keep_per_mille }) => Some((name, keep_per_mille)),
+                _ => None,
+            },
+        )
+        .expect("no truncating host found");
+    let mut web = SimulatedWeb::new();
+    let mut host = SiteHost::new(&name).unwrap();
+    host.add_page("/", page.as_str());
+    web.register(host);
+    let fetcher =
+        Fetcher::new(web).with_fault_injector(FaultInjector::new(FaultPlan::new(5, scale)));
+    let url = Url::parse(&format!("https://{name}/")).unwrap();
+
+    let full = page.len();
+    let served = PageBody::from(page.as_str())
+        .truncated(full * keep_per_mille as usize / 1000)
+        .len();
+    assert!(served < full, "the fault must cut the page");
+
+    let head = fetcher.head_with(&url, &mut FetchSession::new(1, "cut"));
+    let head = head.result.expect("a truncated page is still served");
+    assert!(head.body.is_empty());
+    assert_eq!(
+        head.headers.get("content-length"),
+        Some(served.to_string().as_str())
+    );
+    // GET in the same window serves exactly that many bytes.
+    let get = fetcher.get_with(&url, &mut FetchSession::new(1, "cut"));
+    assert_eq!(get.result.expect("served").body.len(), served);
+    // Without the fault, HEAD reports the whole page.
+    let plain = fetcher.head(&url).unwrap();
+    assert_eq!(
+        plain.headers.get("content-length"),
+        Some(full.to_string().as_str())
+    );
 }
 
 proptest! {

@@ -12,14 +12,19 @@
 //! * serving is zero-copy: a fetched `Response.body` shares its buffer
 //!   with the interned page registered at build time;
 //! * the no-op freeze fast path is pinned by pointer equality — an empty
-//!   overlay hands back the *same* store.
+//!   overlay hands back the *same* store;
+//! * the prebuilt response headers are the ones a map built per fetch
+//!   would hold: `get` and `head` answer with the status, headers, body
+//!   and latency of a reference model that applies the extras, then the
+//!   content's `content-type`, plus `content-length` on HEAD.
 
 use proptest::prelude::*;
 use rws_domain::DomainName;
 use rws_net::{
-    Fetcher, FrozenWeb, LatencyModel, PageContent, ServedPage, SimulatedWeb, SiteHost, StatusCode,
-    Url,
+    FetchPolicy, Fetcher, FrozenWeb, LatencyModel, PageBody, PageContent, ServedPage, SimulatedWeb,
+    SiteHost, StatusCode, Url,
 };
+use std::collections::BTreeMap;
 
 /// One generated page: a path and what it serves.
 #[derive(Debug, Clone)]
@@ -260,4 +265,323 @@ fn empty_overlay_freeze_returns_the_same_store() {
     let first = web.freeze();
     assert_eq!(first.host_count(), 1);
     assert!(first.ptr_eq(&web.freeze()));
+}
+
+/// Paths the header contract registers pages and headers on, so a header
+/// often lands on its path before the page and often after it.
+const HEADER_PATHS: [&str; 4] = ["/", "/a", "/b", "/c"];
+
+/// Extra header names: one the content never sets, the two it may
+/// collide with, and the one a 3xx error page follows.
+const HEADER_NAMES: [&str; 4] = ["X-Robots-Tag", "Content-Type", "Content-Length", "Location"];
+
+/// One registration on a host, in order.
+#[derive(Debug, Clone)]
+enum HostOp {
+    /// `add_content(HEADER_PATHS[path], content)`.
+    Content(usize, PageContent),
+    /// `add_header(HEADER_PATHS[path], HEADER_NAMES[name], value)`.
+    Header(usize, usize, String),
+}
+
+/// Content over every kind, bodies up to a few kilobytes (so latency
+/// crosses per-kilobyte steps), 3xx error pages included.
+fn served_content_strategy() -> impl Strategy<Value = PageContent> {
+    (0u8..6, "[ -~]{0,64}", 0usize..48, 0usize..4, any::<bool>()).prop_map(
+        |(kind, chunk, repeat, target, flag)| {
+            let body = PageBody::from(chunk.repeat(repeat));
+            match kind {
+                0 => PageContent::Html(body),
+                1 => PageContent::Json(body),
+                2 => PageContent::Text(body),
+                3 => PageContent::Redirect {
+                    location: HEADER_PATHS[target].to_string(),
+                    permanent: flag,
+                },
+                4 => PageContent::Error {
+                    status: StatusCode(if flag { 307 } else { 302 }),
+                    body,
+                },
+                _ => PageContent::Error {
+                    status: if flag {
+                        StatusCode::SERVICE_UNAVAILABLE
+                    } else {
+                        StatusCode::GONE
+                    },
+                    body,
+                },
+            }
+        },
+    )
+}
+
+fn host_op_strategy() -> impl Strategy<Value = HostOp> {
+    (
+        any::<bool>(),
+        0usize..4,
+        served_content_strategy(),
+        0usize..4,
+        "/?[a-z0-9]{1,6}",
+    )
+        .prop_map(|(header, path, content, name, value)| {
+            if header {
+                HostOp::Header(path, name, value)
+            } else {
+                HostOp::Content(path, content)
+            }
+        })
+}
+
+/// A host's registrations as the seed's fetcher saw them: the content of
+/// each path and its extra headers, by lowercase name.
+#[derive(Debug, Clone, Default)]
+struct HostModel {
+    pages: BTreeMap<String, PageContent>,
+    extras: BTreeMap<String, BTreeMap<String, String>>,
+    latency: LatencyModel,
+}
+
+impl HostModel {
+    fn apply(&mut self, host: &mut SiteHost, op: &HostOp) {
+        match op {
+            HostOp::Content(path, content) => {
+                host.add_content(HEADER_PATHS[*path], content.clone());
+                self.pages
+                    .insert(HEADER_PATHS[*path].to_string(), content.clone());
+            }
+            HostOp::Header(path, name, value) => {
+                host.add_header(HEADER_PATHS[*path], HEADER_NAMES[*name], value);
+                self.extras
+                    .entry(HEADER_PATHS[*path].to_string())
+                    .or_default()
+                    .insert(HEADER_NAMES[*name].to_ascii_lowercase(), value.clone());
+            }
+        }
+    }
+}
+
+/// What the reference answers: final URL, status, headers in name order,
+/// body, latency and redirects followed — or the error class.
+type Answer = Result<
+    (
+        String,
+        StatusCode,
+        Vec<(String, String)>,
+        String,
+        u64,
+        usize,
+    ),
+    &'static str,
+>;
+
+/// The reference fetch: a header map built per hop the seed's way (the
+/// extras, then the content's `content-type`, then `content-length` on
+/// HEAD), redirects followed under the default policy.
+fn reference_fetch(model: &BTreeMap<String, HostModel>, start: &Url, head: bool) -> Answer {
+    let policy = FetchPolicy::default();
+    let mut current = start.clone();
+    let mut total = 0;
+    let mut redirects = 0;
+    loop {
+        let host = model.get(current.host.as_str()).ok_or("host-not-found")?;
+        let mut headers = BTreeMap::new();
+        let (status, body, location) = match host.pages.get(current.path.as_ref()) {
+            None => (StatusCode::NOT_FOUND, PageBody::default(), None),
+            Some(content) => {
+                if let Some(extras) = host.extras.get(current.path.as_ref()) {
+                    headers = extras.clone();
+                }
+                let content_type = match content {
+                    PageContent::Html(_) => Some("text/html; charset=utf-8"),
+                    PageContent::Json(_) => Some("application/json"),
+                    PageContent::Text(_) => Some("text/plain; charset=utf-8"),
+                    _ => None,
+                };
+                if let Some(content_type) = content_type {
+                    headers.insert("content-type".to_string(), content_type.to_string());
+                }
+                match content {
+                    PageContent::Html(body) | PageContent::Json(body) | PageContent::Text(body) => {
+                        (StatusCode::OK, body.clone(), None)
+                    }
+                    PageContent::Redirect {
+                        location,
+                        permanent,
+                    } => {
+                        let status = if *permanent {
+                            StatusCode::MOVED_PERMANENTLY
+                        } else {
+                            StatusCode::FOUND
+                        };
+                        (status, PageBody::default(), Some(location.clone()))
+                    }
+                    PageContent::Error { status, body } => (*status, body.clone(), None),
+                }
+            }
+        };
+        total += host.latency.latency_for(body.len());
+        if total > policy.deadline_ms {
+            return Err("timeout");
+        }
+        if status.is_redirect() {
+            if redirects >= policy.max_redirects {
+                return Err("too-many-redirects");
+            }
+            let target = location
+                .or_else(|| headers.get("location").cloned())
+                .unwrap_or_else(|| "/".to_string());
+            current = current.join(&target).map_err(|_| "invalid-url")?;
+            redirects += 1;
+            continue;
+        }
+        let body = if head {
+            headers.insert("content-length".to_string(), body.len().to_string());
+            String::new()
+        } else {
+            body.to_string()
+        };
+        return Ok((
+            current.to_string(),
+            status,
+            headers.into_iter().collect(),
+            body,
+            total,
+            redirects,
+        ));
+    }
+}
+
+/// The fetcher's answer in the reference's shape.
+fn fetched(fetcher: &Fetcher, url: &Url, head: bool) -> Answer {
+    let resp = if head {
+        fetcher.head(url)
+    } else {
+        fetcher.get(url)
+    };
+    match resp {
+        Ok(resp) => Ok((
+            resp.url.to_string(),
+            resp.status,
+            resp.headers
+                .iter()
+                .map(|(n, v)| (n.to_string(), v.to_string()))
+                .collect(),
+            resp.body_text(),
+            resp.latency_ms,
+            resp.redirects_followed,
+        )),
+        Err(err) => Err(err.class()),
+    }
+}
+
+/// Registrations every generated web also carries, so each case covers a
+/// header added before its page and one after, an extra `Content-Type`,
+/// and a 3xx error page that follows its `Location` header.
+fn covered_ops() -> Vec<HostOp> {
+    let html = |text: &str| PageContent::Html(PageBody::from(text));
+    vec![
+        HostOp::Header(1, 0, "noindex".to_string()),
+        HostOp::Content(1, html("header first")),
+        HostOp::Content(2, html("page first")),
+        HostOp::Header(2, 0, "none".to_string()),
+        HostOp::Header(2, 1, "text/x-custom".to_string()),
+        HostOp::Content(
+            3,
+            PageContent::Error {
+                status: StatusCode(307),
+                body: PageBody::from("moved"),
+            },
+        ),
+        HostOp::Header(3, 3, "/b".to_string()),
+        HostOp::Content(0, html("home")),
+    ]
+}
+
+proptest! {
+    /// `get` and `head` through the prebuilt maps ≡ the reference model,
+    /// for every path of arbitrary hosts, including frozen hosts that
+    /// `update_host` later gives a header.
+    #[test]
+    fn fetched_headers_match_the_reference_model(
+        hosts in proptest::collection::vec(
+            (proptest::collection::vec(host_op_strategy(), 0..10), 1u64..200, 0u64..6),
+            0..4,
+        ),
+        late in (0usize..8, host_op_strategy()),
+    ) {
+        let mut hosts: Vec<(Vec<HostOp>, u64, u64)> = hosts;
+        hosts.push((covered_ops(), 40, 2));
+        let mut web = SimulatedWeb::new();
+        let mut model = BTreeMap::new();
+        let mut names = Vec::new();
+        for (i, (ops, base_ms, per_kb_ms)) in hosts.iter().enumerate() {
+            let name = format!("host{i}.example.com");
+            let latency = LatencyModel { base_ms: *base_ms, per_kb_ms: *per_kb_ms };
+            let mut host = SiteHost::new(&name).unwrap();
+            host.set_latency(latency);
+            let mut host_model = HostModel { latency, ..HostModel::default() };
+            for op in ops {
+                host_model.apply(&mut host, op);
+            }
+            web.register(host);
+            model.insert(name.clone(), host_model);
+            names.push(name);
+        }
+        let frozen = web.freeze();
+        let frozen_model = model.clone();
+
+        // Copy-on-write edits of frozen hosts: a generated one on a
+        // generated host, and a header on the covered host's header-first
+        // page.
+        let covered = names.len() - 1;
+        let mut edits = vec![(covered, HostOp::Header(1, 0, "nofollow".to_string()))];
+        if covered > 0 {
+            edits.push((late.0 % covered, late.1));
+        }
+        for (i, op) in &edits {
+            let domain = DomainName::parse(&names[*i]).unwrap();
+            let host_model = model.get_mut(&names[*i]).unwrap();
+            prop_assert!(web.update_host(&domain, |h| host_model.apply(h, op)));
+        }
+
+        let fetcher = Fetcher::new(web);
+        let snapshot = Fetcher::new(SimulatedWeb::from_frozen(frozen));
+        let mut urls: Vec<Url> = names
+            .iter()
+            .flat_map(|name| {
+                HEADER_PATHS
+                    .iter()
+                    .map(move |path| Url::parse(&format!("https://{name}{path}")).unwrap())
+            })
+            .collect();
+        urls.push(Url::parse("https://unregistered.example.com/").unwrap());
+        for url in &urls {
+            for head in [false, true] {
+                let method = if head { "HEAD" } else { "GET" };
+                prop_assert_eq!(
+                    fetched(&fetcher, url, head),
+                    reference_fetch(&model, url, head),
+                    "{} {}", method, url
+                );
+                // The frozen snapshot still serves the maps it was built
+                // with: the edits copied them first.
+                prop_assert_eq!(
+                    fetched(&snapshot, url, head),
+                    reference_fetch(&frozen_model, url, head),
+                    "snapshot {} {}", method, url
+                );
+            }
+        }
+
+        // The covered cases did what they name.
+        let covered_url = |path: &str| Url::parse(&format!("https://{}{path}", names[covered])).unwrap();
+        let first = fetcher.get(&covered_url("/a")).unwrap();
+        prop_assert_eq!(first.headers.get("x-robots-tag"), Some("nofollow"));
+        let typed = fetcher.head(&covered_url("/b")).unwrap();
+        prop_assert_eq!(typed.content_type(), Some("text/html; charset=utf-8"));
+        prop_assert_eq!(typed.headers.get("content-length"), Some("10"));
+        let moved = fetcher.get(&covered_url("/c")).unwrap();
+        prop_assert_eq!(moved.url.path.as_ref(), "/b");
+        prop_assert_eq!(moved.redirects_followed, 1);
+    }
 }

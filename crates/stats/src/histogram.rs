@@ -80,9 +80,15 @@ impl CategoryCounter {
         CategoryCounter::default()
     }
 
-    /// Increment a category by one.
-    pub fn record<S: Into<String>>(&mut self, category: S) {
-        *self.counts.entry(category.into()).or_insert(0) += 1;
+    /// Increment a category by one. The key is looked up by `&str` first,
+    /// so only a category's first record allocates its `String`.
+    pub fn record<S: AsRef<str> + Into<String>>(&mut self, category: S) {
+        match self.counts.get_mut(category.as_ref()) {
+            Some(count) => *count += 1,
+            None => {
+                self.counts.insert(category.into(), 1);
+            }
+        }
     }
 
     /// Count for a category (0 if never recorded).
@@ -166,6 +172,38 @@ mod tests {
         assert_eq!(c.get("missing"), 0);
         assert_eq!(c.total(), 3);
         assert_eq!(c.distinct(), 2);
+    }
+
+    #[test]
+    fn category_counter_records_borrowed_and_owned_keys_alike() {
+        let mut c = CategoryCounter::new();
+        let owned = String::from("timeout");
+        for _ in 0..3 {
+            c.record("timeout");
+        }
+        c.record(owned.clone());
+        c.record(&owned);
+        c.record("connection-refused");
+        c.record(String::from("http-status"));
+        c.record("connection-refused");
+        let pairs: Vec<(&str, u64)> = c.iter().collect();
+        assert_eq!(
+            pairs,
+            vec![
+                ("connection-refused", 2),
+                ("http-status", 1),
+                ("timeout", 5)
+            ]
+        );
+        assert_eq!(c.total(), 8);
+        assert_eq!(
+            c.sorted_by_count(),
+            vec![
+                ("timeout".to_string(), 5),
+                ("connection-refused".to_string(), 2),
+                ("http-status".to_string(), 1),
+            ]
+        );
     }
 
     #[test]
