@@ -607,7 +607,7 @@ fn brand_stem<R: Rng + ?Sized>(rng: &mut R) -> &'static str {
 mod tests {
     use super::*;
     use rws_domain::SiteResolver;
-    use rws_model::{MemberRole, SetValidator, ValidatorConfig};
+    use rws_model::{MemberRole, SetValidator};
     use rws_net::SimulatedWeb;
 
     fn corpus() -> Corpus {
@@ -678,7 +678,6 @@ mod tests {
         let c = corpus();
         let validator = SetValidator::new(
             SimulatedWeb::from_frozen(c.sharded.clone()),
-            ValidatorConfig::default(),
             SiteResolver::embedded(),
         );
         for set in c.list.sets() {

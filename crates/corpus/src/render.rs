@@ -83,9 +83,7 @@ impl RenderArena {
         // the draw here so the streams stay aligned.
         let block_count = rng.range_usize(3, 7);
 
-        let brand_hash: u64 = brand.slug.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+        let brand_hash = rws_stats::fnv1a_bytes(brand.slug.as_bytes());
 
         // Head and header chrome, in document order.
         let w = &mut self.buf;

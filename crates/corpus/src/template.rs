@@ -161,9 +161,7 @@ pub fn render_site<R: Rng + ?Sized>(
     // keeps two pages of the *same* brand structurally identical while
     // pushing cross-brand structural similarity down towards the low values
     // the paper measures (Figure 4).
-    let brand_hash: u64 = brand.slug.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let brand_hash = rws_stats::fnv1a_bytes(brand.slug.as_bytes());
     let nav_links: String = (0..(2 + (brand_hash % 4) as usize))
         .map(|i| format!(r#"<a class="{prefix}-nav-link" href="/section{i}">Section {i}</a>"#))
         .collect();

@@ -15,6 +15,7 @@
 
 use crate::error::DomainError;
 use crate::name::DomainName;
+use rws_stats::memo::FnvBuildHasher;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -98,46 +99,13 @@ impl Rule {
     }
 }
 
-/// FNV-1a hasher for trie children: domain labels are short, and the DoS
-/// resistance of SipHash buys nothing against a fixed rule list, so a
-/// multiply-xor hash roughly halves per-label lookup cost.
-#[derive(Debug, Clone, Default)]
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-#[derive(Debug, Clone, Default)]
-struct FnvBuild;
-
-impl std::hash::BuildHasher for FnvBuild {
-    type Hasher = FnvHasher;
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher::default()
-    }
-}
-
 /// One node of the label trie the matcher walks. Children are keyed by
-/// label, walking the host's labels right to left.
+/// label, walking the host's labels right to left. Labels are short and
+/// the rule list is fixed, so the children hash with FNV, not SipHash,
+/// which roughly halves the per-label lookup cost.
 #[derive(Debug, Clone, Default)]
 struct TrieNode {
-    children: HashMap<Box<str>, TrieNode, FnvBuild>,
+    children: HashMap<Box<str>, TrieNode, FnvBuildHasher>,
     /// A normal rule ends exactly at this node.
     normal: bool,
     /// A `*.<path>` wildcard rule hangs off this node: any single label

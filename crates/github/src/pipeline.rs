@@ -2,7 +2,7 @@
 
 use crate::pr::{PrState, PullRequest};
 use rws_domain::SiteResolver;
-use rws_model::{RwsSet, SetValidator, ValidatorConfig};
+use rws_model::{RwsSet, SetValidator};
 use rws_net::SimulatedWeb;
 use rws_stats::rng::Rng;
 use rws_stats::timeseries::Date;
@@ -62,7 +62,7 @@ impl GovernancePipeline {
         resolver: SiteResolver,
     ) -> GovernancePipeline {
         GovernancePipeline {
-            validator: SetValidator::new(web, ValidatorConfig::default(), resolver),
+            validator: SetValidator::new(web, resolver),
             review,
             next_number: 1,
         }

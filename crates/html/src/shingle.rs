@@ -56,12 +56,7 @@ pub fn jaccard<T: Ord + Hash>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
 /// shingle hash. Deterministic across runs and platforms.
 #[inline]
 pub fn hash_token(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    rws_stats::fnv1a_bytes(bytes)
 }
 
 /// Multiplier of the polynomial rolling hash (an arbitrary odd 64-bit

@@ -5,9 +5,11 @@
 //! HTML page must not either: the URL clone inside the fetcher borrows its
 //! path, the response takes the store's static `content-type` map and the
 //! interned body by move, and a HEAD writes its `content-length` into the
-//! map's inline slot. A counting global allocator pins those counts at
-//! zero, and bounds the allocations a whole sequential replay makes per
-//! fetch call.
+//! map's inline slot. A GET that fails because the host is unknown or
+//! refuses must not allocate either: the error moves the URL's host name
+//! in, and nothing is formatted until the error is printed. A counting
+//! global allocator pins those counts at zero, and bounds the allocations
+//! a whole sequential replay makes per fetch call.
 //!
 //! Everything lives in one `#[test]` so the process-global counter is not
 //! polluted by a sibling test thread.
@@ -15,7 +17,7 @@
 use rws_domain::{DomainName, SiteResolver};
 use rws_load::{LoadEngine, LoadScale, LoadTarget};
 use rws_model::RwsList;
-use rws_net::{well_known_path, Fetcher, SimulatedWeb, SiteHost, Url};
+use rws_net::{well_known_path, Fetcher, NetError, SimulatedWeb, SiteHost, Url};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,6 +98,24 @@ fn visits_and_fetch_hops_allocate_within_budget() {
     assert!(head.body.is_empty());
     assert_eq!(head.headers.get("content-length"), Some("30"));
     assert_eq!(head_allocs, 0, "a calm HEAD must not allocate");
+
+    // Failed GETs: an unknown host and a host that refuses.
+    let mut web = tiny_web();
+    let offline = DomainName::parse("beta.com").unwrap();
+    web.update_host(&offline, |h| {
+        h.set_offline(true);
+    });
+    let fetcher = Fetcher::new(web);
+    let unknown = Url::https(&DomainName::parse("nowhere.com").unwrap(), "/");
+    let refused = Url::https(&offline, "/");
+    fetcher.get(&unknown).unwrap_err();
+    fetcher.get(&refused).unwrap_err();
+    let (unknown_allocs, err) = allocs_during(|| fetcher.get(&unknown).unwrap_err());
+    assert!(matches!(err, NetError::HostNotFound { .. }), "{err}");
+    assert_eq!(unknown_allocs, 0, "a host-not-found GET must not allocate");
+    let (refused_allocs, err) = allocs_during(|| fetcher.get(&refused).unwrap_err());
+    assert!(matches!(err, NetError::ConnectionRefused { .. }), "{err}");
+    assert_eq!(refused_allocs, 0, "a refused GET must not allocate");
 
     // A whole sequential replay, per fetch call. The resolver is built
     // first: its PSL tables are set-up, not visit cost.

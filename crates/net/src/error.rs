@@ -1,6 +1,8 @@
 //! Error types for the simulated network layer.
 
 use crate::message::StatusCode;
+use crate::url::Url;
+use rws_domain::DomainName;
 use std::fmt;
 
 /// Failures that the simulated fetcher can report.
@@ -8,6 +10,10 @@ use std::fmt;
 /// These mirror the failure classes the RWS validation bot distinguishes
 /// ("unable to fetch the .well-known JSON file" covers DNS failure,
 /// connection refusal, non-success statuses and malformed payloads alike).
+///
+/// Variants hold the host or URL they concern, not a formatted string: a
+/// failed attempt moves names it already has into the error, and only
+/// [`Display`](fmt::Display) formats them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
     /// The URL string could not be parsed.
@@ -20,42 +26,41 @@ pub enum NetError {
     /// No host with that name is registered in the simulated web.
     HostNotFound {
         /// The host that failed to resolve.
-        host: String,
+        host: DomainName,
     },
     /// The host exists but refused the connection (simulated outage).
     ConnectionRefused {
         /// The unreachable host.
-        host: String,
+        host: DomainName,
     },
     /// The request required HTTPS but the URL (or a redirect target) was
     /// plain HTTP. The RWS submission guidelines forbid non-HTTPS sites.
     HttpsRequired {
         /// The offending URL.
-        url: String,
+        url: Url,
     },
-    /// The server answered with a non-success status when the caller asked
-    /// for success
-    /// ([`Fetcher::get_success_once`](crate::Fetcher::get_success_once));
-    /// the real status is carried rather than erased. Plain
-    /// [`Fetcher::get`](crate::Fetcher::get) returns the
-    /// [`Response`](crate::Response) instead.
+    /// The server answered with a non-success status where the caller
+    /// needed success (the validation bot's `.well-known` fetch); the real
+    /// status is carried rather than erased. The fetcher never builds this
+    /// itself: [`Fetcher::get`](crate::Fetcher::get) returns the
+    /// [`Response`](crate::Response), whatever its status.
     HttpStatus {
         /// The URL that produced the status.
-        url: String,
+        url: Url,
         /// The non-success status the server returned.
         status: StatusCode,
     },
     /// Redirect chain exceeded the fetch policy's limit.
     TooManyRedirects {
         /// The URL that started the chain.
-        start: String,
+        start: Url,
         /// The configured limit.
         limit: usize,
     },
     /// The response body was expected to be JSON but did not parse.
     InvalidJson {
         /// The URL whose body failed to parse.
-        url: String,
+        url: Url,
         /// Parser error message.
         reason: String,
     },
@@ -63,12 +68,13 @@ pub enum NetError {
     /// policy deadline). The deadline covers the *whole* redirect chain, so
     /// the error carries both the URL the chain started from and the hop it
     /// died on — a mid-chain timeout is attributable to the chain, not
-    /// misread as the final hop alone being slow.
+    /// misread as the final hop alone being slow. The chain entry is boxed
+    /// so two URLs do not widen every `Result<Response, NetError>`.
     Timeout {
         /// The URL the fetch started from (the chain entry).
-        start: String,
+        start: Box<Url>,
         /// The hop being fetched when the deadline was exceeded.
-        url: String,
+        url: Url,
         /// Accumulated simulated latency across the chain, in milliseconds.
         latency_ms: u64,
         /// The policy deadline in milliseconds.
@@ -163,25 +169,47 @@ mod tests {
     #[test]
     fn display_messages_are_informative() {
         let e = NetError::HostNotFound {
-            host: "missing.example".into(),
+            host: dn("missing.example"),
         };
-        assert!(e.to_string().contains("missing.example"));
+        assert_eq!(e.to_string(), "host 'missing.example' not found");
         let e = NetError::TooManyRedirects {
-            start: "https://a.example/".into(),
+            start: url("https://a.example/"),
             limit: 5,
         };
-        assert!(e.to_string().contains('5'));
+        assert_eq!(
+            e.to_string(),
+            "more than 5 redirects starting from 'https://a.example/'"
+        );
         let e = NetError::Timeout {
-            start: "https://entry.example/".into(),
-            url: "https://slow.example/".into(),
+            start: Box::new(url("https://entry.example/")),
+            url: url("https://slow.example/"),
             latency_ms: 900,
             deadline_ms: 500,
             redirects_followed: 2,
         };
-        let msg = e.to_string();
-        assert!(msg.contains("900"));
-        assert!(msg.contains("entry.example"), "chain start missing: {msg}");
-        assert!(msg.contains("slow.example"), "fatal hop missing: {msg}");
+        assert_eq!(
+            e.to_string(),
+            "request starting at 'https://entry.example/' timed out at \
+             'https://slow.example/' after 2 redirect(s) (900ms > 500ms deadline)"
+        );
+    }
+
+    fn dn(name: &str) -> DomainName {
+        DomainName::parse(name).unwrap()
+    }
+
+    fn url(input: &str) -> Url {
+        Url::parse(input).unwrap()
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn names_do_not_widen_a_fetch_result() {
+        // The boxed chain entry keeps `Timeout` no wider than the rest.
+        assert_eq!(
+            std::mem::size_of::<Result<crate::Response, NetError>>(),
+            160
+        );
     }
 
     /// One representative of every variant, in declaration order. Adding a
@@ -193,24 +221,26 @@ mod tests {
                 input: "x".into(),
                 reason: "r".into(),
             },
-            NetError::HostNotFound { host: "h".into() },
-            NetError::ConnectionRefused { host: "h".into() },
-            NetError::HttpsRequired { url: "u".into() },
+            NetError::HostNotFound { host: dn("h.com") },
+            NetError::ConnectionRefused { host: dn("h.com") },
+            NetError::HttpsRequired {
+                url: url("http://h.com/"),
+            },
             NetError::HttpStatus {
-                url: "u".into(),
+                url: url("https://h.com/"),
                 status: StatusCode::NOT_FOUND,
             },
             NetError::TooManyRedirects {
-                start: "s".into(),
+                start: url("https://h.com/"),
                 limit: 5,
             },
             NetError::InvalidJson {
-                url: "u".into(),
+                url: url("https://h.com/"),
                 reason: "r".into(),
             },
             NetError::Timeout {
-                start: "s".into(),
-                url: "u".into(),
+                start: Box::new(url("https://h.com/")),
+                url: url("https://h.com/"),
                 latency_ms: 1,
                 deadline_ms: 1,
                 redirects_followed: 0,
@@ -245,12 +275,12 @@ mod tests {
         }
         // The status split within http-status.
         let server_err = NetError::HttpStatus {
-            url: "u".into(),
+            url: url("https://h.com/"),
             status: StatusCode::SERVICE_UNAVAILABLE,
         };
         assert!(server_err.is_retryable());
         let client_err = NetError::HttpStatus {
-            url: "u".into(),
+            url: url("https://h.com/"),
             status: StatusCode::NOT_FOUND,
         };
         assert!(!client_err.is_retryable());

@@ -1,10 +1,14 @@
 //! Deterministic transient-fault injection over the simulated web.
 //!
-//! The live Web the paper's validation bot and crawler face fails
-//! *transiently*: slow hosts, 5xx bursts, refused connections, truncated
-//! JSON, redirect storms. The simulated web models only permanent faults (a
-//! static `offline` flag, a fixed latency model), so this module layers a
-//! [`FaultInjector`] between the fetcher and [`ServedPage`] resolution.
+//! The live Web a browsing client faces fails *transiently*: slow hosts,
+//! 5xx bursts, refused connections, truncated JSON, redirect storms. The
+//! simulated web models only permanent faults (a static `offline` flag, a
+//! fixed latency model), so this module layers a [`FaultInjector`] between
+//! the fetcher and [`ServedPage`] resolution. Only session-aware fetches
+//! ([`Fetcher::get_with`](crate::Fetcher::get_with) and
+//! [`head_with`](crate::Fetcher::head_with)) reach it; the load engine's
+//! clients make those, while plain `get`/`head` (the validation bot, the
+//! crawlers) never see a fault.
 //!
 //! # Determinism
 //!
@@ -16,7 +20,7 @@
 //! ordinal)`:
 //!
 //! * the per-host ordinal lives in a caller-owned [`FetchSession`] — one
-//!   per simulated client or validation run, never shared between clients —
+//!   per simulated client, never shared between clients —
 //!   so a client sees the same fault schedule no matter how it is
 //!   scheduled;
 //! * ordinals are grouped into *burst windows* of
@@ -301,8 +305,8 @@ fn truncate_content(content: PageContent, keep_per_mille: u32) -> PageContent {
 /// fault plan keys on, the derived rng stream backoff jitter draws from,
 /// and the session-wide retry budget.
 ///
-/// One session per independent replay unit (a load client, one validation
-/// run) — **never** shared across clients, or the pooled ≡ sequential
+/// One session per independent replay unit (a load client) — **never**
+/// shared across clients, or the pooled ≡ sequential
 /// equivalence would break the moment faults trigger retries.
 #[derive(Debug, Clone)]
 pub struct FetchSession {

@@ -106,30 +106,23 @@ impl Default for RetryPolicy {
     }
 }
 
-/// What a retrying fetch produced, beyond the result itself: how many
-/// attempts it took and how much simulated backoff accumulated. A result
-/// that needed more than one attempt is *degraded* — correct, but obtained
-/// through transient failure.
+/// What a retrying fetch ([`Fetcher::get_with`], [`Fetcher::head_with`])
+/// produced, beyond the result itself: how many attempts it took and how
+/// much simulated backoff accumulated.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FetchOutcome<T = Response> {
+pub struct FetchOutcome {
     /// The final result (of the last attempt).
-    pub result: Result<T, NetError>,
+    pub result: Result<Response, NetError>,
     /// Attempts made (≥ 1).
     pub attempts: u32,
     /// Total simulated backoff spent between attempts, in milliseconds.
     pub backoff_ms: u64,
 }
 
-impl<T> FetchOutcome<T> {
+impl FetchOutcome {
     /// Retries beyond the first attempt.
     pub fn retries(&self) -> u32 {
         self.attempts.saturating_sub(1)
-    }
-
-    /// True when the fetch succeeded but only after retrying — the
-    /// graceful-degradation signal consumers aggregate.
-    pub fn is_degraded(&self) -> bool {
-        self.result.is_ok() && self.attempts > 1
     }
 }
 
@@ -205,86 +198,46 @@ impl Fetcher {
         self.execute(Method::Head, url, None)
     }
 
-    /// A single session-aware GET attempt: the session's per-host ordinals
-    /// advance, and the installed fault injector (if any) may fault it.
-    fn get_once(&self, url: &Url, session: &mut FetchSession) -> Result<Response, NetError> {
-        self.execute(Method::Get, url, Some(session))
+    /// GET with faults and retries: the session-aware, policy-retrying
+    /// counterpart of [`get`](Fetcher::get).
+    pub fn get_with(&self, url: &Url, session: &mut FetchSession) -> FetchOutcome {
+        self.retrying(Method::Get, url, session)
     }
 
-    /// A single session-aware HEAD attempt.
-    fn head_once(&self, url: &Url, session: &mut FetchSession) -> Result<Response, NetError> {
-        self.execute(Method::Head, url, Some(session))
+    /// HEAD with faults and retries.
+    pub fn head_with(&self, url: &Url, session: &mut FetchSession) -> FetchOutcome {
+        self.retrying(Method::Head, url, session)
     }
 
-    /// A single session-aware success-requiring GET attempt: 5xx (and any
-    /// other non-2xx) surfaces as a retryable-or-not
-    /// [`NetError::HttpStatus`] carrying the real status code, which is
-    /// what lets the retrying path re-check transient server errors.
-    /// (Plain browsing clients instead
-    /// record a 5xx as a served response — browsers do not auto-retry
-    /// pages — so they use [`get_with`](Fetcher::get_with).)
-    pub fn get_success_once(
-        &self,
-        url: &Url,
-        session: &mut FetchSession,
-    ) -> Result<Response, NetError> {
-        let resp = self.get_once(url, session)?;
-        if !resp.status.is_success() {
-            return Err(NetError::HttpStatus {
-                url: resp.url.to_string(),
-                status: resp.status,
-            });
-        }
-        Ok(resp)
-    }
-
-    /// Run `attempt` under this fetcher's [`RetryPolicy`]: retry while the
-    /// error [is retryable](NetError::is_retryable), attempts remain and
-    /// the session's retry budget holds, accumulating simulated backoff
-    /// (with jitter from the session's rng stream) into the returned
+    /// Fetch `url` under this fetcher's [`RetryPolicy`]: each attempt
+    /// advances the session's per-host ordinals (so the installed fault
+    /// injector may fault it), and a failure is retried while the error
+    /// [is retryable](NetError::is_retryable), attempts remain and the
+    /// session's retry budget holds, accumulating simulated backoff (with
+    /// jitter from the session's rng stream) into the returned
     /// [`FetchOutcome`].
-    pub fn retrying<T>(
-        &self,
-        session: &mut FetchSession,
-        mut attempt: impl FnMut(&Fetcher, &mut FetchSession) -> Result<T, NetError>,
-    ) -> FetchOutcome<T> {
+    fn retrying(&self, method: Method, url: &Url, session: &mut FetchSession) -> FetchOutcome {
         let max_attempts = self.retry.max_attempts.max(1);
         let mut attempts = 0u32;
         let mut backoff_ms = 0u64;
         loop {
             attempts += 1;
-            match attempt(self, session) {
-                Ok(value) => {
-                    return FetchOutcome {
-                        result: Ok(value),
-                        attempts,
-                        backoff_ms,
-                    }
-                }
+            let result = self.execute(method, url, Some(&mut *session));
+            let retry = match &result {
+                Ok(_) => false,
                 Err(err) => {
-                    if attempts >= max_attempts || !err.is_retryable() || !session.try_spend_retry()
-                    {
-                        return FetchOutcome {
-                            result: Err(err),
-                            attempts,
-                            backoff_ms,
-                        };
-                    }
-                    backoff_ms += self.retry.backoff_for(attempts, session.rng_mut());
+                    attempts < max_attempts && err.is_retryable() && session.try_spend_retry()
                 }
+            };
+            if !retry {
+                return FetchOutcome {
+                    result,
+                    attempts,
+                    backoff_ms,
+                };
             }
+            backoff_ms += self.retry.backoff_for(attempts, session.rng_mut());
         }
-    }
-
-    /// GET with faults and retries: the session-aware, policy-retrying
-    /// counterpart of [`get`](Fetcher::get).
-    pub fn get_with(&self, url: &Url, session: &mut FetchSession) -> FetchOutcome {
-        self.retrying(session, |fetcher, session| fetcher.get_once(url, session))
-    }
-
-    /// HEAD with faults and retries.
-    pub fn head_with(&self, url: &Url, session: &mut FetchSession) -> FetchOutcome {
-        self.retrying(session, |fetcher, session| fetcher.head_once(url, session))
     }
 
     fn execute(
@@ -299,9 +252,7 @@ impl Fetcher {
 
         loop {
             if self.policy.require_https && !current.is_https() {
-                return Err(NetError::HttpsRequired {
-                    url: current.to_string(),
-                });
+                return Err(NetError::HttpsRequired { url: current });
             }
             self.requests.fetch_add(1, Ordering::Relaxed);
 
@@ -322,19 +273,10 @@ impl Fetcher {
             // dropped.
             let (status, mut headers, body, latency, location) = match served {
                 ServedPage::NoSuchHost => {
-                    return Err(NetError::HostNotFound {
-                        host: current.host.to_string(),
-                    })
+                    return Err(NetError::HostNotFound { host: current.host })
                 }
-                ServedPage::Refused => {
-                    return Err(NetError::ConnectionRefused {
-                        host: current.host.to_string(),
-                    })
-                }
-                ServedPage::TlsUnavailable => {
-                    return Err(NetError::ConnectionRefused {
-                        host: current.host.to_string(),
-                    })
+                ServedPage::Refused | ServedPage::TlsUnavailable => {
+                    return Err(NetError::ConnectionRefused { host: current.host })
                 }
                 ServedPage::Missing { latency } => (
                     StatusCode::NOT_FOUND,
@@ -382,8 +324,8 @@ impl Fetcher {
                 // to the chain (start + hops followed), not just the hop it
                 // happened to die on.
                 return Err(NetError::Timeout {
-                    start: start.to_string(),
-                    url: current.to_string(),
+                    start: Box::new(start.clone()),
+                    url: current,
                     latency_ms: total_latency,
                     deadline_ms: self.policy.deadline_ms,
                     redirects_followed: redirects,
@@ -393,7 +335,7 @@ impl Fetcher {
             if status.is_redirect() {
                 if redirects >= self.policy.max_redirects {
                     return Err(NetError::TooManyRedirects {
-                        start: start.to_string(),
+                        start: start.clone(),
                         limit: self.policy.max_redirects,
                     });
                 }
@@ -551,39 +493,6 @@ mod tests {
             .get(&Url::parse("http://example.com/").unwrap())
             .unwrap_err();
         assert!(matches!(err, NetError::HttpsRequired { .. }));
-    }
-
-    #[test]
-    fn get_success_once_carries_the_real_status() {
-        let fetcher = Fetcher::new(web_with_example());
-        let mut session = FetchSession::new(1, "status");
-        let err = fetcher
-            .get_success_once(
-                &Url::parse("https://example.com/gone").unwrap(),
-                &mut session,
-            )
-            .unwrap_err();
-        match err {
-            NetError::HttpStatus { url, status } => {
-                assert_eq!(status, StatusCode::GONE);
-                assert!(url.contains("/gone"));
-                assert_eq!(err_class_of(status), "http-status");
-            }
-            other => panic!("expected HttpStatus, got {other:?}"),
-        }
-        // Success statuses pass through untouched.
-        let resp = fetcher
-            .get_success_once(&Url::parse("https://example.com/").unwrap(), &mut session)
-            .unwrap();
-        assert!(resp.status.is_success());
-    }
-
-    fn err_class_of(status: StatusCode) -> &'static str {
-        NetError::HttpStatus {
-            url: String::new(),
-            status,
-        }
-        .class()
     }
 
     #[test]

@@ -60,8 +60,8 @@ fn mid_chain_timeout_is_attributed_to_the_chain_not_the_final_hop() {
             // The chain entry and the fatal hop are both carried — a
             // mid-chain timeout is no longer misread as b.com alone being
             // slow.
-            assert!(start.contains("a.com/start"), "start was {start}");
-            assert!(url.contains("b.com/landing"), "fatal hop was {url}");
+            assert_eq!(start.to_string(), "https://a.com/start");
+            assert_eq!(url.to_string(), "https://b.com/landing");
             assert_eq!(latency_ms, 12_000);
             assert_eq!(deadline_ms, 10_000);
             assert_eq!(redirects_followed, 1);
@@ -111,7 +111,6 @@ fn retry_recovers_from_a_transient_refusal() {
     assert!(resp.status.is_success());
     assert!(outcome.attempts > 1, "first attempt must have been refused");
     assert!(outcome.backoff_ms > 0, "backoff must have accumulated");
-    assert!(outcome.is_degraded());
     assert_eq!(outcome.retries(), outcome.attempts - 1);
     assert_eq!(session.retries_spent(), outcome.retries());
 }
@@ -135,7 +134,6 @@ fn zero_retry_budget_fails_on_first_attempt() {
     ));
     assert_eq!(outcome.attempts, 1);
     assert_eq!(outcome.backoff_ms, 0);
-    assert!(!outcome.is_degraded());
 }
 
 #[test]

@@ -44,7 +44,5 @@ pub use json::{list_from_json, list_to_json};
 pub use list::RwsList;
 pub use set::{MemberRole, RwsSet, SetMember};
 pub use snapshot::{ListSnapshot, SnapshotSeries, SubsetCounts};
-pub use validation::{
-    SetValidator, ValidationIssue, ValidationOutcome, ValidationReport, ValidatorConfig,
-};
+pub use validation::{SetValidator, ValidationIssue, ValidationOutcome, ValidationReport};
 pub use well_known::WellKnownFile;

@@ -19,19 +19,17 @@
 //! verifies eTLD+1 status of every member, HTTPS reachability, the
 //! `.well-known` file on every member, its consistency with the submission,
 //! the `X-Robots-Tag` header on service sites, and rationale presence.
+//!
+//! Like the bot, a run makes one plain fetch per check and judges what it
+//! gets: every failure is one of the classes above and fails the
+//! submission. A later push is judged by calling
+//! [`validate`](SetValidator::validate) again.
 
 use crate::set::RwsSet;
 use crate::well_known::WellKnownFile;
 use rws_domain::{DomainName, SiteResolver};
-use rws_net::{
-    well_known_path, FaultInjector, FetchPolicy, FetchSession, Fetcher, NetError, RetryPolicy,
-    SimulatedWeb, Url,
-};
+use rws_net::{well_known_path, FetchPolicy, Fetcher, NetError, SimulatedWeb, Url};
 use serde::{Deserialize, Serialize};
-
-/// Seed for the validator's per-member [`FetchSession`]s: fixed, so a
-/// validation run against a given fault plan replays identically.
-const VALIDATOR_SESSION_SEED: u64 = 0x5641_4C49; // "VALI"
 
 /// One validation failure, tagged with the member it concerns.
 ///
@@ -85,21 +83,6 @@ pub enum ValidationIssue {
         /// Description of the problem.
         detail: String,
     },
-    /// The member's well-known file failed with a *retryable* error even
-    /// after re-checking — a transient failure, distinct from the
-    /// persistent [`WellKnownUnfetchable`](Self::WellKnownUnfetchable)
-    /// class. Only emitted when
-    /// [`ValidatorConfig::recheck_transient`] is on; it degrades the
-    /// verdict instead of failing it outright. Not a Table 3 message: the
-    /// paper's counts see only the persistent classes.
-    WellKnownTransient {
-        /// The member whose file failed transiently.
-        site: DomainName,
-        /// A human-readable description of the last failure.
-        detail: String,
-        /// Fetch attempts made before giving up.
-        attempts: u32,
-    },
 }
 
 impl ValidationIssue {
@@ -120,9 +103,6 @@ impl ValidationIssue {
             ValidationIssue::PrimarySiteNotEtldPlusOne { .. } => "Primary site isn't an eTLD+1",
             ValidationIssue::MissingRationale { .. } => "No rationale for one or more set members",
             ValidationIssue::Other { .. } => "Other",
-            ValidationIssue::WellKnownTransient { .. } => {
-                "Re-check scheduled: .well-known fetch failed transiently"
-            }
         }
     }
 
@@ -136,14 +116,8 @@ impl ValidationIssue {
             | ValidationIssue::AliasSiteNotEtldPlusOne { site }
             | ValidationIssue::PrimarySiteNotEtldPlusOne { site }
             | ValidationIssue::MissingRationale { site }
-            | ValidationIssue::Other { site, .. }
-            | ValidationIssue::WellKnownTransient { site, .. } => site,
+            | ValidationIssue::Other { site, .. } => site,
         }
-    }
-
-    /// True for the transient class that degrades rather than fails.
-    fn is_transient(&self) -> bool {
-        matches!(self, ValidationIssue::WellKnownTransient { .. })
     }
 }
 
@@ -154,18 +128,6 @@ pub enum ValidationOutcome {
     Passed,
     /// At least one check failed.
     Failed,
-    /// Every persistent check passed, but at least one `.well-known` fetch
-    /// failed transiently even after re-checking. The submission is not
-    /// rejected — the bot schedules a re-check — but the verdict is
-    /// distinct from a clean pass *and* from a failure.
-    Degraded,
-}
-
-impl ValidationOutcome {
-    /// True for the transient-failure verdict.
-    pub fn is_degraded(self) -> bool {
-        self == ValidationOutcome::Degraded
-    }
 }
 
 /// The full validation report for one submission.
@@ -183,16 +145,9 @@ pub struct ValidationReport {
 }
 
 impl ValidationReport {
-    /// True if validation passed. A [`Degraded`](ValidationOutcome::Degraded)
-    /// verdict is *not* a pass: the submission awaits a re-check.
+    /// True if validation passed.
     pub fn passed(&self) -> bool {
         self.outcome == ValidationOutcome::Passed
-    }
-
-    /// True if the only failures were transient (see
-    /// [`ValidationOutcome::Degraded`]).
-    pub fn is_degraded(&self) -> bool {
-        self.outcome.is_degraded()
     }
 
     /// The bot-comment labels for every issue, in order.
@@ -204,24 +159,10 @@ impl ValidationReport {
     }
 }
 
-/// Validator configuration. Every check the real bot runs always runs;
-/// the configuration only chooses how `.well-known` failures are judged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ValidatorConfig {
-    /// Distinguish transient from persistent `.well-known` failure: retry
-    /// retryable fetch errors with backoff
-    /// ([`RetryPolicy::standard`]) and report survivors as
-    /// [`ValidationIssue::WellKnownTransient`], degrading the verdict
-    /// instead of failing it. Off by default so the Table 3 governance
-    /// replay counts are unperturbed.
-    pub recheck_transient: bool,
-}
-
 /// The automated set validator.
 pub struct SetValidator {
     resolver: SiteResolver,
     fetcher: Fetcher,
-    config: ValidatorConfig,
 }
 
 impl SetValidator {
@@ -231,24 +172,10 @@ impl SetValidator {
     /// governance pipeline validates hundreds of submissions naming the
     /// same hosts, and one cache answers all of the repeated eTLD+1
     /// questions.
-    pub fn new(web: SimulatedWeb, config: ValidatorConfig, resolver: SiteResolver) -> SetValidator {
-        let mut fetcher = Fetcher::with_policy(web, FetchPolicy::strict());
-        if config.recheck_transient {
-            fetcher = fetcher.with_retry(RetryPolicy::standard());
-        }
+    pub fn new(web: SimulatedWeb, resolver: SiteResolver) -> SetValidator {
         SetValidator {
             resolver,
-            fetcher,
-            config,
-        }
-    }
-
-    /// Install a fault injector on the validator's fetcher — how the
-    /// resilience tests expose the bot to transient weather.
-    pub fn with_fault_injector(self, injector: FaultInjector) -> SetValidator {
-        SetValidator {
-            fetcher: self.fetcher.with_fault_injector(injector),
-            ..self
+            fetcher: Fetcher::with_policy(web, FetchPolicy::strict()),
         }
     }
 
@@ -271,9 +198,6 @@ impl SetValidator {
         let fetches = self.fetcher.requests_issued() - fetches_before;
         let outcome = if issues.is_empty() {
             ValidationOutcome::Passed
-        } else if issues.iter().all(ValidationIssue::is_transient) {
-            // Every failure was transient: degrade, don't reject.
-            ValidationOutcome::Degraded
         } else {
             ValidationOutcome::Failed
         };
@@ -329,55 +253,43 @@ impl SetValidator {
 
     fn check_well_known(&self, set: &RwsSet, issues: &mut Vec<ValidationIssue>) {
         for member in set.domains() {
-            let url = well_known_path(&member);
-            // One session per member (keyed by its name) keeps the fault
-            // schedule a pure function of the member, independent of how
-            // many sets name it or in what order members are checked.
-            let mut session = FetchSession::new(VALIDATOR_SESSION_SEED, member.as_str());
-            // `get_success_once` folds non-success statuses into a
-            // status-carrying NetError — so 5xx answers are retryable for
-            // the bot (it re-checks) even though browsing clients treat
-            // them as served pages — and a JSON parse failure becomes a
-            // retryable `InvalidJson`, covering truncated payloads. The
-            // retry loop is a no-op (one attempt) unless
-            // `recheck_transient` armed the standard retry policy.
-            let outcome = self.fetcher.retrying(&mut session, |fetcher, session| {
-                let resp = fetcher.get_success_once(&url, session)?;
-                // The served JSON is interned UTF-8, so the borrowed
-                // `body_str` fast path parses without re-allocating the
-                // body; the lossy copy only runs for non-UTF-8 bodies.
-                resp.body_str()
-                    .map(WellKnownFile::from_json_str)
-                    .unwrap_or_else(|| WellKnownFile::from_json_str(&resp.body_text()))
-                    .map_err(|err| NetError::InvalidJson {
-                        url: url.to_string(),
-                        reason: err.to_string(),
-                    })
-            });
-            let attempts = outcome.attempts;
-            match outcome.result {
+            match self.fetch_well_known(&member) {
                 Ok(file) => {
                     if !file.matches_submission(set) {
-                        issues.push(ValidationIssue::WellKnownMismatch {
-                            site: member.clone(),
-                        });
+                        issues.push(ValidationIssue::WellKnownMismatch { site: member });
                     }
                 }
-                // Still failing retryably after the re-checks: transient,
-                // degrade instead of rejecting.
-                Err(err) if self.config.recheck_transient && err.is_retryable() => {
-                    issues.push(ValidationIssue::WellKnownTransient {
-                        site: member.clone(),
-                        detail: err.to_string(),
-                        attempts,
-                    })
-                }
                 Err(err) => issues.push(ValidationIssue::WellKnownUnfetchable {
-                    site: member.clone(),
+                    site: member,
                     detail: err.to_string(),
                 }),
             }
         }
+    }
+
+    /// Fetch and parse a member's well-known file. The bot needs a
+    /// success status, so any other answer is an [`NetError::HttpStatus`]
+    /// naming the URL the redirects ended at; a body that does not parse is
+    /// an [`NetError::InvalidJson`] naming the URL asked for.
+    fn fetch_well_known(&self, member: &DomainName) -> Result<WellKnownFile, NetError> {
+        let url = well_known_path(member);
+        let resp = self.fetcher.get(&url)?;
+        if !resp.status.is_success() {
+            return Err(NetError::HttpStatus {
+                url: resp.url,
+                status: resp.status,
+            });
+        }
+        // The served JSON is interned UTF-8, so the borrowed `body_str`
+        // fast path parses without re-allocating the body; the lossy copy
+        // only runs for non-UTF-8 bodies.
+        resp.body_str()
+            .map(WellKnownFile::from_json_str)
+            .unwrap_or_else(|| WellKnownFile::from_json_str(&resp.body_text()))
+            .map_err(|err| NetError::InvalidJson {
+                url,
+                reason: err.to_string(),
+            })
     }
 
     fn check_service_robots(&self, set: &RwsSet, issues: &mut Vec<ValidationIssue>) {
@@ -400,7 +312,7 @@ impl SetValidator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rws_net::SiteHost;
+    use rws_net::{PageContent, SiteHost, StatusCode};
 
     /// Register a member on the simulated web with a correct well-known file
     /// and (optionally) the service-site robots header.
@@ -429,9 +341,9 @@ mod tests {
         set
     }
 
-    /// A validator with the default configuration.
+    /// A validator over `web` with the embedded PSL.
     fn validator_over(web: SimulatedWeb) -> SetValidator {
-        SetValidator::new(web, ValidatorConfig::default(), SiteResolver::embedded())
+        SetValidator::new(web, SiteResolver::embedded())
     }
 
     fn web_for(set: &RwsSet) -> SimulatedWeb {
@@ -584,116 +496,6 @@ mod tests {
         );
     }
 
-    /// The recheck-transient config: transient failures degrade.
-    fn recheck_config() -> ValidatorConfig {
-        ValidatorConfig {
-            recheck_transient: true,
-        }
-    }
-
-    #[test]
-    fn transient_failure_degrades_instead_of_failing() {
-        use rws_net::{FaultInjector, FaultPlan, FaultScale};
-        let set = valid_set();
-        // Every window faults: the re-checks cannot recover, but every
-        // failure is transient, so the verdict is Degraded, not Failed.
-        // (An all-Refuse storm is guaranteed by per_mille 1000 only in
-        // kind distribution; search a seed where every member's early
-        // windows are retryable faults that keep failing.)
-        let plan = FaultPlan::new(
-            7,
-            FaultScale {
-                fault_per_mille: 1000,
-                burst_len: u32::MAX, // one giant window: the fault never clears
-                spike_ms: 60_000,
-            },
-        );
-        let validator =
-            SetValidator::new(web_for(&set), recheck_config(), SiteResolver::embedded())
-                .with_fault_injector(FaultInjector::new(plan));
-        let report = validator.validate(&set);
-        assert!(!report.passed());
-        if report.is_degraded() {
-            assert!(report.issues.iter().all(ValidationIssue::is_transient));
-            assert!(report.issues.iter().any(|i| matches!(
-                i,
-                ValidationIssue::WellKnownTransient { attempts, .. } if *attempts > 1
-            )));
-        } else {
-            // A RedirectStorm window can surface as a non-transient-looking
-            // mismatch only if it somehow produced valid JSON — it cannot.
-            // The only non-degraded outcome is a robots-check `Other` from
-            // the service-site HEAD, which is session-less and unfaulted,
-            // so Failed here means a real bug.
-            panic!("expected Degraded, got {:?}", report.outcome);
-        }
-    }
-
-    #[test]
-    fn recheck_recovers_from_a_single_window_outage() {
-        use rws_net::{Fault, FaultInjector, FaultPlan, FaultScale};
-        let set = valid_set();
-        let members: Vec<DomainName> = set.domains();
-        let scale = FaultScale {
-            fault_per_mille: 400,
-            burst_len: 1, // one-request windows: the first retry escapes
-            spike_ms: 60_000,
-        };
-        // Search for a plan where at least one member's first fetch is
-        // refused but every member's next few ordinals are clear — a
-        // transient outage the re-check rides out.
-        let plan = (0..200_000u64)
-            .map(|seed| FaultPlan::new(seed, scale))
-            .find(|plan| {
-                members
-                    .iter()
-                    .any(|m| plan.fault_at(m, 0) == Some(Fault::Refuse))
-                    && members
-                        .iter()
-                        .all(|m| (1..4).all(|o| plan.fault_at(m, o).is_none()))
-            })
-            .expect("no recovery seed found");
-        let validator =
-            SetValidator::new(web_for(&set), recheck_config(), SiteResolver::embedded())
-                .with_fault_injector(FaultInjector::new(plan));
-        let report = validator.validate(&set);
-        assert!(
-            report.passed(),
-            "re-check should recover: {:?}",
-            report.issues
-        );
-        // The retry cost is visible in the fetch tally: more fetches than
-        // the fault-free validation needs.
-        let baseline = SetValidator::new(web_for(&set), recheck_config(), SiteResolver::embedded())
-            .validate(&set)
-            .fetches;
-        assert!(report.fetches > baseline);
-    }
-
-    #[test]
-    fn recheck_disabled_keeps_transient_failures_terminal() {
-        use rws_net::{FaultInjector, FaultPlan, FaultScale};
-        let set = valid_set();
-        let plan = FaultPlan::new(
-            7,
-            FaultScale {
-                fault_per_mille: 1000,
-                burst_len: u32::MAX,
-                spike_ms: 60_000,
-            },
-        );
-        // Default config: no re-check, no Degraded — the first failure is
-        // terminal and lands in the persistent Table 3 class.
-        let validator = validator_over(web_for(&set)).with_fault_injector(FaultInjector::new(plan));
-        let report = validator.validate(&set);
-        assert_eq!(report.outcome, ValidationOutcome::Failed);
-        assert!(report.issues.iter().any(|i| matches!(
-            i,
-            ValidationIssue::WellKnownUnfetchable { .. } | ValidationIssue::Other { .. }
-        )));
-        assert!(!report.issues.iter().any(ValidationIssue::is_transient));
-    }
-
     #[test]
     fn invalid_json_well_known_is_unfetchable() {
         let set = valid_set();
@@ -703,9 +505,59 @@ mod tests {
         broken.add_json(rws_net::WELL_KNOWN_RWS_PATH, "{not valid json");
         web.register(broken);
         let report = validator_over(web).validate(&set);
-        assert!(report
-            .issues
-            .iter()
-            .any(|i| matches!(i, ValidationIssue::WellKnownUnfetchable { site, .. } if site.as_str() == "bild.de")));
+        assert_eq!(
+            report.issues,
+            vec![ValidationIssue::WellKnownUnfetchable {
+                site: DomainName::parse("bild.de").unwrap(),
+                detail: "body at 'https://bild.de/.well-known/related-website-set.json' is not \
+                         valid JSON: malformed Related Website Sets JSON: expected `\"` at byte 1"
+                    .to_string(),
+            }]
+        );
+    }
+
+    #[test]
+    fn non_success_well_known_names_its_status_and_final_url() {
+        let set = valid_set();
+        let mut web = web_for(&set);
+        let gone = || PageContent::Error {
+            status: StatusCode::GONE,
+            body: "gone".into(),
+        };
+        // autobild.de answers 410 at the well-known path itself.
+        web.update_host(&DomainName::parse("autobild.de").unwrap(), |h| {
+            h.add_content(rws_net::WELL_KNOWN_RWS_PATH, gone());
+        });
+        // bildstatic.de redirects it to a retired file that answers 410:
+        // the detail names where the redirects ended, not the path asked.
+        web.update_host(&DomainName::parse("bildstatic.de").unwrap(), |h| {
+            h.add_content(
+                rws_net::WELL_KNOWN_RWS_PATH,
+                PageContent::Redirect {
+                    location: "/retired.json".to_string(),
+                    permanent: true,
+                },
+            );
+            h.add_content("/retired.json", gone());
+        });
+        let report = validator_over(web).validate(&set);
+        let unfetchable = |site: &str, detail: &str| ValidationIssue::WellKnownUnfetchable {
+            site: DomainName::parse(site).unwrap(),
+            detail: detail.to_string(),
+        };
+        assert_eq!(
+            report.issues,
+            vec![
+                unfetchable(
+                    "autobild.de",
+                    "unexpected HTTP 410 at \
+                     'https://autobild.de/.well-known/related-website-set.json'"
+                ),
+                unfetchable(
+                    "bildstatic.de",
+                    "unexpected HTTP 410 at 'https://bildstatic.de/retired.json'"
+                ),
+            ]
+        );
     }
 }

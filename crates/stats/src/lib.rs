@@ -44,7 +44,7 @@ pub use ecdf::Ecdf;
 pub use histogram::{CategoryCounter, Histogram};
 pub use ks::{ks_two_sample, KsResult};
 pub use latency::LatencyHistogram;
-pub use memo::{fnv1a_of, ShardedMemo};
+pub use memo::{fnv1a_bytes, fnv1a_of, ShardedMemo};
 pub use pool::ThreadPool;
 pub use quantile::{median, percentile, quantile};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};

@@ -31,8 +31,10 @@ pub const SHARD_COUNT: usize = 16;
 /// impl but stays platform-stable (unlike `DefaultHasher`, whose keys are
 /// randomized per process) and an order of magnitude quicker than SipHash
 /// on short keys. The workspace's one FNV: the memo's shard choice, the
-/// classifier's keyword tables, `RwsList`'s member index and the load
-/// target's site table all use it rather than re-rolling the constants.
+/// classifier's keyword tables, `RwsList`'s member index, the load
+/// target's site table and the PSL trie all use it, and raw byte hashes
+/// (shingle tokens, rng stream labels, brand chrome) use [`fnv1a_bytes`],
+/// rather than re-rolling the constants.
 #[derive(Debug, Clone)]
 pub struct FnvHasher(u64);
 
@@ -54,6 +56,7 @@ impl Hasher for FnvHasher {
         self.0
     }
 
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for b in bytes {
             self.0 ^= u64::from(*b);
@@ -67,6 +70,15 @@ impl Hasher for FnvHasher {
 pub fn fnv1a_of<K: Hash + ?Sized>(key: &K) -> u64 {
     let mut hasher = FnvHasher::new();
     key.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The FNV-1a hash of raw bytes (no length or terminator mixed in, unlike
+/// hashing a `str` through [`fnv1a_of`]).
+#[inline]
+pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+    let mut hasher = FnvHasher::new();
+    hasher.write(bytes);
     hasher.finish()
 }
 
@@ -158,6 +170,10 @@ mod tests {
         let mut hasher = FnvHasher::new();
         "site.example".hash(&mut hasher);
         assert_eq!(fnv1a_of(&"site.example"), hasher.finish());
+        // The published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a_bytes(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_bytes(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -164,11 +164,7 @@ impl SplitMix64 {
     /// corpus generator and the survey simulator receive decorrelated
     /// streams from the same top-level seed.
     pub fn derive(&self, label: &str) -> SplitMix64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = crate::memo::fnv1a_bytes(label.as_bytes());
         SplitMix64::new(self.state ^ h.rotate_left(17))
     }
 }

@@ -6,7 +6,7 @@
 
 use rws_browser::{Browser, PromptBehaviour, VendorPolicy};
 use rws_domain::{DomainName, SiteResolver};
-use rws_model::{RwsList, RwsSet, SetValidator, ValidatorConfig, WellKnownFile};
+use rws_model::{RwsList, RwsSet, SetValidator, WellKnownFile};
 use rws_net::{SimulatedWeb, SiteHost, WELL_KNOWN_RWS_PATH};
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
     }
 
     // 3. Run the automated validation the submission bot performs.
-    let validator = SetValidator::new(web, ValidatorConfig::default(), SiteResolver::embedded());
+    let validator = SetValidator::new(web, SiteResolver::embedded());
     let report = validator.validate(&set);
     println!(
         "validation outcome for {}: {:?}",

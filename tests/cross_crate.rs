@@ -8,7 +8,7 @@ use rws_classify::CategoryDatabase;
 use rws_corpus::{CorpusConfig, CorpusGenerator, SiteRole};
 use rws_domain::{DomainName, PublicSuffixList, SiteResolver};
 use rws_engine::EngineContext;
-use rws_model::{list_from_json, list_to_json, SetValidator, ValidatorConfig, WellKnownFile};
+use rws_model::{list_from_json, list_to_json, SetValidator, WellKnownFile};
 use rws_net::{Fetcher, SimulatedWeb, Url, WELL_KNOWN_RWS_PATH};
 
 fn small_corpus(seed: u64) -> rws_corpus::Corpus {
@@ -62,7 +62,6 @@ fn validator_accepts_fully_live_generated_sets_and_rejects_tampered_ones() {
     let corpus = small_corpus(103);
     let validator = SetValidator::new(
         SimulatedWeb::from_frozen(corpus.sharded.clone()),
-        ValidatorConfig::default(),
         SiteResolver::embedded(),
     );
     let mut validated_clean = 0;
