@@ -13,9 +13,10 @@
 //!
 //! Every random draw comes from the client's own rng stream, derived from
 //! `(run seed, client id)` — never from shared state — so a client behaves
-//! identically whether it is interleaved on the event loop, run on a pool
-//! worker, or replayed alone. That independence is what makes the pooled
-//! and sequential aggregate reports equal field for field.
+//! identically whether it runs in a chunk on a pool worker, on a state
+//! re-seeded from the chunk's previous client, or alone. That independence
+//! is what makes the pooled and sequential aggregate reports equal field
+//! for field.
 //!
 //! A client names hosts and sites by the run's [`RunTables`] ids: the
 //! picked host, its open connections and the sites it has visited are
@@ -100,19 +101,35 @@ pub struct ClientState {
 impl ClientState {
     /// Seed a client. The rng stream depends only on `(seed, id)`.
     pub fn new(seed: u64, id: u32, scale: &LoadScale) -> ClientState {
-        let mut buf = [0; LABEL_BYTES];
-        let mut rng = Xoshiro256StarStar::new(seed).derive(label(&mut buf, id, ""));
-        let clock = rng.range_u64(0, scale.ramp_ms.max(1));
-        let visits = rng.poisson(scale.mean_visits.max(1) as f64).max(1);
-        ClientState {
-            accepts_prompts: rng.chance(P_ACCEPTS_PROMPTS),
-            rng,
-            clock,
-            visits_left: visits.min(u32::MAX as u64) as u32,
+        let mut client = ClientState {
+            rng: Xoshiro256StarStar::new(seed),
+            clock: 0,
+            visits_left: 0,
+            accepts_prompts: false,
             visited_sites: Vec::with_capacity(MAX_OPEN_CONNECTIONS),
             connections: Vec::with_capacity(MAX_OPEN_CONNECTIONS),
-            session: FetchSession::new(seed, label(&mut buf, id, "-fetch")),
-        }
+            session: FetchSession::new(seed, ""),
+        };
+        client.restart(seed, id, scale);
+        client
+    }
+
+    /// Re-seed this state as client `id` of the run seeded `seed`: the
+    /// state [`new`](ClientState::new) builds, with no trace of the client
+    /// it held before. The visited-site and connection lists and the fetch
+    /// session's ordinal map keep their capacity, so a chunk that runs its
+    /// clients one after another allocates them once.
+    pub(crate) fn restart(&mut self, seed: u64, id: u32, scale: &LoadScale) {
+        let mut buf = [0; LABEL_BYTES];
+        let mut rng = Xoshiro256StarStar::new(seed).derive(label(&mut buf, id, ""));
+        self.clock = rng.range_u64(0, scale.ramp_ms.max(1));
+        let visits = rng.poisson(scale.mean_visits.max(1) as f64).max(1);
+        self.visits_left = visits.min(u32::MAX as u64) as u32;
+        self.accepts_prompts = rng.chance(P_ACCEPTS_PROMPTS);
+        self.rng = rng;
+        self.visited_sites.clear();
+        self.connections.clear();
+        self.session.restart(seed, label(&mut buf, id, "-fetch"));
     }
 
     /// Where this client currently sits on the simulated clock.
@@ -406,13 +423,9 @@ mod tests {
         );
     }
 
-    /// A vanity entry redirects into the universe: the page the user ends
-    /// up on, so the site marked visited, is the destination's, never the
-    /// entry host's.
-    #[test]
-    fn redirected_visits_land_on_the_destination_site() {
-        use crate::target::LoadTarget;
-        use rws_domain::SiteResolver;
+    /// A three-host universe, one of them behind a `www.` vanity
+    /// redirect.
+    fn three_host_target() -> crate::target::LoadTarget {
         use rws_model::RwsList;
         use rws_net::{SimulatedWeb, SiteHost};
 
@@ -423,7 +436,54 @@ mod tests {
             host.add_page("/about", "<html><body>about</body></html>");
             web.register(host);
         }
-        let target = LoadTarget::from_frozen(web.freeze(), RwsList::default());
+        crate::target::LoadTarget::from_frozen(web.freeze(), RwsList::default())
+    }
+
+    /// A restarted state is the state `new` builds: a client run on the
+    /// buffers of another tallies exactly what it tallies alone.
+    #[test]
+    fn restart_leaves_nothing_of_the_previous_client() {
+        use rws_domain::SiteResolver;
+        use rws_net::{FaultPlan, FaultScale, RetryPolicy};
+
+        let target = three_host_target()
+            .with_faults(FaultPlan::new(5, FaultScale::storm()))
+            .with_retry(RetryPolicy::standard());
+        let tables = RunTables::new(&target, &SiteResolver::embedded());
+        let fetcher = target.fetcher();
+        let scale = LoadScale {
+            clients: 1,
+            mean_visits: 20,
+            think_time_ms: 10,
+            ramp_ms: 1_000,
+        };
+        let mut reused = ClientState::new(3, 0, &scale);
+        while reused.step(&scale, &tables, &fetcher, &mut LoadReport::new()) {}
+        assert!(!reused.visited_sites.is_empty() && !reused.connections.is_empty());
+        for id in 1..8 {
+            reused.restart(3, id, &scale);
+            let mut fresh = ClientState::new(3, id, &scale);
+            assert_eq!(
+                (reused.clock, reused.visits_left, reused.accepts_prompts),
+                (fresh.clock, fresh.visits_left, fresh.accepts_prompts)
+            );
+            let (mut a, mut b) = (LoadReport::new(), LoadReport::new());
+            while reused.step(&scale, &tables, &fetcher, &mut a) {}
+            while fresh.step(&scale, &tables, &fetcher, &mut b) {}
+            assert_eq!(a, b, "client {id}");
+            assert_eq!(reused.visited_sites, fresh.visited_sites);
+            assert_eq!(reused.connections, fresh.connections);
+        }
+    }
+
+    /// A vanity entry redirects into the universe: the page the user ends
+    /// up on, so the site marked visited, is the destination's, never the
+    /// entry host's.
+    #[test]
+    fn redirected_visits_land_on_the_destination_site() {
+        use rws_domain::SiteResolver;
+
+        let target = three_host_target();
         let tables = RunTables::new(&target, &SiteResolver::embedded());
         let fetcher = target.fetcher();
         let browsable_sites: Vec<u32> = (0..tables.browsable_count() as u32)

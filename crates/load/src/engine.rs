@@ -1,4 +1,4 @@
-//! The load engine: chunked event loops fanned out on the pool.
+//! The load engine: client chunks fanned out on the pool.
 
 use crate::client::ClientState;
 use crate::report::LoadReport;
@@ -8,8 +8,6 @@ use rws_domain::SiteResolver;
 use rws_engine::EngineContext;
 use rws_net::Fetcher;
 use rws_stats::supervision::Quarantine;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Clients per pool task. Coarse enough that task dispatch is noise,
 /// fine enough that the pool has parallelism to steal at smoke scale.
@@ -20,12 +18,12 @@ const CHUNK_CLIENTS: u32 = 128;
 /// Two execution paths produce the same [`LoadReport`] field for field:
 ///
 /// * [`run_on`](LoadEngine::run_on) — clients in fixed chunks, each chunk
-///   interleaved on a simulated-clock event loop (a min-heap of next
-///   action times), chunks fanned out on the [`EngineContext`] pool, and
+///   running its clients to completion one after another on one reused
+///   client state, chunks fanned out on the [`EngineContext`] pool, and
 ///   per-chunk partial reports merged with integer arithmetic;
 /// * [`replay_sequential_with`](LoadEngine::replay_sequential_with) — the
-///   oracle: one client at a time, run to completion in a plain loop, no
-///   heap and no pool.
+///   oracle: one freshly built client at a time, run to completion in a
+///   plain loop, no chunks and no pool.
 ///
 /// Equality holds because clients are fully independent (per-client rng
 /// streams, per-client simulated clocks) and every aggregate is an
@@ -62,8 +60,8 @@ impl LoadEngine {
         &self.target
     }
 
-    /// Run the full fleet on the given context: chunked event loops on the
-    /// pool (or inline when the context is sequential), fanned out as one
+    /// Run the full fleet on the given context: client chunks on the pool
+    /// (or inline when the context is sequential), fanned out as one
     /// `"load-chunk"` sweep under the context's supervision policy.
     ///
     /// Each chunk gets its *own* fetcher family and carries its
@@ -100,9 +98,9 @@ impl LoadEngine {
             .collect()
     }
 
-    /// One chunk of clients interleaved on a simulated-clock event loop:
-    /// always advance whichever client acts earliest (ties broken by
-    /// client slot, so the schedule is deterministic).
+    /// One chunk of clients, each run to completion in id order. Clients
+    /// share nothing but the frozen store, so the order changes no tally;
+    /// one state is re-seeded per client, so its buffers are reused.
     fn run_chunk(
         &self,
         seed: u64,
@@ -112,33 +110,21 @@ impl LoadEngine {
         fetcher: &Fetcher,
     ) -> LoadReport {
         let mut report = LoadReport::new();
-        let mut states: Vec<ClientState> = (lo..hi)
-            .map(|id| ClientState::new(seed, id, &self.scale))
-            .collect();
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = states
-            .iter()
-            .enumerate()
-            .map(|(slot, st)| Reverse((st.clock(), slot as u32)))
-            .collect();
-        for st in &states {
+        let mut st = ClientState::new(seed, lo, &self.scale);
+        for id in lo..hi {
+            st.restart(seed, id, &self.scale);
             report.sim_start_ms = report.sim_start_ms.min(st.clock());
-        }
-        while let Some(Reverse((_, slot))) = heap.pop() {
-            let st = &mut states[slot as usize];
-            if st.step(&self.scale, tables, fetcher, &mut report) {
-                heap.push(Reverse((st.clock(), slot)));
-            } else {
-                report.sessions += 1;
-                report.sim_end_ms = report.sim_end_ms.max(st.clock());
-            }
+            while st.step(&self.scale, tables, fetcher, &mut report) {}
+            report.sessions += 1;
+            report.sim_end_ms = report.sim_end_ms.max(st.clock());
         }
         report
     }
 
     /// The property-test oracle: every client replayed to completion one
-    /// at a time against `resolver`, no event loop, no pool. Produces the
-    /// report [`run_on`](Self::run_on) produces on a context with the same
-    /// resolver.
+    /// at a time against `resolver`, each on a state of its own, no chunks,
+    /// no pool. Produces the report [`run_on`](Self::run_on) produces on a
+    /// context with the same resolver.
     pub fn replay_sequential_with(&self, seed: u64, resolver: &SiteResolver) -> LoadReport {
         let tables = RunTables::new(&self.target, resolver);
         let fetcher = self.target.fetcher();

@@ -26,9 +26,9 @@
 //! * a simulated clock: per-response `latency_ms` accumulation, simulated
 //!   connection setup and keep-alive reuse, exponential think time.
 //!
-//! Clients run over a simulated-clock event loop (a binary heap of
-//! next-action times) in fixed chunks fanned out on the pool. All
-//! aggregation is integer arithmetic into a mergeable
+//! Clients run in fixed chunks fanned out on the pool; a chunk runs its
+//! clients one after another, each to completion, on one re-seeded client
+//! state. All aggregation is integer arithmetic into a mergeable
 //! [`LatencyHistogram`](rws_stats::LatencyHistogram) and counter set, so a
 //! pooled run, its sequential twin, and the straight one-client-at-a-time
 //! [`replay_sequential_with`](LoadEngine::replay_sequential_with) oracle produce

@@ -9,13 +9,17 @@
 //! refuses must not allocate either: the error moves the URL's host name
 //! in, and nothing is formatted until the error is printed. A counting
 //! global allocator pins those counts at zero, and bounds the allocations
-//! a whole sequential replay makes per fetch call.
+//! per fetch call of a whole sequential replay and of the chunked run,
+//! calm and under a fault storm. A chunk re-seeds one client state per
+//! client, so its buffers are allocated once per chunk, and a storm
+//! timeout boxes its chain entry only when a redirect moved the fetch.
 //!
 //! Everything lives in one `#[test]` so the process-global counter is not
 //! polluted by a sibling test thread.
 
 use rws_domain::{DomainName, SiteResolver};
-use rws_load::{LoadEngine, LoadScale, LoadTarget};
+use rws_engine::EngineContext;
+use rws_load::{FaultPlan, FaultScale, LoadEngine, LoadScale, LoadTarget, RetryPolicy};
 use rws_model::RwsList;
 use rws_net::{well_known_path, Fetcher, NetError, SimulatedWeb, SiteHost, Url};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -120,16 +124,42 @@ fn visits_and_fetch_hops_allocate_within_budget() {
     // A whole sequential replay, per fetch call. The resolver is built
     // first: its PSL tables are set-up, not visit cost.
     let resolver = SiteResolver::full();
-    let engine = LoadEngine::new(
+    let calm = LoadEngine::new(
         LoadTarget::from_frozen(tiny_web().freeze(), RwsList::default()),
         LoadScale::smoke(),
     );
-    let (replay_allocs, report) = allocs_during(|| engine.replay_sequential_with(7, &resolver));
-    assert!(report.fetch_calls > 1_000, "sanity: the replay fetched");
-    let per_call = replay_allocs as f64 / report.fetch_calls as f64;
+    let (replay_allocs, report) = allocs_during(|| calm.replay_sequential_with(7, &resolver));
+    assert_allocs_per_call("replay", replay_allocs, report.fetch_calls, 0.5);
+
+    // The chunked run on an inline context (which shares that resolver,
+    // already warm), calm and under a fault storm with retries. Plan seed
+    // 5 is one whose storm times out: 182 fetch calls end in a timeout
+    // and more retried attempts time out on the way.
+    let ctx = EngineContext::sequential();
+    let (calm_allocs, calm_report) = allocs_during(|| calm.run_on(7, &ctx));
+    assert_eq!(calm_report, report, "sanity: the run is the replay's");
+    assert_allocs_per_call("calm run", calm_allocs, calm_report.fetch_calls, 0.22);
+    let storm = LoadEngine::new(
+        LoadTarget::from_frozen(tiny_web().freeze(), RwsList::default())
+            .with_faults(FaultPlan::new(5, FaultScale::storm()))
+            .with_retry(RetryPolicy::standard()),
+        LoadScale::smoke(),
+    );
+    let (storm_allocs, storm_report) = allocs_during(|| storm.run_on(7, &ctx));
+    assert!(storm_report.retries > 0, "sanity: the storm faulted");
     assert!(
-        per_call <= 0.5,
-        "replay allocations per fetch call: {per_call:.2} ({replay_allocs} over {} calls)",
-        report.fetch_calls
+        storm_report.errors.get("timeout") > 0,
+        "sanity: the storm timed out"
+    );
+    assert_allocs_per_call("storm run", storm_allocs, storm_report.fetch_calls, 0.36);
+}
+
+/// Fail unless `allocs` over `fetch_calls` stays within `bound` per call.
+fn assert_allocs_per_call(what: &str, allocs: usize, fetch_calls: u64, bound: f64) {
+    assert!(fetch_calls > 1_000, "sanity: the {what} fetched");
+    let per_call = allocs as f64 / fetch_calls as f64;
+    assert!(
+        per_call <= bound,
+        "{what} allocations per fetch call: {per_call:.3} ({allocs} over {fetch_calls} calls, bound {bound})"
     );
 }

@@ -6,10 +6,12 @@
 //! executions must agree **field for field** (`LoadReport` derives a full
 //! `PartialEq`, histogram buckets included):
 //!
-//! * the pooled event-loop run (`run_on` with a pooled context),
+//! * the pooled chunked run (`run_on` with a pooled context),
 //! * its sequential twin (`run_on` with `sequential_twin`),
 //! * the straight one-client-at-a-time oracle (`replay_sequential_with`),
-//!   which shares no event-loop or chunking code with `run_on`.
+//!   which shares no chunking code with `run_on` and builds every client
+//!   afresh — so the agreement also shows that re-seeding a chunk's one
+//!   client state carries nothing from one client to the next.
 
 use proptest::prelude::*;
 use rws_corpus::{CorpusConfig, CorpusGenerator};

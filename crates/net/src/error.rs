@@ -69,10 +69,13 @@ pub enum NetError {
     /// the error carries both the URL the chain started from and the hop it
     /// died on — a mid-chain timeout is attributable to the chain, not
     /// misread as the final hop alone being slow. The chain entry is boxed
-    /// so two URLs do not widen every `Result<Response, NetError>`.
+    /// so two URLs do not widen every `Result<Response, NetError>`, and is
+    /// `None` when no redirect was followed: the chain entry is then `url`
+    /// itself, and the timeout allocates nothing.
     Timeout {
-        /// The URL the fetch started from (the chain entry).
-        start: Box<Url>,
+        /// The URL the fetch started from (the chain entry), when a
+        /// redirect moved the fetch off it.
+        start: Option<Box<Url>>,
         /// The hop being fetched when the deadline was exceeded.
         url: Url,
         /// Accumulated simulated latency across the chain, in milliseconds.
@@ -114,8 +117,9 @@ impl fmt::Display for NetError {
                 redirects_followed,
             } => write!(
                 f,
-                "request starting at '{start}' timed out at '{url}' after \
-                 {redirects_followed} redirect(s) ({latency_ms}ms > {deadline_ms}ms deadline)"
+                "request starting at '{}' timed out at '{url}' after \
+                 {redirects_followed} redirect(s) ({latency_ms}ms > {deadline_ms}ms deadline)",
+                start.as_deref().unwrap_or(url)
             ),
         }
     }
@@ -139,13 +143,17 @@ impl NetError {
 
     /// Whether a retrying fetch path should attempt this request again.
     ///
-    /// The split mirrors the transient fault classes the fault injector
-    /// models: refused connections, deadline timeouts, 5xx answers,
-    /// garbled/truncated JSON payloads and redirect storms can all clear on
-    /// a re-check, while bad URLs, unknown hosts (the frozen store never
-    /// grows a host mid-run), HTTPS-policy violations and non-5xx statuses
-    /// are persistent. The `match` is deliberately total — no `_` arm — so
-    /// adding a variant forces a classification decision here.
+    /// Of the errors the fetcher itself returns, refused connections,
+    /// deadline timeouts and redirect storms can clear on a later attempt
+    /// (the fault injector's refusals, latency spikes and redirect storms),
+    /// while bad URLs, unknown hosts (the frozen store never grows a host
+    /// mid-run) and HTTPS-policy violations are persistent. A 5xx
+    /// `HttpStatus` and `InvalidJson` classify as retryable too, but no
+    /// retrying path meets them: the fetcher never builds either (an
+    /// injected 5xx burst or truncated body is a served
+    /// [`Response`](crate::Response)), and the validation bot, which does,
+    /// makes one attempt. The `match` is deliberately total — no `_` arm —
+    /// so adding a variant forces a classification decision here.
     pub fn is_retryable(&self) -> bool {
         match self {
             NetError::InvalidUrl { .. } => false,
@@ -181,7 +189,7 @@ mod tests {
             "more than 5 redirects starting from 'https://a.example/'"
         );
         let e = NetError::Timeout {
-            start: Box::new(url("https://entry.example/")),
+            start: Some(Box::new(url("https://entry.example/"))),
             url: url("https://slow.example/"),
             latency_ms: 900,
             deadline_ms: 500,
@@ -203,13 +211,15 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_pointer_width = "64")]
     fn names_do_not_widen_a_fetch_result() {
-        // The boxed chain entry keeps `Timeout` no wider than the rest.
-        assert_eq!(
-            std::mem::size_of::<Result<crate::Response, NetError>>(),
-            160
-        );
+        use crate::Response;
+        use std::mem::size_of;
+        // The boxed chain entry keeps `Timeout`, and so every variant, no
+        // wider than a response, so an error never widens the result. The
+        // absolute sizes move with the compiler's layout choices; these
+        // relations do not.
+        assert!(size_of::<NetError>() <= size_of::<Response>());
+        assert!(size_of::<Result<Response, NetError>>() <= size_of::<Response>());
     }
 
     /// One representative of every variant, in declaration order. Adding a
@@ -239,7 +249,7 @@ mod tests {
                 reason: "r".into(),
             },
             NetError::Timeout {
-                start: Box::new(url("https://h.com/")),
+                start: None,
                 url: url("https://h.com/"),
                 latency_ms: 1,
                 deadline_ms: 1,

@@ -32,6 +32,25 @@
 //!
 //! Faults model outages of *live* hosts: `NoSuchHost`, statically offline
 //! and TLS-less answers pass through the injector untouched.
+//!
+//! # What a fetch sees
+//!
+//! A refusal surfaces as [`NetError::ConnectionRefused`], a latency spike
+//! as [`NetError::Timeout`] and a redirect storm that outlasts the policy's
+//! redirect limit as [`NetError::TooManyRedirects`]; those are the failures
+//! the retrying entry points retry. A 5xx burst and a truncated body are
+//! *served*: the fetcher returns the 500/503 or the cut page as a
+//! [`Response`](crate::Response), which a load client tallies in its
+//! `status_5xx`/`status_2xx` counters and never retries. Only the
+//! validation bot turns a status or a payload into
+//! [`NetError::HttpStatus`] or [`NetError::InvalidJson`], and it makes one
+//! attempt.
+//!
+//! [`NetError::ConnectionRefused`]: crate::NetError::ConnectionRefused
+//! [`NetError::Timeout`]: crate::NetError::Timeout
+//! [`NetError::TooManyRedirects`]: crate::NetError::TooManyRedirects
+//! [`NetError::HttpStatus`]: crate::NetError::HttpStatus
+//! [`NetError::InvalidJson`]: crate::NetError::InvalidJson
 
 use crate::headers::HeaderMap;
 use crate::message::StatusCode;
@@ -339,6 +358,17 @@ impl FetchSession {
         }
     }
 
+    /// Re-seed this session as [`with_budget`](FetchSession::with_budget)
+    /// would on `(seed, label)` with the current budget: a fresh rng
+    /// stream, no ordinals and no retries spent. The ordinal map keeps its
+    /// capacity, so a caller running many sessions one after another
+    /// allocates the map once.
+    pub fn restart(&mut self, seed: u64, label: &str) {
+        self.rng = Xoshiro256StarStar::new(seed).derive(label);
+        self.ordinals.clear();
+        self.retries_spent = 0;
+    }
+
     /// The next request ordinal for `host` (0 for the first request), and
     /// advance the counter.
     pub fn next_ordinal(&mut self, host: &DomainName) -> u32 {
@@ -372,6 +402,7 @@ impl FetchSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rws_stats::Rng;
 
     fn dn(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
@@ -560,5 +591,24 @@ mod tests {
         assert!(session.try_spend_retry());
         assert!(!session.try_spend_retry());
         assert_eq!(session.retries_spent(), 2);
+    }
+
+    #[test]
+    fn restart_leaves_a_fresh_session_with_the_same_budget() {
+        let a = dn("a.example");
+        let mut session = FetchSession::with_budget(1, "old", 2);
+        session.next_ordinal(&a);
+        session.next_ordinal(&a);
+        assert!(session.try_spend_retry());
+        session.rng_mut().next_u64();
+
+        session.restart(9, "new");
+        let fresh = FetchSession::with_budget(9, "new", 2);
+        assert_eq!(session.rng, fresh.rng);
+        assert_eq!(session.retries_spent(), 0);
+        assert_eq!(session.next_ordinal(&a), 0);
+        assert!(session.try_spend_retry());
+        assert!(session.try_spend_retry());
+        assert!(!session.try_spend_retry(), "the budget carries over");
     }
 }

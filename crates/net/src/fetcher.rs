@@ -322,9 +322,10 @@ impl Fetcher {
             if total_latency > self.policy.deadline_ms {
                 // The deadline covers the whole chain: attribute the timeout
                 // to the chain (start + hops followed), not just the hop it
-                // happened to die on.
+                // happened to die on. Without a redirect `current` is still
+                // the chain entry, so only a redirected chain boxes `start`.
                 return Err(NetError::Timeout {
-                    start: Box::new(start.clone()),
+                    start: (redirects > 0).then(|| Box::new(start.clone())),
                     url: current,
                     latency_ms: total_latency,
                     deadline_ms: self.policy.deadline_ms,
@@ -564,6 +565,14 @@ mod tests {
         let err = fetcher
             .get(&Url::parse("https://slow.com/").unwrap())
             .unwrap_err();
-        assert!(matches!(err, NetError::Timeout { .. }));
+        // No redirect was followed, so the chain entry is the fatal hop
+        // itself and is not boxed a second time.
+        assert!(
+            matches!(err, NetError::Timeout { start: None, .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().starts_with(
+            "request starting at 'https://slow.com/' timed out at 'https://slow.com/'"
+        ));
     }
 }

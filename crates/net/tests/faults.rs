@@ -60,6 +60,7 @@ fn mid_chain_timeout_is_attributed_to_the_chain_not_the_final_hop() {
             // The chain entry and the fatal hop are both carried — a
             // mid-chain timeout is no longer misread as b.com alone being
             // slow.
+            let start = start.expect("a redirected chain carries its entry");
             assert_eq!(start.to_string(), "https://a.com/start");
             assert_eq!(url.to_string(), "https://b.com/landing");
             assert_eq!(latency_ms, 12_000);
