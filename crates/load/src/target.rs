@@ -6,8 +6,8 @@ use rws_corpus::Corpus;
 use rws_domain::{DomainName, SiteResolver};
 use rws_model::{MemberRole, RwsList};
 use rws_net::{
-    well_known_path, FaultInjector, FaultPlan, FetchPolicy, Fetcher, FrozenWeb, PageContent,
-    RetryPolicy, SimulatedWeb, SiteHost, Url,
+    well_known_path, FaultPlan, FetchPolicy, Fetcher, FrozenWeb, PageContent, RetryPolicy,
+    SimulatedWeb, SiteHost, Url,
 };
 use rws_stats::memo::FnvBuildHasher;
 use std::collections::HashMap;
@@ -130,7 +130,7 @@ impl LoadTarget {
         let web = SimulatedWeb::from_frozen(self.store.clone());
         let fetcher = Fetcher::with_policy(web, FetchPolicy::default()).with_retry(self.retry);
         match self.faults {
-            Some(plan) => fetcher.with_fault_injector(FaultInjector::new(plan)),
+            Some(plan) => fetcher.with_faults(plan),
             None => fetcher,
         }
     }
@@ -307,7 +307,7 @@ fn register_vanity_hosts(web: &mut SimulatedWeb, hosts: &[DomainName]) -> Vec<Do
         host.add_content(
             "/",
             PageContent::Redirect {
-                location: format!("https://{destination}/"),
+                location: format!("https://{destination}/").into(),
                 permanent: i % 2 == 0,
             },
         );

@@ -7,12 +7,15 @@
 //! interned body by move, and a HEAD writes its `content-length` into the
 //! map's inline slot. A GET that fails because the host is unknown or
 //! refuses must not allocate either: the error moves the URL's host name
-//! in, and nothing is formatted until the error is printed. A counting
-//! global allocator pins those counts at zero, and bounds the allocations
-//! per fetch call of a whole sequential replay and of the chunked run,
-//! calm and under a fault storm. A chunk re-seeds one client state per
-//! client, so its buffers are allocated once per chunk, and a storm
-//! timeout boxes its chain entry only when a redirect moved the fetch.
+//! in, and nothing is formatted until the error is printed. Nor must a GET
+//! through an injected redirect storm: the fetcher applies the fault to
+//! the hop's own values and re-requests the URL it holds, building no
+//! target. A counting global allocator pins those counts at zero, and
+//! bounds the allocations per fetch call of a whole sequential replay and
+//! of the chunked run, calm and under two fault storms. A chunk re-seeds
+//! one client state per client, so its buffers are allocated once per
+//! chunk; a served redirect shares its target; and a storm timeout boxes
+//! its chain entry only when a redirect moved the fetch.
 //!
 //! Everything lives in one `#[test]` so the process-global counter is not
 //! polluted by a sibling test thread.
@@ -21,7 +24,9 @@ use rws_domain::{DomainName, SiteResolver};
 use rws_engine::EngineContext;
 use rws_load::{FaultPlan, FaultScale, LoadEngine, LoadScale, LoadTarget, RetryPolicy};
 use rws_model::RwsList;
-use rws_net::{well_known_path, Fetcher, NetError, SimulatedWeb, SiteHost, Url};
+use rws_net::{
+    well_known_path, Fault, FetchSession, Fetcher, NetError, SimulatedWeb, SiteHost, Url,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -121,6 +126,28 @@ fn visits_and_fetch_hops_allocate_within_budget() {
     assert!(matches!(err, NetError::ConnectionRefused { .. }), "{err}");
     assert_eq!(refused_allocs, 0, "a refused GET must not allocate");
 
+    // A GET through a three-hop redirect storm that ends inside the
+    // redirect limit: window 0 of the host is a storm, window 1 is clear.
+    let scale = FaultScale::storm();
+    let plan = (0..100_000u64)
+        .map(|seed| FaultPlan::new(seed, scale))
+        .find(|plan| {
+            plan.fault_at(&host, 0) == Some(Fault::RedirectStorm)
+                && plan.fault_at(&host, scale.burst_len).is_none()
+        })
+        .expect("no storm-then-clear seed found");
+    let fetcher = Fetcher::new(tiny_web()).with_faults(plan);
+    let mut session = FetchSession::new(1, "storm");
+    fetcher.get_with(&page, &mut session).result.unwrap();
+    session.restart(1, "storm");
+    let (storm_allocs, outcome) = allocs_during(|| fetcher.get_with(&page, &mut session));
+    let resp = outcome.result.unwrap();
+    assert_eq!((resp.url, resp.redirects_followed), (page, 3));
+    assert_eq!(
+        storm_allocs, 0,
+        "a GET through a redirect storm must not allocate"
+    );
+
     // A whole sequential replay, per fetch call. The resolver is built
     // first: its PSL tables are set-up, not visit cost.
     let resolver = SiteResolver::full();
@@ -129,7 +156,7 @@ fn visits_and_fetch_hops_allocate_within_budget() {
         LoadScale::smoke(),
     );
     let (replay_allocs, report) = allocs_during(|| calm.replay_sequential_with(7, &resolver));
-    assert_allocs_per_call("replay", replay_allocs, report.fetch_calls, 0.5);
+    assert_allocs_per_call("replay", replay_allocs, report.fetch_calls, 0.4);
 
     // The chunked run on an inline context (which shares that resolver,
     // already warm), calm and under a fault storm with retries. Plan seed
@@ -138,7 +165,7 @@ fn visits_and_fetch_hops_allocate_within_budget() {
     let ctx = EngineContext::sequential();
     let (calm_allocs, calm_report) = allocs_during(|| calm.run_on(7, &ctx));
     assert_eq!(calm_report, report, "sanity: the run is the replay's");
-    assert_allocs_per_call("calm run", calm_allocs, calm_report.fetch_calls, 0.22);
+    assert_allocs_per_call("calm run", calm_allocs, calm_report.fetch_calls, 0.17);
     let storm = LoadEngine::new(
         LoadTarget::from_frozen(tiny_web().freeze(), RwsList::default())
             .with_faults(FaultPlan::new(5, FaultScale::storm()))
@@ -151,7 +178,24 @@ fn visits_and_fetch_hops_allocate_within_budget() {
         storm_report.errors.get("timeout") > 0,
         "sanity: the storm timed out"
     );
-    assert_allocs_per_call("storm run", storm_allocs, storm_report.fetch_calls, 0.36);
+    assert_allocs_per_call("storm run", storm_allocs, storm_report.fetch_calls, 0.25);
+    // Plan seed 2's storm faults without timing out: its allocations are
+    // the faulted hops' own.
+    let storm = LoadEngine::new(
+        LoadTarget::from_frozen(tiny_web().freeze(), RwsList::default())
+            .with_faults(FaultPlan::new(2, FaultScale::storm()))
+            .with_retry(RetryPolicy::standard()),
+        LoadScale::smoke(),
+    );
+    let (storm_allocs, storm_report) = allocs_during(|| storm.run_on(7, &ctx));
+    assert_eq!(storm_report.retries, 0, "sanity: seed 2 retries nothing");
+    assert_ne!(storm_report, calm_report, "sanity: the storm faulted");
+    assert_allocs_per_call(
+        "seed-2 storm run",
+        storm_allocs,
+        storm_report.fetch_calls,
+        0.17,
+    );
 }
 
 /// Fail unless `allocs` over `fetch_calls` stays within `bound` per call.

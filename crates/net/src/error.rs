@@ -145,7 +145,7 @@ impl NetError {
     ///
     /// Of the errors the fetcher itself returns, refused connections,
     /// deadline timeouts and redirect storms can clear on a later attempt
-    /// (the fault injector's refusals, latency spikes and redirect storms),
+    /// (the fault plan's refusals, latency spikes and redirect storms),
     /// while bad URLs, unknown hosts (the frozen store never grows a host
     /// mid-run) and HTTPS-policy violations are persistent. A 5xx
     /// `HttpStatus` and `InvalidJson` classify as retryable too, but no

@@ -2,13 +2,14 @@
 //!
 //! The live Web a browsing client faces fails *transiently*: slow hosts,
 //! 5xx bursts, refused connections, truncated JSON, redirect storms. The
-//! simulated web models only permanent faults (a static `offline` flag, a
-//! fixed latency model), so this module layers a [`FaultInjector`] between
-//! the fetcher and [`ServedPage`] resolution. Only session-aware fetches
-//! ([`Fetcher::get_with`](crate::Fetcher::get_with) and
-//! [`head_with`](crate::Fetcher::head_with)) reach it; the load engine's
-//! clients make those, while plain `get`/`head` (the validation bot, the
-//! crawlers) never see a fault.
+//! simulated web models only permanent faults (a static `offline` flag),
+//! so a [`FaultPlan`] installed on a fetcher
+//! ([`Fetcher::with_faults`](crate::Fetcher::with_faults)) schedules the
+//! transient ones, and the fetcher applies them to each hop it makes. Only
+//! session-aware fetches ([`Fetcher::get_with`](crate::Fetcher::get_with)
+//! and [`head_with`](crate::Fetcher::head_with)) meet a fault; the load
+//! engine's clients make those, while plain `get`/`head` (the validation
+//! bot, the crawlers) never see one.
 //!
 //! # Determinism
 //!
@@ -30,16 +31,26 @@
 //! * retry backoff jitter is drawn from the session's derived rng stream
 //!   (see [`FetchSession::new`]), never from time.
 //!
-//! Faults model outages of *live* hosts: `NoSuchHost`, statically offline
-//! and TLS-less answers pass through the injector untouched.
-//!
 //! # What a fetch sees
 //!
-//! A refusal surfaces as [`NetError::ConnectionRefused`], a latency spike
-//! as [`NetError::Timeout`] and a redirect storm that outlasts the policy's
-//! redirect limit as [`NetError::TooManyRedirects`]; those are the failures
-//! the retrying entry points retry. A 5xx burst and a truncated body are
-//! *served*: the fetcher returns the 500/503 or the cut page as a
+//! Every hop of a session-aware fetch advances the session's ordinal for
+//! its host, then asks the web for the page. Faults model outages of
+//! *live* hosts, so an unknown or statically offline host fails as it
+//! always does. Otherwise the scheduled fault reshapes the hop's status,
+//! headers and body before its simulated latency is priced:
+//!
+//! * a refusal surfaces as [`NetError::ConnectionRefused`];
+//! * a latency spike adds [`FaultScale::spike_ms`] to the hop, which ends
+//!   the fetch in a [`NetError::Timeout`];
+//! * a redirect storm answers 302 and the next hop re-requests the same
+//!   URL, until the window ends or the fetch fails with
+//!   [`NetError::TooManyRedirects`];
+//! * a 5xx burst answers 500 or 503 with no headers and a short body;
+//! * a truncated body keeps a prefix of the page, snapped to a char
+//!   boundary, and a HEAD advertises the cut length.
+//!
+//! The first three are the failures the retrying entry points retry. A
+//! 5xx answer and a cut page are *served*: the fetcher returns them as a
 //! [`Response`](crate::Response), which a load client tallies in its
 //! `status_5xx`/`status_2xx` counters and never retries. Only the
 //! validation bot turns a status or a payload into
@@ -52,17 +63,15 @@
 //! [`NetError::HttpStatus`]: crate::NetError::HttpStatus
 //! [`NetError::InvalidJson`]: crate::NetError::InvalidJson
 
-use crate::headers::HeaderMap;
 use crate::message::StatusCode;
-use crate::url::Url;
-use crate::web::{LatencyModel, PageBody, PageContent, ServedPage};
 use rws_domain::DomainName;
 use rws_stats::memo::FnvBuildHasher;
 use rws_stats::Xoshiro256StarStar;
 use std::collections::HashMap;
 
-/// Default per-session retry budget (see [`FetchSession::with_budget`]).
-pub const DEFAULT_RETRY_BUDGET: u32 = 64;
+/// Retries one session may spend across all its fetches; a failure after
+/// that returns at once.
+const RETRY_BUDGET: u32 = 64;
 
 /// How hostile the injected weather is. Like `LoadScale`: a couple of named
 /// base configurations plus a multiplier.
@@ -74,8 +83,8 @@ pub struct FaultScale {
     /// Consecutive per-host request ordinals covered by one fault decision
     /// (the burst length of a 5xx burst or redirect storm).
     pub burst_len: u32,
-    /// Extra latency a spike adds, in simulated milliseconds. Chosen to
-    /// blow past any reasonable
+    /// Extra latency a spike adds to its hop, in simulated milliseconds.
+    /// Chosen to blow past any reasonable
     /// [`FetchPolicy::deadline_ms`](crate::FetchPolicy::deadline_ms), so
     /// spikes surface as timeouts.
     pub spike_ms: u64,
@@ -129,7 +138,7 @@ pub enum Fault {
     Refuse,
     /// The response arrives, but this much later — past any sane deadline.
     LatencySpike {
-        /// Extra simulated milliseconds added to the host's base latency.
+        /// Extra simulated milliseconds added to the hop's latency.
         extra_ms: u64,
     },
     /// The server answers 500/503 instead of the real content.
@@ -142,7 +151,7 @@ pub enum Fault {
         /// How much of the body survives, in per-mille of its length.
         keep_per_mille: u32,
     },
-    /// The server redirects back to the requested path, storming the
+    /// The server redirects back to the requested URL, storming the
     /// fetcher's redirect limit until the burst window ends.
     RedirectStorm,
 }
@@ -217,112 +226,9 @@ impl FaultPlan {
     }
 }
 
-/// Applies a [`FaultPlan`] to raw [`ServedPage`]s on the fetcher's serve
-/// path. Stateless (the per-host ordinal comes in from the caller's
-/// [`FetchSession`]), so one injector is safely shared by every clone of a
-/// fetcher.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-    /// Pre-interned body for injected 5xx answers, so the fault path does
-    /// not allocate per request.
-    error_body: PageBody,
-}
-
-impl FaultInjector {
-    /// An injector executing the given plan.
-    pub fn new(plan: FaultPlan) -> FaultInjector {
-        FaultInjector {
-            plan,
-            error_body: PageBody::from("injected transient server error"),
-        }
-    }
-
-    /// Overlay the fault (if the plan schedules one for this `(host,
-    /// ordinal)`) onto what the store served. Hosts that do not exist or
-    /// are permanently down keep their permanent behaviour — faults model
-    /// transient outages of live hosts.
-    pub fn apply(&self, url: &Url, ordinal: u32, served: ServedPage) -> ServedPage {
-        let Some(fault) = self.plan.fault_at(&url.host, ordinal) else {
-            return served;
-        };
-        let (content, headers, latency) = match served {
-            ServedPage::Content {
-                content,
-                headers,
-                latency,
-            } => (Some(content), headers, latency),
-            ServedPage::Missing { latency } => (None, HeaderMap::new(), latency),
-            permanent => return permanent,
-        };
-        let rebuild =
-            |content: Option<PageContent>, headers: HeaderMap, latency: LatencyModel| match content
-            {
-                Some(content) => ServedPage::Content {
-                    content,
-                    headers,
-                    latency,
-                },
-                None => ServedPage::Missing { latency },
-            };
-        match fault {
-            Fault::Refuse => ServedPage::Refused,
-            Fault::LatencySpike { extra_ms } => {
-                let latency = LatencyModel {
-                    base_ms: latency.base_ms.saturating_add(extra_ms),
-                    ..latency
-                };
-                rebuild(content, headers, latency)
-            }
-            Fault::ServerError { status } => ServedPage::Content {
-                content: PageContent::Error {
-                    status,
-                    body: self.error_body.clone(),
-                },
-                headers: HeaderMap::new(),
-                latency,
-            },
-            Fault::TruncateBody { keep_per_mille } => {
-                let truncated = content.map(|c| truncate_content(c, keep_per_mille));
-                rebuild(truncated, headers, latency)
-            }
-            Fault::RedirectStorm => ServedPage::Content {
-                content: PageContent::Redirect {
-                    // Back to the very path that was asked for: consecutive
-                    // ordinals stay inside the burst window, so the storm
-                    // sustains itself until the window ends or the fetcher
-                    // gives up with too-many-redirects.
-                    location: url.path.to_string(),
-                    permanent: false,
-                },
-                headers: HeaderMap::new(),
-                latency,
-            },
-        }
-    }
-}
-
-/// Cut a body-carrying content short; redirects have no body to damage.
-fn truncate_content(content: PageContent, keep_per_mille: u32) -> PageContent {
-    let cut = |body: &PageBody| {
-        let keep = (body.len() as u64 * u64::from(keep_per_mille) / 1000) as usize;
-        body.truncated(keep)
-    };
-    match content {
-        PageContent::Html(body) => PageContent::Html(cut(&body)),
-        PageContent::Json(body) => PageContent::Json(cut(&body)),
-        PageContent::Text(body) => PageContent::Text(cut(&body)),
-        PageContent::Error { status, body } => PageContent::Error {
-            status,
-            body: cut(&body),
-        },
-        redirect @ PageContent::Redirect { .. } => redirect,
-    }
-}
-
 /// Caller-owned per-session fetch state: the per-host request ordinals the
 /// fault plan keys on, the derived rng stream backoff jitter draws from,
-/// and the session-wide retry budget.
+/// and the retries spent from the session-wide budget of 64.
 ///
 /// One session per independent replay unit (a load client) — **never**
 /// shared across clients, or the pooled ≡ sequential
@@ -335,7 +241,6 @@ pub struct FetchSession {
     /// 64-bit hash collision would merge two hosts' ordinal counters —
     /// still deterministic, just a different schedule.)
     ordinals: HashMap<u64, u32, FnvBuildHasher>,
-    retry_budget: u32,
     retries_spent: u32,
 }
 
@@ -343,26 +248,17 @@ impl FetchSession {
     /// A session whose rng stream is derived from `(seed, label)` — use a
     /// stable per-client label so replays agree.
     pub fn new(seed: u64, label: &str) -> FetchSession {
-        FetchSession::with_budget(seed, label, DEFAULT_RETRY_BUDGET)
-    }
-
-    /// A session with an explicit retry budget: once `budget` retries have
-    /// been spent across the whole session, further failures return
-    /// immediately.
-    pub fn with_budget(seed: u64, label: &str, budget: u32) -> FetchSession {
         FetchSession {
             rng: Xoshiro256StarStar::new(seed).derive(label),
             ordinals: HashMap::default(),
-            retry_budget: budget,
             retries_spent: 0,
         }
     }
 
-    /// Re-seed this session as [`with_budget`](FetchSession::with_budget)
-    /// would on `(seed, label)` with the current budget: a fresh rng
-    /// stream, no ordinals and no retries spent. The ordinal map keeps its
-    /// capacity, so a caller running many sessions one after another
-    /// allocates the map once.
+    /// Re-seed this session as [`new`](FetchSession::new) would on
+    /// `(seed, label)`: a fresh rng stream, no ordinals and no retries
+    /// spent. The ordinal map keeps its capacity, so a caller running many
+    /// sessions one after another allocates the map once.
     pub fn restart(&mut self, seed: u64, label: &str) {
         self.rng = Xoshiro256StarStar::new(seed).derive(label);
         self.ordinals.clear();
@@ -385,7 +281,7 @@ impl FetchSession {
 
     /// Spend one retry from the budget; `false` when the budget is gone.
     pub(crate) fn try_spend_retry(&mut self) -> bool {
-        if self.retries_spent >= self.retry_budget {
+        if self.retries_spent >= RETRY_BUDGET {
             return false;
         }
         self.retries_spent += 1;
@@ -402,6 +298,7 @@ impl FetchSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Fetcher, NetError, RetryPolicy, SimulatedWeb, SiteHost, Url};
     use rws_stats::Rng;
 
     fn dn(s: &str) -> DomainName {
@@ -481,83 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn permanent_failures_pass_through_untouched() {
-        // A plan that faults every window, every kind reachable.
-        let plan = FaultPlan::new(3, FaultScale::storm().times(1000));
-        let injector = FaultInjector::new(plan);
-        let url = Url::parse("https://perm.example/x").unwrap();
-        for ordinal in 0..32 {
-            assert_eq!(
-                injector.apply(&url, ordinal, ServedPage::NoSuchHost),
-                ServedPage::NoSuchHost
-            );
-            assert_eq!(
-                injector.apply(&url, ordinal, ServedPage::Refused),
-                ServedPage::Refused
-            );
-            assert_eq!(
-                injector.apply(&url, ordinal, ServedPage::TlsUnavailable),
-                ServedPage::TlsUnavailable
-            );
-        }
-    }
-
-    #[test]
-    fn every_fault_kind_shapes_served_content_as_documented() {
-        let plan = FaultPlan::new(11, FaultScale::storm().times(1000));
-        let injector = FaultInjector::new(plan);
-        let latency = LatencyModel::default();
-        let body = PageBody::from(r#"{"k": "vvvvvvvvvvvvvvvvvvvvvvvvvvvvvv"}"#);
-        let mut seen = std::collections::HashSet::new();
-        // Distinct hosts draw distinct windows; sweep until every kind of
-        // fault has been observed against live content.
-        for i in 0..512 {
-            let url = Url::parse(&format!("https://kind{i}.example/data.json")).unwrap();
-            let Some(fault) = plan.fault_at(&url.host, 0) else {
-                continue;
-            };
-            let served = ServedPage::Content {
-                content: PageContent::Json(body.clone()),
-                headers: HeaderMap::new(),
-                latency,
-            };
-            let out = injector.apply(&url, 0, served);
-            match fault {
-                Fault::Refuse => assert_eq!(out, ServedPage::Refused),
-                Fault::LatencySpike { extra_ms } => match out {
-                    ServedPage::Content { latency: l, .. } => {
-                        assert_eq!(l.base_ms, latency.base_ms + extra_ms)
-                    }
-                    other => panic!("spike produced {other:?}"),
-                },
-                Fault::ServerError { status } => match out {
-                    ServedPage::Content {
-                        content: PageContent::Error { status: s, .. },
-                        ..
-                    } => assert_eq!(s, status),
-                    other => panic!("server error produced {other:?}"),
-                },
-                Fault::TruncateBody { .. } => match out {
-                    ServedPage::Content {
-                        content: PageContent::Json(b),
-                        ..
-                    } => assert!(b.len() < body.len(), "body not truncated"),
-                    other => panic!("truncate produced {other:?}"),
-                },
-                Fault::RedirectStorm => match out {
-                    ServedPage::Content {
-                        content: PageContent::Redirect { location, .. },
-                        ..
-                    } => assert_eq!(location, "/data.json"),
-                    other => panic!("storm produced {other:?}"),
-                },
-            }
-            seen.insert(std::mem::discriminant(&fault));
-        }
-        assert_eq!(seen.len(), 5, "not every fault kind was exercised");
-    }
-
-    #[test]
     fn session_ordinals_are_per_host_and_order_independent() {
         let a = dn("a.example");
         let b = dn("b.example");
@@ -585,30 +405,52 @@ mod tests {
 
     #[test]
     fn retry_budget_is_spent_then_refused() {
-        let mut session = FetchSession::with_budget(1, "b", 2);
-        assert_eq!(session.retries_spent(), 0);
-        assert!(session.try_spend_retry());
-        assert!(session.try_spend_retry());
-        assert!(!session.try_spend_retry());
-        assert_eq!(session.retries_spent(), 2);
+        // An offline host refuses every attempt, and a refusal is
+        // retryable: each fetch retries until its attempts or the
+        // session's budget run out.
+        let mut web = SimulatedWeb::new();
+        let mut down = SiteHost::new("down.example").unwrap();
+        down.add_page("/", "x").set_offline(true);
+        web.register(down);
+        let fetcher = Fetcher::new(web).with_retry(RetryPolicy::standard());
+        let url = Url::parse("https://down.example/").unwrap();
+        let mut session = FetchSession::new(1, "b");
+        let mut retries = Vec::new();
+        while retries.last() != Some(&0) {
+            let outcome = fetcher.get_with(&url, &mut session);
+            assert!(matches!(
+                outcome.result,
+                Err(NetError::ConnectionRefused { .. })
+            ));
+            retries.push(outcome.retries());
+        }
+        // 21 full ladders of 3 retries, one cut to the last retry, then
+        // none.
+        let mut expected = vec![3; 21];
+        expected.extend([1, 0]);
+        assert_eq!(retries, expected);
+        assert_eq!(session.retries_spent(), 64);
+        assert_eq!(fetcher.get_with(&url, &mut session).attempts, 1);
+        assert_eq!(session.retries_spent(), 64);
     }
 
     #[test]
     fn restart_leaves_a_fresh_session_with_the_same_budget() {
         let a = dn("a.example");
-        let mut session = FetchSession::with_budget(1, "old", 2);
+        let mut session = FetchSession::new(1, "old");
         session.next_ordinal(&a);
         session.next_ordinal(&a);
         assert!(session.try_spend_retry());
         session.rng_mut().next_u64();
 
         session.restart(9, "new");
-        let fresh = FetchSession::with_budget(9, "new", 2);
+        let fresh = FetchSession::new(9, "new");
         assert_eq!(session.rng, fresh.rng);
         assert_eq!(session.retries_spent(), 0);
         assert_eq!(session.next_ordinal(&a), 0);
-        assert!(session.try_spend_retry());
-        assert!(session.try_spend_retry());
-        assert!(!session.try_spend_retry(), "the budget carries over");
+        for _ in 0..64 {
+            assert!(session.try_spend_retry());
+        }
+        assert!(!session.try_spend_retry(), "the budget is 64 again");
     }
 }

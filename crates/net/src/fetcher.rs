@@ -1,14 +1,25 @@
 //! The fetcher client: policy-driven retrieval from the simulated web.
 
 use crate::error::NetError;
-use crate::fault::{FaultInjector, FetchSession};
+use crate::fault::{Fault, FaultPlan, FetchSession};
 use crate::headers::HeaderMap;
 use crate::message::{Method, Response, StatusCode};
 use crate::url::Url;
-use crate::web::{PageContent, ServedPage, SimulatedWeb};
+use crate::web::{PageBody, PageContent, ServedPage, SimulatedWeb};
 use bytes::Bytes;
 use rws_stats::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Simulated cost of one hop before any body arrives (connection and time
+/// to first byte), in milliseconds.
+const HOP_BASE_MS: u64 = 40;
+
+/// Simulated transfer cost of each whole KiB of a hop's served body, in
+/// milliseconds.
+const HOP_PER_KIB_MS: u64 = 2;
+
+/// The body an injected 5xx answers with.
+const SERVER_ERROR_BODY: &str = "injected transient server error";
 
 /// Client-side fetch policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,9 +139,13 @@ impl FetchOutcome {
 
 /// A deterministic HTTP client over a [`SimulatedWeb`] it owns.
 ///
-/// The fetcher counts every request it issues (including redirect hops) on
-/// one relaxed atomic, so it stays `Sync` and experiments can report crawl
-/// sizes without a lock on the load engine's hot path.
+/// Every hop is decided here: the fetcher asks the web for the page,
+/// applies the fault its [`FaultPlan`] schedules (if any), and prices the
+/// hop in simulated time — 40 ms, plus 2 ms per whole KiB of served body,
+/// plus any latency spike. The fetcher counts every request it issues
+/// (including redirect hops) on one relaxed atomic, so it stays `Sync` and
+/// experiments can report crawl sizes without a lock on the load engine's
+/// hot path.
 #[derive(Debug)]
 pub struct Fetcher {
     web: SimulatedWeb,
@@ -139,9 +154,13 @@ pub struct Fetcher {
     requests: AtomicU64,
     /// Injection additionally requires the caller to pass a
     /// [`FetchSession`] (the session-aware entry points), so plain
-    /// `get`/`head` stay on the zero-overhead path even when an injector is
+    /// `get`/`head` stay on the zero-overhead path even when a plan is
     /// installed.
-    faults: Option<FaultInjector>,
+    faults: Option<FaultPlan>,
+    /// The body of an injected 5xx, interned once by
+    /// [`with_faults`](Fetcher::with_faults), so a faulted hop allocates
+    /// nothing.
+    server_error_body: PageBody,
     retry: RetryPolicy,
 }
 
@@ -158,14 +177,17 @@ impl Fetcher {
             policy,
             requests: AtomicU64::new(0),
             faults: None,
+            server_error_body: PageBody::default(),
             retry: RetryPolicy::none(),
         }
     }
 
-    /// Install a fault injector. Faults only fire on session-aware fetches
-    /// ([`get_with`](Fetcher::get_with) and friends).
-    pub fn with_fault_injector(mut self, injector: FaultInjector) -> Fetcher {
-        self.faults = Some(injector);
+    /// Install a fault plan. Faults only fire on session-aware fetches
+    /// ([`get_with`](Fetcher::get_with) and friends); see
+    /// [`crate::fault`] for what each kind does to a hop.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Fetcher {
+        self.faults = Some(plan);
+        self.server_error_body = PageBody::from(SERVER_ERROR_BODY);
         self
     }
 
@@ -211,7 +233,7 @@ impl Fetcher {
 
     /// Fetch `url` under this fetcher's [`RetryPolicy`]: each attempt
     /// advances the session's per-host ordinals (so the installed fault
-    /// injector may fault it), and a failure is retried while the error
+    /// plan may fault it), and a failure is retried while the error
     /// [is retryable](NetError::is_retryable), attempts remain and the
     /// session's retry budget holds, accumulating simulated backoff (with
     /// jitter from the session's rng stream) into the returned
@@ -256,43 +278,34 @@ impl Fetcher {
             }
             self.requests.fetch_add(1, Ordering::Relaxed);
 
-            // The fault overlay fires only when an injector is installed
-            // AND the caller supplied a session (the ordinal source): one
-            // `Option` match per hop otherwise — plain fetches pay nothing.
-            let served = match (&self.faults, session.as_deref_mut()) {
-                (Some(injector), Some(session)) => {
-                    let ordinal = session.next_ordinal(&current.host);
-                    injector.apply(&current, ordinal, self.web.serve(&current))
-                }
-                _ => self.web.serve(&current),
+            // The plan fires only when one is installed AND the caller
+            // supplied a session (the ordinal source): one `Option` match
+            // per hop otherwise — plain fetches pay nothing.
+            let scheduled = match (&self.faults, session.as_deref_mut()) {
+                (Some(plan), Some(session)) => Some((plan, session.next_ordinal(&current.host))),
+                _ => None,
             };
             // The served body and header map move into the response: the
             // body is the interned page's buffer and the map a static or
             // prebuilt one, so the hop copies nothing. `location` is the
-            // target a `Redirect` page names; a redirect hop's headers are
-            // dropped.
-            let (status, mut headers, body, latency, location) = match served {
+            // shared target a `Redirect` page names; a redirect hop's
+            // headers are dropped.
+            let (mut status, mut headers, mut body, mut location) = match self.web.serve(&current) {
                 ServedPage::NoSuchHost => {
                     return Err(NetError::HostNotFound { host: current.host })
                 }
-                ServedPage::Refused | ServedPage::TlsUnavailable => {
+                ServedPage::Refused => {
                     return Err(NetError::ConnectionRefused { host: current.host })
                 }
-                ServedPage::Missing { latency } => (
+                ServedPage::Missing => (
                     StatusCode::NOT_FOUND,
                     HeaderMap::new(),
-                    Bytes::new(),
-                    latency.latency_for(0),
+                    PageBody::default(),
                     None,
                 ),
-                ServedPage::Content {
-                    content,
-                    headers,
-                    latency,
-                } => match content {
-                    PageContent::Html(body) | PageContent::Json(body) | PageContent::Text(body) => {
-                        let lat = latency.latency_for(body.len());
-                        (StatusCode::OK, headers, body.into_bytes(), lat, None)
+                ServedPage::Content { content, headers } => match content {
+                    PageContent::Html(body) | PageContent::Json(body) => {
+                        (StatusCode::OK, headers, body, None)
                     }
                     PageContent::Redirect {
                         location,
@@ -303,22 +316,40 @@ impl Fetcher {
                         } else {
                             StatusCode::FOUND
                         };
-                        (
-                            status,
-                            headers,
-                            Bytes::new(),
-                            latency.latency_for(0),
-                            Some(location),
-                        )
-                    }
-                    PageContent::Error { status, body } => {
-                        let lat = latency.latency_for(body.len());
-                        (status, headers, body.into_bytes(), lat, None)
+                        (status, headers, PageBody::default(), Some(location))
                     }
                 },
             };
 
-            total_latency += latency;
+            // Faults model outages of live hosts, so they reshape only a
+            // hop the host answered.
+            let mut spike_ms = 0;
+            match scheduled.and_then(|(plan, ordinal)| plan.fault_at(&current.host, ordinal)) {
+                None => {}
+                Some(Fault::Refuse) => {
+                    return Err(NetError::ConnectionRefused { host: current.host })
+                }
+                Some(Fault::LatencySpike { extra_ms }) => spike_ms = extra_ms,
+                Some(Fault::ServerError { status: injected }) => {
+                    status = injected;
+                    headers = HeaderMap::new();
+                    body = self.server_error_body.clone();
+                }
+                Some(Fault::TruncateBody { keep_per_mille }) => {
+                    let keep = body.len() as u64 * u64::from(keep_per_mille) / 1000;
+                    body = body.truncated(keep as usize);
+                }
+                // A storm names no target: the next hop re-requests
+                // `current`, so consecutive ordinals stay inside the burst
+                // window until it ends or the redirect limit is reached.
+                Some(Fault::RedirectStorm) => {
+                    status = StatusCode::FOUND;
+                    body = PageBody::default();
+                    location = None;
+                }
+            }
+
+            total_latency += HOP_BASE_MS + HOP_PER_KIB_MS * (body.len() as u64 / 1024) + spike_ms;
             if total_latency > self.policy.deadline_ms {
                 // The deadline covers the whole chain: attribute the timeout
                 // to the chain (start + hops followed), not just the hop it
@@ -340,12 +371,9 @@ impl Fetcher {
                         limit: self.policy.max_redirects,
                     });
                 }
-                // A 3xx error page names no target of its own: it may carry
-                // a `Location` extra header, else it sends the client home.
-                let target = location
-                    .as_deref()
-                    .unwrap_or_else(|| headers.get("location").unwrap_or("/"));
-                current = current.join(target)?;
+                if let Some(target) = location {
+                    current = current.join(&target)?;
+                }
                 redirects += 1;
                 continue;
             }
@@ -357,7 +385,7 @@ impl Fetcher {
                 headers.set_content_length(body.len());
                 Bytes::new()
             } else {
-                body
+                body.into_bytes()
             };
             return Ok(Response {
                 url: current,
@@ -384,22 +412,15 @@ mod tests {
         host.add_content(
             "/old",
             PageContent::Redirect {
-                location: "/".to_string(),
+                location: "/".into(),
                 permanent: true,
             },
         );
         host.add_content(
             "/loop",
             PageContent::Redirect {
-                location: "/loop".to_string(),
+                location: "/loop".into(),
                 permanent: false,
-            },
-        );
-        host.add_content(
-            "/gone",
-            PageContent::Error {
-                status: StatusCode::GONE,
-                body: "gone".into(),
             },
         );
         web.register(host);
@@ -451,34 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn redirect_status_pages_follow_their_location_header() {
-        let mut web = web_with_example();
-        web.update_host(
-            &rws_domain::DomainName::parse("example.com").unwrap(),
-            |h| {
-                let moved = PageContent::Error {
-                    status: StatusCode(307),
-                    body: "moved".into(),
-                };
-                h.add_content("/moved", moved.clone());
-                h.add_header("/moved", "Location", "/data.json");
-                h.add_content("/bare", moved);
-            },
-        );
-        let fetcher = Fetcher::new(web);
-        let resp = fetcher
-            .get(&Url::parse("https://example.com/moved").unwrap())
-            .unwrap();
-        assert_eq!(resp.url.path, "/data.json");
-        assert_eq!(resp.redirects_followed, 1);
-        // Without a `Location` header a redirect status sends the client home.
-        let resp = fetcher
-            .get(&Url::parse("https://example.com/bare").unwrap())
-            .unwrap();
-        assert_eq!(resp.url.path, "/");
-    }
-
-    #[test]
     fn redirect_loops_are_bounded() {
         let fetcher = Fetcher::new(web_with_example());
         let err = fetcher
@@ -526,16 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn error_pages_return_their_status() {
-        let fetcher = Fetcher::new(web_with_example());
-        let resp = fetcher
-            .get(&Url::parse("https://example.com/gone").unwrap())
-            .unwrap();
-        assert_eq!(resp.status, StatusCode::GONE);
-        assert_eq!(resp.body_text(), "gone");
-    }
-
-    #[test]
     fn offline_host_refuses_connection() {
         let mut web = web_with_example();
         web.update_host(
@@ -556,23 +539,158 @@ mod tests {
         let mut web = SimulatedWeb::new();
         let mut host = SiteHost::new("slow.com").unwrap();
         host.add_page("/", "x");
-        host.set_latency(crate::web::LatencyModel {
-            base_ms: 50_000,
-            per_kb_ms: 0,
-        });
         web.register(host);
-        let fetcher = Fetcher::new(web);
+        // One hop costs 40 ms, past a 30 ms deadline.
+        let policy = FetchPolicy {
+            deadline_ms: 30,
+            ..FetchPolicy::default()
+        };
+        let fetcher = Fetcher::with_policy(web, policy);
         let err = fetcher
             .get(&Url::parse("https://slow.com/").unwrap())
             .unwrap_err();
         // No redirect was followed, so the chain entry is the fatal hop
         // itself and is not boxed a second time.
         assert!(
-            matches!(err, NetError::Timeout { start: None, .. }),
+            matches!(
+                err,
+                NetError::Timeout {
+                    start: None,
+                    latency_ms: 40,
+                    ..
+                }
+            ),
             "{err:?}"
         );
         assert!(err.to_string().starts_with(
             "request starting at 'https://slow.com/' timed out at 'https://slow.com/'"
         ));
+    }
+
+    #[test]
+    fn hops_are_priced_by_served_body_size() {
+        let mut web = web_with_example();
+        web.update_host(
+            &rws_domain::DomainName::parse("example.com").unwrap(),
+            |h| {
+                h.add_page("/big", "x".repeat(2 * 1024 + 1023));
+            },
+        );
+        let fetcher = Fetcher::new(web);
+        let latency = |path: &str| {
+            let url = Url::parse(&format!("https://example.com{path}")).unwrap();
+            let get = fetcher.get(&url).unwrap().latency_ms;
+            // HEAD serves no body but is priced by the one GET would get.
+            assert_eq!(fetcher.head(&url).unwrap().latency_ms, get);
+            get
+        };
+        // 40 ms a hop, plus 2 ms per whole KiB of body.
+        assert_eq!(latency("/"), 40);
+        assert_eq!(latency("/big"), 44);
+        assert_eq!(latency("/nope"), 40);
+        // A redirect hop has no body: 40 ms, then the landing page's.
+        assert_eq!(latency("/old"), 80);
+    }
+
+    /// A fetcher over `web` whose plan faults every window of every host,
+    /// with one-hop storms ruled out by a 32-request window.
+    fn faulting_everything(web: SimulatedWeb, seed: u64) -> (Fetcher, FaultPlan) {
+        let plan = FaultPlan::new(
+            seed,
+            crate::FaultScale {
+                fault_per_mille: 1000,
+                burst_len: 32,
+                spike_ms: 60_000,
+            },
+        );
+        (Fetcher::new(web).with_faults(plan), plan)
+    }
+
+    #[test]
+    fn permanent_failures_pass_through_untouched() {
+        let mut web = SimulatedWeb::new();
+        let mut down = SiteHost::new("perm.example").unwrap();
+        down.add_page("/x", "x").set_offline(true);
+        web.register(down);
+        let (fetcher, _) = faulting_everything(web, 3);
+        let down = Url::parse("https://perm.example/x").unwrap();
+        let unknown = Url::parse("https://nowhere.example/x").unwrap();
+        let mut session = FetchSession::new(1, "perm");
+        for _ in 0..32 {
+            let outcome = fetcher.get_with(&unknown, &mut session);
+            assert!(matches!(outcome.result, Err(NetError::HostNotFound { .. })));
+            let outcome = fetcher.get_with(&down, &mut session);
+            assert!(matches!(
+                outcome.result,
+                Err(NetError::ConnectionRefused { .. })
+            ));
+        }
+        // Each attempt still advanced its host's ordinal.
+        assert_eq!(session.next_ordinal(&unknown.host), 32);
+        assert_eq!(session.next_ordinal(&down.host), 32);
+    }
+
+    #[test]
+    fn every_fault_kind_shapes_the_hop_as_documented() {
+        let body = r#"{"k": "vvvvvvvvvvvvvvvvvvvvvvvvvvvvvv"}"#;
+        let mut web = SimulatedWeb::new();
+        for i in 0..512 {
+            let mut host = SiteHost::new(&format!("kind{i}.example")).unwrap();
+            host.add_json("/data.json", body);
+            web.register(host);
+        }
+        let (fetcher, plan) = faulting_everything(web, 11);
+        let mut seen = std::collections::HashSet::new();
+        // Distinct hosts draw distinct windows; sweep until every kind of
+        // fault has been observed against live content.
+        for i in 0..512 {
+            let url = Url::parse(&format!("https://kind{i}.example/data.json")).unwrap();
+            let fault = plan.fault_at(&url.host, 0).expect("every window faults");
+            let outcome = fetcher.get_with(&url, &mut FetchSession::new(1, "kind"));
+            assert_eq!(outcome.attempts, 1, "no retry policy is installed");
+            match (fault, outcome.result) {
+                (Fault::Refuse, Err(NetError::ConnectionRefused { host })) => {
+                    assert_eq!(host, url.host)
+                }
+                (
+                    Fault::LatencySpike { extra_ms },
+                    Err(NetError::Timeout {
+                        start: None,
+                        url: at,
+                        latency_ms,
+                        redirects_followed: 0,
+                        ..
+                    }),
+                ) => {
+                    assert_eq!(at, url);
+                    assert_eq!(latency_ms, HOP_BASE_MS + extra_ms);
+                }
+                (Fault::ServerError { status }, Ok(resp)) => {
+                    assert!(status.is_server_error(), "{status:?}");
+                    assert_eq!(resp.status, status);
+                    assert!(resp.headers.is_empty());
+                    assert_eq!(resp.body_text(), SERVER_ERROR_BODY);
+                    assert_eq!(resp.latency_ms, HOP_BASE_MS);
+                    assert_eq!((resp.url, resp.redirects_followed), (url, 0));
+                }
+                (Fault::TruncateBody { keep_per_mille }, Ok(resp)) => {
+                    let keep = body.len() * keep_per_mille as usize / 1000;
+                    assert_eq!(resp.status, StatusCode::OK);
+                    assert_eq!(resp.content_type(), Some("application/json"));
+                    assert_eq!(resp.body_text(), body[..keep]);
+                    assert!(resp.body.len() < body.len(), "body not truncated");
+                    assert_eq!(resp.latency_ms, HOP_BASE_MS);
+                    assert_eq!((resp.url, resp.redirects_followed), (url, 0));
+                }
+                // The window outlasts the redirect limit: every hop
+                // re-requested the same URL.
+                (Fault::RedirectStorm, Err(NetError::TooManyRedirects { start, limit })) => {
+                    assert_eq!((start, limit), (url, 5));
+                }
+                (fault, other) => panic!("{fault:?} produced {other:?}"),
+            }
+            seen.insert(std::mem::discriminant(&fault));
+        }
+        assert_eq!(seen.len(), 5, "not every fault kind was exercised");
     }
 }

@@ -1,8 +1,6 @@
 //! A case-insensitive HTTP header map with a shared, copy-on-write backing.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
@@ -41,8 +39,8 @@ enum Backing {
 /// pointer copy or a refcount bump; writing to a map copies a shared
 /// backing first and never reaches the maps it was cloned from. A HEAD
 /// response's `content-length` is kept inline, so setting it copies and
-/// allocates nothing. Equality, [`iter`](HeaderMap::iter) and serde see
-/// only the entries, never the backing.
+/// allocates nothing. Equality and [`iter`](HeaderMap::iter) see only the
+/// entries, never the backing.
 #[derive(Clone)]
 pub struct HeaderMap {
     backing: Backing,
@@ -221,35 +219,6 @@ impl fmt::Debug for HeaderMap {
     }
 }
 
-/// The serialised form, `{"entries": {name: value, ...}}`, whatever the
-/// backing.
-#[derive(Serialize, Deserialize)]
-struct WireHeaders {
-    entries: BTreeMap<String, String>,
-}
-
-impl Serialize for HeaderMap {
-    fn serialize(&self) -> serde::Value {
-        WireHeaders {
-            entries: self
-                .iter()
-                .map(|(name, value)| (name.to_string(), value.to_string()))
-                .collect(),
-        }
-        .serialize()
-    }
-}
-
-impl Deserialize for HeaderMap {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let mut map = HeaderMap::new();
-        for (name, value) in WireHeaders::deserialize(value)?.entries {
-            map.set(name, value);
-        }
-        Ok(map)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,21 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let mut h = HeaderMap::new();
-        h.set("content-type", "text/html");
-        h.set("X-Robots-Tag", String::from("noindex"));
-        let json = serde_json::to_string(&h).unwrap();
-        assert_eq!(
-            json,
-            r#"{"entries":{"content-type":"text/html","x-robots-tag":"noindex"}}"#
-        );
-        let back: HeaderMap = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, h);
-        assert_eq!(back.get("X-ROBOTS-TAG"), Some("noindex"));
-    }
-
-    #[test]
     fn iter_is_name_ordered() {
         let mut h = HeaderMap::new();
         h.set("b-header", "2");
@@ -381,9 +335,8 @@ mod tests {
     }
 
     #[test]
-    fn equality_iter_and_serde_ignore_the_backing() {
+    fn equality_and_iter_ignore_the_backing() {
         let maps = backings();
-        let json = serde_json::to_string(&maps[0]).unwrap();
         for map in &maps {
             assert_eq!(map, &maps[0]);
             let pairs: Vec<(&str, &str)> = map.iter().collect();
@@ -391,8 +344,6 @@ mod tests {
                 pairs,
                 vec![("content-type", "text/html"), ("x-robots-tag", "noindex")]
             );
-            assert_eq!(serde_json::to_string(map).unwrap(), json);
-            assert_eq!(serde_json::from_str::<HeaderMap>(&json).unwrap(), *map);
             assert_eq!(format!("{map:?}"), format!("{:?}", maps[0]));
         }
         assert_ne!(maps[0], HeaderMap::from_static(&STATIC_HTML));
@@ -411,10 +362,6 @@ mod tests {
             assert_eq!(
                 names,
                 vec!["content-length", "content-type", "x-robots-tag"]
-            );
-            assert_eq!(
-                serde_json::to_string(&map).unwrap(),
-                serde_json::to_string(&reference).unwrap()
             );
             // A later `set` replaces the inline value, and the inline
             // value replaces a registered entry.

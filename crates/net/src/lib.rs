@@ -12,17 +12,20 @@
 //! * [`Method`]/[`Response`]/[`HeaderMap`]/[`StatusCode`] — an HTTP message
 //!   model sufficient for header- and status-level validation;
 //! * [`SimulatedWeb`] — a registry mapping hosts to [`SiteHost`]s with
-//!   routable paths, redirects, latency and failure injection; page bodies
-//!   are interned ([`PageBody`]) and [`SimulatedWeb::freeze`] snapshots the
-//!   registry into a [`FrozenWeb`], the one frozen page store: a single
-//!   `Arc`-shared host table, lock-free and borrow-friendly to read;
-//! * [`Fetcher`] — a client with redirect following, HTTPS enforcement and
-//!   a request count, which is what the validation bot and corpus crawler use;
-//! * [`FaultPlan`]/[`FaultInjector`] — deterministic transient-fault
-//!   injection (refusals, latency spikes, 5xx bursts, truncated bodies,
-//!   redirect storms) derived purely from `(seed, host, request ordinal)`,
-//!   paired with a [`RetryPolicy`] whose backoff jitter comes from a
-//!   derived rng stream, so fault-and-retry schedules replay identically.
+//!   routable HTML and JSON pages, redirects, extra headers and an outage
+//!   flag; page bodies are interned ([`PageBody`]) and
+//!   [`SimulatedWeb::freeze`] snapshots the registry into a [`FrozenWeb`],
+//!   the one frozen page store: a single `Arc`-shared host table,
+//!   lock-free and borrow-friendly to read;
+//! * [`Fetcher`] — a client with redirect following, HTTPS enforcement, a
+//!   request count and one latency rule for every hop, which is what the
+//!   validation bot, the corpus crawler and the load engine use;
+//! * [`FaultPlan`] — deterministic transient-fault injection (refusals,
+//!   latency spikes, 5xx bursts, truncated bodies, redirect storms)
+//!   derived purely from `(seed, host, request ordinal)` and applied by the
+//!   fetcher to each hop of a session-aware fetch, paired with a
+//!   [`RetryPolicy`] whose backoff jitter comes from a derived rng stream,
+//!   so fault-and-retry schedules replay identically.
 //!
 //! Everything is synchronous and deterministic: "latency" is simulated time
 //! carried on the response, not wall-clock sleeping, so experiments are
@@ -53,11 +56,11 @@ pub mod web;
 pub mod well_known;
 
 pub use error::NetError;
-pub use fault::{Fault, FaultInjector, FaultPlan, FaultScale, FetchSession};
+pub use fault::{Fault, FaultPlan, FaultScale, FetchSession};
 pub use fetcher::{FetchOutcome, FetchPolicy, Fetcher, RetryPolicy};
 pub use headers::HeaderMap;
 pub use message::{Method, Response, StatusCode};
 pub use store::{FrozenWeb, HostTable, StoreStats};
 pub use url::Url;
-pub use web::{LatencyModel, PageBody, PageContent, ServedPage, SimulatedWeb, SiteHost};
+pub use web::{PageBody, PageContent, ServedPage, SimulatedWeb, SiteHost};
 pub use well_known::{well_known_path, WELL_KNOWN_RWS_PATH, X_ROBOTS_TAG};

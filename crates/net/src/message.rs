@@ -3,12 +3,11 @@
 use crate::headers::HeaderMap;
 use crate::url::Url;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// HTTP request method. Only the methods the study's tooling issues are
 /// modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// GET — page fetches, `.well-known` fetches.
     Get,
@@ -26,7 +25,7 @@ impl fmt::Display for Method {
 }
 
 /// An HTTP status code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StatusCode(pub u16);
 
 impl StatusCode {

@@ -12,12 +12,11 @@
 
 use crate::error::NetError;
 use rws_domain::DomainName;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 
 /// URL scheme; the study only ever deals with HTTP(S).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Plain-text HTTP — rejected by the RWS submission guidelines.
     Http,
@@ -36,7 +35,7 @@ impl Scheme {
 }
 
 /// A parsed absolute URL.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Url {
     /// The scheme.
     pub scheme: Scheme,
@@ -287,14 +286,5 @@ mod tests {
             u.join("/b").unwrap().to_string(),
             "https://example.com:444/b"
         );
-    }
-
-    #[test]
-    fn serde_round_trip_owns_the_path() {
-        let u = Url::parse("https://example.com/a/b?x=1").unwrap();
-        let json = serde_json::to_string(&u).unwrap();
-        let back: Url = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, u);
-        assert_eq!(back.to_string(), "https://example.com/a/b?x=1");
     }
 }

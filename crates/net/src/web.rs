@@ -2,10 +2,10 @@
 //!
 //! [`SimulatedWeb`] is the offline stand-in for the live Web the paper's
 //! tooling crawls. Each registered [`SiteHost`] owns a set of paths mapping
-//! to [`PageContent`] (HTML pages, JSON documents, redirects, or error
-//! statuses), a per-host latency model, optional outage and HTTP-only
-//! flags, and per-path extra headers (e.g. `X-Robots-Tag: noindex` on
-//! service sites).
+//! to [`PageContent`] (HTML pages, JSON documents or redirects), an outage
+//! flag, and per-path extra headers (e.g. `X-Robots-Tag: noindex` on
+//! service sites). What a hop costs in simulated time, and which transient
+//! faults it meets, the [`Fetcher`] decides.
 //!
 //! # The frozen page store
 //!
@@ -44,7 +44,6 @@
 //! [`Fetcher`]: crate::Fetcher
 
 use crate::headers::{HeaderEntry, HeaderMap};
-use crate::message::StatusCode;
 use crate::store::{FrozenWeb, HostTable};
 use crate::url::Url;
 use bytes::Bytes;
@@ -53,6 +52,7 @@ use rws_stats::memo::FnvBuildHasher;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned, immutable page body: UTF-8 text backed by a refcounted
 /// [`Bytes`] buffer. Cloning is O(1); [`as_str`](PageBody::as_str) borrows
@@ -98,9 +98,9 @@ impl PageBody {
     }
 
     /// A copy of this body cut to at most `max_len` bytes, snapped *down*
-    /// to a char boundary so the result remains valid UTF-8 (the fault
-    /// injector's truncated-payload fault). Bodies already within the limit
-    /// are shared, not copied.
+    /// to a char boundary so the result remains valid UTF-8 (the injected
+    /// truncated-body fault). Bodies already within the limit are shared,
+    /// not copied.
     pub fn truncated(&self, max_len: usize) -> PageBody {
         if max_len >= self.len() {
             return self.clone();
@@ -194,29 +194,21 @@ impl fmt::Display for PageBody {
 }
 
 /// What a host serves at a particular path. Body-carrying variants hold
-/// interned [`PageBody`]s, so cloning a `PageContent` (e.g. into a
-/// [`ServedPage`]) is a refcount bump, never a page copy.
+/// interned [`PageBody`]s and a redirect shares its target, so cloning a
+/// `PageContent` (e.g. into a [`ServedPage`]) bumps a refcount and never
+/// copies text.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PageContent {
     /// An HTML page served with `Content-Type: text/html`.
     Html(PageBody),
     /// A JSON document served with `Content-Type: application/json`.
     Json(PageBody),
-    /// Plain text.
-    Text(PageBody),
     /// A redirect to another URL or absolute path.
     Redirect {
         /// Redirect target (absolute URL or absolute path).
-        location: String,
+        location: Arc<str>,
         /// Whether to use 301 (permanent) or 302 (found).
         permanent: bool,
-    },
-    /// A fixed non-success status with an optional body.
-    Error {
-        /// The status code to return.
-        status: StatusCode,
-        /// Body text served with the error.
-        body: PageBody,
     },
 }
 
@@ -230,31 +222,22 @@ static JSON_HEADERS: [HeaderEntry; 1] = [(
     Cow::Borrowed("content-type"),
     Cow::Borrowed("application/json"),
 )];
-static TEXT_HEADERS: [HeaderEntry; 1] = [(
-    Cow::Borrowed("content-type"),
-    Cow::Borrowed("text/plain; charset=utf-8"),
-)];
 
 impl PageContent {
     /// The headers this content is served with before any extras: the
-    /// `content-type` of a body kind, nothing for redirects and error
-    /// pages.
+    /// `content-type` of a body kind, nothing for redirects.
     fn standard_headers(&self) -> &'static [HeaderEntry] {
         match self {
             PageContent::Html(_) => &HTML_HEADERS,
             PageContent::Json(_) => &JSON_HEADERS,
-            PageContent::Text(_) => &TEXT_HEADERS,
-            PageContent::Redirect { .. } | PageContent::Error { .. } => &[],
+            PageContent::Redirect { .. } => &[],
         }
     }
 
     /// The interned body, for variants that carry one (redirects do not).
     pub fn body(&self) -> Option<&PageBody> {
         match self {
-            PageContent::Html(body)
-            | PageContent::Json(body)
-            | PageContent::Text(body)
-            | PageContent::Error { body, .. } => Some(body),
+            PageContent::Html(body) | PageContent::Json(body) => Some(body),
             PageContent::Redirect { .. } => None,
         }
     }
@@ -265,38 +248,6 @@ impl PageContent {
             PageContent::Html(body) => Some(body.as_str()),
             _ => None,
         }
-    }
-}
-
-/// Deterministic latency model for a host.
-///
-/// Latency is *simulated*: it is reported on the [`Response`] rather than
-/// slept, so experiments remain fast and reproducible. The model is a base
-/// cost plus a per-kilobyte transfer cost, which is enough to drive fetch
-/// deadlines and the load engine's latency histograms.
-///
-/// [`Response`]: crate::message::Response
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyModel {
-    /// Fixed per-request cost in milliseconds (connection + TTFB).
-    pub base_ms: u64,
-    /// Additional cost per kilobyte of body, in milliseconds.
-    pub per_kb_ms: u64,
-}
-
-impl Default for LatencyModel {
-    fn default() -> Self {
-        LatencyModel {
-            base_ms: 40,
-            per_kb_ms: 2,
-        }
-    }
-}
-
-impl LatencyModel {
-    /// Latency for a response body of `body_len` bytes.
-    pub fn latency_for(&self, body_len: usize) -> u64 {
-        self.base_ms + self.per_kb_ms * (body_len as u64 / 1024)
     }
 }
 
@@ -318,12 +269,8 @@ pub struct SiteHost {
     /// Only paths with extra headers have an entry; every other path
     /// serves its content's static standard map.
     page_headers: HashMap<String, PathHeaders, FnvBuildHasher>,
-    latency: LatencyModel,
     /// If true, connections are refused (simulated outage).
     offline: bool,
-    /// If true, the host only serves plain HTTP (https URLs get redirected
-    /// down to http, which the RWS validation rejects).
-    http_only: bool,
 }
 
 impl SiteHost {
@@ -338,9 +285,7 @@ impl SiteHost {
             host,
             pages: HashMap::default(),
             page_headers: HashMap::default(),
-            latency: LatencyModel::default(),
             offline: false,
-            http_only: false,
         }
     }
 
@@ -393,37 +338,15 @@ impl SiteHost {
         headers.served = served;
     }
 
-    /// Replace the latency model.
-    pub fn set_latency(&mut self, latency: LatencyModel) -> &mut Self {
-        self.latency = latency;
-        self
-    }
-
     /// Mark the host as offline (connections refused).
     pub fn set_offline(&mut self, offline: bool) -> &mut Self {
         self.offline = offline;
         self
     }
 
-    /// Mark the host as HTTP-only (no TLS).
-    pub fn set_http_only(&mut self, http_only: bool) -> &mut Self {
-        self.http_only = http_only;
-        self
-    }
-
     /// Whether the host is currently offline.
     pub fn is_offline(&self) -> bool {
         self.offline
-    }
-
-    /// Whether the host serves only plain HTTP.
-    fn is_http_only(&self) -> bool {
-        self.http_only
-    }
-
-    /// The latency model in force.
-    pub fn latency(&self) -> LatencyModel {
-        self.latency
     }
 
     /// Content registered at `path`, if any.
@@ -471,18 +394,12 @@ impl SiteHost {
         if self.is_offline() {
             return ServedPage::Refused;
         }
-        if url.is_https() && self.is_http_only() {
-            return ServedPage::TlsUnavailable;
-        }
         match self.page(&url.path) {
             Some(content) => ServedPage::Content {
                 headers: self.served_headers(&url.path, content),
                 content: content.clone(),
-                latency: self.latency(),
             },
-            None => ServedPage::Missing {
-                latency: self.latency(),
-            },
+            None => ServedPage::Missing,
         }
     }
 }
@@ -599,13 +516,8 @@ pub enum ServedPage {
     NoSuchHost,
     /// The host is offline.
     Refused,
-    /// The host exists but does not speak TLS, and an https URL was used.
-    TlsUnavailable,
     /// The path is not registered on the host → 404.
-    Missing {
-        /// Host latency model, used to price the 404.
-        latency: LatencyModel,
-    },
+    Missing,
     /// The path resolved to content.
     Content {
         /// What to serve (interned body; cloning bumped a refcount).
@@ -615,8 +527,6 @@ pub enum ServedPage {
         /// shared with the host's definition, never a fresh one; a HEAD
         /// adds `content-length` inline.
         headers: HeaderMap,
-        /// Host latency model.
-        latency: LatencyModel,
     },
 }
 
@@ -664,7 +574,7 @@ mod tests {
         }
         assert!(matches!(
             web.serve(&Url::parse("https://example.com/missing").unwrap()),
-            ServedPage::Missing { .. }
+            ServedPage::Missing
         ));
         assert_eq!(
             web.serve(&Url::parse("https://unknown.com/").unwrap()),
@@ -673,28 +583,19 @@ mod tests {
     }
 
     #[test]
-    fn serve_respects_offline_and_http_only() {
+    fn serve_respects_offline() {
         let mut web = SimulatedWeb::new();
         let mut down = SiteHost::new("down.com").unwrap();
         down.add_page("/", "x").set_offline(true);
         web.register(down);
-        let mut insecure = SiteHost::new("insecure.com").unwrap();
-        insecure.add_page("/", "x").set_http_only(true);
-        web.register(insecure);
-
         assert_eq!(
             web.serve(&Url::parse("https://down.com/").unwrap()),
             ServedPage::Refused
         );
         assert_eq!(
-            web.serve(&Url::parse("https://insecure.com/").unwrap()),
-            ServedPage::TlsUnavailable
+            web.serve(&Url::parse("http://down.com/").unwrap()),
+            ServedPage::Refused
         );
-        // Plain http to the http-only host still works.
-        assert!(matches!(
-            web.serve(&Url::parse("http://insecure.com/").unwrap()),
-            ServedPage::Content { .. }
-        ));
     }
 
     #[test]
@@ -736,12 +637,12 @@ mod tests {
         );
         host.add_header("/", "X-Robots-Tag", "noindex");
         assert_eq!(served(&host).get("x-robots-tag"), Some("noindex"));
-        // An error page sets no `content-type`, so the extra shows.
+        // A redirect sets no `content-type`, so the extra shows.
         host.add_content(
             "/",
-            PageContent::Error {
-                status: StatusCode::GONE,
-                body: "gone".into(),
+            PageContent::Redirect {
+                location: "/elsewhere".into(),
+                permanent: false,
             },
         );
         assert_eq!(served(&host).get("content-type"), Some("text/x-custom"));
@@ -877,6 +778,32 @@ mod tests {
     }
 
     #[test]
+    fn served_redirect_shares_its_target() {
+        let mut host = SiteHost::new("example.com").unwrap();
+        host.add_content(
+            "/old",
+            PageContent::Redirect {
+                location: "https://example.org/".into(),
+                permanent: true,
+            },
+        );
+        let Some(PageContent::Redirect {
+            location: registered,
+            ..
+        }) = host.page("/old")
+        else {
+            panic!("expected the registered redirect");
+        };
+        match host.serve_path(&Url::parse("https://example.com/old").unwrap()) {
+            ServedPage::Content {
+                content: PageContent::Redirect { location, .. },
+                ..
+            } => assert!(Arc::ptr_eq(&location, registered), "target was copied"),
+            other => panic!("expected a redirect, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn post_freeze_writes_go_to_the_overlay_and_spare_the_snapshot() {
         let mut web = SimulatedWeb::new();
         let mut host = SiteHost::new("example.com").unwrap();
@@ -923,18 +850,6 @@ mod tests {
             h.set_offline(true);
         });
         assert!(!frozen.host(&dn("example.com")).unwrap().is_offline());
-    }
-
-    #[test]
-    fn latency_model_prices_body_size() {
-        let m = LatencyModel {
-            base_ms: 10,
-            per_kb_ms: 5,
-        };
-        assert_eq!(m.latency_for(0), 10);
-        assert_eq!(m.latency_for(2048), 20);
-        let d = LatencyModel::default();
-        assert!(d.latency_for(0) > 0);
     }
 
     #[test]

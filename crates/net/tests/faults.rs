@@ -4,48 +4,41 @@
 use proptest::prelude::*;
 use rws_domain::DomainName;
 use rws_net::{
-    Fault, FaultInjector, FaultPlan, FaultScale, FetchPolicy, FetchSession, Fetcher, LatencyModel,
-    NetError, PageBody, PageContent, RetryPolicy, SimulatedWeb, SiteHost, Url,
+    Fault, FaultPlan, FaultScale, FetchPolicy, FetchSession, Fetcher, NetError, PageBody,
+    PageContent, RetryPolicy, SimulatedWeb, SiteHost, Url,
 };
 
 fn dn(s: &str) -> DomainName {
     DomainName::parse(s).unwrap()
 }
 
-/// A web where `a.com` redirects to `b.com`, and both hops are slow enough
-/// that the chain — but no single hop — blows the deadline.
-fn slow_redirect_web() -> SimulatedWeb {
+/// A web where `a.com` redirects to `b.com`.
+fn redirect_web() -> SimulatedWeb {
     let mut web = SimulatedWeb::new();
     let mut a = SiteHost::new("a.com").unwrap();
     a.add_content(
         "/start",
         PageContent::Redirect {
-            location: "https://b.com/landing".to_string(),
+            location: "https://b.com/landing".into(),
             permanent: false,
         },
     );
-    a.set_latency(LatencyModel {
-        base_ms: 6_000,
-        per_kb_ms: 0,
-    });
     web.register(a);
     let mut b = SiteHost::new("b.com").unwrap();
     b.add_page("/landing", "made it");
-    b.set_latency(LatencyModel {
-        base_ms: 6_000,
-        per_kb_ms: 0,
-    });
     web.register(b);
     web
 }
 
 #[test]
 fn mid_chain_timeout_is_attributed_to_the_chain_not_the_final_hop() {
+    // Each hop costs 40 ms, so the chain — but no single hop — blows the
+    // deadline: hop 2 crosses it at 80 ms.
     let policy = FetchPolicy {
-        deadline_ms: 10_000, // each hop costs 6s: hop 2 crosses at 12s
+        deadline_ms: 60,
         ..FetchPolicy::default()
     };
-    let fetcher = Fetcher::with_policy(slow_redirect_web(), policy);
+    let fetcher = Fetcher::with_policy(redirect_web(), policy);
     let err = fetcher
         .get(&Url::parse("https://a.com/start").unwrap())
         .unwrap_err();
@@ -63,15 +56,15 @@ fn mid_chain_timeout_is_attributed_to_the_chain_not_the_final_hop() {
             let start = start.expect("a redirected chain carries its entry");
             assert_eq!(start.to_string(), "https://a.com/start");
             assert_eq!(url.to_string(), "https://b.com/landing");
-            assert_eq!(latency_ms, 12_000);
-            assert_eq!(deadline_ms, 10_000);
+            assert_eq!(latency_ms, 80);
+            assert_eq!(deadline_ms, 60);
             assert_eq!(redirects_followed, 1);
         }
         other => panic!("expected Timeout, got {other:?}"),
     }
 }
 
-/// A single live host serving one page, with default (fast) latency.
+/// A single live host serving one page.
 fn one_host_web(host: &str) -> SimulatedWeb {
     let mut web = SimulatedWeb::new();
     let mut site = SiteHost::new(host).unwrap();
@@ -104,7 +97,7 @@ fn retry_recovers_from_a_transient_refusal() {
     };
     let plan = refuse_then_recover_plan(&host, scale);
     let fetcher = Fetcher::new(one_host_web("flaky.example"))
-        .with_fault_injector(FaultInjector::new(plan))
+        .with_faults(plan)
         .with_retry(RetryPolicy::standard());
     let mut session = FetchSession::new(1, "recovery");
     let outcome = fetcher.get_with(&Url::parse("https://flaky.example/").unwrap(), &mut session);
@@ -117,17 +110,29 @@ fn retry_recovers_from_a_transient_refusal() {
 }
 
 #[test]
-fn zero_retry_budget_fails_on_first_attempt() {
+fn spent_retry_budget_fails_on_first_attempt() {
     let host = dn("flaky.example");
     let scale = FaultScale {
         burst_len: 1,
         ..FaultScale::calm()
     };
     let plan = refuse_then_recover_plan(&host, scale);
-    let fetcher = Fetcher::new(one_host_web("flaky.example"))
-        .with_fault_injector(FaultInjector::new(plan))
+    let mut web = one_host_web("flaky.example");
+    let mut down = SiteHost::new("down.example").unwrap();
+    down.add_page("/", "x").set_offline(true);
+    web.register(down);
+    let fetcher = Fetcher::new(web)
+        .with_faults(plan)
         .with_retry(RetryPolicy::standard());
-    let mut session = FetchSession::with_budget(1, "no-budget", 0);
+    // An offline host refuses every attempt: spend the session's whole
+    // budget of 64 retries on it.
+    let mut session = FetchSession::new(1, "no-budget");
+    let down = Url::parse("https://down.example/").unwrap();
+    while session.retries_spent() < 64 {
+        let outcome = fetcher.get_with(&down, &mut session);
+        assert!(outcome.retries() > 0, "the budget ran out early");
+    }
+    assert_eq!(fetcher.get_with(&down, &mut session).attempts, 1);
     let outcome = fetcher.get_with(&Url::parse("https://flaky.example/").unwrap(), &mut session);
     assert!(matches!(
         outcome.result,
@@ -135,6 +140,7 @@ fn zero_retry_budget_fails_on_first_attempt() {
     ));
     assert_eq!(outcome.attempts, 1);
     assert_eq!(outcome.backoff_ms, 0);
+    assert_eq!(session.retries_spent(), 64);
 }
 
 #[test]
@@ -153,11 +159,10 @@ fn non_retryable_errors_are_not_retried() {
 }
 
 #[test]
-fn plain_get_ignores_the_installed_injector() {
+fn plain_get_ignores_the_installed_plan() {
     // Fault everything — plain `get` (no session) must still pass through.
     let plan = FaultPlan::new(0, FaultScale::storm().times(1000));
-    let fetcher =
-        Fetcher::new(one_host_web("site.example")).with_fault_injector(FaultInjector::new(plan));
+    let fetcher = Fetcher::new(one_host_web("site.example")).with_faults(plan);
     let url = Url::parse("https://site.example/").unwrap();
     for _ in 0..8 {
         let resp = fetcher.get(&url).unwrap();
@@ -180,7 +185,7 @@ fn redirect_storm_fault_exhausts_the_redirect_limit() {
         .find(|plan| plan.fault_at(&host, 0) == Some(Fault::RedirectStorm))
         .expect("no redirect-storm seed found");
     let fetcher = Fetcher::new(one_host_web("storm.example"))
-        .with_fault_injector(FaultInjector::new(plan))
+        .with_faults(plan)
         .with_retry(RetryPolicy::none());
     let mut session = FetchSession::new(1, "storm");
     let outcome = fetcher.get_with(&Url::parse("https://storm.example/").unwrap(), &mut session);
@@ -188,6 +193,37 @@ fn redirect_storm_fault_exhausts_the_redirect_limit() {
         outcome.result,
         Err(NetError::TooManyRedirects { .. })
     ));
+}
+
+/// A plan whose first window on `host` (three requests) is a redirect
+/// storm and whose second window is clear.
+fn storm_then_clear_plan(host: &DomainName) -> FaultPlan {
+    let scale = FaultScale::storm();
+    (0..100_000u64)
+        .map(|seed| FaultPlan::new(seed, scale))
+        .find(|plan| {
+            plan.fault_at(host, 0) == Some(Fault::RedirectStorm)
+                && plan.fault_at(host, scale.burst_len).is_none()
+        })
+        .expect("no storm-then-clear seed found")
+}
+
+#[test]
+fn a_storm_inside_the_redirect_limit_lands_on_the_requested_url() {
+    let host = dn("storm.example");
+    let fetcher =
+        Fetcher::new(one_host_web("storm.example")).with_faults(storm_then_clear_plan(&host));
+    // The storm re-requests the URL it answered, query included.
+    let url = Url::parse("https://storm.example/?q=1").unwrap();
+    let mut session = FetchSession::new(1, "query");
+    let outcome = fetcher.get_with(&url, &mut session);
+    let resp = outcome.result.expect("the window ends inside the limit");
+    assert_eq!(resp.url.to_string(), "https://storm.example/?q=1");
+    assert_eq!(resp.redirects_followed, 3);
+    assert_eq!(resp.latency_ms, 4 * 40);
+    assert_eq!(resp.body_text(), "<html>alive</html>");
+    assert_eq!(outcome.attempts, 1);
+    assert_eq!(fetcher.requests_issued(), 4);
 }
 
 #[test]
@@ -209,8 +245,7 @@ fn head_of_a_truncated_page_reports_the_truncated_length() {
     let mut host = SiteHost::new(&name).unwrap();
     host.add_page("/", page.as_str());
     web.register(host);
-    let fetcher =
-        Fetcher::new(web).with_fault_injector(FaultInjector::new(FaultPlan::new(5, scale)));
+    let fetcher = Fetcher::new(web).with_faults(FaultPlan::new(5, scale));
     let url = Url::parse(&format!("https://{name}/")).unwrap();
 
     let full = page.len();
@@ -240,7 +275,7 @@ fn head_of_a_truncated_page_reports_the_truncated_length() {
 proptest! {
     /// Two sessions with the same seed and label replay the same faulted,
     /// retried request sequence field for field — the oracle-pair property
-    /// the whole injector design exists to guarantee.
+    /// the whole fault design exists to guarantee.
     #[test]
     fn identical_sessions_replay_identical_fault_schedules(seed in 0u64..1_000_000) {
         let mut web = SimulatedWeb::new();
@@ -252,7 +287,7 @@ proptest! {
         }
         let plan = FaultPlan::new(seed, FaultScale::storm());
         let fetcher = Fetcher::new(web)
-            .with_fault_injector(FaultInjector::new(plan))
+            .with_faults(plan)
             .with_retry(RetryPolicy::standard());
 
         let urls: Vec<Url> = ["one.example", "two.example", "three.example"]
@@ -285,15 +320,15 @@ proptest! {
     }
 
     /// A faulted session only ever differs from an unfaulted one in the
-    /// transient directions the injector models: with injection disabled
+    /// transient directions the plan models: with injection disabled
     /// (scale off) the session-aware path behaves exactly like plain `get`.
     #[test]
-    fn scale_off_is_indistinguishable_from_no_injector(seed in 0u64..1_000_000) {
+    fn scale_off_is_indistinguishable_from_no_plan(seed in 0u64..1_000_000) {
         let web = one_host_web("site.example");
         let url = Url::parse("https://site.example/").unwrap();
         let plain = Fetcher::new(web.clone());
         let injected = Fetcher::new(web)
-            .with_fault_injector(FaultInjector::new(FaultPlan::new(seed, FaultScale::off())))
+            .with_faults(FaultPlan::new(seed, FaultScale::off()))
             .with_retry(RetryPolicy::standard());
         let mut session = FetchSession::new(seed, "off");
         for _ in 0..4 {

@@ -64,7 +64,7 @@ proptest! {
         for i in 0..hops {
             site.add_content(
                 &format!("/hop{i}"),
-                PageContent::Redirect { location: format!("/hop{}", i + 1), permanent: false },
+                PageContent::Redirect { location: format!("/hop{}", i + 1).into(), permanent: false },
             );
         }
         site.add_page(&format!("/hop{hops}"), "final destination");

@@ -16,13 +16,14 @@
 //! * the prebuilt response headers are the ones a map built per fetch
 //!   would hold: `get` and `head` answer with the status, headers, body
 //!   and latency of a reference model that applies the extras, then the
-//!   content's `content-type`, plus `content-length` on HEAD.
+//!   content's `content-type`, plus `content-length` on HEAD, and prices
+//!   each hop at 40 ms plus 2 ms per whole KiB of body.
 
 use proptest::prelude::*;
 use rws_domain::DomainName;
 use rws_net::{
-    FetchPolicy, Fetcher, FrozenWeb, LatencyModel, PageBody, PageContent, ServedPage, SimulatedWeb,
-    SiteHost, StatusCode, Url,
+    FetchPolicy, Fetcher, FrozenWeb, PageBody, PageContent, ServedPage, SimulatedWeb, SiteHost,
+    StatusCode, Url,
 };
 use std::collections::BTreeMap;
 
@@ -39,23 +40,16 @@ struct PageSpec {
 struct HostSpec {
     pages: Vec<PageSpec>,
     offline: bool,
-    http_only: bool,
-    base_ms: u64,
 }
 
 fn content_strategy() -> impl Strategy<Value = PageContent> {
-    (0u8..5, "[ -~]{0,120}", "/[a-z]{1,6}", any::<bool>()).prop_map(
+    (0u8..3, "[ -~]{0,120}", "/[a-z]{1,6}", any::<bool>()).prop_map(
         |(kind, body, location, permanent)| match kind {
             0 => PageContent::Html(body.into()),
             1 => PageContent::Json(body.into()),
-            2 => PageContent::Text(body.into()),
-            3 => PageContent::Redirect {
-                location,
+            _ => PageContent::Redirect {
+                location: location.into(),
                 permanent,
-            },
-            _ => PageContent::Error {
-                status: StatusCode::SERVICE_UNAVAILABLE,
-                body: body.into(),
             },
         },
     )
@@ -74,15 +68,8 @@ fn host_strategy() -> impl Strategy<Value = HostSpec> {
             0..5,
         ),
         any::<bool>(),
-        any::<bool>(),
-        1u64..200,
     )
-        .prop_map(|(pages, offline, http_only, base_ms)| HostSpec {
-            pages,
-            offline,
-            http_only,
-            base_ms,
-        })
+        .prop_map(|(pages, offline)| HostSpec { pages, offline })
 }
 
 /// Materialise the generated hosts plus the probe URLs every contract
@@ -93,11 +80,7 @@ fn build_hosts(hosts: &[HostSpec]) -> (Vec<SiteHost>, Vec<Url>) {
     for (i, spec) in hosts.iter().enumerate() {
         let name = format!("host{i}.example.com");
         let mut host = SiteHost::new(&name).unwrap();
-        host.set_offline(spec.offline).set_http_only(spec.http_only);
-        host.set_latency(LatencyModel {
-            base_ms: spec.base_ms,
-            per_kb_ms: 1,
-        });
+        host.set_offline(spec.offline);
         for page in &spec.pages {
             host.add_content(&page.path, page.content.clone());
             if page.robots_header {
@@ -272,7 +255,7 @@ fn empty_overlay_freeze_returns_the_same_store() {
 const HEADER_PATHS: [&str; 4] = ["/", "/a", "/b", "/c"];
 
 /// Extra header names: one the content never sets, the two it may
-/// collide with, and the one a 3xx error page follows.
+/// collide with, and one a redirect must not follow.
 const HEADER_NAMES: [&str; 4] = ["X-Robots-Tag", "Content-Type", "Content-Length", "Location"];
 
 /// One registration on a host, in order.
@@ -285,30 +268,17 @@ enum HostOp {
 }
 
 /// Content over every kind, bodies up to a few kilobytes (so latency
-/// crosses per-kilobyte steps), 3xx error pages included.
+/// crosses per-kilobyte steps).
 fn served_content_strategy() -> impl Strategy<Value = PageContent> {
-    (0u8..6, "[ -~]{0,64}", 0usize..48, 0usize..4, any::<bool>()).prop_map(
+    (0u8..3, "[ -~]{0,64}", 0usize..48, 0usize..4, any::<bool>()).prop_map(
         |(kind, chunk, repeat, target, flag)| {
             let body = PageBody::from(chunk.repeat(repeat));
             match kind {
                 0 => PageContent::Html(body),
                 1 => PageContent::Json(body),
-                2 => PageContent::Text(body),
-                3 => PageContent::Redirect {
-                    location: HEADER_PATHS[target].to_string(),
+                _ => PageContent::Redirect {
+                    location: HEADER_PATHS[target].into(),
                     permanent: flag,
-                },
-                4 => PageContent::Error {
-                    status: StatusCode(if flag { 307 } else { 302 }),
-                    body,
-                },
-                _ => PageContent::Error {
-                    status: if flag {
-                        StatusCode::SERVICE_UNAVAILABLE
-                    } else {
-                        StatusCode::GONE
-                    },
-                    body,
                 },
             }
         },
@@ -338,7 +308,6 @@ fn host_op_strategy() -> impl Strategy<Value = HostOp> {
 struct HostModel {
     pages: BTreeMap<String, PageContent>,
     extras: BTreeMap<String, BTreeMap<String, String>>,
-    latency: LatencyModel,
 }
 
 impl HostModel {
@@ -376,7 +345,8 @@ type Answer = Result<
 
 /// The reference fetch: a header map built per hop the seed's way (the
 /// extras, then the content's `content-type`, then `content-length` on
-/// HEAD), redirects followed under the default policy.
+/// HEAD), each hop priced at 40 ms plus 2 ms per whole KiB of body,
+/// redirects followed under the default policy.
 fn reference_fetch(model: &BTreeMap<String, HostModel>, start: &Url, head: bool) -> Answer {
     let policy = FetchPolicy::default();
     let mut current = start.clone();
@@ -394,14 +364,13 @@ fn reference_fetch(model: &BTreeMap<String, HostModel>, start: &Url, head: bool)
                 let content_type = match content {
                     PageContent::Html(_) => Some("text/html; charset=utf-8"),
                     PageContent::Json(_) => Some("application/json"),
-                    PageContent::Text(_) => Some("text/plain; charset=utf-8"),
-                    _ => None,
+                    PageContent::Redirect { .. } => None,
                 };
                 if let Some(content_type) = content_type {
                     headers.insert("content-type".to_string(), content_type.to_string());
                 }
                 match content {
-                    PageContent::Html(body) | PageContent::Json(body) | PageContent::Text(body) => {
+                    PageContent::Html(body) | PageContent::Json(body) => {
                         (StatusCode::OK, body.clone(), None)
                     }
                     PageContent::Redirect {
@@ -415,11 +384,10 @@ fn reference_fetch(model: &BTreeMap<String, HostModel>, start: &Url, head: bool)
                         };
                         (status, PageBody::default(), Some(location.clone()))
                     }
-                    PageContent::Error { status, body } => (*status, body.clone(), None),
                 }
             }
         };
-        total += host.latency.latency_for(body.len());
+        total += 40 + 2 * (body.len() as u64 / 1024);
         if total > policy.deadline_ms {
             return Err("timeout");
         }
@@ -427,9 +395,7 @@ fn reference_fetch(model: &BTreeMap<String, HostModel>, start: &Url, head: bool)
             if redirects >= policy.max_redirects {
                 return Err("too-many-redirects");
             }
-            let target = location
-                .or_else(|| headers.get("location").cloned())
-                .unwrap_or_else(|| "/".to_string());
+            let target = location.expect("only a redirect page answers 3xx");
             current = current.join(&target).map_err(|_| "invalid-url")?;
             redirects += 1;
             continue;
@@ -476,7 +442,7 @@ fn fetched(fetcher: &Fetcher, url: &Url, head: bool) -> Answer {
 
 /// Registrations every generated web also carries, so each case covers a
 /// header added before its page and one after, an extra `Content-Type`,
-/// and a 3xx error page that follows its `Location` header.
+/// and a redirect whose `Location` extra does not move its target.
 fn covered_ops() -> Vec<HostOp> {
     let html = |text: &str| PageContent::Html(PageBody::from(text));
     vec![
@@ -487,12 +453,12 @@ fn covered_ops() -> Vec<HostOp> {
         HostOp::Header(2, 1, "text/x-custom".to_string()),
         HostOp::Content(
             3,
-            PageContent::Error {
-                status: StatusCode(307),
-                body: PageBody::from("moved"),
+            PageContent::Redirect {
+                location: "/b".into(),
+                permanent: false,
             },
         ),
-        HostOp::Header(3, 3, "/b".to_string()),
+        HostOp::Header(3, 3, "/a".to_string()),
         HostOp::Content(0, html("home")),
     ]
 }
@@ -504,22 +470,20 @@ proptest! {
     #[test]
     fn fetched_headers_match_the_reference_model(
         hosts in proptest::collection::vec(
-            (proptest::collection::vec(host_op_strategy(), 0..10), 1u64..200, 0u64..6),
+            proptest::collection::vec(host_op_strategy(), 0..10),
             0..4,
         ),
         late in (0usize..8, host_op_strategy()),
     ) {
-        let mut hosts: Vec<(Vec<HostOp>, u64, u64)> = hosts;
-        hosts.push((covered_ops(), 40, 2));
+        let mut hosts: Vec<Vec<HostOp>> = hosts;
+        hosts.push(covered_ops());
         let mut web = SimulatedWeb::new();
         let mut model = BTreeMap::new();
         let mut names = Vec::new();
-        for (i, (ops, base_ms, per_kb_ms)) in hosts.iter().enumerate() {
+        for (i, ops) in hosts.iter().enumerate() {
             let name = format!("host{i}.example.com");
-            let latency = LatencyModel { base_ms: *base_ms, per_kb_ms: *per_kb_ms };
             let mut host = SiteHost::new(&name).unwrap();
-            host.set_latency(latency);
-            let mut host_model = HostModel { latency, ..HostModel::default() };
+            let mut host_model = HostModel::default();
             for op in ops {
                 host_model.apply(&mut host, op);
             }

@@ -312,7 +312,7 @@ impl SetValidator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rws_net::{PageContent, SiteHost, StatusCode};
+    use rws_net::{PageContent, SiteHost};
 
     /// Register a member on the simulated web with a correct well-known file
     /// and (optionally) the service-site robots header.
@@ -520,25 +520,20 @@ mod tests {
     fn non_success_well_known_names_its_status_and_final_url() {
         let set = valid_set();
         let mut web = web_for(&set);
-        let gone = || PageContent::Error {
-            status: StatusCode::GONE,
-            body: "gone".into(),
-        };
-        // autobild.de answers 410 at the well-known path itself.
-        web.update_host(&DomainName::parse("autobild.de").unwrap(), |h| {
-            h.add_content(rws_net::WELL_KNOWN_RWS_PATH, gone());
-        });
-        // bildstatic.de redirects it to a retired file that answers 410:
+        // autobild.de answers 404 at the well-known path itself.
+        let mut bare = SiteHost::new("autobild.de").unwrap();
+        bare.add_page("/", "<html></html>");
+        web.register(bare);
+        // bildstatic.de redirects it to a retired file that answers 404:
         // the detail names where the redirects ended, not the path asked.
         web.update_host(&DomainName::parse("bildstatic.de").unwrap(), |h| {
             h.add_content(
                 rws_net::WELL_KNOWN_RWS_PATH,
                 PageContent::Redirect {
-                    location: "/retired.json".to_string(),
+                    location: "/retired.json".into(),
                     permanent: true,
                 },
             );
-            h.add_content("/retired.json", gone());
         });
         let report = validator_over(web).validate(&set);
         let unfetchable = |site: &str, detail: &str| ValidationIssue::WellKnownUnfetchable {
@@ -550,12 +545,12 @@ mod tests {
             vec![
                 unfetchable(
                     "autobild.de",
-                    "unexpected HTTP 410 at \
+                    "unexpected HTTP 404 at \
                      'https://autobild.de/.well-known/related-website-set.json'"
                 ),
                 unfetchable(
                     "bildstatic.de",
-                    "unexpected HTTP 410 at 'https://bildstatic.de/retired.json'"
+                    "unexpected HTTP 404 at 'https://bildstatic.de/retired.json'"
                 ),
             ]
         );
