@@ -18,9 +18,8 @@ use proptest::prelude::*;
 use rws_classify::{CategoryDatabase, KeywordClassifier};
 use rws_corpus::{Brand, CorpusConfig, CorpusGenerator, Language, SiteCategory};
 use rws_domain::{DomainName, SiteResolver};
-use rws_engine::EngineContext;
+use rws_engine::{EngineContext, ThreadPool};
 use rws_html::{tokenize, Token, Tokens};
-use rws_stats::pool::ThreadPool;
 use rws_stats::rng::Xoshiro256StarStar;
 
 fn streamed(html: &str) -> Vec<Token> {

@@ -13,8 +13,13 @@
 //! * a concurrency-safe [`SiteResolver`] (sharded memo cache over the full
 //!   vendored Public Suffix List), so a host's eTLD+1 is computed once for
 //!   the whole pipeline instead of once per layer; and
-//! * the supervision policy plus the run-level monitor every supervised
-//!   sweep reports into.
+//! * the [`SupervisionPolicy`] plus the run-level [`SupervisionReport`]
+//!   monitor every supervised sweep reports into.
+//!
+//! The pool and the supervision vocabulary live in this crate's private
+//! `pool` and `supervision` modules. The `EngineContext` methods are the
+//! only way to run a sweep: the pool's own map functions and its
+//! `execute`/`join2` are crate-private.
 //!
 //! The context is the one argument every pipeline stage's single entry
 //! point takes: `CorpusGenerator::generate_with`,
@@ -33,12 +38,18 @@
 //! compare the pooled pipeline against: `Scenario::generate_with` must
 //! produce field-by-field identical output under both.
 
+mod pool;
+mod supervision;
+
+pub use pool::ThreadPool;
+use pool::{par_map_on, par_map_with_on};
 pub use rws_domain::SiteResolver;
-pub use rws_stats::pool::ThreadPool;
-use rws_stats::pool::{map_salvage_seq, par_map_on, par_map_salvage_on, par_map_with_on};
-use rws_stats::supervision::Quarantine;
-pub use rws_stats::supervision::{SupervisionPolicy, SupervisionReport};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
+use supervision::panic_message;
+pub use supervision::{
+    QuarantineEntry, SupervisionPolicy, SupervisionReport, DEFAULT_QUARANTINE_CAP,
+};
 
 /// The old name of [`EngineContext`]. It exists only so the frozen
 /// benchmark harness, which imports it, keeps building; nothing else may
@@ -93,8 +104,9 @@ pub struct EngineContext {
     /// The pool sweeps fan out on; `None` runs every entry point inline, in
     /// input order. A caller blocked in a pooled sweep or `join2` helps run
     /// other queued sweeps, so never hold a lock guard or a `thread_local!`
-    /// borrow across a call to the `par_*` or `join2` entry points (see
-    /// `rws_stats::pool`).
+    /// borrow across a call to the `par_*` or `join2` entry points (the
+    /// `pool` module doc lists every lock the workspace holds and why none
+    /// spans a fan-out).
     pool: Option<ThreadPool>,
     resolver: SiteResolver,
     supervisor: Supervisor,
@@ -238,8 +250,9 @@ impl EngineContext {
     /// Ordered parallel map under the context's [`SupervisionPolicy`].
     /// Under fail-fast (the default) this is
     /// [`par_map_coarse`](EngineContext::par_map_coarse) (panics re-raise
-    /// on the caller) with every result `Some`; under salvage, a panicking
-    /// task is caught, quarantined as `(stage, index, message)`, and its
+    /// on the caller) with every result `Some`; under salvage, each task
+    /// runs inside `catch_unwind` on the same `par_map_coarse` sweep, a
+    /// panicking task is quarantined as `(stage, index, message)`, and its
     /// slot comes back `None` while the rest of the sweep completes.
     /// Returns the results together with this sweep's own
     /// [`SupervisionReport`], which is also merged into the context's
@@ -256,26 +269,37 @@ impl EngineContext {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let mut sweep = SupervisionReport::new();
-        let out = match self.supervision() {
+        let mut failures = Vec::new();
+        let (out, cap) = match self.supervision() {
             SupervisionPolicy::FailFast => {
-                let out: Vec<Option<R>> = self
+                let out = self
                     .par_map_coarse(items, f)
                     .into_iter()
                     .map(Some)
                     .collect();
-                sweep.record_sweep(stage, items.len(), &Quarantine::new(), usize::MAX);
-                out
+                (out, usize::MAX)
             }
             SupervisionPolicy::Salvage { quarantine_cap } => {
-                let (out, quarantine) = match self.pool() {
-                    Some(pool) => par_map_salvage_on(pool, items, &f),
-                    None => map_salvage_seq(items, &f),
-                };
-                sweep.record_sweep(stage, items.len(), &quarantine, quarantine_cap);
-                out
+                let caught = self.par_map_coarse(items, |index, item| {
+                    catch_unwind(AssertUnwindSafe(|| f(index, item)))
+                        .map_err(|payload| panic_message(&*payload))
+                });
+                let out = caught
+                    .into_iter()
+                    .enumerate()
+                    .map(|(index, result)| match result {
+                        Ok(value) => Some(value),
+                        Err(message) => {
+                            failures.push((index, message));
+                            None
+                        }
+                    })
+                    .collect();
+                (out, quarantine_cap)
             }
         };
+        let mut sweep = SupervisionReport::new();
+        sweep.record_sweep(stage, items.len(), failures, cap);
         self.supervisor.record(&sweep);
         (out, sweep)
     }
@@ -395,7 +419,10 @@ mod tests {
 
     #[test]
     fn supervised_salvage_agrees_across_modes_and_records_quarantine() {
-        let pooled = EngineContext::embedded().with_supervision(SupervisionPolicy::salvage());
+        // A forced 3-worker pool, so panics cross threads even on a
+        // single-core host.
+        let pooled = EngineContext::with_parts(ThreadPool::new(3), SiteResolver::embedded())
+            .with_supervision(SupervisionPolicy::salvage());
         let sequential = pooled.sequential_twin();
         assert_eq!(sequential.supervision(), SupervisionPolicy::salvage());
         let items: Vec<u64> = (0..200).collect();
@@ -409,14 +436,83 @@ mod tests {
         let (b, sweep_b) = sequential.par_map_supervised("stage", &items, task);
         assert_eq!(a, b);
         assert_eq!(sweep_a, sweep_b);
-        assert_eq!(sweep_a.quarantined, 4); // 13, 74, 135, 196
-        assert_eq!(sweep_a.entries[0].index, 13);
+        assert_eq!(sweep_a.quarantined, 4);
+        let indices: Vec<u64> = sweep_a.entries.iter().map(|e| e.index).collect();
+        assert_eq!(indices, vec![13, 74, 135, 196]);
         assert_eq!(sweep_a.entries[0].stage, "stage");
+        assert_eq!(sweep_a.entries[0].message, "poisoned work item 13");
+        // Exactly the quarantined slots are empty; the rest kept their values.
+        for (i, slot) in a.iter().enumerate() {
+            if indices.contains(&(i as u64)) {
+                assert!(slot.is_none());
+            } else {
+                assert_eq!(*slot, Some(i as u64 * 3));
+            }
+        }
         // The monitors are independent (twin got a fresh one) but agree.
         assert_eq!(pooled.supervision_report(), sequential.supervision_report());
         // Clones share the monitor.
         let clone = pooled.clone();
         assert_eq!(clone.supervision_report().quarantined, 4);
+    }
+
+    #[test]
+    fn salvage_with_zero_panics_matches_fail_fast() {
+        let fail_fast = EngineContext::embedded();
+        let salvage = fail_fast
+            .clone()
+            .with_supervision(SupervisionPolicy::salvage());
+        let items: Vec<u64> = (0..700).collect();
+        let task = |i: usize, v: &u64| v.wrapping_mul(7) ^ i as u64;
+        let (salvaged, sweep) = salvage.par_map_supervised("stage", &items, task);
+        assert!(!sweep.degraded());
+        assert_eq!(sweep.tasks_run, 700);
+        let unwrapped: Vec<u64> = salvaged.into_iter().map(Option::unwrap).collect();
+        assert_eq!(unwrapped, fail_fast.par_map_coarse(&items, task));
+    }
+
+    #[test]
+    fn salvage_records_non_string_payloads_generically() {
+        let ctx = EngineContext::sequential().with_supervision(SupervisionPolicy::salvage());
+        let items: Vec<usize> = (0..4).collect();
+        let (out, sweep) = ctx.par_map_supervised("stage", &items, |_, v| {
+            if *v == 2 {
+                std::panic::panic_any(1234usize);
+            }
+            *v
+        });
+        assert_eq!(out, vec![Some(0), Some(1), None, Some(3)]);
+        assert_eq!(sweep.quarantined, 1);
+        assert_eq!(sweep.entries[0].message, "non-string panic payload");
+    }
+
+    #[test]
+    fn salvage_nested_under_join2_matches_sequential() {
+        let items: Vec<usize> = (0..300).collect();
+        let task = |_: usize, v: &usize| {
+            if v % 50 == 7 {
+                panic!("nested item {v}");
+            }
+            v + 1
+        };
+        let salvage = SupervisionPolicy::salvage();
+        let want = EngineContext::sequential()
+            .with_supervision(salvage)
+            .par_map_supervised("nested", &items, task);
+        assert_eq!(want.1.quarantined, 6);
+        for workers in [1, 3] {
+            let ctx = EngineContext::with_parts(ThreadPool::new(workers), SiteResolver::embedded())
+                .with_supervision(salvage);
+            for _ in 0..10 {
+                // A poisoned join2 batch would re-raise here.
+                let (left, salvaged) = ctx.join2(
+                    || ctx.par_map_coarse(&items, |_, v| v * 2).len(),
+                    || ctx.par_map_supervised("nested", &items, task),
+                );
+                assert_eq!(left, items.len());
+                assert_eq!(salvaged, want);
+            }
+        }
     }
 
     #[test]

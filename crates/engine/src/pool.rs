@@ -1,12 +1,12 @@
 //! A persistent work-stealing thread pool.
 //!
-//! PR 1's parallel sweeps spawned fresh scoped threads on every call; with
-//! sweeps nested inside sweeps (a scenario pipeline running experiments that
-//! each fan out again) the spawn cost stops being noise. [`ThreadPool`]
+//! Spawning fresh scoped threads for every sweep stops being cheap once
+//! sweeps nest inside sweeps (a scenario pipeline running experiments that
+//! each fan out again). [`ThreadPool`]
 //! keeps one set of workers alive for the whole process and feeds them
 //! *batches*: an index range `0..len` plus a job closure, claimed one index
 //! at a time through an atomic cursor — the same element-granularity work
-//! stealing the scoped implementation used, without the per-call spawns.
+//! stealing scoped threads give, without the per-call spawns.
 //!
 //! Key properties:
 //!
@@ -58,13 +58,27 @@
 //! to clone and share one set of workers; pools are expected to live for
 //! the process (there is no shutdown — workers park on a condvar and cost
 //! nothing while idle).
+//!
+//! Only the engine runs sweeps: [`par_map_on`], [`par_map_with_on`],
+//! [`ThreadPool::execute`] and [`ThreadPool::join2`] are crate-private, and
+//! callers reach them through `EngineContext`'s `par_*` and `join2`.
 
-use crate::supervision::Quarantine;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+
+/// Why the queue lock (and the condvar waiting on it) is never poisoned.
+const QUEUE_LOCK: &str = "no user code runs under the pool queue lock, so it is never poisoned";
+/// Why a `join2` slot or result lock is never poisoned.
+const JOIN2_LOCK: &str =
+    "a join2 slot or result guard is held only to move a value, so it is never poisoned";
+/// Why each `join2` closure is still in its slot when its index runs.
+const JOIN2_ONCE: &str = "the batch cursor hands each join2 index to exactly one thread";
+/// Why both `join2` results are present once `execute` returns.
+const JOIN2_RAN: &str =
+    "execute returns normally only after both join2 closures ran and stored their results";
 
 /// A lifetime-erased `Fn(usize)` shared by every thread working a batch.
 type Job = dyn Fn(usize) + Sync + 'static;
@@ -143,18 +157,18 @@ impl Shared {
     /// from the oldest queued batch that still has work, and sleeps only
     /// when there is none.
     fn help_until(&self, done: impl Fn() -> bool) {
-        let mut queue = self.queue.lock().expect("pool queue poisoned");
+        let mut queue = self.queue.lock().expect(QUEUE_LOCK);
         while !done() {
             // Drop batches whose cursor is exhausted — nothing left to
             // claim; completion is signalled through `finished`.
             queue.retain(|b| b.has_work());
             let Some(batch) = queue.front().cloned() else {
-                queue = self.wake.wait(queue).expect("pool condvar poisoned");
+                queue = self.wake.wait(queue).expect(QUEUE_LOCK);
                 continue;
             };
             drop(queue);
             batch.drain(&done);
-            queue = self.queue.lock().expect("pool queue poisoned");
+            queue = self.queue.lock().expect(QUEUE_LOCK);
             if batch.is_done() {
                 // Notifying under the queue lock orders this after the
                 // owner's `done()` check, so the wakeup cannot be lost.
@@ -182,7 +196,7 @@ impl std::fmt::Debug for ThreadPool {
 
 impl ThreadPool {
     /// Spawn a pool with `threads` workers. Zero workers is valid: every
-    /// [`execute`](Self::execute) then runs inline on the caller.
+    /// sweep then runs inline on the caller.
     pub fn new(threads: usize) -> ThreadPool {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
@@ -193,7 +207,7 @@ impl ThreadPool {
             std::thread::Builder::new()
                 .name(format!("rws-pool-{worker_id}"))
                 .spawn(move || shared.help_until(|| false))
-                .expect("spawn pool worker");
+                .expect("the OS refused to start a pool worker thread");
         }
         ThreadPool {
             shared,
@@ -225,7 +239,7 @@ impl ThreadPool {
     /// work. It may therefore run unrelated tasks before returning, so hold
     /// no lock guard or `thread_local!` borrow across this call. The module
     /// doc explains why this cannot deadlock.
-    pub fn execute(&self, len: usize, job: &(dyn Fn(usize) + Sync)) {
+    pub(crate) fn execute(&self, len: usize, job: &(dyn Fn(usize) + Sync)) {
         if len == 0 {
             return;
         }
@@ -256,7 +270,7 @@ impl ThreadPool {
         });
 
         {
-            let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
+            let mut queue = self.shared.queue.lock().expect(QUEUE_LOCK);
             queue.push_back(Arc::clone(&batch));
         }
         // Wakes idle workers and waiting callers alike: both may help.
@@ -278,7 +292,7 @@ impl ThreadPool {
     /// Run two closures, potentially in parallel, returning both results.
     /// No thread-identity guarantee: either closure may run on a worker.
     /// The zero-worker (inline) fallback runs `a` before `b`.
-    pub fn join2<A, B, FA, FB>(&self, a: FA, b: FB) -> (A, B)
+    pub(crate) fn join2<A, B, FA, FB>(&self, a: FA, b: FB) -> (A, B)
     where
         A: Send,
         B: Send,
@@ -291,33 +305,19 @@ impl ThreadPool {
         let result_b: Mutex<Option<B>> = Mutex::new(None);
         self.execute(2, &|index| {
             if index == 0 {
-                let f = a
-                    .lock()
-                    .expect("join2 slot")
-                    .take()
-                    .expect("join2 runs once");
+                let f = a.lock().expect(JOIN2_LOCK).take().expect(JOIN2_ONCE);
                 // No guard is held while `f` runs (see the module doc).
                 let value = f();
-                *result_a.lock().expect("join2 result") = Some(value);
+                *result_a.lock().expect(JOIN2_LOCK) = Some(value);
             } else {
-                let f = b
-                    .lock()
-                    .expect("join2 slot")
-                    .take()
-                    .expect("join2 runs once");
+                let f = b.lock().expect(JOIN2_LOCK).take().expect(JOIN2_ONCE);
                 let value = f();
-                *result_b.lock().expect("join2 result") = Some(value);
+                *result_b.lock().expect(JOIN2_LOCK) = Some(value);
             }
         });
         (
-            result_a
-                .into_inner()
-                .expect("join2 result")
-                .expect("join2 ran"),
-            result_b
-                .into_inner()
-                .expect("join2 result")
-                .expect("join2 ran"),
+            result_a.into_inner().expect(JOIN2_LOCK).expect(JOIN2_RAN),
+            result_b.into_inner().expect(JOIN2_LOCK).expect(JOIN2_RAN),
         )
     }
 }
@@ -365,7 +365,7 @@ impl<'a, R> Slots<'a, R> {
 
 /// Pool-backed ordered map: apply `f` to every element, in parallel,
 /// returning results in input order.
-pub fn par_map_on<T, R, F>(pool: &ThreadPool, items: &[T], f: F) -> Vec<R>
+pub(crate) fn par_map_on<T, R, F>(pool: &ThreadPool, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -383,7 +383,7 @@ where
         });
     }
     out.into_iter()
-        .map(|slot| slot.expect("every claimed index writes its slot"))
+        .map(|slot| slot.expect("execute returns normally only after every index wrote its slot"))
         .collect()
 }
 
@@ -392,107 +392,38 @@ where
 /// element), so expensive scratch (buffers, caches) is amortised across the
 /// sweep without tying results to thread identity — output depends only on
 /// `(index, item)`, keeping sweeps deterministic.
-pub fn par_map_with_on<S, T, R, F>(pool: &ThreadPool, state: S, items: &[T], f: F) -> Vec<R>
+pub(crate) fn par_map_with_on<S, T, R, F>(pool: &ThreadPool, state: S, items: &[T], f: F) -> Vec<R>
 where
     S: Clone + Send,
     T: Sync,
     R: Send,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
+    const SPARE_LOCK: &str =
+        "the spare-scratch guard is held only to pop or push, so it is never poisoned";
     let prototype = Mutex::new(state);
     let spare: Mutex<Vec<S>> = Mutex::new(Vec::new());
     par_map_on(pool, items, |index, item| {
-        let recycled = spare.lock().expect("scratch pool poisoned").pop();
+        let recycled = spare.lock().expect(SPARE_LOCK).pop();
         let mut scratch = recycled.unwrap_or_else(|| {
+            // Only `S::clone` runs under this guard and it reads the
+            // prototype, so a clone that panicked (failing the sweep) left
+            // the prototype intact: recover it rather than panic again.
             prototype
                 .lock()
-                .expect("scratch prototype poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .clone()
         });
         let result = f(&mut scratch, index, item);
-        spare.lock().expect("scratch pool poisoned").push(scratch);
+        spare.lock().expect(SPARE_LOCK).push(scratch);
         result
     })
-}
-
-/// Render a panic payload as a message for the quarantine. Only string
-/// payloads (the overwhelmingly common case — `panic!("…")`) carry their
-/// text; anything else is recorded generically.
-fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Salvage-mode pool map: like [`par_map_on`], but a panicking task is
-/// caught via `catch_unwind` *inside* its job — the batch is never
-/// poisoned — and recorded as `(index, panic message)` in the returned
-/// [`Quarantine`]. The failed item's slot comes back as `None`; every other
-/// task completes. Results and quarantine contents depend only on
-/// `(items, f)`, never on scheduling: the quarantine is sorted by index
-/// after the sweep drains, so pooled and sequential salvage sweeps are
-/// identical (property-tested, including a forced 3-worker pool).
-pub fn par_map_salvage_on<T, R, F>(
-    pool: &ThreadPool,
-    items: &[T],
-    f: F,
-) -> (Vec<Option<R>>, Quarantine)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let failures: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    let out = par_map_on(pool, items, |index, item| {
-        match catch_unwind(AssertUnwindSafe(|| f(index, item))) {
-            Ok(value) => Some(value),
-            Err(payload) => {
-                failures
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push((index, panic_message(&payload)));
-                None
-            }
-        }
-    });
-    let failures = failures
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    (out, Quarantine::from_failures(failures))
-}
-
-/// The sequential twin of [`par_map_salvage_on`]: tasks run inline in
-/// input order, panics are caught the same way, and the quarantine comes
-/// back identical — the oracle the salvage equivalence tests compare the
-/// pooled sweep against.
-pub fn map_salvage_seq<T, R, F>(items: &[T], f: F) -> (Vec<Option<R>>, Quarantine)
-where
-    F: Fn(usize, &T) -> R,
-{
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    let out = items
-        .iter()
-        .enumerate()
-        .map(
-            |(index, item)| match catch_unwind(AssertUnwindSafe(|| f(index, item))) {
-                Ok(value) => Some(value),
-                Err(payload) => {
-                    failures.push((index, panic_message(&payload)));
-                    None
-                }
-            },
-        )
-        .collect();
-    (out, Quarantine::from_failures(failures))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervision::panic_message;
     use std::cell::Cell;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
@@ -613,57 +544,6 @@ mod tests {
             }
             *v
         });
-    }
-
-    #[test]
-    fn salvage_quarantines_panics_and_keeps_the_rest() {
-        let pool = ThreadPool::new(3);
-        let items: Vec<usize> = (0..512).collect();
-        let task = |_: usize, v: &usize| {
-            if v % 100 == 37 {
-                panic!("poisoned work item {v}");
-            }
-            v * 2
-        };
-        let (pooled, pooled_q) = par_map_salvage_on(&pool, &items, task);
-        let (seq, seq_q) = map_salvage_seq(&items, task);
-        assert_eq!(pooled, seq);
-        assert_eq!(pooled_q, seq_q);
-        let indices: Vec<usize> = pooled_q.entries().iter().map(|t| t.index).collect();
-        assert_eq!(indices, vec![37, 137, 237, 337, 437]);
-        assert_eq!(pooled_q.entries()[0].message, "poisoned work item 37");
-        for (i, slot) in pooled.iter().enumerate() {
-            if indices.contains(&i) {
-                assert!(slot.is_none());
-            } else {
-                assert_eq!(*slot, Some(i * 2));
-            }
-        }
-    }
-
-    #[test]
-    fn salvage_with_zero_panics_matches_fail_fast() {
-        let pool = ThreadPool::global();
-        let items: Vec<u64> = (0..700).collect();
-        let task = |i: usize, v: &u64| v.wrapping_mul(7) ^ i as u64;
-        let (salvaged, quarantine) = par_map_salvage_on(pool, &items, task);
-        assert!(quarantine.is_empty());
-        let fail_fast = par_map_on(pool, &items, task);
-        let unwrapped: Vec<u64> = salvaged.into_iter().map(|s| s.unwrap()).collect();
-        assert_eq!(unwrapped, fail_fast);
-    }
-
-    #[test]
-    fn salvage_records_non_string_payloads_generically() {
-        let items: Vec<usize> = (0..4).collect();
-        let (_, quarantine) = map_salvage_seq(&items, |_, v| {
-            if *v == 2 {
-                std::panic::panic_any(1234usize);
-            }
-            *v
-        });
-        assert_eq!(quarantine.len(), 1);
-        assert_eq!(quarantine.entries()[0].message, "non-string panic payload");
     }
 
     #[test]
@@ -820,32 +700,7 @@ mod tests {
             },
         );
         let payload = nested.expect_err("the caller helped and panicked");
-        assert_eq!(panic_message(&payload), "nested boom");
-    }
-
-    #[test]
-    fn salvage_nested_under_join2_matches_sequential() {
-        let items: Vec<usize> = (0..300).collect();
-        let task = |_: usize, v: &usize| {
-            if v % 50 == 7 {
-                panic!("nested item {v}");
-            }
-            v + 1
-        };
-        let want = map_salvage_seq(&items, task);
-        for workers in [1, 3] {
-            let pool = ThreadPool::new(workers);
-            for _ in 0..10 {
-                // A poisoned join2 batch would re-raise here.
-                let (left, salvaged) = pool.join2(
-                    || par_map_on(&pool, &items, |_, v| v * 2).len(),
-                    || par_map_salvage_on(&pool, &items, task),
-                );
-                assert_eq!(left, items.len());
-                assert_eq!(salvaged, want);
-                assert_eq!(salvaged.1.len(), 6);
-            }
-        }
+        assert_eq!(panic_message(&*payload), "nested boom");
     }
 
     #[test]
@@ -867,7 +722,7 @@ mod tests {
                 )
             }));
             let payload = outcome.expect_err("nested panic reaches join2's caller");
-            assert_eq!(panic_message(&payload), "fail-fast nested");
+            assert_eq!(panic_message(&*payload), "fail-fast nested");
         }
     }
 }

@@ -2,30 +2,29 @@
 //! accounting.
 //!
 //! The pool's default contract is *fail-fast*: one panicking task poisons
-//! its batch and the panic is re-raised on the caller (see
-//! [`pool`](crate::pool)). A production-scale replay wants the opposite
-//! posture for poisoned work items: quarantine the failure, keep the rest
-//! of the batch, and surface the degradation loudly in the run's report.
-//! This module holds the vocabulary both postures share:
+//! its batch and the panic is re-raised on the caller (see the `pool`
+//! module). A production-scale replay wants the opposite posture for
+//! poisoned work items: quarantine the failure, keep the rest of the batch,
+//! and surface the degradation loudly in the run's report. This module
+//! holds the vocabulary both postures share:
 //!
 //! * [`SupervisionPolicy`] — fail-fast (default) or salvage with a cap on
 //!   how many quarantine entries a single sweep may retain;
-//! * [`Quarantine`] — the `(index, panic message)` list one salvage sweep
-//!   produced, sorted by index so pooled and sequential runs agree;
 //! * [`SupervisionReport`] — the run-level aggregate (tasks run, tasks
 //!   quarantined, cap trips, retained entries), mergeable across partial
 //!   reports with the same order-independent integer arithmetic the load
 //!   report uses.
 //!
 //! Determinism contract: a sweep's quarantine depends only on `(items,
-//! task function)` — which tasks panic is a pure property of the task, the
-//! entries are sorted by task index after the sweep drains, and the cap is
-//! applied to the *sorted* list — so the same sweep quarantines the same
-//! tasks with the same retained entries under any scheduling, pooled or
-//! sequential. The property tests pin this across seeds and a forced
-//! 3-worker pool.
+//! task function)` — which tasks panic is a pure property of the task,
+//! [`SupervisionReport::record_sweep`] sorts the `(index, message)`
+//! failures by task index, and the cap is applied to the *sorted* list —
+//! so the same sweep quarantines the same tasks with the same retained
+//! entries under any scheduling, pooled or sequential. The property tests
+//! pin this across seeds and a forced 3-worker pool.
 
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 
 /// Default number of quarantine entries a single sweep may retain in a
 /// report. Counts (`quarantined`) are always exact; the cap only bounds the
@@ -33,15 +32,15 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_QUARANTINE_CAP: usize = 64;
 
 /// How a supervised sweep treats a panicking task.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SupervisionPolicy {
     /// Re-raise the first panic on the caller once the batch drains — the
     /// pool's historical behaviour and still the default.
     #[default]
     FailFast,
-    /// Catch each task's panic, record `(index, message)` into the sweep's
-    /// [`Quarantine`], substitute nothing for the failed item, and let the
-    /// rest of the batch complete.
+    /// Catch each task's panic, record `(index, message)` as a quarantine
+    /// entry, substitute nothing for the failed item, and let the rest of
+    /// the batch complete.
     Salvage {
         /// Maximum quarantine entries one sweep retains in the report
         /// (counts stay exact; exceeding the cap trips `cap_trips`).
@@ -58,54 +57,16 @@ impl SupervisionPolicy {
     }
 }
 
-/// One task a salvage sweep caught panicking: its input index and the
-/// panic's message (string payloads only; anything else is recorded as
-/// `"non-string panic payload"`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QuarantinedTask {
-    /// The task's index in the sweep's input slice.
-    pub index: usize,
-    /// The panic message.
-    pub message: String,
-}
-
-/// The failures one salvage sweep collected, sorted by task index.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Quarantine {
-    entries: Vec<QuarantinedTask>,
-}
-
-impl Quarantine {
-    /// An empty quarantine.
-    pub fn new() -> Quarantine {
-        Quarantine::default()
-    }
-
-    /// Build from raw `(index, message)` pairs collected in any order; the
-    /// entries are sorted by index so the result is scheduling-independent.
-    pub fn from_failures(mut failures: Vec<(usize, String)>) -> Quarantine {
-        failures.sort_by_key(|&(index, _)| index);
-        Quarantine {
-            entries: failures
-                .into_iter()
-                .map(|(index, message)| QuarantinedTask { index, message })
-                .collect(),
-        }
-    }
-
-    /// The quarantined tasks, in index order.
-    pub fn entries(&self) -> &[QuarantinedTask] {
-        &self.entries
-    }
-
-    /// Number of quarantined tasks.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing was quarantined.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+/// Render a panic payload as a quarantine message. Only string payloads
+/// (the overwhelmingly common case — `panic!("…")`) carry their text;
+/// anything else is recorded generically.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -126,8 +87,7 @@ pub struct QuarantineEntry {
 /// quarantined, how often a sweep overflowed its quarantine cap, and the
 /// retained per-task entries. Every field is an integer sum or a sorted
 /// list concatenation, so partial reports merge to the same value in any
-/// order — the same invariant [`LoadReport`](../../rws_load/struct.LoadReport.html)
-/// relies on.
+/// order — the same invariant `rws_load::LoadReport` relies on.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupervisionReport {
     /// Tasks dispatched through supervised sweeps (fail-fast or salvage).
@@ -147,20 +107,28 @@ impl SupervisionReport {
         SupervisionReport::default()
     }
 
-    /// Fold one sweep into the report: `tasks` tasks ran at `stage`, the
-    /// sweep quarantined `quarantine`, and at most `cap` entries are
-    /// retained, each keeping the task's index within the sweep.
-    pub fn record_sweep(&mut self, stage: &str, tasks: usize, quarantine: &Quarantine, cap: usize) {
+    /// Fold one sweep into the report: `tasks` tasks ran at `stage` and
+    /// the sweep's `(index, panic message)` failures, in any order, were
+    /// quarantined. The failures are sorted by task index and the lowest
+    /// `cap` are retained as entries; the counts stay exact.
+    pub fn record_sweep(
+        &mut self,
+        stage: &str,
+        tasks: usize,
+        mut failures: Vec<(usize, String)>,
+        cap: usize,
+    ) {
         self.tasks_run += tasks as u64;
-        self.quarantined += quarantine.len() as u64;
-        if quarantine.len() > cap {
+        self.quarantined += failures.len() as u64;
+        if failures.len() > cap {
             self.cap_trips += 1;
         }
-        for task in quarantine.entries().iter().take(cap) {
+        failures.sort_by_key(|&(index, _)| index);
+        for (index, message) in failures.into_iter().take(cap) {
             self.entries.push(QuarantineEntry {
                 stage: stage.to_string(),
-                index: task.index as u64,
-                message: task.message.clone(),
+                index: index as u64,
+                message,
             });
         }
         self.sort_entries();
@@ -202,27 +170,26 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_sorts_by_index() {
-        let q = Quarantine::from_failures(vec![
+    fn record_sweep_sorts_failures_by_index() {
+        let mut report = SupervisionReport::new();
+        let failures = vec![
             (9, "late".to_string()),
             (2, "early".to_string()),
             (5, "mid".to_string()),
-        ]);
-        let indices: Vec<usize> = q.entries().iter().map(|t| t.index).collect();
-        assert_eq!(indices, vec![2, 5, 9]);
-        assert_eq!(q.len(), 3);
-        assert!(!q.is_empty());
+        ];
+        report.record_sweep("stage", 10, failures, 2);
+        let indices: Vec<u64> = report.entries.iter().map(|e| e.index).collect();
+        // Sorted before the cap applies, so the lowest indices survive.
+        assert_eq!(indices, vec![2, 5]);
+        assert_eq!(report.entries[0].message, "early");
+        assert_eq!(report.quarantined, 3);
     }
 
     #[test]
     fn record_sweep_caps_entries_but_not_counts() {
         let mut report = SupervisionReport::new();
-        let q = Quarantine::from_failures(
-            (0..10)
-                .map(|i| (i, format!("boom {i}")))
-                .collect::<Vec<_>>(),
-        );
-        report.record_sweep("stage-a", 100, &q, 3);
+        let failures = (0..10).map(|i| (i, format!("boom {i}"))).collect();
+        report.record_sweep("stage-a", 100, failures, 3);
         assert_eq!(report.tasks_run, 100);
         assert_eq!(report.quarantined, 10);
         assert_eq!(report.cap_trips, 1);
@@ -236,19 +203,9 @@ mod tests {
     #[test]
     fn merge_is_order_independent() {
         let mut a = SupervisionReport::new();
-        a.record_sweep(
-            "zeta",
-            4,
-            &Quarantine::from_failures(vec![(3, "z".into())]),
-            8,
-        );
+        a.record_sweep("zeta", 4, vec![(3, "z".into())], 8);
         let mut b = SupervisionReport::new();
-        b.record_sweep(
-            "alpha",
-            6,
-            &Quarantine::from_failures(vec![(1, "a".into())]),
-            8,
-        );
+        b.record_sweep("alpha", 6, vec![(1, "a".into())], 8);
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -263,17 +220,9 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let mut report = SupervisionReport::new();
-        report.record_sweep(
-            "classify",
-            12,
-            &Quarantine::from_failures(vec![(7, "poisoned work item".into())]),
-            4,
-        );
+        report.record_sweep("classify", 12, vec![(7, "poisoned work item".into())], 4);
         let json = serde_json::to_string(&report).unwrap();
         let back: SupervisionReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
-        let policy_json = serde_json::to_string(&SupervisionPolicy::salvage()).unwrap();
-        let policy: SupervisionPolicy = serde_json::from_str(&policy_json).unwrap();
-        assert_eq!(policy, SupervisionPolicy::salvage());
     }
 }

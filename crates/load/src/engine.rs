@@ -7,7 +7,6 @@ use crate::target::{LoadTarget, RunTables};
 use rws_domain::SiteResolver;
 use rws_engine::EngineContext;
 use rws_net::Fetcher;
-use rws_stats::supervision::Quarantine;
 
 /// Clients per pool task. Coarse enough that task dispatch is noise,
 /// fine enough that the pool has parallelism to steal at smoke scale.
@@ -143,7 +142,7 @@ impl LoadEngine {
         report.supervision.record_sweep(
             "load-chunk",
             self.chunk_spans().len(),
-            &Quarantine::new(),
+            Vec::new(),
             usize::MAX,
         );
         report

@@ -1,7 +1,8 @@
 //! Aggregated results of a load run.
 
 use rws_browser::{PolicyVerdict, StorageAccessPolicy, VendorPolicy};
-use rws_stats::{CategoryCounter, LatencyHistogram, SupervisionReport};
+use rws_engine::SupervisionReport;
+use rws_stats::{CategoryCounter, LatencyHistogram};
 use serde::{Deserialize, Serialize};
 
 /// Per-vendor storage-access outcomes across every partitioning decision

@@ -16,11 +16,10 @@
 use proptest::prelude::*;
 use rws_corpus::{CorpusConfig, CorpusGenerator};
 use rws_domain::{PublicSuffixList, SiteResolver};
-use rws_engine::EngineContext;
+use rws_engine::{EngineContext, ThreadPool};
 use rws_load::{LoadEngine, LoadScale, LoadTarget};
 use rws_model::RwsList;
 use rws_net::{SimulatedWeb, SiteHost};
-use rws_stats::pool::ThreadPool;
 
 /// A small hand-built universe: cheap enough to replay three times per
 /// proptest case.

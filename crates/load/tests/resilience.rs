@@ -5,13 +5,12 @@
 
 use proptest::prelude::*;
 use rws_domain::{DomainName, SiteResolver};
-use rws_engine::EngineContext;
+use rws_engine::{EngineContext, ThreadPool};
 use rws_load::{
     FaultPlan, FaultScale, LoadEngine, LoadReport, LoadScale, LoadTarget, RetryPolicy, RunTables,
 };
 use rws_model::RwsList;
 use rws_net::{Fetcher, SimulatedWeb, SiteHost};
-use rws_stats::pool::ThreadPool;
 
 /// The hand-built five-host universe, wrapped in storm weather and the
 /// standard retry posture.

@@ -9,13 +9,12 @@
 
 use proptest::prelude::*;
 use rws_domain::SiteResolver;
-use rws_engine::EngineContext;
+use rws_engine::{EngineContext, ThreadPool};
 use rws_load::{
     FaultPlan, FaultScale, LoadEngine, LoadScale, LoadTarget, RetryPolicy, SupervisionPolicy,
 };
 use rws_model::RwsList;
 use rws_net::{SimulatedWeb, SiteHost};
-use rws_stats::pool::ThreadPool;
 use std::sync::Once;
 
 /// Suppress the default panic printout for the panics this suite injects

@@ -31,11 +31,9 @@ pub mod histogram;
 pub mod ks;
 pub mod latency;
 pub mod memo;
-pub mod pool;
 pub mod quantile;
 pub mod rng;
 pub mod sampling;
-pub mod supervision;
 pub mod swar;
 pub mod timeseries;
 
@@ -45,16 +43,11 @@ pub use histogram::{CategoryCounter, Histogram};
 pub use ks::{ks_two_sample, KsResult};
 pub use latency::LatencyHistogram;
 pub use memo::{fnv1a_bytes, fnv1a_of, ShardedMemo};
-pub use pool::ThreadPool;
 pub use quantile::{median, percentile, quantile};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
 pub use sampling::{
     sample_indices_floyd, sample_indices_without_replacement, sample_without_replacement, shuffle,
     weighted_choice,
-};
-pub use supervision::{
-    Quarantine, QuarantineEntry, QuarantinedTask, SupervisionPolicy, SupervisionReport,
-    DEFAULT_QUARANTINE_CAP,
 };
 pub use swar::{
     boundary_mask8, broadcast, eq_mask, find_byte, has_ascii_uppercase, is_collapsed_ascii,

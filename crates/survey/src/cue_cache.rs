@@ -108,9 +108,8 @@ mod tests {
             .windows(2)
             .map(|w| pair(w[0].as_str(), w[1].as_str()))
             .collect();
-        let pool = rws_stats::pool::ThreadPool::new(3);
-        let observed =
-            rws_stats::pool::par_map_on(&pool, &pairs, |_, p| cache.observe(&corpus, p, &resolver));
+        let ctx = EngineContext::with_parts(rws_engine::ThreadPool::new(3), resolver.clone());
+        let observed = ctx.par_map_coarse(&pairs, |_, p| cache.observe(&corpus, p, &resolver));
         for (p, cues) in pairs.iter().zip(&observed) {
             assert_eq!(*cues, Cues::observe(&corpus, p, &resolver));
         }

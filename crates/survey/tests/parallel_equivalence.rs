@@ -10,8 +10,7 @@
 use proptest::prelude::*;
 use rws_classify::CategoryDatabase;
 use rws_corpus::{Corpus, CorpusConfig, CorpusGenerator};
-use rws_engine::EngineContext;
-use rws_stats::pool::ThreadPool;
+use rws_engine::{EngineContext, ThreadPool};
 use rws_stats::rng::Xoshiro256StarStar;
 use rws_survey::{PairGenerator, PairUniverse, SurveyConfig, SurveyRunner};
 
