@@ -21,8 +21,8 @@
 
 use crate::keyword::CATEGORY_KEYWORDS;
 use rws_corpus::SiteCategory;
+use rws_html::swar::boundary_mask8;
 use rws_stats::memo::FnvBuildHasher;
-use rws_stats::swar::boundary_mask8;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::OnceLock;

@@ -10,14 +10,13 @@
 //!   and only the class names that hold a vocabulary word are sorted and
 //!   replayed;
 //! * [`KeywordClassifier::classify_naive`] — the seed classifier, kept as
-//!   the equivalence oracle: builds an owned lowercase haystack from three
-//!   separate tokenizer passes and scans it once per keyword.
+//!   the equivalence oracle: builds an owned lowercase haystack from the
+//!   three owned extractors of `rws_html` and scans it once per keyword.
 
 use crate::automaton::{KeywordAutomaton, Words};
 use rws_corpus::SiteCategory;
 use rws_domain::DomainName;
-use rws_html::{class_names, tokenize, RawToken, RawTokens, Token};
-use std::collections::BTreeSet;
+use rws_html::{class_names, class_set, text_content, title, RawToken, RawTokens};
 
 /// Vocabulary associated with each category. Matching is case-insensitive
 /// and counts every occurrence across the page's title, visible text and
@@ -248,22 +247,19 @@ impl KeywordClassifier {
     }
 
     /// The seed classifier, retained as the automaton's equivalence oracle:
-    /// three *owned* tokenizer passes (`text_content`, `title`, `class_set`
-    /// reimplemented below over [`tokenize`]) build an owned lowercase
-    /// haystack, which is then rescanned once per keyword. Quadratic in
-    /// page size × vocabulary; not for hot paths — and deliberately pinned
-    /// to the owned tokenizer so it stays the true seed baseline even
-    /// though the public extractors now stream.
+    /// the owned extractors `text_content`, `title` and `class_set`
+    /// build an owned lowercase haystack, which is then rescanned once per
+    /// keyword. Quadratic in page size × vocabulary; not for hot paths.
     #[doc(hidden)]
     pub fn classify_naive(&self, domain: &DomainName, html: &str) -> SiteCategory {
         let mut haystack = String::new();
-        haystack.push_str(&text_content_owned(html).to_ascii_lowercase());
+        haystack.push_str(&text_content(html).to_ascii_lowercase());
         haystack.push(' ');
-        if let Some(t) = title_owned(html) {
+        if let Some(t) = title(html) {
             haystack.push_str(&t.to_ascii_lowercase());
             haystack.push(' ');
         }
-        for class in class_set_owned(html) {
+        for class in class_set(html) {
             haystack.push_str(&class.to_ascii_lowercase());
             haystack.push(' ');
         }
@@ -303,61 +299,6 @@ fn page_class_names(html: &str) -> impl Iterator<Item = &str> {
             _ => None,
         })
         .flat_map(class_names)
-}
-
-/// The seed's text extraction: every text token of an owned tokenization,
-/// joined with spaces.
-fn text_content_owned(html: &str) -> String {
-    tokenize(html)
-        .into_iter()
-        .filter_map(|t| match t {
-            Token::Text(text) => Some(text),
-            _ => None,
-        })
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-/// The seed's title extraction, with the all-text-runs semantics the
-/// streaming `rws_html::title` has (so oracle and automaton agree on
-/// markup-nested titles), over the owned tokenizer.
-fn title_owned(html: &str) -> Option<String> {
-    let mut in_title = false;
-    let mut parts: Vec<String> = Vec::new();
-    for token in tokenize(html) {
-        match token {
-            Token::Open { ref name, .. } if name == "title" => in_title = true,
-            Token::Close { ref name } if name == "title" => {
-                if !parts.is_empty() {
-                    return Some(parts.join(" "));
-                }
-                in_title = false;
-            }
-            Token::Text(text) if in_title => parts.push(text),
-            _ => {}
-        }
-    }
-    if parts.is_empty() {
-        None
-    } else {
-        Some(parts.join(" "))
-    }
-}
-
-/// The seed's class extraction: an owned tokenization collected into a
-/// `BTreeSet` of owned class names.
-fn class_set_owned(html: &str) -> BTreeSet<String> {
-    let mut classes = BTreeSet::new();
-    for token in tokenize(html) {
-        if let Token::Open { attributes, .. } = token {
-            if let Some(class_attr) = attributes.get("class") {
-                for class in class_attr.split_whitespace() {
-                    classes.insert(class.to_string());
-                }
-            }
-        }
-    }
-    classes
 }
 
 /// Occurrence count of one keyword in the naive haystack: exact word match

@@ -2,14 +2,16 @@
 //!
 //! Three contracts, each property-tested across seeds:
 //!
-//! * the zero-copy streaming tokenizer reproduces the owned oracle token
-//!   for token on every rendered corpus page (the inputs classification
+//! * the raw scan classification runs on, lower-cased and collapsed by
+//!   the `Tokens` adapter, reproduces the owned oracle token for token on
+//!   every rendered corpus page (the inputs classification
 //!   actually runs on — the html crate's own property tests cover
 //!   arbitrary/malformed strings);
 //! * the single-pass automaton classifier agrees with the retained seed
 //!   classifier (`classify_naive`) on every rendered page, every corpus
 //!   member, generated pages dense in awkward `class` values, and tag
-//!   soup (raw text, comments, titles and keywords split across seams);
+//!   soup (raw text, comments, titles and keywords split across seams),
+//!   and returns without panicking on arbitrary input;
 //! * `classify_corpus_on` on a pooled context is field-for-field identical
 //!   to the same call on `EngineContext::sequential()`, inline, and on a
 //!   forced 3-worker pool.
@@ -233,6 +235,18 @@ proptest! {
                 classifier.classify_naive(&domain, &html),
                 "divergence at min_hits {} on {:?}", min_hits, html
             );
+        }
+    }
+
+    /// `classify` returns on arbitrary input, malformed and non-ASCII
+    /// pages included, at every threshold. Only totality is checked: on
+    /// arbitrary strings `classify` and `classify_naive` can disagree, so
+    /// the equivalence gates above stay on the page shapes they cover.
+    #[test]
+    fn classify_total_on_arbitrary_input(html in ".{0,400}", domain in 0usize..SOUP_DOMAINS.len()) {
+        let domain = DomainName::parse(SOUP_DOMAINS[domain]).unwrap();
+        for min_hits in [0, 1, 2, 8] {
+            let _ = KeywordClassifier { min_hits }.classify(&domain, &html);
         }
     }
 

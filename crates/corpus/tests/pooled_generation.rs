@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use rws_corpus::{Corpus, CorpusConfig, CorpusGenerator};
 use rws_engine::{EngineContext, SiteResolver, ThreadPool};
 use rws_net::{Url, WELL_KNOWN_RWS_PATH};
+use std::sync::OnceLock;
 
 /// A deliberately tiny corpus: each proptest case generates it twice.
 fn tiny_config(seed: u64) -> CorpusConfig {
@@ -51,16 +52,22 @@ fn assert_same_corpus(baseline: &Corpus, candidate: &Corpus) {
     }
 }
 
+/// The forced 3-worker context, built once: pools never shut down, so one
+/// pool serves every case.
+fn pooled_ctx() -> &'static EngineContext {
+    static POOLED: OnceLock<EngineContext> = OnceLock::new();
+    POOLED.get_or_init(|| EngineContext::with_parts(ThreadPool::new(3), SiteResolver::embedded()))
+}
+
 proptest! {
     /// Pooled generation ≡ sequential: a forced 3-worker pool renders
     /// chunks concurrently yet lands on the same bytes, across seeds.
     #[test]
     fn pooled_generation_matches_sequential_across_seeds(seed in 0u64..1_000_000) {
         let config = tiny_config(seed % 89);
-        let pooled_ctx = EngineContext::with_parts(ThreadPool::new(3), SiteResolver::embedded());
         let inline_ctx = EngineContext::embedded().sequential_twin();
         let generator = CorpusGenerator::new(config);
-        let pooled = generator.generate_with(&pooled_ctx);
+        let pooled = generator.generate_with(pooled_ctx());
         let sequential = generator.generate_with(&inline_ctx);
         assert_same_corpus(&sequential, &pooled);
     }

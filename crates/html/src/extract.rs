@@ -1,21 +1,28 @@
 //! Feature extraction from tokenized HTML: tag sequences, class sets, text
 //! and titles.
 //!
-//! Every extractor here runs on the zero-copy streaming tokenizer
-//! ([`Tokens`]): the document is scanned once and only the strings that end
-//! up in the result are allocated. The owned [`crate::tokenizer::tokenize`]
-//! remains the equivalence oracle the property tests compare the stream
-//! against.
+//! These are the oracle layer: each extractor runs on the owned
+//! [`tokenize`] and collects owned strings, so it shares no scanning code
+//! with the raw scan [`crate::RawTokens`] that production runs.
+//! [`crate::similarity::html_similarity_naive`] and the classifier's
+//! `classify_naive` are built on them, and the property tests compare the
+//! production paths against those. Like those oracles they are hidden from
+//! the docs.
 
-use crate::tokenizer::{class_names, StreamToken, Tokens};
+use crate::tokenizer::{tokenize, Token};
 use std::collections::BTreeSet;
 
 /// The sequence of opening-tag names in document order — the input to the
 /// structural similarity metric.
+///
+/// An oracle: it builds the owned token vector of the whole page; not for
+/// hot paths.
+#[doc(hidden)]
 pub fn tag_sequence(html: &str) -> Vec<String> {
-    Tokens::new(html)
+    tokenize(html)
+        .into_iter()
         .filter_map(|t| match t {
-            StreamToken::Open { name, .. } => Some(name.into_owned()),
+            Token::Open { name, .. } => Some(name),
             _ => None,
         })
         .collect()
@@ -23,14 +30,16 @@ pub fn tag_sequence(html: &str) -> Vec<String> {
 
 /// The set of CSS class names used anywhere in the document — the input to
 /// the style similarity metric.
+///
+/// An oracle: it builds the owned token vector of the whole page; not for
+/// hot paths.
+#[doc(hidden)]
 pub fn class_set(html: &str) -> BTreeSet<String> {
     let mut classes = BTreeSet::new();
-    for token in Tokens::new(html) {
-        if let StreamToken::Open { attributes, .. } = token {
+    for token in tokenize(html) {
+        if let Token::Open { attributes, .. } = token {
             if let Some(class_attr) = attributes.get("class") {
-                for class in class_names(class_attr) {
-                    classes.insert(class.to_string());
-                }
+                classes.extend(class_attr.split_whitespace().map(str::to_string));
             }
         }
     }
@@ -39,36 +48,42 @@ pub fn class_set(html: &str) -> BTreeSet<String> {
 
 /// All visible text content, whitespace-normalised and joined with spaces.
 /// Script/style contents are excluded by the tokenizer.
+///
+/// An oracle: it builds the owned token vector of the whole page; not for
+/// hot paths.
+#[doc(hidden)]
 pub fn text_content(html: &str) -> String {
-    let mut text = String::new();
-    for token in Tokens::new(html) {
-        if let StreamToken::Text(part) = token {
-            if !text.is_empty() {
-                text.push(' ');
-            }
-            text.push_str(&part);
-        }
-    }
-    text
+    tokenize(html)
+        .into_iter()
+        .filter_map(|t| match t {
+            Token::Text(text) => Some(text),
+            _ => None,
+        })
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// The contents of the `<title>` element, if present: every text run inside
 /// the element, joined with spaces (markup nested in the title contributes
 /// its text too, matching how browsers render `<title>A<b>B</b>C</title>`
 /// as "A B C").
+///
+/// An oracle: it builds the owned token vector of the whole page; not for
+/// hot paths.
+#[doc(hidden)]
 pub fn title(html: &str) -> Option<String> {
     let mut in_title = false;
     let mut parts: Vec<String> = Vec::new();
-    for token in Tokens::new(html) {
+    for token in tokenize(html) {
         match token {
-            StreamToken::Open { ref name, .. } if name == "title" => in_title = true,
-            StreamToken::Close { ref name } if name == "title" => {
+            Token::Open { ref name, .. } if name == "title" => in_title = true,
+            Token::Close { ref name } if name == "title" => {
                 if !parts.is_empty() {
                     return Some(parts.join(" "));
                 }
                 in_title = false;
             }
-            StreamToken::Text(text) if in_title => parts.push(text.into_owned()),
+            Token::Text(text) if in_title => parts.push(text),
             _ => {}
         }
     }

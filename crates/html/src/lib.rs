@@ -17,15 +17,22 @@
 //! of tag sequences and class sets, k-shingling, Jaccard similarity and the
 //! three metrics.
 //!
-//! Tokenization comes in three forms: the owned [`tokenize`] (the seed
-//! implementation, retained as the equivalence oracle), the raw scan
-//! [`RawTokens`], which yields [`RawToken`]s with names and text exactly as
-//! written, and the zero-copy streaming [`Tokens`] iterator over it, which
-//! lower-cases names and collapses text, yielding [`StreamToken`]s that
-//! borrow from the document and only allocate for those rare fix-ups. All
-//! extractors and [`DocumentProfile`] run on the stream; the keyword
-//! classifier runs on the raw scan. [`class_names`] is the one splitter of
-//! `class` values.
+//! HTML is read in three layers:
+//!
+//! * the production scan, [`RawTokens`]: one pass that yields
+//!   [`RawToken`]s borrowing from the document, names and text as written.
+//!   [`DocumentProfile`] and the keyword classifier both run on it, and
+//!   [`class_names`] is the one splitter of `class` values;
+//! * the oracle layer: the owned [`tokenize`] (the seed implementation)
+//!   and the extractors `tag_sequence`, `class_set`, `text_content` and
+//!   `title` of [`extract`] built on it, which the property tests check
+//!   the production scan against (hidden from the docs, as oracles are);
+//! * the benchmark-only adapter [`Tokens`], the raw scan with names
+//!   lower-cased and text collapsed, kept only because the frozen benchmark
+//!   harness imports it.
+//!
+//! [`swar`] holds the word-at-a-time byte scans behind the production scan
+//! and the classifier's word split.
 //!
 //! ```
 //! use rws_html::similarity::{html_similarity, SimilarityWeights};
@@ -39,13 +46,16 @@
 pub mod extract;
 pub mod shingle;
 pub mod similarity;
+pub mod swar;
 pub mod tokenizer;
 
+#[doc(hidden)]
 pub use extract::{class_set, tag_sequence, text_content, title};
 pub use shingle::{hash_token, jaccard, jaccard_sorted, shingles, ShingleProfile};
 pub use similarity::{
     html_similarity, DocumentProfile, HtmlSimilarity, ProfileScratch, SimilarityWeights,
 };
-pub use tokenizer::{
-    class_names, tokenize, ClassNames, RawAttrs, RawToken, RawTokens, StreamToken, Token, Tokens,
-};
+pub use tokenizer::{class_names, tokenize, ClassNames, RawAttrs, RawToken, RawTokens, Token};
+// The benchmark-only adapter, re-exported where the frozen benchmark
+// harness imports it from.
+pub use tokenizer::{StreamToken, Tokens};

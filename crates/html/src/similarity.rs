@@ -11,7 +11,7 @@
 
 use crate::extract::{class_set, tag_sequence};
 use crate::shingle::{hash_token, jaccard, jaccard_sorted, shingles, ShingleProfile};
-use crate::tokenizer::{class_names, StreamToken, Tokens};
+use crate::tokenizer::{class_names, lowercase_cow, RawToken, RawTokens};
 use serde::{Deserialize, Serialize};
 
 /// Weights and parameters for the joint similarity.
@@ -96,9 +96,12 @@ impl DocumentProfile {
     /// Like [`new`](Self::new), reusing the caller's scratch buffers. The
     /// result is identical for any scratch state.
     ///
-    /// Runs on the zero-copy streaming tokenizer: one pass over the
-    /// document, hashing tag names and class names straight out of the
-    /// borrowed token stream without materialising an owned token vector.
+    /// One pass of the raw scan [`RawTokens`] over the document. Each open
+    /// tag's name is hashed lower-cased, borrowed unless the document wrote
+    /// it with upper-case letters, and each name of its `class` value is
+    /// hashed as written. Text runs are never read, so they are never
+    /// collapsed. [`html_similarity_naive`] is the oracle this is
+    /// property-tested against.
     pub fn with_scratch(
         html: &str,
         weights: SimilarityWeights,
@@ -109,12 +112,14 @@ impl DocumentProfile {
             .expect("invalid similarity weights supplied");
         scratch.tag_hashes.clear();
         scratch.classes.clear();
-        for token in Tokens::new(html) {
-            if let StreamToken::Open {
+        for token in RawTokens::new(html) {
+            if let RawToken::Open {
                 name, attributes, ..
             } = token
             {
-                scratch.tag_hashes.push(hash_token(name.as_bytes()));
+                scratch
+                    .tag_hashes
+                    .push(hash_token(lowercase_cow(name).as_bytes()));
                 if let Some(class_attr) = attributes.get("class") {
                     for class in class_names(class_attr) {
                         scratch.classes.push(hash_token(class.as_bytes()));
@@ -174,8 +179,9 @@ pub fn html_similarity(html_a: &str, html_b: &str, weights: SimilarityWeights) -
 }
 
 /// The original owned-set implementation, kept as the oracle the property
-/// tests compare the hashed profiles against. Allocates heavily; not for
-/// hot paths.
+/// tests compare the hashed profiles against. It runs on the owned
+/// extractors of [`crate::extract`], so it shares no scanner with
+/// [`DocumentProfile`]. Allocates heavily; not for hot paths.
 #[doc(hidden)]
 pub fn html_similarity_naive(
     html_a: &str,

@@ -1,13 +1,14 @@
 //! SWAR (SIMD Within A Register) byte-scanning primitives.
 //!
-//! Every hot positional scan in the workspace — tag-start/tag-end probes in
-//! the streaming tokenizer, whitespace/uppercase checks in text collapsing,
-//! word-boundary splitting in the classifier — funnels through the helpers
-//! here. They process eight bytes per iteration using the classic
-//! broadcast/XOR/zero-mask word tricks, with scalar heads and tails for
-//! unaligned slices. Nothing here is architecture specific: the only
-//! requirement is a 64-bit multiply and `u64::from_le_bytes`, so the same
-//! code runs on any target the workspace builds for.
+//! Every hot positional scan over page bytes — tag-start/tag-end probes in
+//! the raw scan, the uppercase probe before a tag name is lower-cased, the
+//! single-space check of `class` values, word-boundary splitting in the
+//! classifier — funnels through the helpers here. They process eight bytes
+//! per iteration using the classic broadcast/XOR/zero-mask word tricks,
+//! with scalar heads and tails for unaligned slices. Nothing here is
+//! architecture specific: the only requirement is a 64-bit multiply and
+//! `u64::from_le_bytes`, so the same code runs on any target the workspace
+//! builds for.
 //!
 //! Correctness notes (the subtle parts, spelled out because the naive
 //! versions of these formulas are wrong in ways unit tests on short inputs
@@ -186,10 +187,10 @@ pub fn boundary_mask8(haystack: &[u8], i: usize) -> Option<u32> {
     Some(movemask(non_alnum_mask(load(&haystack[i..]))))
 }
 
-/// Conservative "already collapsed" probe for text runs: returns `true`
-/// only when the slice is pure ASCII with no control whitespace
-/// (0x09–0x0d), no leading/trailing space, and no two adjacent spaces —
-/// i.e. when `collapse_text` would borrow the input unchanged. A `false`
+/// Conservative "already collapsed" probe: returns `true` only when the
+/// slice is pure ASCII with no control whitespace (0x09–0x0d), no
+/// leading/trailing space, and no two adjacent spaces — i.e. when splitting
+/// at single spaces gives exactly `split_whitespace`'s pieces. A `false`
 /// answer is allowed for clean inputs (e.g. anything non-ASCII); callers
 /// must fall back to the exact per-char check.
 #[inline]

@@ -7,11 +7,14 @@
 //! pollute the text extraction), and tolerating unquoted or missing
 //! attribute values.
 //!
-//! The owned [`tokenize`] is the seed implementation and the oracle. The
-//! borrowed forms apply the same rules in one place, the raw scan
-//! [`RawTokens`]; [`Tokens`] lower-cases its names and collapses its text.
+//! The raw scan [`RawTokens`] is the one scanner production runs: it
+//! borrows every string from the document and leaves names and text as
+//! written. The owned [`tokenize`] is the seed implementation and the
+//! oracle the scan is checked against. [`Tokens`] is the raw scan with
+//! names lower-cased and text collapsed; it is kept only for the benchmark
+//! harness.
 
-use rws_stats::swar::{find_byte, has_ascii_uppercase, is_collapsed_ascii};
+use crate::swar::{find_byte, has_ascii_uppercase, is_collapsed_ascii};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -202,18 +205,10 @@ fn parse_tag_body(body: &str) -> (String, BTreeMap<String, String>, bool) {
     (name, attributes, self_closing)
 }
 
-/// A borrowed HTML token, produced by the zero-copy streaming tokenizer
-/// [`Tokens`].
-///
-/// Where [`Token`] owns its strings, every string here borrows straight
-/// from the input document. Tag names and text are [`Cow`]s whose owned
-/// variant is only taken for the rare fix-ups the tokenizer performs
-/// (lower-casing a tag written in upper case, collapsing a whitespace run
-/// inside text). Attributes are not parsed at all until asked for:
-/// [`RawAttrs`] keeps the raw slice of the tag body and parses it lazily,
-/// so a consumer that only reads tag names and text never touches
-/// attribute syntax. Attribute values are always plain `&'a str` slices of
-/// the document.
+/// A borrowed HTML token of [`Tokens`]: a [`RawToken`] with its tag name
+/// lower-cased and its text collapsed, each borrowed unless that fix-up
+/// changed it. It exists only so the frozen benchmark harness, which
+/// imports it, keeps building; production reads [`RawToken`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamToken<'a> {
     /// An opening (or self-closing) tag.
@@ -528,35 +523,10 @@ impl<'a> Iterator for AttrIter<'a> {
     }
 }
 
-/// Void-element membership for the streaming tokenizer's hot path: a
-/// literal `matches!` lowers to a length switch with one comparison per
-/// arm, where the seed's `VOID_ELEMENTS.contains` walks all fourteen
-/// entries for every non-void tag (the overwhelmingly common case).
-#[inline]
-fn is_void_element(name: &str) -> bool {
-    matches!(
-        name,
-        "area"
-            | "base"
-            | "br"
-            | "col"
-            | "embed"
-            | "hr"
-            | "img"
-            | "input"
-            | "link"
-            | "meta"
-            | "param"
-            | "source"
-            | "track"
-            | "wbr"
-    )
-}
-
 /// Lower-case a string, borrowing when it is already lower-case (the common
 /// case for real-world tag and attribute names). The uppercase probe runs
 /// eight bytes per step.
-fn lowercase_cow(s: &str) -> Cow<'_, str> {
+pub(crate) fn lowercase_cow(s: &str) -> Cow<'_, str> {
     if has_ascii_uppercase(s.as_bytes()) {
         Cow::Owned(s.to_ascii_lowercase())
     } else {
@@ -565,22 +535,8 @@ fn lowercase_cow(s: &str) -> Cow<'_, str> {
 }
 
 /// Collapse whitespace in a trimmed, non-empty text run, borrowing when it
-/// is already collapsed (single spaces only). A word-at-a-time probe admits
-/// clean ASCII runs to the borrowed path without a per-char loop;
-/// everything else (non-ASCII, messy whitespace) takes the exact scalar
-/// check.
-#[inline]
+/// is already collapsed (single spaces only).
 fn collapse_trimmed(trimmed: &str) -> Cow<'_, str> {
-    if is_collapsed_ascii(trimmed.as_bytes()) {
-        Cow::Borrowed(trimmed)
-    } else {
-        collapse_trimmed_scalar(trimmed)
-    }
-}
-
-/// Exact per-char whitespace collapse over an already-trimmed, non-empty
-/// run; borrows when the run is already collapsed.
-fn collapse_trimmed_scalar(trimmed: &str) -> Cow<'_, str> {
     let mut prev_space = false;
     for c in trimmed.chars() {
         if c == ' ' {
@@ -678,11 +634,11 @@ fn split_tag_name(body: &str) -> (&str, &str) {
     body.split_at(k)
 }
 
-/// A token of the raw scan behind [`Tokens`]: the same token boundaries,
-/// with every string left as the document wrote it. Tag names keep their
-/// case and text runs are trimmed but not collapsed, so a consumer that
-/// compares names ignoring case, or only reads words, never pays for a
-/// lower-cased or collapsed copy.
+/// A token of the raw scan [`RawTokens`]: the token boundaries of
+/// [`tokenize`], with every string left as the document wrote it. Tag
+/// names keep their case and text runs are trimmed but not collapsed, so a
+/// consumer that compares names ignoring case, or only reads words, never
+/// pays for a lower-cased or collapsed copy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RawToken<'a> {
     /// An opening (or self-closing) tag.
@@ -692,7 +648,7 @@ pub enum RawToken<'a> {
         /// The unparsed attribute portion of the tag body.
         attributes: RawAttrs<'a>,
         /// True for `<br/>`-style self-closing syntax. Void elements are
-        /// not flagged here; [`Tokens`] adds them from the lower-cased name.
+        /// not flagged here.
         slash_closed: bool,
     },
     /// A closing tag.
@@ -709,7 +665,8 @@ pub enum RawToken<'a> {
 /// document. It owns the tokenizer's skipping rules: comments,
 /// declarations and processing instructions, and the raw text of
 /// `<script>`/`<style>` up to the matching close tag, terminated or not.
-/// [`Tokens`] is this scan with names lower-cased and text collapsed.
+/// Lower-casing its tag names, collapsing its text and flagging void
+/// elements gives [`tokenize`]'s tokens, which the property tests check.
 ///
 /// ```
 /// use rws_html::{RawToken, RawTokens};
@@ -834,15 +791,13 @@ impl<'a> Iterator for RawTokens<'a> {
     }
 }
 
-/// The zero-copy streaming tokenizer: an iterator over [`StreamToken`]s
-/// borrowing from the input document.
+/// The [`RawTokens`] scan with tag names lower-cased, void elements
+/// flagged and text runs collapsed: token for token what [`tokenize`]
+/// yields, borrowed where the document already had that form.
 ///
-/// Token-for-token equivalent to [`tokenize`] (the owned implementation is
-/// retained as the oracle the property tests compare against), but performs
-/// no allocation for well-formed lower-case HTML: tag names, attribute
-/// values and already-collapsed text are handed out as borrowed slices, and
-/// attributes are not even parsed until a consumer asks for one. It is the
-/// [`RawTokens`] scan with tag names lower-cased and text runs collapsed.
+/// No production path runs it. It exists only so the frozen benchmark
+/// harness, which imports it, keeps building; the benchmark's next
+/// revision deletes it with [`StreamToken`].
 ///
 /// ```
 /// use rws_html::tokenizer::{StreamToken, Tokens};
@@ -880,7 +835,7 @@ impl<'a> Iterator for Tokens<'a> {
                 slash_closed,
             } => {
                 let name = lowercase_cow(name);
-                let self_closing = slash_closed || is_void_element(&name);
+                let self_closing = slash_closed || VOID_ELEMENTS.contains(&&*name);
                 StreamToken::Open {
                     name,
                     attributes,

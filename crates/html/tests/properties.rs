@@ -1,9 +1,10 @@
 //! Property-based tests for the HTML substrate.
 
 use proptest::prelude::*;
-use rws_html::similarity::{html_similarity, SimilarityWeights};
+use rws_html::similarity::{html_similarity, html_similarity_naive, SimilarityWeights};
 use rws_html::{
-    class_names, class_set, jaccard, shingles, tag_sequence, tokenize, StreamToken, Token, Tokens,
+    class_names, class_set, jaccard, shingles, swar, tag_sequence, text_content, title, tokenize,
+    DocumentProfile, RawTokens, StreamToken, Token, Tokens,
 };
 use std::collections::BTreeSet;
 
@@ -106,6 +107,53 @@ fn attr_dense_strategy() -> impl Strategy<Value = String> {
     proptest::collection::vec(tag, 1..10).prop_map(|tags| tags.concat())
 }
 
+/// `doc` with the letters of every tag name re-cased: bit `k % 64` of
+/// `mask` upper-cases the name's `k`-th letter. Text and attribute values
+/// keep their case, so only the tag names change.
+fn recase_tags(doc: &str, mask: u64) -> String {
+    let mut out = String::with_capacity(doc.len());
+    let mut in_name = false;
+    let mut k = 0;
+    for c in doc.chars() {
+        if c == '<' {
+            in_name = true;
+            k = 0;
+            out.push(c);
+        } else if in_name && c == '/' && k == 0 {
+            out.push(c);
+        } else if in_name && c.is_ascii_alphabetic() {
+            out.push(if mask >> (k % 64) & 1 == 1 {
+                c.to_ascii_uppercase()
+            } else {
+                c
+            });
+            k += 1;
+        } else {
+            in_name = false;
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// The profile pipeline agrees with the owned-set oracle on every axis.
+fn assert_profile_equals_naive(a: &str, b: &str) {
+    let weights = SimilarityWeights::default();
+    let fast = html_similarity(a, b, weights);
+    let naive = html_similarity_naive(a, b, weights);
+    let close = |x: f64, y: f64| (x - y).abs() < 1e-12;
+    prop_assert!(
+        close(fast.style, naive.style)
+            && close(fast.structural, naive.structural)
+            && close(fast.joint, naive.joint),
+        "profile {:?} vs naive {:?} on {:?} / {:?}",
+        fast,
+        naive,
+        a,
+        b
+    );
+}
+
 proptest! {
     /// The byte-level `RawAttrs::get` answers every lookup exactly like the
     /// owned tokenizer's attribute map: each present name, one absent name,
@@ -147,12 +195,19 @@ proptest! {
         }
     }
 
-    /// The tokenizer never panics on arbitrary input.
+    /// No scanner, extractor or similarity entry point panics on arbitrary
+    /// input.
     #[test]
     fn tokenizer_total_on_arbitrary_input(input in ".{0,400}") {
         let _ = tokenize(&input);
+        let _ = RawTokens::new(&input).count();
+        let _ = Tokens::new(&input).count();
         let _ = tag_sequence(&input);
         let _ = class_set(&input);
+        let _ = text_content(&input);
+        let _ = title(&input);
+        let _ = DocumentProfile::new(&input, SimilarityWeights::default());
+        let _ = html_similarity(&input, "<p>x</p>", SimilarityWeights::default());
     }
 
     /// The zero-copy streaming tokenizer (SWAR scans) reproduces the owned
@@ -239,16 +294,44 @@ proptest! {
     }
 
     /// The profile-based similarity pipeline equals the owned-set oracle on
-    /// generated documents.
+    /// generated documents, on arbitrary (malformed, non-ASCII) input, and
+    /// on documents dense in attribute syntax with upper-case tag names.
     #[test]
-    fn profile_similarity_equals_naive(a in html_strategy(), b in html_strategy()) {
-        use rws_html::similarity::html_similarity_naive;
+    fn profile_similarity_equals_naive(
+        a in html_strategy(),
+        b in html_strategy(),
+        any_a in ".{0,400}",
+        any_b in ".{0,400}",
+        dense_a in attr_dense_strategy(),
+        dense_b in attr_dense_strategy(),
+    ) {
+        assert_profile_equals_naive(&a, &b);
+        assert_profile_equals_naive(&any_a, &any_b);
+        assert_profile_equals_naive(&dense_a, &dense_b);
+        assert_profile_equals_naive(&any_a, &dense_b);
+    }
+
+    /// Tag names are compared ignoring case: re-casing the second
+    /// document's tag names (all upper case, or a mixed-case pattern)
+    /// leaves the profile equal to the naive oracle, and its structural
+    /// similarity equal to the all-lower-case result.
+    #[test]
+    fn profile_folds_tag_name_case(
+        a in html_strategy(),
+        b in html_strategy(),
+        all_upper in any::<bool>(),
+        mask in any::<u64>(),
+    ) {
+        let recased = recase_tags(&b, if all_upper { u64::MAX } else { mask });
+        assert_profile_equals_naive(&a, &recased);
         let weights = SimilarityWeights::default();
-        let fast = html_similarity(&a, &b, weights);
-        let naive = html_similarity_naive(&a, &b, weights);
-        prop_assert!((fast.style - naive.style).abs() < 1e-12);
-        prop_assert!((fast.structural - naive.structural).abs() < 1e-12);
-        prop_assert!((fast.joint - naive.joint).abs() < 1e-12);
+        prop_assert_eq!(
+            html_similarity(&a, &recased, weights).structural,
+            html_similarity(&a, &b, weights).structural,
+            "on {:?}",
+            recased
+        );
+        prop_assert_eq!(html_similarity(&b, &recased, weights).structural, 1.0);
     }
 
     /// Precomputed profiles reused across pairs give the same answers as
@@ -278,5 +361,116 @@ proptest! {
             .join("");
         let extracted: BTreeSet<String> = class_set(&html);
         prop_assert_eq!(extracted, classes);
+    }
+}
+
+// --- SWAR scanner properties -----------------------------------------------
+//
+// The word-at-a-time scanners in `rws_html::swar` must agree with their
+// one-byte-at-a-time definitions on arbitrary byte strings: empty inputs,
+// non-ASCII bytes, unaligned heads and tails, needles in every lane of the
+// u64 word, and needle-free long runs.
+
+proptest! {
+    /// `find_byte` ≡ naive `position` over arbitrary bytes and needles.
+    #[test]
+    fn swar_find_byte_matches_naive(
+        haystack in proptest::collection::vec(0u8..=255, 0..96),
+        needle in 0u8..=255,
+    ) {
+        prop_assert_eq!(
+            swar::find_byte(&haystack, needle),
+            haystack.iter().position(|&b| b == needle)
+        );
+    }
+
+    /// A needle planted at every offset of a run (head lanes, every lane of
+    /// the first word, unaligned tail) is found exactly there when the rest
+    /// of the run is needle-free.
+    #[test]
+    fn swar_find_byte_every_lane(
+        filler in 0u8..=255,
+        needle in 0u8..=255,
+        len in 1usize..40,
+        lane in 0usize..40,
+    ) {
+        let lane = lane % len;
+        let filler = if filler == needle { filler.wrapping_add(1) } else { filler };
+        let mut hay = vec![filler; len];
+        hay[lane] = needle;
+        prop_assert_eq!(swar::find_byte(&hay, needle), Some(lane));
+    }
+
+    /// Needle-free long runs (longer than several words) report `None`.
+    #[test]
+    fn swar_find_byte_needle_free_runs(
+        filler in 0u8..=255,
+        needle in 0u8..=255,
+        len in 0usize..256,
+    ) {
+        let filler = if filler == needle { filler.wrapping_add(1) } else { filler };
+        let hay = vec![filler; len];
+        prop_assert_eq!(swar::find_byte(&hay, needle), None);
+    }
+
+    /// Unaligned heads and tails: the scanner agrees with the naive scan on
+    /// every suffix and prefix of a random buffer.
+    #[test]
+    fn swar_find_byte_unaligned_slices(
+        haystack in proptest::collection::vec(0u8..=255, 1..48),
+        needle in 0u8..=255,
+        cut in 0usize..48,
+    ) {
+        let cut = cut % haystack.len();
+        let (head, tail) = haystack.split_at(cut);
+        prop_assert_eq!(swar::find_byte(head, needle), head.iter().position(|&b| b == needle));
+        prop_assert_eq!(swar::find_byte(tail, needle), tail.iter().position(|&b| b == needle));
+    }
+
+    /// The uppercase probe ≡ the per-byte `any` over arbitrary bytes.
+    #[test]
+    fn swar_uppercase_matches_naive(haystack in proptest::collection::vec(0u8..=255, 0..96)) {
+        prop_assert_eq!(
+            swar::has_ascii_uppercase(&haystack),
+            haystack.iter().any(u8::is_ascii_uppercase)
+        );
+    }
+
+    /// The boundary movemask ≡ per-byte `!is_ascii_alphanumeric` in every
+    /// lane, at every starting offset with a full word remaining.
+    #[test]
+    fn swar_boundary_mask_matches_naive(haystack in proptest::collection::vec(0u8..=255, 8..64)) {
+        for start in 0..=haystack.len() - 8 {
+            let mask = swar::boundary_mask8(&haystack, start).unwrap();
+            for k in 0..8 {
+                prop_assert_eq!(
+                    mask & (1 << k) != 0,
+                    !haystack[start + k].is_ascii_alphanumeric()
+                );
+            }
+        }
+        prop_assert_eq!(swar::boundary_mask8(&haystack, haystack.len() - 7), None);
+    }
+
+    /// The collapsed-text probe is sound: whenever it approves a run, the
+    /// exact definition (ASCII, no control whitespace, no leading/trailing
+    /// or doubled spaces) holds; and it is complete on space/alpha inputs.
+    #[test]
+    fn swar_collapsed_probe_sound_and_complete(haystack in proptest::collection::vec(0u8..=255, 0..96)) {
+        let clean = |h: &[u8]| -> bool {
+            h.iter().all(|&b| b < 0x80 && !(0x09..=0x0d).contains(&b))
+                && h.first() != Some(&b' ')
+                && h.last() != Some(&b' ')
+                && !h.windows(2).any(|w| w == b"  ")
+        };
+        if swar::is_collapsed_ascii(&haystack) {
+            prop_assert!(clean(&haystack));
+        }
+        // Restricted to ASCII-printable bytes the probe is exact.
+        let printable: Vec<u8> = haystack
+            .iter()
+            .map(|&b| if (0x20..0x7f).contains(&b) { b } else { b'a' })
+            .collect();
+        prop_assert_eq!(swar::is_collapsed_ascii(&printable), clean(&printable));
     }
 }

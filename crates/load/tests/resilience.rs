@@ -11,6 +11,7 @@ use rws_load::{
 };
 use rws_model::RwsList;
 use rws_net::{Fetcher, SimulatedWeb, SiteHost};
+use std::sync::OnceLock;
 
 /// The hand-built five-host universe, wrapped in storm weather and the
 /// standard retry posture.
@@ -62,6 +63,13 @@ fn assert_resilience_invariants(report: &LoadReport) {
     assert!((0.0..=1.0).contains(&rate));
 }
 
+/// A forced 3-worker context on the shared full resolver, built once:
+/// pools never shut down, so one pool serves every case.
+fn three_worker_ctx() -> &'static EngineContext {
+    static CTX: OnceLock<EngineContext> = OnceLock::new();
+    CTX.get_or_init(|| EngineContext::with_parts(ThreadPool::new(3), SiteResolver::full()))
+}
+
 proptest! {
     /// Pooled run == sequential twin == straight replay under an active
     /// fault storm with retries — the acceptance gate of the fault layer.
@@ -83,10 +91,9 @@ proptest! {
     #[test]
     fn fault_storm_equivalence_under_forced_three_worker_pool(seed in 0u64..1_000_000) {
         let engine = stormy_engine(160, seed ^ 0x504F4F4C);
-        let resolver = SiteResolver::full();
-        let ctx = EngineContext::with_parts(ThreadPool::new(3), resolver.clone());
-        let pooled = engine.run_on(seed, &ctx);
-        let replay = engine.replay_sequential_with(seed, &resolver);
+        let ctx = three_worker_ctx();
+        let pooled = engine.run_on(seed, ctx);
+        let replay = engine.replay_sequential_with(seed, ctx.resolver());
         prop_assert_eq!(&pooled, &replay);
         // Note: no `retries > 0` assertion here — fault schedules are pure
         // per-host/per-window functions and every fresh session starts at

@@ -34,7 +34,6 @@ pub mod memo;
 pub mod quantile;
 pub mod rng;
 pub mod sampling;
-pub mod swar;
 pub mod timeseries;
 
 pub use descriptive::{mean, stddev, Summary};
@@ -48,9 +47,6 @@ pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
 pub use sampling::{
     sample_indices_floyd, sample_indices_without_replacement, sample_without_replacement, shuffle,
     weighted_choice,
-};
-pub use swar::{
-    boundary_mask8, broadcast, eq_mask, find_byte, has_ascii_uppercase, is_collapsed_ascii,
 };
 pub use timeseries::{Date, Month, MonthlySeries, EPOCH};
 

@@ -141,116 +141,3 @@ proptest! {
         prop_assert!((cs.last().unwrap() - s.total()).abs() < 1e-9);
     }
 }
-
-// --- SWAR scanner properties -----------------------------------------------
-//
-// The word-at-a-time scanners in `rws_stats::swar` must agree with their
-// one-byte-at-a-time definitions on arbitrary byte strings: empty inputs,
-// non-ASCII bytes, unaligned heads and tails, needles in every lane of the
-// u64 word, and needle-free long runs.
-
-use rws_stats::swar;
-
-proptest! {
-    /// `find_byte` ≡ naive `position` over arbitrary bytes and needles.
-    #[test]
-    fn swar_find_byte_matches_naive(
-        haystack in proptest::collection::vec(0u8..=255, 0..96),
-        needle in 0u8..=255,
-    ) {
-        prop_assert_eq!(
-            swar::find_byte(&haystack, needle),
-            haystack.iter().position(|&b| b == needle)
-        );
-    }
-
-    /// A needle planted at every offset of a run (head lanes, every lane of
-    /// the first word, unaligned tail) is found exactly there when the rest
-    /// of the run is needle-free.
-    #[test]
-    fn swar_find_byte_every_lane(
-        filler in 0u8..=255,
-        needle in 0u8..=255,
-        len in 1usize..40,
-        lane in 0usize..40,
-    ) {
-        let lane = lane % len;
-        let filler = if filler == needle { filler.wrapping_add(1) } else { filler };
-        let mut hay = vec![filler; len];
-        hay[lane] = needle;
-        prop_assert_eq!(swar::find_byte(&hay, needle), Some(lane));
-    }
-
-    /// Needle-free long runs (longer than several words) report `None`.
-    #[test]
-    fn swar_find_byte_needle_free_runs(
-        filler in 0u8..=255,
-        needle in 0u8..=255,
-        len in 0usize..256,
-    ) {
-        let filler = if filler == needle { filler.wrapping_add(1) } else { filler };
-        let hay = vec![filler; len];
-        prop_assert_eq!(swar::find_byte(&hay, needle), None);
-    }
-
-    /// Unaligned heads and tails: the scanner agrees with the naive scan on
-    /// every suffix and prefix of a random buffer.
-    #[test]
-    fn swar_find_byte_unaligned_slices(
-        haystack in proptest::collection::vec(0u8..=255, 1..48),
-        needle in 0u8..=255,
-        cut in 0usize..48,
-    ) {
-        let cut = cut % haystack.len();
-        let (head, tail) = haystack.split_at(cut);
-        prop_assert_eq!(swar::find_byte(head, needle), head.iter().position(|&b| b == needle));
-        prop_assert_eq!(swar::find_byte(tail, needle), tail.iter().position(|&b| b == needle));
-    }
-
-    /// The uppercase probe ≡ the per-byte `any` over arbitrary bytes.
-    #[test]
-    fn swar_uppercase_matches_naive(haystack in proptest::collection::vec(0u8..=255, 0..96)) {
-        prop_assert_eq!(
-            swar::has_ascii_uppercase(&haystack),
-            haystack.iter().any(u8::is_ascii_uppercase)
-        );
-    }
-
-    /// The boundary movemask ≡ per-byte `!is_ascii_alphanumeric` in every
-    /// lane, at every starting offset with a full word remaining.
-    #[test]
-    fn swar_boundary_mask_matches_naive(haystack in proptest::collection::vec(0u8..=255, 8..64)) {
-        for start in 0..=haystack.len() - 8 {
-            let mask = swar::boundary_mask8(&haystack, start).unwrap();
-            for k in 0..8 {
-                prop_assert_eq!(
-                    mask & (1 << k) != 0,
-                    !haystack[start + k].is_ascii_alphanumeric()
-                );
-            }
-        }
-        prop_assert_eq!(swar::boundary_mask8(&haystack, haystack.len() - 7), None);
-    }
-
-    /// The collapsed-text probe is sound: whenever it approves a run, the
-    /// exact definition (ASCII, no control whitespace, no leading/trailing
-    /// or doubled spaces) holds; and it is complete on space/alpha inputs.
-    #[test]
-    fn swar_collapsed_probe_sound_and_complete(haystack in proptest::collection::vec(0u8..=255, 0..96)) {
-        let clean = |h: &[u8]| -> bool {
-            h.iter().all(|&b| b < 0x80 && !(0x09..=0x0d).contains(&b))
-                && h.first() != Some(&b' ')
-                && h.last() != Some(&b' ')
-                && !h.windows(2).any(|w| w == b"  ")
-        };
-        if swar::is_collapsed_ascii(&haystack) {
-            prop_assert!(clean(&haystack));
-        }
-        // Restricted to ASCII-printable bytes the probe is exact.
-        let printable: Vec<u8> = haystack
-            .iter()
-            .map(|&b| if (0x20..0x7f).contains(&b) { b } else { b'a' })
-            .collect();
-        prop_assert_eq!(swar::is_collapsed_ascii(&printable), clean(&printable));
-    }
-}

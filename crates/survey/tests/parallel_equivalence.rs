@@ -67,6 +67,9 @@ proptest! {
 /// cross-thread claim/notify paths must produce the identical dataset.
 #[test]
 fn survey_equivalence_holds_on_a_forced_multiworker_pool() {
+    // One pool for every seed: pools never shut down.
+    let forced =
+        EngineContext::with_parts(ThreadPool::new(3), rws_domain::SiteResolver::embedded());
     for seed in [3u64, 17, 61, 2024] {
         let (corpus, categories) = fixture(seed);
         let pairs = universe(&corpus, &categories, seed);
@@ -75,8 +78,6 @@ fn survey_equivalence_holds_on_a_forced_multiworker_pool() {
             participants: 40,
             ..SurveyConfig::default()
         });
-        let forced =
-            EngineContext::with_parts(ThreadPool::new(3), rws_domain::SiteResolver::embedded());
         let pooled = runner.run_on(&corpus, &pairs, &forced);
         let sequential = runner.run_on(&corpus, &pairs, &forced.sequential_twin());
         assert_eq!(pooled, sequential, "seed {seed}");
