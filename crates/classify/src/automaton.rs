@@ -1,6 +1,6 @@
 //! The single-pass keyword automaton behind [`crate::KeywordClassifier`].
 //!
-//! The seed classifier rescans the page once per keyword (~70 keywords ×
+//! A naive classifier rescans the page once per keyword (~70 keywords ×
 //! every word on the page). The automaton inverts that: a process-wide
 //! token → (category, hit-weight) map is built once from
 //! [`CATEGORY_KEYWORDS`](crate::keyword), and classification becomes a
@@ -10,14 +10,16 @@
 //! advances the few multi-word keywords ("release notes", "free
 //! shipping") as word sequences.
 //!
-//! Matching semantics follow the seed classifier: single-word keywords hit
-//! on exact word matches over the alphanumeric word split, case-insensitive.
-//! Multi-word keywords hit when their words appear as consecutive words of
-//! the stream — the seed's substring scan and this word-sequence rule agree
-//! on natural text (the property tests assert equality over every rendered
-//! corpus page), and the seed path is retained as
+//! A [`TokenMatcher`] counts hits by the crate's one definition (see the
+//! crate doc): words are the runs of ASCII alphanumerics, compared
+//! ignoring case; a single-word keyword hits on each equal word, and a
+//! multi-word keyword when its words arrive consecutively. The matcher
+//! knows nothing of segments: the classifier clears the in-flight
+//! sequences between the page text, the title, each class name and the
+//! domain, so no keyword straddles two of them.
 //! [`KeywordClassifier::classify_naive`](crate::KeywordClassifier::classify_naive)
-//! to keep that contract checkable.
+//! counts the same hits as word windows per segment, and the property
+//! tests check the two agree on arbitrary strings.
 
 use crate::keyword::CATEGORY_KEYWORDS;
 use rws_corpus::SiteCategory;
@@ -32,22 +34,9 @@ use std::sync::OnceLock;
 const MAX_CATEGORIES: usize = 16;
 
 /// Vocabulary words are shorter than this, so the prefilter's saturated
-/// length bit (31) is never set and a word that passes the probe fits a
-/// stack buffer for lower-casing.
+/// length bit (31) is never set and a word that passes the probe fits
+/// [`with_lowercase`]'s stack buffer.
 const MAX_WORD_LEN: usize = 31;
-
-/// What feeding a string to a [`TokenMatcher`] can do, judged from its
-/// alphanumeric words alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Words {
-    /// No words: feeding it changes nothing.
-    None,
-    /// Words, none of them vocabulary: feeding it only breaks the
-    /// adjacency of in-flight multi-word sequences.
-    Inert,
-    /// At least one vocabulary word.
-    Live,
-}
 
 /// A multi-word keyword, matched as a sequence of consecutive words.
 #[derive(Debug)]
@@ -72,7 +61,7 @@ struct Entry {
 #[derive(Debug)]
 pub struct KeywordAutomaton {
     /// Categories in [`CATEGORY_KEYWORDS`] order — the tie-break order the
-    /// seed classifier iterates in.
+    /// oracle iterates in.
     categories: Vec<SiteCategory>,
     /// Vocabulary token → its hits and sequence starts; a word that only
     /// continues a sequence has an empty entry.
@@ -134,6 +123,23 @@ fn for_each_word<B>(
 #[inline]
 fn slot(word: &[u8]) -> usize {
     ((word[0] & 31) as usize) << 5 | (word[word.len() - 1] & 31) as usize
+}
+
+/// `f` of `word` with its ASCII letters lower-cased. A word with an
+/// upper-case letter is copied into a stack buffer first, so only words
+/// that passed the prefilter probe (which bounds their length below
+/// `MAX_WORD_LEN`) may come here.
+#[inline]
+fn with_lowercase<R>(word: &str, f: impl FnOnce(&str) -> R) -> R {
+    let bytes = word.as_bytes();
+    if !bytes.iter().any(u8::is_ascii_uppercase) {
+        return f(word);
+    }
+    let mut buf = [0u8; MAX_WORD_LEN];
+    let lower = &mut buf[..bytes.len()];
+    lower.copy_from_slice(bytes);
+    lower.make_ascii_lowercase();
+    f(std::str::from_utf8(lower).expect("ASCII lower-casing keeps a str valid UTF-8"))
 }
 
 impl KeywordAutomaton {
@@ -199,44 +205,22 @@ impl KeywordAutomaton {
         }
     }
 
-    /// Classify `text` by its words (the alphanumeric split of
-    /// [`TokenMatcher::feed_text`]): [`Words::Live`] as soon as one is
-    /// vocabulary (a single keyword, a sequence start or a sequence
-    /// continuation), else [`Words::Inert`] when it has any word at all.
-    /// Fed to a matcher, a non-vocabulary word can neither score nor start
-    /// nor advance a sequence; it only clears the in-flight candidates.
-    pub(crate) fn words(&self, text: &str) -> Words {
-        let mut kind = Words::None;
-        let flow = for_each_word(text.as_bytes(), |start, end| {
-            if self.is_vocabulary(&text[start..end]) {
-                return ControlFlow::Break(());
+    /// True when one of `text`'s words (the alphanumeric split of
+    /// [`TokenMatcher::feed_text`]) is vocabulary: a single keyword, a
+    /// sequence start or a sequence continuation. Text without one cannot
+    /// score in a segment of its own.
+    pub(crate) fn has_vocabulary(&self, text: &str) -> bool {
+        for_each_word(text.as_bytes(), |start, end| {
+            let word = &text[start..end];
+            if self.admits(word.as_bytes())
+                && with_lowercase(word, |w| self.entries.contains_key(w))
+            {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            kind = Words::Inert;
-            ControlFlow::Continue(())
-        });
-        if flow.is_break() {
-            Words::Live
-        } else {
-            kind
-        }
-    }
-
-    /// True when a non-empty alphanumeric word is vocabulary, ignoring
-    /// ASCII case.
-    fn is_vocabulary(&self, word: &str) -> bool {
-        let bytes = word.as_bytes();
-        if !self.admits(bytes) {
-            return false;
-        }
-        if !bytes.iter().any(u8::is_ascii_uppercase) {
-            return self.entries.contains_key(word);
-        }
-        // Passing the probe bounds the length below `MAX_WORD_LEN`.
-        let mut lower = [0u8; MAX_WORD_LEN];
-        let lower = &mut lower[..bytes.len()];
-        lower.copy_from_slice(bytes);
-        lower.make_ascii_lowercase();
-        std::str::from_utf8(lower).is_ok_and(|w| self.entries.contains_key(w))
+        })
+        .is_break()
     }
 
     /// The prefilter probe for a non-empty word.
@@ -251,22 +235,19 @@ impl KeywordAutomaton {
             automaton: self,
             hits: [0; MAX_CATEGORIES],
             active: Vec::new(),
-            lower_buf: String::new(),
         }
     }
 }
 
 /// Streaming matcher state: per-category hit counters plus the in-flight
-/// multi-word candidates. Feed it every word of the page (in haystack
-/// order), then ask [`finish`](Self::finish) for the category.
+/// multi-word candidates. Feed it every word of the page, segment by
+/// segment, then ask [`finish`](Self::finish) for the category.
 #[derive(Debug)]
 pub struct TokenMatcher<'a> {
     automaton: &'a KeywordAutomaton,
     hits: [usize; MAX_CATEGORIES],
     /// (multi keyword index, next expected word index) candidates.
     active: Vec<(u16, u8)>,
-    /// Reused buffer for the rare words that need ASCII lower-casing.
-    lower_buf: String,
 }
 
 impl TokenMatcher<'_> {
@@ -286,72 +267,24 @@ impl TokenMatcher<'_> {
             self.active.clear();
             return;
         }
-        if bytes.iter().any(|b| b.is_ascii_uppercase()) {
-            let mut buf = std::mem::take(&mut self.lower_buf);
-            buf.clear();
-            buf.push_str(word);
-            buf.make_ascii_lowercase();
-            self.step(&buf);
-            self.lower_buf = buf;
-        } else {
-            self.step(word);
-        }
+        with_lowercase(word, |word| self.step(word));
     }
 
-    /// Split a text run into alphanumeric words (the seed classifier's word
-    /// boundary rule) and feed each. A SWAR movemask flags the boundary
-    /// bytes eight at a time, and the per-word prefilter probe runs inline
-    /// on the span, without the per-byte branch of
-    /// [`feed_text_naive`](Self::feed_text_naive). Each word is pure ASCII,
-    /// so slicing at its byte offsets stays on char boundaries.
+    /// Split a text run into alphanumeric words and [`feed`](Self::feed)
+    /// each. A SWAR movemask flags the boundary bytes eight at a time; each
+    /// word is pure ASCII, so slicing at its byte offsets stays on char
+    /// boundaries.
     pub fn feed_text(&mut self, text: &str) {
         let _ = for_each_word(text.as_bytes(), |start, end| {
-            self.feed_span(text, start, end);
+            self.feed(&text[start..end]);
             ControlFlow::<()>::Continue(())
         });
     }
 
-    /// The seed per-byte word split, retained as the equivalence oracle for
-    /// [`feed_text`](Self::feed_text).
-    pub fn feed_text_naive(&mut self, text: &str) {
-        let bytes = text.as_bytes();
-        let mut start = 0usize;
-        for (i, b) in bytes.iter().enumerate() {
-            if !b.is_ascii_alphanumeric() {
-                if i > start {
-                    self.feed(&text[start..i]);
-                }
-                start = i + 1;
-            }
-        }
-        if bytes.len() > start {
-            self.feed(&text[start..]);
-        }
-    }
-
-    /// Feed a non-empty word span of `text`, probing the prefilter inline.
-    /// Identical in effect to [`feed`](Self::feed) on `&text[start..end]`,
-    /// minus the redundant clear of an already-empty candidate list.
-    #[inline]
-    fn feed_span(&mut self, text: &str, start: usize, end: usize) {
-        let word = &text[start..end];
-        let bytes = word.as_bytes();
-        if !self.automaton.admits(bytes) {
-            if !self.active.is_empty() {
-                self.active.clear();
-            }
-            return;
-        }
-        if bytes.iter().any(|b| b.is_ascii_uppercase()) {
-            let mut buf = std::mem::take(&mut self.lower_buf);
-            buf.clear();
-            buf.push_str(word);
-            buf.make_ascii_lowercase();
-            self.step(&buf);
-            self.lower_buf = buf;
-        } else {
-            self.step(word);
-        }
+    /// End the current segment: no in-flight multi-word keyword continues
+    /// into the next word fed.
+    pub(crate) fn end_segment(&mut self) {
+        self.active.clear();
     }
 
     fn step(&mut self, word: &str) {
@@ -382,12 +315,6 @@ impl TokenMatcher<'_> {
         }
     }
 
-    /// True while a multi-word keyword is in flight: only then can a word
-    /// outside the vocabulary change the matcher's state.
-    pub(crate) fn in_sequence(&self) -> bool {
-        !self.active.is_empty()
-    }
-
     /// Total hits accumulated for a category.
     pub fn hits_for(&self, category: SiteCategory) -> usize {
         self.automaton
@@ -398,9 +325,9 @@ impl TokenMatcher<'_> {
             .unwrap_or(0)
     }
 
-    /// Resolve the best category, replicating the seed classifier's
-    /// selection exactly: first category (in vocabulary order) with the
-    /// strictly highest hit count, `Unknown` below the threshold.
+    /// Resolve the best category exactly as the oracle selects it: the
+    /// first category (in vocabulary order) with the strictly highest hit
+    /// count, `Unknown` below the threshold.
     pub fn finish(&self, min_hits: usize) -> SiteCategory {
         let mut best: Option<(SiteCategory, usize)> = None;
         for (i, category) in self.automaton.categories.iter().enumerate() {

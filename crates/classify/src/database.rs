@@ -57,27 +57,6 @@ impl CategoryDatabase {
         db
     }
 
-    /// The pre-frozen-store build, retained as the equivalence oracle: one
-    /// owned `String` copy of every page via [`Corpus::html_of`], exactly
-    /// what the classification path paid per task before the zero-copy
-    /// refactor. Property tests pin the borrowed builds to this.
-    pub fn classify_corpus_cloning(corpus: &Corpus) -> CategoryDatabase {
-        let classifier = KeywordClassifier::new();
-        let mut db = CategoryDatabase::new();
-        for spec in corpus.sites.values() {
-            let category = if spec.live {
-                match corpus.html_of(&spec.domain) {
-                    Some(html) => classifier.classify(&spec.domain, &html),
-                    None => SiteCategory::Unknown,
-                }
-            } else {
-                SiteCategory::Unknown
-            };
-            db.insert(spec.domain.clone(), category);
-        }
-        db
-    }
-
     /// Build the database from the corpus's ground-truth categories — the
     /// "oracle" variant used when an experiment needs the true labels rather
     /// than classifier output.
@@ -153,9 +132,9 @@ impl CategoryDatabase {
 }
 
 /// The category of one site: the classifier's verdict on its front page
-/// when it is live, [`SiteCategory::Unknown`] otherwise — the per-site
-/// function both corpus builds share. The page is borrowed from the frozen
-/// store and streamed straight into the automaton: zero copies per site.
+/// when it is live, [`SiteCategory::Unknown`] otherwise. The page is
+/// borrowed from the frozen store and streamed straight into the
+/// automaton: zero copies per site.
 fn site_category(classifier: &KeywordClassifier, corpus: &Corpus, spec: &SiteSpec) -> SiteCategory {
     if !spec.live {
         return SiteCategory::Unknown;
@@ -239,15 +218,5 @@ mod tests {
         let inline = CategoryDatabase::classify_corpus_on(&corpus, &ctx.sequential_twin());
         assert_eq!(pooled, sequential);
         assert_eq!(inline, sequential);
-    }
-
-    #[test]
-    fn borrowed_builds_match_the_cloning_oracle() {
-        let corpus =
-            CorpusGenerator::new(CorpusConfig::small(13)).generate_with(&EngineContext::embedded());
-        let borrowed = CategoryDatabase::classify_corpus_on(&corpus, &EngineContext::sequential());
-        let cloning = CategoryDatabase::classify_corpus_cloning(&corpus);
-        assert_eq!(borrowed, cloning);
-        assert_eq!(cloning.len(), corpus.sites.len());
     }
 }

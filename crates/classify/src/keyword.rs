@@ -1,26 +1,29 @@
 //! Keyword-based content classification.
 //!
-//! Two implementations share the vocabulary below:
+//! Two implementations count hits by the crate's one definition (see the
+//! crate doc) over the vocabulary below:
 //!
 //! * [`KeywordClassifier::classify`] — the production path: one forward
 //!   pass over the page bytes (`rws_html::RawTokens`, no lower-cased names
 //!   and no collapsed text), feeding each text run straight to the
-//!   compiled [`KeywordAutomaton`] (no haystack string, no per-keyword
-//!   rescans). Title runs and class names stay `&str` slices of the page,
-//!   and only the class names that hold a vocabulary word are sorted and
-//!   replayed;
-//! * [`KeywordClassifier::classify_naive`] — the seed classifier, kept as
-//!   the equivalence oracle: builds an owned lowercase haystack from the
-//!   three owned extractors of `rws_html` and scans it once per keyword.
+//!   compiled [`KeywordAutomaton`] (no joined copy of the page, no
+//!   per-keyword rescans). Title runs and class names stay `&str` slices
+//!   of the page, and only the distinct class names that hold a
+//!   vocabulary word are fed, each as a segment of its own;
+//! * [`KeywordClassifier::classify_naive`] — the equivalence oracle: the
+//!   three owned extractors of `rws_html` and the domain give the
+//!   segments, split into word lists, and each keyword is counted as the
+//!   equal word windows of each segment.
 
-use crate::automaton::{KeywordAutomaton, Words};
+use crate::automaton::KeywordAutomaton;
 use rws_corpus::SiteCategory;
 use rws_domain::DomainName;
 use rws_html::{class_names, class_set, text_content, title, RawToken, RawTokens};
 
-/// Vocabulary associated with each category. Matching is case-insensitive
-/// and counts every occurrence across the page's title, visible text and
-/// CSS class names.
+/// Vocabulary associated with each category, each keyword a sequence of
+/// words separated by single spaces. Matching is case-insensitive and
+/// counts every occurrence in the page's visible text, its title, its CSS
+/// class names and its domain.
 pub(crate) const CATEGORY_KEYWORDS: &[(SiteCategory, &[&str])] = &[
     (
         SiteCategory::NewsAndMedia,
@@ -146,24 +149,18 @@ impl KeywordClassifier {
     /// the tokenizer does) scores every word against the compiled keyword
     /// automaton. Text runs go to the matcher as the raw slices of the page:
     /// whitespace collapse cannot change the alphanumeric word split, so no
-    /// collapsed copy is needed. The title runs and class names the seed
-    /// classifier counted again are replayed afterwards in its haystack
-    /// order: text, then the title, then the sorted, deduplicated class
-    /// set, then the domain. Tag names are compared ignoring case, and each
-    /// tag's `class` value comes from the byte-level `RawAttrs::get`.
+    /// collapsed copy is needed. The title runs and class names are fed
+    /// afterwards, then the domain, with the in-flight sequences cleared
+    /// before each segment: the title, each distinct class name, the
+    /// domain. Tag names are compared ignoring case, and each tag's `class`
+    /// value comes from the byte-level `RawAttrs::get`.
     ///
-    /// Only class names with a vocabulary word (*live* names) are sorted
-    /// and fed. Fed to the matcher, a name whose words are all outside the
-    /// vocabulary (*inert*) only breaks the adjacency of in-flight
-    /// multi-word keywords, and a name with no word at all has no effect.
-    /// So an inert name matters only in the gap between live names it
-    /// would sort into, and only while a sequence is in flight there: the
-    /// replay then collects the page's inert names, once, and feeds the
-    /// one in that gap. A class value with no vocabulary word holds no
-    /// live name and is not split; one equal to the previous tag's adds
-    /// nothing and is skipped.
-    /// [`classify_naive`](Self::classify_naive) is the retained oracle this
-    /// is property-tested against.
+    /// Only class names with a vocabulary word (*live* names) are
+    /// deduplicated and fed: in a segment of its own, a name without one
+    /// cannot score. A class value with no vocabulary word holds no live
+    /// name and is not split; one equal to the previous tag's adds nothing
+    /// and is skipped. [`classify_naive`](Self::classify_naive) is the
+    /// oracle this is property-tested against.
     pub fn classify(&self, domain: &DomainName, html: &str) -> SiteCategory {
         let automaton = KeywordAutomaton::global();
         let mut matcher = automaton.matcher();
@@ -189,10 +186,9 @@ impl KeywordClassifier {
                     if let Some(value) = attributes.get("class") {
                         // Whitespace never joins two words, so a value
                         // without a vocabulary word holds no live name.
-                        if last_class != Some(value) && automaton.words(value) == Words::Live {
+                        if last_class != Some(value) && automaton.has_vocabulary(value) {
                             live.extend(
-                                class_names(value)
-                                    .filter(|class| automaton.words(class) == Words::Live),
+                                class_names(value).filter(|class| automaton.has_vocabulary(class)),
                             );
                         }
                         last_class = Some(value);
@@ -208,77 +204,51 @@ impl KeywordClassifier {
                 }
             }
         }
+        matcher.end_segment();
         for run in &title_runs {
             matcher.feed_text(run);
         }
         live.sort_unstable();
         live.dedup();
-        // Feeding an inert name only clears in-flight sequences, so the
-        // gap before each live name (and after the last) needs one only
-        // while a sequence is in flight there. No rendered corpus page
-        // reaches that; the first time a page does, its inert names are
-        // collected and sorted once.
-        let mut inert: Option<Vec<&str>> = None;
-        let mut lower = None;
-        for upper in live.iter().copied().map(Some).chain([None]) {
-            if matcher.in_sequence() {
-                let inert = inert.get_or_insert_with(|| {
-                    let mut names: Vec<&str> = page_class_names(html)
-                        .filter(|name| automaton.words(name) == Words::Inert)
-                        .collect();
-                    names.sort_unstable();
-                    names
-                });
-                let above = inert.partition_point(|name| lower.is_some_and(|l| *name <= l));
-                if let Some(name) = inert[above..]
-                    .first()
-                    .filter(|name| upper.is_none_or(|u| **name < u))
-                {
-                    matcher.feed_text(name);
-                }
-            }
-            if let Some(class) = upper {
-                matcher.feed_text(class);
-            }
-            lower = upper;
+        for class in live {
+            matcher.end_segment();
+            matcher.feed_text(class);
         }
+        matcher.end_segment();
         matcher.feed_text(domain.as_str());
         matcher.finish(self.min_hits)
     }
 
-    /// The seed classifier, retained as the automaton's equivalence oracle:
-    /// the owned extractors `text_content`, `title` and `class_set`
-    /// build an owned lowercase haystack, which is then rescanned once per
-    /// keyword. Quadratic in page size × vocabulary; not for hot paths.
+    /// The equivalence oracle, built on the owned extractors: the segments
+    /// are `text_content`, `title`, each name of `class_set` and the
+    /// domain, each split into lower-cased words, and a keyword scores once
+    /// per window of consecutive words equal to its own, segment by
+    /// segment. Quadratic in page size × vocabulary; not for hot paths.
     #[doc(hidden)]
     pub fn classify_naive(&self, domain: &DomainName, html: &str) -> SiteCategory {
-        let mut haystack = String::new();
-        haystack.push_str(&text_content(html).to_ascii_lowercase());
-        haystack.push(' ');
-        if let Some(t) = title(html) {
-            haystack.push_str(&t.to_ascii_lowercase());
-            haystack.push(' ');
-        }
-        for class in class_set(html) {
-            haystack.push_str(&class.to_ascii_lowercase());
-            haystack.push(' ');
-        }
-        haystack.push_str(domain.as_str());
-
-        // Tokenise once so single-word keywords match on word boundaries
-        // ("news" must not match the "newsletter" sign-up form every site
-        // carries); multi-word keywords fall back to substring search.
-        let words: Vec<&str> = haystack
-            .split(|c: char| !c.is_ascii_alphanumeric())
-            .filter(|w| !w.is_empty())
+        let mut segments = vec![text_content(html), title(html).unwrap_or_default()];
+        segments.extend(class_set(html));
+        segments.push(domain.as_str().to_string());
+        let segments: Vec<Vec<String>> = segments
+            .iter()
+            .map(|segment| {
+                segment
+                    .split(|c: char| !c.is_ascii_alphanumeric())
+                    .filter(|w| !w.is_empty())
+                    .map(str::to_ascii_lowercase)
+                    .collect()
+            })
             .collect();
 
         let mut best: Option<(SiteCategory, usize)> = None;
         for (category, keywords) in CATEGORY_KEYWORDS {
-            let hits: usize = keywords
-                .iter()
-                .map(|kw| count_occurrences(&haystack, &words, kw))
-                .sum();
+            let mut hits = 0;
+            for keyword in *keywords {
+                let needle: Vec<&str> = keyword.split(' ').collect();
+                for words in &segments {
+                    hits += words.windows(needle.len()).filter(|w| *w == needle).count();
+                }
+            }
             match best {
                 Some((_, best_hits)) if best_hits >= hits => {}
                 _ => best = Some((*category, hits)),
@@ -288,29 +258,6 @@ impl KeywordClassifier {
             Some((category, hits)) if hits >= self.min_hits => category,
             _ => SiteCategory::Unknown,
         }
-    }
-}
-
-/// Every class name on the page's tags, in document order.
-fn page_class_names(html: &str) -> impl Iterator<Item = &str> {
-    RawTokens::new(html)
-        .filter_map(|token| match token {
-            RawToken::Open { attributes, .. } => attributes.get("class"),
-            _ => None,
-        })
-        .flat_map(class_names)
-}
-
-/// Occurrence count of one keyword in the naive haystack: exact word match
-/// for single words, substring scan for multi-word phrases.
-fn count_occurrences(haystack: &str, words: &[&str], needle: &str) -> usize {
-    if needle.is_empty() {
-        return 0;
-    }
-    if needle.contains(' ') {
-        haystack.matches(needle).count()
-    } else {
-        words.iter().filter(|w| **w == needle).count()
     }
 }
 
@@ -394,8 +341,8 @@ mod tests {
     #[test]
     fn automaton_matches_naive_on_accuracy_corpus() {
         // The same rendered pages the accuracy test classifies: the
-        // single-pass automaton must agree with the seed classifier on
-        // every one of them (and on the handcrafted edge cases).
+        // single-pass automaton must agree with the oracle on every one of
+        // them (and on the handcrafted edge cases).
         let mut rng = Xoshiro256StarStar::new(21);
         let classifier = KeywordClassifier::new();
         for category in SiteCategory::ALL {
@@ -422,11 +369,11 @@ mod tests {
                 "title.example",
                 "<title>breaking news</title><div class=\"cart cart\">buy</div>",
             ),
-            // A keyword split across the class replay's seams, with and
-            // without a class name outside the vocabulary sorting into the
-            // gap: after the title, between two class names, and before
-            // the domain. The `cart` text makes the split keyword's hit
-            // decide the verdict at the default threshold.
+            // A keyword split across segment seams, with and without a
+            // class name outside the vocabulary sorting between the halves:
+            // after the title, between two class names, and before the
+            // domain. The `cart` text puts the verdict one hit from the
+            // default threshold, so a hit across a seam would flip it.
             (
                 "seam.example",
                 "cart<title>free</title><p class=\"aaa\">x</p><p class=\"shipping\">y</p>",
@@ -457,6 +404,80 @@ mod tests {
                 classifier.classify(&domain, html),
                 classifier.classify_naive(&domain, html),
                 "automaton/naive divergence on {html:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn words_and_segments_decide_multi_word_hits() {
+        // No page below holds a vocabulary word outside the split keyword,
+        // so at `min_hits` 1 the verdict is Shopping exactly when "free
+        // shipping" hits. Both classifiers must say so.
+        let classifier = KeywordClassifier { min_hits: 1 };
+        for (domain, html, expected) in [
+            // Punctuation and word-free text runs only separate words.
+            (
+                "seam.example",
+                "<p>free-shipping</p>",
+                SiteCategory::Shopping,
+            ),
+            (
+                "seam.example",
+                "<p>free</p><p>-</p><p>shipping</p>",
+                SiteCategory::Shopping,
+            ),
+            (
+                "seam.example",
+                "<p>free shipping</p>",
+                SiteCategory::Shopping,
+            ),
+            (
+                "seam.example",
+                "<p class=\"free-shipping\">x</p>",
+                SiteCategory::Shopping,
+            ),
+            // A keyword half inside a longer word is no word.
+            (
+                "seam.example",
+                "<p>cartfree shipping</p>",
+                SiteCategory::Unknown,
+            ),
+            // Class names next to each other in sorted order are two
+            // segments, not a phrase.
+            (
+                "seam.example",
+                "<p class=\"free\">x</p><p class=\"shipping\">y</p>",
+                SiteCategory::Unknown,
+            ),
+            // The text → title, title → class, class → domain and text →
+            // domain seams.
+            (
+                "seam.example",
+                "<title>shipping</title><p>free</p>",
+                SiteCategory::Unknown,
+            ),
+            (
+                "seam.example",
+                "<title>free</title><p class=\"shipping\">x</p>",
+                SiteCategory::Unknown,
+            ),
+            (
+                "shipping.example",
+                "<p class=\"free\">x</p>",
+                SiteCategory::Unknown,
+            ),
+            ("shipping.example", "<p>free</p>", SiteCategory::Unknown),
+        ] {
+            let domain = dn(domain);
+            assert_eq!(
+                classifier.classify(&domain, html),
+                expected,
+                "classify on {html:?}"
+            );
+            assert_eq!(
+                classifier.classify_naive(&domain, html),
+                expected,
+                "classify_naive on {html:?}"
             );
         }
     }

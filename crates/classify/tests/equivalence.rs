@@ -7,18 +7,20 @@
 //!   every rendered corpus page (the inputs classification
 //!   actually runs on — the html crate's own property tests cover
 //!   arbitrary/malformed strings);
-//! * the single-pass automaton classifier agrees with the retained seed
-//!   classifier (`classify_naive`) on every rendered page, every corpus
-//!   member, generated pages dense in awkward `class` values, and tag
-//!   soup (raw text, comments, titles and keywords split across seams),
-//!   and returns without panicking on arbitrary input;
+//! * the single-pass automaton classifier agrees with its oracle
+//!   (`classify_naive`) on every rendered page, every corpus member,
+//!   generated pages dense in awkward `class` values, tag soup (raw text,
+//!   comments, titles and keywords split across seams), strings built
+//!   from keyword halves, punctuation, tags and non-ASCII, and arbitrary
+//!   strings;
 //! * `classify_corpus_on` on a pooled context is field-for-field identical
-//!   to the same call on `EngineContext::sequential()`, inline, and on a
-//!   forced 3-worker pool.
+//!   to the same call on `EngineContext::sequential()`, inline, on a
+//!   forced 3-worker pool, and to an owned-copy build that classifies one
+//!   `Corpus::html_of` copy of every page.
 
 use proptest::prelude::*;
 use rws_classify::{CategoryDatabase, KeywordClassifier};
-use rws_corpus::{Brand, CorpusConfig, CorpusGenerator, Language, SiteCategory};
+use rws_corpus::{Brand, Corpus, CorpusConfig, CorpusGenerator, Language, SiteCategory};
 use rws_domain::{DomainName, SiteResolver};
 use rws_engine::{EngineContext, ThreadPool};
 use rws_html::{tokenize, Token, Tokens};
@@ -26,6 +28,36 @@ use rws_stats::rng::Xoshiro256StarStar;
 
 fn streamed(html: &str) -> Vec<Token> {
     Tokens::new(html).map(|t| t.to_token()).collect()
+}
+
+/// The owned-copy corpus build, the oracle for the borrowed builds: one
+/// `Corpus::html_of` `String` per live site, classified in site order.
+fn classify_corpus_cloning(corpus: &Corpus) -> CategoryDatabase {
+    let classifier = KeywordClassifier::new();
+    let mut db = CategoryDatabase::new();
+    for spec in corpus.sites.values() {
+        let category = if spec.live {
+            match corpus.html_of(&spec.domain) {
+                Some(html) => classifier.classify(&spec.domain, &html),
+                None => SiteCategory::Unknown,
+            }
+        } else {
+            SiteCategory::Unknown
+        };
+        db.insert(spec.domain.clone(), category);
+    }
+    db
+}
+
+/// A matcher fed `text` through the per-byte split
+/// `text.split(|c: char| !c.is_ascii_alphanumeric())`, one word at a time:
+/// the oracle for `feed_text`'s SWAR-batched split.
+fn fed_word_by_word(text: &str) -> rws_classify::automaton::TokenMatcher<'static> {
+    let mut matcher = rws_classify::KeywordAutomaton::global().matcher();
+    for word in text.split(|c: char| !c.is_ascii_alphanumeric()) {
+        matcher.feed(word);
+    }
+    matcher
 }
 
 /// Class values mixing vocabulary words with every separator whose
@@ -89,12 +121,9 @@ fn class_page_strategy() -> impl Strategy<Value = String> {
 /// Page fragments for the tag-soup test: titles (upper-case, empty,
 /// markup-nested, unbalanced), vocabulary inside `<script>`/`<style>` raw
 /// text, comments and declarations, upper-case tag and attribute names,
-/// non-ASCII whitespace, a `>` inside a quoted value, and multi-word
-/// keywords split across tags and across the text/title/class seams.
-/// Every text run and class name holds a word: a word-free run or name
-/// between two keyword halves separates them in the seed's substring
-/// haystack but not in the word stream, so the two classifiers are not
-/// compared there.
+/// non-ASCII whitespace, a `>` inside a quoted value, word-free text runs
+/// and class names, and multi-word keywords split across tags and across
+/// the text/title/class seams.
 const SOUP_FRAGMENTS: &[&str] = &[
     "<title>free</title>",
     "<TITLE >Release</TITLE>",
@@ -127,6 +156,8 @@ const SOUP_FRAGMENTS: &[&str] = &[
     "<div class=\"tech\u{a0}cloud\">k</div>",
     "<div class=\"zz-free\">w</div>",
     "<div class=\"zzz\">v</div>",
+    "<p>-</p>",
+    "<div class=\"-\">u</div>",
 ];
 
 /// Fragments that only end a page: unterminated forms swallow the rest.
@@ -147,6 +178,52 @@ const SOUP_DOMAINS: &[&str] = &[
     "shipping.example",
     "news.example",
 ];
+
+/// Pieces of arbitrary strings: keyword halves and words that join them
+/// into longer words, punctuation, non-ASCII, entities and tags. Glued
+/// together they put every kind of separator, and every segment seam,
+/// between the halves of a multi-word keyword.
+const PIECES: &[&str] = &[
+    "free",
+    "Shipping",
+    "RELEASE",
+    "notes",
+    "ship",
+    "ping",
+    "cart",
+    "news",
+    "letter",
+    " ",
+    "-",
+    ".",
+    "\u{a0}",
+    "\u{e9}",
+    "\u{85}",
+    "&amp;",
+    "&nbsp;",
+    "<p>",
+    "</p>",
+    "<b>",
+    "<title>",
+    "</title>",
+    "<div class=\"",
+    "\">",
+    "<script>",
+    "</script>",
+    "<!--",
+    "-->",
+];
+
+/// Pages glued from [`PIECES`], several per case, and a domain.
+fn piece_pages_strategy() -> impl Strategy<Value = (Vec<String>, &'static str)> {
+    let page = proptest::collection::vec(0usize..PIECES.len(), 0..40)
+        .prop_map(|parts| parts.iter().map(|&p| PIECES[p]).collect::<String>());
+    (
+        proptest::collection::vec(page, 32..33),
+        0usize..SOUP_DOMAINS.len(),
+    )
+        .prop_map(|(pages, domain)| (pages, SOUP_DOMAINS[domain]))
+}
 
 /// A tag-soup page and its domain.
 fn tag_soup_strategy() -> impl Strategy<Value = (String, &'static str)> {
@@ -183,7 +260,7 @@ proptest! {
         }
     }
 
-    /// Automaton `classify` ≡ seed `classify_naive` on rendered pages of
+    /// Automaton `classify` ≡ oracle `classify_naive` on rendered pages of
     /// every category and language mix the corpus produces.
     #[test]
     fn automaton_classify_matches_naive_on_rendered_pages(seed in 0u64..1_000_000) {
@@ -206,7 +283,7 @@ proptest! {
     /// `classify` ≡ `classify_naive` on pages built from the same class
     /// values: borrowed class names, the ASCII split with its
     /// `split_whitespace` fallback, and the repeated-value skip all score
-    /// like the seed's owned class set. Several thresholds make the verdict
+    /// like the oracle's owned class set. Several thresholds make the verdict
     /// sensitive to single-hit differences.
     #[test]
     fn classify_matches_naive_on_class_dense_pages(html in class_page_strategy()) {
@@ -238,28 +315,47 @@ proptest! {
         }
     }
 
+    /// `classify` ≡ `classify_naive` on strings glued from keyword halves,
+    /// punctuation, tags, entities and non-ASCII, at every threshold from
+    /// 1 to 8.
+    #[test]
+    fn classify_matches_naive_on_piece_strings((pages, domain) in piece_pages_strategy()) {
+        let domain = DomainName::parse(domain).unwrap();
+        for html in &pages {
+            for min_hits in 1..=8 {
+                let classifier = KeywordClassifier { min_hits };
+                prop_assert_eq!(
+                    classifier.classify(&domain, html),
+                    classifier.classify_naive(&domain, html),
+                    "divergence at min_hits {} on {:?}", min_hits, html
+                );
+            }
+        }
+    }
+
     /// `classify` returns on arbitrary input, malformed and non-ASCII
-    /// pages included, at every threshold. Only totality is checked: on
-    /// arbitrary strings `classify` and `classify_naive` can disagree, so
-    /// the equivalence gates above stay on the page shapes they cover.
+    /// pages included, and agrees with `classify_naive` at every threshold.
     #[test]
     fn classify_total_on_arbitrary_input(html in ".{0,400}", domain in 0usize..SOUP_DOMAINS.len()) {
         let domain = DomainName::parse(SOUP_DOMAINS[domain]).unwrap();
         for min_hits in [0, 1, 2, 8] {
-            let _ = KeywordClassifier { min_hits }.classify(&domain, &html);
+            let classifier = KeywordClassifier { min_hits };
+            prop_assert_eq!(
+                classifier.classify(&domain, &html),
+                classifier.classify_naive(&domain, &html),
+                "divergence at min_hits {} on {:?}", min_hits, html
+            );
         }
     }
 
-    /// The SWAR-batched word split (`feed_text`) ≡ the seed per-byte split
-    /// (`feed_text_naive`): identical per-category hits and verdicts on
-    /// arbitrary text, including non-ASCII and punctuation runs.
+    /// The SWAR-batched word split (`feed_text`) ≡ the per-byte split fed
+    /// word by word: identical per-category hits and verdicts on arbitrary
+    /// text, including non-ASCII and punctuation runs.
     #[test]
     fn batched_word_split_matches_naive_on_arbitrary_text(text in ".{0,300}") {
-        let automaton = rws_classify::KeywordAutomaton::global();
-        let mut batched = automaton.matcher();
+        let mut batched = rws_classify::KeywordAutomaton::global().matcher();
         batched.feed_text(&text);
-        let mut naive = automaton.matcher();
-        naive.feed_text_naive(&text);
+        let naive = fed_word_by_word(&text);
         for category in SiteCategory::ALL {
             prop_assert_eq!(batched.hits_for(category), naive.hits_for(category));
         }
@@ -279,8 +375,7 @@ proptest! {
             let text = rws_html::text_content(&html);
             let mut batched = automaton.matcher();
             batched.feed_text(&text);
-            let mut naive = automaton.matcher();
-            naive.feed_text_naive(&text);
+            let naive = fed_word_by_word(&text);
             for c in SiteCategory::ALL {
                 prop_assert_eq!(batched.hits_for(c), naive.hits_for(c));
             }
@@ -288,9 +383,9 @@ proptest! {
     }
 
     /// Pooled `classify_corpus_on` ≡ sequential `classify_corpus_on` across
-    /// corpus seeds — and both, now running on borrowed views out of the
-    /// frozen page store, ≡ `classify_corpus_cloning`, the retained PR-4
-    /// owned-copy build (one `html_of` String per site). The per-site
+    /// corpus seeds — and both, running on borrowed views out of the
+    /// frozen page store, ≡ [`classify_corpus_cloning`], the owned-copy
+    /// build (one `html_of` String per site). The per-site
     /// streaming/naive agreement holds over every live page too.
     #[test]
     fn corpus_classification_parallel_equivalence(seed in 0u64..1_000_000) {
@@ -299,7 +394,7 @@ proptest! {
         let ctx = EngineContext::new();
         let pooled = CategoryDatabase::classify_corpus_on(&corpus, &ctx);
         let inline = CategoryDatabase::classify_corpus_on(&corpus, &ctx.sequential_twin());
-        let cloning = CategoryDatabase::classify_corpus_cloning(&corpus);
+        let cloning = classify_corpus_cloning(&corpus);
         prop_assert_eq!(&pooled, &sequential);
         prop_assert_eq!(&inline, &sequential);
         prop_assert_eq!(&cloning, &sequential, "borrowed views diverge from the owned-copy oracle");
@@ -332,11 +427,23 @@ fn corpus_classification_on_forced_three_worker_pool() {
         let pooled = CategoryDatabase::classify_corpus_on(&corpus, &ctx);
         let sequential =
             CategoryDatabase::classify_corpus_on(&corpus, &EngineContext::sequential());
-        let cloning = CategoryDatabase::classify_corpus_cloning(&corpus);
+        let cloning = classify_corpus_cloning(&corpus);
         assert_eq!(pooled, sequential, "divergence at corpus seed {seed}");
         assert_eq!(
             pooled, cloning,
             "borrowed/owned divergence at corpus seed {seed}"
         );
     }
+}
+
+/// The borrowed build on a sequential context ≡ the owned-copy build, and
+/// it covers every corpus site.
+#[test]
+fn borrowed_builds_match_the_cloning_oracle() {
+    let corpus =
+        CorpusGenerator::new(CorpusConfig::small(13)).generate_with(&EngineContext::embedded());
+    let borrowed = CategoryDatabase::classify_corpus_on(&corpus, &EngineContext::sequential());
+    let cloning = classify_corpus_cloning(&corpus);
+    assert_eq!(borrowed, cloning);
+    assert_eq!(cloning.len(), corpus.sites.len());
 }
