@@ -6,7 +6,7 @@ use crate::scenario::Scenario;
 use rws_corpus::SiteCategory;
 use rws_github::PrState;
 use rws_model::MemberRole;
-use rws_stats::histogram::CategoryCounter;
+use rws_stats::counter::CategoryCounter;
 use rws_stats::timeseries::Month;
 use rws_stats::Ecdf;
 

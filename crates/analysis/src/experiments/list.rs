@@ -4,7 +4,7 @@ use crate::experiments::Experiment;
 use crate::report::{Report, Series, TextTable};
 use crate::scenario::Scenario;
 use rws_domain::{DomainName, SldComparison};
-use rws_html::similarity::{DocumentProfile, ProfileScratch, SimilarityWeights};
+use rws_html::similarity::{DocumentProfile, ProfileScratch};
 use rws_model::MemberRole;
 use rws_stats::Ecdf;
 use std::collections::HashMap;
@@ -25,7 +25,7 @@ impl Figure3 {
         let comparisons = scenario
             .engine
             .par_map(&pairs, |_, (primary, member, role)| {
-                SldComparison::compute_cached(member, primary, resolver)
+                SldComparison::compute(member, primary, resolver)
                     .map(|comparison| (*role, comparison.edit_distance as f64))
             });
         let mut service = Vec::new();
@@ -104,7 +104,6 @@ impl Figure4 {
     /// store (`Corpus::with_html`), so neither the tag/class accumulators
     /// nor the page text are allocated per document.
     fn similarities(scenario: &Scenario) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let weights = SimilarityWeights::default();
         let pairs: Vec<(DomainName, DomainName, MemberRole)> = scenario
             .corpus
             .list
@@ -130,9 +129,9 @@ impl Figure4 {
             |scratch, _, domain| {
                 // Borrowed straight out of the frozen page store: the whole
                 // profiling sweep runs without copying a single page.
-                scenario.corpus.with_html(domain, |html| {
-                    DocumentProfile::with_scratch(html, weights, scratch)
-                })
+                scenario
+                    .corpus
+                    .with_html(domain, |html| DocumentProfile::with_scratch(html, scratch))
             },
         );
         let profile_of = |domain: &DomainName| profiles[seen[domain]].as_ref();
@@ -144,7 +143,7 @@ impl Figure4 {
             else {
                 return None;
             };
-            Some(primary_profile.similarity(member_profile, weights))
+            Some(primary_profile.similarity(member_profile))
         });
 
         let mut style = Vec::new();

@@ -178,7 +178,7 @@ mod tests {
         let fail_fast = reproduction().run_all();
         let repro = PaperReproduction::with_engine(
             ScenarioConfig::small(61),
-            EngineContext::new().with_supervision(SupervisionPolicy::salvage()),
+            EngineContext::new().with_supervision(SupervisionPolicy::Salvage),
         );
         let salvaged = repro.run_all();
         assert_eq!(fail_fast, salvaged);

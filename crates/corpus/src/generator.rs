@@ -22,11 +22,11 @@ use crate::tranco::TrancoList;
 use rws_domain::DomainName;
 use rws_engine::EngineContext;
 use rws_model::{RwsList, RwsSet, WellKnownFile};
-use rws_net::{FrozenWeb, HostTable, SiteHost, WELL_KNOWN_RWS_PATH};
+use rws_net::{FrozenWeb, HostTable, SiteHost, WELL_KNOWN_RWS_PATH, X_ROBOTS_TAG};
 use rws_stats::rng::{Rng, Xoshiro256StarStar};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Generic top-level domains used for primaries and distinct associated
 /// sites.
@@ -477,9 +477,15 @@ impl CorpusGenerator {
                     (spec.domain.clone(), host)
                 })
                 .collect();
-            table.lock().expect("page table poisoned").extend(hosts);
+            table
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .extend(hosts);
         });
-        let store = FrozenWeb::from_hosts(table.into_inner().expect("page table poisoned"));
+        // A render panic precedes its task's lock and `par_map_coarse`
+        // re-raises it, so a table that gets here holds only whole hosts.
+        let store =
+            FrozenWeb::from_hosts(table.into_inner().unwrap_or_else(PoisonError::into_inner));
         // Build phase over: the store is frozen. Every page body was
         // interned exactly once above; from here on the corpus is a
         // read-only snapshot (lock-free borrows).
@@ -589,8 +595,8 @@ fn render_host(
         };
         host.add_json(WELL_KNOWN_RWS_PATH, wk.to_json_string());
         if spec.role == SiteRole::SetService {
-            host.add_header("/", "X-Robots-Tag", "noindex");
-            host.add_header(WELL_KNOWN_RWS_PATH, "X-Robots-Tag", "noindex");
+            host.add_header("/", X_ROBOTS_TAG, "noindex");
+            host.add_header(WELL_KNOWN_RWS_PATH, X_ROBOTS_TAG, "noindex");
         }
     }
     host

@@ -279,7 +279,7 @@ fn filler_sentence<R: Rng + ?Sized>(rng: &mut R, language: Language, keyword: &s
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rws_html::similarity::{html_similarity, SimilarityWeights};
+    use rws_html::similarity::html_similarity;
     use rws_stats::rng::Xoshiro256StarStar;
 
     fn dn(s: &str) -> DomainName {
@@ -344,7 +344,7 @@ mod tests {
             Language::English,
             &mut rng,
         );
-        let sim = html_similarity(&a, &b, SimilarityWeights::default());
+        let sim = html_similarity(&a, &b);
         assert!(
             sim.style > 0.8,
             "style similarity {} should be high",
@@ -376,7 +376,7 @@ mod tests {
             Language::English,
             &mut rng,
         );
-        let sim = html_similarity(&a, &b, SimilarityWeights::default());
+        let sim = html_similarity(&a, &b);
         assert!(
             sim.style < 0.2,
             "style similarity {} should be low",

@@ -9,7 +9,6 @@
 
 use crate::levenshtein::{levenshtein, normalized_levenshtein};
 use crate::name::DomainName;
-use crate::psl::PublicSuffixList;
 use crate::resolver::SiteResolver;
 use serde::{Deserialize, Serialize};
 
@@ -44,37 +43,17 @@ pub struct SldComparison {
 }
 
 impl SldComparison {
-    /// Compare a member site against its primary using the given PSL.
-    /// Returns `None` if either name has no registrable domain.
+    /// Compare a member site against its primary, resolving SLDs through a
+    /// memoizing [`SiteResolver`]: the Figure 3 sweep meets the same primary
+    /// in many pairs. Returns `None` if either name has no registrable
+    /// domain.
     pub fn compute(
-        member: &DomainName,
-        primary: &DomainName,
-        psl: &PublicSuffixList,
-    ) -> Option<SldComparison> {
-        let member_sld = psl.second_level_label(member)?;
-        let primary_sld = psl.second_level_label(primary)?;
-        SldComparison::from_slds(member, primary, member_sld, primary_sld)
-    }
-
-    /// Like [`compute`](Self::compute), but resolving SLDs through a
-    /// memoizing [`SiteResolver`] — the form the Figure 3 sweep uses, where
-    /// the same primary appears in many pairs.
-    pub fn compute_cached(
         member: &DomainName,
         primary: &DomainName,
         resolver: &SiteResolver,
     ) -> Option<SldComparison> {
         let member_sld = resolver.second_level_label(member)?;
         let primary_sld = resolver.second_level_label(primary)?;
-        SldComparison::from_slds(member, primary, member_sld, primary_sld)
-    }
-
-    fn from_slds(
-        member: &DomainName,
-        primary: &DomainName,
-        member_sld: String,
-        primary_sld: String,
-    ) -> Option<SldComparison> {
         let edit_distance = levenshtein(&member_sld, &primary_sld);
         let normalized_distance = normalized_levenshtein(&member_sld, &primary_sld);
         let identical_sld = member_sld == primary_sld;
@@ -112,8 +91,8 @@ mod tests {
 
     #[test]
     fn comparison_identical_slds_across_gtlds() {
-        let psl = PublicSuffixList::embedded();
-        let c = SldComparison::compute(&dn("poalim.site"), &dn("poalim.xyz"), &psl).unwrap();
+        let resolver = SiteResolver::embedded();
+        let c = SldComparison::compute(&dn("poalim.site"), &dn("poalim.xyz"), &resolver).unwrap();
         assert!(c.identical_sld);
         assert_eq!(c.edit_distance, 0);
         assert!(!c.shares_stem);
@@ -121,8 +100,8 @@ mod tests {
 
     #[test]
     fn comparison_shared_stem() {
-        let psl = PublicSuffixList::embedded();
-        let c = SldComparison::compute(&dn("autobild.de"), &dn("bild.de"), &psl).unwrap();
+        let resolver = SiteResolver::embedded();
+        let c = SldComparison::compute(&dn("autobild.de"), &dn("bild.de"), &resolver).unwrap();
         assert!(!c.identical_sld);
         assert!(c.shares_stem);
         assert_eq!(c.edit_distance, 4);
@@ -132,9 +111,13 @@ mod tests {
 
     #[test]
     fn comparison_distinct_slds() {
-        let psl = PublicSuffixList::embedded();
-        let c = SldComparison::compute(&dn("nourishingpursuits.com"), &dn("cafemedia.com"), &psl)
-            .unwrap();
+        let resolver = SiteResolver::embedded();
+        let c = SldComparison::compute(
+            &dn("nourishingpursuits.com"),
+            &dn("cafemedia.com"),
+            &resolver,
+        )
+        .unwrap();
         assert!(!c.identical_sld);
         assert!(!c.shares_stem);
         assert!(c.edit_distance >= 13);
@@ -142,14 +125,14 @@ mod tests {
 
     #[test]
     fn comparison_none_for_bare_suffix() {
-        let psl = PublicSuffixList::embedded();
-        assert!(SldComparison::compute(&dn("co.uk"), &dn("example.com"), &psl).is_none());
+        let resolver = SiteResolver::embedded();
+        assert!(SldComparison::compute(&dn("co.uk"), &dn("example.com"), &resolver).is_none());
     }
 
     #[test]
     fn comparison_one_edit_apart() {
-        let psl = PublicSuffixList::embedded();
-        let c = SldComparison::compute(&dn("exomple.com"), &dn("example.com"), &psl).unwrap();
+        let resolver = SiteResolver::embedded();
+        let c = SldComparison::compute(&dn("exomple.com"), &dn("example.com"), &resolver).unwrap();
         assert_eq!(c.edit_distance, 1);
         assert!(!c.identical_sld && !c.shares_stem);
     }

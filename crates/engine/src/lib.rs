@@ -47,9 +47,7 @@ pub use rws_domain::SiteResolver;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 use supervision::panic_message;
-pub use supervision::{
-    QuarantineEntry, SupervisionPolicy, SupervisionReport, DEFAULT_QUARANTINE_CAP,
-};
+pub use supervision::{QuarantineEntry, SupervisionPolicy, SupervisionReport, QUARANTINE_CAP};
 
 /// The old name of [`EngineContext`]. It exists only so the frozen
 /// benchmark harness, which imports it, keeps building; nothing else may
@@ -143,12 +141,6 @@ impl EngineContext {
             resolver,
             supervisor: Supervisor::new(SupervisionPolicy::FailFast),
         }
-    }
-
-    /// Replace the resolver, keeping the execution mode.
-    pub fn with_resolver(mut self, resolver: SiteResolver) -> EngineContext {
-        self.resolver = resolver;
-        self
     }
 
     /// Replace the supervision policy, resetting the monitor: the returned
@@ -270,21 +262,18 @@ impl EngineContext {
         F: Fn(usize, &T) -> R + Sync,
     {
         let mut failures = Vec::new();
-        let (out, cap) = match self.supervision() {
-            SupervisionPolicy::FailFast => {
-                let out = self
-                    .par_map_coarse(items, f)
-                    .into_iter()
-                    .map(Some)
-                    .collect();
-                (out, usize::MAX)
-            }
-            SupervisionPolicy::Salvage { quarantine_cap } => {
+        let out = match self.supervision() {
+            SupervisionPolicy::FailFast => self
+                .par_map_coarse(items, f)
+                .into_iter()
+                .map(Some)
+                .collect(),
+            SupervisionPolicy::Salvage => {
                 let caught = self.par_map_coarse(items, |index, item| {
                     catch_unwind(AssertUnwindSafe(|| f(index, item)))
                         .map_err(|payload| panic_message(&*payload))
                 });
-                let out = caught
+                caught
                     .into_iter()
                     .enumerate()
                     .map(|(index, result)| match result {
@@ -294,12 +283,11 @@ impl EngineContext {
                             None
                         }
                     })
-                    .collect();
-                (out, quarantine_cap)
+                    .collect()
             }
         };
         let mut sweep = SupervisionReport::new();
-        sweep.record_sweep(stage, items.len(), failures, cap);
+        sweep.record_sweep(stage, items.len(), failures);
         self.supervisor.record(&sweep);
         (out, sweep)
     }
@@ -422,9 +410,9 @@ mod tests {
         // A forced 3-worker pool, so panics cross threads even on a
         // single-core host.
         let pooled = EngineContext::with_parts(ThreadPool::new(3), SiteResolver::embedded())
-            .with_supervision(SupervisionPolicy::salvage());
+            .with_supervision(SupervisionPolicy::Salvage);
         let sequential = pooled.sequential_twin();
-        assert_eq!(sequential.supervision(), SupervisionPolicy::salvage());
+        assert_eq!(sequential.supervision(), SupervisionPolicy::Salvage);
         let items: Vec<u64> = (0..200).collect();
         let task = |_: usize, v: &u64| {
             if v % 61 == 13 {
@@ -461,7 +449,7 @@ mod tests {
         let fail_fast = EngineContext::embedded();
         let salvage = fail_fast
             .clone()
-            .with_supervision(SupervisionPolicy::salvage());
+            .with_supervision(SupervisionPolicy::Salvage);
         let items: Vec<u64> = (0..700).collect();
         let task = |i: usize, v: &u64| v.wrapping_mul(7) ^ i as u64;
         let (salvaged, sweep) = salvage.par_map_supervised("stage", &items, task);
@@ -473,7 +461,7 @@ mod tests {
 
     #[test]
     fn salvage_records_non_string_payloads_generically() {
-        let ctx = EngineContext::sequential().with_supervision(SupervisionPolicy::salvage());
+        let ctx = EngineContext::sequential().with_supervision(SupervisionPolicy::Salvage);
         let items: Vec<usize> = (0..4).collect();
         let (out, sweep) = ctx.par_map_supervised("stage", &items, |_, v| {
             if *v == 2 {
@@ -495,7 +483,7 @@ mod tests {
             }
             v + 1
         };
-        let salvage = SupervisionPolicy::salvage();
+        let salvage = SupervisionPolicy::Salvage;
         let want = EngineContext::sequential()
             .with_supervision(salvage)
             .par_map_supervised("nested", &items, task);
@@ -521,7 +509,7 @@ mod tests {
         let items: Vec<u64> = (0..10).collect();
         let _ = ctx.par_map_supervised("warmup", &items, |_, v| *v);
         assert_eq!(ctx.supervision_report().tasks_run, 10);
-        let fresh = ctx.with_supervision(SupervisionPolicy::salvage());
+        let fresh = ctx.with_supervision(SupervisionPolicy::Salvage);
         assert_eq!(fresh.supervision_report().tasks_run, 0);
     }
 

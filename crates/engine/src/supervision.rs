@@ -8,8 +8,8 @@
 //! and surface the degradation loudly in the run's report. This module
 //! holds the vocabulary both postures share:
 //!
-//! * [`SupervisionPolicy`] — fail-fast (default) or salvage with a cap on
-//!   how many quarantine entries a single sweep may retain;
+//! * [`SupervisionPolicy`] — fail-fast (default) or salvage, where a single
+//!   sweep retains at most [`QUARANTINE_CAP`] quarantine entries;
 //! * [`SupervisionReport`] — the run-level aggregate (tasks run, tasks
 //!   quarantined, cap trips, retained entries), mergeable across partial
 //!   reports with the same order-independent integer arithmetic the load
@@ -26,10 +26,10 @@
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 
-/// Default number of quarantine entries a single sweep may retain in a
-/// report. Counts (`quarantined`) are always exact; the cap only bounds the
+/// Number of quarantine entries a single sweep may retain in a report.
+/// Counts (`quarantined`) are always exact; the cap only bounds the
 /// per-entry detail kept for diagnosis.
-pub const DEFAULT_QUARANTINE_CAP: usize = 64;
+pub const QUARANTINE_CAP: usize = 64;
 
 /// How a supervised sweep treats a panicking task.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -40,21 +40,9 @@ pub enum SupervisionPolicy {
     FailFast,
     /// Catch each task's panic, record `(index, message)` as a quarantine
     /// entry, substitute nothing for the failed item, and let the rest of
-    /// the batch complete.
-    Salvage {
-        /// Maximum quarantine entries one sweep retains in the report
-        /// (counts stay exact; exceeding the cap trips `cap_trips`).
-        quarantine_cap: usize,
-    },
-}
-
-impl SupervisionPolicy {
-    /// Salvage with the default quarantine cap.
-    pub fn salvage() -> SupervisionPolicy {
-        SupervisionPolicy::Salvage {
-            quarantine_cap: DEFAULT_QUARANTINE_CAP,
-        }
-    }
+    /// the batch complete. One sweep retains at most [`QUARANTINE_CAP`]
+    /// entries (counts stay exact; exceeding the cap trips `cap_trips`).
+    Salvage,
 }
 
 /// Render a panic payload as a quarantine message. Only string payloads
@@ -84,7 +72,7 @@ pub struct QuarantineEntry {
 }
 
 /// Run-level supervision aggregate: how many tasks ran, how many were
-/// quarantined, how often a sweep overflowed its quarantine cap, and the
+/// quarantined, how often a sweep overflowed [`QUARANTINE_CAP`], and the
 /// retained per-task entries. Every field is an integer sum or a sorted
 /// list concatenation, so partial reports merge to the same value in any
 /// order — the same invariant `rws_load::LoadReport` relies on.
@@ -94,8 +82,8 @@ pub struct SupervisionReport {
     pub tasks_run: u64,
     /// Tasks caught panicking and quarantined (exact, uncapped).
     pub quarantined: u64,
-    /// Sweeps whose quarantine exceeded the policy's cap (entry detail was
-    /// truncated; counts stayed exact).
+    /// Sweeps whose quarantine exceeded [`QUARANTINE_CAP`] (entry detail
+    /// was truncated; counts stayed exact).
     pub cap_trips: u64,
     /// Retained quarantine entries, sorted by `(stage, index)`.
     pub entries: Vec<QuarantineEntry>,
@@ -110,21 +98,15 @@ impl SupervisionReport {
     /// Fold one sweep into the report: `tasks` tasks ran at `stage` and
     /// the sweep's `(index, panic message)` failures, in any order, were
     /// quarantined. The failures are sorted by task index and the lowest
-    /// `cap` are retained as entries; the counts stay exact.
-    pub fn record_sweep(
-        &mut self,
-        stage: &str,
-        tasks: usize,
-        mut failures: Vec<(usize, String)>,
-        cap: usize,
-    ) {
+    /// [`QUARANTINE_CAP`] are retained as entries; the counts stay exact.
+    pub fn record_sweep(&mut self, stage: &str, tasks: usize, mut failures: Vec<(usize, String)>) {
         self.tasks_run += tasks as u64;
         self.quarantined += failures.len() as u64;
-        if failures.len() > cap {
+        if failures.len() > QUARANTINE_CAP {
             self.cap_trips += 1;
         }
         failures.sort_by_key(|&(index, _)| index);
-        for (index, message) in failures.into_iter().take(cap) {
+        for (index, message) in failures.into_iter().take(QUARANTINE_CAP) {
             self.entries.push(QuarantineEntry {
                 stage: stage.to_string(),
                 index: index as u64,
@@ -161,51 +143,50 @@ mod tests {
     #[test]
     fn policy_defaults_to_fail_fast() {
         assert_eq!(SupervisionPolicy::default(), SupervisionPolicy::FailFast);
-        assert_eq!(
-            SupervisionPolicy::salvage(),
-            SupervisionPolicy::Salvage {
-                quarantine_cap: DEFAULT_QUARANTINE_CAP
-            }
-        );
     }
 
     #[test]
     fn record_sweep_sorts_failures_by_index() {
         let mut report = SupervisionReport::new();
-        let failures = vec![
-            (9, "late".to_string()),
-            (2, "early".to_string()),
-            (5, "mid".to_string()),
-        ];
-        report.record_sweep("stage", 10, failures, 2);
+        // One failure more than the cap, pushed in descending index order.
+        let failures: Vec<(usize, String)> = (0..=QUARANTINE_CAP)
+            .rev()
+            .map(|i| (i, format!("boom {i}")))
+            .collect();
+        report.record_sweep("stage", 100, failures);
         let indices: Vec<u64> = report.entries.iter().map(|e| e.index).collect();
         // Sorted before the cap applies, so the lowest indices survive.
-        assert_eq!(indices, vec![2, 5]);
-        assert_eq!(report.entries[0].message, "early");
-        assert_eq!(report.quarantined, 3);
+        assert_eq!(indices, (0..QUARANTINE_CAP as u64).collect::<Vec<_>>());
+        assert_eq!(report.entries[0].message, "boom 0");
+        assert_eq!(report.quarantined, QUARANTINE_CAP as u64 + 1);
     }
 
     #[test]
     fn record_sweep_caps_entries_but_not_counts() {
         let mut report = SupervisionReport::new();
-        let failures = (0..10).map(|i| (i, format!("boom {i}"))).collect();
-        report.record_sweep("stage-a", 100, failures, 3);
+        let failures = (0..QUARANTINE_CAP + 10)
+            .map(|i| (i, format!("boom {i}")))
+            .collect();
+        report.record_sweep("stage-a", 100, failures);
         assert_eq!(report.tasks_run, 100);
-        assert_eq!(report.quarantined, 10);
+        assert_eq!(report.quarantined, QUARANTINE_CAP as u64 + 10);
         assert_eq!(report.cap_trips, 1);
-        assert_eq!(report.entries.len(), 3);
+        assert_eq!(report.entries.len(), QUARANTINE_CAP);
         assert!(report.degraded());
         // The retained entries are the lowest indices (the sorted prefix).
         assert_eq!(report.entries[0].index, 0);
-        assert_eq!(report.entries[2].index, 2);
+        assert_eq!(
+            report.entries[QUARANTINE_CAP - 1].index,
+            QUARANTINE_CAP as u64 - 1
+        );
     }
 
     #[test]
     fn merge_is_order_independent() {
         let mut a = SupervisionReport::new();
-        a.record_sweep("zeta", 4, vec![(3, "z".into())], 8);
+        a.record_sweep("zeta", 4, vec![(3, "z".into())]);
         let mut b = SupervisionReport::new();
-        b.record_sweep("alpha", 6, vec![(1, "a".into())], 8);
+        b.record_sweep("alpha", 6, vec![(1, "a".into())]);
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -220,7 +201,7 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let mut report = SupervisionReport::new();
-        report.record_sweep("classify", 12, vec![(7, "poisoned work item".into())], 4);
+        report.record_sweep("classify", 12, vec![(7, "poisoned work item".into())]);
         let json = serde_json::to_string(&report).unwrap();
         let back: SupervisionReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);

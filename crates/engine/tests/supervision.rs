@@ -36,7 +36,7 @@ fn contexts() -> &'static (EngineContext, EngineContext) {
     static CONTEXTS: OnceLock<(EngineContext, EngineContext)> = OnceLock::new();
     CONTEXTS.get_or_init(|| {
         let pooled = EngineContext::with_parts(ThreadPool::new(3), SiteResolver::embedded())
-            .with_supervision(SupervisionPolicy::salvage());
+            .with_supervision(SupervisionPolicy::Salvage);
         let sequential = pooled.sequential_twin();
         (pooled, sequential)
     })
@@ -74,7 +74,7 @@ proptest! {
         for (index, item) in items.iter().enumerate() {
             prop_assert_eq!(pooled_out[index].is_none(), item.is_multiple_of(modulus));
         }
-        let cap = rws_engine::DEFAULT_QUARANTINE_CAP;
+        let cap = rws_engine::QUARANTINE_CAP;
         prop_assert_eq!(pooled_sweep.quarantined, panicking.len() as u64);
         prop_assert_eq!(pooled_sweep.cap_trips, u64::from(panicking.len() > cap));
         let retained: Vec<u64> = pooled_sweep.entries.iter().map(|e| e.index).collect();

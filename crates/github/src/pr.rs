@@ -2,7 +2,7 @@
 
 use rws_domain::DomainName;
 use rws_model::ValidationReport;
-use rws_stats::histogram::CategoryCounter;
+use rws_stats::counter::CategoryCounter;
 use rws_stats::timeseries::{Date, Month, MonthlySeries};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;

@@ -34,12 +34,18 @@
 //! [`swar`] holds the word-at-a-time byte scans behind the production scan
 //! and the classifier's word split.
 //!
-//! ```
-//! use rws_html::similarity::{html_similarity, SimilarityWeights};
+//! Figure 4's scores use the `html-similarity` library's defaults, which
+//! the paper used: joint = [`STRUCTURAL_WEIGHT`] · structural +
+//! (1 − [`STRUCTURAL_WEIGHT`]) · style, over [`SHINGLE_SIZE`]-shingles of the
+//! tag sequence.
 //!
+//! ```
+//! use rws_html::similarity::{html_similarity, SHINGLE_SIZE, STRUCTURAL_WEIGHT};
+//!
+//! assert_eq!((STRUCTURAL_WEIGHT, SHINGLE_SIZE), (0.3, 4));
 //! let a = r#"<div class="nav brand"><p class="headline">News</p></div>"#;
 //! let b = r#"<div class="nav brand"><p class="headline">Sport</p></div>"#;
-//! let score = html_similarity(a, b, SimilarityWeights::default());
+//! let score = html_similarity(a, b);
 //! assert!(score.joint > 0.9, "identically-structured pages score high");
 //! ```
 
@@ -53,7 +59,8 @@ pub mod tokenizer;
 pub use extract::{class_set, tag_sequence, text_content, title};
 pub use shingle::{hash_token, jaccard, jaccard_sorted, shingles, ShingleProfile};
 pub use similarity::{
-    html_similarity, DocumentProfile, HtmlSimilarity, ProfileScratch, SimilarityWeights,
+    html_similarity, DocumentProfile, HtmlSimilarity, ProfileScratch, SHINGLE_SIZE,
+    STRUCTURAL_WEIGHT,
 };
 pub use tokenizer::{class_names, tokenize, ClassNames, RawAttrs, RawToken, RawTokens, Token};
 // The benchmark-only adapter, re-exported where the frozen benchmark

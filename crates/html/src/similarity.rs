@@ -3,52 +3,24 @@
 //! Following the `html-similarity` library the paper uses:
 //!
 //! * **structural similarity** compares the documents' tag sequences via
-//!   Jaccard similarity over k-shingles (default `k = 4`) of the sequence;
+//!   Jaccard similarity over [`SHINGLE_SIZE`]-shingles (4) of the sequence;
 //! * **style similarity** is the Jaccard similarity of the documents' CSS
 //!   class sets;
-//! * **joint similarity** is `k · structural + (1 − k) · style` with the
-//!   library's default weighting `k = 0.3`.
+//! * **joint similarity** is `k · structural + (1 − k) · style` with
+//!   `k =` [`STRUCTURAL_WEIGHT`] (0.3).
 
 use crate::extract::{class_set, tag_sequence};
 use crate::shingle::{hash_token, jaccard, jaccard_sorted, shingles, ShingleProfile};
 use crate::tokenizer::{class_names, lowercase_cow, RawToken, RawTokens};
 use serde::{Deserialize, Serialize};
 
-/// Weights and parameters for the joint similarity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SimilarityWeights {
-    /// Weight of the structural component in the joint score (the
-    /// `html-similarity` `k` parameter; its default is 0.3).
-    pub structural_weight: f64,
-    /// Shingle length used when comparing tag sequences.
-    pub shingle_size: usize,
-}
+/// Weight of the structural component in the joint score: the
+/// `html-similarity` library's default `k`, which the paper used.
+pub const STRUCTURAL_WEIGHT: f64 = 0.3;
 
-impl Default for SimilarityWeights {
-    fn default() -> Self {
-        SimilarityWeights {
-            structural_weight: 0.3,
-            shingle_size: 4,
-        }
-    }
-}
-
-impl SimilarityWeights {
-    /// Validate the weights: the structural weight must lie in `[0, 1]` and
-    /// the shingle size must be positive.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.structural_weight) {
-            return Err(format!(
-                "structural_weight must be in [0,1], got {}",
-                self.structural_weight
-            ));
-        }
-        if self.shingle_size == 0 {
-            return Err("shingle_size must be positive".to_string());
-        }
-        Ok(())
-    }
-}
+/// Shingle length used when comparing tag sequences: the
+/// `html-similarity` library's default, which the paper used.
+pub const SHINGLE_SIZE: usize = 4;
 
 /// The result of comparing two HTML documents — one point of Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -89,8 +61,8 @@ pub struct ProfileScratch {
 
 impl DocumentProfile {
     /// Extract a profile in a single tokenizer pass.
-    pub fn new(html: &str, weights: SimilarityWeights) -> DocumentProfile {
-        DocumentProfile::with_scratch(html, weights, &mut ProfileScratch::default())
+    pub fn new(html: &str) -> DocumentProfile {
+        DocumentProfile::with_scratch(html, &mut ProfileScratch::default())
     }
 
     /// Like [`new`](Self::new), reusing the caller's scratch buffers. The
@@ -102,14 +74,7 @@ impl DocumentProfile {
     /// hashed as written. Text runs are never read, so they are never
     /// collapsed. [`html_similarity_naive`] is the oracle this is
     /// property-tested against.
-    pub fn with_scratch(
-        html: &str,
-        weights: SimilarityWeights,
-        scratch: &mut ProfileScratch,
-    ) -> DocumentProfile {
-        weights
-            .validate()
-            .expect("invalid similarity weights supplied");
+    pub fn with_scratch(html: &str, scratch: &mut ProfileScratch) -> DocumentProfile {
         scratch.tag_hashes.clear();
         scratch.classes.clear();
         for token in RawTokens::new(html) {
@@ -131,7 +96,7 @@ impl DocumentProfile {
         scratch.classes.dedup();
         DocumentProfile {
             classes: scratch.classes.clone(),
-            shingle: ShingleProfile::from_token_hashes(&scratch.tag_hashes, weights.shingle_size),
+            shingle: ShingleProfile::from_token_hashes(&scratch.tag_hashes, SHINGLE_SIZE),
         }
     }
 
@@ -146,22 +111,13 @@ impl DocumentProfile {
     }
 
     /// All three metrics against another profile.
-    pub fn similarity(
-        &self,
-        other: &DocumentProfile,
-        weights: SimilarityWeights,
-    ) -> HtmlSimilarity {
-        weights
-            .validate()
-            .expect("invalid similarity weights supplied");
+    pub fn similarity(&self, other: &DocumentProfile) -> HtmlSimilarity {
         let style = self.style_similarity(other);
         let structural = self.structural_similarity(other);
-        let joint =
-            weights.structural_weight * structural + (1.0 - weights.structural_weight) * style;
         HtmlSimilarity {
             style,
             structural,
-            joint,
+            joint: STRUCTURAL_WEIGHT * structural + (1.0 - STRUCTURAL_WEIGHT) * style,
         }
     }
 }
@@ -170,12 +126,8 @@ impl DocumentProfile {
 ///
 /// Convenience wrapper building both [`DocumentProfile`]s on the spot; the
 /// N×N sweeps precompute profiles instead.
-pub fn html_similarity(html_a: &str, html_b: &str, weights: SimilarityWeights) -> HtmlSimilarity {
-    weights
-        .validate()
-        .expect("invalid similarity weights supplied");
-    DocumentProfile::new(html_a, weights)
-        .similarity(&DocumentProfile::new(html_b, weights), weights)
+pub fn html_similarity(html_a: &str, html_b: &str) -> HtmlSimilarity {
+    DocumentProfile::new(html_a).similarity(&DocumentProfile::new(html_b))
 }
 
 /// The original owned-set implementation, kept as the oracle the property
@@ -183,20 +135,13 @@ pub fn html_similarity(html_a: &str, html_b: &str, weights: SimilarityWeights) -
 /// extractors of [`crate::extract`], so it shares no scanner with
 /// [`DocumentProfile`]. Allocates heavily; not for hot paths.
 #[doc(hidden)]
-pub fn html_similarity_naive(
-    html_a: &str,
-    html_b: &str,
-    weights: SimilarityWeights,
-) -> HtmlSimilarity {
-    weights
-        .validate()
-        .expect("invalid similarity weights supplied");
+pub fn html_similarity_naive(html_a: &str, html_b: &str) -> HtmlSimilarity {
     let style = jaccard(&class_set(html_a), &class_set(html_b));
     let structural = jaccard(
-        &shingles(&tag_sequence(html_a), weights.shingle_size),
-        &shingles(&tag_sequence(html_b), weights.shingle_size),
+        &shingles(&tag_sequence(html_a), SHINGLE_SIZE),
+        &shingles(&tag_sequence(html_b), SHINGLE_SIZE),
     );
-    let joint = weights.structural_weight * structural + (1.0 - weights.structural_weight) * style;
+    let joint = STRUCTURAL_WEIGHT * structural + (1.0 - STRUCTURAL_WEIGHT) * style;
     HtmlSimilarity {
         style,
         structural,
@@ -232,7 +177,7 @@ mod tests {
 
     #[test]
     fn identical_documents_score_one() {
-        let s = html_similarity(PAGE_A, PAGE_A, SimilarityWeights::default());
+        let s = html_similarity(PAGE_A, PAGE_A);
         assert_eq!(s.style, 1.0);
         assert_eq!(s.structural, 1.0);
         assert!((s.joint - 1.0).abs() < 1e-12);
@@ -240,14 +185,14 @@ mod tests {
 
     #[test]
     fn same_template_different_text_scores_high() {
-        let s = html_similarity(PAGE_A, PAGE_A2, SimilarityWeights::default());
+        let s = html_similarity(PAGE_A, PAGE_A2);
         assert_eq!(s.style, 1.0, "class sets identical");
         assert_eq!(s.structural, 1.0, "tag sequences identical");
     }
 
     #[test]
     fn different_templates_score_low() {
-        let s = html_similarity(PAGE_A, PAGE_B, SimilarityWeights::default());
+        let s = html_similarity(PAGE_A, PAGE_B);
         assert_eq!(s.style, 0.0, "no shared classes");
         assert!(s.structural < 0.3, "structures differ: {}", s.structural);
         assert!(s.joint < 0.3);
@@ -255,61 +200,32 @@ mod tests {
 
     #[test]
     fn joint_is_weighted_sum() {
-        let w = SimilarityWeights {
-            structural_weight: 0.3,
-            shingle_size: 4,
-        };
-        let s = html_similarity(PAGE_A, PAGE_B, w);
-        let expected = 0.3 * s.structural + 0.7 * s.style;
-        assert!((s.joint - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn extreme_weights_select_single_component() {
-        let only_structural = SimilarityWeights {
-            structural_weight: 1.0,
-            shingle_size: 4,
-        };
-        let only_style = SimilarityWeights {
-            structural_weight: 0.0,
-            shingle_size: 4,
-        };
-        let s1 = html_similarity(PAGE_A, PAGE_A2, only_structural);
-        let s2 = html_similarity(PAGE_A, PAGE_A2, only_style);
-        assert_eq!(s1.joint, s1.structural);
-        assert_eq!(s2.joint, s2.style);
+        let both = format!("{PAGE_A}{PAGE_B}");
+        for s in [
+            html_similarity(PAGE_A, PAGE_B),
+            html_similarity(PAGE_A, &both),
+        ] {
+            let expected = 0.3 * s.structural + 0.7 * s.style;
+            assert!((s.joint - expected).abs() < 1e-12);
+        }
+        // The second pair has both components strictly inside (0, 1), so
+        // the weighting itself is pinned.
+        let s = html_similarity(PAGE_A, &both);
+        assert!(s.style > 0.0 && s.style < 1.0 && s.structural > 0.0 && s.structural < 1.0);
     }
 
     #[test]
     fn empty_documents_conventions() {
-        let s = html_similarity("", "", SimilarityWeights::default());
+        let s = html_similarity("", "");
         assert_eq!(s.style, 1.0);
         assert_eq!(s.structural, 1.0);
-        let s = html_similarity(PAGE_A, "", SimilarityWeights::default());
+        let s = html_similarity(PAGE_A, "");
         assert_eq!(s.style, 0.0);
         assert_eq!(s.structural, 0.0);
     }
 
     #[test]
-    fn weights_validation() {
-        assert!(SimilarityWeights::default().validate().is_ok());
-        assert!(SimilarityWeights {
-            structural_weight: 1.5,
-            shingle_size: 4
-        }
-        .validate()
-        .is_err());
-        assert!(SimilarityWeights {
-            structural_weight: 0.3,
-            shingle_size: 0
-        }
-        .validate()
-        .is_err());
-    }
-
-    #[test]
     fn profiles_match_naive_implementation() {
-        let weights = SimilarityWeights::default();
         for (a, b) in [
             (PAGE_A, PAGE_A),
             (PAGE_A, PAGE_A2),
@@ -318,8 +234,8 @@ mod tests {
             (PAGE_A, ""),
             ("", ""),
         ] {
-            let fast = html_similarity(a, b, weights);
-            let naive = html_similarity_naive(a, b, weights);
+            let fast = html_similarity(a, b);
+            let naive = html_similarity_naive(a, b);
             assert!((fast.style - naive.style).abs() < 1e-12);
             assert!((fast.structural - naive.structural).abs() < 1e-12);
             assert!((fast.joint - naive.joint).abs() < 1e-12);
@@ -328,24 +244,10 @@ mod tests {
 
     #[test]
     fn profile_reuse_matches_direct_comparison() {
-        let weights = SimilarityWeights::default();
-        let pa = DocumentProfile::new(PAGE_A, weights);
-        let pb = DocumentProfile::new(PAGE_B, weights);
-        let via_profiles = pa.similarity(&pb, weights);
-        let direct = html_similarity(PAGE_A, PAGE_B, weights);
+        let pa = DocumentProfile::new(PAGE_A);
+        let pb = DocumentProfile::new(PAGE_B);
+        let via_profiles = pa.similarity(&pb);
+        let direct = html_similarity(PAGE_A, PAGE_B);
         assert_eq!(via_profiles, direct);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid similarity weights")]
-    fn invalid_weights_panic_when_used() {
-        html_similarity(
-            PAGE_A,
-            PAGE_B,
-            SimilarityWeights {
-                structural_weight: 2.0,
-                shingle_size: 4,
-            },
-        );
     }
 }

@@ -52,7 +52,7 @@ pub const fn eq_mask(w: u64, b: u8) -> u64 {
 /// Callers guarantee `chunk.len() >= 8`.
 #[inline(always)]
 fn load(chunk: &[u8]) -> u64 {
-    u64::from_le_bytes(chunk[..8].try_into().unwrap())
+    u64::from_le_bytes(*chunk.first_chunk().expect("callers keep chunk.len() >= 8"))
 }
 
 /// Lossy zero-lane test: some high bit of the result is set iff `x` has a

@@ -1,7 +1,7 @@
 //! Property-based tests for the HTML substrate.
 
 use proptest::prelude::*;
-use rws_html::similarity::{html_similarity, html_similarity_naive, SimilarityWeights};
+use rws_html::similarity::{html_similarity, html_similarity_naive};
 use rws_html::{
     class_names, class_set, jaccard, shingles, swar, tag_sequence, text_content, title, tokenize,
     DocumentProfile, RawTokens, StreamToken, Token, Tokens,
@@ -138,9 +138,8 @@ fn recase_tags(doc: &str, mask: u64) -> String {
 
 /// The profile pipeline agrees with the owned-set oracle on every axis.
 fn assert_profile_equals_naive(a: &str, b: &str) {
-    let weights = SimilarityWeights::default();
-    let fast = html_similarity(a, b, weights);
-    let naive = html_similarity_naive(a, b, weights);
+    let fast = html_similarity(a, b);
+    let naive = html_similarity_naive(a, b);
     let close = |x: f64, y: f64| (x - y).abs() < 1e-12;
     prop_assert!(
         close(fast.style, naive.style)
@@ -206,8 +205,8 @@ proptest! {
         let _ = class_set(&input);
         let _ = text_content(&input);
         let _ = title(&input);
-        let _ = DocumentProfile::new(&input, SimilarityWeights::default());
-        let _ = html_similarity(&input, "<p>x</p>", SimilarityWeights::default());
+        let _ = DocumentProfile::new(&input);
+        let _ = html_similarity(&input, "<p>x</p>");
     }
 
     /// The zero-copy streaming tokenizer (SWAR scans) reproduces the owned
@@ -232,12 +231,12 @@ proptest! {
     /// itself scores exactly 1 on every axis.
     #[test]
     fn similarity_bounded_and_reflexive(a in html_strategy(), b in html_strategy()) {
-        let s = html_similarity(&a, &b, SimilarityWeights::default());
+        let s = html_similarity(&a, &b);
         prop_assert!((0.0..=1.0).contains(&s.style));
         prop_assert!((0.0..=1.0).contains(&s.structural));
         prop_assert!((0.0..=1.0).contains(&s.joint));
 
-        let same = html_similarity(&a, &a, SimilarityWeights::default());
+        let same = html_similarity(&a, &a);
         prop_assert_eq!(same.style, 1.0);
         prop_assert_eq!(same.structural, 1.0);
         prop_assert!((same.joint - 1.0).abs() < 1e-12);
@@ -246,8 +245,8 @@ proptest! {
     /// Similarity is symmetric in its two arguments.
     #[test]
     fn similarity_symmetric(a in html_strategy(), b in html_strategy()) {
-        let ab = html_similarity(&a, &b, SimilarityWeights::default());
-        let ba = html_similarity(&b, &a, SimilarityWeights::default());
+        let ab = html_similarity(&a, &b);
+        let ba = html_similarity(&b, &a);
         prop_assert!((ab.style - ba.style).abs() < 1e-12);
         prop_assert!((ab.structural - ba.structural).abs() < 1e-12);
         prop_assert!((ab.joint - ba.joint).abs() < 1e-12);
@@ -256,7 +255,7 @@ proptest! {
     /// The joint score is always between min and max of its two components.
     #[test]
     fn joint_between_components(a in html_strategy(), b in html_strategy()) {
-        let s = html_similarity(&a, &b, SimilarityWeights::default());
+        let s = html_similarity(&a, &b);
         let lo = s.style.min(s.structural) - 1e-12;
         let hi = s.style.max(s.structural) + 1e-12;
         prop_assert!(s.joint >= lo && s.joint <= hi);
@@ -324,14 +323,13 @@ proptest! {
     ) {
         let recased = recase_tags(&b, if all_upper { u64::MAX } else { mask });
         assert_profile_equals_naive(&a, &recased);
-        let weights = SimilarityWeights::default();
         prop_assert_eq!(
-            html_similarity(&a, &recased, weights).structural,
-            html_similarity(&a, &b, weights).structural,
+            html_similarity(&a, &recased).structural,
+            html_similarity(&a, &b).structural,
             "on {:?}",
             recased
         );
-        prop_assert_eq!(html_similarity(&b, &recased, weights).structural, 1.0);
+        prop_assert_eq!(html_similarity(&b, &recased).structural, 1.0);
     }
 
     /// Precomputed profiles reused across pairs give the same answers as
@@ -339,13 +337,12 @@ proptest! {
     #[test]
     fn profile_reuse_is_sound(docs in proptest::collection::vec(html_strategy(), 2..5)) {
         use rws_html::DocumentProfile;
-        let weights = SimilarityWeights::default();
         let profiles: Vec<DocumentProfile> =
-            docs.iter().map(|d| DocumentProfile::new(d, weights)).collect();
+            docs.iter().map(|d| DocumentProfile::new(d)).collect();
         for i in 0..docs.len() {
             for j in 0..docs.len() {
-                let reused = profiles[i].similarity(&profiles[j], weights);
-                let fresh = html_similarity(&docs[i], &docs[j], weights);
+                let reused = profiles[i].similarity(&profiles[j]);
+                let fresh = html_similarity(&docs[i], &docs[j]);
                 prop_assert_eq!(reused, fresh);
             }
         }

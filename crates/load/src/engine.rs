@@ -139,12 +139,9 @@ impl LoadEngine {
         report.wire_requests = fetcher.requests_issued() as u64;
         // Mirror the one clean sweep `run_on` records, so the oracle stays
         // field-for-field equal to the engine paths.
-        report.supervision.record_sweep(
-            "load-chunk",
-            self.chunk_spans().len(),
-            Vec::new(),
-            usize::MAX,
-        );
+        report
+            .supervision
+            .record_sweep("load-chunk", self.chunk_spans().len(), Vec::new());
         report
     }
 }

@@ -81,7 +81,7 @@ fn mid_storm_panic_salvage_matches_sequential_twin() {
     quiet_injected_panics();
     let engine = stormy_engine(140, 0xFA17, true);
     let ctx = EngineContext::with_parts(ThreadPool::new(3), SiteResolver::full())
-        .with_supervision(SupervisionPolicy::salvage());
+        .with_supervision(SupervisionPolicy::Salvage);
     let pooled = engine.run_on(1, &ctx);
     let sequential = engine.run_on(1, &ctx.sequential_twin());
     assert_eq!(pooled, sequential);
@@ -122,7 +122,7 @@ fn non_first_chunk_quarantine_keeps_its_ordinal() {
     quiet_injected_panics();
     let engine = stormy_engine(300, 0xFA17, true);
     let ctx = EngineContext::with_parts(ThreadPool::new(3), SiteResolver::full())
-        .with_supervision(SupervisionPolicy::salvage());
+        .with_supervision(SupervisionPolicy::Salvage);
     let pooled = engine.run_on(1, &ctx);
     assert_eq!(pooled, engine.run_on(1, &ctx.sequential_twin()));
     assert_eq!(pooled.supervision.tasks_run, 3, "fleet spans three chunks");
@@ -148,7 +148,7 @@ proptest! {
     fn salvage_without_panics_is_byte_identical_to_fail_fast(seed in 0u64..1_000_000) {
         let engine = stormy_engine(96, seed ^ 0x5057, false);
         let fail_fast = engine.run_on(seed, &EngineContext::new());
-        let salvage_ctx = EngineContext::new().with_supervision(SupervisionPolicy::salvage());
+        let salvage_ctx = EngineContext::new().with_supervision(SupervisionPolicy::Salvage);
         let salvaged = engine.run_on(seed, &salvage_ctx);
         prop_assert_eq!(&fail_fast, &salvaged);
         prop_assert_eq!(

@@ -12,8 +12,10 @@ use rws_domain::DomainName;
 /// The path every set member must serve its copy of the set at.
 pub const WELL_KNOWN_RWS_PATH: &str = "/.well-known/related-website-set.json";
 
-/// The header that service sites must carry to stay out of search indexes.
-pub const X_ROBOTS_TAG: &str = "X-Robots-Tag";
+/// The header that service sites must carry to stay out of search indexes
+/// (`X-Robots-Tag`), spelled lower-case as [`HeaderMap`](crate::HeaderMap)
+/// stores it, so setting and looking it up borrow the literal.
+pub const X_ROBOTS_TAG: &str = "x-robots-tag";
 
 /// The HTTPS URL of a domain's `.well-known` RWS file.
 pub fn well_known_path(domain: &DomainName) -> Url {
@@ -38,6 +40,6 @@ mod tests {
     #[test]
     fn constants_are_stable() {
         assert!(WELL_KNOWN_RWS_PATH.starts_with("/.well-known/"));
-        assert_eq!(X_ROBOTS_TAG.to_ascii_lowercase(), "x-robots-tag");
+        assert_eq!(X_ROBOTS_TAG, "x-robots-tag");
     }
 }

@@ -28,7 +28,7 @@
 use crate::set::RwsSet;
 use crate::well_known::WellKnownFile;
 use rws_domain::{DomainName, SiteResolver};
-use rws_net::{well_known_path, FetchPolicy, Fetcher, NetError, SimulatedWeb, Url};
+use rws_net::{well_known_path, FetchPolicy, Fetcher, NetError, SimulatedWeb, Url, X_ROBOTS_TAG};
 use serde::{Deserialize, Serialize};
 
 /// One validation failure, tagged with the member it concerns.
@@ -296,7 +296,7 @@ impl SetValidator {
         for site in set.service_sites() {
             let url = Url::https(site, "/");
             match self.fetcher.head(&url) {
-                Ok(resp) if resp.headers.contains("x-robots-tag") => {}
+                Ok(resp) if resp.headers.contains(X_ROBOTS_TAG) => {}
                 Ok(_) => {
                     issues.push(ValidationIssue::ServiceSiteWithoutRobotsTag { site: site.clone() })
                 }

@@ -1,69 +1,7 @@
-//! Fixed-width histograms and categorical counters.
+//! Categorical counters.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// A fixed-bin-width histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Histogram {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total number of observations recorded (including under/overflow).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count of observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-}
 
 /// A counter over string categories, preserving deterministic (sorted) order.
 ///
@@ -131,35 +69,6 @@ impl CategoryCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_bins_values() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.6, 9.9] {
-            h.record(x);
-        }
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[1], 2);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    fn histogram_under_and_overflow() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.record(-1.0);
-        h.record(1.0);
-        h.record(2.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        Histogram::new(0.0, 1.0, 0);
-    }
 
     #[test]
     fn category_counter_counts() {

@@ -11,8 +11,7 @@
 //!   how work was partitioned;
 //! * **accurate at the tail** — HDR-style log-linear bucketing keeps the
 //!   relative quantile error below `1/32` (~3.1%) across the full `u64`
-//!   range, instead of the fixed-width buckets of
-//!   [`Histogram`](crate::Histogram) which need the range up front.
+//!   range, with no value range fixed up front.
 //!
 //! # Bucketing scheme
 //!

@@ -3,7 +3,7 @@
 //! The measurement paper this workspace reproduces ("A First Look at Related
 //! Website Sets", IMC 2024) relies on a small set of statistical tools:
 //! empirical CDFs (Figures 2, 3, 4 and 6), a two-sample Kolmogorov–Smirnov
-//! test (Section 3), descriptive summaries (Table 1), and monthly
+//! test (Section 3), means and standard deviations, and monthly
 //! time-series bucketing (Figures 5, 7, 8 and 9). This crate implements all
 //! of those from scratch, together with the deterministic pseudo-random
 //! number generators used throughout the workspace so that every simulated
@@ -25,9 +25,9 @@
 //! assert!(ks.statistic > 0.0);
 //! ```
 
+pub mod counter;
 pub mod descriptive;
 pub mod ecdf;
-pub mod histogram;
 pub mod ks;
 pub mod latency;
 pub mod memo;
@@ -36,9 +36,9 @@ pub mod rng;
 pub mod sampling;
 pub mod timeseries;
 
-pub use descriptive::{mean, stddev, Summary};
+pub use counter::CategoryCounter;
+pub use descriptive::{mean, stddev};
 pub use ecdf::Ecdf;
-pub use histogram::{CategoryCounter, Histogram};
 pub use ks::{ks_two_sample, KsResult};
 pub use latency::LatencyHistogram;
 pub use memo::{fnv1a_bytes, fnv1a_of, ShardedMemo};
@@ -52,9 +52,9 @@ pub use timeseries::{Date, Month, MonthlySeries, EPOCH};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::descriptive::{mean, stddev, Summary};
+    pub use crate::counter::CategoryCounter;
+    pub use crate::descriptive::{mean, stddev};
     pub use crate::ecdf::Ecdf;
-    pub use crate::histogram::{CategoryCounter, Histogram};
     pub use crate::ks::{ks_two_sample, KsResult};
     pub use crate::quantile::{median, percentile, quantile};
     pub use crate::rng::{Rng, SplitMix64, Xoshiro256StarStar};

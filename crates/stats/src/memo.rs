@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 /// Number of independent shards (must be a power of two).
 pub const SHARD_COUNT: usize = 16;
@@ -100,6 +100,8 @@ fn shard_index<K: Hash>(key: &K) -> usize {
 }
 
 /// A concurrent key → value memo sharded over [`SHARD_COUNT`] locks.
+/// It caches a pure function, so a poisoned shard still holds only correct
+/// values: every access recovers the guard with [`PoisonError::into_inner`].
 #[derive(Debug)]
 pub struct ShardedMemo<K, V> {
     shards: [RwLock<HashMap<K, V>>; SHARD_COUNT],
@@ -116,7 +118,7 @@ impl<K: Hash + Eq, V: Clone> ShardedMemo<K, V> {
     /// The cached value for a key, if any thread has published one.
     pub fn get(&self, key: &K) -> Option<V> {
         let shard = &self.shards[shard_index(key)];
-        let cache = shard.read().expect("memo shard poisoned");
+        let cache = shard.read().unwrap_or_else(PoisonError::into_inner);
         cache.get(key).cloned()
     }
 
@@ -125,7 +127,7 @@ impl<K: Hash + Eq, V: Clone> ShardedMemo<K, V> {
     /// returned (and `value` is discarded), so every caller agrees.
     pub fn insert(&self, key: K, value: V) -> V {
         let shard = &self.shards[shard_index(&key)];
-        let mut cache = shard.write().expect("memo shard poisoned");
+        let mut cache = shard.write().unwrap_or_else(PoisonError::into_inner);
         cache.entry(key).or_insert(value).clone()
     }
 
@@ -143,15 +145,13 @@ impl<K: Hash + Eq, V: Clone> ShardedMemo<K, V> {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| shard.read().expect("memo shard poisoned").len())
+            .map(|shard| shard.read().unwrap_or_else(PoisonError::into_inner).len())
             .sum()
     }
 
     /// True when nothing has been memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|shard| shard.read().expect("memo shard poisoned").is_empty())
+        self.len() == 0
     }
 }
 

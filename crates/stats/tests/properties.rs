@@ -106,18 +106,6 @@ proptest! {
         prop_assert_eq!(m, start);
     }
 
-    /// Summary statistics are invariant under permutation and bounded by extremes.
-    #[test]
-    fn summary_bounds(sample in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
-        let s = Summary::of(&sample).unwrap();
-        prop_assert!(s.min <= s.q1 + 1e-9);
-        prop_assert!(s.q1 <= s.median + 1e-9);
-        prop_assert!(s.median <= s.q3 + 1e-9);
-        prop_assert!(s.q3 <= s.max + 1e-9);
-        prop_assert!(s.mean >= s.min - 1e-9 && s.mean <= s.max + 1e-9);
-        prop_assert!(s.stddev >= 0.0);
-    }
-
     /// The cumulative series is monotone when all inputs are non-negative, and
     /// its final value equals the series total.
     #[test]

@@ -125,11 +125,11 @@ fn survey_other_groups_are_overwhelmingly_judged_unrelated() {
 #[test]
 fn sld_distance_shape_matches_figure_3() {
     let s = scenario();
-    let psl = rws_domain::PublicSuffixList::embedded();
     let mut associated_distances = Vec::new();
     for (primary, member, role) in s.corpus.list.member_primary_pairs() {
         if role == MemberRole::Associated {
-            let c = rws_domain::SldComparison::compute(&member, &primary, &psl).unwrap();
+            let c =
+                rws_domain::SldComparison::compute(&member, &primary, s.engine.resolver()).unwrap();
             associated_distances.push(c.edit_distance as f64);
         }
     }

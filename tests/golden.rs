@@ -141,7 +141,7 @@ fn default_digests_hold_at_every_width_in_one_process() {
         (format!("width {width}"), ctx)
     });
     for (label, ctx) in std::iter::once(sequential).chain(pooled) {
-        let salvage = ctx.clone().with_supervision(SupervisionPolicy::salvage());
+        let salvage = ctx.clone().with_supervision(SupervisionPolicy::Salvage);
         for (mode, ctx) in [("fail-fast", ctx), ("salvage", salvage)] {
             let paper = PaperReproduction::with_engine(ScenarioConfig::default(), ctx);
             let got = digests_of(&paper);
